@@ -25,15 +25,30 @@ const (
 	MetricDreadMS      = "dread_ms"
 )
 
-// metricNames lists every sketch in canonical order; merges iterate this
-// slice (never a map) so the combined state is reproducible.
-var metricNames = []string{
+// Slots of the core sketches, in metricNames order.
+const (
+	slotStartup = iota
+	slotRebuffer
+	slotDFB
+	slotDLB
+	slotSRTT
+	slotServer
+	slotServerHit
+	slotServerMiss
+	slotDwait
+	slotDopen
+	slotDread
+	numCoreSketches
+)
+
+// metricNames names the core sketch slots, in slot order.
+var metricNames = [numCoreSketches]string{
 	MetricStartupMS, MetricRebufferRate, MetricDFBMS, MetricDLBMS,
 	MetricSRTTMS, MetricServerMS, MetricServerHitMS, MetricServerMissMS,
 	MetricDwaitMS, MetricDopenMS, MetricDreadMS,
 }
 
-// Counter names (see CounterSet for the dimensioned-key convention; the
+// Counter names (see DimKey for the dimensioned-key convention; the
 // dimensions in use are pop, cache, bitrate, and org).
 const (
 	CounterSessions           = "sessions" // also the base of _pop= / _org= / _window= keys
@@ -54,37 +69,69 @@ const (
 	rebufHistBins    = 100
 )
 
+// namedSketch is one optional-family sketch and its canonical name.
+type namedSketch struct {
+	name string
+	sk   *QuantileSketch
+}
+
+// qoeSketches is the per-session QoE trio (startup, re-buffering ratio,
+// average bitrate) the diagnosis and window dimensions keep for each
+// label or window.
+type qoeSketches struct {
+	startup, rebuffer, bitrate *QuantileSketch
+}
+
+func (q qoeSketches) add(s *core.SessionRecord) {
+	if !math.IsNaN(s.StartupMS) {
+		q.startup.Add(s.StartupMS)
+	}
+	q.rebuffer.Add(s.RebufferRate)
+	q.bitrate.Add(s.AvgBitrateKbps)
+}
+
 // Accumulator folds finished sessions into the campaign's bounded-memory
 // aggregates. It implements core.RecordSink; the sharded runner gives
 // each PoP shard its own Accumulator, so no locking is needed on the
 // record path.
+//
+// The record path touches only dense state: core sketches sit in fixed
+// slots, optional-family sketches are reached by label ordinal or window
+// index, and counters are keyed by (family, value) — see counterKey. The
+// canonical string names are built only when a snapshot is taken.
 type Accumulator struct {
-	k        int
-	sketches map[string]*QuantileSketch
-	hists    map[string]*Histogram
-	counters *CounterSet
+	k            int
+	core         [numCoreSketches]*QuantileSketch
+	startupHist  *Histogram
+	rebufferHist *Histogram
+	counts       map[counterKey]uint64
+
+	// extra lists every optional-family sketch in creation order, which is
+	// the same for every accumulator of one Config; merges pair them by
+	// position and snapshots name them.
+	extra []namedSketch
 
 	// Diagnosis mode (see diag.go): non-nil diag classifies every
-	// consumed session; diagNames is the canonical order the per-label
-	// sketches merge in.
-	diag      *diagnose.Config
-	diagNames []string
+	// consumed session; diagQoE holds its per-label sketches, indexed by
+	// the label's position in diagLabels.
+	diag    *diagnose.Config
+	diagQoE []qoeSketches
 
 	// Windowed mode (see windows.go): sessions are charged by arrival
-	// time to these timeline windows; windowNames is the canonical order
-	// the per-window sketches merge in.
-	windows     []timeline.Window
-	windowNames []string
+	// time to these timeline windows; windowQoE is indexed like windows.
+	windows   []timeline.Window
+	windowQoE []qoeSketches
 
 	// Live mode (see live.go): join-time and live-edge-lag sketches plus
-	// per-channel counters; liveNames is their canonical merge order.
-	live      bool
-	liveNames []string
+	// per-channel counters.
+	live              bool
+	joinTime, edgeLag *QuantileSketch
 
 	// Proxy mode (see proxy.go): proxied-vs-direct QoE sketches plus
-	// per-egress counters; proxyNames is their canonical merge order.
-	proxy      bool
-	proxyNames []string
+	// per-egress counters.
+	proxy                        bool
+	cvProxied, cvClear           *QuantileSketch
+	startupProxied, startupClear *QuantileSketch
 }
 
 // Config assembles an accumulator's optional modes next to its sketch
@@ -115,16 +162,13 @@ type Config struct {
 // compaction parameter (<= 0 selects DefaultSketchK).
 func NewAccumulator(k int) *Accumulator {
 	a := &Accumulator{
-		k:        k,
-		sketches: make(map[string]*QuantileSketch, len(metricNames)),
-		hists: map[string]*Histogram{
-			MetricStartupMS:    NewHistogram(0, startupHistMaxMS, startupHistBins),
-			MetricRebufferRate: NewHistogram(0, 1, rebufHistBins),
-		},
-		counters: NewCounterSet(),
+		k:            k,
+		startupHist:  NewHistogram(0, startupHistMaxMS, startupHistBins),
+		rebufferHist: NewHistogram(0, 1, rebufHistBins),
+		counts:       map[counterKey]uint64{},
 	}
-	for _, m := range metricNames {
-		a.sketches[m] = NewSketch(k)
+	for i := range a.core {
+		a.core[i] = NewSketch(k)
 	}
 	return a
 }
@@ -146,100 +190,171 @@ func NewAccumulatorWith(cfg Config) *Accumulator {
 	return a
 }
 
-// ConsumeSession implements core.RecordSink: it folds one finished
-// session and its chunks into the aggregates and retains nothing.
-func (a *Accumulator) ConsumeSession(s core.SessionRecord, chunks []core.ChunkRecord) {
-	a.counters.Inc(CounterSessions)
-	a.counters.Inc(IntDimKey(CounterSessions, "pop", s.PoP))
-	a.counters.Inc(DimKey(CounterSessions, "org", s.OrgType))
-	// StartupMS is NaN for sessions that never started playback; those go
-	// to a dedicated counter instead of the startup distribution.
-	if math.IsNaN(s.StartupMS) {
-		a.counters.Inc(CounterSessionsNeverStart)
-	} else {
-		a.sketches[MetricStartupMS].Add(s.StartupMS)
-		a.hists[MetricStartupMS].Add(s.StartupMS)
-	}
-	a.sketches[MetricRebufferRate].Add(s.RebufferRate)
-	a.hists[MetricRebufferRate].Add(s.RebufferRate)
-	diagLabel := ""
-	if a.diag != nil {
-		diagLabel = a.consumeDiagnosis(s, chunks)
-	}
-	if len(a.windows) > 0 {
-		a.consumeWindow(s, diagLabel)
-	}
-	if a.live {
-		a.consumeLive(s)
-	}
-	if a.proxy {
-		a.consumeProxy(s)
-	}
+// addSketch creates one optional-family sketch under its canonical name.
+// Call it only from the enable* methods, before the first ConsumeSession.
+func (a *Accumulator) addSketch(name string) *QuantileSketch {
+	sk := NewSketch(a.k)
+	a.extra = append(a.extra, namedSketch{name: name, sk: sk})
+	return sk
+}
 
-	for i := range chunks {
-		c := &chunks[i]
-		a.counters.Inc(CounterChunks)
-		a.counters.Inc(IntDimKey(CounterChunks, "pop", s.PoP))
-		a.counters.Inc(DimKey(CounterChunks, "cache", c.CacheLevel))
-		a.counters.Inc(IntDimKey(CounterChunks, "bitrate", c.BitrateKbps))
-		server := c.ServerLatencyMS()
-		if c.CacheHit {
-			a.counters.Inc(CounterChunksHit)
-			a.counters.Inc(IntDimKey(CounterChunksHit, "pop", s.PoP))
-			a.sketches[MetricServerHitMS].Add(server)
-		} else {
-			a.sketches[MetricServerMissMS].Add(server)
-		}
-		if c.RetryTimer {
-			a.counters.Inc(CounterChunksRetryTimer)
-		}
-		a.sketches[MetricDFBMS].Add(c.DFBms)
-		a.sketches[MetricDLBMS].Add(c.DLBms)
-		a.sketches[MetricSRTTMS].Add(c.SRTTms)
-		a.sketches[MetricServerMS].Add(server)
-		a.sketches[MetricDwaitMS].Add(c.DwaitMS)
-		a.sketches[MetricDopenMS].Add(c.DopenMS)
-		a.sketches[MetricDreadMS].Add(c.DreadMS)
+// addQoE creates one QoE trio, naming each sketch by key(base).
+func (a *Accumulator) addQoE(key func(base string) string) qoeSketches {
+	return qoeSketches{
+		startup:  a.addSketch(key(MetricStartupMS)),
+		rebuffer: a.addSketch(key(MetricRebufferRate)),
+		bitrate:  a.addSketch(key(MetricAvgBitrateKbps)),
 	}
 }
 
-// Merge folds o into a, iterating the canonical metric list so the result
-// depends only on operand order.
+// ConsumeSession implements core.RecordSink: it folds one finished
+// session and its chunks into the aggregates and retains nothing.
+func (a *Accumulator) ConsumeSession(s core.SessionRecord, chunks []core.ChunkRecord) {
+	a.counts[plainKey(CounterSessions)]++
+	a.counts[counterKey{fam: famSessionsPoP, num: s.PoP}]++
+	a.counts[counterKey{fam: famSessionsOrg, str: s.OrgType}]++
+	// StartupMS is NaN for sessions that never started playback; those go
+	// to a dedicated counter instead of the startup distribution.
+	if math.IsNaN(s.StartupMS) {
+		a.counts[plainKey(CounterSessionsNeverStart)]++
+	} else {
+		a.core[slotStartup].Add(s.StartupMS)
+		a.startupHist.Add(s.StartupMS)
+	}
+	a.core[slotRebuffer].Add(s.RebufferRate)
+	a.rebufferHist.Add(s.RebufferRate)
+	diagLabel := ""
+	if a.diag != nil {
+		diagLabel = a.consumeDiagnosis(&s, chunks)
+	}
+	if len(a.windows) > 0 {
+		a.consumeWindow(&s, diagLabel)
+	}
+	if a.live {
+		a.consumeLive(&s)
+	}
+	if a.proxy {
+		a.consumeProxy(&s)
+	}
+
+	// The session's chunks share its PoP, so the undimensioned and per-PoP
+	// chunk counters are summed here and added once; a counter still
+	// appears only once something has counted into it.
+	var hits, retries uint64
+	for i := range chunks {
+		c := &chunks[i]
+		a.counts[counterKey{fam: famChunksCache, str: c.CacheLevel}]++
+		a.counts[counterKey{fam: famChunksBitrate, num: c.BitrateKbps}]++
+		server := c.ServerLatencyMS()
+		if c.CacheHit {
+			hits++
+			a.core[slotServerHit].Add(server)
+		} else {
+			a.core[slotServerMiss].Add(server)
+		}
+		if c.RetryTimer {
+			retries++
+		}
+		a.core[slotDFB].Add(c.DFBms)
+		a.core[slotDLB].Add(c.DLBms)
+		a.core[slotSRTT].Add(c.SRTTms)
+		a.core[slotServer].Add(server)
+		a.core[slotDwait].Add(c.DwaitMS)
+		a.core[slotDopen].Add(c.DopenMS)
+		a.core[slotDread].Add(c.DreadMS)
+	}
+	if n := uint64(len(chunks)); n > 0 {
+		a.counts[plainKey(CounterChunks)] += n
+		a.counts[counterKey{fam: famChunksPoP, num: s.PoP}] += n
+	}
+	if hits > 0 {
+		a.counts[plainKey(CounterChunksHit)] += hits
+		a.counts[counterKey{fam: famChunksHitPoP, num: s.PoP}] += hits
+	}
+	if retries > 0 {
+		a.counts[plainKey(CounterChunksRetryTimer)] += retries
+	}
+}
+
+// Merge folds o into a. o must come from the same Config (every
+// accumulator of one Campaign does), so the optional sketches pair up by
+// position; the result depends only on operand order.
 func (a *Accumulator) Merge(o *Accumulator) {
 	if o == nil {
 		return
 	}
-	for _, m := range metricNames {
-		a.sketches[m].Merge(o.sketches[m])
+	for i, sk := range a.core {
+		sk.Merge(o.core[i])
 	}
-	for _, m := range a.diagNames {
-		a.sketches[m].Merge(o.sketches[m])
+	for i, ns := range a.extra {
+		ns.sk.Merge(o.extra[i].sk)
 	}
-	for _, m := range a.windowNames {
-		a.sketches[m].Merge(o.sketches[m])
+	a.startupHist.Merge(o.startupHist)
+	a.rebufferHist.Merge(o.rebufferHist)
+	for k, n := range o.counts {
+		a.counts[k] += n
 	}
-	for _, m := range a.liveNames {
-		a.sketches[m].Merge(o.sketches[m])
-	}
-	for _, m := range a.proxyNames {
-		a.sketches[m].Merge(o.sketches[m])
-	}
-	for name, h := range a.hists {
-		h.Merge(o.hists[name])
-	}
-	a.counters.Merge(o.counters)
 }
 
-// snapshot packages the accumulator's state.
+// snapshot packages the accumulator's state under its canonical names.
+// The sketches and histograms are shared with the accumulator, not copied.
 func (a *Accumulator) snapshot() *Snapshot {
-	return &Snapshot{
-		Schema:     SnapshotSchema,
-		SketchK:    NewSketch(a.k).K(),
-		Windows:    a.windows,
-		Sketches:   a.sketches,
-		Histograms: a.hists,
-		Counters:   a.counters.Map(),
+	sketches := make(map[string]*QuantileSketch, len(a.core)+len(a.extra))
+	for i, name := range metricNames {
+		sketches[name] = a.core[i]
 	}
+	for _, ns := range a.extra {
+		sketches[ns.name] = ns.sk
+	}
+	return &Snapshot{
+		Schema:   SnapshotSchema,
+		SketchK:  NewSketch(a.k).K(),
+		Windows:  a.windows,
+		Sketches: sketches,
+		Histograms: map[string]*Histogram{
+			MetricStartupMS:    a.startupHist,
+			MetricRebufferRate: a.rebufferHist,
+		},
+		Counters: a.counterMap(),
+	}
+}
+
+// counterMap materializes the counters under their canonical string keys.
+func (a *Accumulator) counterMap() map[string]uint64 {
+	out := make(map[string]uint64, len(a.counts))
+	for k, n := range a.counts {
+		out[a.counterName(k)] += n
+	}
+	return out
+}
+
+// counterName builds the canonical string key of one counter.
+func (a *Accumulator) counterName(k counterKey) string {
+	switch k.fam {
+	case famSessionsPoP:
+		return IntDimKey(CounterSessions, "pop", k.num)
+	case famSessionsOrg:
+		return DimKey(CounterSessions, "org", k.str)
+	case famChunksPoP:
+		return IntDimKey(CounterChunks, "pop", k.num)
+	case famChunksCache:
+		return DimKey(CounterChunks, "cache", k.str)
+	case famChunksBitrate:
+		return IntDimKey(CounterChunks, "bitrate", k.num)
+	case famChunksHitPoP:
+		return IntDimKey(CounterChunksHit, "pop", k.num)
+	case famSessionsDiag:
+		return DiagSessionsKey(diagnose.Label(k.str))
+	case famSessionsWindow:
+		return WindowSessionsKey(a.windows[k.num].Name)
+	case famSessionsWindowDiag:
+		return WindowDiagSessionsKey(a.windows[k.num].Name, k.str)
+	case famSessionsChannel:
+		return LiveChannelSessionsKey(k.num)
+	case famSessionsEgress:
+		return ProxyEgressSessionsKey(k.num)
+	}
+	return k.str
 }
 
 // Campaign owns the per-shard accumulators of one streamed run. Its Sink

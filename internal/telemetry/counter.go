@@ -1,60 +1,78 @@
 package telemetry
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// CounterSet is a bag of named monotonic counters. Dimensioned counters
-// use keys of the form "<base>_<dim>=<value>" (built by DimKey), e.g.
-// "chunks_cache=ram" or "sessions_pop=003"; numeric dimension values are
-// zero-padded so lexicographic key order matches numeric order and JSON
-// output (sorted keys) is stable. Merging adds counts, so the result is
-// independent of merge order.
-type CounterSet struct {
-	c map[string]uint64
+// Counters use string keys of the form "<base>_<dim>=<value>" (built by
+// DimKey) in snapshots, e.g. "chunks_cache=ram" or "sessions_pop=00003";
+// numeric dimension values are zero-padded so lexicographic key order
+// matches numeric order and JSON output (sorted keys) is stable. On the
+// record path an Accumulator counts under counterKey instead and builds
+// these strings only when it materializes a snapshot.
+
+// counterFamily names one counter base and dimension.
+type counterFamily uint8
+
+const (
+	famPlain              counterFamily = iota // undimensioned; str is the counter name
+	famSessionsPoP                             // sessions_pop=<num>
+	famSessionsOrg                             // sessions_org=<str>
+	famChunksPoP                               // chunks_pop=<num>
+	famChunksCache                             // chunks_cache=<str>
+	famChunksBitrate                           // chunks_bitrate=<num>
+	famChunksHitPoP                            // chunks_hit_pop=<num>
+	famSessionsDiag                            // sessions_diag=<str>
+	famSessionsWindow                          // sessions_window=<name of window num>
+	famSessionsWindowDiag                      // sessions_window=<name of window num>_diag=<str>
+	famSessionsChannel                         // sessions_channel=<num>
+	famSessionsEgress                          // sessions_egress=<num>
+)
+
+// counterKey identifies one counter without building its string: the
+// family plus the record's own dimension value — an int for numeric
+// dimensions (and the window index for window families), or a string the
+// record already holds (cache level, org, diagnosis label, counter name).
+// Counting under it allocates nothing once the key exists.
+type counterKey struct {
+	fam counterFamily
+	num int
+	str string
 }
 
-// NewCounterSet returns an empty counter set.
-func NewCounterSet() *CounterSet { return &CounterSet{c: map[string]uint64{}} }
-
-// Inc adds one to the named counter.
-func (cs *CounterSet) Inc(key string) { cs.c[key]++ }
-
-// AddN adds n to the named counter.
-func (cs *CounterSet) AddN(key string, n uint64) { cs.c[key] += n }
-
-// Get returns the counter's value (zero if never incremented).
-func (cs *CounterSet) Get(key string) uint64 { return cs.c[key] }
-
-// Merge adds o's counts into cs.
-func (cs *CounterSet) Merge(o *CounterSet) {
-	if o == nil {
-		return
-	}
-	for k, v := range o.c {
-		cs.c[k] += v
-	}
-}
-
-// Map returns a copy of the counters.
-func (cs *CounterSet) Map() map[string]uint64 {
-	out := make(map[string]uint64, len(cs.c))
-	for k, v := range cs.c {
-		out[k] = v
-	}
-	return out
-}
+// plainKey is the key of an undimensioned counter.
+func plainKey(name string) counterKey { return counterKey{fam: famPlain, str: name} }
 
 // DimKey builds the canonical dimensioned-counter key "<base>_<dim>=<value>".
 func DimKey(base, dim, value string) string { return base + "_" + dim + "=" + value }
 
 // IntDimKey is DimKey for integer dimension values, zero-padded to five
-// digits so sorted keys are in numeric order.
+// digits so sorted keys are in numeric order. The value renders exactly as
+// fmt's "%05d" does: the sign counts toward the width and precedes the
+// padding.
 func IntDimKey(base, dim string, value int) string {
-	return DimKey(base, dim, fmt.Sprintf("%05d", value))
+	var buf [64]byte
+	b := append(buf[:0], base...)
+	b = append(b, '_')
+	b = append(b, dim...)
+	b = append(b, '=')
+	u := uint64(value)
+	if value < 0 {
+		b = append(b, '-')
+		u = -u
+	}
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], u, 10)
+	width := 5
+	if value < 0 {
+		width--
+	}
+	for n := width - len(d); n > 0; n-- {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
 }
 
 // DimCount is one (dimension value, count) row extracted from a counter

@@ -7,8 +7,6 @@
 package telemetry
 
 import (
-	"math"
-
 	"vidperf/internal/core"
 	"vidperf/internal/diagnose"
 )
@@ -34,20 +32,18 @@ func DiagSketchKey(base string, label diagnose.Label) string {
 	return DimKey(base, DiagDim, string(label))
 }
 
-// diagMetricBases are the per-label sketch families, in canonical order.
-var diagMetricBases = []string{MetricStartupMS, MetricRebufferRate, MetricAvgBitrateKbps}
+// diagLabels is the canonical label order; a label's position is its
+// sketch slot.
+var diagLabels = diagnose.Labels()
 
-// diagSketchNames lists every per-label sketch in canonical order
-// (labels outer, metric families inner), the order Merge iterates.
-func diagSketchNames() []string {
-	labels := diagnose.Labels()
-	out := make([]string, 0, len(labels)*len(diagMetricBases))
-	for _, l := range labels {
-		for _, base := range diagMetricBases {
-			out = append(out, DiagSketchKey(base, l))
+// diagSlot returns the label's position in diagLabels.
+func diagSlot(l diagnose.Label) int {
+	for i, x := range diagLabels {
+		if x == l {
+			return i
 		}
 	}
-	return out
+	panic("telemetry: unknown diagnosis label " + string(l))
 }
 
 // enableDiagnosis switches the accumulator into diagnosis mode: every
@@ -58,22 +54,18 @@ func diagSketchNames() []string {
 func (a *Accumulator) enableDiagnosis(cfg diagnose.Config) {
 	c := cfg.WithDefaults()
 	a.diag = &c
-	a.diagNames = diagSketchNames()
-	for _, name := range a.diagNames {
-		a.sketches[name] = NewSketch(a.k)
+	a.diagQoE = make([]qoeSketches, len(diagLabels))
+	for i, l := range diagLabels {
+		a.diagQoE[i] = a.addQoE(func(base string) string { return DiagSketchKey(base, l) })
 	}
 }
 
 // consumeDiagnosis classifies one finished session, folds its QoE into
 // the label's counters and sketches, and returns the label so windowed
 // mode can cross it with the session's arrival window.
-func (a *Accumulator) consumeDiagnosis(s core.SessionRecord, chunks []core.ChunkRecord) string {
-	label := diagnose.Classify(s, chunks, *a.diag).Label
-	a.counters.Inc(DiagSessionsKey(label))
-	if !math.IsNaN(s.StartupMS) {
-		a.sketches[DiagSketchKey(MetricStartupMS, label)].Add(s.StartupMS)
-	}
-	a.sketches[DiagSketchKey(MetricRebufferRate, label)].Add(s.RebufferRate)
-	a.sketches[DiagSketchKey(MetricAvgBitrateKbps, label)].Add(s.AvgBitrateKbps)
+func (a *Accumulator) consumeDiagnosis(s *core.SessionRecord, chunks []core.ChunkRecord) string {
+	label := diagnose.Classify(*s, chunks, *a.diag).Label
+	a.counts[counterKey{fam: famSessionsDiag, str: string(label)}]++
+	a.diagQoE[diagSlot(label)].add(s)
 	return string(label)
 }

@@ -2,7 +2,7 @@
 // the runner's per-session and per-chunk records into bounded-memory,
 // mergeable aggregates — deterministic KLL-style quantile sketches
 // (QuantileSketch), fixed-bin histograms (Histogram), and dimensioned
-// counters (CounterSet) keyed by PoP, cache level, bitrate, and org type —
+// counters (DimKey) keyed by PoP, cache level, bitrate, and org type —
 // covering every distribution the paper's §4–§5 analyses consume (startup
 // time, D_FB, D_LB, SRTT, server latency, re-buffering ratio, hit ratio).
 // A campaign streamed through an Accumulator needs O(sketch) memory

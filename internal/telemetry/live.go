@@ -37,30 +37,26 @@ func LiveChannelSessionsKey(ch int) string {
 	return IntDimKey(CounterSessions, LiveChannelDim, ch)
 }
 
-// liveMetricNames lists the live sketches in canonical order; merges
-// iterate this slice (never a map), like every other sketch family.
-var liveMetricNames = []string{MetricJoinTimeMS, MetricLiveEdgeLagMS}
-
 // enableLive switches the accumulator into live mode. Call before the
 // first ConsumeSession; the sketches are created eagerly so empty
 // shards still merge and snapshot deterministically.
 func (a *Accumulator) enableLive() {
 	a.live = true
-	a.liveNames = append([]string(nil), liveMetricNames...)
-	for _, name := range a.liveNames {
-		a.sketches[name] = NewSketch(a.k)
-	}
+	a.joinTime = a.addSketch(MetricJoinTimeMS)
+	a.edgeLag = a.addSketch(MetricLiveEdgeLagMS)
 }
 
 // consumeLive folds one finished live session into the live aggregates.
-func (a *Accumulator) consumeLive(s core.SessionRecord) {
+// The switch counter is added even when the session never switched, so
+// a live campaign always reports live_switches, if only as zero.
+func (a *Accumulator) consumeLive(s *core.SessionRecord) {
 	if !s.Live {
 		return
 	}
-	a.counters.Inc(LiveChannelSessionsKey(s.LiveChannel))
-	a.counters.AddN(CounterLiveSwitches, uint64(s.LiveSwitches))
+	a.counts[counterKey{fam: famSessionsChannel, num: s.LiveChannel}]++
+	a.counts[plainKey(CounterLiveSwitches)] += uint64(s.LiveSwitches)
 	if !math.IsNaN(s.StartupMS) {
-		a.sketches[MetricJoinTimeMS].Add(s.StartupMS)
+		a.joinTime.Add(s.StartupMS)
 	}
-	a.sketches[MetricLiveEdgeLagMS].Add(s.LiveEdgeLagMS)
+	a.edgeLag.Add(s.LiveEdgeLagMS)
 }

@@ -40,8 +40,7 @@ func ProxyEgressSessionsKey(cohort int) string {
 	return IntDimKey(CounterSessions, ProxyEgressDim, cohort)
 }
 
-// proxyMetricNames lists the proxy sketches in canonical order; merges
-// iterate this slice (never a map), like every other sketch family.
+// proxyMetricNames lists the proxy sketches in canonical order.
 var proxyMetricNames = []string{
 	MetricSRTTCVProxied, MetricSRTTCVClear,
 	MetricStartupProxied, MetricStartupClear,
@@ -52,25 +51,25 @@ var proxyMetricNames = []string{
 // shards still merge and snapshot deterministically.
 func (a *Accumulator) enableProxy() {
 	a.proxy = true
-	a.proxyNames = append([]string(nil), proxyMetricNames...)
-	for _, name := range a.proxyNames {
-		a.sketches[name] = NewSketch(a.k)
-	}
+	a.cvProxied = a.addSketch(MetricSRTTCVProxied)
+	a.cvClear = a.addSketch(MetricSRTTCVClear)
+	a.startupProxied = a.addSketch(MetricStartupProxied)
+	a.startupClear = a.addSketch(MetricStartupClear)
 }
 
 // consumeProxy folds one finished session into the proxied-vs-direct
 // aggregates. Proxied/ProxyCohort are the model's ground-truth labels —
 // telemetry may read them (it is scoring infrastructure, not a
 // detector); only internal/proxydetect is barred from them.
-func (a *Accumulator) consumeProxy(s core.SessionRecord) {
-	cv, startup := a.sketches[MetricSRTTCVClear], a.sketches[MetricStartupClear]
+func (a *Accumulator) consumeProxy(s *core.SessionRecord) {
+	cv, startup := a.cvClear, a.startupClear
 	if s.Proxied {
-		cv, startup = a.sketches[MetricSRTTCVProxied], a.sketches[MetricStartupProxied]
-		a.counters.Inc(CounterSessionsProxied)
-		a.counters.Inc(ProxyEgressSessionsKey(s.ProxyCohort))
+		cv, startup = a.cvProxied, a.startupProxied
+		a.counts[plainKey(CounterSessionsProxied)]++
+		a.counts[counterKey{fam: famSessionsEgress, num: s.ProxyCohort}]++
 	}
 	if s.HTTPClientIP != "" && s.HTTPClientIP != s.BeaconIP {
-		a.counters.Inc(CounterSessionsIPMismatch)
+		a.counts[plainKey(CounterSessionsIPMismatch)]++
 	}
 	cv.Add(s.SRTTCV)
 	if !math.IsNaN(s.StartupMS) {

@@ -3,9 +3,11 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 
+	"vidperf/internal/core"
 	"vidperf/internal/stats"
 )
 
@@ -234,16 +236,22 @@ func TestHistogramJSONRoundTrip(t *testing.T) {
 }
 
 func TestCounterDimensions(t *testing.T) {
-	cs := NewCounterSet()
-	cs.Inc(IntDimKey("chunks", "pop", 3))
-	cs.Inc(IntDimKey("chunks", "pop", 3))
-	cs.Inc(IntDimKey("chunks", "pop", 10))
-	cs.Inc(DimKey("chunks", "cache", "ram"))
-	o := NewCounterSet()
-	o.AddN(IntDimKey("chunks", "pop", 3), 5)
-	cs.Merge(o)
+	session := func(pop, chunks int, level string) (core.SessionRecord, []core.ChunkRecord) {
+		cs := make([]core.ChunkRecord, chunks)
+		for i := range cs {
+			cs[i].CacheLevel = level
+		}
+		return core.SessionRecord{PoP: pop}, cs
+	}
+	a := NewAccumulator(32)
+	a.ConsumeSession(session(3, 2, "ram"))
+	a.ConsumeSession(session(10, 1, "ram"))
+	o := NewAccumulator(32)
+	o.ConsumeSession(session(3, 5, "disk"))
+	a.Merge(o)
+	counters := a.snapshot().Counters
 
-	rows := CountersByDim(cs.Map(), "chunks", "pop")
+	rows := CountersByDim(counters, "chunks", "pop")
 	if len(rows) != 2 {
 		t.Fatalf("rows = %+v", rows)
 	}
@@ -251,10 +259,24 @@ func TestCounterDimensions(t *testing.T) {
 	if rows[0].IntValue() != 3 || rows[0].N != 7 || rows[1].IntValue() != 10 {
 		t.Fatalf("rows = %+v", rows)
 	}
-	if got := CountersByDim(cs.Map(), "chunks", "cache"); len(got) != 1 || got[0].Value != "ram" {
+	if got := CountersByDim(counters, "chunks", "cache"); len(got) != 2 || got[1].Value != "ram" || got[1].N != 3 {
 		t.Fatalf("cache rows = %+v", got)
 	}
-	if got := CountersByDim(cs.Map(), "sessions", "pop"); len(got) != 0 {
+	if got := CountersByDim(counters, "chunks_hit", "pop"); len(got) != 0 {
 		t.Fatalf("unexpected rows %+v", got)
+	}
+}
+
+// TestIntDimKeyMatchesFmt pins IntDimKey byte-equal to the "%05d" format
+// its keys have always used, across the sign and width edge cases.
+func TestIntDimKeyMatchesFmt(t *testing.T) {
+	for _, v := range []int{
+		math.MinInt, -math.MaxInt, -100000, -99999, -1234, -42, -1, 0, 1, 42,
+		9999, 99999, 100000, 123456789, math.MaxInt,
+	} {
+		want := "chunks_pop=" + fmt.Sprintf("%05d", v)
+		if got := IntDimKey("chunks", "pop", v); got != want {
+			t.Errorf("IntDimKey(%d) = %q, want %q", v, got, want)
+		}
 	}
 }

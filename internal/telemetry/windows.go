@@ -10,8 +10,6 @@
 package telemetry
 
 import (
-	"math"
-
 	"vidperf/internal/core"
 	"vidperf/internal/timeline"
 )
@@ -39,10 +37,6 @@ func WindowDiagSessionsKey(window, label string) string {
 	return DimKey(WindowSessionsKey(window), DiagDim, label)
 }
 
-// windowMetricBases are the per-window sketch families, in canonical
-// order — the same QoE trio the diagnosis dimension maintains.
-var windowMetricBases = []string{MetricStartupMS, MetricRebufferRate, MetricAvgBitrateKbps}
-
 // enableWindows switches the accumulator into windowed mode: every
 // consumed session is charged to the window containing its arrival time.
 // Call before the first ConsumeSession; per-window sketches are created
@@ -52,34 +46,25 @@ func (a *Accumulator) enableWindows(ws []timeline.Window) {
 		return
 	}
 	a.windows = append([]timeline.Window(nil), ws...)
-	a.windowNames = a.windowNames[:0]
-	for _, w := range a.windows {
-		for _, base := range windowMetricBases {
-			name := WindowSketchKey(base, w.Name)
-			a.windowNames = append(a.windowNames, name)
-			a.sketches[name] = NewSketch(a.k)
-		}
+	a.windowQoE = make([]qoeSketches, len(a.windows))
+	for i, w := range a.windows {
+		a.windowQoE[i] = a.addQoE(func(base string) string { return WindowSketchKey(base, w.Name) })
 	}
 }
 
 // consumeWindow charges one finished session to its arrival window.
-func (a *Accumulator) consumeWindow(s core.SessionRecord, diagLabel string) {
+func (a *Accumulator) consumeWindow(s *core.SessionRecord, diagLabel string) {
 	i := timeline.WindowAt(a.windows, s.ArrivalMS)
 	if i < 0 {
 		// Arrivals outside every window (possible only if the windows do
 		// not span the arrival window) are counted so the coverage
 		// invariant surfaces the gap instead of hiding it.
-		a.counters.Inc(CounterSessionsUnwindowed)
+		a.counts[plainKey(CounterSessionsUnwindowed)]++
 		return
 	}
-	w := a.windows[i].Name
-	a.counters.Inc(WindowSessionsKey(w))
-	if !math.IsNaN(s.StartupMS) {
-		a.sketches[WindowSketchKey(MetricStartupMS, w)].Add(s.StartupMS)
-	}
-	a.sketches[WindowSketchKey(MetricRebufferRate, w)].Add(s.RebufferRate)
-	a.sketches[WindowSketchKey(MetricAvgBitrateKbps, w)].Add(s.AvgBitrateKbps)
+	a.counts[counterKey{fam: famSessionsWindow, num: i}]++
+	a.windowQoE[i].add(s)
 	if diagLabel != "" {
-		a.counters.Inc(WindowDiagSessionsKey(w, diagLabel))
+		a.counts[counterKey{fam: famSessionsWindowDiag, num: i, str: diagLabel}]++
 	}
 }

@@ -67,7 +67,7 @@ func TestWindowAttribution(t *testing.T) {
 func TestWindowOutOfRangeCounts(t *testing.T) {
 	a := NewAccumulatorWith(Config{SketchK: 32, Windows: testWindows()})
 	a.ConsumeSession(windowSession(1, 9999, 800), nil)
-	if got := a.counters.Get(CounterSessionsUnwindowed); got != 1 {
+	if got := a.snapshot().Counter(CounterSessionsUnwindowed); got != 1 {
 		t.Fatalf("unwindowed = %d", got)
 	}
 }
@@ -80,9 +80,10 @@ func TestWindowDiagCross(t *testing.T) {
 	})
 	a.ConsumeSession(windowSession(1, 1500, 800), nil)
 	a.ConsumeSession(windowSession(2, 1600, 700), nil)
+	sn := a.snapshot()
 	var sum uint64
 	for _, l := range diagnose.Labels() {
-		sum += a.counters.Get(WindowDiagSessionsKey("w01-outage", string(l)))
+		sum += sn.Counter(WindowDiagSessionsKey("w01-outage", string(l)))
 	}
 	if sum != 2 {
 		t.Fatalf("outage-window label counts sum to %d, want 2", sum)
