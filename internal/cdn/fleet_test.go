@@ -22,8 +22,8 @@ func TestPoPFleetMatchesFullFleet(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			req := Request{Key: uint64(i * 31), SizeBytes: 700000, VideoID: i, ChunkIndex: 0}
 			var fullRes, partRes ServeResult
-			full.ServerFor(pop, i, i, uint64(i)).Serve(fullEng, req, func(r ServeResult) { fullRes = r })
-			part.ServerFor(pop, i, i, uint64(i)).Serve(partEng, req, func(r ServeResult) { partRes = r })
+			full.ServerFor(pop, i, i, uint64(i)).Serve(fullEng, req, clientFunc(func(r ServeResult) { fullRes = r }))
+			part.ServerFor(pop, i, i, uint64(i)).Serve(partEng, req, clientFunc(func(r ServeResult) { partRes = r }))
 			fullEng.Run()
 			partEng.Run()
 			if fullRes != partRes {

@@ -137,8 +137,17 @@ type Server struct {
 	backend *backend.Service
 	r       *stats.Rand
 
+	// busy counts occupied workers. queue[head:] is the FIFO of requests
+	// waiting for one; dequeued slots are cleared so a finished request is
+	// not kept reachable from the backing array.
 	busy  int
-	queue []pendingReq
+	queue []*inflight
+	head  int
+
+	// Free lists of the per-request event handlers, so steady-state
+	// serving allocates none.
+	requests freeList[inflight]
+	fills    freeList[cacheFill]
 
 	// Aggregate metrics for the load/performance analysis.
 	Served      int64
@@ -148,11 +157,85 @@ type Server struct {
 	SumDCDNms   float64
 }
 
-type pendingReq struct {
+// Client receives a served request's latency breakdown at the moment the
+// chunk's first byte is written to the socket.
+type Client interface {
+	Served(res ServeResult)
+}
+
+// inflight is one request from arrival until its first byte is
+// delivered. It is the handler of the delivery event, after which it
+// returns to its server's free list.
+type inflight struct {
+	srv       *Server
+	eng       *sim.Engine
 	req       Request
 	arrivedMS float64
-	done      func(ServeResult)
+	client    Client
+	res       ServeResult
 }
+
+// Fire delivers the result. The request is recycled before the client
+// runs, so a client that immediately issues its next request may get the
+// same handler back.
+func (f *inflight) Fire(float64) {
+	s, c, res := f.srv, f.client, f.res
+	*f = inflight{}
+	s.requests.put(f)
+	c.Served(res)
+}
+
+// workerRelease is the server seen as the handler of its workers'
+// release events: one long-lived handler serves every request.
+type workerRelease Server
+
+// Fire frees the worker and hands it the oldest queued request, if any.
+func (w *workerRelease) Fire(float64) {
+	s := (*Server)(w)
+	s.busy--
+	if s.head == len(s.queue) {
+		return
+	}
+	next := s.queue[s.head]
+	s.queue[s.head] = nil
+	s.head++
+	if s.head == len(s.queue) {
+		s.queue, s.head = s.queue[:0], 0
+	}
+	s.start(next)
+}
+
+// cacheFill is a backend fill landing in the cache one backend latency
+// after a miss or a prefetch. It returns to its server's free list after
+// firing.
+type cacheFill struct {
+	srv  *Server
+	key  uint64
+	size int64
+}
+
+// Fire inserts the fetched chunk.
+func (c *cacheFill) Fire(float64) {
+	s := c.srv
+	s.cache.Insert(c.key, c.size)
+	*c = cacheFill{}
+	s.fills.put(c)
+}
+
+// freeList recycles one kind of event handler.
+type freeList[T any] []*T
+
+func (l *freeList[T]) get() *T {
+	n := len(*l)
+	if n == 0 {
+		return new(T)
+	}
+	x := (*l)[n-1]
+	*l = (*l)[:n-1]
+	return x
+}
+
+func (l *freeList[T]) put(x *T) { *l = append(*l, x) }
 
 // NewServer builds a server with its own cache and backend sampler.
 func NewServer(id, popID int, cfg Config, be *backend.Service, r *stats.Rand) *Server {
@@ -186,39 +269,48 @@ func (s *Server) MeanDCDNms() float64 {
 	return s.SumDCDNms / float64(s.Served)
 }
 
-// Serve schedules the handling of req on the simulation engine and calls
-// done with the latency breakdown at the moment the chunk's first byte is
-// written to the socket.
-func (s *Server) Serve(eng *sim.Engine, req Request, done func(ServeResult)) {
-	p := pendingReq{req: req, arrivedMS: eng.Now(), done: done}
+// Serve schedules the handling of req on the simulation engine and hands
+// c the latency breakdown at the moment the chunk's first byte is written
+// to the socket.
+func (s *Server) Serve(eng *sim.Engine, req Request, c Client) {
+	f := s.requests.get()
+	*f = inflight{srv: s, eng: eng, req: req, arrivedMS: eng.Now(), client: c}
 	if s.busy < s.cfg.Workers {
-		s.start(eng, p)
-	} else {
-		s.queue = append(s.queue, p)
+		s.start(f)
+		return
 	}
+	if s.head > 0 && len(s.queue) == cap(s.queue) {
+		// Slide the waiting requests down instead of growing the array.
+		n := copy(s.queue, s.queue[s.head:])
+		clear(s.queue[n:])
+		s.queue, s.head = s.queue[:n], 0
+	}
+	s.queue = append(s.queue, f)
 }
 
 // start runs a request on a free worker at the current engine time.
-func (s *Server) start(eng *sim.Engine, p pendingReq) {
+func (s *Server) start(f *inflight) {
+	eng := f.eng
 	s.busy++
 	// Queue wait: time in FIFO plus a small accept/dispatch overhead
 	// (the paper observes Dwait < 1 ms for most chunks). The dispatch
 	// overhead occupies the worker, so it is scheduled below.
 	dispatch := s.r.Uniform(0.02, 0.4)
-	res := ServeResult{
-		DwaitMS: (eng.Now() - p.arrivedMS) + dispatch,
+	res := &f.res
+	*res = ServeResult{
+		DwaitMS: (eng.Now() - f.arrivedMS) + dispatch,
 		DopenMS: s.r.LogNormal(math.Log(s.cfg.OpenMedianMS), 0.4),
 	}
 
-	if s.cfg.PinFirstChunks && p.req.ChunkIndex == 0 {
+	if s.cfg.PinFirstChunks && f.req.ChunkIndex == 0 {
 		res.Level = cache.LevelRAM
 		res.Pinned = true
 		res.DreadMS = s.ramReadMS()
-		s.finish(eng, p, res, dispatch)
+		s.finish(f, dispatch)
 		return
 	}
 
-	res.Level = s.cache.Lookup(p.req.Key, p.req.SizeBytes)
+	res.Level = s.cache.Lookup(f.req.Key, f.req.SizeBytes)
 	switch res.Level {
 	case cache.LevelRAM:
 		res.DreadMS = s.ramReadMS()
@@ -227,47 +319,44 @@ func (s *Server) start(eng *sim.Engine, p pendingReq) {
 		// retry timer fires before the disk read completes.
 		res.RetryTimer = true
 		s.RetryHits++
-		res.DreadMS = s.cfg.OpenRetryMS + s.diskReadMS(p.req.SizeBytes)
+		res.DreadMS = s.cfg.OpenRetryMS + s.diskReadMS(f.req.SizeBytes)
 	case cache.LevelMiss:
 		res.RetryTimer = true
 		s.RetryHits++
-		res.DBEms = s.backend.FetchLatencyMS() * p.req.backendFactor()
+		res.DBEms = s.backend.FetchLatencyMS() * f.req.backendFactor()
 		// Local work: retry timer + writing the backend's first bytes
 		// through to the socket (backend fetch and delivery are
 		// pipelined; the wait itself is accounted in D_BE).
 		res.DreadMS = s.cfg.OpenRetryMS + s.r.Uniform(0.2, 1.0)
-		key, size := p.req.Key, p.req.SizeBytes
-		eng.After(res.DBEms, func(float64) {
-			s.cache.Insert(key, size)
-		})
-		s.prefetch(eng, p.req)
+		s.fill(eng, res.DBEms, f.req.Key, f.req.SizeBytes)
+		s.prefetch(eng, f.req)
 	}
-	s.finish(eng, p, res, dispatch)
+	s.finish(f, dispatch)
 }
 
-// finish accounts for worker occupancy and schedules the completion
-// callback at first-byte time.
-func (s *Server) finish(eng *sim.Engine, p pendingReq, res ServeResult, dispatch float64) {
+// finish accounts for worker occupancy and schedules the worker's release
+// and the first-byte delivery.
+func (s *Server) finish(f *inflight, dispatch float64) {
+	res := f.res
 	localWork := dispatch + res.DopenMS + res.DreadMS
 	firstByteDelay := localWork + res.DBEms
 
 	s.Served++
-	s.BytesServed += p.req.SizeBytes
+	s.BytesServed += f.req.SizeBytes
 	s.BusyMS += localWork
 	s.SumDCDNms += res.DCDNms()
 
 	// The worker is event-driven: it is released after the local work;
 	// waiting on the backend does not occupy a thread.
-	eng.After(localWork, func(float64) {
-		s.busy--
-		if len(s.queue) > 0 {
-			next := s.queue[0]
-			s.queue = s.queue[1:]
-			s.start(eng, next)
-		}
-	})
-	done := p.done
-	eng.After(firstByteDelay, func(float64) { done(res) })
+	f.eng.After(localWork, (*workerRelease)(s))
+	f.eng.After(firstByteDelay, f)
+}
+
+// fill schedules a backend fill of one chunk into the cache.
+func (s *Server) fill(eng *sim.Engine, delay float64, key uint64, size int64) {
+	c := s.fills.get()
+	*c = cacheFill{srv: s, key: key, size: size}
+	eng.After(delay, c)
 }
 
 // prefetch warms the cache with the session's subsequent chunks after a
@@ -279,9 +368,7 @@ func (s *Server) prefetch(eng *sim.Engine, req Request) {
 		if s.cache.Contains(nc.Key) {
 			continue
 		}
-		lat := s.backend.FetchLatencyMS() * req.backendFactor()
-		key, size := nc.Key, nc.SizeBytes
-		eng.After(lat, func(float64) { s.cache.Insert(key, size) })
+		s.fill(eng, s.backend.FetchLatencyMS()*req.backendFactor(), nc.Key, nc.SizeBytes)
 	}
 }
 

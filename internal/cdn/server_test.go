@@ -16,13 +16,18 @@ func newTestServer(cfg Config) *Server {
 	return NewServer(0, 0, cfg, be, r.Split())
 }
 
+// clientFunc adapts a closure to Client.
+type clientFunc func(ServeResult)
+
+func (f clientFunc) Served(res ServeResult) { f(res) }
+
 // serveSync runs one request to completion on a fresh engine and returns
 // the result plus the engine time at first byte.
 func serveSync(s *Server, req Request) (ServeResult, float64) {
 	var eng sim.Engine
 	var out ServeResult
 	var at float64
-	s.Serve(&eng, req, func(res ServeResult) { out = res; at = eng.Now() })
+	s.Serve(&eng, req, clientFunc(func(res ServeResult) { out = res; at = eng.Now() }))
 	eng.Run()
 	return out, at
 }
@@ -114,8 +119,8 @@ func TestFIFOQueueWait(t *testing.T) {
 	var eng sim.Engine
 	var first, second ServeResult
 	gotFirst := false
-	s.Serve(&eng, Request{Key: 1, SizeBytes: 400000}, func(r ServeResult) { first = r; gotFirst = true })
-	s.Serve(&eng, Request{Key: 2, SizeBytes: 400000}, func(r ServeResult) { second = r })
+	s.Serve(&eng, Request{Key: 1, SizeBytes: 400000}, clientFunc(func(r ServeResult) { first = r; gotFirst = true }))
+	s.Serve(&eng, Request{Key: 2, SizeBytes: 400000}, clientFunc(func(r ServeResult) { second = r }))
 	eng.Run()
 	if !gotFirst {
 		t.Fatal("first request never finished")
@@ -124,6 +129,64 @@ func TestFIFOQueueWait(t *testing.T) {
 		t.Errorf("queued request Dwait %v not above first %v", second.DwaitMS, first.DwaitMS)
 	}
 }
+
+// TestDrainedQueueHoldsNoClient: once a backlog has drained, neither the
+// FIFO's backing array nor the recycled request handlers keep a client
+// (in the simulator, a whole session) reachable.
+func TestDrainedQueueHoldsNoClient(t *testing.T) {
+	s := newTestServer(Config{Workers: 1})
+	var eng sim.Engine
+	served := 0
+	for k := uint64(1); k <= 6; k++ {
+		s.Serve(&eng, Request{Key: k, SizeBytes: 400000}, clientFunc(func(ServeResult) { served++ }))
+	}
+	if s.head != 0 || len(s.queue) != 5 {
+		t.Fatalf("backlog head=%d len=%d, want 0 and 5", s.head, len(s.queue))
+	}
+	eng.Run()
+	if served != 6 {
+		t.Fatalf("served %d requests, want 6", served)
+	}
+	if len(s.queue) != 0 {
+		t.Fatalf("drained queue has %d entries", len(s.queue))
+	}
+	for i, f := range s.queue[:cap(s.queue)] {
+		if f != nil {
+			t.Fatalf("drained queue slot %d still holds a request", i)
+		}
+	}
+	for i, f := range s.requests {
+		if f.client != nil || f.req.Next != nil {
+			t.Fatalf("recycled request %d still holds its client or request", i)
+		}
+	}
+}
+
+// TestServeAllocationFree: serving a cache hit, once the server's free
+// lists and the engine's heap are warm, allocates nothing.
+func TestServeAllocationFree(t *testing.T) {
+	s := newTestServer(Config{})
+	var eng sim.Engine
+	var c countingClient
+	req := Request{Key: 9, SizeBytes: 400000}
+	s.Serve(&eng, req, &c)
+	eng.Run()
+	allocs := testing.AllocsPerRun(200, func() {
+		s.Serve(&eng, req, &c)
+		eng.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("Serve allocates %v objects per hit, want 0", allocs)
+	}
+	if c != 202 {
+		t.Fatalf("client saw %d results, want 202", c)
+	}
+}
+
+// countingClient is a long-lived Client that counts its results.
+type countingClient int
+
+func (c *countingClient) Served(ServeResult) { *c++ }
 
 func TestPinFirstChunks(t *testing.T) {
 	s := newTestServer(Config{PinFirstChunks: true})
@@ -244,7 +307,7 @@ func TestLayeredServeShares(t *testing.T) {
 	for i := 0; i < n; i++ {
 		key := uint64(z.Sample(r))
 		req := Request{Key: key, SizeBytes: 450000}
-		s.Serve(&eng, req, func(res ServeResult) { counts[res.Level]++ })
+		s.Serve(&eng, req, clientFunc(func(res ServeResult) { counts[res.Level]++ }))
 		eng.Run()
 	}
 	ram := float64(counts[cache.LevelRAM]) / float64(n)

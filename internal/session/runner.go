@@ -205,14 +205,26 @@ func (sh *slotShard) run() {
 	}
 	eng := &sh.shard.Engine
 	scheduleTimelineEvents(eng, fleet, sh.popID, sc.Timeline, sc.ArrivalOffsetMS)
-	for _, ref := range sh.refs {
-		id := ref.ID
-		eng.At(ref.ArrivalMS, func(float64) {
-			plan := sh.pop.PlanSession(id)
-			newSessionState(sh, plan, fleet, eng).requestNextChunk()
-		})
+	arrivals := make([]arrival, len(sh.refs))
+	for i, ref := range sh.refs {
+		arrivals[i] = arrival{sh: sh, fleet: fleet, id: ref.ID}
+		eng.At(ref.ArrivalMS, &arrivals[i])
 	}
 	eng.Run()
+}
+
+// arrival is the event that starts one session: it plans the session and
+// issues its first chunk request.
+type arrival struct {
+	sh    *slotShard
+	fleet *cdn.Fleet
+	id    uint64
+}
+
+// Fire implements sim.Handler.
+func (a *arrival) Fire(float64) {
+	plan := a.sh.pop.PlanSession(a.id)
+	newSessionState(a.sh, plan, a.fleet, &a.sh.shard.Engine).requestNextChunk()
 }
 
 // scheduleTimelineEvents installs the timeline's per-server mutations as
@@ -232,7 +244,7 @@ func scheduleTimelineEvents(eng *sim.Engine, fleet *cdn.Fleet, popID int, tl tim
 			continue
 		}
 		servers := fleet.PoPServers(popID)
-		resize := func(factor float64) func(float64) {
+		resize := func(factor float64) sim.Func {
 			return func(float64) {
 				for _, srv := range servers {
 					if srv == nil {

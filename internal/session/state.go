@@ -20,6 +20,10 @@ import (
 // (scenario seed, session ID) only, and it touches only its own shard's
 // engine, fleet partition, and sink. Its chunk-record buffer is borrowed
 // from the shard's pool and returned when the session finishes.
+//
+// The session is its own event handler and CDN client: Fire issues the
+// next chunk request and Served takes the server's answer. A session has
+// at most one request in flight, whose context it keeps in req.
 type sessionState struct {
 	shard *slotShard
 	pop   *workload.Population
@@ -36,6 +40,8 @@ type sessionState struct {
 	est    *abr.Estimator
 	server *cdn.Server
 
+	req         chunkRequest
+	nextBuf     []cdn.NextChunk // prefetch candidates of the request in flight
 	chunkIdx    int
 	records     []core.ChunkRecord
 	sumKbpsDur  float64
@@ -55,6 +61,22 @@ type sessionState struct {
 	liveSwitches int
 	liveLagMS    float64
 }
+
+// chunkRequest is the context of a session's request in flight: when it
+// was issued and what it asked for.
+type chunkRequest struct {
+	t0      float64
+	idx     int
+	bitrate int
+	dur     float64
+	size    int64
+}
+
+// Fire implements sim.Handler: the session's next request is due.
+func (s *sessionState) Fire(float64) { s.requestNextChunk() }
+
+// Served implements cdn.Client: the request in flight has its first byte.
+func (s *sessionState) Served(res cdn.ServeResult) { s.onServed(res) }
 
 // liveProbe, when non-nil, observes every live chunk issue as
 // (sessionID, absolute chunk, issue time, publish time). It exists for
@@ -131,7 +153,7 @@ func (s *sessionState) requestNextChunk() {
 			wait := pub - now
 			s.liveLagMS += wait
 			s.conn.AdvanceIdle(wait)
-			s.eng.At(pub, func(float64) { s.requestNextChunk() })
+			s.eng.At(pub, s)
 			return
 		}
 	}
@@ -169,21 +191,21 @@ func (s *sessionState) requestNextChunk() {
 		BackendFactor: s.plan.BackendFactor,
 	}
 	s.server = s.fleet.ServerFor(s.plan.ServingPoP, s.plan.Video.ID, s.plan.Video.Rank, s.plan.ID)
-	t0 := s.eng.Now()
-	s.server.Serve(s.eng, req, func(res cdn.ServeResult) {
-		s.onServed(t0, idx, bitrate, dur, size, res)
-	})
+	s.req = chunkRequest{t0: s.eng.Now(), idx: idx, bitrate: bitrate, dur: dur, size: size}
+	s.server.Serve(s.eng, req, s)
 }
 
 // prefetchList names the session's next two chunks for servers with
 // prefetching enabled. Live sessions never prefetch: the next chunk may
 // not be published yet, and fetching ahead of the clock would break the
-// published-only invariant.
+// published-only invariant. The list reuses the session's buffer: the
+// server reads it before the request's first byte, and the session's next
+// request comes after.
 func (s *sessionState) prefetchList(idx, bitrate int) []cdn.NextChunk {
 	if s.liveVideo != nil || s.fleet.Config().Server.Prefetch == 0 {
 		return nil
 	}
-	var out []cdn.NextChunk
+	out := s.nextBuf[:0]
 	for n := idx + 1; n <= idx+2 && n < s.plan.WatchChunks; n++ {
 		d := s.pop.Catalog.ChunkDurationSec(s.plan.Video, n)
 		out = append(out, cdn.NextChunk{
@@ -191,12 +213,14 @@ func (s *sessionState) prefetchList(idx, bitrate int) []cdn.NextChunk {
 			SizeBytes: catalog.ChunkSizeBytes(bitrate, d),
 		})
 	}
+	s.nextBuf = out
 	return out
 }
 
 // onServed fires when the server has the chunk's first byte ready; the
 // network transfer and client-side handling follow.
-func (s *sessionState) onServed(t0 float64, idx, bitrate int, dur float64, size int64, res cdn.ServeResult) {
+func (s *sessionState) onServed(res cdn.ServeResult) {
+	t0, idx, bitrate, dur, size := s.req.t0, s.req.idx, s.req.bitrate, s.req.dur, s.req.size
 	tr := s.conn.Transfer(size)
 	dds := s.plan.Stack.Sample(idx, s.r)
 
@@ -281,7 +305,7 @@ func (s *sessionState) onServed(t0 float64, idx, bitrate int, dur float64, size 
 		nextAt += wait
 		s.conn.AdvanceIdle(wait)
 	}
-	s.eng.At(nextAt, func(float64) { s.requestNextChunk() })
+	s.eng.At(nextAt, s)
 }
 
 // maybeSwitchChannel draws the per-chunk channel-switch decision. A

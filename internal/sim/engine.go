@@ -14,13 +14,25 @@
 // on its own Engine wrapped in a Shard, executed concurrently by RunShards.
 package sim
 
-// Event is a callback scheduled to run at a simulated time.
-type Event func(now float64)
+// Handler is the work an event does when the engine reaches its time.
+// Every event is a Handler, so scheduling has a single path. Hot paths
+// schedule long-lived or recycled handlers (a session, a server's
+// in-flight request), which cost no allocation per event; one-off
+// callbacks use Func.
+type Handler interface {
+	Fire(now float64)
+}
+
+// Func adapts a plain function to Handler.
+type Func func(now float64)
+
+// Fire calls f(now).
+func (f Func) Fire(now float64) { f(now) }
 
 type item struct {
 	at  float64
 	seq uint64
-	fn  Event
+	h   Handler
 }
 
 // eventHeap is a hand-rolled binary min-heap over (at, seq). It avoids
@@ -77,27 +89,27 @@ func (e *Engine) Now() float64 { return e.now }
 // Pending returns the number of scheduled events not yet executed.
 func (e *Engine) Pending() int { return len(e.events) }
 
-// At schedules fn to run at absolute time at. Events scheduled in the past
-// run at the current time (the engine never moves backwards).
-func (e *Engine) At(at float64, fn Event) {
+// At schedules h to fire at absolute time at. Events scheduled in the past
+// fire at the current time (the engine never moves backwards).
+func (e *Engine) At(at float64, h Handler) {
 	if at < e.now {
 		at = e.now
 	}
 	e.seq++
-	e.events = append(e.events, item{at: at, seq: e.seq, fn: fn})
+	e.events = append(e.events, item{at: at, seq: e.seq, h: h})
 	e.events.siftUp(len(e.events) - 1)
 }
 
-// After schedules fn to run delay milliseconds from now.
-func (e *Engine) After(delay float64, fn Event) {
+// After schedules h to fire delay milliseconds from now.
+func (e *Engine) After(delay float64, h Handler) {
 	if delay < 0 {
 		delay = 0
 	}
-	e.At(e.now+delay, fn)
+	e.At(e.now+delay, h)
 }
 
 // pop removes and returns the earliest event, releasing the vacated
-// slot's closure so finished callbacks do not linger in the backing array.
+// slot's handler so finished events do not linger in the backing array.
 func (e *Engine) pop() item {
 	h := e.events
 	top := h[0]
@@ -116,7 +128,7 @@ func (e *Engine) Step() bool {
 	}
 	it := e.pop()
 	e.now = it.at
-	it.fn(e.now)
+	it.h.Fire(e.now)
 	return true
 }
 

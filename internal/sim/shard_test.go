@@ -11,12 +11,12 @@ func shardTrace(s *Shard) []float64 {
 	var trace []float64
 	for i := 0; i < 5; i++ {
 		at := float64((s.ID + 1) * (i + 1))
-		s.Engine.At(at, func(now float64) {
+		s.Engine.At(at, Func(func(now float64) {
 			trace = append(trace, now)
 			if now < 100 {
-				s.Engine.After(7, func(now float64) { trace = append(trace, now) })
+				s.Engine.After(7, Func(func(now float64) { trace = append(trace, now) }))
 			}
-		})
+		}))
 	}
 	s.Engine.Run()
 	return trace
