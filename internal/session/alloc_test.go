@@ -37,7 +37,7 @@ func telemetryMallocs(t *testing.T, sessions int) (mallocs, chunks uint64) {
 // about 2.2 objects per chunk. One closure or key string per chunk
 // would cross the ceiling.
 func TestTelemetryExecuteMallocsPerChunk(t *testing.T) {
-	const ceiling = 3.0
+	const ceiling = 2.6
 	m1, c1 := telemetryMallocs(t, 400)
 	m2, c2 := telemetryMallocs(t, 2000)
 	if c2 <= c1 {
