@@ -101,7 +101,7 @@ func (q qoeSketches) add(s *core.SessionRecord) {
 // canonical string names are built only when a snapshot is taken.
 type Accumulator struct {
 	k            int
-	core         [numCoreSketches]*QuantileSketch
+	core         [numCoreSketches]QuantileSketch
 	startupHist  *Histogram
 	rebufferHist *Histogram
 	counts       map[counterKey]uint64
@@ -168,7 +168,7 @@ func NewAccumulator(k int) *Accumulator {
 		counts:       map[counterKey]uint64{},
 	}
 	for i := range a.core {
-		a.core[i] = NewSketch(k)
+		a.core[i] = *NewSketch(k)
 	}
 	return a
 }
@@ -283,8 +283,8 @@ func (a *Accumulator) Merge(o *Accumulator) {
 	if o == nil {
 		return
 	}
-	for i, sk := range a.core {
-		sk.Merge(o.core[i])
+	for i := range a.core {
+		a.core[i].Merge(&o.core[i])
 	}
 	for i, ns := range a.extra {
 		ns.sk.Merge(o.extra[i].sk)
@@ -301,7 +301,7 @@ func (a *Accumulator) Merge(o *Accumulator) {
 func (a *Accumulator) snapshot() *Snapshot {
 	sketches := make(map[string]*QuantileSketch, len(a.core)+len(a.extra))
 	for i, name := range metricNames {
-		sketches[name] = a.core[i]
+		sketches[name] = &a.core[i]
 	}
 	for _, ns := range a.extra {
 		sketches[ns.name] = ns.sk

@@ -26,7 +26,9 @@ type QuantileSketch struct {
 	min    float64
 	max    float64
 	levels [][]float64 // levels[h] holds items of weight 1<<h
-	parity []bool      // next compaction offset per level
+	// parity bit h is level h's next compaction offset. A uint64 covers
+	// every level a sketch can reach: level 64 would need n ≥ k·2⁶⁴.
+	parity uint64
 }
 
 // DefaultSketchK is the compaction parameter used when callers pass k <= 0.
@@ -75,8 +77,9 @@ func (s *QuantileSketch) Add(v float64) {
 		return
 	}
 	if len(s.levels) == 0 {
-		s.levels = [][]float64{make([]float64, 0, s.k)}
-		s.parity = []bool{false}
+		// Room for the first levels up front (k·2³ samples, about one
+		// shard's chunks), so early compactions do not regrow the slice.
+		s.levels = append(make([][]float64, 0, 4), make([]float64, 0, s.k))
 	}
 	s.n++
 	if v < s.min {
@@ -95,17 +98,17 @@ func (s *QuantileSketch) Add(v float64) {
 // continuous service mode rely on this.
 func (s *QuantileSketch) Clone() *QuantileSketch {
 	c := &QuantileSketch{
-		k:   s.k,
-		n:   s.n,
-		min: s.min,
-		max: s.max,
+		k:      s.k,
+		n:      s.n,
+		min:    s.min,
+		max:    s.max,
+		parity: s.parity,
 	}
 	if s.levels != nil {
 		c.levels = make([][]float64, len(s.levels))
 		for h, lvl := range s.levels {
 			c.levels[h] = append(make([]float64, 0, s.k), lvl...)
 		}
-		c.parity = append([]bool(nil), s.parity...)
 	}
 	return c
 }
@@ -120,7 +123,6 @@ func (s *QuantileSketch) Merge(o *QuantileSketch) {
 	}
 	for len(s.levels) < len(o.levels) {
 		s.levels = append(s.levels, make([]float64, 0, s.k))
-		s.parity = append(s.parity, false)
 	}
 	for h := range o.levels {
 		s.levels[h] = append(s.levels[h], o.levels[h]...)
@@ -153,16 +155,12 @@ func (s *QuantileSketch) compactAll() {
 func (s *QuantileSketch) compact(h int) {
 	if h+1 == len(s.levels) {
 		s.levels = append(s.levels, make([]float64, 0, s.k))
-		s.parity = append(s.parity, false)
 	}
 	buf := s.levels[h]
 	sort.Float64s(buf)
 	m := len(buf) &^ 1
-	off := 0
-	if s.parity[h] {
-		off = 1
-	}
-	s.parity[h] = !s.parity[h]
+	off := int(s.parity >> h & 1)
+	s.parity ^= 1 << h
 	for i := off; i < m; i += 2 {
 		s.levels[h+1] = append(s.levels[h+1], buf[i])
 	}
@@ -252,7 +250,13 @@ type sketchWire struct {
 // MarshalJSON encodes the sketch state. An empty sketch writes min/max as
 // 0 (JSON has no infinities); UnmarshalJSON restores the sentinels.
 func (s *QuantileSketch) MarshalJSON() ([]byte, error) {
-	w := sketchWire{K: s.k, N: s.n, Parity: s.parity, Levels: s.levels}
+	w := sketchWire{K: s.k, N: s.n, Levels: s.levels}
+	if len(s.levels) > 0 {
+		w.Parity = make([]bool, len(s.levels))
+		for h := range w.Parity {
+			w.Parity[h] = s.parity>>h&1 == 1
+		}
+	}
 	if s.n > 0 {
 		w.Min, w.Max = s.min, s.max
 	}
@@ -274,6 +278,9 @@ func (s *QuantileSketch) UnmarshalJSON(b []byte) error {
 		return fmt.Errorf("telemetry: sketch has %d levels but %d parity bits",
 			len(w.Levels), len(w.Parity))
 	}
+	if len(w.Levels) > 64 {
+		return fmt.Errorf("telemetry: sketch has %d levels, at most 64 fit a uint64 count", len(w.Levels))
+	}
 	var held uint64
 	for h, lvl := range w.Levels {
 		held += uint64(len(lvl)) << uint(h)
@@ -284,7 +291,11 @@ func (s *QuantileSketch) UnmarshalJSON(b []byte) error {
 	s.n = w.N
 	s.min, s.max = w.Min, w.Max
 	s.levels = w.Levels
-	s.parity = w.Parity
+	for h, odd := range w.Parity {
+		if odd {
+			s.parity |= 1 << h
+		}
+	}
 	s.compactAll()
 	return nil
 }

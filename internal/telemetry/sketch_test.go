@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"vidperf/internal/core"
@@ -148,6 +149,14 @@ func TestSketchRejectsCorruptWire(t *testing.T) {
 	var s QuantileSketch
 	if err := json.Unmarshal([]byte(bad), &s); err == nil {
 		t.Fatal("corrupt sketch decoded without error")
+	}
+	// More levels than the parity bits can index must not decode either,
+	// even when the weights add up.
+	parity := strings.Repeat("false,", 64) + "false"
+	levels := "[0.5]" + strings.Repeat(",[]", 64)
+	deep := `{"k":32,"n":1,"min":0,"max":1,"parity":[` + parity + `],"levels":[` + levels + `]}`
+	if err := json.Unmarshal([]byte(deep), &s); err == nil {
+		t.Fatal("65-level sketch decoded without error")
 	}
 }
 
