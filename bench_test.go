@@ -175,8 +175,16 @@ func BenchmarkRunParallel(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(chunks), "chunks")
+			reportChunkRate(b, chunks)
 		})
 	}
+}
+
+// reportChunkRate reports simulated chunks per wall second over the
+// bench's timed runs, the throughput figure cmd/benchdiff records next
+// to the gated costs.
+func reportChunkRate(b *testing.B, chunksPerOp int) {
+	b.ReportMetric(float64(chunksPerOp)*float64(b.N)/b.Elapsed().Seconds(), "chunks/s")
 }
 
 // BenchmarkStreamingRun contrasts the two record paths on the shared
@@ -198,6 +206,7 @@ func BenchmarkStreamingRun(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			retained, chunks = run()
 		}
+		reportChunkRate(b, int(chunks))
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
@@ -234,14 +243,19 @@ func BenchmarkStreamingRun(b *testing.B) {
 //
 //	go test -run='^$' -bench=BenchmarkStreamingRun1M -benchtime=1x -benchmem
 //
-// Memory expectation (measured on the reference 1-CPU runner): the
-// post-run live heap (live-heap-MB metric) is under 1 MB — just the
-// O(sketch) snapshot; the population and every shard's warm caches and
-// session states are garbage by then. The OS footprint (sys-MB metric,
-// ≈ peak RSS) lands around 650 MB, dominated by GC headroom over the
-// run's churn, independent of session count. A collect-mode run at this
-// scale would instead retain the full trace — ~8.3M ChunkRecords,
-// over 2 GB — before analysis even starts.
+// Memory expectation (measured on a 2-vCPU host): the post-run live
+// heap (live-heap-MB metric) is under 1 MB — just the O(sketch)
+// snapshot; the population and every shard's caches and session states
+// are garbage by then. The OS footprint (sys-MB metric, ≈ peak RSS)
+// lands around 680 MB, dominated by GC headroom over the run's churn.
+// Warm caches cost nothing up front (they are seeded, not filled), but
+// each shard reserves its cache arenas for its planned chunk count —
+// ~99k chunks per shard here, several times the distinct chunks its
+// caches end up holding — so the caches' share of the ~3.7 GB this run
+// allocates grows with sessions per shard. A collect-mode run at this
+// scale would instead
+// retain the full trace — ~8.3M ChunkRecords, over 2 GB — before
+// analysis even starts.
 func BenchmarkStreamingRun1M(b *testing.B) {
 	sc := workload.Scenario{
 		Seed:              2016,

@@ -5,7 +5,9 @@
 // (BENCH_BASELINE.json), failing when any of them regresses beyond the
 // threshold. Gating allocs/op alongside B/op catches regressions that
 // trade a few big allocations for millions of small ones — same bytes,
-// very different GC bill.
+// very different GC bill. A chunks/s metric (simulated chunks per wall
+// second, which the gate benches report) is recorded and printed next to
+// them but never gated: ns/op already gates time.
 //
 // Usage:
 //
@@ -46,11 +48,13 @@ type Baseline struct {
 
 // BenchStat is one benchmark's reference numbers. Zero BPerOp or
 // AllocsPerOp means the bench was recorded without -benchmem and that
-// metric is not gated.
+// metric is not gated. ChunksPerS is informational; zero means the bench
+// does not report it.
 type BenchStat struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BPerOp      float64 `json:"b_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	ChunksPerS  float64 `json:"chunks_per_s,omitempty"`
 }
 
 func main() {
@@ -114,10 +118,10 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)\s+\d+\s+(.+)$`)
 // cpuSuffix is the trailing -GOMAXPROCS go test appends to bench names.
 var cpuSuffix = regexp.MustCompile(`-\d+$`)
 
-// ParseBench extracts per-benchmark ns/op and B/op from go test -bench
-// output, keeping the minimum across repeated counts of the same
-// benchmark and stripping the "Benchmark" prefix and -GOMAXPROCS suffix
-// from names.
+// ParseBench extracts per-benchmark ns/op, B/op, allocs/op and chunks/s
+// from go test -bench output, keeping the best across repeated counts of
+// the same benchmark (the minimum cost, the maximum chunks/s) and
+// stripping the "Benchmark" prefix and -GOMAXPROCS suffix from names.
 func ParseBench(r io.Reader) (map[string]BenchStat, error) {
 	out := map[string]BenchStat{}
 	sc := bufio.NewScanner(r)
@@ -142,6 +146,7 @@ func ParseBench(r io.Reader) (map[string]BenchStat, error) {
 			if prev.AllocsPerOp != 0 && (stat.AllocsPerOp == 0 || stat.AllocsPerOp > prev.AllocsPerOp) {
 				stat.AllocsPerOp = prev.AllocsPerOp
 			}
+			stat.ChunksPerS = max(stat.ChunksPerS, prev.ChunksPerS)
 		}
 		out[name] = stat
 	}
@@ -166,14 +171,17 @@ func parseMetrics(s string) (BenchStat, bool) {
 			st.BPerOp = v
 		case "allocs/op":
 			st.AllocsPerOp = v
+		case "chunks/s":
+			st.ChunksPerS = v
 		}
 	}
 	return st, found
 }
 
 // Compare prints the delta table and returns how many benchmarks
-// regressed beyond the threshold on ns/op, B/op or allocs/op.
-// Benchmarks missing from either side are reported informationally.
+// regressed beyond the threshold on ns/op, B/op or allocs/op. chunks/s
+// is printed but not gated. Benchmarks missing from either side are
+// reported informationally.
 func Compare(w io.Writer, base, got map[string]BenchStat, threshold float64) int {
 	names := make([]string, 0, len(base))
 	for name := range base {
@@ -181,9 +189,9 @@ func Compare(w io.Writer, base, got map[string]BenchStat, threshold float64) int
 	}
 	sort.Strings(names)
 	regressions := 0
-	fmt.Fprintf(w, "%-34s %14s %14s %8s %14s %14s %8s %12s %12s %8s\n",
+	fmt.Fprintf(w, "%-34s %14s %14s %8s %14s %14s %8s %12s %12s %8s %12s %12s %8s\n",
 		"benchmark", "base ns/op", "new ns/op", "Δ%", "base B/op", "new B/op", "Δ%",
-		"base allocs", "new allocs", "Δ%")
+		"base allocs", "new allocs", "Δ%", "base chunk/s", "new chunk/s", "Δ%")
 	for _, name := range names {
 		b := base[name]
 		g, ok := got[name]
@@ -199,10 +207,11 @@ func Compare(w io.Writer, base, got map[string]BenchStat, threshold float64) int
 			flag = "  << REGRESSION"
 			regressions++
 		}
-		fmt.Fprintf(w, "%-34s %14.0f %14.0f %7.1f%% %14.0f %14.0f %7.1f%% %12.0f %12.0f %7.1f%%%s\n",
+		fmt.Fprintf(w, "%-34s %14.0f %14.0f %7.1f%% %14.0f %14.0f %7.1f%% %12.0f %12.0f %7.1f%% %12.0f %12.0f %7.1f%%%s\n",
 			name, b.NsPerOp, g.NsPerOp, relPct(b.NsPerOp, g.NsPerOp),
 			b.BPerOp, g.BPerOp, relPct(b.BPerOp, g.BPerOp),
-			b.AllocsPerOp, g.AllocsPerOp, relPct(b.AllocsPerOp, g.AllocsPerOp), flag)
+			b.AllocsPerOp, g.AllocsPerOp, relPct(b.AllocsPerOp, g.AllocsPerOp),
+			b.ChunksPerS, g.ChunksPerS, relPct(b.ChunksPerS, g.ChunksPerS), flag)
 	}
 	extra := make([]string, 0)
 	for name := range got {

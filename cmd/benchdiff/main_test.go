@@ -11,8 +11,8 @@ pkg: vidperf
 cpu: Fake CPU @ 2.00GHz
 BenchmarkRunParallel/p1-8         	       1	2000000000 ns/op	       900 chunks
 BenchmarkRunParallel/p1-8         	       1	1800000000 ns/op	       900 chunks
-BenchmarkStreamingRun/stream-8    	       1	 950000000 ns/op	 120000000 B/op	   50000 allocs/op
-BenchmarkStreamingRun/stream-8    	       1	 900000000 ns/op	 121000000 B/op	   49000 allocs/op
+BenchmarkStreamingRun/stream-8    	       1	 950000000 ns/op	     40000 chunks/s	 120000000 B/op	   50000 allocs/op
+BenchmarkStreamingRun/stream-8    	       1	 900000000 ns/op	     42000 chunks/s	 121000000 B/op	   49000 allocs/op
 PASS
 ok  	vidperf	12.3s
 `
@@ -29,15 +29,15 @@ func TestParseBench(t *testing.T) {
 	if p1.NsPerOp != 1.8e9 {
 		t.Errorf("RunParallel/p1 ns/op = %g, want min 1.8e9", p1.NsPerOp)
 	}
-	if p1.BPerOp != 0 {
-		t.Errorf("RunParallel/p1 B/op = %g, want 0 (no -benchmem)", p1.BPerOp)
+	if p1.BPerOp != 0 || p1.ChunksPerS != 0 {
+		t.Errorf("RunParallel/p1 B/op = %g, chunks/s = %g, want 0 (not reported)", p1.BPerOp, p1.ChunksPerS)
 	}
 	st, ok := got["StreamingRun/stream"]
 	if !ok {
 		t.Fatalf("StreamingRun/stream missing: %v", got)
 	}
-	if st.NsPerOp != 9e8 || st.BPerOp != 1.2e8 || st.AllocsPerOp != 49000 {
-		t.Errorf("StreamingRun/stream = %+v, want min ns=9e8 B=1.2e8 allocs=49000", st)
+	if st.NsPerOp != 9e8 || st.BPerOp != 1.2e8 || st.AllocsPerOp != 49000 || st.ChunksPerS != 42000 {
+		t.Errorf("StreamingRun/stream = %+v, want min ns=9e8 B=1.2e8 allocs=49000, max chunks/s=42000", st)
 	}
 	if len(got) != 2 {
 		t.Errorf("parsed %d benchmarks, want 2: %v", len(got), got)
@@ -109,5 +109,18 @@ func TestCompareAllocsGate(t *testing.T) {
 		"old": {NsPerOp: 100},
 	}, 0.25); n != 0 {
 		t.Errorf("within-threshold allocs reported %d regressions\n%s", n, sb.String())
+	}
+}
+
+// TestCompareChunksPerSecondNotGated: chunks/s is printed with its delta
+// but a drop never counts as a regression (ns/op gates time).
+func TestCompareChunksPerSecondNotGated(t *testing.T) {
+	base := map[string]BenchStat{"run": {NsPerOp: 100, ChunksPerS: 50000}}
+	var sb strings.Builder
+	if n := Compare(&sb, base, map[string]BenchStat{"run": {NsPerOp: 100, ChunksPerS: 10000}}, 0.25); n != 0 {
+		t.Errorf("chunks/s drop reported %d regressions\n%s", n, sb.String())
+	}
+	if out := sb.String(); !strings.Contains(out, "50000") || !strings.Contains(out, "-80.0%") {
+		t.Errorf("chunks/s not printed with its delta:\n%s", out)
 	}
 }

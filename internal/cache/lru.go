@@ -10,13 +10,19 @@ import "math"
 // int32 indexes — an intrusive doubly-linked list with a free list), and
 // the key index is an open-addressing table that stores a 16-bit hash
 // fingerprint plus the arena index, resolving fingerprint collisions
-// against the arena's full keys. A warmed CDN-sized cache therefore
-// costs 20 bytes per resident object plus 6 bytes per index slot, all
-// pointer-free, where the previous container/list+map implementation
-// allocated a list element and a map cell per insert and made the GC
-// trace millions of long-lived pointers. The observable behaviour
-// (hit/miss outcomes and eviction order) is bit-for-bit the policy
-// behaviour LRU has always had.
+// against the arena's full keys. An arena entry therefore costs 20 bytes
+// plus 6 bytes per index slot, all pointer-free. The observable
+// behaviour (hit/miss outcomes and eviction order) is bit-for-bit the
+// policy behaviour LRU has always had.
+//
+// Below the arena an LRU may hold a seeded segment (SetSeed): a
+// read-only warm set it answers from directly, so a cache warmed with
+// tens of thousands of objects costs nothing until a request touches
+// one. The segment is always older than every arena entry. Eviction
+// drains it from its oldest end before it takes the arena tail, and a
+// touched seed entry moves (bytes and all) into the arena at the front.
+// The cache is then indistinguishable from one filled by Put-ing every
+// seed entry in order.
 //
 // Object sizes are stored as int32: anything larger than 2 GiB - 1 is
 // treated as uncacheable (Put is a no-op), the same way objects larger
@@ -24,7 +30,7 @@ import "math"
 // in the megabytes.
 type LRU struct {
 	capacity int64
-	size     int64
+	size     int64 // resident bytes, arena and seeded segment together
 
 	// Arena: parallel per-node slices, linked by int32 indexes.
 	keys  []uint64
@@ -37,6 +43,37 @@ type LRU struct {
 	tail int32 // least recently used, lruNil if empty
 
 	index lruTable
+
+	// Seeded segment: the entries of seed at or after seedCursor whose
+	// size fits seedCap (the capacity at SetSeed), minus those that left
+	// it — promoted into the arena (so the arena index holds them) or
+	// removed (seedGone). seedN counts the rest; the seed is dropped when
+	// it reaches zero.
+	seed       Seed
+	seedCursor uint64
+	seedCap    int64
+	seedN      int
+	seedGone   map[uint64]struct{}
+}
+
+// Seed is an ordered, read-only set of distinct (key, size) entries an
+// LRU can be seeded with (see (*LRU).SetSeed). Entries are addressed by
+// positions that increase from the oldest entry to the newest; positions
+// need not be dense. Every size must be at most math.MaxInt32.
+type Seed interface {
+	// Fit sizes the newest suffix an empty LRU of the given capacity
+	// keeps when every entry is Put in order: entries whose size is not
+	// in (0, capacity] are skipped, and the rest are taken newest first
+	// until the next one would overflow the capacity. It returns a
+	// position start such that the suffix is exactly the admissible
+	// entries at or after start, plus their count and total bytes.
+	Fit(capacity int64) (start uint64, n int, bytes int64)
+	// Find returns the position and size of key's entry, or ok == false
+	// when key is not an entry.
+	Find(key uint64) (pos uint64, size int64, ok bool)
+	// Next returns the oldest entry at or after pos, or ok == false when
+	// there is none.
+	Next(pos uint64) (at, key uint64, size int64, ok bool)
 }
 
 // lruNil marks "no node" in arena links.
@@ -58,12 +95,15 @@ func (c *LRU) Name() string { return "lru" }
 
 // Get implements Policy.
 func (c *LRU) Get(key uint64) bool {
-	n, ok := c.index.get(c.keys, key)
-	if !ok {
-		return false
+	if n, ok := c.index.get(c.keys, key); ok {
+		c.moveToFront(n)
+		return true
 	}
-	c.moveToFront(n)
-	return true
+	size, ok := c.seedLookup(key)
+	if ok {
+		c.promote(key, size)
+	}
+	return ok
 }
 
 // Put implements Policy.
@@ -75,10 +115,11 @@ func (c *LRU) Put(key uint64, size int64) {
 		c.size += size - int64(c.sizes[n])
 		c.sizes[n] = int32(size)
 		c.moveToFront(n)
+	} else if old, ok := c.seedLookup(key); ok {
+		c.size += size - old
+		c.promote(key, size)
 	} else {
-		n := c.allocNode(key, int32(size))
-		c.pushFront(n)
-		c.index.put(c.keys, key, n)
+		c.pushNew(key, size)
 		c.size += size
 	}
 	for c.size > c.capacity {
@@ -86,7 +127,13 @@ func (c *LRU) Put(key uint64, size int64) {
 	}
 }
 
+// evictOldest evicts the least-recent entry: the oldest of the seeded
+// segment while it has any, else the arena tail.
 func (c *LRU) evictOldest() {
+	if c.seedN > 0 {
+		c.evictSeed()
+		return
+	}
 	n := c.tail
 	if n == lruNil {
 		return
@@ -99,24 +146,36 @@ func (c *LRU) evictOldest() {
 
 // Contains implements Policy.
 func (c *LRU) Contains(key uint64) bool {
-	_, ok := c.index.get(c.keys, key)
+	if _, ok := c.index.get(c.keys, key); ok {
+		return true
+	}
+	_, ok := c.seedLookup(key)
 	return ok
 }
 
 // Remove implements Policy.
 func (c *LRU) Remove(key uint64) {
-	n, ok := c.index.get(c.keys, key)
-	if !ok {
-		return
+	if n, ok := c.index.get(c.keys, key); ok {
+		c.size -= int64(c.sizes[n])
+		c.index.del(c.keys, key)
+		c.unlink(n)
+		c.freeNode(n)
+	} else if size, ok := c.seedLookup(key); ok {
+		c.size -= size
+		c.takeSeed()
 	}
-	c.size -= int64(c.sizes[n])
-	c.index.del(c.keys, key)
-	c.unlink(n)
-	c.freeNode(n)
+	// A seed entry must not come back once its key is removed, whether
+	// it was still in the segment or had been promoted out of it.
+	if c.seed != nil {
+		if c.seedGone == nil {
+			c.seedGone = make(map[uint64]struct{})
+		}
+		c.seedGone[key] = struct{}{}
+	}
 }
 
 // Len implements Policy.
-func (c *LRU) Len() int { return c.index.n }
+func (c *LRU) Len() int { return c.index.n + c.seedN }
 
 // Size implements Policy.
 func (c *LRU) Size() int64 { return c.size }
@@ -124,9 +183,12 @@ func (c *LRU) Size() int64 { return c.size }
 // Capacity implements Policy.
 func (c *LRU) Capacity() int64 { return c.capacity }
 
-// Reserve pre-sizes the arena and the key index for n resident entries,
-// so a bulk load (fleet warmup) performs no incremental growth. It never
-// shrinks and does not change the cache's contents or capacity in bytes.
+// Reserve pre-sizes the arena and the key index for n arena entries, so
+// the inserts that follow perform no incremental growth. Seeded entries
+// take no arena space until they are touched, so a seeded cache reserves
+// for the entries a run will promote or add, not for its seed. Reserve
+// never shrinks and does not change the cache's contents or capacity in
+// bytes.
 func (c *LRU) Reserve(n int) {
 	if cap(c.keys) < n {
 		keys := make([]uint64, len(c.keys), n)
@@ -152,12 +214,95 @@ func (c *LRU) Resize(capacity int64) {
 		capacity = 1
 	}
 	c.capacity = capacity
-	for c.size > c.capacity && c.tail != lruNil {
+	for c.size > c.capacity && (c.seedN > 0 || c.tail != lruNil) {
 		c.evictOldest()
 	}
 }
 
+// SetSeed makes s the cache's content: afterwards the LRU behaves
+// exactly as if every entry of s had been Put in order, oldest first,
+// yet it builds an arena entry only for a seed entry a later Get or Put
+// touches. The cache must be empty, and s must not change while the
+// cache uses it.
+func (c *LRU) SetSeed(s Seed) {
+	if c.Len() != 0 {
+		panic("cache: SetSeed on a non-empty LRU")
+	}
+	start, n, bytes := s.Fit(c.capacity)
+	if n == 0 {
+		return
+	}
+	c.seed, c.seedCursor, c.seedCap, c.seedN = s, start, c.capacity, n
+	c.size = bytes
+}
+
+// --- seeded segment --------------------------------------------------------
+
+// seedLookup returns the size of key's entry in the seeded segment. The
+// caller has already missed in the arena, so the entry has not been
+// promoted.
+func (c *LRU) seedLookup(key uint64) (int64, bool) {
+	if c.seed == nil {
+		return 0, false
+	}
+	pos, size, ok := c.seed.Find(key)
+	if !ok || pos < c.seedCursor || size <= 0 || size > c.seedCap {
+		return 0, false
+	}
+	if _, gone := c.seedGone[key]; gone {
+		return 0, false
+	}
+	return size, true
+}
+
+// promote moves a segment entry into the arena at the front, with the
+// given size. Its bytes stay counted in c.size.
+func (c *LRU) promote(key uint64, size int64) {
+	c.pushNew(key, size)
+	c.takeSeed()
+}
+
+// takeSeed accounts for one entry leaving the segment, dropping the seed
+// when the segment empties.
+func (c *LRU) takeSeed() {
+	c.seedN--
+	if c.seedN == 0 {
+		c.seed, c.seedGone = nil, nil
+	}
+}
+
+// evictSeed evicts the segment's oldest entry by advancing the cursor
+// past it, skipping the entries that already left the segment.
+func (c *LRU) evictSeed() {
+	for {
+		at, key, size, ok := c.seed.Next(c.seedCursor)
+		if !ok {
+			panic("cache: seeded segment ran out before its count")
+		}
+		c.seedCursor = at + 1
+		if size <= 0 || size > c.seedCap {
+			continue
+		}
+		if _, promoted := c.index.get(c.keys, key); promoted {
+			continue
+		}
+		if _, gone := c.seedGone[key]; gone {
+			continue
+		}
+		c.size -= size
+		c.takeSeed()
+		return
+	}
+}
+
 // --- intrusive list over the arena ---------------------------------------
+
+// pushNew adds key as a new arena entry at the front.
+func (c *LRU) pushNew(key uint64, size int64) {
+	n := c.allocNode(key, int32(size))
+	c.pushFront(n)
+	c.index.put(c.keys, key, n)
+}
 
 func (c *LRU) allocNode(key uint64, size int32) int32 {
 	if n := c.free; n != lruNil {

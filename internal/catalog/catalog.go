@@ -57,6 +57,31 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// MaxDurationSec is the longest title a catalog generates.
+const MaxDurationSec = 7200
+
+// MaxBitrateKbps bounds a ladder rung: ChunkKey keeps kbps/10 in 12 bits.
+const MaxBitrateKbps = 40960
+
+// ValidateBitrates checks an encoding ladder: rungs must be positive,
+// strictly ascending and below MaxBitrateKbps, and no two may share a
+// ChunkKey rung code (kbps/10), since a shared code would make two rungs
+// one CDN cache object. An empty ladder is valid (it selects the
+// default).
+func ValidateBitrates(ladder []int) error {
+	for i, kbps := range ladder {
+		switch {
+		case kbps <= 0 || kbps >= MaxBitrateKbps:
+			return fmt.Errorf("catalog: bitrate %d kbps out of range (0, %d)", kbps, MaxBitrateKbps)
+		case i > 0 && kbps <= ladder[i-1]:
+			return fmt.Errorf("catalog: bitrates must be strictly ascending (%d after %d)", kbps, ladder[i-1])
+		case i > 0 && kbps/10 == ladder[i-1]/10:
+			return fmt.Errorf("catalog: bitrates %d and %d kbps share cache key code %d (kbps/10)", ladder[i-1], kbps, kbps/10)
+		}
+	}
+	return nil
+}
+
 // Catalog is a generated video library plus its popularity model.
 type Catalog struct {
 	Videos        []Video
@@ -81,8 +106,8 @@ func New(cfg Config, r *stats.Rand) *Catalog {
 		if d < 3*cfg.ChunkDuration {
 			d = 3 * cfg.ChunkDuration
 		}
-		if d > 7200 {
-			d = 7200
+		if d > MaxDurationSec {
+			d = MaxDurationSec
 		}
 		c.Videos[i] = Video{
 			ID:          i,

@@ -90,6 +90,32 @@ func TestChunkKeyUniqueness(t *testing.T) {
 	}
 }
 
+// TestValidateBitrates: a ladder must be positive, strictly ascending,
+// below MaxBitrateKbps, and give every rung its own ChunkKey code.
+func TestValidateBitrates(t *testing.T) {
+	cases := []struct {
+		ladder []int
+		ok     bool
+	}{
+		{nil, true},
+		{[]int{235, 375, 560, 750, 1050, 1750, 2350, 3000}, true},
+		{[]int{750}, true},
+		{[]int{10, 20, MaxBitrateKbps - 1}, true},
+		{[]int{235, 239, 750, 1750}, false}, // 235 and 239 share code 23
+		{[]int{3000, 750, 235}, false},      // descending
+		{[]int{750, 750}, false},            // repeated rung
+		{[]int{0, 750, 41200}, false},       // zero rung
+		{[]int{-235, 750}, false},           // negative rung
+		{[]int{750, 41200}, false},          // overflows the 12-bit code
+		{[]int{750, MaxBitrateKbps}, false}, // code 4096 wraps to 0
+	}
+	for _, c := range cases {
+		if err := ValidateBitrates(c.ladder); (err == nil) != c.ok {
+			t.Errorf("ValidateBitrates(%v) = %v, want ok=%v", c.ladder, err, c.ok)
+		}
+	}
+}
+
 func TestChunkSizeBytes(t *testing.T) {
 	// 1000 kbps for 6 s = 750 KB.
 	if got := ChunkSizeBytes(1000, 6); got != 750000 {

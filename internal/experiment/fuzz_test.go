@@ -46,6 +46,10 @@ func FuzzDecodeSpec(f *testing.F) {
 		`{"name":"x","baseline":"missing-cell"}`,
 		`{"name":"x","scenario":{"seed":18446744073709551615}}`,
 		`{"name":"x","scenario":{"bitrates":[235,3000]},"axes":[{"name":"zipf_s","values":[0.6,1.1]}]}`,
+		`{"name":"x","scenario":{"bitrates":[235,239,750,1750]}}`, // shared cache key code
+		`{"name":"x","scenario":{"bitrates":[3000,750,235]}}`,     // unsorted ladder
+		`{"name":"x","scenario":{"bitrates":[0,750,41200]}}`,      // zero and oversized rungs
+		`{"name":"x","axes":[{"name":"bitrates","values":[[235,3000],[750,750]]}]}`,
 		`{"name":"x","live":{"channels":8}}`,
 		`{"name":"x","live":{"channels":0}}`,
 		`{"name":"x","live":{"channels":-1}}`,

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 
+	"vidperf/internal/catalog"
 	"vidperf/internal/telemetry"
 	"vidperf/internal/workload"
 )
@@ -413,10 +414,13 @@ func (s *Spec) Validate() error {
 		return err
 	}
 	// The timeline's intrinsic invariants were checked by Expand (via
-	// Build); PoP references are checked per cell because an axis may
-	// sweep the fleet size.
+	// Build); PoP references and the bitrate ladder are checked per cell
+	// because an axis may sweep the fleet size or the ladder.
 	for _, c := range cells {
 		if err := c.Scenario.Timeline.ValidatePoPs(c.Scenario.Fleet.WithDefaults().NumPoPs); err != nil {
+			return fmt.Errorf("experiment: spec %s: cell %s: %w", s.Name, c.Name, err)
+		}
+		if err := catalog.ValidateBitrates(c.Scenario.Catalog.Bitrates); err != nil {
 			return fmt.Errorf("experiment: spec %s: cell %s: %w", s.Name, c.Name, err)
 		}
 	}

@@ -35,6 +35,11 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 		{"bad baseline", `{"name":"x","axes":[{"name":"cold","values":[false,true]}],"baseline":"cold=maybe"}`, "baseline"},
 		{"unknown preset", `{"name":"x","preset":"warp-speed"}`, "preset"},
 		{"tiny sketch k", `{"name":"x","sketch_k":2}`, "sketch_k"},
+		{"shared rung code", `{"name":"x","scenario":{"bitrates":[235,239,750,1750]}}`, "share cache key code"},
+		{"unsorted ladder", `{"name":"x","scenario":{"bitrates":[3000,750,235]}}`, "ascending"},
+		{"zero rung", `{"name":"x","scenario":{"bitrates":[0,750,41200]}}`, "out of range"},
+		{"oversized rung", `{"name":"x","scenario":{"bitrates":[750,41200]}}`, "out of range"},
+		{"bad ladder on an axis", `{"name":"x","axes":[{"name":"bitrates","values":[[235,3000],[750,750]]}]}`, "cell bitrates="},
 	}
 	for _, c := range cases {
 		_, err := Load(strings.NewReader(c.src))

@@ -25,6 +25,8 @@ import (
 	"fmt"
 
 	"vidperf/internal/abr"
+	"vidperf/internal/cache"
+	"vidperf/internal/catalog"
 	"vidperf/internal/cdn"
 	"vidperf/internal/core"
 	"vidperf/internal/sim"
@@ -143,6 +145,9 @@ func planShards(pop *workload.Population, factory SinkFactory) ([]*slotShard, er
 	if err := sc.Proxy.Validate(); err != nil {
 		return nil, err
 	}
+	if err := catalog.ValidateBitrates(sc.Catalog.Bitrates); err != nil {
+		return nil, err
+	}
 	parts, plannedChunks := pop.PartitionBySlot(cfg)
 	shards := make([]*slotShard, 0, len(parts))
 	for bucket, refs := range parts {
@@ -203,6 +208,7 @@ func (sh *slotShard) run() {
 	if !sc.ColdStart {
 		WarmPoP(fleet, sh.pop.Catalog, sh.popID)
 	}
+	reserveArenas(fleet.PoPServers(sh.popID)[sh.slot].Cache(), sh.shard.Weight)
 	eng := &sh.shard.Engine
 	scheduleTimelineEvents(eng, fleet, sh.popID, sc.Timeline, sc.ArrivalOffsetMS)
 	arrivals := make([]arrival, len(sh.refs))
@@ -211,6 +217,18 @@ func (sh *slotShard) run() {
 		eng.At(ref.ArrivalMS, &arrivals[i])
 	}
 	eng.Run()
+}
+
+// reserveArenas sizes an LRU cache's arenas for a shard's planned chunk
+// requests. A request adds at most one arena entry per level (a fill, or
+// a warm entry promoted out of the seed), so no arena grows by doubling
+// mid-run, warm or cold.
+func reserveArenas(ml *cache.MultiLevel, plannedChunks int) {
+	for _, p := range [2]cache.Policy{ml.RAM, ml.Disk} {
+		if lru, ok := p.(*cache.LRU); ok {
+			lru.Reserve(plannedChunks)
+		}
+	}
 }
 
 // arrival is the event that starts one session: it plans the session and

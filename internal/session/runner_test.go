@@ -362,6 +362,18 @@ func TestExecuteRejectsUnknownABR(t *testing.T) {
 	}
 }
 
+// TestExecuteRejectsInvalidLadder: a bitrate ladder that would merge two
+// rungs into one cache key, or is unsorted, fails before any shard runs.
+func TestExecuteRejectsInvalidLadder(t *testing.T) {
+	for _, ladder := range [][]int{{235, 239, 750, 1750}, {3000, 750, 235}, {0, 750, 41200}} {
+		sc := smallScenario(1)
+		sc.Catalog.Bitrates = ladder
+		if _, err := Execute(sc, Options{}); err == nil {
+			t.Errorf("Execute accepted bitrate ladder %v", ladder)
+		}
+	}
+}
+
 // TestExecuteRejectsContradictoryOptions: option combinations that
 // contradict the selected mode fail fast instead of silently ignoring
 // knobs.
