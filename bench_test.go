@@ -24,6 +24,7 @@ import (
 	"vidperf/internal/catalog"
 	"vidperf/internal/core"
 	"vidperf/internal/figures"
+	"vidperf/internal/netpath"
 	"vidperf/internal/session"
 	"vidperf/internal/stats"
 	"vidperf/internal/tcpmodel"
@@ -494,12 +495,47 @@ func BenchmarkAblationColdStart(b *testing.B) {
 
 // --- Micro-benchmarks on the substrates -----------------------------------
 
+// BenchmarkTCPTransfer times one tcpmodel chunk transfer. clean is a
+// lossless, jitter-free 20 Mbps path, which never reaches the loss draws.
+// residential and enterprise cycle over 64 connections on netpath session
+// paths (jitter, random loss, receive windows; no congestion episodes),
+// each transfer a chunk of the default ladder after a 2 s idle gap.
 func BenchmarkTCPTransfer(b *testing.B) {
-	p := tcpmodel.Params{BaseRTTms: 40, BottleneckKbps: 20000}
-	c := tcpmodel.New(p, stats.NewRand(1))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Transfer(750000)
+	b.Run("clean", func(b *testing.B) {
+		p := tcpmodel.Params{BaseRTTms: 40, BottleneckKbps: 20000}
+		c := tcpmodel.New(p, stats.NewRand(1))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c.Transfer(750000)
+		}
+	})
+	profiles := []struct {
+		name    string
+		profile func(propRTTms float64, r *stats.Rand) netpath.Profile
+	}{
+		{"residential", netpath.ResidentialProfile},
+		{"enterprise", netpath.EnterpriseProfile},
+	}
+	r := stats.NewRand(1)
+	ladder := catalog.New(catalog.Config{NumVideos: 1}, r).Bitrates
+	sizes := make([]int64, len(ladder))
+	for i, kbps := range ladder {
+		sizes[i] = catalog.ChunkSizeBytes(kbps, 6)
+	}
+	for _, pr := range profiles {
+		conns := make([]*tcpmodel.Conn, 64)
+		for i := range conns {
+			path := pr.profile(r.Uniform(5, 60), r).SessionParams(r)
+			conns[i] = tcpmodel.New(path, r.Split())
+		}
+		b.Run(pr.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c := conns[i%len(conns)]
+				c.AdvanceIdle(2000)
+				c.Transfer(sizes[(i/len(conns)+i)%len(sizes)])
+			}
+		})
 	}
 }
 

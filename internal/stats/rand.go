@@ -33,10 +33,17 @@ func (r *Rand) Split() *Rand {
 	return &Rand{state: r.Uint64() ^ 0x9e3779b97f4a7c15}
 }
 
+// gamma is splitmix64's state increment: draw i is mix(state₀ + i·gamma).
+const gamma = 0x9e3779b97f4a7c15
+
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *Rand) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
+	r.state += gamma
+	return mix(r.state)
+}
+
+// mix is splitmix64's output function.
+func mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
@@ -64,6 +71,61 @@ func (r *Rand) Bool(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
+}
+
+// BoolCount runs Bool(p) trials while trials + trues < limit and returns
+// the number of trues. It consumes exactly the draws of
+//
+//	if p > 0 {
+//		for i := 0; i < limit-trues; i++ {
+//			if r.Bool(p) {
+//				trues++
+//			}
+//		}
+//	}
+//
+// so the run's bound shrinks as trues accrue. As with Bool, p >= 1 makes
+// every trial true without drawing; p <= 0 or NaN draws nothing.
+func (r *Rand) BoolCount(p float64, limit int) int {
+	if !(p > 0) || limit <= 0 {
+		return 0
+	}
+	if p >= 1 {
+		return limit - limit/2 // ceil(limit/2): every trial is true, so each takes two off the bound
+	}
+	// Float64() < p is u>>11 < p·2⁵³ for the integer u>>11 < 2⁵³, and the
+	// scaling by 2⁵³ is exact, so the test is u>>11 < ceil(p·2⁵³).
+	thresh := uint64(math.Ceil(p * (1 << 53)))
+	s := r.state
+	trues := 0
+	left := limit
+	// While seven or more are left, the next four trials all happen (the
+	// first three take at most six off the bound), so they run without a
+	// check.
+	for left >= 7 {
+		s1 := s + gamma
+		s2 := s1 + gamma
+		s3 := s2 + gamma
+		s = s3 + gamma
+		h := below(s1, thresh) + below(s2, thresh) + below(s3, thresh) + below(s, thresh)
+		trues += h
+		left -= 4 + h
+	}
+	for left > 0 {
+		s += gamma
+		h := below(s, thresh)
+		trues += h
+		left -= 1 + h
+	}
+	r.state = s
+	return trues
+}
+
+// below returns 1 when the top 53 bits of the draw at state s are below
+// thresh, and 0 otherwise. Both are at most 2⁵³, so their difference
+// wraps exactly when it is negative.
+func below(s, thresh uint64) int {
+	return int((mix(s)>>11 - thresh) >> 63)
 }
 
 // Uniform returns a uniform float64 in [lo, hi).

@@ -237,3 +237,87 @@ func TestUniformBoundsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// boolLoop is the loop BoolCount replaces, written with Bool.
+func boolLoop(r *Rand, p float64, limit int) int {
+	trues := 0
+	if p > 0 {
+		for i := 0; i < limit-trues; i++ {
+			if r.Bool(p) {
+				trues++
+			}
+		}
+	}
+	return trues
+}
+
+// stateBefore returns the state whose next Uint64 is u, inverting the
+// splitmix64 finalizer step by step.
+func stateBefore(u uint64) uint64 {
+	unshift := func(y uint64, s uint) uint64 {
+		x := y
+		for i := 0; i < 64; i += int(s) {
+			x = y ^ x>>s
+		}
+		return x
+	}
+	inverse := func(c uint64) uint64 {
+		inv := c // Newton's iteration for c⁻¹ mod 2⁶⁴ (c odd)
+		for i := 0; i < 5; i++ {
+			inv *= 2 - c*inv
+		}
+		return inv
+	}
+	z := unshift(u, 31)
+	z *= inverse(0x94d049bb133111eb)
+	z = unshift(z, 27)
+	z *= inverse(0xbf58476d1ce4e5b9)
+	z = unshift(z, 30)
+	return z - gamma
+}
+
+// TestBoolCountMatchesBoolLoop checks BoolCount against a loop of Bool
+// calls: the same count and the same draws consumed. The thresholds sit
+// on the 2⁻⁵³ grid Float64 lives on and at their neighbours either side,
+// and each run's first draw is placed just below, on and just above the
+// threshold, where ceil(p·2⁵³) must round exactly as Float64() < p does.
+func TestBoolCountMatchesBoolLoop(t *testing.T) {
+	const ulp = 1.0 / (1 << 53)
+	ps := []float64{0, math.Copysign(0, -1), -1, math.NaN(), math.Inf(-1), math.Inf(1),
+		5e-324, 1e-300, 1e-4, 0.01, 0.3, 0.5, 0.9, 1, 1 + ulp, 2}
+	for _, k := range []float64{1, 2, 3, 1000, 1 << 20, 1<<52 - 1, 1 << 52, 1<<52 + 1, 1<<53 - 2, 1<<53 - 1} {
+		p := k * ulp
+		ps = append(ps, p, math.Nextafter(p, 0), math.Nextafter(p, 1))
+	}
+	if u := stateBefore(12345); NewRand(u).Uint64() != 12345 {
+		t.Fatal("stateBefore does not invert Uint64")
+	}
+	seeds := NewRand(99)
+	for _, p := range ps {
+		// First draws around x = p·2⁵³, the integer u>>11 is compared with.
+		var firsts []uint64
+		if x := p * (1 << 53); x >= 0 && x < 1<<53 {
+			for d := -2.0; d <= 2; d++ {
+				if f := math.Floor(x) + d; f >= 0 && f < 1<<53 {
+					firsts = append(firsts, uint64(f))
+				}
+			}
+		}
+		for trial := 0; trial < 30; trial++ {
+			state := seeds.Uint64()
+			if trial < len(firsts) {
+				state = stateBefore(firsts[trial]<<11 | seeds.Uint64()>>53)
+			}
+			for _, limit := range []int{-3, 0, 1, 2, 3, 7, 8, 9, 64, 300} {
+				a, b := NewRand(state), NewRand(state)
+				got, want := a.BoolCount(p, limit), boolLoop(b, p, limit)
+				if got != want {
+					t.Fatalf("BoolCount(%v, %d) from state %#x = %d, Bool loop %d", p, limit, state, got, want)
+				}
+				if a.Uint64() != b.Uint64() {
+					t.Fatalf("BoolCount(%v, %d) from state %#x consumed a different number of draws", p, limit, state)
+				}
+			}
+		}
+	}
+}

@@ -131,8 +131,11 @@ type Conn struct {
 	extraDelayMS float64 // time-varying path delay (cross-traffic congestion)
 
 	// snaps is the reused backing array for TransferResult.Snapshots, so
-	// steady-state chunk transfers allocate nothing for sampling.
-	snaps []TCPInfo
+	// steady-state chunk transfers allocate nothing for sampling. It starts
+	// on snapBuf, which holds a chunk's usual few samples without a
+	// separate allocation.
+	snaps   []TCPInfo
+	snapBuf [8]TCPInfo
 }
 
 // SampleIntervalMS is the tcp_info sampling period (paper: 500 ms).
@@ -142,12 +145,14 @@ const SampleIntervalMS = 500.0
 // other concurrent components.
 func New(p Params, r *stats.Rand) *Conn {
 	p = p.withDefaults()
-	return &Conn{
+	c := &Conn{
 		p:        p,
 		r:        r,
 		cwnd:     p.InitCwnd,
 		ssthresh: 1 << 30, // effectively unbounded until first loss
 	}
+	c.snaps = c.snapBuf[:0]
+	return c
 }
 
 // Params returns the path parameters the connection was built with.
@@ -166,9 +171,9 @@ func (c *Conn) rateBytesPerMS() float64 { return c.p.BottleneckKbps / 8 }
 // SetRandomLossProb overrides the path's per-segment random-loss
 // probability from now on. Scripted scenarios (e.g. the paper's Fig. 13
 // early-vs-late loss case study) use it to place loss episodes at chosen
-// chunks.
+// chunks. p is clamped to [0, 1]; NaN counts as 0.
 func (c *Conn) SetRandomLossProb(p float64) {
-	if p < 0 {
+	if p < 0 || math.IsNaN(p) {
 		p = 0
 	}
 	if p > 1 {
@@ -179,9 +184,10 @@ func (c *Conn) SetRandomLossProb(p float64) {
 
 // SetExtraDelayMS sets the current time-varying path delay component
 // (e.g. a cross-traffic congestion episode on an enterprise uplink). It
-// adds to every subsequent RTT sample until changed.
+// adds to every subsequent RTT sample until changed. A negative or NaN
+// delay counts as 0.
 func (c *Conn) SetExtraDelayMS(ms float64) {
-	if ms < 0 {
+	if ms < 0 || math.IsNaN(ms) {
 		ms = 0
 	}
 	c.extraDelayMS = ms
@@ -218,10 +224,15 @@ func (c *Conn) updateRTT(sample float64, acks int) {
 	if acks > 32 {
 		acks = 32
 	}
+	// The EWMA runs in locals and is stored once: the steps are the same
+	// expressions in the same order, so every rounding is the same, but
+	// no store-to-load round trip sits on the floating-point chain.
+	srtt, rttvar := c.srtt, c.rttvar
 	for i := 0; i < acks; i++ {
-		c.rttvar = 0.75*c.rttvar + 0.25*math.Abs(c.srtt-sample)
-		c.srtt = 0.875*c.srtt + 0.125*sample
+		rttvar = 0.75*rttvar + 0.25*math.Abs(srtt-sample)
+		srtt = 0.875*srtt + 0.125*sample
 	}
+	c.srtt, c.rttvar = srtt, rttvar
 }
 
 // RTOms returns the retransmission timeout per RFC 6298 with the Linux
@@ -284,27 +295,15 @@ func (c *Conn) maybeSample() {
 
 // lossesInWindow counts lost segments for a window of n segments given the
 // droptail overflow (burst beyond buffer capacity) plus random loss.
-func (c *Conn) lossesInWindow(n int, windowBytes float64) int {
+// headroom is the data the path absorbs without overflow.
+func (c *Conn) lossesInWindow(n int, windowBytes, headroom, mss float64) int {
 	lost := 0
-	// Congestive loss: data beyond BDP + buffer cannot be absorbed.
-	headroom := c.bdpBytes() + float64(c.p.BufferBytes)
-	if c.p.Pacing {
-		// Paced bursts arrive at drain rate, letting the queue service
-		// traffic while it arrives: effective capacity roughly doubles
-		// (Aggarwal et al.; Trickle).
-		headroom += c.bdpBytes() + float64(c.p.BufferBytes)
-	}
 	if overflow := windowBytes - headroom; overflow > 0 {
-		lost += int(math.Ceil(overflow / float64(c.p.MSS)))
+		lost += int(math.Ceil(overflow / mss))
 	}
-	// Random per-segment loss.
-	if p := c.p.RandomLossProb; p > 0 {
-		for i := 0; i < n-lost; i++ {
-			if c.r.Bool(p) {
-				lost++
-			}
-		}
-	}
+	// Random per-segment loss: one Bool draw per segment not yet counted
+	// lost, the bound shrinking as losses accrue.
+	lost += c.r.BoolCount(c.p.RandomLossProb, n-lost)
 	if lost > n {
 		lost = n
 	}
@@ -326,15 +325,46 @@ func (c *Conn) Transfer(size int64) TransferResult {
 	bytesLeft := float64(size)
 	rate := c.rateBytesPerMS()
 
+	// The path, and with it the BDP, changes only between transfers, so
+	// everything derived from it is computed once here.
+	mss := float64(c.p.MSS)
+	buf := float64(c.p.BufferBytes)
+	bdp := c.bdpBytes()
+	// Congestive loss: data beyond BDP + buffer cannot be absorbed.
+	headroom := bdp + buf
+	if c.p.Pacing {
+		// Paced bursts arrive at drain rate, letting the queue service
+		// traffic while it arrives: effective capacity roughly doubles
+		// (Aggarwal et al.; Trickle).
+		headroom += bdp + buf
+	}
+	// Cap the window at what the path can physically hold plus buffer,
+	// with a little probe headroom so AIMD keeps testing the knee — and at
+	// the client's receive window, which often binds first.
+	maxW := int((bdp+buf)/mss) + c.p.InitCwnd
+	if c.p.RcvWindowBytes > 0 {
+		if rw := int(c.p.RcvWindowBytes / int64(c.p.MSS)); rw < maxW {
+			maxW = rw
+		}
+	}
+	if maxW < 2 {
+		maxW = 2
+	}
+
 	for round := 0; bytesLeft > 0; round++ {
 		windowBytes := float64(c.cwnd * c.p.MSS)
-		sendBytes := math.Min(windowBytes, bytesLeft)
-		nSegs := int(math.Ceil(sendBytes / float64(c.p.MSS)))
+		// A full window is cwnd segments exactly; only the last, partial
+		// window needs rounding up.
+		sendBytes, nSegs := windowBytes, c.cwnd
+		if bytesLeft < windowBytes {
+			sendBytes = bytesLeft
+			nSegs = int(math.Ceil(sendBytes / mss))
+		}
 
 		// Queue occupancy while this window is in flight.
-		c.queuedBytes = math.Max(0, windowBytes-c.bdpBytes())
-		if c.queuedBytes > float64(c.p.BufferBytes) {
-			c.queuedBytes = float64(c.p.BufferBytes)
+		c.queuedBytes = math.Max(0, windowBytes-bdp)
+		if c.queuedBytes > buf {
+			c.queuedBytes = buf
 		}
 
 		rtt := c.rttSample()
@@ -345,7 +375,7 @@ func (c *Conn) Transfer(size int64) TransferResult {
 			roundTime = math.Min(rtt, math.Max(serial, 1))
 		}
 
-		lost := c.lossesInWindow(nSegs, sendBytes)
+		lost := c.lossesInWindow(nSegs, sendBytes, headroom, mss)
 		delivered := sendBytes - float64(lost*c.p.MSS)
 		if delivered < 0 {
 			delivered = 0
@@ -406,18 +436,6 @@ func (c *Conn) Transfer(size int64) TransferResult {
 		}
 		if c.cwnd < 1 {
 			c.cwnd = 1
-		}
-		// Cap the window at what the path can physically hold plus buffer,
-		// with a little probe headroom so AIMD keeps testing the knee —
-		// and at the client's receive window, which often binds first.
-		maxW := int((c.bdpBytes()+float64(c.p.BufferBytes))/float64(c.p.MSS)) + c.p.InitCwnd
-		if c.p.RcvWindowBytes > 0 {
-			if rw := int(c.p.RcvWindowBytes / int64(c.p.MSS)); rw < maxW {
-				maxW = rw
-			}
-		}
-		if maxW < 2 {
-			maxW = 2
 		}
 		if c.cwnd > maxW {
 			c.cwnd = maxW

@@ -302,3 +302,337 @@ func TestSRTTBoundsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// kernelOp is one call in a differential script: a transfer, an idle
+// gap, or a change of the path's extra delay or loss probability.
+type kernelOp struct {
+	kind int // opTransfer, opIdle, opExtraDelay, opLossProb
+	size int64
+	x    float64
+}
+
+const (
+	opTransfer = iota
+	opIdle
+	opExtraDelay
+	opLossProb
+	numOps
+)
+
+// deadLossProb is the loss probability from which a transfer is not
+// expected to finish: at p = 1 the last segment of every transfer is lost
+// again and again. Scripts check the loss kernel itself there instead.
+const deadLossProb = 0.5
+
+// minBufferBytes is the smallest explicit buffer the scripts draw. It
+// exceeds every MSS they draw: a path that cannot hold one segment loses
+// every window it sends, and its transfers never finish either.
+const minBufferBytes = 9500
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func sameParams(a, b Params) bool {
+	return sameBits(a.BaseRTTms, b.BaseRTTms) && sameBits(a.JitterMS, b.JitterMS) &&
+		sameBits(a.BottleneckKbps, b.BottleneckKbps) && a.BufferBytes == b.BufferBytes &&
+		sameBits(a.RandomLossProb, b.RandomLossProb) && a.RcvWindowBytes == b.RcvWindowBytes &&
+		a.MSS == b.MSS && a.InitCwnd == b.InitCwnd && a.Pacing == b.Pacing &&
+		a.SlowStartAfterIdle == b.SlowStartAfterIdle
+}
+
+func sameInfo(a, b TCPInfo) bool {
+	return sameBits(a.AtMS, b.AtMS) && a.CWNDSegments == b.CWNDSegments &&
+		sameBits(a.SRTTms, b.SRTTms) && sameBits(a.RTTVarMS, b.RTTVarMS) &&
+		a.RetransTotal == b.RetransTotal && a.MSS == b.MSS
+}
+
+func sameResult(a, b TransferResult) bool {
+	if !(sameBits(a.RTT0ms, b.RTT0ms) && sameBits(a.FirstRoundMS, b.FirstRoundMS) &&
+		sameBits(a.TotalMS, b.TotalMS) && sameBits(a.LastByteMS, b.LastByteMS) &&
+		a.SegmentsSent == b.SegmentsSent && a.SegmentsLost == b.SegmentsLost &&
+		a.Rounds == b.Rounds && a.Timeouts == b.Timeouts && a.CwndEnd == b.CwndEnd &&
+		sameBits(a.SRTTEnd, b.SRTTEnd) && len(a.Snapshots) == len(b.Snapshots)) {
+		return false
+	}
+	for i := range a.Snapshots {
+		if !sameInfo(a.Snapshots[i], b.Snapshots[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameState compares every field the two kernels share, bit for bit.
+func sameState(c *Conn, ref *refConn) bool {
+	return sameParams(c.p, ref.p) && c.cwnd == ref.cwnd && c.ssthresh == ref.ssthresh &&
+		sameBits(c.srtt, ref.srtt) && sameBits(c.rttvar, ref.rttvar) && c.srttInit == ref.srttInit &&
+		sameBits(c.clockMS, ref.clockMS) && sameBits(c.lastSampleMS, ref.lastSampleMS) &&
+		c.retransTotal == ref.retransTotal && sameBits(c.queuedBytes, ref.queuedBytes) &&
+		sameBits(c.extraDelayMS, ref.extraDelayMS) && sameBits(c.RTOms(), ref.RTOms()) &&
+		sameInfo(c.Info(), ref.Info())
+}
+
+// runKernelScript drives a Conn and the reference kernel through the same
+// calls over the same path and seed, and fails at the first call after
+// which their results, state or generators differ. Each check draws one
+// Uint64 from both generators, which keeps them in step.
+func runKernelScript(t testing.TB, p Params, seed uint64, ops []kernelOp) {
+	t.Helper()
+	c := New(p, stats.NewRand(seed))
+	ref := newRefConn(p, stats.NewRand(seed))
+	for i, op := range ops {
+		switch op.kind {
+		case opTransfer:
+			if c.p.RandomLossProb > deadLossProb {
+				checkLossKernel(t, c, ref, op.size)
+				break
+			}
+			got, want := c.Transfer(op.size), ref.Transfer(op.size)
+			if !sameResult(got, want) {
+				t.Fatalf("params %+v seed %d op %d Transfer(%d):\n got %+v\nwant %+v", p, seed, i, op.size, got, want)
+			}
+		case opIdle:
+			c.AdvanceIdle(op.x)
+			ref.AdvanceIdle(op.x)
+		case opExtraDelay:
+			c.SetExtraDelayMS(op.x)
+			ref.SetExtraDelayMS(op.x)
+		case opLossProb:
+			c.SetRandomLossProb(op.x)
+			ref.SetRandomLossProb(op.x)
+		}
+		if !sameState(c, ref) {
+			t.Fatalf("params %+v seed %d op %d %+v: state diverged:\n got %+v\nwant %+v", p, seed, i, op, *c, *ref)
+		}
+		if c.r.Uint64() != ref.r.Uint64() {
+			t.Fatalf("params %+v seed %d op %d %+v: generators diverged", p, seed, i, op)
+		}
+	}
+}
+
+// checkLossKernel compares one window's loss count on a path where a
+// whole transfer would not finish, over windows around the size's.
+func checkLossKernel(t testing.TB, c *Conn, ref *refConn, size int64) {
+	t.Helper()
+	mss := float64(c.p.MSS)
+	buf := float64(c.p.BufferBytes)
+	headroom := c.bdpBytes() + buf
+	if c.p.Pacing {
+		headroom += c.bdpBytes() + buf
+	}
+	n := int(size%4096) + 1
+	for _, segs := range []int{0, 1, 2, n, 3 * n} {
+		w := float64(segs * c.p.MSS)
+		got, want := c.lossesInWindow(segs, w, headroom, mss), ref.lossesInWindow(segs, w)
+		if got != want {
+			t.Fatalf("lossesInWindow(%d, %v) at p=%v = %d, reference %d", segs, w, c.p.RandomLossProb, got, want)
+		}
+	}
+}
+
+// randomKernelCase draws a path and a script that reach every branch of
+// the kernel: default and explicit buffers, MSS and initial windows;
+// pacing; slow start after idle; receive windows; zero jitter; loss
+// probabilities at the edges of the draw comparison; partial, single- and
+// many-round transfers; and mid-connection idles, delays and loss changes.
+func randomKernelCase(r *stats.Rand) (Params, []kernelOp) {
+	const ulp = 1.0 / (1 << 53)
+	losses := []float64{0, 5e-324, 1e-4, 0.3, 1 - ulp, 1}
+	p := Params{
+		BaseRTTms:          r.Uniform(1, 400),
+		BottleneckKbps:     300 * math.Exp2(r.Uniform(0, 10)),
+		RandomLossProb:     losses[r.Intn(len(losses))],
+		Pacing:             r.Bool(0.5),
+		SlowStartAfterIdle: r.Bool(0.5),
+	}
+	if r.Bool(0.75) {
+		p.JitterMS = r.Uniform(0, 40)
+	}
+	if r.Bool(0.5) {
+		p.BufferBytes = minBufferBytes + int64(r.Intn(512<<10))
+	}
+	if r.Bool(0.5) {
+		p.MSS = r.Intn(9000) + 500
+	}
+	mss := int64(p.withDefaults().MSS)
+	switch r.Intn(5) {
+	case 0, 1:
+		p.RcvWindowBytes = int64(r.Intn(4<<20) + 1)
+	case 2:
+		p.RcvWindowBytes = int64(r.Intn(int(3*mss)) + 1) // caps cwnd at 2
+	}
+	if r.Bool(0.5) {
+		p.InitCwnd = r.Intn(40) + 1
+	}
+	ops := make([]kernelOp, r.Intn(40)+1)
+	for i := range ops {
+		op := kernelOp{kind: r.Intn(numOps)}
+		if r.Bool(0.4) {
+			op.kind = opTransfer
+		}
+		switch op.kind {
+		case opTransfer:
+			switch r.Intn(6) {
+			case 0:
+				op.size = int64(r.Intn(3)) - 1 // -1, 0 or 1 byte
+			case 1:
+				op.size = int64(r.Intn(int(10*mss))) + 1 // inside the first window
+			case 2:
+				op.size = int64(r.Intn(64)+1)*mss + int64(r.Intn(3)) - 1 // at a window's edge
+			case 3:
+				ladder := []int64{235, 375, 560, 750, 1050, 1750, 2350, 3000}
+				op.size = ladder[r.Intn(len(ladder))] * 1000 / 8 * 6
+			default:
+				op.size = int64(r.Intn(8<<20)) + 1
+			}
+		case opIdle:
+			op.x = r.Uniform(-100, 10000)
+		case opExtraDelay:
+			op.x = []float64{math.NaN(), -5, 0, r.Uniform(0, 3000)}[r.Intn(4)]
+		case opLossProb:
+			op.x = append([]float64{math.NaN(), -0.5, 1.5, r.Uniform(0, 0.1)}, losses...)[r.Intn(4+len(losses))]
+		}
+		ops[i] = op
+	}
+	return p, ops
+}
+
+// TestTransferMatchesReference drives the kernel and the reference kernel
+// through random paths and call scripts and requires bit-identical
+// results, snapshots, connection state and generator state after every
+// call.
+func TestTransferMatchesReference(t *testing.T) {
+	r := stats.NewRand(2016)
+	for i := 0; i < 400; i++ {
+		p, ops := randomKernelCase(r)
+		runKernelScript(t, p, r.Uint64(), ops)
+	}
+}
+
+// fuzzReader hands out the fuzz input a little at a time; past its end
+// every read is zero.
+type fuzzReader []byte
+
+func (f *fuzzReader) byte() byte {
+	if len(*f) == 0 {
+		return 0
+	}
+	b := (*f)[0]
+	*f = (*f)[1:]
+	return b
+}
+
+func (f *fuzzReader) u16() int { return int(f.byte())<<8 | int(f.byte()) }
+
+// unit returns a value in [0, 1].
+func (f *fuzzReader) unit() float64 { return float64(f.u16()) / 65535 }
+
+// FuzzTransferMatchesReference decodes a path and a short call script
+// from the input and checks the kernel against the reference kernel, as
+// TestTransferMatchesReference does for seeded random cases.
+func FuzzTransferMatchesReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("\x40\x00\x10\x00\x80\x00\x01\x02\x03\x04\x05\x06\x07\x08\x00\x20\x00\x00\x30\x00\x01\x40\x00\x02\x10\x00\x03\x05"))
+	f.Add([]byte("\xff\xff\xff\xff\xff\xff\x03\x01\xff\xff\x01\xff\xff\x01\x10\x00\x01\x20\x00\x01\x00\xff\xff\x03\x02\x00\xff\xff"))
+	f.Add([]byte("\x08\x00\x00\x01\x00\x40\x05\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x03\x00\x00\x00\x7f\xff\x00\x7f\xff"))
+	const ulp = 1.0 / (1 << 53)
+	losses := []float64{0, 5e-324, 1e-4, 0.01, 0.3, 1 - ulp, 1, math.NaN(), -1, 2}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzReader(data)
+		p := Params{
+			BaseRTTms:      1 + 500*in.unit(),
+			BottleneckKbps: 100 * math.Exp2(12*in.unit()),
+		}
+		if b := in.byte(); b%4 != 0 {
+			p.JitterMS = 40 * float64(b) / 255
+		}
+		p.RandomLossProb = losses[int(in.byte())%7] // NaN and out-of-range only via the setter
+		flags := in.byte()
+		p.Pacing = flags&1 != 0
+		p.SlowStartAfterIdle = flags&2 != 0
+		if flags&4 != 0 {
+			p.BufferBytes = minBufferBytes + int64(in.u16())*8
+		}
+		if flags&8 != 0 {
+			p.RcvWindowBytes = int64(in.u16())*64 + 1
+		}
+		if flags&16 != 0 {
+			p.MSS = 500 + in.u16()%9000
+		}
+		if flags&32 != 0 {
+			p.InitCwnd = 1 + int(in.byte())%64
+		}
+		seed := uint64(in.u16())
+		var ops []kernelOp
+		for len(in) > 0 && len(ops) < 24 {
+			op := kernelOp{kind: int(in.byte()) % numOps}
+			switch op.kind {
+			case opTransfer:
+				op.size = int64(in.u16())*int64(in.byte()%128) - 1
+			case opIdle:
+				op.x = 20000*in.unit() - 100
+			case opExtraDelay:
+				if b := in.byte(); b == 0 {
+					op.x = math.NaN()
+				} else {
+					op.x = 3000*float64(b)/255 - 10
+				}
+			case opLossProb:
+				op.x = losses[int(in.byte())%len(losses)]
+			}
+			ops = append(ops, op)
+		}
+		runKernelScript(t, p, seed, ops)
+	})
+}
+
+// TestSettersTreatNaNAsZero: a NaN delay or loss probability acts as 0,
+// as a negative one does, instead of passing both clamps and poisoning
+// the window cap (a NaN delay once pinned cwnd at 2 for hundreds of
+// rounds and made TotalMS and SRTT NaN).
+func TestSettersTreatNaNAsZero(t *testing.T) {
+	p := cleanPath()
+	p.JitterMS = 2
+	p.RandomLossProb = 1e-3
+	for _, tc := range []struct {
+		name string
+		set  func(*Conn, float64)
+	}{
+		{"SetExtraDelayMS", (*Conn).SetExtraDelayMS},
+		{"SetRandomLossProb", (*Conn).SetRandomLossProb},
+	} {
+		nan, zero := New(p, stats.NewRand(13)), New(p, stats.NewRand(13))
+		tc.set(nan, math.NaN())
+		tc.set(zero, 0)
+		for i := 0; i < 3; i++ {
+			got, want := nan.Transfer(2000000), zero.Transfer(2000000)
+			if !sameResult(got, want) {
+				t.Fatalf("%s(NaN): chunk %d = %+v, want the zero setting's %+v", tc.name, i, got, want)
+			}
+			if math.IsNaN(got.TotalMS) || math.IsNaN(got.SRTTEnd) || got.Rounds > 100 {
+				t.Fatalf("%s(NaN): chunk %d took %d rounds, TotalMS %v, SRTT %v", tc.name, i, got.Rounds, got.TotalMS, got.SRTTEnd)
+			}
+		}
+	}
+}
+
+// TestTransferSnapshotsAllocationFree: a connection's first transfers
+// sample into the array inside Conn, so a new connection costs one
+// allocation however many chunks it carries, as long as no chunk takes
+// more than eight samples.
+func TestTransferSnapshotsAllocationFree(t *testing.T) {
+	r := stats.NewRand(14)
+	allocs := testing.AllocsPerRun(50, func() {
+		c := New(cleanPath(), r)
+		for i := 0; i < 4; i++ {
+			if res := c.Transfer(750000); len(res.Snapshots) > len(c.snapBuf) {
+				t.Fatalf("chunk %d took %d samples", i, len(res.Snapshots))
+			}
+		}
+		connSink = c // keeps the connection on the heap, as a session's is
+	})
+	if allocs > 1 {
+		t.Errorf("a connection and four transfers allocate %.0f objects, want 1", allocs)
+	}
+}
+
+var connSink *Conn
