@@ -25,6 +25,7 @@ import (
 	"vidperf/internal/core"
 	"vidperf/internal/figures"
 	"vidperf/internal/netpath"
+	"vidperf/internal/proxydetect"
 	"vidperf/internal/session"
 	"vidperf/internal/stats"
 	"vidperf/internal/tcpmodel"
@@ -59,7 +60,7 @@ func benchDataset() *core.Dataset {
 		if err != nil {
 			panic(err)
 		}
-		benchDS = core.FilterProxies(res.Dataset, core.ProxyFilterConfig{}).Kept
+		benchDS = proxydetect.Keep(res.Dataset, proxydetect.Detect(res.Dataset.Sessions, proxydetect.Config{}))
 	})
 	return benchDS
 }

@@ -20,9 +20,10 @@
 // paper's reported result alongside the measured one. analyze snapshot
 // does the same from a telemetry snapshot (vodsim -stream): the
 // sketch-backed subset of the figures is rendered from the
-// bounded-memory aggregates instead of per-record data. Proxy
-// preprocessing needs the joined dataset, so -filter-proxies exists
-// only in trace mode.
+// bounded-memory aggregates instead of per-record data. The §3 proxy
+// preprocessing (internal/proxydetect's Detect and Keep) needs the joined
+// dataset, so -filter-proxies exists only in trace mode; it is the one
+// place a trace is filtered before analysis.
 //
 // analyze compare diffs two snapshots: the first argument is the
 // baseline, the second the candidate, and the output is the A/B delta
@@ -161,10 +162,10 @@ func cmdTrace(args []string) {
 	}
 	log.Printf("loaded %s", ds)
 	if *filter {
-		res := core.FilterProxies(ds, core.ProxyFilterConfig{})
-		log.Printf("proxy filtering kept %d/%d sessions (%.1f%%)",
-			res.KeptSessions, res.TotalSessions, 100*res.KeptFraction)
-		ds = res.Kept
+		kept := proxydetect.Keep(ds, proxydetect.Detect(ds.Sessions, proxydetect.Config{}))
+		log.Printf("proxy filtering kept %d/%d sessions (%.1f%%)", len(kept.Sessions), len(ds.Sessions),
+			100*float64(len(kept.Sessions))/float64(max(len(ds.Sessions), 1)))
+		ds = kept
 	}
 	renderFigures(figures.All(ds, *maxRank), *only)
 }

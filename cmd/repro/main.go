@@ -1,5 +1,6 @@
 // Command repro is the one-shot reproduction driver: it simulates the
-// default scenario, applies the paper's preprocessing, regenerates every
+// default scenario, applies the paper's §3 preprocessing (the
+// internal/proxydetect rules), regenerates every
 // table and figure, and writes EXPERIMENTS.md recording paper-reported vs
 // measured results for each.
 //
@@ -18,8 +19,8 @@ import (
 
 	"vidperf/internal/analysis"
 	"vidperf/internal/catalog"
-	"vidperf/internal/core"
 	"vidperf/internal/figures"
+	"vidperf/internal/proxydetect"
 	"vidperf/internal/session"
 	"vidperf/internal/workload"
 )
@@ -54,10 +55,10 @@ func main() {
 		log.Fatal(err)
 	}
 	raw := res.Dataset
-	filt := core.FilterProxies(raw, core.ProxyFilterConfig{})
-	ds := filt.Kept
+	ds := proxydetect.Keep(raw, proxydetect.Detect(raw.Sessions, proxydetect.Config{}))
+	keptFrac := float64(len(ds.Sessions)) / float64(len(raw.Sessions))
 	log.Printf("simulated %s; preprocessing kept %.1f%% of sessions (paper: 77%%)",
-		raw, 100*filt.KeptFraction)
+		raw, 100*keptFrac)
 
 	results := figures.All(ds, *videos)
 	st := analysis.ComputeDatasetStats(ds)
@@ -78,7 +79,7 @@ func main() {
 	fmt.Fprintf(&b, "## Dataset (paper §3 calibration)\n\n```\n")
 	fmt.Fprintf(&b, "sessions (post-filter)   %d\n", st.Sessions)
 	fmt.Fprintf(&b, "chunks                   %d\n", st.Chunks)
-	fmt.Fprintf(&b, "preprocessing kept       %.1f%%   (paper: 77%%)\n", 100*filt.KeptFraction)
+	fmt.Fprintf(&b, "preprocessing kept       %.1f%%   (paper: 77%%)\n", 100*keptFrac)
 	fmt.Fprintf(&b, "US client share          %.1f%%   (paper: >93%% North America)\n", 100*st.USClientShare)
 	fmt.Fprintf(&b, "browser mix              Chrome %.0f%% / Firefox %.0f%% / IE %.0f%% / Safari %.0f%%\n",
 		100*st.BrowserShare["Chrome"], 100*st.BrowserShare["Firefox"],

@@ -14,17 +14,6 @@ func discardLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
 
-func TestNewLogger(t *testing.T) {
-	for _, format := range []string{"", "text", "json"} {
-		if _, err := newLogger(format); err != nil {
-			t.Errorf("newLogger(%q): %v", format, err)
-		}
-	}
-	if _, err := newLogger("yaml"); err == nil {
-		t.Error("newLogger accepted an unknown format")
-	}
-}
-
 func TestRatiosOnEmptySnapshot(t *testing.T) {
 	sn := &telemetry.Snapshot{}
 	if r := hitRatio(sn); r != 0 {

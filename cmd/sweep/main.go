@@ -45,6 +45,7 @@ import (
 	"vidperf/internal/analysis"
 	"vidperf/internal/experiment"
 	"vidperf/internal/figures"
+	"vidperf/internal/logging"
 	"vidperf/internal/profiling"
 	"vidperf/internal/telemetry"
 )
@@ -65,13 +66,13 @@ var (
 
 func main() {
 	flag.Parse()
-	log, err := newLogger(*logFormat)
+	log, err := logging.New(*logFormat)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(1)
 	}
 	if len(flag.Args()) > 0 {
-		fatal(log, "invalid flags",
+		logging.Fatal(log, "invalid flags",
 			slog.String("err", fmt.Sprintf("unexpected arguments %q (all options are flags)", flag.Args())))
 	}
 
@@ -85,7 +86,7 @@ func main() {
 
 	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
-		fatal(log, "profiling setup failed", slog.Any("err", err))
+		logging.Fatal(log, "profiling setup failed", slog.Any("err", err))
 	}
 	// Runs on the normal exit path; fatal error paths (os.Exit) skip it,
 	// which is fine — a campaign that died produced no profile worth
@@ -107,7 +108,7 @@ func main() {
 	}
 	cells, err := sp.Expand()
 	if err != nil {
-		fatal(log, "spec expansion failed", slog.Any("err", err))
+		logging.Fatal(log, "spec expansion failed", slog.Any("err", err))
 	}
 
 	log.Info("campaign starting",
@@ -133,7 +134,7 @@ func main() {
 		},
 	})
 	if err != nil {
-		fatal(log, "campaign failed", slog.Any("err", err))
+		logging.Fatal(log, "campaign failed", slog.Any("err", err))
 	}
 
 	printSummary(res)
@@ -155,22 +156,22 @@ func main() {
 func loadSpec(log *slog.Logger) *experiment.Spec {
 	switch {
 	case *specPath != "" && *preset != "":
-		fatal(log, "invalid flags", slog.String("err", "-spec and -preset are mutually exclusive"))
+		logging.Fatal(log, "invalid flags", slog.String("err", "-spec and -preset are mutually exclusive"))
 	case *specPath != "":
 		sp, err := experiment.LoadFile(*specPath)
 		if err != nil {
-			fatal(log, "spec load failed", slog.Any("err", err))
+			logging.Fatal(log, "spec load failed", slog.Any("err", err))
 		}
 		return sp
 	case *preset != "":
 		sp, ok := experiment.Preset(*preset)
 		if !ok {
-			fatal(log, "unknown preset", slog.String("preset", *preset),
+			logging.Fatal(log, "unknown preset", slog.String("preset", *preset),
 				slog.String("have", strings.Join(experiment.Presets(), ", ")))
 		}
 		return &sp
 	}
-	fatal(log, "invalid flags", slog.String("err", "one of -spec, -preset, or -list is required"))
+	logging.Fatal(log, "invalid flags", slog.String("err", "one of -spec, -preset, or -list is required"))
 	return nil
 }
 

@@ -20,17 +20,6 @@ func discardLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
 
-func TestNewLogger(t *testing.T) {
-	for _, format := range []string{"", "text", "json"} {
-		if _, err := newLogger(format); err != nil {
-			t.Errorf("newLogger(%q): %v", format, err)
-		}
-	}
-	if _, err := newLogger("yaml"); err == nil {
-		t.Error("newLogger accepted an unknown format")
-	}
-}
-
 func TestWriteFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.txt")
 	if err := writeFile(path, func(f *os.File) error {

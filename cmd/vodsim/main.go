@@ -6,7 +6,7 @@
 // Usage:
 //
 //	vodsim -sessions 20000 -seed 1 -out trace.jsonl [-chunks-csv chunks.csv]
-//	       [-sessions-csv sessions.csv] [-abr hybrid] [-cold] [-filter-proxies]
+//	       [-sessions-csv sessions.csv] [-abr hybrid] [-cold]
 //	       [-parallel 0] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	vodsim serve [...]   (continuous service mode; see below)
 //
@@ -27,8 +27,13 @@
 // and -out receives a JSON telemetry snapshot (input to
 // `analyze snapshot`) rather than a JSONL trace. Peak memory is
 // O(sketch), independent of the record volume, so -stream is the mode for
-// 10M+-session campaigns. -stream cannot be combined with the CSV exports
-// or -filter-proxies, which need the full joined dataset.
+// 10M+-session campaigns. -stream cannot be combined with the CSV exports,
+// which need the full joined dataset.
+//
+// The trace is the raw measurement, proxied sessions included: the §3
+// preprocessing (internal/proxydetect) runs when the trace is analyzed —
+// `analyze trace` applies it by default, and `analyze detect-proxies`
+// grades it against the trace's ground truth.
 //
 // With -stream -diagnose (or -spec ... -diagnose) every finished session
 // is additionally classified by internal/diagnose — which layer (server
@@ -75,6 +80,7 @@ import (
 	"vidperf/internal/core"
 	"vidperf/internal/diagnose"
 	"vidperf/internal/experiment"
+	"vidperf/internal/logging"
 	"vidperf/internal/profiling"
 	"vidperf/internal/session"
 	"vidperf/internal/telemetry"
@@ -88,29 +94,28 @@ func main() {
 	}
 
 	var (
-		sessions    = flag.Int("sessions", 20000, "number of sessions to simulate")
-		prefixes    = flag.Int("prefixes", 2500, "number of client /24 prefixes")
-		videos      = flag.Int("videos", 6000, "catalog size (titles)")
-		seed        = flag.Uint64("seed", 1, "master scenario seed")
-		abrName     = flag.String("abr", "hybrid", "ABR algorithm (hybrid, rate-smoothed, rate-instant, rate-instant-screened, buffer-based, server-signal, fixed-low, fixed-high)")
-		cold        = flag.Bool("cold", false, "skip CDN cache pre-warming (cold-start ablation)")
-		parallel    = flag.Int("parallel", 0, "max server-slot shards simulated concurrently (0 = GOMAXPROCS, 1 = sequential; output is identical at any setting)")
-		filterProxy = flag.Bool("filter-proxies", false, "apply the §3 proxy preprocessing before writing")
-		stream      = flag.Bool("stream", false, "streaming telemetry mode: aggregate into bounded-memory sketches and write a snapshot instead of a trace")
-		diagnoseF   = flag.Bool("diagnose", false, "classify every session's dominant bottleneck (internal/diagnose) during the streamed run; requires -stream or -spec")
-		spec        = flag.String("spec", "", "run a single-cell experiment spec (JSON, see examples/specs/) in streaming mode; replaces the scenario flags")
-		traceOut    = flag.Bool("trace", false, "with -spec: materialize the full JSONL trace instead of a streaming snapshot (input to `analyze detect-proxies`)")
-		sketchK     = flag.Int("sketch-k", telemetry.DefaultSketchK, "quantile-sketch compaction parameter in -stream mode (error bound ≈ 4/k)")
-		out         = flag.String("out", "trace.jsonl", "output path (JSONL trace, or JSON snapshot with -stream)")
-		chunksCSV   = flag.String("chunks-csv", "", "optional CSV export of the chunk table")
-		sessCSV     = flag.String("sessions-csv", "", "optional CSV export of the session table")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-		memProfile  = flag.String("memprofile", "", "write an allocation profile to this file on successful exit (go tool pprof)")
-		logFormat   = flag.String("log-format", "text", "stderr log format: text or json")
+		sessions   = flag.Int("sessions", 20000, "number of sessions to simulate")
+		prefixes   = flag.Int("prefixes", 2500, "number of client /24 prefixes")
+		videos     = flag.Int("videos", 6000, "catalog size (titles)")
+		seed       = flag.Uint64("seed", 1, "master scenario seed")
+		abrName    = flag.String("abr", "hybrid", "ABR algorithm (hybrid, rate-smoothed, rate-instant, rate-instant-screened, buffer-based, server-signal, fixed-low, fixed-high)")
+		cold       = flag.Bool("cold", false, "skip CDN cache pre-warming (cold-start ablation)")
+		parallel   = flag.Int("parallel", 0, "max server-slot shards simulated concurrently (0 = GOMAXPROCS, 1 = sequential; output is identical at any setting)")
+		stream     = flag.Bool("stream", false, "streaming telemetry mode: aggregate into bounded-memory sketches and write a snapshot instead of a trace")
+		diagnoseF  = flag.Bool("diagnose", false, "classify every session's dominant bottleneck (internal/diagnose) during the streamed run; requires -stream or -spec")
+		spec       = flag.String("spec", "", "run a single-cell experiment spec (JSON, see examples/specs/) in streaming mode; replaces the scenario flags")
+		traceOut   = flag.Bool("trace", false, "with -spec: materialize the full JSONL trace instead of a streaming snapshot (input to `analyze detect-proxies`)")
+		sketchK    = flag.Int("sketch-k", telemetry.DefaultSketchK, "quantile-sketch compaction parameter in -stream mode (error bound ≈ 4/k)")
+		out        = flag.String("out", "trace.jsonl", "output path (JSONL trace, or JSON snapshot with -stream)")
+		chunksCSV  = flag.String("chunks-csv", "", "optional CSV export of the chunk table")
+		sessCSV    = flag.String("sessions-csv", "", "optional CSV export of the session table")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+		memProfile = flag.String("memprofile", "", "write an allocation profile to this file on successful exit (go tool pprof)")
+		logFormat  = flag.String("log-format", "text", "stderr log format: text or json")
 	)
 	flag.Parse()
 
-	log, err := newLogger(*logFormat)
+	log, err := logging.New(*logFormat)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vodsim:", err)
 		os.Exit(1)
@@ -121,7 +126,7 @@ func main() {
 
 	if *spec != "" {
 		if err := validateSpecFlags(set, *sketchK, flag.Args()); err != nil {
-			fatal(log, "invalid flags", slog.Any("err", err))
+			logging.Fatal(log, "invalid flags", slog.Any("err", err))
 		}
 		stopProfiles := startProfiles(log, *cpuProfile, *memProfile)
 		defer stopProfiles()
@@ -129,13 +134,13 @@ func main() {
 		return
 	}
 	if *traceOut {
-		fatal(log, "invalid flags", slog.Any("err",
+		logging.Fatal(log, "invalid flags", slog.Any("err",
 			fmt.Errorf("-trace only applies to -spec runs (plain runs already write a JSONL trace)")))
 	}
 
 	if err := validateFlags(*sessions, *prefixes, *videos, *parallel, *sketchK,
-		*stream, *diagnoseF, *filterProxy, *chunksCSV, *sessCSV, flag.Args()); err != nil {
-		fatal(log, "invalid flags", slog.Any("err", err))
+		*stream, *diagnoseF, *chunksCSV, *sessCSV, flag.Args()); err != nil {
+		logging.Fatal(log, "invalid flags", slog.Any("err", err))
 	}
 	stopProfiles := startProfiles(log, *cpuProfile, *memProfile)
 	defer stopProfiles()
@@ -162,21 +167,13 @@ func main() {
 
 	res, err := session.Execute(sc, session.Options{})
 	if err != nil {
-		fatal(log, "run failed", slog.Any("err", err))
+		logging.Fatal(log, "run failed", slog.Any("err", err))
 	}
 	ds := res.Dataset
 	log.Info("generated dataset", slog.String("dataset", ds.String()))
 
-	if *filterProxy {
-		res := core.FilterProxies(ds, core.ProxyFilterConfig{})
-		log.Info("proxy filtering done",
-			slog.Int("kept", res.KeptSessions), slog.Int("total", res.TotalSessions),
-			slog.Float64("kept_frac", res.KeptFraction))
-		ds = res.Kept
-	}
-
 	if err := writeTrace(*out, ds); err != nil {
-		fatal(log, "write failed", slog.Any("err", err))
+		logging.Fatal(log, "write failed", slog.Any("err", err))
 	}
 	log.Info("wrote trace", slog.String("path", *out))
 
@@ -184,7 +181,7 @@ func main() {
 		if err := writeFile(*chunksCSV, func(f *os.File) error {
 			return core.WriteChunksCSV(f, ds.Chunks)
 		}); err != nil {
-			fatal(log, "write failed", slog.Any("err", err))
+			logging.Fatal(log, "write failed", slog.Any("err", err))
 		}
 		log.Info("wrote chunk CSV", slog.String("path", *chunksCSV))
 	}
@@ -192,7 +189,7 @@ func main() {
 		if err := writeFile(*sessCSV, func(f *os.File) error {
 			return core.WriteSessionsCSV(f, ds.Sessions)
 		}); err != nil {
-			fatal(log, "write failed", slog.Any("err", err))
+			logging.Fatal(log, "write failed", slog.Any("err", err))
 		}
 		log.Info("wrote session CSV", slog.String("path", *sessCSV))
 	}
@@ -201,7 +198,7 @@ func main() {
 // validateFlags rejects flag combinations that would otherwise silently
 // misbehave, before any simulation work starts.
 func validateFlags(sessions, prefixes, videos, parallel, sketchK int,
-	stream, diagnose, filterProxy bool, chunksCSV, sessCSV string, extra []string) error {
+	stream, diagnose bool, chunksCSV, sessCSV string, extra []string) error {
 	if len(extra) > 0 {
 		return fmt.Errorf("unexpected arguments %q (all options are flags)", extra)
 	}
@@ -223,9 +220,6 @@ func validateFlags(sessions, prefixes, videos, parallel, sketchK int,
 		}
 		if chunksCSV != "" || sessCSV != "" {
 			return fmt.Errorf("-stream keeps no per-record tables; drop -chunks-csv/-sessions-csv or run without -stream")
-		}
-		if filterProxy {
-			return fmt.Errorf("-filter-proxies needs the full joined dataset; it is unavailable with -stream")
 		}
 	} else if diagnose {
 		return fmt.Errorf("-diagnose classifies sessions inside the streaming aggregator; combine it with -stream (or -spec)")
@@ -273,14 +267,14 @@ func runSpec(log *slog.Logger, path string, set map[string]bool, sessions, prefi
 	seed uint64, parallel, sketchK int, diagnose, trace bool, out string) {
 	sp, err := experiment.LoadFile(path)
 	if err != nil {
-		fatal(log, "spec load failed", slog.Any("err", err))
+		logging.Fatal(log, "spec load failed", slog.Any("err", err))
 	}
 	cells, err := sp.Expand()
 	if err != nil {
-		fatal(log, "spec expansion failed", slog.Any("err", err))
+		logging.Fatal(log, "spec expansion failed", slog.Any("err", err))
 	}
 	if len(cells) != 1 {
-		fatal(log, "multi-cell spec",
+		logging.Fatal(log, "multi-cell spec",
 			slog.String("spec", path), slog.Int("cells", len(cells)),
 			slog.String("hint", "vodsim -spec runs single-cell specs (use cmd/sweep for campaigns)"))
 	}
@@ -315,18 +309,18 @@ func runSpec(log *slog.Logger, path string, set map[string]bool, sessions, prefi
 	if trace {
 		res, err := session.Execute(cell.Scenario, session.Options{})
 		if err != nil {
-			fatal(log, "cell run failed", slog.Any("err", err))
+			logging.Fatal(log, "cell run failed", slog.Any("err", err))
 		}
 		log.Info("generated dataset", slog.String("dataset", res.Dataset.String()))
 		if err := writeTrace(out, res.Dataset); err != nil {
-			fatal(log, "write failed", slog.Any("err", err))
+			logging.Fatal(log, "write failed", slog.Any("err", err))
 		}
 		log.Info("wrote trace", slog.String("path", out))
 		return
 	}
 	res, err := experiment.RunCell(sp, cell, "")
 	if err != nil {
-		fatal(log, "cell run failed", slog.Any("err", err))
+		logging.Fatal(log, "cell run failed", slog.Any("err", err))
 	}
 	writeSnapshotFile(log, out, res.Snapshot)
 }
@@ -340,7 +334,7 @@ func runStreaming(log *slog.Logger, sc workload.Scenario, sketchK int, diag bool
 	}
 	res, err := session.Execute(sc, opt)
 	if err != nil {
-		fatal(log, "streaming run failed", slog.Any("err", err))
+		logging.Fatal(log, "streaming run failed", slog.Any("err", err))
 	}
 	writeSnapshotFile(log, out, res.Snapshot)
 }
@@ -354,7 +348,7 @@ func writeSnapshotFile(log *slog.Logger, out string, sn *telemetry.Snapshot) {
 	if err := writeFile(out, func(f *os.File) error {
 		return telemetry.WriteSnapshot(f, sn)
 	}); err != nil {
-		fatal(log, "write failed", slog.Any("err", err))
+		logging.Fatal(log, "write failed", slog.Any("err", err))
 	}
 	log.Info("wrote snapshot", slog.String("path", out))
 }
@@ -365,7 +359,7 @@ func writeSnapshotFile(log *slog.Logger, out string, sn *telemetry.Snapshot) {
 func startProfiles(log *slog.Logger, cpuPath, memPath string) func() {
 	stop, err := profiling.Start(cpuPath, memPath)
 	if err != nil {
-		fatal(log, "profiling setup failed", slog.Any("err", err))
+		logging.Fatal(log, "profiling setup failed", slog.Any("err", err))
 	}
 	return func() {
 		if err := stop(); err != nil {

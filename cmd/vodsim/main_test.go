@@ -7,27 +7,27 @@ import (
 
 func TestValidateFlags(t *testing.T) {
 	ok := func(sessions, prefixes, videos, parallel, sketchK int,
-		stream, filterProxy bool, chunksCSV, sessCSV string, extra []string) error {
+		stream bool, chunksCSV, sessCSV string, extra []string) error {
 		return validateFlags(sessions, prefixes, videos, parallel, sketchK,
-			stream, false, filterProxy, chunksCSV, sessCSV, extra)
+			stream, false, chunksCSV, sessCSV, extra)
 	}
 	// -diagnose rides the streaming aggregator: fine with -stream, an
 	// error in batch mode.
-	if err := validateFlags(100, 50, 50, 0, 256, true, true, false, "", "", nil); err != nil {
+	if err := validateFlags(100, 50, 50, 0, 256, true, true, "", "", nil); err != nil {
 		t.Fatalf("-stream -diagnose rejected: %v", err)
 	}
-	if err := validateFlags(100, 50, 50, 0, 256, false, true, false, "", "", nil); err == nil ||
+	if err := validateFlags(100, 50, 50, 0, 256, false, true, "", "", nil); err == nil ||
 		!strings.Contains(err.Error(), "-diagnose") {
 		t.Fatalf("batch -diagnose: want -diagnose error, got %v", err)
 	}
-	if err := ok(100, 50, 50, 0, 256, false, false, "", "", nil); err != nil {
+	if err := ok(100, 50, 50, 0, 256, false, "", "", nil); err != nil {
 		t.Fatalf("valid batch flags rejected: %v", err)
 	}
-	if err := ok(100, 50, 50, 4, 256, true, false, "", "", nil); err != nil {
+	if err := ok(100, 50, 50, 4, 256, true, "", "", nil); err != nil {
 		t.Fatalf("valid stream flags rejected: %v", err)
 	}
 	// -sketch-k only matters in stream mode; batch runs ignore it.
-	if err := ok(100, 50, 50, 0, 2, false, false, "", "", nil); err != nil {
+	if err := ok(100, 50, 50, 0, 2, false, "", "", nil); err != nil {
 		t.Fatalf("batch run rejected over unused -sketch-k: %v", err)
 	}
 	cases := []struct {
@@ -35,15 +35,14 @@ func TestValidateFlags(t *testing.T) {
 		err  error
 		want string
 	}{
-		{"negative parallel", ok(100, 50, 50, -1, 256, false, false, "", "", nil), "-parallel"},
-		{"zero sessions", ok(0, 50, 50, 0, 256, false, false, "", "", nil), "-sessions"},
-		{"negative prefixes", ok(100, -3, 50, 0, 256, false, false, "", "", nil), "-prefixes"},
-		{"zero videos", ok(100, 50, 0, 0, 256, false, false, "", "", nil), "-videos"},
-		{"tiny sketch-k", ok(100, 50, 50, 0, 2, true, false, "", "", nil), "-sketch-k"},
-		{"stream+chunks-csv", ok(100, 50, 50, 0, 256, true, false, "c.csv", "", nil), "-chunks-csv"},
-		{"stream+sessions-csv", ok(100, 50, 50, 0, 256, true, false, "", "s.csv", nil), "-stream"},
-		{"stream+filter-proxies", ok(100, 50, 50, 0, 256, true, true, "", "", nil), "-filter-proxies"},
-		{"positional args", ok(100, 50, 50, 0, 256, false, false, "", "", []string{"trace.jsonl"}), "unexpected"},
+		{"negative parallel", ok(100, 50, 50, -1, 256, false, "", "", nil), "-parallel"},
+		{"zero sessions", ok(0, 50, 50, 0, 256, false, "", "", nil), "-sessions"},
+		{"negative prefixes", ok(100, -3, 50, 0, 256, false, "", "", nil), "-prefixes"},
+		{"zero videos", ok(100, 50, 0, 0, 256, false, "", "", nil), "-videos"},
+		{"tiny sketch-k", ok(100, 50, 50, 0, 2, true, "", "", nil), "-sketch-k"},
+		{"stream+chunks-csv", ok(100, 50, 50, 0, 256, true, "c.csv", "", nil), "-chunks-csv"},
+		{"stream+sessions-csv", ok(100, 50, 50, 0, 256, true, "", "s.csv", nil), "-stream"},
+		{"positional args", ok(100, 50, 50, 0, 256, false, "", "", []string{"trace.jsonl"}), "unexpected"},
 	}
 	for _, c := range cases {
 		if c.err == nil {
@@ -72,7 +71,7 @@ func TestValidateSpecFlags(t *testing.T) {
 		t.Errorf("override flags rejected: %v", err)
 	}
 	// Scenario-defining flags must not fight the spec.
-	for _, bad := range []string{"abr", "cold", "stream", "filter-proxies", "chunks-csv", "sessions-csv"} {
+	for _, bad := range []string{"abr", "cold", "stream", "chunks-csv", "sessions-csv"} {
 		err := validateSpecFlags(set(bad), 256, nil)
 		if err == nil {
 			t.Errorf("-%s combined with -spec accepted", bad)

@@ -31,6 +31,7 @@ import (
 
 	"vidperf/internal/catalog"
 	"vidperf/internal/experiment"
+	"vidperf/internal/logging"
 	"vidperf/internal/serve"
 	"vidperf/internal/telemetry"
 	"vidperf/internal/workload"
@@ -87,7 +88,7 @@ func serveMain(args []string) {
 	logFormat := fs.String("log-format", "text", "stderr log format: text or json")
 	fs.Parse(args)
 
-	log, err := newLogger(*logFormat)
+	log, err := logging.New(*logFormat)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vodsim serve:", err)
 		os.Exit(1)
@@ -96,12 +97,12 @@ func serveMain(args []string) {
 	fs.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
 
 	if err := validateServeFlags(set, f, fs.Args()); err != nil {
-		fatal(log, "invalid flags", slog.Any("err", err))
+		logging.Fatal(log, "invalid flags", slog.Any("err", err))
 	}
 
 	eng, err := buildServeEngine(set, f, log)
 	if err != nil {
-		fatal(log, "serve setup failed", slog.Any("err", err))
+		logging.Fatal(log, "serve setup failed", slog.Any("err", err))
 	}
 	cfg := eng.Config()
 	log.Info("serving",
@@ -120,7 +121,7 @@ func serveMain(args []string) {
 	if f.listen != "" {
 		ln, err := net.Listen("tcp", f.listen)
 		if err != nil {
-			fatal(log, "listen failed", slog.Any("err", err))
+			logging.Fatal(log, "listen failed", slog.Any("err", err))
 		}
 		srv = &http.Server{Handler: eng.Handler()}
 		log.Info("http listening", slog.String("addr", ln.Addr().String()))
@@ -139,7 +140,7 @@ func serveMain(args []string) {
 		cancel()
 	}
 	if runErr != nil {
-		fatal(log, "serve run failed", slog.Any("err", runErr))
+		logging.Fatal(log, "serve run failed", slog.Any("err", runErr))
 	}
 	log.Info("serve stopped",
 		slog.Int("windows_done", eng.WindowsDone()),
@@ -147,7 +148,7 @@ func serveMain(args []string) {
 
 	if f.out != "" {
 		if err := writeFile(f.out, func(file *os.File) error { return eng.WriteSnapshot(file) }); err != nil {
-			fatal(log, "write failed", slog.Any("err", err))
+			logging.Fatal(log, "write failed", slog.Any("err", err))
 		}
 		log.Info("wrote snapshot", slog.String("path", f.out))
 	}

@@ -10,7 +10,7 @@ import (
 
 	"vidperf/internal/analysis"
 	"vidperf/internal/catalog"
-	"vidperf/internal/core"
+	"vidperf/internal/proxydetect"
 	"vidperf/internal/session"
 	"vidperf/internal/workload"
 )
@@ -35,10 +35,9 @@ func main() {
 	fmt.Printf("simulated %v\n", raw)
 
 	// 3. Preprocess exactly like the paper's §3: drop proxy sessions.
-	filtered := core.FilterProxies(raw, core.ProxyFilterConfig{})
+	ds := proxydetect.Keep(raw, proxydetect.Detect(raw.Sessions, proxydetect.Config{}))
 	fmt.Printf("proxy filter kept %.1f%% of sessions (paper: 77%%)\n\n",
-		100*filtered.KeptFraction)
-	ds := filtered.Kept
+		100*float64(len(ds.Sessions))/float64(len(raw.Sessions)))
 
 	// 4. Characterize.
 	br := analysis.BreakdownCDNLatency(ds)

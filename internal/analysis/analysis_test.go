@@ -7,6 +7,7 @@ import (
 
 	"vidperf/internal/catalog"
 	"vidperf/internal/core"
+	"vidperf/internal/proxydetect"
 	"vidperf/internal/session"
 	"vidperf/internal/stats"
 	"vidperf/internal/workload"
@@ -32,7 +33,7 @@ func mainDataset() *core.Dataset {
 			panic(err)
 		}
 		raw := res.Dataset
-		dsMain = core.FilterProxies(raw, core.ProxyFilterConfig{}).Kept
+		dsMain = proxydetect.Keep(raw, proxydetect.Detect(raw.Sessions, proxydetect.Config{}))
 	})
 	return dsMain
 }

@@ -178,42 +178,24 @@ func TestComputeSessionChunkStats(t *testing.T) {
 	}
 }
 
-func TestFilterProxies(t *testing.T) {
-	d := &Dataset{}
-	// 10 clean sessions, 3 with IP mismatch, and 60 behind one egress IP.
-	id := uint64(1)
-	add := func(http, beacon string) {
-		d.Sessions = append(d.Sessions, SessionRecord{
-			SessionID: id, HTTPClientIP: http, BeaconIP: beacon,
-		})
-		d.Chunks = append(d.Chunks, ChunkRecord{SessionID: id})
-		id++
+// TestIPMismatch pins the §3 rule-(i) predicate: only a present HTTP
+// client IP that differs from the beacon IP is a mismatch.
+func TestIPMismatch(t *testing.T) {
+	cases := []struct {
+		http, beacon string
+		want         bool
+	}{
+		{"10.0.0.1", "10.0.0.1", false},
+		{"proxy-X", "10.0.0.1", true},
+		{"10.0.0.1", "", true},
+		{"", "10.0.0.1", false},
+		{"", "", false},
 	}
-	for i := 0; i < 10; i++ {
-		ip := "10.0.0." + string(rune('a'+i))
-		add(ip, ip)
-	}
-	for i := 0; i < 3; i++ {
-		add("proxy-X", "10.1.0."+string(rune('a'+i)))
-	}
-	for i := 0; i < 60; i++ {
-		add("proxy-Y", "proxy-Y") // volume rule only
-	}
-	res := FilterProxies(d, ProxyFilterConfig{MaxSessionsPerIP: 50})
-	if res.KeptSessions != 10 {
-		t.Fatalf("kept %d, want 10", res.KeptSessions)
-	}
-	if res.IPMismatch != 3 {
-		t.Errorf("ip mismatches = %d", res.IPMismatch)
-	}
-	if res.HighVolumeIP != 60 {
-		t.Errorf("high-volume = %d", res.HighVolumeIP)
-	}
-	if len(res.Kept.Chunks) != 10 {
-		t.Errorf("kept chunks = %d", len(res.Kept.Chunks))
-	}
-	if math.Abs(res.KeptFraction-10.0/73) > 1e-9 {
-		t.Errorf("kept fraction = %v", res.KeptFraction)
+	for _, c := range cases {
+		s := SessionRecord{HTTPClientIP: c.http, BeaconIP: c.beacon}
+		if got := s.IPMismatch(); got != c.want {
+			t.Errorf("IPMismatch(http=%q, beacon=%q) = %v, want %v", c.http, c.beacon, got, c.want)
+		}
 	}
 }
 

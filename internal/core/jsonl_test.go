@@ -211,6 +211,9 @@ func TestReadJSONLInputs(t *testing.T) {
 		`{"session":{"StartupMS":1e2,"SRTTCV":-0.0e-0,"OS":null,"US":null}}` + "\r\n" + `{}`,
 		`{"session":{"SessionID":18446744073709551615,"startupMS":12.5,"StartupMs":7}}`,
 		"null\n{\"session\":{\"OS\":\"a\"},\"chunk\":{},\"x\":{}}",
+		// A retired field (preprocessing's old ProxySuspected flag) in an
+		// older trace is skipped like any unknown key.
+		`{"session":{"SessionID":4,"ProxySuspected":true,"OS":"a"}}`,
 	}
 	for _, in := range ok {
 		got, err := ReadJSONL(strings.NewReader(in))

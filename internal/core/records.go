@@ -1,8 +1,9 @@
 // Package core is the paper's contribution as a reusable library: the
 // end-to-end, per-chunk instrumentation schema (player delivery, player
 // rendering, CDN application layer, CDN TCP layer — Tables 2 and 3), the
-// session join keyed by (sessionID, chunkID), the §3 proxy-filtering
-// preprocessing, and the §4 diagnosis methods (Eq. 1 latency
+// session join keyed by (sessionID, chunkID), the §3 proxy-detection
+// evidence (SessionRecord.IPMismatch; internal/proxydetect applies the
+// rules), and the §4 diagnosis methods (Eq. 1 latency
 // decomposition, Eq. 2 performance score, Eq. 4 download-stack outlier
 // detection, Eq. 5 persistent download-stack bound).
 package core
@@ -209,9 +210,14 @@ type SessionRecord struct {
 	// read them; they exist so tests can score the detectors.
 	Proxied     bool
 	ProxyCohort int // 1-based cohort ID
+}
 
-	// Filled by preprocessing.
-	ProxySuspected bool
+// IPMismatch is the §3 rule-(i) evidence: the CDN saw the session's HTTP
+// requests come from a different address than the player beacon
+// reported. A session with no HTTP client IP has no CDN-side address to
+// compare, so it is never a mismatch.
+func (s *SessionRecord) IPMismatch() bool {
+	return s.HTTPClientIP != "" && s.HTTPClientIP != s.BeaconIP
 }
 
 // RecordSink consumes finished sessions as a runner produces them. It is

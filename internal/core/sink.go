@@ -236,7 +236,6 @@ var sessionFields = []field[SessionRecord]{
 	floatField("LiveEdgeLagMS", func(s *SessionRecord) *float64 { return &s.LiveEdgeLagMS }),
 	boolField("Proxied", func(s *SessionRecord) *bool { return &s.Proxied }),
 	intField("ProxyCohort", func(s *SessionRecord) *int { return &s.ProxyCohort }),
-	boolField("ProxySuspected", func(s *SessionRecord) *bool { return &s.ProxySuspected }),
 	nullFloatField("StartupMS", func(s *SessionRecord) *float64 { return &s.StartupMS }),
 }
 

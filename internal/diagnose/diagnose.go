@@ -220,7 +220,7 @@ func Classify(s core.SessionRecord, chunks []core.ChunkRecord, cfg Config) Diagn
 	// egress: the detour's queueing colours every chunk, so the per-chunk
 	// vote would scatter blame across layers that all sit behind the
 	// concentrator.
-	if s.HTTPClientIP != "" && s.HTTPClientIP != s.BeaconIP && s.SRTTCV >= cfg.ProxyCVMin {
+	if s.IPMismatch() && s.SRTTCV >= cfg.ProxyCVMin {
 		d.Label = ProxyTromboned
 		return d
 	}

@@ -7,6 +7,7 @@ import (
 
 	"vidperf/internal/catalog"
 	"vidperf/internal/core"
+	"vidperf/internal/proxydetect"
 	"vidperf/internal/session"
 	"vidperf/internal/telemetry"
 	"vidperf/internal/workload"
@@ -32,7 +33,7 @@ func figDataset() *core.Dataset {
 			panic(err)
 		}
 		raw := res.Dataset
-		figDS = core.FilterProxies(raw, core.ProxyFilterConfig{}).Kept
+		figDS = proxydetect.Keep(raw, proxydetect.Detect(raw.Sessions, proxydetect.Config{}))
 	})
 	return figDS
 }

@@ -1,4 +1,7 @@
-package main
+// Package logging is the commands' shared structured-logging setup:
+// one log/slog logger on stderr in the format -log-format names, and
+// the structured counterpart of log.Fatal.
+package logging
 
 import (
 	"fmt"
@@ -6,12 +9,12 @@ import (
 	"os"
 )
 
-// newLogger builds the command's structured logger on stderr: the
+// New builds a command's structured logger on stderr: the
 // human-oriented text handler by default, or JSON for machine-parsed
 // deployments (-log-format=json) — serve mode's logs line up with the
 // rest of an observability pipeline that way. Timestamps stay on; the
 // level floor is Info.
-func newLogger(format string) (*slog.Logger, error) {
+func New(format string) (*slog.Logger, error) {
 	switch format {
 	case "", "text":
 		return slog.New(slog.NewTextHandler(os.Stderr, nil)), nil
@@ -21,9 +24,9 @@ func newLogger(format string) (*slog.Logger, error) {
 	return nil, fmt.Errorf("-log-format must be text or json (got %q)", format)
 }
 
-// fatal logs the error at Error level and exits non-zero — the
+// Fatal logs the error at Error level and exits non-zero — the
 // structured-logging counterpart of log.Fatal.
-func fatal(log *slog.Logger, msg string, args ...any) {
+func Fatal(log *slog.Logger, msg string, args ...any) {
 	log.Error(msg, args...)
 	os.Exit(1)
 }

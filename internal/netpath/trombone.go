@@ -64,6 +64,5 @@ func (t Trombone) CongestionProfile(p Profile) Profile {
 	if t.QueueDelayMeanMS > p.CongDelayMeanMS {
 		p.CongDelayMeanMS = t.QueueDelayMeanMS
 	}
-	p.Proxy = true
 	return p
 }

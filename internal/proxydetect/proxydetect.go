@@ -23,7 +23,8 @@ import (
 
 // DefaultMaxSessionsPerEgress is the rule-(ii) volume threshold: more
 // sessions behind one IP than this flags the IP as a shared egress. 50
-// matches core.ProxyFilterConfig's laptop-scale default.
+// suits laptop-scale traces ("more minutes of video per day than there
+// are minutes in a day" at the paper's scale).
 const DefaultMaxSessionsPerEgress = 50
 
 // Config tunes the detector.
@@ -44,10 +45,11 @@ func (c Config) WithDefaults() Config {
 // Verdict is one session's detection outcome, aligned by index with the
 // input sessions.
 type Verdict struct {
-	// Mismatch fires rule (i): HTTPClientIP != BeaconIP.
+	// Mismatch fires rule (i): SessionRecord.IPMismatch.
 	Mismatch bool
 	// HighVolume fires rule (ii): the session's HTTP client IP carries
-	// more than the threshold's worth of sessions.
+	// more than the threshold's worth of sessions. Sessions without an
+	// HTTP client IP count toward no IP's volume.
 	HighVolume bool
 }
 
@@ -63,17 +65,41 @@ func Detect(sessions []core.SessionRecord, cfg Config) []Verdict {
 	cfg = cfg.WithDefaults()
 	perIP := make(map[string]int, len(sessions))
 	for i := range sessions {
-		perIP[sessions[i].HTTPClientIP]++
+		if ip := sessions[i].HTTPClientIP; ip != "" {
+			perIP[ip]++
+		}
 	}
 	out := make([]Verdict, len(sessions))
 	for i := range sessions {
 		s := &sessions[i]
 		out[i] = Verdict{
-			Mismatch:   s.HTTPClientIP != s.BeaconIP,
+			Mismatch:   s.IPMismatch(),
 			HighVolume: perIP[s.HTTPClientIP] > cfg.MaxSessionsPerEgress,
 		}
 	}
 	return out
+}
+
+// Keep returns the dataset the §3 preprocessing retains: the sessions no
+// rule fired on, in input order, and their chunks. d and verdicts must be
+// index-aligned (verdicts from Detect(d.Sessions, ...)); d is not
+// modified, and the returned dataset is indexed.
+func Keep(d *core.Dataset, verdicts []Verdict) *core.Dataset {
+	kept := &core.Dataset{}
+	keep := make(map[uint64]bool, len(d.Sessions))
+	for i := range d.Sessions {
+		if !verdicts[i].Suspected() {
+			kept.Sessions = append(kept.Sessions, d.Sessions[i])
+			keep[d.Sessions[i].SessionID] = true
+		}
+	}
+	for i := range d.Chunks {
+		if keep[d.Chunks[i].SessionID] {
+			kept.Chunks = append(kept.Chunks, d.Chunks[i])
+		}
+	}
+	kept.Index()
+	return kept
 }
 
 // Report scores the verdicts against the trace's ground truth.

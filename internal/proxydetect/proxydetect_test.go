@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -139,7 +140,7 @@ func TestDetectRules(t *testing.T) {
 	for i := range sessions {
 		s := &sessions[i]
 		v := verdicts[i]
-		if v.Mismatch != (s.HTTPClientIP != s.BeaconIP) {
+		if v.Mismatch != s.IPMismatch() {
 			t.Fatalf("session %d mismatch rule %v with IPs %q vs %q",
 				s.SessionID, v.Mismatch, s.HTTPClientIP, s.BeaconIP)
 		}
@@ -161,6 +162,91 @@ func TestDetectRules(t *testing.T) {
 		if got[i] != verdicts[i] {
 			t.Fatal("detection read the ground-truth Proxied field")
 		}
+	}
+}
+
+// TestDetectSkipsEmptyHTTPClientIP: a session with no HTTP client IP
+// fires neither rule — it is no mismatch, and it counts toward no IP's
+// volume, however many such sessions there are.
+func TestDetectSkipsEmptyHTTPClientIP(t *testing.T) {
+	var sessions []core.SessionRecord
+	for i := 0; i < 60; i++ {
+		sessions = append(sessions, core.SessionRecord{
+			SessionID: uint64(i + 1), BeaconIP: fmt.Sprintf("10.0.0.%d", i+1),
+		})
+	}
+	if n := detectedCount(Detect(sessions, Config{MaxSessionsPerEgress: 50})); n != 0 {
+		t.Fatalf("%d sessions without an HTTP client IP detected", n)
+	}
+}
+
+// TestKeep: the kept dataset holds exactly the sessions no rule fired on
+// and their chunks, with the volume rule's boundary at the threshold (50
+// sessions behind one IP are kept, 51 are flagged); the input is left
+// untouched and the result is indexed.
+func TestKeep(t *testing.T) {
+	d := &core.Dataset{}
+	id := uint64(1)
+	add := func(http, beacon string) {
+		d.Sessions = append(d.Sessions, core.SessionRecord{
+			SessionID: id, HTTPClientIP: http, BeaconIP: beacon,
+		})
+		d.Chunks = append(d.Chunks, core.ChunkRecord{SessionID: id},
+			core.ChunkRecord{SessionID: id, ChunkID: 1})
+		id++
+	}
+	for i := 0; i < 10; i++ {
+		ip := fmt.Sprintf("10.0.0.%d", i+1)
+		add(ip, ip)
+	}
+	for i := 0; i < 3; i++ {
+		add("proxy-X", fmt.Sprintf("10.1.0.%d", i+1)) // mismatch rule only
+	}
+	for i := 0; i < 50; i++ {
+		add("nat-50", "nat-50") // at the threshold: kept
+	}
+	for i := 0; i < 51; i++ {
+		add("proxy-51", "proxy-51") // over the threshold: volume rule only
+	}
+	before := &core.Dataset{
+		Sessions: append([]core.SessionRecord(nil), d.Sessions...),
+		Chunks:   append([]core.ChunkRecord(nil), d.Chunks...),
+	}
+
+	verdicts := Detect(d.Sessions, Config{MaxSessionsPerEgress: 50})
+	rep := Evaluate(d.Sessions, verdicts)
+	if rep.MismatchDetected != 3 || rep.VolumeDetected != 51 {
+		t.Fatalf("per-rule tallies off: %+v", rep)
+	}
+	kept := Keep(d, verdicts)
+	if len(kept.Sessions) != 60 {
+		t.Fatalf("kept %d sessions, want 60", len(kept.Sessions))
+	}
+	for i := range kept.Sessions {
+		if ip := kept.Sessions[i].HTTPClientIP; ip == "proxy-X" || ip == "proxy-51" {
+			t.Fatalf("suspected session %d kept", kept.Sessions[i].SessionID)
+		}
+	}
+	if len(kept.Chunks) != 120 {
+		t.Errorf("kept %d chunks, want 120", len(kept.Chunks))
+	}
+	for i := range kept.Chunks {
+		if kept.Session(kept.Chunks[i].SessionID) == nil {
+			t.Fatalf("chunk of dropped session %d kept", kept.Chunks[i].SessionID)
+		}
+	}
+	if got := float64(len(kept.Sessions)) / float64(len(d.Sessions)); math.Abs(got-60.0/114) > 1e-12 {
+		t.Errorf("kept fraction = %v", got)
+	}
+	if !reflect.DeepEqual(d.Sessions, before.Sessions) || !reflect.DeepEqual(d.Chunks, before.Chunks) {
+		t.Error("Keep modified its input")
+	}
+	// Re-indexed: lookups resolve to the kept copy's own positions.
+	if s := kept.Session(14); s == nil || s.HTTPClientIP != "nat-50" || s != &kept.Sessions[10] {
+		t.Errorf("kept dataset not re-indexed: Session(14) = %+v", s)
+	}
+	if kept.Session(11) != nil {
+		t.Error("dropped session still resolves in the kept dataset")
 	}
 }
 

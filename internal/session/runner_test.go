@@ -7,6 +7,7 @@ import (
 
 	"vidperf/internal/catalog"
 	"vidperf/internal/core"
+	"vidperf/internal/proxydetect"
 	"vidperf/internal/stats"
 	"vidperf/internal/tcpmodel"
 	"vidperf/internal/workload"
@@ -214,15 +215,16 @@ func TestCacheMissesCostMore(t *testing.T) {
 
 func TestProxyMixSupportsPreprocessing(t *testing.T) {
 	ds := mustRun(t, workload.Scenario{Seed: 17, NumSessions: 2000, NumPrefixes: 400, Catalog: catalog.Config{NumVideos: 1500}})
-	res := core.FilterProxies(ds, core.ProxyFilterConfig{})
+	verdicts := proxydetect.Detect(ds.Sessions, proxydetect.Config{})
+	kept := proxydetect.Keep(ds, verdicts)
 	// Paper: 77% of sessions survive preprocessing. Accept a band.
-	if res.KeptFraction < 0.6 || res.KeptFraction > 0.92 {
-		t.Errorf("kept fraction = %.2f, want ~0.77", res.KeptFraction)
+	if frac := float64(len(kept.Sessions)) / float64(len(ds.Sessions)); frac < 0.6 || frac > 0.92 {
+		t.Errorf("kept fraction = %.2f, want ~0.77", frac)
 	}
-	if res.IPMismatch == 0 {
+	if proxydetect.Evaluate(ds.Sessions, verdicts).MismatchDetected == 0 {
 		t.Error("no IP-mismatch proxies generated")
 	}
-	if len(res.Kept.Chunks) == 0 {
+	if len(kept.Chunks) == 0 {
 		t.Error("filtering dropped all chunks")
 	}
 }

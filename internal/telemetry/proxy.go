@@ -68,7 +68,7 @@ func (a *Accumulator) consumeProxy(s *core.SessionRecord) {
 		a.counts[plainKey(CounterSessionsProxied)]++
 		a.counts[counterKey{fam: famSessionsEgress, num: s.ProxyCohort}]++
 	}
-	if s.HTTPClientIP != "" && s.HTTPClientIP != s.BeaconIP {
+	if s.IPMismatch() {
 		a.counts[plainKey(CounterSessionsIPMismatch)]++
 	}
 	cv.Add(s.SRTTCV)
