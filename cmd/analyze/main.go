@@ -22,8 +22,7 @@
 // sketch-backed subset of the figures is rendered from the
 // bounded-memory aggregates instead of per-record data. The §3 proxy
 // preprocessing (internal/proxydetect's Detect and Keep) needs the joined
-// dataset, so -filter-proxies exists only in trace mode; it is the one
-// place a trace is filtered before analysis.
+// dataset, so -filter-proxies exists only in trace mode.
 //
 // analyze compare diffs two snapshots: the first argument is the
 // baseline, the second the candidate, and the output is the A/B delta

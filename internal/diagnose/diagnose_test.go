@@ -59,6 +59,16 @@ func TestClassifyPerLabel(t *testing.T) {
 	abrLtd := smooth()
 	abrLtd.AvgBitrateKbps = 900
 
+	// A tromboned session: high CV(SRTT) plus the rule-(i) IP mismatch.
+	// The same CV without the mismatch, or without any CDN-side address,
+	// falls through to the per-chunk vote.
+	tromboned := degraded()
+	tromboned.SRTTCV, tromboned.HTTPClientIP, tromboned.BeaconIP = 1.2, "egress-0001", "10.0.0.7"
+	highCV := tromboned
+	highCV.HTTPClientIP = highCV.BeaconIP
+	noHTTPIP := tromboned
+	noHTTPIP.HTTPClientIP = ""
+
 	cases := []struct {
 		name   string
 		sess   core.SessionRecord
@@ -72,6 +82,9 @@ func TestClassifyPerLabel(t *testing.T) {
 		{"network-throughput", degraded(), []core.ChunkRecord{slowChunk(), chunk()}, NetworkThroughput},
 		{"network-loss", degraded(), []core.ChunkRecord{lossy, chunk()}, NetworkLoss},
 		{"client-stack", degraded(), []core.ChunkRecord{stack, chunk()}, ClientStack},
+		{"proxy-tromboned", tromboned, []core.ChunkRecord{slowChunk(), chunk()}, ProxyTromboned},
+		{"high CV, no IP mismatch", highCV, []core.ChunkRecord{slowChunk(), chunk()}, NetworkThroughput},
+		{"high CV, no HTTP client IP", noHTTPIP, []core.ChunkRecord{slowChunk(), chunk()}, NetworkThroughput},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

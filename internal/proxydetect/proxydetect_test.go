@@ -165,24 +165,10 @@ func TestDetectRules(t *testing.T) {
 	}
 }
 
-// TestDetectSkipsEmptyHTTPClientIP: a session with no HTTP client IP
-// fires neither rule — it is no mismatch, and it counts toward no IP's
-// volume, however many such sessions there are.
-func TestDetectSkipsEmptyHTTPClientIP(t *testing.T) {
-	var sessions []core.SessionRecord
-	for i := 0; i < 60; i++ {
-		sessions = append(sessions, core.SessionRecord{
-			SessionID: uint64(i + 1), BeaconIP: fmt.Sprintf("10.0.0.%d", i+1),
-		})
-	}
-	if n := detectedCount(Detect(sessions, Config{MaxSessionsPerEgress: 50})); n != 0 {
-		t.Fatalf("%d sessions without an HTTP client IP detected", n)
-	}
-}
-
 // TestKeep: the kept dataset holds exactly the sessions no rule fired on
 // and their chunks, with the volume rule's boundary at the threshold (50
-// sessions behind one IP are kept, 51 are flagged); the input is left
+// sessions behind one IP are kept, 51 are flagged) and sessions without
+// an HTTP client IP counting toward no IP's volume; the input is left
 // untouched and the result is indexed.
 func TestKeep(t *testing.T) {
 	d := &core.Dataset{}
@@ -208,6 +194,9 @@ func TestKeep(t *testing.T) {
 	for i := 0; i < 51; i++ {
 		add("proxy-51", "proxy-51") // over the threshold: volume rule only
 	}
+	for i := 0; i < 60; i++ {
+		add("", fmt.Sprintf("10.2.0.%d", i+1)) // no CDN-side address: kept
+	}
 	before := &core.Dataset{
 		Sessions: append([]core.SessionRecord(nil), d.Sessions...),
 		Chunks:   append([]core.ChunkRecord(nil), d.Chunks...),
@@ -219,23 +208,23 @@ func TestKeep(t *testing.T) {
 		t.Fatalf("per-rule tallies off: %+v", rep)
 	}
 	kept := Keep(d, verdicts)
-	if len(kept.Sessions) != 60 {
-		t.Fatalf("kept %d sessions, want 60", len(kept.Sessions))
+	if len(kept.Sessions) != 120 {
+		t.Fatalf("kept %d sessions, want 120", len(kept.Sessions))
 	}
 	for i := range kept.Sessions {
 		if ip := kept.Sessions[i].HTTPClientIP; ip == "proxy-X" || ip == "proxy-51" {
 			t.Fatalf("suspected session %d kept", kept.Sessions[i].SessionID)
 		}
 	}
-	if len(kept.Chunks) != 120 {
-		t.Errorf("kept %d chunks, want 120", len(kept.Chunks))
+	if len(kept.Chunks) != 240 {
+		t.Errorf("kept %d chunks, want 240", len(kept.Chunks))
 	}
 	for i := range kept.Chunks {
 		if kept.Session(kept.Chunks[i].SessionID) == nil {
 			t.Fatalf("chunk of dropped session %d kept", kept.Chunks[i].SessionID)
 		}
 	}
-	if got := float64(len(kept.Sessions)) / float64(len(d.Sessions)); math.Abs(got-60.0/114) > 1e-12 {
+	if got := float64(len(kept.Sessions)) / float64(len(d.Sessions)); math.Abs(got-120.0/174) > 1e-12 {
 		t.Errorf("kept fraction = %v", got)
 	}
 	if !reflect.DeepEqual(d.Sessions, before.Sessions) || !reflect.DeepEqual(d.Chunks, before.Chunks) {
