@@ -7,11 +7,25 @@ import (
 	"testing"
 
 	"vidperf/internal/experiment"
+	"vidperf/internal/logging"
 	"vidperf/internal/telemetry"
 )
 
 func discardLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
+}
+
+// TestNewLogger checks that sweep's -log-format default builds a logger
+// and that an unknown format is refused before any work starts.
+func TestNewLogger(t *testing.T) {
+	for _, format := range []string{*logFormat, "", "text", "json"} {
+		if _, err := logging.New(format); err != nil {
+			t.Errorf("logging.New(%q): %v", format, err)
+		}
+	}
+	if _, err := logging.New("yaml"); err == nil {
+		t.Error("logging.New accepted an unknown format")
+	}
 }
 
 func TestRatiosOnEmptySnapshot(t *testing.T) {

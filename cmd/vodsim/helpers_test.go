@@ -11,6 +11,7 @@ import (
 
 	"vidperf/internal/catalog"
 	"vidperf/internal/core"
+	"vidperf/internal/logging"
 	"vidperf/internal/session"
 	"vidperf/internal/telemetry"
 	"vidperf/internal/workload"
@@ -18,6 +19,19 @@ import (
 
 func discardLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
+}
+
+// TestNewLogger checks the -log-format values vodsim and vodsim serve
+// accept, and that an unknown one is refused before any work starts.
+func TestNewLogger(t *testing.T) {
+	for _, format := range []string{"", "text", "json"} {
+		if _, err := logging.New(format); err != nil {
+			t.Errorf("logging.New(%q): %v", format, err)
+		}
+	}
+	if _, err := logging.New("yaml"); err == nil {
+		t.Error("logging.New accepted an unknown format")
+	}
 }
 
 func TestWriteFile(t *testing.T) {
