@@ -376,9 +376,9 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("experiment: spec %s: seed_mode %q, want %q or %q",
 			s.Name, s.SeedMode, SeedShared, SeedPerCell)
 	}
-	if s.SketchK != 0 && s.SketchK < 8 {
-		return fmt.Errorf("experiment: spec %s: sketch_k must be 0 or >= 8 (got %d)",
-			s.Name, s.SketchK)
+	if s.SketchK != 0 && (s.SketchK < 8 || s.SketchK > telemetry.MaxSketchK) {
+		return fmt.Errorf("experiment: spec %s: sketch_k must be 0 or in [8, %d] (got %d)",
+			s.Name, telemetry.MaxSketchK, s.SketchK)
 	}
 	if s.Serve != nil {
 		if err := s.Serve.validate(s.Name); err != nil {

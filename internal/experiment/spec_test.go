@@ -35,6 +35,8 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 		{"bad baseline", `{"name":"x","axes":[{"name":"cold","values":[false,true]}],"baseline":"cold=maybe"}`, "baseline"},
 		{"unknown preset", `{"name":"x","preset":"warp-speed"}`, "preset"},
 		{"tiny sketch k", `{"name":"x","sketch_k":2}`, "sketch_k"},
+		{"huge sketch k", `{"name":"x","sketch_k":4611686018427387904}`, "sketch_k"},
+		{"sketch k past the maximum", `{"name":"x","sketch_k":65537}`, "sketch_k"},
 		{"shared rung code", `{"name":"x","scenario":{"bitrates":[235,239,750,1750]}}`, "share cache key code"},
 		{"unsorted ladder", `{"name":"x","scenario":{"bitrates":[3000,750,235]}}`, "ascending"},
 		{"zero rung", `{"name":"x","scenario":{"bitrates":[0,750,41200]}}`, "out of range"},

@@ -4,14 +4,20 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
 // QuantileSketch is a streaming quantile summary in the KLL family with a
 // fixed, deterministic compaction schedule: level h holds items of weight
-// 2^h, and when a level reaches k items it sorts them and promotes every
-// other one to the level above, starting from an offset that alternates
-// between compactions (the deterministic counterpart of KLL's coin flip).
+// 2^h, and when a level reaches k items it is put in ascending order and
+// every other item is promoted to the level above, starting from an
+// offset that alternates between compactions (the deterministic
+// counterpart of KLL's coin flip). Level 0 holds raw samples and is
+// radix-sorted; a higher level holds sorted runs back to back (stride-2
+// promotions from below, a leftover, runs appended by Merge), which are
+// merged. Both orders are the total order of sortKey, so the state never
+// depends on which sort ran.
 // The state after any sequence of Add and Merge calls is a pure function
 // of that sequence, which is what lets the sharded runner produce
 // byte-identical snapshots at any parallelism (see the package doc's
@@ -34,18 +40,18 @@ type QuantileSketch struct {
 // DefaultSketchK is the compaction parameter used when callers pass k <= 0.
 const DefaultSketchK = 256
 
-// NewSketch returns an empty sketch. k is clamped to an even value >= 8;
-// k <= 0 selects DefaultSketchK.
+// MaxSketchK is the largest compaction parameter a sketch takes. Its rank
+// error bound is 0.006%, and one full level holds 512 KiB.
+const MaxSketchK = 1 << 16
+
+// NewSketch returns an empty sketch. k is clamped to an even value in
+// [8, MaxSketchK]; k <= 0 selects DefaultSketchK.
 func NewSketch(k int) *QuantileSketch {
 	if k <= 0 {
 		k = DefaultSketchK
 	}
-	if k < 8 {
-		k = 8
-	}
-	if k%2 == 1 {
-		k++
-	}
+	k = min(max(k, 8), MaxSketchK)
+	k += k & 1
 	return &QuantileSketch{k: k, min: math.Inf(1), max: math.Inf(-1)}
 }
 
@@ -157,7 +163,16 @@ func (s *QuantileSketch) compact(h int) {
 		s.levels = append(s.levels, make([]float64, 0, s.k))
 	}
 	buf := s.levels[h]
-	sort.Float64s(buf)
+	var scratch [sortScratch]float64
+	tmp := scratch[:]
+	if len(buf) > len(tmp) {
+		tmp = make([]float64, len(buf))
+	}
+	if h == 0 {
+		radixSort(buf, tmp[:len(buf)])
+	} else {
+		mergeRuns(buf, tmp[:len(buf)])
+	}
 	m := len(buf) &^ 1
 	off := int(s.parity >> h & 1)
 	s.parity ^= 1 << h
@@ -165,6 +180,122 @@ func (s *QuantileSketch) compact(h int) {
 		s.levels[h+1] = append(s.levels[h+1], buf[i])
 	}
 	s.levels[h] = buf[:copy(buf, buf[m:])]
+}
+
+// sortScratch is the length of the stack buffer compact sorts through; a
+// longer level falls back to a heap buffer. A level of a default-k sketch
+// never reaches 4k items, even in Merge, so the fold and the shard merge
+// sort without allocating.
+const sortScratch = 4 * DefaultSketchK
+
+// sortKey maps a float64 to a uint64 whose unsigned order is the float
+// order, and total on bit patterns: negative values have every bit
+// flipped, the rest only the sign bit. So −0 sorts just before +0, and
+// two items share a key only when they share their bits, which makes the
+// sorted order of a level unique. NaN never enters a sketch.
+func sortKey(v float64) uint64 {
+	b := math.Float64bits(v)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// radixSort sorts buf into key order with an LSD radix sort on the 8 key
+// bytes, using tmp (as long as buf) as the other half of each pass. One
+// pass builds every byte's histogram, and a byte on which all keys agree
+// is skipped.
+func radixSort(buf, tmp []float64) {
+	if len(buf) < 2 {
+		return
+	}
+	var hist [8][256]int
+	for _, v := range buf {
+		k := sortKey(v)
+		hist[0][byte(k)]++
+		hist[1][byte(k>>8)]++
+		hist[2][byte(k>>16)]++
+		hist[3][byte(k>>24)]++
+		hist[4][byte(k>>32)]++
+		hist[5][byte(k>>40)]++
+		hist[6][byte(k>>48)]++
+		hist[7][byte(k>>56)]++
+	}
+	first := sortKey(buf[0])
+	src, dst := buf, tmp
+	for d := range hist {
+		shift := uint(8 * d)
+		c := &hist[d]
+		if c[byte(first>>shift)] == len(buf) {
+			continue
+		}
+		sum := 0
+		for i, n := range c {
+			c[i] = sum
+			sum += n
+		}
+		for _, v := range src {
+			b := byte(sortKey(v) >> shift)
+			dst[c[b]] = v
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &buf[0] {
+		copy(buf, src)
+	}
+}
+
+// mergeRuns sorts buf into key order by merging adjacent ascending runs
+// pairwise, bottom up, using tmp (as long as buf) as the other half of
+// each pass. It is linear in the few runs a level above 0 holds, and
+// O(n log n) on any input, such as an unsorted level UnmarshalJSON read.
+func mergeRuns(buf, tmp []float64) {
+	if len(buf) < 2 {
+		return
+	}
+	src, dst := buf, tmp
+	for runEnd(src, 0) < len(src) {
+		for lo := 0; lo < len(src); {
+			mid := runEnd(src, lo)
+			hi := runEnd(src, mid)
+			mergeInto(dst[lo:hi], src[lo:mid], src[mid:hi])
+			lo = hi
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &buf[0] {
+		copy(buf, src)
+	}
+}
+
+// runEnd returns the end of the ascending run of xs that starts at i
+// (len(xs) when i is past the end).
+func runEnd(xs []float64, i int) int {
+	if i >= len(xs) {
+		return len(xs)
+	}
+	prev := sortKey(xs[i])
+	for i++; i < len(xs); i++ {
+		k := sortKey(xs[i])
+		if k < prev {
+			break
+		}
+		prev = k
+	}
+	return i
+}
+
+// mergeInto merges the ascending runs a and b into dst, which holds
+// exactly len(a)+len(b) items.
+func mergeInto(dst, a, b []float64) {
+	i, j := 0, 0
+	for o := range dst {
+		if j == len(b) || (i < len(a) && sortKey(a[i]) <= sortKey(b[j])) {
+			dst[o] = a[i]
+			i++
+		} else {
+			dst[o] = b[j]
+			j++
+		}
+	}
 }
 
 // Quantile returns an estimate of the q-th quantile (0 <= q <= 1), or NaN
@@ -263,14 +394,19 @@ func (s *QuantileSketch) MarshalJSON() ([]byte, error) {
 	return json.Marshal(w)
 }
 
-// UnmarshalJSON restores a sketch written by MarshalJSON.
+// UnmarshalJSON restores a sketch written by MarshalJSON. It rejects any
+// state NewSketch, Add and Merge cannot reach the shape of: a k NewSketch
+// would not return, a parity bit per level missing, or levels whose
+// weights do not sum to n.
 func (s *QuantileSketch) UnmarshalJSON(b []byte) error {
 	var w sketchWire
 	if err := json.Unmarshal(b, &w); err != nil {
 		return err
 	}
-	fresh := NewSketch(w.K)
-	*s = *fresh
+	if w.K < 8 || w.K > MaxSketchK || w.K%2 == 1 {
+		return fmt.Errorf("telemetry: sketch k=%d, want an even value in [8, %d]", w.K, MaxSketchK)
+	}
+	*s = *NewSketch(w.K)
 	if w.N == 0 {
 		return nil
 	}
@@ -283,7 +419,12 @@ func (s *QuantileSketch) UnmarshalJSON(b []byte) error {
 	}
 	var held uint64
 	for h, lvl := range w.Levels {
-		held += uint64(len(lvl)) << uint(h)
+		over, weight := bits.Mul64(uint64(len(lvl)), 1<<uint(h))
+		var carry uint64
+		held, carry = bits.Add64(held, weight, 0)
+		if over|carry != 0 {
+			return fmt.Errorf("telemetry: sketch levels hold weight past 2^64")
+		}
 	}
 	if held != w.N {
 		return fmt.Errorf("telemetry: sketch levels hold weight %d, want n=%d", held, w.N)

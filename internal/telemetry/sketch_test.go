@@ -158,6 +158,35 @@ func TestSketchRejectsCorruptWire(t *testing.T) {
 	if err := json.Unmarshal([]byte(deep), &s); err == nil {
 		t.Fatal("65-level sketch decoded without error")
 	}
+	// Weights that wrap past 2^64 to the claimed n must not decode: the
+	// 8 items of level 63 weigh 2^66, which wraps to 0.
+	wrap := `{"k":8,"n":1,"min":0,"max":1,"parity":[` + strings.Repeat("false,", 63) + `false],"levels":[[0.5]` +
+		strings.Repeat(",[]", 62) + `,[1,1,1,1,1,1,1,1]]}`
+	if err := json.Unmarshal([]byte(wrap), &s); err == nil {
+		t.Fatal("sketch with wrapped level weights decoded without error")
+	}
+}
+
+// TestSketchRejectsKNewSketchNeverReturns: a k out of range once decoded,
+// and the first Clone, Merge or Add then panicked in makeslice.
+func TestSketchRejectsKNewSketchNeverReturns(t *testing.T) {
+	for _, k := range []string{"4611686018427387904", "65538", "0", "-2", "6", "9", "257"} {
+		src := `{"k":` + k + `,"n":1,"min":1,"max":1,"parity":[false],"levels":[[1]]}`
+		var s QuantileSketch
+		if err := json.Unmarshal([]byte(src), &s); err == nil {
+			t.Errorf("k=%s decoded without error", k)
+		}
+	}
+	for _, k := range []int{8, 256, MaxSketchK} {
+		src := fmt.Sprintf(`{"k":%d,"n":1,"min":1,"max":1,"parity":[false],"levels":[[1]]}`, k)
+		var s QuantileSketch
+		if err := json.Unmarshal([]byte(src), &s); err != nil {
+			t.Errorf("k=%d rejected: %v", k, err)
+		}
+	}
+	if got := NewSketch(math.MaxInt).K(); got != MaxSketchK {
+		t.Errorf("NewSketch(MaxInt).K() = %d, want MaxSketchK", got)
+	}
 }
 
 func TestSketchEmptyAndNaN(t *testing.T) {
@@ -286,6 +315,295 @@ func TestIntDimKeyMatchesFmt(t *testing.T) {
 		want := "chunks_pop=" + fmt.Sprintf("%05d", v)
 		if got := IntDimKey("chunks", "pop", v); got != want {
 			t.Errorf("IntDimKey(%d) = %q, want %q", v, got, want)
+		}
+	}
+}
+
+// Value classes a sketch script draws its samples from.
+const (
+	classSpread    = 1 << iota // log-normal delays
+	classDup                   // a handful of small integers, so many ties
+	classInf                   // ±Inf
+	classSubnormal             // subnormals of either sign
+	classNegative              // negated log-normal delays
+	classEdge                  // +0, ±MaxFloat64, ±smallest normal
+	numClasses     = 6
+	allClasses     = 1<<numClasses - 1
+)
+
+// drawValue returns one sample from a class allowed by mask (every class
+// when mask allows none). It never returns NaN or −0: NaN never enters a
+// sketch, and −0 is the one value sort.Float64s leaves unordered.
+func drawValue(r *stats.Rand, mask uint8) float64 {
+	if mask&allClasses == 0 {
+		mask = allClasses
+	}
+	for {
+		c := uint8(1) << r.Intn(numClasses)
+		if mask&c == 0 {
+			continue
+		}
+		switch c {
+		case classSpread:
+			return r.LogNormal(4, 1.2)
+		case classDup:
+			return float64(r.Intn(6))
+		case classInf:
+			return math.Inf(1 - 2*r.Intn(2))
+		case classSubnormal:
+			bits := r.Uint64()&(1<<52-1) | 1
+			if r.Bool(0.5) {
+				bits |= 1 << 63
+			}
+			return math.Float64frombits(bits)
+		case classNegative:
+			return -r.LogNormal(4, 1.2)
+		default:
+			return []float64{0, math.MaxFloat64, -math.MaxFloat64, 0x1p-1022, -0x1p-1022}[r.Intn(5)]
+		}
+	}
+}
+
+// Sketch script operations.
+const (
+	opAdd    = iota // n samples into the sketch
+	opMerge         // shards sketches of up to n samples each, merged in order
+	opClone         // continue on a clone, once a change to the original left it intact
+	opDecode        // replace the sketch by a decoded one (see runSketchScript)
+	numSketchOps
+)
+
+type sketchOp struct {
+	kind    int
+	n       int
+	shards  int
+	classes uint8
+	seed    uint64
+}
+
+// sameSketch compares every field of the two states, floats by their bits.
+func sameSketch(s *QuantileSketch, r *refSketch) bool {
+	if s.k != r.k || s.n != r.n || s.parity != r.parity || len(s.levels) != len(r.levels) ||
+		math.Float64bits(s.min) != math.Float64bits(r.min) || math.Float64bits(s.max) != math.Float64bits(r.max) {
+		return false
+	}
+	for h, lvl := range s.levels {
+		if len(lvl) != len(r.levels[h]) {
+			return false
+		}
+		for i, v := range lvl {
+			if math.Float64bits(v) != math.Float64bits(r.levels[h][i]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// decodeBoth decodes w, which must be valid, into a sketch and loads it
+// into a reference sketch.
+func decodeBoth(t testing.TB, w sketchWire) (*QuantileSketch, *refSketch) {
+	t.Helper()
+	b, err := json.Marshal(w)
+	if err != nil {
+		t.Fatalf("encode wire %+v: %v", w, err)
+	}
+	s, r := &QuantileSketch{}, &refSketch{}
+	if err := json.Unmarshal(b, s); err != nil {
+		t.Fatalf("valid wire value rejected: %v", err)
+	}
+	r.load(w)
+	return s, r
+}
+
+// unsortedWire builds a wire value of op.shards levels of up to op.n
+// finite samples each, in draw order, so the levels decode unsorted and
+// may hold k or more items.
+func unsortedWire(k int, op sketchOp) sketchWire {
+	r := stats.NewRand(op.seed)
+	mask := op.classes & allClasses &^ classInf
+	if mask == 0 {
+		mask = allClasses &^ classInf
+	}
+	w := sketchWire{K: k, Min: math.Inf(1), Max: math.Inf(-1)}
+	for h := 0; h < op.shards; h++ {
+		lvl := make([]float64, r.Intn(op.n+1))
+		for i := range lvl {
+			lvl[i] = drawValue(r, mask)
+			w.Min, w.Max = math.Min(w.Min, lvl[i]), math.Max(w.Max, lvl[i])
+		}
+		w.Levels = append(w.Levels, lvl)
+		w.Parity = append(w.Parity, r.Bool(0.5))
+		w.N += uint64(len(lvl)) << h
+	}
+	if w.N == 0 {
+		w.Min, w.Max = 0, 0
+	}
+	return w
+}
+
+// runSketchScript drives a sketch and the reference sketch of parameter k
+// through the same operations and fails at the first one after which
+// their states differ.
+func runSketchScript(t testing.TB, k int, ops []sketchOp) {
+	t.Helper()
+	s, ref := NewSketch(k), newRefSketch(k)
+	check := func(i int, op sketchOp, s *QuantileSketch, ref *refSketch) {
+		t.Helper()
+		if !sameSketch(s, ref) {
+			t.Fatalf("k=%d op %d %+v: state diverged:\n got n=%d parity=%b levels=%v\nwant n=%d parity=%b levels=%v",
+				k, i, op, s.n, s.parity, s.levels, ref.n, ref.parity, ref.levels)
+		}
+	}
+	for i, op := range ops {
+		r := stats.NewRand(op.seed)
+		switch op.kind {
+		case opAdd:
+			for j := 0; j < op.n; j++ {
+				v := drawValue(r, op.classes)
+				s.Add(v)
+				ref.Add(v)
+			}
+		case opMerge:
+			for j := 0; j < op.shards; j++ {
+				ps, pr := NewSketch(k), newRefSketch(k)
+				for m := r.Intn(op.n + 1); m > 0; m-- {
+					v := drawValue(r, op.classes)
+					ps.Add(v)
+					pr.Add(v)
+				}
+				s.Merge(ps)
+				ref.Merge(pr)
+			}
+		case opClone:
+			cs, cr := s.Clone(), ref.Clone()
+			v := drawValue(r, op.classes)
+			s.Add(v)
+			ref.Add(v)
+			check(i, op, cs, cr)
+			s, ref = cs, cr
+		case opDecode:
+			// shards == 0 round-trips the current state; otherwise the
+			// state is replaced by unsorted levels (see unsortedWire).
+			var w sketchWire
+			if op.shards == 0 {
+				b, err := json.Marshal(s)
+				if err != nil {
+					continue // ±Inf has no JSON form
+				}
+				if err := json.Unmarshal(b, &w); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				w = unsortedWire(k, op)
+			}
+			s, ref = decodeBoth(t, w)
+		}
+		check(i, op, s, ref)
+	}
+}
+
+type sketchScript struct {
+	k   int
+	ops []sketchOp
+}
+
+// sketchScripts are scripts that between them cover what the two sorts
+// must get right: ties, ±Inf, subnormals, a small, an odd-half and the
+// default k, 40-way merges whose leftovers stack up into many-run
+// levels, and decoded levels out of order and over capacity.
+func sketchScripts() []sketchScript {
+	var scripts []sketchScript
+	for _, k := range []int{8, 10, 256} {
+		for _, classes := range []uint8{classDup, classInf | classSpread, classSubnormal | classNegative | classEdge, allClasses} {
+			seed := uint64(k)<<8 | uint64(classes)
+			scripts = append(scripts, sketchScript{k, []sketchOp{
+				{kind: opAdd, n: 20 * k, classes: classes, seed: seed},
+				{kind: opMerge, n: 3 * k, shards: 40, classes: classes, seed: seed + 1},
+				{kind: opClone, classes: classes, seed: seed + 2},
+				{kind: opMerge, n: k / 2, shards: 40, classes: classes, seed: seed + 3},
+				{kind: opDecode, n: 3 * k, shards: 5, classes: classes, seed: seed + 4},
+				{kind: opAdd, n: 5 * k, classes: classes, seed: seed + 5},
+				{kind: opDecode, classes: classes, seed: seed + 6},
+				{kind: opMerge, n: 10 * k, shards: 40, classes: classes, seed: seed + 7},
+			}})
+		}
+	}
+	return scripts
+}
+
+// TestSketchMatchesReference drives the sketch and the sort.Float64s
+// reference through fixed and seeded random scripts and requires
+// bit-identical states after every operation.
+func TestSketchMatchesReference(t *testing.T) {
+	for _, sc := range sketchScripts() {
+		runSketchScript(t, sc.k, sc.ops)
+	}
+	r := stats.NewRand(2016)
+	for i := 0; i < 100; i++ {
+		k := []int{8, 10, 12, 64, 256}[r.Intn(5)]
+		ops := make([]sketchOp, r.Intn(12)+1)
+		for j := range ops {
+			ops[j] = sketchOp{kind: r.Intn(numSketchOps), n: r.Intn(2 * k), shards: r.Intn(41),
+				classes: uint8(r.Intn(allClasses + 1)), seed: r.Uint64()}
+		}
+		runSketchScript(t, k, ops)
+	}
+}
+
+// FuzzSketchMatchesReference decodes k and a short script from the input
+// and checks the sketch against the reference, as
+// TestSketchMatchesReference does for its scripts.
+func FuzzSketchMatchesReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("\x00\x00\x00\x20\x00\x3f\x01\x01\x02\x00\x28\x3f\x02\x02\x00\x00\x00\x00\x03\x03\x00\x30\x05\x3f\x04"))
+	f.Add([]byte("\x02\x01\x00\x10\x00\x02\x05\x03\x00\x08\x06\x01\x07\x00\x00\x01\x09\x00\xff\x00\x04\x0b"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzReader(data)
+		k := 8 + 2*(int(in.byte())%125) // even, 8..256
+		var ops []sketchOp
+		for len(in) > 0 && len(ops) < 16 {
+			ops = append(ops, sketchOp{
+				kind:    int(in.byte()) % numSketchOps,
+				n:       in.u16() % (4 * k),
+				shards:  int(in.byte()) % 41,
+				classes: in.byte(),
+				seed:    uint64(in.byte()),
+			})
+		}
+		runSketchScript(t, k, ops)
+	})
+}
+
+// fuzzReader hands out the fuzz input a little at a time; past its end
+// every read is zero.
+type fuzzReader []byte
+
+func (f *fuzzReader) byte() byte {
+	if len(*f) == 0 {
+		return 0
+	}
+	b := (*f)[0]
+	*f = (*f)[1:]
+	return b
+}
+
+func (f *fuzzReader) u16() int { return int(f.byte())<<8 | int(f.byte()) }
+
+// TestSortKeyPutsNegativeZeroFirst pins the order both sorts share on the
+// one pair of distinct values that compare equal: −0 before +0.
+func TestSortKeyPutsNegativeZeroFirst(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	want := []float64{math.Inf(-1), -1, -5e-324, negZero, negZero, 0, 0, 5e-324, 1, math.Inf(1)}
+	for name, sort := range map[string]func(buf, tmp []float64){"radixSort": radixSort, "mergeRuns": mergeRuns} {
+		// Two ascending runs under float order, each with ±0 ties in
+		// the wrong key order.
+		buf := []float64{-5e-324, 0, negZero, 1, math.Inf(1), math.Inf(-1), -1, 0, negZero, 5e-324}
+		sort(buf, make([]float64, len(buf)))
+		for i, v := range buf {
+			if math.Float64bits(v) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: got %v, want %v", name, buf, want)
+			}
 		}
 	}
 }

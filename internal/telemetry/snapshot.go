@@ -71,7 +71,8 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 
 // ReadSnapshot loads a snapshot written by WriteSnapshot, rejecting
 // payloads that are not schema-1 telemetry snapshots (a JSONL trace, for
-// instance, fails here with a clear error instead of rendering nonsense).
+// instance, fails here with a clear error instead of rendering nonsense)
+// and null sketches or histograms, which WriteSnapshot never writes.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	var s Snapshot
 	dec := json.NewDecoder(bufio.NewReader(r))
@@ -81,6 +82,16 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if s.Schema != SnapshotSchema {
 		return nil, fmt.Errorf("telemetry: snapshot schema %d, want %d (is this a telemetry snapshot, not a trace?)",
 			s.Schema, SnapshotSchema)
+	}
+	for name, sk := range s.Sketches {
+		if sk == nil {
+			return nil, fmt.Errorf("telemetry: read snapshot: sketch %q is null", name)
+		}
+	}
+	for name, h := range s.Histograms {
+		if h == nil {
+			return nil, fmt.Errorf("telemetry: read snapshot: histogram %q is null", name)
+		}
 	}
 	return &s, nil
 }
