@@ -1,17 +1,17 @@
 package vidperf
 
 // bench_test.go regenerates every table and figure in the paper's
-// evaluation as a Go benchmark: the first iteration of each bench prints
-// the figure's rows/series (paper-reported vs measured) and reports the
-// headline value as a custom metric; subsequent iterations time the
-// analysis on the shared dataset. Ablation benches at the bottom rerun
-// small scenarios under the design alternatives DESIGN.md calls out.
+// evaluation as one Go benchmark (BenchmarkFiguresAll): it prints each
+// figure's rows/series (paper-reported vs measured) once and times
+// figures.All on the shared dataset. Ablation benches further down rerun
+// small scenarios under the design alternatives of the paper's
+// take-aways; the gate and layer benches time the simulator itself.
 //
 // Run everything with:
 //
 //	go test -bench=. -benchmem
 //
-// or a single figure with e.g. -bench=BenchmarkFig05.
+// or only the figures with -bench=BenchmarkFiguresAll.
 
 import (
 	"fmt"
@@ -67,56 +67,29 @@ func benchDataset() *core.Dataset {
 
 var printed sync.Map
 
-// benchFigure runs build b.N times, printing the rendered figure once.
-func benchFigure(b *testing.B, id string, build func(ds *core.Dataset) figures.Result) {
+// BenchmarkFiguresAll regenerates every figure and table with
+// figures.All, the pass cmd/repro and analyze trace run, printing them
+// once. It fails unless every result reproduces its paper shape.
+func BenchmarkFiguresAll(b *testing.B) {
 	ds := benchDataset()
+	b.ReportAllocs()
 	b.ResetTimer()
-	var res figures.Result
+	var results []figures.Result
 	for i := 0; i < b.N; i++ {
-		res = build(ds)
+		results = figures.All(ds, benchMaxRank)
 	}
 	b.StopTimer()
-	if _, dup := printed.LoadOrStore(id, true); !dup {
-		fmt.Println(res.Render())
+	if _, dup := printed.LoadOrStore("figures", true); !dup {
+		for _, r := range results {
+			fmt.Println(r.Render())
+		}
 	}
-	if !res.Pass {
-		b.Fatalf("%s: shape check failed: %s", id, res.Measured)
+	for _, r := range results {
+		if !r.Pass {
+			b.Errorf("%s: shape check failed: %s", r.ID, r.Measured)
+		}
 	}
 }
-
-func BenchmarkFig03(b *testing.B) { benchFigure(b, "fig03", figures.Fig03) }
-func BenchmarkFig04(b *testing.B) { benchFigure(b, "fig04", figures.Fig04) }
-func BenchmarkFig05(b *testing.B) { benchFigure(b, "fig05", figures.Fig05) }
-func BenchmarkFig06(b *testing.B) {
-	benchFigure(b, "fig06", func(ds *core.Dataset) figures.Result {
-		return figures.Fig06(ds, benchMaxRank)
-	})
-}
-func BenchmarkFig07(b *testing.B)  { benchFigure(b, "fig07", figures.Fig07) }
-func BenchmarkFig08(b *testing.B)  { benchFigure(b, "fig08", figures.Fig08) }
-func BenchmarkFig09(b *testing.B)  { benchFigure(b, "fig09", figures.Fig09) }
-func BenchmarkFig10(b *testing.B)  { benchFigure(b, "fig10", figures.Fig10) }
-func BenchmarkTable4(b *testing.B) { benchFigure(b, "table4", figures.Table4) }
-func BenchmarkFig11(b *testing.B)  { benchFigure(b, "fig11", figures.Fig11) }
-func BenchmarkFig12(b *testing.B)  { benchFigure(b, "fig12", figures.Fig12) }
-func BenchmarkFig13(b *testing.B) {
-	benchFigure(b, "fig13", func(*core.Dataset) figures.Result { return figures.Fig13() })
-}
-func BenchmarkFig14(b *testing.B) { benchFigure(b, "fig14", figures.Fig14) }
-func BenchmarkFig15(b *testing.B) { benchFigure(b, "fig15", figures.Fig15) }
-func BenchmarkFig16(b *testing.B) { benchFigure(b, "fig16", figures.Fig16) }
-func BenchmarkFig17(b *testing.B) {
-	benchFigure(b, "fig17", func(*core.Dataset) figures.Result { return figures.Fig17() })
-}
-func BenchmarkTable5(b *testing.B) { benchFigure(b, "table5", figures.Table5) }
-func BenchmarkFig18(b *testing.B)  { benchFigure(b, "fig18", figures.Fig18) }
-func BenchmarkFig19(b *testing.B)  { benchFigure(b, "fig19", figures.Fig19) }
-func BenchmarkFig20(b *testing.B) {
-	benchFigure(b, "fig20", func(*core.Dataset) figures.Result { return figures.Fig20() })
-}
-func BenchmarkFig21(b *testing.B)  { benchFigure(b, "fig21", figures.Fig21) }
-func BenchmarkFig22(b *testing.B)  { benchFigure(b, "fig22", figures.Fig22) }
-func BenchmarkTable1(b *testing.B) { benchFigure(b, "table1", figures.Table1) }
 
 // BenchmarkDatasetStats regenerates the §3 dataset characterization.
 func BenchmarkDatasetStats(b *testing.B) {
@@ -286,7 +259,7 @@ func BenchmarkStreamingRun1M(b *testing.B) {
 	runtime.KeepAlive(retained)
 }
 
-// --- Ablations (DESIGN.md A1–A6) -----------------------------------------
+// --- Ablations (the paper's §4 take-aways) --------------------------------
 
 // BenchmarkAblationCachePolicy compares eviction policies on one Zipf
 // chunk stream (§4.1 take-away: GD-Size / perfect-LFU over ATS's LRU).
@@ -553,21 +526,7 @@ func BenchmarkLRUCache(b *testing.B) {
 }
 
 func BenchmarkEq4Detection(b *testing.B) {
-	ds := benchDataset()
-	groups := ds.ChunksBySession()
-	var sessions [][]core.ChunkRecord
-	n := 0
-	for _, idxs := range groups {
-		if n >= 200 {
-			break
-		}
-		chunks := make([]core.ChunkRecord, 0, len(idxs))
-		for _, ci := range idxs {
-			chunks = append(chunks, ds.Chunks[ci])
-		}
-		sessions = append(sessions, chunks)
-		n++
-	}
+	sessions := benchDataset().SessionChunks()[:200]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, s := range sessions {

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -367,6 +368,57 @@ func TestDDSVsRebuffering(t *testing.T) {
 	if !math.IsNaN(r.MeanDDSOver10) && r.MeanDDSOver10 <= r.MeanDDSNoRebuf {
 		t.Errorf("D_DS should rise with rebuffering: clean %.0f vs >10%% %.0f",
 			r.MeanDDSNoRebuf, r.MeanDDSOver10)
+	}
+}
+
+// TestPerSessionAnalysesDeterministic reruns the analyses that sum floats
+// over sessions or servers and requires every rerun to match the first
+// bit for bit: a sum taken in Go map order changes its rounding from run
+// to run.
+func TestPerSessionAnalysesDeterministic(t *testing.T) {
+	ds := mainDataset()
+	bits := func(xs ...float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	type run struct {
+		miss   MissPersistence
+		missB  []uint64
+		loadB  []uint64
+		ddsB   []uint64
+		points []ServerLoadPoint
+	}
+	once := func() run {
+		mp, lp, dd := ComputeMissPersistence(ds), ComputeLoadParadox(ds), ComputeDDSVsRebuffering(ds)
+		return run{
+			miss:   mp,
+			missB:  bits(mp.MeanMissRatioGivenMiss, mp.MedianMissRatioGivenMiss, mp.MeanHighReadRatioGivenHigh, mp.MedianHighReadRatioGivenHigh),
+			loadB:  bits(lp.Correlation),
+			ddsB:   bits(dd.MeanDDSNoRebuf, dd.MeanDDSUnder10, dd.MeanDDSOver10),
+			points: lp.Points,
+		}
+	}
+	first := once()
+	for i, p := range first.points[1:] {
+		prev := first.points[i]
+		if p.Requests > prev.Requests || (p.Requests == prev.Requests && p.ServerID <= prev.ServerID) {
+			t.Fatalf("Points[%d..%d] = %+v, %+v: want Requests descending, then ServerID ascending", i, i+1, prev, p)
+		}
+	}
+	for i := 1; i < 20; i++ {
+		got := once()
+		if !reflect.DeepEqual(got.missB, first.missB) || got.miss.SessionsWithMiss != first.miss.SessionsWithMiss {
+			t.Fatalf("rerun %d: ComputeMissPersistence %+v, first run %+v", i, got.miss, first.miss)
+		}
+		if !reflect.DeepEqual(got.loadB, first.loadB) || !reflect.DeepEqual(got.points, first.points) {
+			t.Fatalf("rerun %d: ComputeLoadParadox correlation or point order differs from the first run", i)
+		}
+		if !reflect.DeepEqual(got.ddsB, first.ddsB) {
+			t.Fatalf("rerun %d: ComputeDDSVsRebuffering bits %x, first run %x", i, got.ddsB, first.ddsB)
+		}
 	}
 }
 

@@ -53,10 +53,10 @@ func ComputeTailPrefixes(d *core.Dataset, tailMS, closeKM float64) TailPrefixRep
 		sessions   int
 	}
 	byPrefix := map[int]*pref{}
-	bySession := d.ChunksBySession()
+	spans := d.SessionChunks()
 	for i := range d.Sessions {
 		s := &d.Sessions[i]
-		cs := core.ComputeSessionChunkStats(chunkSlice(d, bySession[s.SessionID]))
+		cs := core.ComputeSessionChunkStats(spans[i])
 		p := byPrefix[s.PrefixID]
 		if p == nil {
 			p = &pref{min: math.Inf(1), us: s.US, dist: s.DistanceKM,
@@ -101,14 +101,6 @@ func ComputeTailPrefixes(d *core.Dataset, tailMS, closeKM float64) TailPrefixRep
 		out.CloseUSEnterpriseShare = float64(closeEnterprise) / float64(out.CloseUSCount)
 	}
 	out.USDistanceCDF = stats.NewECDF(usDist)
-	return out
-}
-
-func chunkSlice(d *core.Dataset, idxs []int) []core.ChunkRecord {
-	out := make([]core.ChunkRecord, 0, len(idxs))
-	for _, i := range idxs {
-		out = append(out, d.Chunks[i])
-	}
 	return out
 }
 

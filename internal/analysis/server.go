@@ -64,7 +64,9 @@ type CDNLatencyBreakdown struct {
 // BreakdownCDNLatency computes Fig. 5 and its headline calibration numbers
 // (median hit 2 ms vs miss 80 ms; ~35% of chunks hitting the retry timer).
 func BreakdownCDNLatency(d *core.Dataset) CDNLatencyBreakdown {
-	var wait, open, read, hit, miss []float64
+	n := len(d.Chunks)
+	wait, open, read := make([]float64, 0, n), make([]float64, 0, n), make([]float64, 0, n)
+	var hit, miss []float64
 	retries := 0
 	for i := range d.Chunks {
 		c := &d.Chunks[i]
@@ -83,9 +85,9 @@ func BreakdownCDNLatency(d *core.Dataset) CDNLatencyBreakdown {
 	out := CDNLatencyBreakdown{
 		Dwait: stats.NewECDF(wait), Dopen: stats.NewECDF(open), Dread: stats.NewECDF(read),
 		TotalHit: stats.NewECDF(hit), TotalMiss: stats.NewECDF(miss),
-		MedianHitMS: stats.Median(hit), MedianMissMS: stats.Median(miss),
 	}
-	if n := len(d.Chunks); n > 0 {
+	out.MedianHitMS, out.MedianMissMS = out.TotalHit.Quantile(0.5), out.TotalMiss.Quantile(0.5)
+	if n > 0 {
 		out.RetryTimerChunkShare = float64(retries) / float64(n)
 	}
 	return out
@@ -166,13 +168,14 @@ type MissPersistence struct {
 }
 
 // ComputeMissPersistence aggregates per-session clustering of misses and
-// slow reads.
+// slow reads, taking sessions in dataset order so the means are
+// reproducible.
 func ComputeMissPersistence(d *core.Dataset) MissPersistence {
 	var missRatios, highRatios []float64
-	for _, idxs := range d.ChunksBySession() {
+	for _, chunks := range d.SessionChunks() {
 		miss, high := 0, 0
-		for _, ci := range idxs {
-			c := &d.Chunks[ci]
+		for i := range chunks {
+			c := &chunks[i]
 			if !c.CacheHit {
 				miss++
 			}
@@ -180,7 +183,7 @@ func ComputeMissPersistence(d *core.Dataset) MissPersistence {
 				high++
 			}
 		}
-		n := float64(len(idxs))
+		n := float64(len(chunks))
 		if miss > 0 {
 			missRatios = append(missRatios, float64(miss)/n)
 		}
@@ -214,7 +217,9 @@ type LoadParadox struct {
 }
 
 // ComputeLoadParadox aggregates per-server request counts and mean D_CDN
-// from the chunk records.
+// from the chunk records. The correlation sums servers in ServerID order,
+// and Points are ordered by Requests descending, then ServerID, so the
+// result is reproducible.
 func ComputeLoadParadox(d *core.Dataset) LoadParadox {
 	type agg struct {
 		n   int64
@@ -235,16 +240,22 @@ func ComputeLoadParadox(d *core.Dataset) LoadParadox {
 		a.n++
 		a.sum += c.DCDNms()
 	}
+	ids := make([]int, 0, len(per))
+	for id := range per {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
 	var out LoadParadox
-	var xs, ys []float64
-	for id, a := range per {
+	xs, ys := make([]float64, 0, len(ids)), make([]float64, 0, len(ids))
+	for _, id := range ids {
+		a := per[id]
 		p := ServerLoadPoint{ServerID: id, Requests: a.n, MeanDCDN: a.sum / float64(a.n)}
 		out.Points = append(out.Points, p)
 		xs = append(xs, float64(a.n))
 		ys = append(ys, p.MeanDCDN)
 	}
-	sort.Slice(out.Points, func(i, j int) bool { return out.Points[i].Requests > out.Points[j].Requests })
 	out.Correlation = pearson(xs, ys)
+	sort.SliceStable(out.Points, func(i, j int) bool { return out.Points[i].Requests > out.Points[j].Requests })
 	return out
 }
 

@@ -29,8 +29,7 @@ type StackOutlierReport struct {
 // session.
 func DetectStackOutliersDataset(d *core.Dataset) StackOutlierReport {
 	rep := StackOutlierReport{TotalChunks: len(d.Chunks), TotalSessions: len(d.Sessions)}
-	for _, idxs := range d.ChunksBySession() {
-		chunks := chunkSlice(d, idxs)
+	for _, chunks := range d.SessionChunks() {
 		res := core.DetectStackOutliers(chunks)
 		if len(res.Outliers) > 0 {
 			rep.OutlierSessions++
@@ -198,17 +197,12 @@ type DDSVsRebuffering struct {
 }
 
 // ComputeDDSVsRebuffering groups sessions into no-rebuffering, <=10%, and
-// >10% re-buffering and averages the Eq. 5 estimates of their chunks.
+// >10% re-buffering and averages the Eq. 5 estimates of their chunks,
+// folding them in dataset order so the means are reproducible.
 func ComputeDDSVsRebuffering(d *core.Dataset) DDSVsRebuffering {
 	var none, under, over stats.Summary
-	for _, idxs := range d.ChunksBySession() {
-		if len(idxs) == 0 {
-			continue
-		}
-		s := d.Session(d.Chunks[idxs[0]].SessionID)
-		if s == nil {
-			continue
-		}
+	for i, chunks := range d.SessionChunks() {
+		s := &d.Sessions[i]
 		var target *stats.Summary
 		switch {
 		case s.RebufCount == 0:
@@ -218,8 +212,8 @@ func ComputeDDSVsRebuffering(d *core.Dataset) DDSVsRebuffering {
 		default:
 			target = &over
 		}
-		for _, ci := range idxs {
-			target.Add(core.EstimateDDSms(d.Chunks[ci]))
+		for j := range chunks {
+			target.Add(core.EstimateDDSms(chunks[j]))
 		}
 	}
 	return DDSVsRebuffering{

@@ -210,8 +210,8 @@ func TestDatasetIndexAndLookup(t *testing.T) {
 	if d.Session(404) != nil {
 		t.Error("missing session should be nil")
 	}
-	g := d.ChunksBySession()
-	if len(g[5]) != 2 || len(g[9]) != 1 {
+	g := d.SessionChunks()
+	if len(g) != 2 || len(g[0]) != 2 || len(g[1]) != 1 {
 		t.Errorf("grouping = %v", g)
 	}
 	if !strings.Contains(d.String(), "2 sessions") {

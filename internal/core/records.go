@@ -309,13 +309,36 @@ func (d *Dataset) Session(id uint64) *SessionRecord {
 	return nil
 }
 
-// ChunksBySession groups chunk indices by session ID, preserving order.
-func (d *Dataset) ChunksBySession() map[uint64][]int {
-	m := make(map[uint64][]int, len(d.Sessions))
-	for i := range d.Chunks {
-		m[d.Chunks[i].SessionID] = append(m[d.Chunks[i].SessionID], i)
+// SessionChunks returns each session's chunks in dataset order: out[i]
+// holds the chunks of d.Sessions[i], nil when it has none. A session
+// whose chunks are contiguous in d.Chunks, as in the canonical order
+// every writer emits, gets a subslice of d.Chunks, so nothing is copied;
+// the caller must not append to it or modify it. A session whose chunks
+// are interleaved with another's gets a copy that groups them in order
+// of appearance. Chunks whose session has no record are left out.
+func (d *Dataset) SessionChunks() [][]ChunkRecord {
+	if d.byID == nil {
+		d.Index()
 	}
-	return m
+	out := make([][]ChunkRecord, len(d.Sessions))
+	for lo := 0; lo < len(d.Chunks); {
+		id := d.Chunks[lo].SessionID
+		hi := lo + 1
+		for hi < len(d.Chunks) && d.Chunks[hi].SessionID == id {
+			hi++
+		}
+		switch i, ok := d.byID[id]; {
+		case !ok: // no session record
+		case out[i] == nil:
+			out[i] = d.Chunks[lo:hi:hi]
+		default:
+			// The span's capacity ends at its length, so this
+			// reallocates rather than overwrite d.Chunks.
+			out[i] = append(out[i], d.Chunks[lo:hi]...)
+		}
+		lo = hi
+	}
+	return out
 }
 
 // String summarizes the dataset.

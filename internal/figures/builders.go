@@ -60,8 +60,9 @@ func Fig04(ds *core.Dataset) Result {
 }
 
 // Fig05 regenerates the CDN latency breakdown.
-func Fig05(ds *core.Dataset) Result {
-	br := analysis.BreakdownCDNLatency(ds)
+func Fig05(ds *core.Dataset) Result { return fig05(analysis.BreakdownCDNLatency(ds)) }
+
+func fig05(br analysis.CDNLatencyBreakdown) Result {
 	r := Result{
 		ID:    "fig05",
 		Title: "CDN latency breakdown across all chunks",
@@ -209,8 +210,9 @@ func Table4(ds *core.Dataset) Result {
 }
 
 // Fig11 regenerates the with/without-loss session comparison.
-func Fig11(ds *core.Dataset) Result {
-	ls := analysis.SplitByLoss(ds)
+func Fig11(ds *core.Dataset) Result { return fig11(analysis.SplitByLoss(ds)) }
+
+func fig11(ls analysis.LossSplit) Result {
 	r := Result{
 		ID:    "fig11",
 		Title: "Session length, bitrate and re-buffering with vs without loss",
@@ -325,8 +327,9 @@ func Fig15(ds *core.Dataset) Result {
 }
 
 // Fig16 regenerates the latency-vs-throughput split by perfscore.
-func Fig16(ds *core.Dataset) Result {
-	ps := analysis.SplitPerfScores(ds)
+func Fig16(ds *core.Dataset) Result { return fig16(analysis.SplitPerfScores(ds)) }
+
+func fig16(ps analysis.PerfScoreSplit) Result {
 	dlbGap := ps.BadDLB.Quantile(0.5) / ps.GoodDLB.Quantile(0.5)
 	dfbGap := ps.BadDFB.Quantile(0.5) / ps.GoodDFB.Quantile(0.5)
 	r := Result{
@@ -438,9 +441,10 @@ func Fig18(ds *core.Dataset) Result {
 }
 
 // Fig19 regenerates dropped frames vs download rate.
-func Fig19(ds *core.Dataset) Result {
+func Fig19(ds *core.Dataset) Result { return fig19(ds, analysis.CheckRateHypothesis(ds)) }
+
+func fig19(ds *core.Dataset, rh analysis.RateHypothesisReport) Result {
 	f := analysis.ComputeDropsVsRate(ds, 0.5, 5)
-	rh := analysis.CheckRateHypothesis(ds)
 	var low, mid, high stats.BinStat
 	for _, b := range f.Bins {
 		switch {
@@ -534,8 +538,9 @@ func Fig21(ds *core.Dataset) Result {
 }
 
 // Fig22 regenerates the unpopular-browser rendering comparison.
-func Fig22(ds *core.Dataset) Result {
-	rep := analysis.ComputeUnpopularBrowsers(ds, 30)
+func Fig22(ds *core.Dataset) Result { return fig22(analysis.ComputeUnpopularBrowsers(ds, 30)) }
+
+func fig22(rep analysis.UnpopularBrowserReport) Result {
 	r := Result{
 		ID:    "fig22",
 		Title: "Dropped % of unpopular (browser, OS) pairs at rate >= 1.5, visible",
@@ -560,17 +565,35 @@ func Fig22(ds *core.Dataset) Result {
 
 // Table1 cross-checks the summary-of-findings table: one boolean per
 // paper finding, derived from the other analyses.
-func Table1(ds *core.Dataset) Result {
-	br := analysis.BreakdownCDNLatency(ds)
+func Table1(ds *core.Dataset) Result { return table1(ds, computeShared(ds)) }
+
+// shared holds the analyses that Table 1 and a figure both read, so All
+// computes each of them once.
+type shared struct {
+	br analysis.CDNLatencyBreakdown
+	ls analysis.LossSplit
+	ps analysis.PerfScoreSplit
+	rh analysis.RateHypothesisReport
+	ub analysis.UnpopularBrowserReport
+}
+
+func computeShared(ds *core.Dataset) shared {
+	return shared{
+		br: analysis.BreakdownCDNLatency(ds),
+		ls: analysis.SplitByLoss(ds),
+		ps: analysis.SplitPerfScores(ds),
+		rh: analysis.CheckRateHypothesis(ds),
+		ub: analysis.ComputeUnpopularBrowsers(ds, 30),
+	}
+}
+
+func table1(ds *core.Dataset, sh shared) Result {
+	br, ls, ps, rh, ub := sh.br, sh.ls, sh.ps, sh.rh, sh.ub
 	mp := analysis.ComputeMissPersistence(ds)
 	lp := analysis.ComputeLoadParadox(ds)
-	ls := analysis.SplitByLoss(ds)
 	rates := analysis.RetxByChunkID(ds, 12)
-	ps := analysis.SplitPerfScores(ds)
 	so := analysis.DetectStackOutliersDataset(ds)
 	f18 := analysis.ComputeFirstChunkDFB(ds, analysis.EquivalentSetConfig{SRTTMinMS: 40, SRTTMaxMS: 80})
-	rh := analysis.CheckRateHypothesis(ds)
-	ub := analysis.ComputeUnpopularBrowsers(ds, 30)
 
 	type finding struct {
 		name string
@@ -624,12 +647,13 @@ func Table1(ds *core.Dataset) Result {
 // controlled figures are self-contained). maxRank is the catalog size for
 // Fig. 6's thresholds.
 func All(ds *core.Dataset, maxRank int) []Result {
+	sh := computeShared(ds)
 	results := []Result{
-		Fig03(ds), Fig04(ds), Fig05(ds), Fig06(ds, maxRank), Fig07(ds),
+		Fig03(ds), Fig04(ds), fig05(sh.br), Fig06(ds, maxRank), Fig07(ds),
 		Fig08(ds), Fig09(ds), Fig10(ds), Table4(ds),
-		Fig11(ds), Fig12(ds), Fig13(), Fig14(ds), Fig15(ds), Fig16(ds),
-		Fig17(), Table5(ds), Fig18(ds), Fig19(ds), Fig20(), Fig21(ds),
-		Fig22(ds), Table1(ds),
+		fig11(sh.ls), Fig12(ds), Fig13(), Fig14(ds), Fig15(ds), fig16(sh.ps),
+		Fig17(), Table5(ds), Fig18(ds), fig19(ds, sh.rh), Fig20(), Fig21(ds),
+		fig22(sh.ub), table1(ds, sh),
 	}
 	sort.SliceStable(results, func(i, j int) bool { return results[i].ID < results[j].ID })
 	return results

@@ -4,7 +4,8 @@
 // plots, states the paper's reported result next to the measured one, and
 // judges whether the qualitative shape (who wins, directions, crossovers)
 // holds. cmd/repro assembles the output into EXPERIMENTS.md; bench_test.go
-// exposes one benchmark per figure.
+// times All, which computes each analysis once even when several figures
+// read it.
 package figures
 
 import (

@@ -103,13 +103,8 @@ func TestScriptedFiguresDeterministic(t *testing.T) {
 func figSnapshot() *telemetry.Snapshot {
 	ds := figDataset()
 	camp := telemetry.NewCampaign(0)
-	byS := ds.ChunksBySession()
-	for i := range ds.Sessions {
+	for i, chunks := range ds.SessionChunks() {
 		s := ds.Sessions[i]
-		chunks := make([]core.ChunkRecord, 0, s.NumChunks)
-		for _, ci := range byS[s.SessionID] {
-			chunks = append(chunks, ds.Chunks[ci])
-		}
 		camp.Sink(s.PoP).ConsumeSession(s, chunks)
 	}
 	return camp.Snapshot()

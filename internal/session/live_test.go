@@ -126,7 +126,7 @@ func TestLiveSessionRecordInvariants(t *testing.T) {
 	sc := stormLiveScenario(19, 1)
 	ds := mustRun(t, sc)
 	lc := sc.Live.WithDefaults()
-	byS := ds.ChunksBySession()
+	spans := ds.SessionChunks()
 	switches := 0
 	for i := range ds.Sessions {
 		rec := &ds.Sessions[i]
@@ -140,9 +140,9 @@ func TestLiveSessionRecordInvariants(t *testing.T) {
 		if rec.LiveEdgeLagMS < 0 {
 			t.Errorf("session %d negative live-edge lag %g", rec.SessionID, rec.LiveEdgeLagMS)
 		}
-		if bound := float64(len(byS[rec.SessionID])) * lc.ChunkDurMS(); rec.LiveEdgeLagMS > bound {
+		if bound := float64(len(spans[i])) * lc.ChunkDurMS(); rec.LiveEdgeLagMS > bound {
 			t.Errorf("session %d live-edge lag %g ms exceeds %d chunks x %g ms",
-				rec.SessionID, rec.LiveEdgeLagMS, len(byS[rec.SessionID]), lc.ChunkDurMS())
+				rec.SessionID, rec.LiveEdgeLagMS, len(spans[i]), lc.ChunkDurMS())
 		}
 		if rec.LiveSwitches < 0 {
 			t.Errorf("session %d negative switch count", rec.SessionID)

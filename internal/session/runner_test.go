@@ -40,19 +40,19 @@ func TestRunProducesConsistentDataset(t *testing.T) {
 	if len(ds.Chunks) == 0 {
 		t.Fatal("no chunks")
 	}
-	byS := ds.ChunksBySession()
+	spans := ds.SessionChunks()
 	for i := range ds.Sessions {
 		s := &ds.Sessions[i]
-		idxs := byS[s.SessionID]
-		if len(idxs) != s.NumChunks {
+		chunks := spans[i]
+		if len(chunks) != s.NumChunks {
 			t.Fatalf("session %d: %d chunk records vs NumChunks %d",
-				s.SessionID, len(idxs), s.NumChunks)
+				s.SessionID, len(chunks), s.NumChunks)
 		}
 		if s.NumChunks < 1 {
 			t.Fatalf("session %d fetched no chunks", s.SessionID)
 		}
-		for j, ci := range idxs {
-			c := &ds.Chunks[ci]
+		for j := range chunks {
+			c := &chunks[j]
 			if c.ChunkID != j {
 				t.Fatalf("session %d chunk order broken at %d", s.SessionID, j)
 			}

@@ -115,16 +115,14 @@ func TestRecycledChunkBuffersSafe(t *testing.T) {
 		t.Fatalf("Execute(Sinks): %v", err)
 	}
 
-	byS := ref.ChunksBySession()
-	for i := range ref.Sessions {
+	for i, want := range ref.SessionChunks() {
 		id := ref.Sessions[i].SessionID
 		got := sink.kept[id]
-		idxs := byS[id]
-		if len(got) != len(idxs) {
-			t.Fatalf("session %d: %d chunks via pooled sink, %d in reference", id, len(got), len(idxs))
+		if len(got) != len(want) {
+			t.Fatalf("session %d: %d chunks via pooled sink, %d in reference", id, len(got), len(want))
 		}
-		for j, ci := range idxs {
-			if got[j] != ref.Chunks[ci] {
+		for j := range want {
+			if got[j] != want[j] {
 				t.Fatalf("session %d chunk %d differs between pooled sink and reference", id, j)
 			}
 		}

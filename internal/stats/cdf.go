@@ -15,7 +15,7 @@ type ECDF struct {
 func NewECDF(xs []float64) *ECDF {
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
-	sort.Float64s(sorted)
+	Sort(sorted)
 	return &ECDF{sorted: sorted}
 }
 
@@ -114,7 +114,7 @@ func BinnedStats(xs, ys []float64, lo, hi, width float64) []BinStat {
 		if len(vals) == 0 {
 			bs.Mean, bs.Median, bs.P25, bs.P75 = math.NaN(), math.NaN(), math.NaN(), math.NaN()
 		} else {
-			sort.Float64s(vals)
+			Sort(vals)
 			bs.Mean = Mean(vals)
 			bs.Median = quantileSorted(vals, 0.5)
 			bs.P25 = quantileSorted(vals, 0.25)

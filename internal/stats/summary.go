@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs, or NaN if xs is empty.
 func Mean(xs []float64) float64 {
@@ -54,7 +51,7 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
-	sort.Float64s(sorted)
+	Sort(sorted)
 	return quantileSorted(sorted, q)
 }
 
@@ -85,7 +82,7 @@ func IQR(xs []float64) float64 {
 	}
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
-	sort.Float64s(sorted)
+	Sort(sorted)
 	return quantileSorted(sorted, 0.75) - quantileSorted(sorted, 0.25)
 }
 

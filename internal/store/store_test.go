@@ -232,3 +232,39 @@ func TestIngestSnapshotFileLooseCell(t *testing.T) {
 		t.Fatalf("loose snapshot entries = %+v, want one cell night-run", es)
 	}
 }
+
+// FuzzStoreLoad feeds Load arbitrary bytes. Load must return an error
+// rather than panic, and a store it accepts must write bytes that load
+// back into a store writing the same bytes (Load → Write → Load is a
+// fixed point). The seed is a store ingested from a small zipf-sweep
+// run, as the CI store smoke builds it.
+func FuzzStoreLoad(f *testing.F) {
+	real, err := os.ReadFile(filepath.Join("testdata", "zipf-sweep-store.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(real)
+	f.Add([]byte(`{"schema":1,"entries":[{"sweep":"a/b","cell":"c","metrics":{"x":-0}},{"sweep":"a","cell":"b/c"},null]}`))
+	f.Add([]byte(`{"schema":2,"entries":[]}`))
+	f.Add([]byte(`{"schema":1,"sweeps":{"s":{}},"entries":null} trailing`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var w1, w2 bytes.Buffer
+		if err := s.Write(&w1); err != nil {
+			t.Fatalf("loaded store does not write: %v", err)
+		}
+		back, err := Load(bytes.NewReader(w1.Bytes()))
+		if err != nil {
+			t.Fatalf("written store does not load back: %v\n%s", err, w1.Bytes())
+		}
+		if err := back.Write(&w2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(w1.Bytes(), w2.Bytes()) {
+			t.Fatalf("Load → Write → Load is not a fixed point:\n%s\nvs\n%s", w1.Bytes(), w2.Bytes())
+		}
+	})
+}

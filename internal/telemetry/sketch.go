@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+
+	"vidperf/internal/stats"
 )
 
 // QuantileSketch is a streaming quantile summary in the KLL family with a
@@ -16,8 +18,8 @@ import (
 // counterpart of KLL's coin flip). Level 0 holds raw samples and is
 // radix-sorted; a higher level holds sorted runs back to back (stride-2
 // promotions from below, a leftover, runs appended by Merge), which are
-// merged. Both orders are the total order of sortKey, so the state never
-// depends on which sort ran.
+// merged. Both orders are the total order of stats.SortKey, so the state
+// never depends on which sort ran.
 // The state after any sequence of Add and Merge calls is a pure function
 // of that sequence, which is what lets the sharded runner produce
 // byte-identical snapshots at any parallelism (see the package doc's
@@ -169,7 +171,7 @@ func (s *QuantileSketch) compact(h int) {
 		tmp = make([]float64, len(buf))
 	}
 	if h == 0 {
-		radixSort(buf, tmp[:len(buf)])
+		stats.RadixSort(buf, tmp[:len(buf)])
 	} else {
 		mergeRuns(buf, tmp[:len(buf)])
 	}
@@ -187,61 +189,6 @@ func (s *QuantileSketch) compact(h int) {
 // never reaches 4k items, even in Merge, so the fold and the shard merge
 // sort without allocating.
 const sortScratch = 4 * DefaultSketchK
-
-// sortKey maps a float64 to a uint64 whose unsigned order is the float
-// order, and total on bit patterns: negative values have every bit
-// flipped, the rest only the sign bit. So −0 sorts just before +0, and
-// two items share a key only when they share their bits, which makes the
-// sorted order of a level unique. NaN never enters a sketch.
-func sortKey(v float64) uint64 {
-	b := math.Float64bits(v)
-	return b ^ (uint64(int64(b)>>63) | 1<<63)
-}
-
-// radixSort sorts buf into key order with an LSD radix sort on the 8 key
-// bytes, using tmp (as long as buf) as the other half of each pass. One
-// pass builds every byte's histogram, and a byte on which all keys agree
-// is skipped.
-func radixSort(buf, tmp []float64) {
-	if len(buf) < 2 {
-		return
-	}
-	var hist [8][256]int
-	for _, v := range buf {
-		k := sortKey(v)
-		hist[0][byte(k)]++
-		hist[1][byte(k>>8)]++
-		hist[2][byte(k>>16)]++
-		hist[3][byte(k>>24)]++
-		hist[4][byte(k>>32)]++
-		hist[5][byte(k>>40)]++
-		hist[6][byte(k>>48)]++
-		hist[7][byte(k>>56)]++
-	}
-	first := sortKey(buf[0])
-	src, dst := buf, tmp
-	for d := range hist {
-		shift := uint(8 * d)
-		c := &hist[d]
-		if c[byte(first>>shift)] == len(buf) {
-			continue
-		}
-		sum := 0
-		for i, n := range c {
-			c[i] = sum
-			sum += n
-		}
-		for _, v := range src {
-			b := byte(sortKey(v) >> shift)
-			dst[c[b]] = v
-			c[b]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &buf[0] {
-		copy(buf, src)
-	}
-}
 
 // mergeRuns sorts buf into key order by merging adjacent ascending runs
 // pairwise, bottom up, using tmp (as long as buf) as the other half of
@@ -272,9 +219,9 @@ func runEnd(xs []float64, i int) int {
 	if i >= len(xs) {
 		return len(xs)
 	}
-	prev := sortKey(xs[i])
+	prev := stats.SortKey(xs[i])
 	for i++; i < len(xs); i++ {
-		k := sortKey(xs[i])
+		k := stats.SortKey(xs[i])
 		if k < prev {
 			break
 		}
@@ -288,7 +235,7 @@ func runEnd(xs []float64, i int) int {
 func mergeInto(dst, a, b []float64) {
 	i, j := 0, 0
 	for o := range dst {
-		if j == len(b) || (i < len(a) && sortKey(a[i]) <= sortKey(b[j])) {
+		if j == len(b) || (i < len(a) && stats.SortKey(a[i]) <= stats.SortKey(b[j])) {
 			dst[o] = a[i]
 			i++
 		} else {

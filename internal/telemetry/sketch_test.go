@@ -595,7 +595,7 @@ func (f *fuzzReader) u16() int { return int(f.byte())<<8 | int(f.byte()) }
 func TestSortKeyPutsNegativeZeroFirst(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	want := []float64{math.Inf(-1), -1, -5e-324, negZero, negZero, 0, 0, 5e-324, 1, math.Inf(1)}
-	for name, sort := range map[string]func(buf, tmp []float64){"radixSort": radixSort, "mergeRuns": mergeRuns} {
+	for name, sort := range map[string]func(buf, tmp []float64){"RadixSort": stats.RadixSort, "mergeRuns": mergeRuns} {
 		// Two ascending runs under float order, each with ±0 ties in
 		// the wrong key order.
 		buf := []float64{-5e-324, 0, negZero, 1, math.Inf(1), math.Inf(-1), -1, 0, negZero, 5e-324}
