@@ -200,7 +200,7 @@ func BenchmarkStreamingRun(b *testing.B) {
 	})
 	b.Run("stream", func(b *testing.B) {
 		measure(b, func() (any, uint64) {
-			camp := telemetry.NewCampaign(0)
+			camp := telemetry.NewCampaignWith(telemetry.Config{})
 			if _, err := session.Execute(benchScenario(0), session.Options{Sinks: camp.Sink}); err != nil {
 				b.Fatal(err)
 			}
@@ -243,7 +243,7 @@ func BenchmarkStreamingRun1M(b *testing.B) {
 	var retained any
 	var chunks uint64
 	for i := 0; i < b.N; i++ {
-		camp := telemetry.NewCampaign(0)
+		camp := telemetry.NewCampaignWith(telemetry.Config{})
 		if _, err := session.Execute(sc, session.Options{Sinks: camp.Sink}); err != nil {
 			b.Fatal(err)
 		}

@@ -31,7 +31,7 @@ func goldenSnapshots(t *testing.T) (warm, cold *telemetry.Snapshot) {
 		res, err := session.Execute(workload.Scenario{
 			Seed: 5, NumSessions: 500, NumPrefixes: 120,
 			ColdStart: coldStart, Parallelism: 1,
-		}, session.Options{Telemetry: true, SketchK: 64, Diagnose: &diagnose.Config{}})
+		}, session.Options{Telemetry: true, SketchK: 64, Diagnose: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func goldenTimelineSnapshot(t *testing.T) *telemetry.Snapshot {
 		Effects: timeline.Effects{ThroughputFactor: 0.33, ExtraLossProb: 0.015, ExtraRTTms: 60},
 	}}}
 	res, err := session.Execute(sc, session.Options{
-		Telemetry: true, SketchK: 64, Diagnose: &diagnose.Config{},
+		Telemetry: true, SketchK: 64, Diagnose: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func goldenLiveSnapshot(t *testing.T) *telemetry.Snapshot {
 	res, err := session.Execute(workload.Scenario{
 		Seed: 5, NumSessions: 500, NumPrefixes: 120, Parallelism: 1,
 		Live: live.Config{Channels: 6, SwitchPerMin: 1},
-	}, session.Options{Telemetry: true, SketchK: 64, Diagnose: &diagnose.Config{}})
+	}, session.Options{Telemetry: true, SketchK: 64, Diagnose: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func goldenProxyScenario() workload.Scenario {
 // and the analyze detect-proxies report with its ablation.
 func TestGoldenProxy(t *testing.T) {
 	res, err := session.Execute(goldenProxyScenario(), session.Options{
-		Telemetry: true, SketchK: 64, Diagnose: &diagnose.Config{},
+		Telemetry: true, SketchK: 64, Diagnose: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -78,7 +78,6 @@ import (
 
 	"vidperf/internal/catalog"
 	"vidperf/internal/core"
-	"vidperf/internal/diagnose"
 	"vidperf/internal/experiment"
 	"vidperf/internal/logging"
 	"vidperf/internal/profiling"
@@ -328,11 +327,7 @@ func runSpec(log *slog.Logger, path string, set map[string]bool, sessions, prefi
 // runStreaming executes the campaign through per-shard telemetry
 // accumulators and writes the merged snapshot.
 func runStreaming(log *slog.Logger, sc workload.Scenario, sketchK int, diag bool, out string) {
-	opt := session.Options{Telemetry: true, SketchK: sketchK}
-	if diag {
-		opt.Diagnose = &diagnose.Config{}
-	}
-	res, err := session.Execute(sc, opt)
+	res, err := session.Execute(sc, session.Options{Telemetry: true, SketchK: sketchK, Diagnose: diag})
 	if err != nil {
 		logging.Fatal(log, "streaming run failed", slog.Any("err", err))
 	}

@@ -23,6 +23,6 @@
 // per-label QoE sketches at campaign scale (vodsim -stream -diagnose,
 // analyze diagnose, and the "diagnosis" field of experiment specs).
 //
-// See README.md for the architecture overview and DESIGN.md for the
-// system inventory and per-experiment index.
+// See README.md for the overview and ARCHITECTURE.md for the data flow,
+// package map and determinism invariants.
 package vidperf

@@ -20,7 +20,7 @@ func liveSnapshot(t *testing.T) *telemetry.Snapshot {
 		NumSessions: 800,
 		NumPrefixes: 200,
 		Live:        live.Config{Channels: 6, SwitchPerMin: 2},
-	}, session.Options{Telemetry: true, SketchK: 64, Diagnose: &diagnose.Config{}})
+	}, session.Options{Telemetry: true, SketchK: 64, Diagnose: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func TestDiagnosisByteIdenticalAcrossParallelism(t *testing.T) {
 			Seed: 7, NumSessions: 800, NumPrefixes: 200, Parallelism: parallel,
 		}
 		res, err := session.Execute(sc, session.Options{
-			Telemetry: true, SketchK: 64, Diagnose: &diagnose.Config{},
+			Telemetry: true, SketchK: 64, Diagnose: true,
 		})
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"sync"
 
-	"vidperf/internal/diagnose"
 	"vidperf/internal/session"
 	"vidperf/internal/telemetry"
 )
@@ -136,11 +135,9 @@ feed:
 // RunCell executes one cell and, when outDir is non-empty, writes its
 // labelled snapshot to outDir/Cell.FileName().
 func RunCell(spec *Spec, cell Cell, outDir string) (CellResult, error) {
-	opt := session.Options{Telemetry: true, SketchK: spec.EffectiveSketchK()}
-	if spec.Diagnosis {
-		opt.Diagnose = &diagnose.Config{}
-	}
-	run, err := session.Execute(cell.Scenario, opt)
+	run, err := session.Execute(cell.Scenario, session.Options{
+		Telemetry: true, SketchK: spec.EffectiveSketchK(), Diagnose: spec.Diagnosis,
+	})
 	if err != nil {
 		return CellResult{Cell: cell}, err
 	}

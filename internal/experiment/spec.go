@@ -257,17 +257,14 @@ func (s ScenarioSpec) Apply(base workload.Scenario) workload.Scenario {
 // merge overlays o's set fields onto s (o wins), field by field, so a
 // spec file refines its preset the same way Apply refines a scenario.
 func (s ScenarioSpec) merge(o ScenarioSpec) ScenarioSpec {
-	var raw map[string]json.RawMessage
+	// Re-decode o's set fields over a copy of s: omitempty drops o's
+	// unset fields, so only explicit values overwrite.
 	b, err := json.Marshal(o)
-	if err == nil && json.Unmarshal(b, &raw) == nil {
-		// Re-decode o's set fields over a copy of s: omitempty drops o's
-		// unset fields, so only explicit values overwrite.
-		out := s
-		if json.Unmarshal(b, &out) == nil {
-			return out
-		}
+	out := s
+	if err != nil || json.Unmarshal(b, &out) != nil {
+		return o
 	}
-	return o
+	return out
 }
 
 // decodeStrict decodes one JSON value rejecting unknown fields and

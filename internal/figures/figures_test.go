@@ -102,7 +102,7 @@ func TestScriptedFiguresDeterministic(t *testing.T) {
 // the streaming figures render from the same records the exact ones use.
 func figSnapshot() *telemetry.Snapshot {
 	ds := figDataset()
-	camp := telemetry.NewCampaign(0)
+	camp := telemetry.NewCampaignWith(telemetry.Config{})
 	for i, chunks := range ds.SessionChunks() {
 		s := ds.Sessions[i]
 		camp.Sink(s.PoP).ConsumeSession(s, chunks)

@@ -21,7 +21,7 @@ func TestStreamLiveFigure(t *testing.T) {
 		NumSessions: 600,
 		NumPrefixes: 150,
 		Live:        live.Config{Channels: 5, SwitchPerMin: 1},
-	}, session.Options{Telemetry: true, SketchK: 64, Diagnose: &diagnose.Config{}})
+	}, session.Options{Telemetry: true, SketchK: 64, Diagnose: true})
 	if err != nil {
 		t.Fatal(err)
 	}

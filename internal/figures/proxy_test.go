@@ -29,7 +29,7 @@ func proxyScenario() workload.Scenario {
 // carries the proxy-tromboned row.
 func TestStreamProxyFigure(t *testing.T) {
 	res, err := session.Execute(proxyScenario(), session.Options{
-		Telemetry: true, SketchK: 64, Diagnose: &diagnose.Config{},
+		Telemetry: true, SketchK: 64, Diagnose: true,
 	})
 	if err != nil {
 		t.Fatal(err)

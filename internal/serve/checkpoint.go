@@ -200,6 +200,11 @@ func ResumeEngine(ck *Checkpoint, rt Runtime, log *slog.Logger) (*Engine, error)
 	if err != nil {
 		return nil, err
 	}
+	// Every later window merges into the fold: reject a fold it cannot fit.
+	shape := telemetry.NewCampaignWith(telemetry.Config{SketchK: cfg.SketchK}).Snapshot()
+	if _, err := telemetry.MergeSnapshots(shape, ck.Cumulative); err != nil {
+		return nil, fmt.Errorf("serve: checkpoint fold does not fit its config: %w", err)
+	}
 	// The fold is deep-copied: the engine merges into its cumulative
 	// snapshot in place, and sharing it with the checkpoint would corrupt
 	// a second resume from the same loaded state.

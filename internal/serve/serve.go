@@ -29,7 +29,6 @@ import (
 	"sync"
 	"time"
 
-	"vidperf/internal/diagnose"
 	"vidperf/internal/session"
 	"vidperf/internal/telemetry"
 	"vidperf/internal/timeline"
@@ -266,16 +265,13 @@ func (e *Engine) runWindow(idx int) (*telemetry.Snapshot, timeline.Window, error
 		StartMS: sc.ArrivalOffsetMS,
 		EndMS:   sc.ArrivalOffsetMS + e.cfg.WindowMS,
 	}
-	opt := session.Options{
+	res, err := session.Execute(sc, session.Options{
 		Telemetry: true,
 		SketchK:   e.cfg.SketchK,
+		Diagnose:  e.cfg.Diagnose,
 		Windows:   []timeline.Window{w},
 		Progress:  &e.live,
-	}
-	if e.cfg.Diagnose {
-		opt.Diagnose = &diagnose.Config{}
-	}
-	res, err := session.Execute(sc, opt)
+	})
 	if err != nil {
 		return nil, w, fmt.Errorf("serve: window %d: %w", idx, err)
 	}

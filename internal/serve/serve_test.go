@@ -3,8 +3,10 @@ package serve_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"log/slog"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -238,4 +240,63 @@ func TestReadCheckpointRejectsCorruptState(t *testing.T) {
 			t.Errorf("ReadCheckpoint accepted %s", name)
 		}
 	}
+}
+
+// TestResumeRejectsMismatchedFold: a checkpoint whose fold has another
+// sketch k than its config fails at resume instead of panicking when the
+// first resumed window merges into the fold.
+func TestResumeRejectsMismatchedFold(t *testing.T) {
+	real, err := os.ReadFile(filepath.Join("testdata", "checkpoint.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := serve.ReadCheckpoint(bytes.NewReader(real))
+	if err != nil {
+		t.Fatalf("ReadCheckpoint: %v", err)
+	}
+	if _, err := serve.ResumeEngine(ck, serve.Runtime{}, quietLog()); err != nil {
+		t.Fatalf("ResumeEngine on the seed checkpoint: %v", err)
+	}
+	ck.Config.SketchK = 32
+	if _, err := serve.ResumeEngine(ck, serve.Runtime{}, quietLog()); err == nil {
+		t.Fatal("ResumeEngine accepted a k=64 fold under a k=32 config")
+	}
+}
+
+// FuzzReadCheckpoint: no input makes ReadCheckpoint or ResumeEngine
+// panic, and whatever ReadCheckpoint accepts re-marshals to a fixed
+// point. The first seed is the checkpoint TestCheckpointRoundTripsThroughJSON
+// writes (seed 47, two windows).
+func FuzzReadCheckpoint(f *testing.F) {
+	real, err := os.ReadFile(filepath.Join("testdata", "checkpoint.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(real)
+	f.Add([]byte(`{"schema":1,"config":{},"windows_done":1,"cumulative":{"schema":1,"sketch_k":64,"sketches":{"x":null},"histograms":{},"counters":{}}}`))
+	f.Add([]byte(`{"schema":1,"config":{"Scenario":{"ABRName":"nope"}},"windows_done":0}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ck, err := serve.ReadCheckpoint(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		// Either outcome is fine here; a panic is not. The engine does no
+		// work before Run, so this covers validation and the fold's copy.
+		_, _ = serve.ResumeEngine(ck, serve.Runtime{}, quietLog())
+		b1, err := json.Marshal(ck)
+		if err != nil {
+			t.Fatalf("decoded checkpoint does not marshal: %v", err)
+		}
+		back, err := serve.ReadCheckpoint(bytes.NewReader(b1))
+		if err != nil {
+			t.Fatalf("marshalled checkpoint does not decode: %v\n%s", err, b1)
+		}
+		b2, err := json.Marshal(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b1, b2) {
+			t.Fatalf("ReadCheckpoint → marshal is not a fixed point:\n%s\nvs\n%s", b1, b2)
+		}
+	})
 }

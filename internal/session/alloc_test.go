@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"testing"
 
-	"vidperf/internal/diagnose"
 	"vidperf/internal/telemetry"
 )
 
@@ -19,7 +18,7 @@ func telemetryMallocs(t *testing.T, sessions int) (mallocs, chunks uint64) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	res, err := Execute(sc, Options{Telemetry: true, Diagnose: &diagnose.Config{}})
+	res, err := Execute(sc, Options{Telemetry: true, Diagnose: true})
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatalf("Execute: %v", err)

@@ -31,13 +31,12 @@ type Options struct {
 	// SketchK is the quantile-sketch compaction parameter in telemetry
 	// mode (<= 0 selects telemetry.DefaultSketchK; error bound ≈ 4/k).
 	SketchK int
-	// Diagnose, when non-nil, classifies every finished session with
-	// internal/diagnose and adds the per-label cause counters and QoE
-	// sketches to the snapshot (telemetry mode only). Use
-	// &diagnose.Config{} for the default thresholds. Diagnosis happens
-	// inside each shard's accumulator, so the byte-identical-at-any-
-	// parallelism guarantee carries over to the per-label state.
-	Diagnose *diagnose.Config
+	// Diagnose classifies every finished session with internal/diagnose
+	// at its default thresholds and adds the per-label cause counters and
+	// QoE sketches to the snapshot (telemetry mode only). Diagnosis
+	// happens inside each shard's accumulator, so the byte-identical-at-
+	// any-parallelism guarantee carries over to the per-label state.
+	Diagnose bool
 	// Windows, when non-empty, overrides the report windows the campaign
 	// accumulators charge sessions to (telemetry mode only). Window
 	// bounds are on the virtual clock (i.e. they must account for
@@ -79,7 +78,7 @@ func Execute(sc workload.Scenario, opt Options) (Result, error) {
 	if opt.Sinks != nil && opt.Telemetry {
 		return Result{}, fmt.Errorf("session: Options.Sinks and Options.Telemetry are mutually exclusive (the telemetry campaign owns the sinks)")
 	}
-	if !opt.Telemetry && (opt.SketchK != 0 || opt.Diagnose != nil || opt.Windows != nil) {
+	if !opt.Telemetry && (opt.SketchK != 0 || opt.Diagnose || opt.Windows != nil) {
 		return Result{}, fmt.Errorf("session: Options.SketchK, Diagnose, and Windows configure telemetry mode; set Options.Telemetry")
 	}
 	if opt.Progress != nil {
@@ -127,13 +126,16 @@ func executeTelemetry(sc workload.Scenario, opt Options) (*telemetry.Snapshot, e
 			}
 		}
 	}
-	camp := telemetry.NewCampaignWith(telemetry.Config{
-		SketchK:  opt.SketchK,
-		Diagnose: opt.Diagnose,
-		Windows:  windows,
-		Live:     eff.Live.Enabled(),
-		Proxy:    eff.Proxy.Enabled(),
-	})
+	cfg := telemetry.Config{
+		SketchK: opt.SketchK,
+		Windows: windows,
+		Live:    eff.Live.Enabled(),
+		Proxy:   eff.Proxy.Enabled(),
+	}
+	if opt.Diagnose {
+		cfg.Diagnose = &diagnose.Config{}
+	}
+	camp := telemetry.NewCampaignWith(cfg)
 	if err := runOnPopulationWithSinks(workload.Build(sc), camp.Sink, opt.Progress); err != nil {
 		return nil, err
 	}

@@ -56,10 +56,6 @@ const (
 	CounterChunks             = "chunks" // also the base of _pop= / _cache= / _bitrate= keys
 	CounterChunksHit          = "chunks_hit"
 	CounterChunksRetryTimer   = "chunks_retry_timer"
-	// CounterSessionsUnwindowed counts sessions whose arrival fell
-	// outside every timeline window — always zero when the windows span
-	// the arrival window; non-zero breaks the -windows coverage check.
-	CounterSessionsUnwindowed = "sessions_unwindowed"
 )
 
 // histogram shapes, shared by every accumulator so snapshots merge.
@@ -111,33 +107,30 @@ type Accumulator struct {
 	// position and snapshots name them.
 	extra []namedSketch
 
-	// Diagnosis mode (see diag.go): non-nil diag classifies every
-	// consumed session; diagQoE holds its per-label sketches, indexed by
-	// the label's position in diagLabels.
-	diag    *diagnose.Config
-	diagQoE []qoeSketches
-
-	// Windowed mode (see windows.go): sessions are charged by arrival
-	// time to these timeline windows; windowQoE is indexed like windows.
-	windows   []timeline.Window
-	windowQoE []qoeSketches
-
-	// Live mode (see live.go): join-time and live-edge-lag sketches plus
-	// per-channel counters.
-	live              bool
-	joinTime, edgeLag *QuantileSketch
-
-	// Proxy mode (see proxy.go): proxied-vs-direct QoE sketches plus
-	// per-egress counters.
-	proxy                        bool
-	cvProxied, cvClear           *QuantileSketch
-	startupProxied, startupClear *QuantileSketch
+	// fams are the optional families the Config enables, in
+	// NewAccumulatorWith's order.
+	fams []family
 }
 
-// Config assembles an accumulator's optional modes next to its sketch
-// parameter: per-session diagnosis (nil = off) and timeline-window
-// attribution (nil = off). The zero value is a plain accumulator with
-// the default sketch parameter.
+// family is one optional aggregate family: diagnosis (diag.go), timeline
+// windows (windows.go), live (live.go) or proxy (proxy.go). Its
+// constructor registers every sketch it keeps through addSketch, so its
+// whole shape exists before the first session and empty shards still
+// merge and snapshot deterministically.
+type family interface {
+	// consume folds one finished session. The record comes by value: a
+	// pointer through this interface call would move every folded record
+	// to the heap.
+	consume(s core.SessionRecord, chunks []core.ChunkRecord)
+	// counterName names one of the family's own dimensioned counters.
+	counterName(k counterKey) string
+	// annotate adds the family's own fields to a snapshot.
+	annotate(sn *Snapshot)
+}
+
+// Config assembles an accumulator's optional families next to its sketch
+// parameter. The zero value is a plain accumulator with the default
+// sketch parameter.
 type Config struct {
 	// SketchK is the quantile-sketch compaction parameter (<= 0 selects
 	// DefaultSketchK).
@@ -156,42 +149,41 @@ type Config struct {
 	Proxy bool
 }
 
-// NewAccumulator returns an empty accumulator. Dimension counters key on
-// each record's own PoP/org/cache fields, so one accumulator serves one
-// shard or a whole merged campaign alike. k is the quantile-sketch
-// compaction parameter (<= 0 selects DefaultSketchK).
-func NewAccumulator(k int) *Accumulator {
+// NewAccumulatorWith returns an empty accumulator with the configured
+// optional families. Dimension counters key on each record's own
+// PoP/org/cache fields, so one accumulator serves one shard or a whole
+// merged campaign alike. The families consume in the order built here,
+// so windows read the label diagnosis has just assigned.
+func NewAccumulatorWith(cfg Config) *Accumulator {
 	a := &Accumulator{
-		k:            k,
+		k:            cfg.SketchK,
 		startupHist:  NewHistogram(0, startupHistMaxMS, startupHistBins),
 		rebufferHist: NewHistogram(0, 1, rebufHistBins),
 		counts:       map[counterKey]uint64{},
+		fams:         make([]family, 0, 4),
 	}
 	for i := range a.core {
-		a.core[i] = *NewSketch(k)
+		a.core[i] = *NewSketch(cfg.SketchK)
 	}
-	return a
-}
-
-// NewAccumulatorWith returns an accumulator with the configured optional
-// modes enabled (per-session diagnosis, timeline windows).
-func NewAccumulatorWith(cfg Config) *Accumulator {
-	a := NewAccumulator(cfg.SketchK)
+	var diag *diagFamily
 	if cfg.Diagnose != nil {
-		a.enableDiagnosis(*cfg.Diagnose)
+		diag = newDiagFamily(a, *cfg.Diagnose)
+		a.fams = append(a.fams, diag)
 	}
-	a.enableWindows(cfg.Windows)
+	if len(cfg.Windows) > 0 {
+		a.fams = append(a.fams, newWindowFamily(a, cfg.Windows, diag))
+	}
 	if cfg.Live {
-		a.enableLive()
+		a.fams = append(a.fams, newLiveFamily(a))
 	}
 	if cfg.Proxy {
-		a.enableProxy()
+		a.fams = append(a.fams, newProxyFamily(a))
 	}
 	return a
 }
 
 // addSketch creates one optional-family sketch under its canonical name.
-// Call it only from the enable* methods, before the first ConsumeSession.
+// Call it only from a family constructor.
 func (a *Accumulator) addSketch(name string) *QuantileSketch {
 	sk := NewSketch(a.k)
 	a.extra = append(a.extra, namedSketch{name: name, sk: sk})
@@ -206,6 +198,11 @@ func (a *Accumulator) addQoE(key func(base string) string) qoeSketches {
 		bitrate:  a.addSketch(key(MetricAvgBitrateKbps)),
 	}
 }
+
+// nextFamily returns the tag the family being built counts its own
+// dimensioned counters under: famFamily plus its position in fams, as
+// NewAccumulatorWith appends each family right after constructing it.
+func (a *Accumulator) nextFamily() counterFamily { return famFamily + counterFamily(len(a.fams)) }
 
 // ConsumeSession implements core.RecordSink: it folds one finished
 // session and its chunks into the aggregates and retains nothing.
@@ -223,18 +220,8 @@ func (a *Accumulator) ConsumeSession(s core.SessionRecord, chunks []core.ChunkRe
 	}
 	a.core[slotRebuffer].Add(s.RebufferRate)
 	a.rebufferHist.Add(s.RebufferRate)
-	diagLabel := ""
-	if a.diag != nil {
-		diagLabel = a.consumeDiagnosis(&s, chunks)
-	}
-	if len(a.windows) > 0 {
-		a.consumeWindow(&s, diagLabel)
-	}
-	if a.live {
-		a.consumeLive(&s)
-	}
-	if a.proxy {
-		a.consumeProxy(&s)
+	for _, f := range a.fams {
+		f.consume(s, chunks)
 	}
 
 	// The session's chunks share its PoP, so the undimensioned and per-PoP
@@ -306,30 +293,30 @@ func (a *Accumulator) snapshot() *Snapshot {
 	for _, ns := range a.extra {
 		sketches[ns.name] = ns.sk
 	}
-	return &Snapshot{
+	sn := &Snapshot{
 		Schema:   SnapshotSchema,
 		SketchK:  NewSketch(a.k).K(),
-		Windows:  a.windows,
 		Sketches: sketches,
 		Histograms: map[string]*Histogram{
 			MetricStartupMS:    a.startupHist,
 			MetricRebufferRate: a.rebufferHist,
 		},
-		Counters: a.counterMap(),
+		Counters: make(map[string]uint64, len(a.counts)),
 	}
-}
-
-// counterMap materializes the counters under their canonical string keys.
-func (a *Accumulator) counterMap() map[string]uint64 {
-	out := make(map[string]uint64, len(a.counts))
 	for k, n := range a.counts {
-		out[a.counterName(k)] += n
+		sn.Counters[a.counterName(k)] += n
 	}
-	return out
+	for _, f := range a.fams {
+		f.annotate(sn)
+	}
+	return sn
 }
 
 // counterName builds the canonical string key of one counter.
 func (a *Accumulator) counterName(k counterKey) string {
+	if k.fam >= famFamily {
+		return a.fams[k.fam-famFamily].counterName(k)
+	}
 	switch k.fam {
 	case famSessionsPoP:
 		return IntDimKey(CounterSessions, "pop", k.num)
@@ -343,16 +330,6 @@ func (a *Accumulator) counterName(k counterKey) string {
 		return IntDimKey(CounterChunks, "bitrate", k.num)
 	case famChunksHitPoP:
 		return IntDimKey(CounterChunksHit, "pop", k.num)
-	case famSessionsDiag:
-		return DiagSessionsKey(diagnose.Label(k.str))
-	case famSessionsWindow:
-		return WindowSessionsKey(a.windows[k.num].Name)
-	case famSessionsWindowDiag:
-		return WindowDiagSessionsKey(a.windows[k.num].Name, k.str)
-	case famSessionsChannel:
-		return LiveChannelSessionsKey(k.num)
-	case famSessionsEgress:
-		return ProxyEgressSessionsKey(k.num)
 	}
 	return k.str
 }
@@ -368,25 +345,10 @@ type Campaign struct {
 	accs []*Accumulator
 }
 
-// NewCampaign returns an empty campaign with the given sketch parameter
-// (<= 0 selects DefaultSketchK).
-func NewCampaign(k int) *Campaign {
-	return NewCampaignWith(Config{SketchK: k})
-}
-
 // NewCampaignWith returns an empty campaign whose per-PoP accumulators
-// run in the configured modes (diagnosis and/or timeline windows).
+// run with the configured optional families.
 func NewCampaignWith(cfg Config) *Campaign {
-	if cfg.Diagnose != nil {
-		withDefaults := cfg.Diagnose.WithDefaults()
-		cfg.Diagnose = &withDefaults
-	}
 	return &Campaign{cfg: cfg}
-}
-
-// newAccumulator builds one shard accumulator in the campaign's mode.
-func (c *Campaign) newAccumulator() *Accumulator {
-	return NewAccumulatorWith(c.cfg)
 }
 
 // Sink returns a fresh accumulator for one shard. Every call gets its own
@@ -398,7 +360,7 @@ func (c *Campaign) newAccumulator() *Accumulator {
 func (c *Campaign) Sink(popID int) core.RecordSink {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	a := c.newAccumulator()
+	a := NewAccumulatorWith(c.cfg)
 	c.accs = append(c.accs, a)
 	return a
 }
@@ -408,7 +370,7 @@ func (c *Campaign) Sink(popID int) core.RecordSink {
 func (c *Campaign) Snapshot() *Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	merged := c.newAccumulator()
+	merged := NewAccumulatorWith(c.cfg)
 	for _, a := range c.accs {
 		merged.Merge(a)
 	}

@@ -17,18 +17,16 @@ import (
 type counterFamily uint8
 
 const (
-	famPlain              counterFamily = iota // undimensioned; str is the counter name
-	famSessionsPoP                             // sessions_pop=<num>
-	famSessionsOrg                             // sessions_org=<str>
-	famChunksPoP                               // chunks_pop=<num>
-	famChunksCache                             // chunks_cache=<str>
-	famChunksBitrate                           // chunks_bitrate=<num>
-	famChunksHitPoP                            // chunks_hit_pop=<num>
-	famSessionsDiag                            // sessions_diag=<str>
-	famSessionsWindow                          // sessions_window=<name of window num>
-	famSessionsWindowDiag                      // sessions_window=<name of window num>_diag=<str>
-	famSessionsChannel                         // sessions_channel=<num>
-	famSessionsEgress                          // sessions_egress=<num>
+	famPlain         counterFamily = iota // undimensioned; str is the counter name
+	famSessionsPoP                        // sessions_pop=<num>
+	famSessionsOrg                        // sessions_org=<str>
+	famChunksPoP                          // chunks_pop=<num>
+	famChunksCache                        // chunks_cache=<str>
+	famChunksBitrate                      // chunks_bitrate=<num>
+	famChunksHitPoP                       // chunks_hit_pop=<num>
+	// famFamily+i tags the dimensioned counters of an accumulator's i-th
+	// optional family, which names them itself.
+	famFamily
 )
 
 // counterKey identifies one counter without building its string: the

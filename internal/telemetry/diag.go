@@ -7,6 +7,8 @@
 package telemetry
 
 import (
+	"slices"
+
 	"vidperf/internal/core"
 	"vidperf/internal/diagnose"
 )
@@ -36,36 +38,36 @@ func DiagSketchKey(base string, label diagnose.Label) string {
 // sketch slot.
 var diagLabels = diagnose.Labels()
 
-// diagSlot returns the label's position in diagLabels.
-func diagSlot(l diagnose.Label) int {
-	for i, x := range diagLabels {
-		if x == l {
-			return i
-		}
-	}
-	panic("telemetry: unknown diagnosis label " + string(l))
+// diagFamily classifies every consumed session and folds it into the
+// per-label state.
+type diagFamily struct {
+	cfg    diagnose.Config
+	counts map[counterKey]uint64
+	fam    counterFamily
+	qoe    []qoeSketches // indexed like diagLabels
+	// label is the label of the session consumed last, which the windows
+	// family crosses with the session's arrival window.
+	label diagnose.Label
 }
 
-// enableDiagnosis switches the accumulator into diagnosis mode: every
-// consumed session is classified and folded into the per-label state.
-// Call before the first ConsumeSession; the per-label sketches are
-// created eagerly so empty labels still merge and snapshot
-// deterministically.
-func (a *Accumulator) enableDiagnosis(cfg diagnose.Config) {
-	c := cfg.WithDefaults()
-	a.diag = &c
-	a.diagQoE = make([]qoeSketches, len(diagLabels))
+// newDiagFamily creates the per-label sketches of every label, empty or
+// not.
+func newDiagFamily(a *Accumulator, cfg diagnose.Config) *diagFamily {
+	f := &diagFamily{cfg: cfg, counts: a.counts, fam: a.nextFamily(), qoe: make([]qoeSketches, len(diagLabels))}
 	for i, l := range diagLabels {
-		a.diagQoE[i] = a.addQoE(func(base string) string { return DiagSketchKey(base, l) })
+		f.qoe[i] = a.addQoE(func(base string) string { return DiagSketchKey(base, l) })
 	}
+	return f
 }
 
-// consumeDiagnosis classifies one finished session, folds its QoE into
-// the label's counters and sketches, and returns the label so windowed
-// mode can cross it with the session's arrival window.
-func (a *Accumulator) consumeDiagnosis(s *core.SessionRecord, chunks []core.ChunkRecord) string {
-	label := diagnose.Classify(*s, chunks, *a.diag).Label
-	a.counts[counterKey{fam: famSessionsDiag, str: string(label)}]++
-	a.diagQoE[diagSlot(label)].add(s)
-	return string(label)
+func (f *diagFamily) consume(s core.SessionRecord, chunks []core.ChunkRecord) {
+	f.label = diagnose.Classify(s, chunks, f.cfg).Label
+	f.counts[counterKey{fam: f.fam, str: string(f.label)}]++
+	f.qoe[slices.Index(diagLabels, f.label)].add(&s)
 }
+
+func (f *diagFamily) counterName(k counterKey) string {
+	return DiagSessionsKey(diagnose.Label(k.str))
+}
+
+func (f *diagFamily) annotate(*Snapshot) {}

@@ -33,27 +33,21 @@
 // one, cmd/analyze -snapshot reads one, and internal/analysis's Stream*
 // functions compute the sketch-backed counterparts of the exact analyses).
 //
-// # Diagnosis mode
+// # Optional families
 //
-// NewCampaignWith (or NewAccumulatorWith) with a non-nil Config.Diagnose
-// additionally classifies every
-// consumed session with internal/diagnose (a pure function of the
-// session's records, so the determinism rule is preserved) and maintain
-// one exact session counter ("sessions_diag=<label>") plus per-label
-// startup/re-buffering/bitrate sketches ("startup_ms_diag=<label>", …)
-// per diagnosis label — the state behind cmd/analyze -diagnose and the
-// diag_share_* rows of the A/B comparison.
-//
-// # Windowed mode
-//
-// NewCampaignWith with a Windows list (derived from a scenario's
-// timeline, internal/timeline) additionally charges every consumed
-// session — by its arrival time, a value fixed at planning, so the
-// determinism rule is preserved — to one named timeline window: one
-// exact session counter ("sessions_window=<name>"), per-window QoE
-// sketches ("startup_ms_window=<name>", …), and, with diagnosis on too,
-// per-window per-label counters
-// ("sessions_window=<name>_diag=<label>"). This is the state behind
-// cmd/analyze -windows: QoE before/during/after an injected fault,
-// without ever materializing a record.
+// Everything a campaign folds beyond the core aggregates comes from an
+// optional family, one file each: per-session diagnosis (diag.go, the
+// state behind cmd/analyze -diagnose), timeline windows (windows.go,
+// behind cmd/analyze -windows), live (live.go) and proxy (proxy.go). A
+// family is a private type implementing the family interface. Its
+// constructor registers its sketches through addSketch, so its whole
+// shape exists before the first session; consume folds one finished
+// session; at snapshot time it names its own dimensioned counters and
+// adds its own snapshot fields (the window list). NewAccumulatorWith
+// builds the families the Config enables, in the order diagnosis,
+// windows, live, proxy, and wires the one rule that crosses families:
+// the windows family reads the label the diagnosis family has just
+// assigned, for the per-window cause counters. Every family folds only
+// values fixed by the session's own records, so the determinism rule
+// holds for its state too.
 package telemetry

@@ -37,26 +37,37 @@ func LiveChannelSessionsKey(ch int) string {
 	return IntDimKey(CounterSessions, LiveChannelDim, ch)
 }
 
-// enableLive switches the accumulator into live mode. Call before the
-// first ConsumeSession; the sketches are created eagerly so empty
-// shards still merge and snapshot deterministically.
-func (a *Accumulator) enableLive() {
-	a.live = true
-	a.joinTime = a.addSketch(MetricJoinTimeMS)
-	a.edgeLag = a.addSketch(MetricLiveEdgeLagMS)
+// liveFamily folds finished live sessions into the live aggregates.
+type liveFamily struct {
+	counts            map[counterKey]uint64
+	fam               counterFamily
+	joinTime, edgeLag *QuantileSketch
 }
 
-// consumeLive folds one finished live session into the live aggregates.
-// The switch counter is added even when the session never switched, so
-// a live campaign always reports live_switches, if only as zero.
-func (a *Accumulator) consumeLive(s *core.SessionRecord) {
+func newLiveFamily(a *Accumulator) *liveFamily {
+	return &liveFamily{
+		counts:   a.counts,
+		fam:      a.nextFamily(),
+		joinTime: a.addSketch(MetricJoinTimeMS),
+		edgeLag:  a.addSketch(MetricLiveEdgeLagMS),
+	}
+}
+
+// consume counts a live session under its channel. The switch counter
+// is added even when the session never switched, so a live campaign
+// always reports live_switches, if only as zero.
+func (f *liveFamily) consume(s core.SessionRecord, _ []core.ChunkRecord) {
 	if !s.Live {
 		return
 	}
-	a.counts[counterKey{fam: famSessionsChannel, num: s.LiveChannel}]++
-	a.counts[plainKey(CounterLiveSwitches)] += uint64(s.LiveSwitches)
+	f.counts[counterKey{fam: f.fam, num: s.LiveChannel}]++
+	f.counts[plainKey(CounterLiveSwitches)] += uint64(s.LiveSwitches)
 	if !math.IsNaN(s.StartupMS) {
-		a.joinTime.Add(s.StartupMS)
+		f.joinTime.Add(s.StartupMS)
 	}
-	a.edgeLag.Add(s.LiveEdgeLagMS)
+	f.edgeLag.Add(s.LiveEdgeLagMS)
 }
+
+func (f *liveFamily) counterName(k counterKey) string { return LiveChannelSessionsKey(k.num) }
+
+func (f *liveFamily) annotate(*Snapshot) {}

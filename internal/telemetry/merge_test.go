@@ -2,7 +2,10 @@ package telemetry
 
 import (
 	"bytes"
+	"strings"
 	"testing"
+
+	"vidperf/internal/diagnose"
 )
 
 func snapshotBytesOf(t *testing.T, sn *Snapshot) []byte {
@@ -107,43 +110,86 @@ func TestMergeSnapshotsRejectsMismatchedShapes(t *testing.T) {
 	}
 }
 
-// TestWithoutWindowsMatchesUnwindowedRun pins the identity serve's
-// cumulative fold stands on: a windowed run's snapshot, with every
-// window-keyed entry stripped, is byte-identical to the snapshot the
-// same record stream produces with no windows configured at all.
+// TestWithoutWindowsMatchesUnwindowedRun pins that the output-only
+// families only observe: with the family's keys stripped, a run's
+// snapshot is byte-identical to the snapshot the same record stream
+// produces without the family. For windows this is the identity serve's
+// cumulative fold stands on (WithoutWindows); diagnosis must hold it
+// too, alone and crossed with windows.
 func TestWithoutWindowsMatchesUnwindowedRun(t *testing.T) {
-	windowed := NewAccumulatorWith(Config{SketchK: 32, Windows: testWindows()})
-	plain := NewAccumulatorWith(Config{SketchK: 32})
-	for id := uint64(1); id <= 30; id++ {
-		rec := windowSession(id, float64(id*90), float64(300+id*15))
-		windowed.ConsumeSession(rec, nil)
-		plain.ConsumeSession(rec, nil)
-	}
-	wsn := windowed.snapshot()
-	if len(wsn.Windows) == 0 {
-		t.Fatal("windowed snapshot carries no window list")
-	}
-	stripped := WithoutWindows(wsn)
-	if stripped.Windows != nil {
-		t.Fatal("WithoutWindows kept the window list")
-	}
-	if !bytes.Equal(snapshotBytesOf(t, stripped), snapshotBytesOf(t, plain.snapshot())) {
-		t.Fatal("window-stripped snapshot differs from the unwindowed run")
-	}
-	for name := range stripped.Sketches {
-		if containsWindowMark(name) {
-			t.Errorf("window-keyed sketch %q survived stripping", name)
+	diagMark := "_" + DiagDim + "="
+	withoutDiag := func(s *Snapshot) *Snapshot {
+		out := *s
+		out.Sketches = map[string]*QuantileSketch{}
+		out.Counters = map[string]uint64{}
+		for name, sk := range s.Sketches {
+			if !strings.Contains(name, diagMark) {
+				out.Sketches[name] = sk
+			}
 		}
-	}
-	for name := range stripped.Counters {
-		if containsWindowMark(name) {
-			t.Errorf("window-keyed counter %q survived stripping", name)
+		for name, n := range s.Counters {
+			if !strings.Contains(name, diagMark) {
+				out.Counters[name] = n
+			}
 		}
+		return &out
+	}
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		strip func(*Snapshot) *Snapshot
+		marks []string
+	}{
+		{"windows", Config{Windows: testWindows()}, WithoutWindows, []string{windowKeyMark}},
+		{"diagnosis", Config{Diagnose: &diagnose.Config{}}, withoutDiag, []string{diagMark}},
+		{"windows+diagnosis", Config{Windows: testWindows(), Diagnose: &diagnose.Config{}},
+			func(s *Snapshot) *Snapshot { return withoutDiag(WithoutWindows(s)) },
+			[]string{windowKeyMark, diagMark}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.SketchK = 32
+			with := NewAccumulatorWith(tc.cfg)
+			plain := NewAccumulatorWith(Config{SketchK: 32})
+			_, chunks := foldSession()
+			for id := uint64(1); id <= 30; id++ {
+				rec := windowSession(id, float64(id*90), float64(300+id*15))
+				rec.RebufferRate = float64(id%4) * 0.05
+				cs := chunks[:id%uint64(len(chunks))]
+				with.ConsumeSession(rec, cs)
+				plain.ConsumeSession(rec, cs)
+			}
+			sn := with.snapshot()
+			for _, mark := range tc.marks {
+				if !hasKeyWith(sn, mark) {
+					t.Fatalf("run carries no %q key", mark)
+				}
+			}
+			stripped := tc.strip(sn)
+			if !bytes.Equal(snapshotBytesOf(t, stripped), snapshotBytesOf(t, plain.snapshot())) {
+				t.Fatal("stripped snapshot differs from the run without the family")
+			}
+			for _, mark := range tc.marks {
+				if hasKeyWith(stripped, mark) {
+					t.Errorf("a %q key survived stripping", mark)
+				}
+			}
+		})
 	}
 }
 
-func containsWindowMark(name string) bool {
-	return bytes.Contains([]byte(name), []byte(windowKeyMark))
+// hasKeyWith reports whether any sketch or counter key contains mark.
+func hasKeyWith(s *Snapshot, mark string) bool {
+	for name := range s.Sketches {
+		if strings.Contains(name, mark) {
+			return true
+		}
+	}
+	for name := range s.Counters {
+		if strings.Contains(name, mark) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestSnapshotVirtualMSRoundTrip: the serve-mode stamp survives the wire

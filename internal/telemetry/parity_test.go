@@ -45,7 +45,7 @@ var (
 func parityRun(t *testing.T) (*core.Dataset, *telemetry.Snapshot) {
 	t.Helper()
 	parityOnce.Do(func() {
-		camp := telemetry.NewCampaign(0)
+		camp := telemetry.NewCampaignWith(telemetry.Config{})
 		var col core.Collector
 		_, err := session.Execute(parityScenario(), session.Options{Sinks: func(popID int) core.RecordSink {
 			ds := &core.Dataset{}
@@ -273,7 +273,7 @@ func TestStreamingByteIdentical(t *testing.T) {
 			Catalog:     catalog.Config{NumVideos: 800},
 			Parallelism: par,
 		}
-		camp := telemetry.NewCampaign(0)
+		camp := telemetry.NewCampaignWith(telemetry.Config{})
 		if _, err := session.Execute(sc, session.Options{Sinks: camp.Sink}); err != nil {
 			t.Fatalf("Execute(par=%d): %v", par, err)
 		}

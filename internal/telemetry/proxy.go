@@ -46,33 +46,45 @@ var proxyMetricNames = []string{
 	MetricStartupProxied, MetricStartupClear,
 }
 
-// enableProxy switches the accumulator into proxy mode. Call before the
-// first ConsumeSession; the sketches are created eagerly so empty
-// shards still merge and snapshot deterministically.
-func (a *Accumulator) enableProxy() {
-	a.proxy = true
-	a.cvProxied = a.addSketch(MetricSRTTCVProxied)
-	a.cvClear = a.addSketch(MetricSRTTCVClear)
-	a.startupProxied = a.addSketch(MetricStartupProxied)
-	a.startupClear = a.addSketch(MetricStartupClear)
+// proxyFamily folds every finished session into the proxied-vs-direct
+// aggregates.
+type proxyFamily struct {
+	counts                       map[counterKey]uint64
+	fam                          counterFamily
+	cvProxied, cvClear           *QuantileSketch
+	startupProxied, startupClear *QuantileSketch
 }
 
-// consumeProxy folds one finished session into the proxied-vs-direct
-// aggregates. Proxied/ProxyCohort are the model's ground-truth labels —
+func newProxyFamily(a *Accumulator) *proxyFamily {
+	return &proxyFamily{
+		counts:         a.counts,
+		fam:            a.nextFamily(),
+		cvProxied:      a.addSketch(MetricSRTTCVProxied),
+		cvClear:        a.addSketch(MetricSRTTCVClear),
+		startupProxied: a.addSketch(MetricStartupProxied),
+		startupClear:   a.addSketch(MetricStartupClear),
+	}
+}
+
+// consume reads Proxied/ProxyCohort, the model's ground-truth labels:
 // telemetry may read them (it is scoring infrastructure, not a
 // detector); only internal/proxydetect is barred from them.
-func (a *Accumulator) consumeProxy(s *core.SessionRecord) {
-	cv, startup := a.cvClear, a.startupClear
+func (f *proxyFamily) consume(s core.SessionRecord, _ []core.ChunkRecord) {
+	cv, startup := f.cvClear, f.startupClear
 	if s.Proxied {
-		cv, startup = a.cvProxied, a.startupProxied
-		a.counts[plainKey(CounterSessionsProxied)]++
-		a.counts[counterKey{fam: famSessionsEgress, num: s.ProxyCohort}]++
+		cv, startup = f.cvProxied, f.startupProxied
+		f.counts[plainKey(CounterSessionsProxied)]++
+		f.counts[counterKey{fam: f.fam, num: s.ProxyCohort}]++
 	}
 	if s.IPMismatch() {
-		a.counts[plainKey(CounterSessionsIPMismatch)]++
+		f.counts[plainKey(CounterSessionsIPMismatch)]++
 	}
 	cv.Add(s.SRTTCV)
 	if !math.IsNaN(s.StartupMS) {
 		startup.Add(s.StartupMS)
 	}
 }
+
+func (f *proxyFamily) counterName(k counterKey) string { return ProxyEgressSessionsKey(k.num) }
+
+func (f *proxyFamily) annotate(*Snapshot) {}

@@ -281,10 +281,10 @@ func TestCounterDimensions(t *testing.T) {
 		}
 		return core.SessionRecord{PoP: pop}, cs
 	}
-	a := NewAccumulator(32)
+	a := NewAccumulatorWith(Config{SketchK: 32})
 	a.ConsumeSession(session(3, 2, "ram"))
 	a.ConsumeSession(session(10, 1, "ram"))
-	o := NewAccumulator(32)
+	o := NewAccumulatorWith(Config{SketchK: 32})
 	o.ConsumeSession(session(3, 5, "disk"))
 	a.Merge(o)
 	counters := a.snapshot().Counters

@@ -37,34 +37,55 @@ func WindowDiagSessionsKey(window, label string) string {
 	return DimKey(WindowSessionsKey(window), DiagDim, label)
 }
 
-// enableWindows switches the accumulator into windowed mode: every
-// consumed session is charged to the window containing its arrival time.
-// Call before the first ConsumeSession; per-window sketches are created
-// eagerly so empty windows still merge and snapshot deterministically.
-func (a *Accumulator) enableWindows(ws []timeline.Window) {
-	if len(ws) == 0 {
-		return
-	}
-	a.windows = append([]timeline.Window(nil), ws...)
-	a.windowQoE = make([]qoeSketches, len(a.windows))
-	for i, w := range a.windows {
-		a.windowQoE[i] = a.addQoE(func(base string) string { return WindowSketchKey(base, w.Name) })
-	}
+// CounterSessionsUnwindowed counts sessions whose arrival fell outside
+// every timeline window — always zero when the windows span the arrival
+// window; non-zero breaks the -windows coverage check.
+const CounterSessionsUnwindowed = "sessions_unwindowed"
+
+// windowFamily charges every consumed session to the window containing
+// its arrival time.
+type windowFamily struct {
+	windows []timeline.Window
+	counts  map[counterKey]uint64
+	fam     counterFamily
+	qoe     []qoeSketches // indexed like windows
+	diag    *diagFamily   // nil unless diagnosis labels the sessions too
 }
 
-// consumeWindow charges one finished session to its arrival window.
-func (a *Accumulator) consumeWindow(s *core.SessionRecord, diagLabel string) {
-	i := timeline.WindowAt(a.windows, s.ArrivalMS)
+// newWindowFamily creates the per-window sketches of every window,
+// empty or not.
+func newWindowFamily(a *Accumulator, ws []timeline.Window, diag *diagFamily) *windowFamily {
+	f := &windowFamily{windows: append([]timeline.Window(nil), ws...), counts: a.counts, fam: a.nextFamily(), diag: diag}
+	f.qoe = make([]qoeSketches, len(f.windows))
+	for i, w := range f.windows {
+		f.qoe[i] = a.addQoE(func(base string) string { return WindowSketchKey(base, w.Name) })
+	}
+	return f
+}
+
+// consume charges one finished session to its arrival window. Its
+// counters key on the window index, plus the label for cause counters.
+func (f *windowFamily) consume(s core.SessionRecord, _ []core.ChunkRecord) {
+	i := timeline.WindowAt(f.windows, s.ArrivalMS)
 	if i < 0 {
 		// Arrivals outside every window (possible only if the windows do
 		// not span the arrival window) are counted so the coverage
 		// invariant surfaces the gap instead of hiding it.
-		a.counts[plainKey(CounterSessionsUnwindowed)]++
+		f.counts[plainKey(CounterSessionsUnwindowed)]++
 		return
 	}
-	a.counts[counterKey{fam: famSessionsWindow, num: i}]++
-	a.windowQoE[i].add(s)
-	if diagLabel != "" {
-		a.counts[counterKey{fam: famSessionsWindowDiag, num: i, str: diagLabel}]++
+	f.counts[counterKey{fam: f.fam, num: i}]++
+	f.qoe[i].add(&s)
+	if f.diag != nil {
+		f.counts[counterKey{fam: f.fam, num: i, str: string(f.diag.label)}]++
 	}
 }
+
+func (f *windowFamily) counterName(k counterKey) string {
+	if k.str == "" {
+		return WindowSessionsKey(f.windows[k.num].Name)
+	}
+	return WindowDiagSessionsKey(f.windows[k.num].Name, k.str)
+}
+
+func (f *windowFamily) annotate(sn *Snapshot) { sn.Windows = f.windows }
