@@ -72,8 +72,11 @@ func CompareSnapshots(a, b *telemetry.Snapshot) SnapshotComparison {
 	for _, name := range names {
 		sa, sb := a.Sketch(name), b.Sketch(name)
 		md := MetricDelta{Name: name, NA: sa.N(), NB: sb.N()}
-		for _, q := range CompareQuantiles {
-			qa, qb := sa.Quantile(q), sb.Quantile(q)
+		qas, qbs := make([]float64, len(CompareQuantiles)), make([]float64, len(CompareQuantiles))
+		sa.Quantiles(CompareQuantiles, qas)
+		sb.Quantiles(CompareQuantiles, qbs)
+		for i, q := range CompareQuantiles {
+			qa, qb := qas[i], qbs[i]
 			d := QuantileDelta{Q: q, A: qa, B: qb, Delta: qb - qa, RelDelta: math.NaN()}
 			if !math.IsNaN(d.Delta) && qa != 0 {
 				d.RelDelta = d.Delta / math.Abs(qa)

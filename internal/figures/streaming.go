@@ -12,15 +12,19 @@ import (
 	"vidperf/internal/telemetry"
 )
 
+// sketchLineQuantiles are the columns sketchLine renders.
+var sketchLineQuantiles = []float64{0.10, 0.25, 0.50, 0.75, 0.90, 0.99}
+
 // sketchLine renders a quantile sketch as the same quantile columns
 // cdfLine uses for exact ECDFs.
 func sketchLine(label string, s *telemetry.QuantileSketch) string {
 	if s == nil || s.N() == 0 {
 		return fmt.Sprintf("%-22s (no samples)", label)
 	}
+	var q [6]float64
+	s.Quantiles(sketchLineQuantiles, q[:])
 	return fmt.Sprintf("%-22s n=%-7d p10=%-9.3g p25=%-9.3g p50=%-9.3g p75=%-9.3g p90=%-9.3g p99=%-9.3g",
-		label, s.N(), s.Quantile(0.10), s.Quantile(0.25), s.Quantile(0.50),
-		s.Quantile(0.75), s.Quantile(0.90), s.Quantile(0.99))
+		label, s.N(), q[0], q[1], q[2], q[3], q[4], q[5])
 }
 
 // StreamCDN is the sketch-backed Fig. 5: the CDN latency breakdown with

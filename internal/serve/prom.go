@@ -124,8 +124,10 @@ func (e *Engine) writeMetrics(w io.Writer) {
 func writeSummary(w io.Writer, name, help string, sk *telemetry.QuantileSketch, h *telemetry.Histogram) {
 	writeFamily(w, name, "summary", help)
 	if sk != nil && sk.N() > 0 {
-		for _, q := range summaryQuantiles {
-			writeSample(w, name, [][2]string{{"quantile", fmt.Sprintf("%g", q)}}, sk.Quantile(q))
+		vals := make([]float64, len(summaryQuantiles))
+		sk.Quantiles(summaryQuantiles, vals)
+		for i, q := range summaryQuantiles {
+			writeSample(w, name, [][2]string{{"quantile", fmt.Sprintf("%g", q)}}, vals[i])
 		}
 	}
 	var sum float64

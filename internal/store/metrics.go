@@ -113,13 +113,15 @@ func extractQuantiles(sn *telemetry.Snapshot, out map[string]float64) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	vals := make([]float64, len(Quantiles))
 	for _, name := range names {
 		sk := sn.Sketch(name)
 		if sk.N() == 0 {
 			continue
 		}
-		for _, q := range Quantiles {
-			out[QuantileMetric(name, q)] = sk.Quantile(q)
+		sk.Quantiles(Quantiles, vals)
+		for i, q := range Quantiles {
+			out[QuantileMetric(name, q)] = vals[i]
 		}
 	}
 }

@@ -233,6 +233,28 @@ func TestIngestSnapshotFileLooseCell(t *testing.T) {
 	}
 }
 
+// TestBaselineSweepIngestsToCommittedStore: ingesting ci/baseline-sweep
+// as sweep "fresh" writes testdata/zipf-sweep-store.json byte for byte,
+// which pins every bit of the read path: snapshot decode, quantile
+// extraction and the store's encoding.
+func TestBaselineSweepIngestsToCommittedStore(t *testing.T) {
+	s := New()
+	if _, err := s.IngestDir("fresh", filepath.Join("..", "..", "ci", "baseline-sweep")); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := s.Write(&got); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "zipf-sweep-store.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("store ingested from ci/baseline-sweep differs from testdata/zipf-sweep-store.json:\n%s", got.Bytes())
+	}
+}
+
 // FuzzStoreLoad feeds Load arbitrary bytes. Load must return an error
 // rather than panic, and a store it accepts must write bytes that load
 // back into a store writing the same bytes (Load → Write → Load is a

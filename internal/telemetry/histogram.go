@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Histogram is a fixed-bin histogram over [lo, hi) with underflow and
@@ -146,32 +147,47 @@ type histWire struct {
 	Sum    float64  `json:"sum"`
 }
 
-// MarshalJSON encodes the full histogram state.
-func (h *Histogram) MarshalJSON() ([]byte, error) {
-	return json.Marshal(histWire{
+// wire returns the histogram's JSON form, which shares its counts.
+func (h *Histogram) wire() histWire {
+	return histWire{
 		Lo: h.lo, Hi: h.hi, Counts: h.counts,
 		Under: h.under, Over: h.over, N: h.n, Sum: h.sum,
-	})
+	}
 }
 
-// UnmarshalJSON restores a histogram written by MarshalJSON.
+// MarshalJSON encodes the full histogram state.
+func (h *Histogram) MarshalJSON() ([]byte, error) {
+	return json.Marshal(h.wire())
+}
+
+// fromWire sets h to the state w encodes, taking w's counts. It rejects
+// an empty range or bin list, and counts that do not sum to n (a sum
+// past 2^64 included).
+func (h *Histogram) fromWire(w *histWire) error {
+	if w.Hi <= w.Lo || len(w.Counts) == 0 {
+		return fmt.Errorf("telemetry: bad histogram shape [%g,%g)/%d", w.Lo, w.Hi, len(w.Counts))
+	}
+	held, carry := bits.Add64(w.Under, w.Over, 0)
+	for i := 0; carry == 0 && i < len(w.Counts); i++ {
+		held, carry = bits.Add64(held, w.Counts[i], 0)
+	}
+	if carry != 0 {
+		return fmt.Errorf("telemetry: histogram counts sum past 2^64")
+	}
+	if held != w.N {
+		return fmt.Errorf("telemetry: histogram counts sum to %d, want n=%d", held, w.N)
+	}
+	*h = Histogram{lo: w.Lo, hi: w.Hi, counts: w.Counts,
+		under: w.Under, over: w.Over, n: w.N, sum: w.Sum}
+	return nil
+}
+
+// UnmarshalJSON restores a histogram written by MarshalJSON, with the
+// checks of fromWire.
 func (h *Histogram) UnmarshalJSON(b []byte) error {
 	var w histWire
 	if err := json.Unmarshal(b, &w); err != nil {
 		return err
 	}
-	if w.Hi <= w.Lo || len(w.Counts) == 0 {
-		return fmt.Errorf("telemetry: bad histogram shape [%g,%g)/%d", w.Lo, w.Hi, len(w.Counts))
-	}
-	var held uint64
-	for _, c := range w.Counts {
-		held += c
-	}
-	if held+w.Under+w.Over != w.N {
-		return fmt.Errorf("telemetry: histogram counts sum to %d, want n=%d",
-			held+w.Under+w.Over, w.N)
-	}
-	*h = Histogram{lo: w.Lo, hi: w.Hi, counts: w.Counts,
-		under: w.Under, over: w.Over, n: w.N, sum: w.Sum}
-	return nil
+	return h.fromWire(&w)
 }

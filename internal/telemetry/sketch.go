@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 
 	"vidperf/internal/stats"
 )
@@ -246,35 +245,118 @@ func mergeInto(dst, a, b []float64) {
 }
 
 // Quantile returns an estimate of the q-th quantile (0 <= q <= 1), or NaN
-// for an empty sketch. The estimate is always one of the retained samples;
-// its rank differs from the true rank by at most ErrorBound()·N().
+// for an empty sketch. It is the one-level case of Quantiles.
 func (s *QuantileSketch) Quantile(q float64) float64 {
+	var out [1]float64
+	s.Quantiles([]float64{q}, out[:])
+	return out[0]
+}
+
+// Quantiles writes the estimate of the qs[i]-th quantile into out[i] (out
+// must be at least as long as qs), each NaN for an empty sketch. It sorts
+// the retained items once, whatever the number of levels asked for, so a
+// caller reading several quantiles of one sketch should ask for them in
+// one call. Every estimate is one of the retained samples; its rank
+// differs from the true rank by at most ErrorBound()·N().
+func (s *QuantileSketch) Quantiles(qs, out []float64) {
 	if s.n == 0 {
-		return math.NaN()
+		for i := range qs {
+			out[i] = math.NaN()
+		}
+		return
 	}
-	type weighted struct {
-		v float64
-		w uint64
+	items := s.sortedItems()
+	for i, q := range qs {
+		out[i] = weightedQuantile(items, s.n, q)
 	}
+}
+
+// weighted is a retained item and its weight.
+type weighted struct {
+	v float64
+	w uint64
+}
+
+// sortedItems returns the retained items in ascending order under <.
+// They are laid out level by level, each level in position order, and
+// the sort is stable, so among equal items (±0 is the only pair with
+// different bits) the lower level and then the earlier position come
+// first. A stable sort's output is unique: it is the order any stable
+// sort under < gives, sort.SliceStable's included (refQuantile in the
+// tests), down to the bits of every quantile.
+func (s *QuantileSketch) sortedItems() []weighted {
 	total := 0
 	for _, lvl := range s.levels {
 		total += len(lvl)
 	}
-	items := make([]weighted, 0, total)
+	items := make([]weighted, 0, 2*total)
 	for h, lvl := range s.levels {
 		w := uint64(1) << uint(h)
 		for _, v := range lvl {
 			items = append(items, weighted{v, w})
 		}
 	}
-	sort.SliceStable(items, func(i, j int) bool { return items[i].v < items[j].v })
+	return mergeWeighted(items, items[total:2*total])
+}
+
+// mergeWeighted sorts items stably under < by value and returns the
+// sorted slice, which is either items or tmp (as long as items). It
+// merges adjacent ascending runs pairwise, bottom up, until one remains:
+// a level above 0 is a few runs (see compact), so only level 0, raw
+// samples, takes more than a few passes.
+func mergeWeighted(items, tmp []weighted) []weighted {
+	src, dst := items, tmp
+	for weightedRunEnd(src, 0) < len(src) {
+		for lo := 0; lo < len(src); {
+			mid := weightedRunEnd(src, lo)
+			hi := weightedRunEnd(src, mid)
+			mergeWeightedInto(dst[lo:hi], src[lo:mid], src[mid:hi])
+			lo = hi
+		}
+		src, dst = dst, src
+	}
+	return src
+}
+
+// weightedRunEnd returns the end of the ascending run of xs that starts
+// at i (len(xs) when i is past the end). Equal values continue a run.
+func weightedRunEnd(xs []weighted, i int) int {
+	if i >= len(xs) {
+		return len(xs)
+	}
+	for i++; i < len(xs); i++ {
+		if xs[i].v < xs[i-1].v {
+			break
+		}
+	}
+	return i
+}
+
+// mergeWeightedInto merges the ascending runs a and b into dst, which
+// holds exactly len(a)+len(b) items, taking from a on ties.
+func mergeWeightedInto(dst, a, b []weighted) {
+	i, j := 0, 0
+	for o := range dst {
+		if j == len(b) || (i < len(a) && !(b[j].v < a[i].v)) {
+			dst[o] = a[i]
+			i++
+		} else {
+			dst[o] = b[j]
+			j++
+		}
+	}
+}
+
+// weightedQuantile reads the q-th quantile of a sketch of n samples from
+// its sorted items.
+func weightedQuantile(items []weighted, n uint64, q float64) float64 {
 	if q <= 0 {
 		return items[0].v
 	}
 	if q >= 1 {
 		return items[len(items)-1].v
 	}
-	target := q * float64(s.n-1)
+	target := q * float64(n-1)
 	var cum float64
 	for _, it := range items {
 		cum += float64(it.w)
@@ -325,9 +407,10 @@ type sketchWire struct {
 	Levels [][]float64 `json:"levels,omitempty"`
 }
 
-// MarshalJSON encodes the sketch state. An empty sketch writes min/max as
-// 0 (JSON has no infinities); UnmarshalJSON restores the sentinels.
-func (s *QuantileSketch) MarshalJSON() ([]byte, error) {
+// wire returns the sketch's JSON form, which shares the sketch's levels.
+// An empty sketch writes min/max as 0 (JSON has no infinities); fromWire
+// restores the sentinels.
+func (s *QuantileSketch) wire() sketchWire {
 	w := sketchWire{K: s.k, N: s.n, Levels: s.levels}
 	if len(s.levels) > 0 {
 		w.Parity = make([]bool, len(s.levels))
@@ -338,18 +421,19 @@ func (s *QuantileSketch) MarshalJSON() ([]byte, error) {
 	if s.n > 0 {
 		w.Min, w.Max = s.min, s.max
 	}
-	return json.Marshal(w)
+	return w
 }
 
-// UnmarshalJSON restores a sketch written by MarshalJSON. It rejects any
-// state NewSketch, Add and Merge cannot reach the shape of: a k NewSketch
-// would not return, a parity bit per level missing, or levels whose
-// weights do not sum to n.
-func (s *QuantileSketch) UnmarshalJSON(b []byte) error {
-	var w sketchWire
-	if err := json.Unmarshal(b, &w); err != nil {
-		return err
-	}
+// MarshalJSON encodes the sketch state.
+func (s *QuantileSketch) MarshalJSON() ([]byte, error) {
+	return json.Marshal(s.wire())
+}
+
+// fromWire sets s to the state w encodes, taking w's levels. It rejects
+// any state NewSketch, Add and Merge cannot reach the shape of: a k
+// NewSketch would not return, a parity bit per level missing, or levels
+// whose weights do not sum to n.
+func (s *QuantileSketch) fromWire(w *sketchWire) error {
 	if w.K < 8 || w.K > MaxSketchK || w.K%2 == 1 {
 		return fmt.Errorf("telemetry: sketch k=%d, want an even value in [8, %d]", w.K, MaxSketchK)
 	}
@@ -386,4 +470,14 @@ func (s *QuantileSketch) UnmarshalJSON(b []byte) error {
 	}
 	s.compactAll()
 	return nil
+}
+
+// UnmarshalJSON restores a sketch written by MarshalJSON, with the checks
+// of fromWire.
+func (s *QuantileSketch) UnmarshalJSON(b []byte) error {
+	var w sketchWire
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	return s.fromWire(&w)
 }

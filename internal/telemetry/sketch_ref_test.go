@@ -7,9 +7,10 @@ import (
 
 // refSketch is the straightforward compaction QuantileSketch is checked
 // against: every level, whatever it holds, is put in order by
-// sort.Float64s before its stride-2 promotion. QuantileSketch must match
-// it bit for bit — levels, parity, n, min and max — on any input free of
-// −0, the one value on which sort.Float64s leaves the order open.
+// sort.Float64s before its stride-2 promotion, and its zeros are then
+// rewritten −0 first, the order sort.Float64s leaves open and the sketch
+// fixes. QuantileSketch must match it bit for bit — levels, parity, n,
+// min and max — on any input.
 type refSketch struct {
 	k        int
 	n        uint64
@@ -101,6 +102,17 @@ func (s *refSketch) compact(h int) {
 	}
 	buf := s.levels[h]
 	sort.Float64s(buf)
+	zeros := buf[sort.SearchFloat64s(buf, 0):]
+	zeros = zeros[:sort.Search(len(zeros), func(i int) bool { return zeros[i] > 0 })]
+	neg := 0
+	for _, v := range zeros {
+		if math.Signbit(v) {
+			neg++
+		}
+	}
+	for i := range zeros {
+		zeros[i] = math.Copysign(0, float64(i-neg))
+	}
 	m := len(buf) &^ 1
 	off := int(s.parity >> h & 1)
 	s.parity ^= 1 << h

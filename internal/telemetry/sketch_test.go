@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -273,6 +274,20 @@ func TestHistogramJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHistogramRejectsWrappedCounts: counts whose sum reaches n only by
+// wrapping past 2^64 once decoded, into a state Add and Merge never reach.
+func TestHistogramRejectsWrappedCounts(t *testing.T) {
+	for _, src := range []string{
+		`{"lo":0,"hi":1,"counts":[18446744073709551615,2],"n":1,"sum":0}`,
+		`{"lo":0,"hi":1,"counts":[1],"under":18446744073709551615,"over":1,"n":1,"sum":0}`,
+	} {
+		var h Histogram
+		if err := json.Unmarshal([]byte(src), &h); err == nil {
+			t.Errorf("%s decoded with n=%d", src, h.N())
+		}
+	}
+}
+
 func TestCounterDimensions(t *testing.T) {
 	session := func(pop, chunks int, level string) (core.SessionRecord, []core.ChunkRecord) {
 		cs := make([]core.ChunkRecord, chunks)
@@ -326,14 +341,15 @@ const (
 	classInf                   // ±Inf
 	classSubnormal             // subnormals of either sign
 	classNegative              // negated log-normal delays
-	classEdge                  // +0, ±MaxFloat64, ±smallest normal
+	classEdge                  // ±0, ±MaxFloat64, ±smallest normal
 	numClasses     = 6
 	allClasses     = 1<<numClasses - 1
 )
 
 // drawValue returns one sample from a class allowed by mask (every class
-// when mask allows none). It never returns NaN or −0: NaN never enters a
-// sketch, and −0 is the one value sort.Float64s leaves unordered.
+// when mask allows none). It never returns NaN, which never enters a
+// sketch. The edge class holds both zeros, so ties of −0 and +0 reach
+// compaction and the quantile read.
 func drawValue(r *stats.Rand, mask uint8) float64 {
 	if mask&allClasses == 0 {
 		mask = allClasses
@@ -359,7 +375,7 @@ func drawValue(r *stats.Rand, mask uint8) float64 {
 		case classNegative:
 			return -r.LogNormal(4, 1.2)
 		default:
-			return []float64{0, math.MaxFloat64, -math.MaxFloat64, 0x1p-1022, -0x1p-1022}[r.Intn(5)]
+			return []float64{0, math.Copysign(0, -1), math.MaxFloat64, -math.MaxFloat64, 0x1p-1022, -0x1p-1022}[r.Intn(6)]
 		}
 	}
 }
@@ -442,17 +458,60 @@ func unsortedWire(k int, op sketchOp) sketchWire {
 	return w
 }
 
+// refQuantile is the quantile read Quantiles is checked against: every
+// retained item with its weight, level by level, put in order by
+// sort.SliceStable under < on each call.
+func refQuantile(s *QuantileSketch, q float64) float64 {
+	if s.n == 0 {
+		return math.NaN()
+	}
+	var items []weighted
+	for h, lvl := range s.levels {
+		for _, v := range lvl {
+			items = append(items, weighted{v, 1 << h})
+		}
+	}
+	sort.SliceStable(items, func(i, j int) bool { return items[i].v < items[j].v })
+	if q <= 0 {
+		return items[0].v
+	}
+	if q >= 1 {
+		return items[len(items)-1].v
+	}
+	target := q * float64(s.n-1)
+	var cum float64
+	for _, it := range items {
+		cum += float64(it.w)
+		if cum > target {
+			return it.v
+		}
+	}
+	return items[len(items)-1].v
+}
+
+// scriptQuantiles are the levels runSketchScript reads after every step.
+var scriptQuantiles = []float64{0, 0.01, 0.5, 0.9, 0.99, 1}
+
 // runSketchScript drives a sketch and the reference sketch of parameter k
 // through the same operations and fails at the first one after which
-// their states differ.
+// their states differ, or after which Quantiles differs from refQuantile
+// in any bit.
 func runSketchScript(t testing.TB, k int, ops []sketchOp) {
 	t.Helper()
 	s, ref := NewSketch(k), newRefSketch(k)
+	got := make([]float64, len(scriptQuantiles))
 	check := func(i int, op sketchOp, s *QuantileSketch, ref *refSketch) {
 		t.Helper()
 		if !sameSketch(s, ref) {
 			t.Fatalf("k=%d op %d %+v: state diverged:\n got n=%d parity=%b levels=%v\nwant n=%d parity=%b levels=%v",
 				k, i, op, s.n, s.parity, s.levels, ref.n, ref.parity, ref.levels)
+		}
+		s.Quantiles(scriptQuantiles, got)
+		for j, q := range scriptQuantiles {
+			if want := refQuantile(s, q); math.Float64bits(got[j]) != math.Float64bits(want) {
+				t.Fatalf("k=%d op %d %+v: Quantiles q=%g = %v, reference %v (levels %v)",
+					k, i, op, q, got[j], want, s.levels)
+			}
 		}
 	}
 	for i, op := range ops {

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 
 	"vidperf/internal/timeline"
 )
@@ -60,10 +62,35 @@ func (s *Snapshot) Histogram(name string) *Histogram { return s.Histograms[name]
 // Counter returns the named counter (zero if absent).
 func (s *Snapshot) Counter(name string) uint64 { return s.Counters[name] }
 
-// WriteSnapshot serializes the snapshot as a single JSON object.
+// snapshotWire is Snapshot's JSON form, field for field, with every
+// sketch and histogram held as its wire struct. WriteSnapshot and
+// ReadSnapshot go through it, so encoding/json writes or reads each
+// sketch inside its one pass over the snapshot; through the Marshaler
+// methods every sketch's bytes are scanned again (compacted on encode,
+// re-parsed on decode). TestWriteSnapshotMatchesReflectionEncode pins the
+// two forms byte-equal.
+type snapshotWire struct {
+	Schema     int                    `json:"schema"`
+	SketchK    int                    `json:"sketch_k"`
+	VirtualMS  float64                `json:"virtual_ms,omitempty"`
+	Labels     map[string]string      `json:"labels,omitempty"`
+	Windows    []timeline.Window      `json:"windows,omitempty"`
+	Sketches   map[string]*sketchWire `json:"sketches"`
+	Histograms map[string]*histWire   `json:"histograms"`
+	Counters   map[string]uint64      `json:"counters"`
+}
+
+// WriteSnapshot serializes the snapshot as a single JSON object: the
+// bytes a json.Encoder writes for s, in one encoding pass.
 func WriteSnapshot(w io.Writer, s *Snapshot) error {
+	sw := snapshotWire{
+		Schema: s.Schema, SketchK: s.SketchK, VirtualMS: s.VirtualMS,
+		Labels: s.Labels, Windows: s.Windows, Counters: s.Counters,
+		Sketches:   wiresOf(s.Sketches, (*QuantileSketch).wire),
+		Histograms: wiresOf(s.Histograms, (*Histogram).wire),
+	}
 	bw := bufio.NewWriter(w)
-	if err := json.NewEncoder(bw).Encode(s); err != nil {
+	if err := json.NewEncoder(bw).Encode(&sw); err != nil {
 		return fmt.Errorf("telemetry: write snapshot: %w", err)
 	}
 	return bw.Flush()
@@ -71,12 +98,24 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 
 // ReadSnapshot loads a snapshot written by WriteSnapshot, rejecting
 // payloads that are not schema-1 telemetry snapshots (a JSONL trace, for
-// instance, fails here with a clear error instead of rendering nonsense)
-// and null sketches or histograms, which WriteSnapshot never writes.
+// instance, fails here with a clear error instead of rendering nonsense),
+// sketches and histograms UnmarshalJSON would reject, and null sketches
+// or histograms, which WriteSnapshot never writes.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	var s Snapshot
+	var w snapshotWire
 	dec := json.NewDecoder(bufio.NewReader(r))
-	if err := dec.Decode(&s); err != nil {
+	if err := dec.Decode(&w); err != nil {
+		return nil, fmt.Errorf("telemetry: read snapshot: %w", err)
+	}
+	s := Snapshot{
+		Schema: w.Schema, SketchK: w.SketchK, VirtualMS: w.VirtualMS,
+		Labels: w.Labels, Windows: w.Windows, Counters: w.Counters,
+	}
+	var err error
+	if s.Sketches, err = fromWires(w.Sketches, (*QuantileSketch).fromWire); err != nil {
+		return nil, fmt.Errorf("telemetry: read snapshot: %w", err)
+	}
+	if s.Histograms, err = fromWires(w.Histograms, (*Histogram).fromWire); err != nil {
 		return nil, fmt.Errorf("telemetry: read snapshot: %w", err)
 	}
 	if s.Schema != SnapshotSchema {
@@ -94,4 +133,45 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		}
 	}
 	return &s, nil
+}
+
+// wiresOf returns the wire form of every value of m. A nil value, and a
+// nil map, stay nil.
+func wiresOf[T, W any](m map[string]*T, wire func(*T) W) map[string]*W {
+	if m == nil {
+		return nil
+	}
+	out := make(map[string]*W, len(m))
+	ws := make([]W, 0, len(m))
+	for name, v := range m {
+		out[name] = nil
+		if v != nil {
+			ws = append(ws, wire(v))
+			out[name] = &ws[len(ws)-1]
+		}
+	}
+	return out
+}
+
+// fromWires converts every wire value of m in name order and fails at the
+// first that fromWire rejects. That is the one json.Unmarshal into a
+// Snapshot reports through UnmarshalJSON, which stops at the first bad
+// value in file order, whenever the keys are sorted as WriteSnapshot
+// writes them. A nil value, and a nil map, stay nil.
+func fromWires[T, W any](m map[string]*W, fromWire func(*T, *W) error) (map[string]*T, error) {
+	if m == nil {
+		return nil, nil
+	}
+	out := make(map[string]*T, len(m))
+	vs := make([]T, len(m))
+	for i, name := range slices.Sorted(maps.Keys(m)) {
+		out[name] = nil
+		if m[name] != nil {
+			if err := fromWire(&vs[i], m[name]); err != nil {
+				return nil, err
+			}
+			out[name] = &vs[i]
+		}
+	}
+	return out, nil
 }
