@@ -3,9 +3,8 @@ package vidperf
 // bench_test.go regenerates every table and figure in the paper's
 // evaluation as one Go benchmark (BenchmarkFiguresAll): it prints each
 // figure's rows/series (paper-reported vs measured) once and times
-// figures.All on the shared dataset. Ablation benches further down rerun
-// small scenarios under the design alternatives of the paper's
-// take-aways; the gate and layer benches time the simulator itself.
+// figures.All on the shared dataset. The gate and layer benches further
+// down time the simulator itself.
 //
 // Run everything with:
 //
@@ -257,214 +256,6 @@ func BenchmarkStreamingRun1M(b *testing.B) {
 	b.ReportMetric(float64(ms.Sys)/(1<<20), "sys-MB")
 	b.ReportMetric(float64(chunks), "chunks")
 	runtime.KeepAlive(retained)
-}
-
-// --- Ablations (the paper's §4 take-aways) --------------------------------
-
-// BenchmarkAblationCachePolicy compares eviction policies on one Zipf
-// chunk stream (§4.1 take-away: GD-Size / perfect-LFU over ATS's LRU).
-func BenchmarkAblationCachePolicy(b *testing.B) {
-	for _, name := range []string{"lru", "lfu", "perfect-lfu", "gd-size", "gdsf"} {
-		b.Run(name, func(b *testing.B) {
-			var ratio float64
-			for i := 0; i < b.N; i++ {
-				r := stats.NewRand(99)
-				z := stats.NewZipf(2000, 0.9)
-				p, _ := cache.NewPolicy(name, 256<<20)
-				var st cache.Stats
-				for j := 0; j < 60000; j++ {
-					key := uint64(z.Sample(r))<<8 | uint64(r.Intn(30))
-					if p.Get(key) {
-						st.Record(true)
-					} else {
-						st.Record(false)
-						p.Put(key, int64(700000+r.Intn(400000)))
-					}
-				}
-				ratio = st.HitRatio()
-			}
-			b.ReportMetric(ratio, "hit-ratio")
-		})
-	}
-}
-
-// ablationScenario runs a small campaign with a mutated scenario and
-// returns the dataset (cached per label).
-var (
-	ablMu    sync.Mutex
-	ablCache = map[string]*core.Dataset{}
-)
-
-func ablationRun(label string, mutate func(*workload.Scenario)) *core.Dataset {
-	ablMu.Lock()
-	defer ablMu.Unlock()
-	if ds, ok := ablCache[label]; ok {
-		return ds
-	}
-	sc := workload.Scenario{
-		Seed:        77,
-		NumSessions: 1200,
-		NumPrefixes: 300,
-		Catalog:     catalog.Config{NumVideos: 1500},
-	}
-	if mutate != nil {
-		mutate(&sc)
-	}
-	res, err := session.Execute(sc, session.Options{})
-	if err != nil {
-		panic(err)
-	}
-	ds := res.Dataset
-	ablCache[label] = ds
-	return ds
-}
-
-// BenchmarkAblationRetryTimer sweeps the ATS open-read retry timer
-// (§4.1 take-away: lower it for disk reads).
-func BenchmarkAblationRetryTimer(b *testing.B) {
-	for _, ms := range []float64{10, 5, 2} {
-		ms := ms
-		b.Run(fmt.Sprintf("retry-%.0fms", ms), func(b *testing.B) {
-			var med float64
-			for i := 0; i < b.N; i++ {
-				ds := ablationRun(fmt.Sprintf("retry%.0f", ms), func(sc *workload.Scenario) {
-					sc.Fleet.Server.OpenRetryMS = ms
-				})
-				br := analysis.BreakdownCDNLatency(ds)
-				med = br.Dread.Quantile(0.95)
-			}
-			b.ReportMetric(med, "p95-dread-ms")
-		})
-	}
-}
-
-// BenchmarkAblationPrefetch toggles next-chunk prefetching after a miss
-// and first-chunk pinning (§4.1/§4.3 take-aways).
-func BenchmarkAblationPrefetch(b *testing.B) {
-	variants := []struct {
-		name   string
-		mutate func(*workload.Scenario)
-	}{
-		{"baseline", nil},
-		{"prefetch-2", func(sc *workload.Scenario) { sc.Fleet.Server.Prefetch = 2 }},
-		{"pin-first-chunks", func(sc *workload.Scenario) { sc.Fleet.Server.PinFirstChunks = true }},
-	}
-	for _, v := range variants {
-		v := v
-		b.Run(v.name, func(b *testing.B) {
-			var missGivenMiss float64
-			var miss float64
-			for i := 0; i < b.N; i++ {
-				ds := ablationRun("prefetch-"+v.name, v.mutate)
-				mp := analysis.ComputeMissPersistence(ds)
-				st := analysis.ComputeDatasetStats(ds)
-				missGivenMiss = mp.MeanMissRatioGivenMiss
-				miss = st.OverallMissRate
-			}
-			b.ReportMetric(miss, "miss-rate")
-			b.ReportMetric(missGivenMiss, "miss-persistence")
-		})
-	}
-}
-
-// BenchmarkAblationPartitioning spreads the hottest titles across a PoP's
-// servers (§4.1 load-balancing take-away) and reports the load imbalance.
-func BenchmarkAblationPartitioning(b *testing.B) {
-	variants := []struct {
-		name string
-		top  int
-	}{{"cache-focused", 0}, {"partition-top10pct", 150}}
-	for _, v := range variants {
-		v := v
-		b.Run(v.name, func(b *testing.B) {
-			var imbalance float64
-			for i := 0; i < b.N; i++ {
-				ds := ablationRun("part-"+v.name, func(sc *workload.Scenario) {
-					sc.Fleet.PartitionTopRanks = v.top
-				})
-				lp := analysis.ComputeLoadParadox(ds)
-				var reqs []float64
-				for _, p := range lp.Points {
-					reqs = append(reqs, float64(p.Requests))
-				}
-				imbalance = stats.Max(reqs) / stats.Mean(reqs)
-			}
-			b.ReportMetric(imbalance, "max/mean-load")
-		})
-	}
-}
-
-// BenchmarkAblationPacing compares unpaced vs paced slow start on the
-// first-chunk burst loss (§4.2 take-away after Trickle).
-func BenchmarkAblationPacing(b *testing.B) {
-	for _, paced := range []bool{false, true} {
-		paced := paced
-		name := "unpaced"
-		if paced {
-			name = "paced"
-		}
-		b.Run(name, func(b *testing.B) {
-			var firstLoss float64
-			for i := 0; i < b.N; i++ {
-				var s stats.Summary
-				p := tcpmodel.Params{
-					BaseRTTms: 50, BottleneckKbps: 6000,
-					BufferBytes: 64 << 10, Pacing: paced,
-				}
-				for seed := uint64(0); seed < 200; seed++ {
-					c := tcpmodel.New(p, stats.NewRand(seed))
-					s.Add(c.Transfer(2000000).LossRate())
-				}
-				firstLoss = s.Mean()
-			}
-			b.ReportMetric(firstLoss*100, "chunk0-loss-%")
-		})
-	}
-}
-
-// BenchmarkAblationABRSignal compares throughput estimators under
-// download-stack distortion (§4.3 recommendations).
-func BenchmarkAblationABRSignal(b *testing.B) {
-	for _, abr := range []string{"rate-instant", "rate-instant-screened", "rate-smoothed", "server-signal", "hybrid"} {
-		abr := abr
-		b.Run(abr, func(b *testing.B) {
-			var rebuf float64
-			for i := 0; i < b.N; i++ {
-				ds := ablationRun("abr-"+abr, func(sc *workload.Scenario) {
-					sc.ABRName = abr
-				})
-				var s stats.Summary
-				for j := range ds.Sessions {
-					s.Add(ds.Sessions[j].RebufferRate)
-				}
-				rebuf = s.Mean()
-			}
-			b.ReportMetric(rebuf*100, "rebuf-%")
-		})
-	}
-}
-
-// BenchmarkAblationColdStart contrasts the steady-state (pre-warmed) CDN
-// with a cold fleet, showing why warm caches are the regime the paper
-// measures.
-func BenchmarkAblationColdStart(b *testing.B) {
-	for _, cold := range []bool{false, true} {
-		cold := cold
-		name := "warm"
-		if cold {
-			name = "cold"
-		}
-		b.Run(name, func(b *testing.B) {
-			var miss float64
-			for i := 0; i < b.N; i++ {
-				ds := ablationRun("cold-"+name, func(sc *workload.Scenario) {
-					sc.ColdStart = cold
-				})
-				miss = analysis.ComputeDatasetStats(ds).OverallMissRate
-			}
-			b.ReportMetric(miss*100, "miss-%")
-		})
-	}
 }
 
 // --- Micro-benchmarks on the substrates -----------------------------------

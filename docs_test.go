@@ -1,5 +1,6 @@
 // docs_test.go is the documentation gate: relative markdown links must
-// resolve, and every internal package must carry a package comment.
+// resolve, every internal package must carry a package comment, and every
+// path and test name the reference docs cite must exist.
 // CI runs these in its docs job; they also run with plain `go test`.
 package vidperf
 
@@ -99,6 +100,66 @@ func TestInternalPackagesHaveComments(t *testing.T) {
 				if !documented {
 					t.Errorf("package %s (%s) has no package comment", name, dir)
 				}
+			}
+		}
+	}
+}
+
+var (
+	codeSpan     = regexp.MustCompile("`([^`\n]+)`")
+	repoPath     = regexp.MustCompile(`^(?:cmd|internal|examples)/\S*`)
+	lineSuffix   = regexp.MustCompile(`:\d+$`)
+	testName     = regexp.MustCompile(`^Test[A-Z0-9_]\w*$`)
+	testFuncDecl = regexp.MustCompile(`(?m)^func (Test\w+)\(`)
+)
+
+// TestDocNamesResolve: every backticked cmd/, internal/ or examples/ path
+// in the reference docs must exist (a `:line` suffix is stripped), and
+// every backticked TestXxx must name a test function in some _test.go, so
+// a deletion or rename cannot leave a doc row pointing at nothing.
+// ROADMAP.md and CHANGES.md are history and stay out.
+func TestDocNamesResolve(t *testing.T) {
+	tests := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir // .git, build caches
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testFuncDecl.FindAllStringSubmatch(string(src), -1) {
+			tests[m[1]] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, md := range append([]string{"README.md", "ARCHITECTURE.md", "PAPER.md"}, docs...) {
+		body, err := os.ReadFile(md)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range codeSpan.FindAllStringSubmatch(string(body), -1) {
+			span := m[1]
+			if p := repoPath.FindString(span); p != "" {
+				p = lineSuffix.ReplaceAllString(p, "")
+				if _, err := os.Stat(p); err != nil {
+					t.Errorf("%s: `%s` names a path that does not exist", md, span)
+				}
+			} else if testName.MatchString(span) && !tests[span] {
+				t.Errorf("%s: `%s` names no func %s( in any _test.go", md, span, span)
 			}
 		}
 	}

@@ -1,7 +1,8 @@
-// policy_test.go hardens the priority-cache policies at the level the
-// ablation benches depend on: exact eviction order, deterministic
-// tie-breaking, and byte accounting across in-place updates — plus the
-// multi-level RAM/disk promotion and demotion cycle.
+// policy_test.go hardens the priority-cache policies at the level
+// TestPolicyOrderingOnZipfStream and examples/cache-policy depend on:
+// exact eviction order, deterministic tie-breaking, and byte accounting
+// across in-place updates — plus the multi-level RAM/disk promotion and
+// demotion cycle.
 package cache
 
 import "testing"

@@ -18,8 +18,8 @@ type FleetConfig struct {
 
 	// PartitionTopRanks spreads videos with rank < PartitionTopRanks over
 	// all servers of a PoP (per-session hashing) instead of pinning them
-	// to one cache-focused server — the §4.1 load-balancing take-away
-	// (ablation A4). 0 disables partitioning.
+	// to one cache-focused server — the §4.1 load-balancing take-away.
+	// 0 disables partitioning.
 	PartitionTopRanks int
 }
 

@@ -360,7 +360,7 @@ func (s *Server) fill(eng *sim.Engine, delay float64, key uint64, size int64) {
 }
 
 // prefetch warms the cache with the session's subsequent chunks after a
-// miss (ablation A3). Prefetched fills arrive one backend latency later.
+// miss. Prefetched fills arrive one backend latency later.
 func (s *Server) prefetch(eng *sim.Engine, req Request) {
 	n := s.cfg.Prefetch
 	for i := 0; i < n && i < len(req.Next); i++ {
