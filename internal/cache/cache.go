@@ -4,9 +4,9 @@
 // popularity-heavy workloads" the paper's §4.1 take-away recommends).
 // A two-level RAM+disk composition mirrors the ATS "multi-level" cache.
 //
-// All policies share the Policy interface and count hits and misses so
-// TestPolicyOrderingOnZipfStream and examples/cache-policy can compare them
-// on identical request streams.
+// All policies share the Policy interface and keep no hit counters:
+// TestPolicyOrderingOnZipfStream and examples/cache-policy compare them on
+// identical request streams and tally the outcomes with Stats.
 package cache
 
 // Policy is a byte-capacity cache eviction policy. Implementations are not

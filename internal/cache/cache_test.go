@@ -242,7 +242,7 @@ func TestStats(t *testing.T) {
 }
 
 func TestMultiLevelPromotion(t *testing.T) {
-	m := NewLRUMultiLevel(100, 1000)
+	m := NewMultiLevel(NewLRU(100), NewLRU(1000))
 	if got := m.Lookup(1, 50); got != LevelMiss {
 		t.Fatalf("first lookup = %v, want miss", got)
 	}
@@ -262,17 +262,6 @@ func TestMultiLevelPromotion(t *testing.T) {
 	// The disk hit promotes back into RAM.
 	if got := m.Lookup(1, 50); got != LevelRAM {
 		t.Fatalf("post-promotion lookup = %v, want ram", got)
-	}
-}
-
-func TestMultiLevelMissRatio(t *testing.T) {
-	m := NewLRUMultiLevel(100, 1000)
-	m.Lookup(1, 10) // miss
-	m.Insert(1, 10)
-	m.Lookup(1, 10) // ram hit
-	m.Lookup(2, 10) // miss
-	if got := m.OverallMissRatio(); got != 2.0/3.0 {
-		t.Errorf("overall miss ratio = %v, want 2/3", got)
 	}
 }
 

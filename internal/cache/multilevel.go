@@ -30,9 +30,6 @@ func (l Level) String() string {
 type MultiLevel struct {
 	RAM  Policy
 	Disk Policy
-
-	RAMStats  Stats
-	DiskStats Stats
 }
 
 // NewMultiLevel builds a two-level cache with the given policies.
@@ -40,26 +37,16 @@ func NewMultiLevel(ram, disk Policy) *MultiLevel {
 	return &MultiLevel{RAM: ram, Disk: disk}
 }
 
-// NewLRUMultiLevel builds the ATS default: LRU at both levels.
-func NewLRUMultiLevel(ramBytes, diskBytes int64) *MultiLevel {
-	return NewMultiLevel(NewLRU(ramBytes), NewLRU(diskBytes))
-}
-
-// Lookup finds key, records per-level statistics, performs the disk→RAM
-// promotion, and returns where the object was found. size is used for the
-// promotion insert.
+// Lookup finds key, performs the disk→RAM promotion, and returns where
+// the object was found. size is used for the promotion insert.
 func (m *MultiLevel) Lookup(key uint64, size int64) Level {
 	if m.RAM.Get(key) {
-		m.RAMStats.Record(true)
 		return LevelRAM
 	}
-	m.RAMStats.Record(false)
 	if m.Disk.Get(key) {
-		m.DiskStats.Record(true)
 		m.RAM.Put(key, size) // promote
 		return LevelDisk
 	}
-	m.DiskStats.Record(false)
 	return LevelMiss
 }
 
@@ -80,12 +67,4 @@ func (m *MultiLevel) Contains(key uint64) bool {
 func (m *MultiLevel) Resize(ramBytes, diskBytes int64) {
 	m.RAM.Resize(ramBytes)
 	m.Disk.Resize(diskBytes)
-}
-
-// OverallMissRatio returns the fraction of lookups that reached the backend.
-func (m *MultiLevel) OverallMissRatio() float64 {
-	if m.RAMStats.Requests() == 0 {
-		return 0
-	}
-	return float64(m.DiskStats.Misses) / float64(m.RAMStats.Requests())
 }

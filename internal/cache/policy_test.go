@@ -127,7 +127,7 @@ func TestLFUByteAccountingAfterUpdate(t *testing.T) {
 // disk-only; the next lookup is a disk hit that re-promotes it, evicting
 // its rival in turn.
 func TestMultiLevelDemotionCycle(t *testing.T) {
-	m := NewLRUMultiLevel(100, 1000)
+	m := NewMultiLevel(NewLRU(100), NewLRU(1000))
 	m.Insert(1, 60)
 	m.Insert(2, 60) // RAM (100B) can hold only one: key 1 demoted
 	if m.RAM.Contains(1) {
@@ -146,13 +146,5 @@ func TestMultiLevelDemotionCycle(t *testing.T) {
 	}
 	if lv := m.Lookup(1, 60); lv != LevelRAM {
 		t.Fatalf("promoted object looked up at level %v, want ram", lv)
-	}
-	// Both copies still on disk; stats recorded one RAM hit, two RAM
-	// misses... (three lookups total: disk-hit, ram-hit).
-	if got := m.RAMStats.Requests(); got != 2 {
-		t.Errorf("RAM lookups = %d, want 2", got)
-	}
-	if m.DiskStats.Hits != 1 {
-		t.Errorf("disk hits = %d, want 1", m.DiskStats.Hits)
 	}
 }

@@ -108,7 +108,7 @@ func TestResizeInCacheCountersDie(t *testing.T) {
 // TestMultiLevelResize: both levels shrink and restore together, and a
 // shrunk multi-level cache demotes lookups to misses.
 func TestMultiLevelResize(t *testing.T) {
-	m := NewLRUMultiLevel(1000, 2000)
+	m := NewMultiLevel(NewLRU(1000), NewLRU(2000))
 	for k := uint64(1); k <= 10; k++ {
 		m.Insert(k, 100)
 	}

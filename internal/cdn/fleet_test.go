@@ -3,67 +3,76 @@ package cdn
 import (
 	"testing"
 
+	"vidperf/internal/backend"
 	"vidperf/internal/sim"
 )
 
-// TestPoPFleetMatchesFullFleet is the sharding precondition: a PoP's
-// servers must behave identically whether the PoP was built alone
-// (NewPoPFleet) or as part of the whole deployment (NewFleet), because
-// their RNG streams derive from (seed, popID) only.
-func TestPoPFleetMatchesFullFleet(t *testing.T) {
+// TestSlotFleet pins a slot fleet's server identity: its RNG streams are
+// the ones the server would draw in slot order from its PoP's stream,
+// whichever slot is built; PoPServers holds only that server; and
+// out-of-range PoPs and slots panic.
+func TestSlotFleet(t *testing.T) {
 	cfg := FleetConfig{NumPoPs: 4, ServersPerPoP: 3}
-	full := NewFleet(cfg, 77)
 	for pop := 0; pop < 4; pop++ {
-		part := NewPoPFleet(cfg, 77, pop)
-		if got := part.NumServers(); got != 3 {
-			t.Fatalf("pop %d: partial fleet has %d servers", pop, got)
+		// Reference: the whole PoP built in slot order from one stream.
+		r := popRand(77, pop)
+		ref := make([]*Server, 3)
+		for slot := range ref {
+			be := backend.New(cfg.Backend, r.Split())
+			ref[slot] = NewServer(pop*3+slot, pop, cfg.Server, be, r.Split())
 		}
-		fullEng, partEng := &sim.Engine{}, &sim.Engine{}
-		for i := 0; i < 50; i++ {
-			req := Request{Key: uint64(i * 31), SizeBytes: 700000, VideoID: i, ChunkIndex: 0}
-			var fullRes, partRes ServeResult
-			full.ServerFor(pop, i, i, uint64(i)).Serve(fullEng, req, clientFunc(func(r ServeResult) { fullRes = r }))
-			part.ServerFor(pop, i, i, uint64(i)).Serve(partEng, req, clientFunc(func(r ServeResult) { partRes = r }))
-			fullEng.Run()
-			partEng.Run()
-			if fullRes != partRes {
-				t.Fatalf("pop %d req %d: partial %+v vs full %+v", pop, i, partRes, fullRes)
+		for slot := 0; slot < 3; slot++ {
+			f := NewSlotFleet(cfg, 77, pop, slot)
+			srvs := f.PoPServers(pop)
+			for s, srv := range srvs {
+				if (srv != nil) != (s == slot) {
+					t.Fatalf("pop %d slot %d fleet: server at slot %d is %v", pop, slot, s, srv)
+				}
+			}
+			if f.PoPServers((pop+1)%4) != nil || f.PoPServers(-1) != nil || f.PoPServers(99) != nil {
+				t.Fatalf("pop %d slot %d fleet returned servers for another PoP", pop, slot)
+			}
+			srv := srvs[slot]
+			if srv.PoPID != pop {
+				t.Fatalf("pop %d slot %d: server PoP %d", pop, slot, srv.PoPID)
+			}
+			refEng, slotEng := &sim.Engine{}, &sim.Engine{}
+			for i := 0; i < 50; i++ {
+				req := Request{Key: uint64(i * 31), SizeBytes: 700000, VideoID: i, ChunkIndex: 0}
+				var refRes, slotRes ServeResult
+				ref[slot].Serve(refEng, req, clientFunc(func(r ServeResult) { refRes = r }))
+				srv.Serve(slotEng, req, clientFunc(func(r ServeResult) { slotRes = r }))
+				refEng.Run()
+				slotEng.Run()
+				if refRes != slotRes {
+					t.Fatalf("pop %d slot %d req %d: slot fleet %+v vs slot-order build %+v", pop, slot, i, slotRes, refRes)
+				}
 			}
 		}
 	}
-}
-
-func TestPoPFleetClamping(t *testing.T) {
-	cfg := FleetConfig{NumPoPs: 3, ServersPerPoP: 2}
-	part := NewPoPFleet(cfg, 1, 2)
-	if got := part.BuiltPoPs(); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("built PoPs = %v, want [2]", got)
-	}
-	// Requests for unbuilt or out-of-range PoPs fall back to the built one.
-	for _, pop := range []int{-1, 0, 1, 2, 99} {
-		srv := part.ServerFor(pop, 5, 5, 1)
-		if srv == nil || srv.PoPID != 2 {
-			t.Fatalf("pop %d mapped to %+v, want the built PoP 2", pop, srv)
-		}
-	}
-	if part.PoPServers(0) != nil {
-		t.Error("unbuilt PoP returned servers")
-	}
-	// An out-of-range popID to NewPoPFleet clamps to 0.
-	if got := NewPoPFleet(cfg, 1, 99).BuiltPoPs(); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("clamped built PoPs = %v, want [0]", got)
+	for _, c := range []struct{ pop, slot int }{{-1, 0}, {4, 0}, {0, -1}, {0, 3}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewSlotFleet(pop %d, slot %d) did not panic", c.pop, c.slot)
+				}
+			}()
+			NewSlotFleet(cfg, 1, c.pop, c.slot)
+		}()
 	}
 }
 
+// TestFleetServersOrderedByID: server IDs follow the canonical (PoP, slot)
+// shard order, so merging shards in that order is merging by server ID.
 func TestFleetServersOrderedByID(t *testing.T) {
-	f := NewFleet(FleetConfig{NumPoPs: 3, ServersPerPoP: 4}, 5)
-	srvs := f.Servers()
-	if len(srvs) != 12 {
-		t.Fatalf("got %d servers", len(srvs))
-	}
-	for i, srv := range srvs {
-		if srv.ID != i {
-			t.Fatalf("server at position %d has ID %d", i, srv.ID)
+	cfg := FleetConfig{NumPoPs: 3, ServersPerPoP: 4}
+	want := 0
+	for pop := 0; pop < 3; pop++ {
+		for slot := 0; slot < 4; slot++ {
+			if id := NewSlotFleet(cfg, 5, pop, slot).PoPServers(pop)[slot].ID; id != want {
+				t.Fatalf("pop %d slot %d has ID %d, want %d", pop, slot, id, want)
+			}
+			want++
 		}
 	}
 }

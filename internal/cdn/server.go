@@ -148,13 +148,6 @@ type Server struct {
 	// serving allocates none.
 	requests freeList[inflight]
 	fills    freeList[cacheFill]
-
-	// Aggregate metrics for the load/performance analysis.
-	Served      int64
-	BytesServed int64
-	RetryHits   int64
-	BusyMS      float64
-	SumDCDNms   float64
 }
 
 // Client receives a served request's latency breakdown at the moment the
@@ -261,14 +254,6 @@ func (s *Server) Cache() *cache.MultiLevel { return s.cache }
 // Config returns the effective configuration.
 func (s *Server) Config() Config { return s.cfg }
 
-// MeanDCDNms returns the server's average D_CDN over all served requests.
-func (s *Server) MeanDCDNms() float64 {
-	if s.Served == 0 {
-		return math.NaN()
-	}
-	return s.SumDCDNms / float64(s.Served)
-}
-
 // Serve schedules the handling of req on the simulation engine and hands
 // c the latency breakdown at the moment the chunk's first byte is written
 // to the socket.
@@ -318,11 +303,9 @@ func (s *Server) start(f *inflight) {
 		// Not in memory: the first open attempt fails and the async
 		// retry timer fires before the disk read completes.
 		res.RetryTimer = true
-		s.RetryHits++
 		res.DreadMS = s.cfg.OpenRetryMS + s.diskReadMS(f.req.SizeBytes)
 	case cache.LevelMiss:
 		res.RetryTimer = true
-		s.RetryHits++
 		res.DBEms = s.backend.FetchLatencyMS() * f.req.backendFactor()
 		// Local work: retry timer + writing the backend's first bytes
 		// through to the socket (backend fetch and delivery are
@@ -340,11 +323,6 @@ func (s *Server) finish(f *inflight, dispatch float64) {
 	res := f.res
 	localWork := dispatch + res.DopenMS + res.DreadMS
 	firstByteDelay := localWork + res.DBEms
-
-	s.Served++
-	s.BytesServed += f.req.SizeBytes
-	s.BusyMS += localWork
-	s.SumDCDNms += res.DCDNms()
 
 	// The worker is event-driven: it is released after the local work;
 	// waiting on the backend does not occupy a thread.

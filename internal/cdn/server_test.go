@@ -229,24 +229,6 @@ func TestPrefetchWarmsNextChunks(t *testing.T) {
 	}
 }
 
-func TestServerMetrics(t *testing.T) {
-	s := newTestServer(Config{})
-	if !math.IsNaN(s.MeanDCDNms()) {
-		t.Error("MeanDCDN before any request should be NaN")
-	}
-	serveSync(s, Request{Key: 1, SizeBytes: 100000})
-	serveSync(s, Request{Key: 1, SizeBytes: 100000})
-	if s.Served != 2 || s.BytesServed != 200000 {
-		t.Errorf("served=%d bytes=%d", s.Served, s.BytesServed)
-	}
-	if s.RetryHits != 1 {
-		t.Errorf("retry hits = %d, want 1 (the miss)", s.RetryHits)
-	}
-	if s.MeanDCDNms() <= 0 {
-		t.Error("MeanDCDN not positive")
-	}
-}
-
 func TestUnknownPolicyPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -257,48 +239,40 @@ func TestUnknownPolicyPanics(t *testing.T) {
 }
 
 func TestFleetMapping(t *testing.T) {
-	f := NewFleet(FleetConfig{NumPoPs: 3, ServersPerPoP: 4}, 9)
-	if f.NumServers() != 12 {
-		t.Fatalf("servers = %d", f.NumServers())
+	cfg := FleetConfig{NumPoPs: 3, ServersPerPoP: 4}.WithDefaults()
+	// Cache-focused: same video -> same slot, regardless of session.
+	if a, b := SlotFor(cfg, 77, 77, 111), SlotFor(cfg, 77, 77, 222); a != b {
+		t.Errorf("cache-focused mapping not session-independent: slots %d and %d", a, b)
 	}
-	// Cache-focused: same video -> same server, regardless of session.
-	a := f.ServerFor(1, 77, 77, 111)
-	b := f.ServerFor(1, 77, 77, 222)
-	if a != b {
-		t.Error("cache-focused mapping not session-independent")
-	}
-	if a.PoPID != 1 {
-		t.Errorf("server PoP = %d, want 1", a.PoPID)
-	}
-	// Different videos spread across slots.
-	servers := make(map[int]bool)
+	// Different videos spread across slots, all in range.
+	slots := make(map[int]bool)
 	for vid := 0; vid < 100; vid++ {
-		servers[f.ServerFor(0, vid, vid, 1).ID] = true
+		slot := SlotFor(cfg, vid, vid, 1)
+		if slot < 0 || slot >= cfg.ServersPerPoP {
+			t.Fatalf("video %d mapped to slot %d, outside [0, %d)", vid, slot, cfg.ServersPerPoP)
+		}
+		slots[slot] = true
 	}
-	if len(servers) < 3 {
-		t.Errorf("mapping used only %d server(s)", len(servers))
-	}
-	// Out-of-range PoP falls back safely.
-	if f.ServerFor(-1, 5, 5, 1) == nil || f.ServerFor(99, 5, 5, 1) == nil {
-		t.Error("out-of-range PoP not handled")
+	if len(slots) < 3 {
+		t.Errorf("mapping used only %d slot(s)", len(slots))
 	}
 }
 
 func TestFleetPartitioningSpreadsPopular(t *testing.T) {
-	f := NewFleet(FleetConfig{NumPoPs: 1, ServersPerPoP: 8, PartitionTopRanks: 100}, 10)
+	cfg := FleetConfig{NumPoPs: 1, ServersPerPoP: 8, PartitionTopRanks: 100}.WithDefaults()
 	// A popular video (rank < 100) should land on many servers across
 	// sessions; an unpopular one stays pinned.
-	popServers := make(map[int]bool)
-	coldServers := make(map[int]bool)
+	popSlots := make(map[int]bool)
+	coldSlots := make(map[int]bool)
 	for sess := uint64(0); sess < 200; sess++ {
-		popServers[f.ServerFor(0, 5, 5, sess).ID] = true
-		coldServers[f.ServerFor(0, 5000, 5000, sess).ID] = true
+		popSlots[SlotFor(cfg, 5, 5, sess)] = true
+		coldSlots[SlotFor(cfg, 5000, 5000, sess)] = true
 	}
-	if len(popServers) < 4 {
-		t.Errorf("popular video spread over %d servers, want several", len(popServers))
+	if len(popSlots) < 4 {
+		t.Errorf("popular video spread over %d servers, want several", len(popSlots))
 	}
-	if len(coldServers) != 1 {
-		t.Errorf("unpopular video on %d servers, want 1", len(coldServers))
+	if len(coldSlots) != 1 {
+		t.Errorf("unpopular video on %d servers, want 1", len(coldSlots))
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"os"
 
 	"vidperf/internal/catalog"
+	"vidperf/internal/geo"
 	"vidperf/internal/telemetry"
 	"vidperf/internal/workload"
 )
@@ -411,10 +412,15 @@ func (s *Spec) Validate() error {
 		return err
 	}
 	// The timeline's intrinsic invariants were checked by Expand (via
-	// Build); PoP references and the bitrate ladder are checked per cell
-	// because an axis may sweep the fleet size or the ladder.
+	// Build); the PoP count, PoP references and the bitrate ladder are
+	// checked per cell because an axis may sweep the fleet size or the
+	// ladder.
 	for _, c := range cells {
-		if err := c.Scenario.Timeline.ValidatePoPs(c.Scenario.Fleet.WithDefaults().NumPoPs); err != nil {
+		pops := c.Scenario.Fleet.WithDefaults().NumPoPs
+		if n := len(geo.DefaultPoPs()); pops < 1 || pops > n {
+			return fmt.Errorf("experiment: spec %s: cell %s: pops %d, want 1 to %d", s.Name, c.Name, pops, n)
+		}
+		if err := c.Scenario.Timeline.ValidatePoPs(pops); err != nil {
 			return fmt.Errorf("experiment: spec %s: cell %s: %w", s.Name, c.Name, err)
 		}
 		if err := catalog.ValidateBitrates(c.Scenario.Catalog.Bitrates); err != nil {

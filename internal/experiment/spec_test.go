@@ -42,6 +42,9 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 		{"zero rung", `{"name":"x","scenario":{"bitrates":[0,750,41200]}}`, "out of range"},
 		{"oversized rung", `{"name":"x","scenario":{"bitrates":[750,41200]}}`, "out of range"},
 		{"bad ladder on an axis", `{"name":"x","axes":[{"name":"bitrates","values":[[235,3000],[750,750]]}]}`, "cell bitrates="},
+		{"too many pops", `{"name":"x","scenario":{"pops":7}}`, "pops 7, want 1 to 6"},
+		{"negative pops", `{"name":"x","scenario":{"pops":-1}}`, "pops -1"},
+		{"too many pops on an axis", `{"name":"x","axes":[{"name":"pops","values":[6,8]}]}`, "cell pops=8"},
 	}
 	for _, c := range cases {
 		_, err := Load(strings.NewReader(c.src))

@@ -1,8 +1,8 @@
 // Package session is the end-to-end runner: it executes a workload
 // scenario on the discrete-event engine, wiring each session's ABR,
-// TCP connection, download stack, player, and rendering path to the shared
-// CDN fleet, and emits the joined per-chunk/per-session instrumentation
-// records (internal/core) that every analysis consumes.
+// TCP connection, download stack, player, and rendering path to the CDN
+// server that serves it, and emits the joined per-chunk/per-session
+// instrumentation records (internal/core) that every analysis consumes.
 //
 // One session is one TCP connection issuing a linear sequence of chunk
 // requests (the paper's session model); the engine interleaves thousands
@@ -29,6 +29,7 @@ import (
 	"vidperf/internal/catalog"
 	"vidperf/internal/cdn"
 	"vidperf/internal/core"
+	"vidperf/internal/geo"
 	"vidperf/internal/sim"
 	"vidperf/internal/timeline"
 	"vidperf/internal/workload"
@@ -90,16 +91,17 @@ func runOnPopulationWithSinks(pop *workload.Population, factory SinkFactory, pro
 }
 
 // slotShard is one server's slice of the campaign: the sessions it
-// serves, its private single-server fleet partition, engine, and record
+// serves, the one server that serves them, its engine, and its record
 // sink. Shards share only the immutable population.
 type slotShard struct {
-	pop   *workload.Population
-	refs  []workload.SessionRef
-	popID int
-	slot  int
-	algo  abr.Algorithm
-	shard sim.Shard
-	sink  core.RecordSink
+	pop    *workload.Population
+	refs   []workload.SessionRef
+	popID  int
+	slot   int
+	algo   abr.Algorithm
+	shard  sim.Shard
+	sink   core.RecordSink
+	server *cdn.Server // set for the duration of run
 
 	// recPool recycles finished sessions' ChunkRecord buffers (sinks copy
 	// what they keep, per the core.RecordSink contract) so steady-state
@@ -133,6 +135,9 @@ func (sh *slotShard) putRecords(b []core.ChunkRecord) {
 func planShards(pop *workload.Population, factory SinkFactory) ([]*slotShard, error) {
 	sc := pop.Scenario
 	cfg := sc.Fleet.WithDefaults()
+	if n := len(geo.DefaultPoPs()); cfg.NumPoPs < 1 || cfg.NumPoPs > n {
+		return nil, fmt.Errorf("session: %d PoPs, want 1 to %d", cfg.NumPoPs, n)
+	}
 	if err := sc.Timeline.Validate(); err != nil {
 		return nil, err
 	}
@@ -194,29 +199,32 @@ func executeShards(parallelism int, shards []*slotShard, prog *Progress) {
 	})
 }
 
-// run builds the shard's single-server fleet partition, warms it,
-// schedules the shard's session arrivals, and drains the event loop.
-// Everything it touches is shard-private except the read-only population.
-// Session state (TCP connection, player, ABR estimator) is created at
-// arrival time and becomes garbage once the session's records are handed
-// to the sink, so a streaming sink keeps the shard's live heap
-// proportional to concurrently playing sessions rather than to the whole
-// campaign.
+// run builds the shard's server, warms it, schedules the shard's session
+// arrivals, and drains the event loop. Everything it touches is
+// shard-private except the read-only population. Session state (TCP
+// connection, player, ABR estimator) is created at arrival time and
+// becomes garbage once the session's records are handed to the sink, so
+// a streaming sink keeps the shard's live heap proportional to
+// concurrently playing sessions rather than to the whole campaign. The
+// server and its cache are dropped when the loop drains: shards live
+// until the whole campaign ends.
 func (sh *slotShard) run() {
 	sc := sh.pop.Scenario
 	fleet := cdn.NewSlotFleet(sc.Fleet, sc.Seed, sh.popID, sh.slot)
 	if !sc.ColdStart {
 		WarmPoP(fleet, sh.pop.Catalog, sh.popID)
 	}
-	reserveArenas(fleet.PoPServers(sh.popID)[sh.slot].Cache(), sh.shard.Weight)
+	sh.server = fleet.PoPServers(sh.popID)[sh.slot]
+	reserveArenas(sh.server.Cache(), sh.shard.Weight)
 	eng := &sh.shard.Engine
-	scheduleTimelineEvents(eng, fleet, sh.popID, sc.Timeline, sc.ArrivalOffsetMS)
+	scheduleTimelineEvents(eng, sh.server, sc.Timeline, sc.ArrivalOffsetMS)
 	arrivals := make([]arrival, len(sh.refs))
 	for i, ref := range sh.refs {
-		arrivals[i] = arrival{sh: sh, fleet: fleet, id: ref.ID}
+		arrivals[i] = arrival{sh: sh, id: ref.ID}
 		eng.At(ref.ArrivalMS, &arrivals[i])
 	}
 	eng.Run()
+	sh.server = nil
 }
 
 // reserveArenas sizes an LRU cache's arenas for a shard's planned chunk
@@ -234,43 +242,35 @@ func reserveArenas(ml *cache.MultiLevel, plannedChunks int) {
 // arrival is the event that starts one session: it plans the session and
 // issues its first chunk request.
 type arrival struct {
-	sh    *slotShard
-	fleet *cdn.Fleet
-	id    uint64
+	sh *slotShard
+	id uint64
 }
 
 // Fire implements sim.Handler.
 func (a *arrival) Fire(float64) {
 	plan := a.sh.pop.PlanSession(a.id)
-	newSessionState(a.sh, plan, a.fleet, &a.sh.shard.Engine).requestNextChunk()
+	newSessionState(a.sh, plan, &a.sh.shard.Engine).requestNextChunk()
 }
 
 // scheduleTimelineEvents installs the timeline's per-server mutations as
-// engine events inside one shard: cache-capacity shrink at each phase
-// start and restore at its end. They are scheduled before any arrival,
-// so at equal timestamps the capacity change is applied before sessions
-// arriving at that exact instant — the same deterministic order on every
-// run and at every parallelism, since each shard mutates only its own
-// servers inside its own event system. A partial fleet's server slice
-// has nil entries for slots other shards own; they are skipped. Phase
+// engine events inside one shard: cache-capacity shrink of the shard's
+// server at each phase start and restore at its end. They are scheduled
+// before any arrival, so at equal timestamps the capacity change is
+// applied before sessions arriving at that exact instant — the same
+// deterministic order on every run and at every parallelism, since each
+// shard mutates only its own server inside its own event system. Phase
 // times are window-relative; offsetMS (Scenario.ArrivalOffsetMS) shifts
 // them onto the same virtual clock as the offset arrivals.
-func scheduleTimelineEvents(eng *sim.Engine, fleet *cdn.Fleet, popID int, tl timeline.Timeline, offsetMS float64) {
+func scheduleTimelineEvents(eng *sim.Engine, srv *cdn.Server, tl timeline.Timeline, offsetMS float64) {
+	cfg := srv.Config()
 	for _, ph := range tl.Phases {
 		f := ph.Effects.CacheCapacityFactor
 		if f <= 0 || f == 1 {
 			continue
 		}
-		servers := fleet.PoPServers(popID)
 		resize := func(factor float64) sim.Func {
 			return func(float64) {
-				for _, srv := range servers {
-					if srv == nil {
-						continue
-					}
-					cfg := srv.Config()
-					srv.Cache().Resize(scaleBytes(cfg.RAMBytes, factor), scaleBytes(cfg.DiskBytes, factor))
-				}
+				srv.Cache().Resize(scaleBytes(cfg.RAMBytes, factor), scaleBytes(cfg.DiskBytes, factor))
 			}
 		}
 		eng.At(offsetMS+ph.StartMS, resize(f))

@@ -108,8 +108,8 @@ func TestParallelismByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRunShardsCoverEverySession checks the plan phase: the PoP partition
-// must neither drop nor duplicate sessions.
+// TestRunShardsCoverEverySession checks the plan phase: the slot
+// partition must neither drop nor duplicate sessions.
 func TestRunShardsCoverEverySession(t *testing.T) {
 	ds := mustRun(t, smallScenario(23))
 	seen := map[uint64]bool{}
@@ -123,6 +123,30 @@ func TestRunShardsCoverEverySession(t *testing.T) {
 	for id := uint64(1); id <= 300; id++ {
 		if !seen[id] {
 			t.Fatalf("session %d missing from merged dataset", id)
+		}
+	}
+}
+
+// TestFewerPoPsServeOnTheirOwnServers: with Fleet.NumPoPs below the
+// default, every session is served by a server of the PoP its record
+// names, and that PoP is one the fleet has. PoP counts outside the
+// default PoP list are rejected.
+func TestFewerPoPsServeOnTheirOwnServers(t *testing.T) {
+	sc := smallScenario(3)
+	sc.Fleet.NumPoPs = 3
+	ds := mustRun(t, sc)
+	perPoP := sc.Fleet.WithDefaults().ServersPerPoP
+	for i := range ds.Sessions {
+		s := &ds.Sessions[i]
+		if s.PoP < 0 || s.PoP >= 3 || s.ServerID/perPoP != s.PoP {
+			t.Fatalf("session %d: record PoP %d, server %d (PoP %d) in a 3-PoP fleet",
+				s.SessionID, s.PoP, s.ServerID, s.ServerID/perPoP)
+		}
+	}
+	for _, n := range []int{-1, 7} {
+		sc.Fleet.NumPoPs = n
+		if _, err := Execute(sc, Options{}); err == nil {
+			t.Errorf("Execute accepted NumPoPs %d", n)
 		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 
 // sessionState is one in-flight session. Its randomness derives from
 // (scenario seed, session ID) only, and it touches only its own shard's
-// engine, fleet partition, and sink. Its chunk-record buffer is borrowed
+// engine, server, and sink. Its chunk-record buffer is borrowed
 // from the shard's pool and returned when the session finishes.
 //
 // The session is its own event handler and CDN client: Fire issues the
@@ -29,7 +29,6 @@ type sessionState struct {
 	pop   *workload.Population
 	plan  workload.SessionPlan
 	algo  abr.Algorithm
-	fleet *cdn.Fleet
 	eng   *sim.Engine
 	sink  core.RecordSink
 
@@ -84,9 +83,7 @@ func (s *sessionState) Served(res cdn.ServeResult) { s.onServed(res) }
 // hook is package-level state, so it must stay nil in production runs.
 var liveProbe func(sessionID uint64, absChunk int, issueMS, publishMS float64)
 
-func newSessionState(sh *slotShard, plan workload.SessionPlan,
-	fleet *cdn.Fleet, eng *sim.Engine) *sessionState {
-
+func newSessionState(sh *slotShard, plan workload.SessionPlan, eng *sim.Engine) *sessionState {
 	pop := sh.pop
 	r := stats.NewRand(pop.Scenario.Seed ^ (plan.ID * 0xdeadbeefcafef00d))
 	prof := plan.Prefix.Profile
@@ -102,7 +99,7 @@ func newSessionState(sh *slotShard, plan workload.SessionPlan,
 		pop:     pop,
 		plan:    plan,
 		algo:    sh.algo,
-		fleet:   fleet,
+		server:  sh.server,
 		eng:     eng,
 		sink:    sh.sink,
 		r:       r,
@@ -190,7 +187,6 @@ func (s *sessionState) requestNextChunk() {
 		Next:          s.prefetchList(idx, bitrate),
 		BackendFactor: s.plan.BackendFactor,
 	}
-	s.server = s.fleet.ServerFor(s.plan.ServingPoP, s.plan.Video.ID, s.plan.Video.Rank, s.plan.ID)
 	s.req = chunkRequest{t0: s.eng.Now(), idx: idx, bitrate: bitrate, dur: dur, size: size}
 	s.server.Serve(s.eng, req, s)
 }
@@ -202,7 +198,7 @@ func (s *sessionState) requestNextChunk() {
 // server reads it before the request's first byte, and the session's next
 // request comes after.
 func (s *sessionState) prefetchList(idx, bitrate int) []cdn.NextChunk {
-	if s.liveVideo != nil || s.fleet.Config().Server.Prefetch == 0 {
+	if s.liveVideo != nil || s.server.Config().Prefetch == 0 {
 		return nil
 	}
 	out := s.nextBuf[:0]
@@ -378,7 +374,7 @@ func (s *sessionState) finish() {
 		Country:        pl.Prefix.Country,
 		US:             pl.Prefix.US,
 		PoP:            pl.ServingPoP,
-		ServerID:       s.serverID(),
+		ServerID:       s.server.ID,
 		OrgName:        pl.Prefix.Profile.OrgName,
 		OrgType:        pl.Prefix.Profile.Org.String(),
 		ConnType:       workload.ConnTypeLabel(pl.Prefix),
@@ -419,11 +415,4 @@ func (s *sessionState) finish() {
 	// call, so the buffer can be recycled for the shard's next session.
 	s.shard.putRecords(s.records)
 	s.records = nil
-}
-
-func (s *sessionState) serverID() int {
-	if s.server != nil {
-		return s.server.ID
-	}
-	return -1
 }

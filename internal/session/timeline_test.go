@@ -90,12 +90,14 @@ func TestTimelineParallelismByteIdentical(t *testing.T) {
 
 // TestTimelineFailoverRedirectsArrivals: no session arriving during the
 // outage phase may be served by the down PoP, sessions outside it keep
-// their native PoP, and the partitioner must agree with the plans (a
-// disagreement would strand sessions on shards without their servers).
+// their native PoP, and every session's server must belong to the PoP
+// its record names (a partitioner that disagreed with the plans would
+// run redirected sessions on the down PoP's server).
 func TestTimelineFailoverRedirectsArrivals(t *testing.T) {
 	sc := timelineScenario(5)
 	ds := mustRun(t, sc)
 	pop := workload.Build(sc)
+	perPoP := sc.Fleet.WithDefaults().ServersPerPoP
 	outage := sc.Timeline.Phases[1]
 	redirected := 0
 	for i := range ds.Sessions {
@@ -119,9 +121,9 @@ func TestTimelineFailoverRedirectsArrivals(t *testing.T) {
 					s.SessionID, s.ArrivalMS, s.PoP, native)
 			}
 		}
-		if got := pop.SessionPoP(s.SessionID); got != s.PoP {
-			t.Fatalf("SessionPoP(%d) = %d, record says %d (partitioner disagrees with plan)",
-				s.SessionID, got, s.PoP)
+		if got := s.ServerID / perPoP; got != s.PoP {
+			t.Fatalf("session %d served by server %d of PoP %d, record says PoP %d",
+				s.SessionID, s.ServerID, got, s.PoP)
 		}
 	}
 	if redirected == 0 {
@@ -137,7 +139,7 @@ func TestTimelineFlashCrowdConcentratesArrivals(t *testing.T) {
 	crowd := sc.Timeline.Phases[0]
 	in := 0
 	for id := uint64(1); id <= uint64(sc.NumSessions); id++ {
-		if crowd.Contains(pop.SessionArrival(id)) {
+		if crowd.Contains(pop.PlanSession(id).ArrivalMS) {
 			in++
 		}
 	}

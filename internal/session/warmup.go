@@ -8,25 +8,14 @@ import (
 	"vidperf/internal/cdn"
 )
 
-// WarmFleet pre-populates every built PoP's caches with the catalog
-// content that maps to them; see WarmPoP for the warming policy. On a
-// partial fleet (cdn.NewPoPFleet, cdn.NewSlotFleet) it warms just the
-// servers that exist, which is how each shard of a sharded run warms only
-// the server it owns.
-func WarmFleet(fleet *cdn.Fleet, cat *catalog.Catalog) {
-	for _, pop := range fleet.BuiltPoPs() {
-		WarmPoP(fleet, cat, pop)
-	}
-}
-
-// WarmPoP pre-populates one PoP's caches with the catalog content that
-// maps to its built servers, in ascending popularity order (least popular
-// first) so LRU recency ends up matching popularity. This simulates a CDN
-// that has been serving the catalog for weeks — the regime the paper
-// measures (average miss rate ~2%) — without paying for millions of
-// warmup sessions. Warming is deterministic in (catalog, fleet config,
-// popID): it draws no randomness, so a server warms identically whether
-// it is part of a full fleet, a single-PoP shard, or a single-slot shard.
+// WarmPoP pre-populates the cache of the fleet's server in PoP pop with
+// the catalog content that maps to its slot, in ascending popularity
+// order (least popular first) so LRU recency ends up matching popularity.
+// This simulates a CDN that has been serving the catalog for weeks — the
+// regime the paper measures (average miss rate ~2%) — without paying for
+// millions of warmup sessions. Warming is deterministic in (catalog,
+// fleet config, slot): it draws no randomness, so each shard warms its
+// own server exactly as a whole warmed deployment would.
 //
 // Warming covers the ladder rungs sessions actually converge to (>= 750
 // kbps for all titles, every rung for the most popular quartile) plus the

@@ -14,47 +14,53 @@ import (
 	"vidperf/internal/workload"
 )
 
+// warmedPoP builds every slot of one PoP as its own slot fleet and warms
+// it, the way each shard of a run builds and warms its one server. The
+// result is indexed by slot.
+func warmedPoP(cfg cdn.FleetConfig, seed uint64, cat *catalog.Catalog, pop int) []*cdn.Server {
+	cfg = cfg.WithDefaults()
+	servers := make([]*cdn.Server, cfg.ServersPerPoP)
+	for slot := range servers {
+		fleet := cdn.NewSlotFleet(cfg, seed, pop, slot)
+		WarmPoP(fleet, cat, pop)
+		servers[slot] = fleet.PoPServers(pop)[slot]
+	}
+	return servers
+}
+
 func TestWarmFleetPopulatesCaches(t *testing.T) {
-	fleet := cdn.NewFleet(cdn.FleetConfig{NumPoPs: 2, ServersPerPoP: 3}, 1)
+	cfg := cdn.FleetConfig{NumPoPs: 2, ServersPerPoP: 3}
 	cat := catalog.New(catalog.Config{NumVideos: 200, DurationMedian: 60}, stats.NewRand(1))
-	WarmFleet(fleet, cat)
-
-	// Every server with mapped content must hold bytes.
-	warmed := 0
-	for _, srv := range fleet.Servers() {
-		if srv.Cache().Disk.Size() > 0 {
-			warmed++
-		}
-	}
-	if warmed != fleet.NumServers() {
-		t.Errorf("only %d/%d servers warmed", warmed, fleet.NumServers())
-	}
-
-	// The most popular video's mid-ladder chunk must be resident on its
-	// mapped server in every PoP; a cold-tail video must not be.
 	for pop := 0; pop < 2; pop++ {
+		servers := warmedPoP(cfg, 1, cat, pop)
+		// Every server with mapped content must hold bytes.
+		for _, srv := range servers {
+			if srv.Cache().Disk.Size() == 0 {
+				t.Errorf("server %d not warmed", srv.ID)
+			}
+		}
+		// The most popular video's mid-ladder chunk must be resident on
+		// its mapped server; a cold-tail video must not be.
 		v0 := &cat.Videos[0]
-		srv := fleet.ServerFor(pop, v0.ID, v0.Rank, 0)
-		key := catalog.ChunkKey(v0.ID, 0, 1750)
-		if !srv.Cache().Contains(key) {
+		srv := servers[cdn.SlotFor(cfg, v0.ID, v0.Rank, 0)]
+		if !srv.Cache().Contains(catalog.ChunkKey(v0.ID, 0, 1750)) {
 			t.Errorf("pop %d: popular chunk not warmed", pop)
 		}
 		cold := &cat.Videos[len(cat.Videos)-1] // rank beyond the 95% cold cut
-		coldSrv := fleet.ServerFor(pop, cold.ID, cold.Rank, 0)
-		coldKey := catalog.ChunkKey(cold.ID, 0, 1750)
-		if coldSrv.Cache().Contains(coldKey) {
+		coldSrv := servers[cdn.SlotFor(cfg, cold.ID, cold.Rank, 0)]
+		if coldSrv.Cache().Contains(catalog.ChunkKey(cold.ID, 0, 1750)) {
 			t.Errorf("pop %d: cold-tail chunk unexpectedly warmed", pop)
 		}
 	}
 }
 
 func TestWarmFleetTopQuartileGetsAllRungs(t *testing.T) {
-	fleet := cdn.NewFleet(cdn.FleetConfig{NumPoPs: 1, ServersPerPoP: 2}, 2)
+	cfg := cdn.FleetConfig{NumPoPs: 1, ServersPerPoP: 2}
 	cat := catalog.New(catalog.Config{NumVideos: 100, DurationMedian: 60}, stats.NewRand(2))
-	WarmFleet(fleet, cat)
+	servers := warmedPoP(cfg, 2, cat, 0)
 
 	v0 := &cat.Videos[0] // top quartile: all rungs warmed
-	srv := fleet.ServerFor(0, v0.ID, v0.Rank, 0)
+	srv := servers[cdn.SlotFor(cfg, v0.ID, v0.Rank, 0)]
 	for _, br := range cat.Bitrates {
 		if !srv.Cache().Contains(catalog.ChunkKey(v0.ID, 1, br)) {
 			t.Errorf("top video missing rung %d", br)
@@ -63,7 +69,7 @@ func TestWarmFleetTopQuartileGetsAllRungs(t *testing.T) {
 	// A mid-catalog (below quartile, above cold cut) video: low rungs are
 	// cold except the startup rung on early chunks.
 	vMid := &cat.Videos[60]
-	srvMid := fleet.ServerFor(0, vMid.ID, vMid.Rank, 0)
+	srvMid := servers[cdn.SlotFor(cfg, vMid.ID, vMid.Rank, 0)]
 	if srvMid.Cache().Contains(catalog.ChunkKey(vMid.ID, 5, 235)) {
 		t.Error("mid video's 235 kbps rung should be cold")
 	}
@@ -76,15 +82,12 @@ func TestWarmFleetTopQuartileGetsAllRungs(t *testing.T) {
 }
 
 func TestWarmFleetPartitionedSpreadsPopular(t *testing.T) {
-	fleet := cdn.NewFleet(cdn.FleetConfig{
-		NumPoPs: 1, ServersPerPoP: 4, PartitionTopRanks: 10,
-	}, 3)
+	cfg := cdn.FleetConfig{NumPoPs: 1, ServersPerPoP: 4, PartitionTopRanks: 10}
 	cat := catalog.New(catalog.Config{NumVideos: 100, DurationMedian: 60}, stats.NewRand(3))
-	WarmFleet(fleet, cat)
 
 	// Partitioned top titles must be resident on every server of the PoP.
 	key := catalog.ChunkKey(cat.Videos[0].ID, 0, 1750)
-	for _, srv := range fleet.PoPServers(0) {
+	for _, srv := range warmedPoP(cfg, 3, cat, 0) {
 		if !srv.Cache().Contains(key) {
 			t.Errorf("server %d missing partitioned popular chunk", srv.ID)
 		}
@@ -178,9 +181,9 @@ func warmWorlds() []struct {
 		cat  *catalog.Catalog
 		cfg  cdn.FleetConfig
 	}{
-		{"default", mk(240, nil), cdn.NewFleet(cdn.FleetConfig{NumPoPs: 1, ServersPerPoP: 3}, 1).Config()},
-		{"partitioned", mk(200, nil), cdn.NewFleet(cdn.FleetConfig{NumPoPs: 1, ServersPerPoP: 4, PartitionTopRanks: 12}, 1).Config()},
-		{"short-ladder", mk(160, []int{400, 750, 3000}), cdn.NewFleet(cdn.FleetConfig{NumPoPs: 1, ServersPerPoP: 2}, 1).Config()},
+		{"default", mk(240, nil), cdn.FleetConfig{NumPoPs: 1, ServersPerPoP: 3}.WithDefaults()},
+		{"partitioned", mk(200, nil), cdn.FleetConfig{NumPoPs: 1, ServersPerPoP: 4, PartitionTopRanks: 12}.WithDefaults()},
+		{"short-ladder", mk(160, []int{400, 750, 3000}), cdn.FleetConfig{NumPoPs: 1, ServersPerPoP: 2}.WithDefaults()},
 	}
 }
 

@@ -71,9 +71,10 @@ type Scenario struct {
 
 	// Parallelism caps how many server-slot shards the session runner executes
 	// concurrently: 0 uses GOMAXPROCS, 1 runs the shards sequentially.
-	// Sessions never cross PoPs and every shard's randomness derives from
-	// (Seed, PoP) alone, so the merged trace is byte-identical at every
-	// setting — Parallelism only changes wall-clock time.
+	// A session never leaves its one server and every shard's randomness
+	// derives from (Seed, PoP, slot) or (Seed, session ID) alone, so the
+	// merged trace is byte-identical at every setting — Parallelism only
+	// changes wall-clock time.
 	Parallelism int
 
 	// Timeline injects faults and degradations at scheduled virtual
@@ -204,14 +205,20 @@ const liveVideoIDBase = 1 << 20
 const liveSlackChunks = 2048
 
 // Build generates the population for sc. The same seed yields the same
-// population.
+// population. Prefixes map to the nearest of the first Fleet.NumPoPs
+// entries of geo.DefaultPoPs; the session runner rejects a NumPoPs
+// outside [1, len(geo.DefaultPoPs())] before any session runs.
 func Build(sc Scenario) *Population {
 	sc = sc.WithDefaults()
 	r := stats.NewRand(sc.Seed ^ 0xa5a5a5a5deadbeef)
+	pops := geo.DefaultPoPs()
+	if n := sc.Fleet.WithDefaults().NumPoPs; n >= 1 && n < len(pops) {
+		pops = pops[:n]
+	}
 	pop := &Population{
 		Scenario: sc,
 		Catalog:  catalog.New(sc.Catalog, r.Split()),
-		PoPs:     geo.DefaultPoPs(),
+		PoPs:     pops,
 		warp:     sc.Timeline.NewArrivalWarp(sc.ArrivalWindowMS),
 	}
 	pop.buildPrefixes(r.Split())
@@ -428,8 +435,9 @@ type SessionPlan struct {
 }
 
 // PlanSession draws session id's plan. Plans are deterministic in
-// (scenario seed, id). The prefix draw must stay the first use of r so
-// that SessionPoP predicts the same serving PoP without building a plan.
+// (scenario seed, id), and the draws that place a session on a shard
+// (prefix, video, arrival) come from planHead, the same replay
+// PartitionBySlot uses.
 //
 // When the scenario has a timeline, the uniform arrival draw is warped
 // through the timeline's arrival-rate function and the phase active at
@@ -511,10 +519,10 @@ type liveHead struct {
 // video, watch-length, and (warped) arrival draws, in exactly the order
 // PlanSession consumes them — and returns the RNG positioned for the
 // remaining draws. It is the single place that draw order lives, so the
-// partitioner, the arrival scheduler, and the full planner can never
-// disagree. The returned arrival is window-relative: timeline phase
-// lookups key on it, and callers that need the virtual-clock arrival add
-// Scenario.ArrivalOffsetMS themselves.
+// partitioner and the full planner can never disagree. The returned
+// arrival is window-relative: timeline phase lookups key on it, and
+// callers that need the virtual-clock arrival add Scenario.ArrivalOffsetMS
+// themselves.
 //
 // In live mode one extra draw (the channel) follows the arrival draw,
 // the channel's asset replaces the sampled title, and the join chunk
@@ -558,8 +566,9 @@ func (p *Population) servingPoP(home int, arrival float64) int {
 // applyPhaseEffects overlays the per-session effects of the timeline
 // phase active at the plan's arrival time: network-path degradation,
 // the backend brownout factor, and PoP failover. All mutations are pure
-// functions of the already-drawn plan, so determinism and the
-// plan-replay contracts (SessionArrival, SessionPoP) are preserved.
+// functions of the already-drawn plan, so determinism holds and
+// PartitionBySlot, which replays only the plan head, agrees with the
+// plan's ServingPoP and ArrivalMS.
 func (p *Population) applyPhaseEffects(plan *SessionPlan) {
 	ph := p.Scenario.Timeline.PhaseAt(plan.ArrivalMS)
 	if ph == nil {
@@ -587,48 +596,6 @@ func (p *Population) applyPhaseEffects(plan *SessionPlan) {
 	}
 }
 
-// SessionArrival returns session id's arrival time, replaying only the
-// plan draws that precede it (prefix, video, watch length) without
-// building the platform, path, or stack state. The sharded runner no
-// longer calls it per arrival — PartitionBySlot caches arrivals during
-// partitioning — but it remains the contract that pins the arrival draw
-// position inside the plan.
-func (p *Population) SessionArrival(id uint64) float64 {
-	_, _, _, _, arrival, _ := p.planHead(id)
-	return arrival + p.Scenario.ArrivalOffsetMS
-}
-
-// SessionPoP returns the PoP that will serve session id. It must agree
-// with PlanSession's ServingPoP, because the partitioner assigns each
-// session to the shard that owns its serving PoP's servers.
-func (p *Population) SessionPoP(id uint64) int {
-	if !p.Scenario.Timeline.HasPoPOutage() {
-		r := stats.NewRand(p.Scenario.Seed ^ (id * 0x9e3779b97f4a7c15))
-		return p.SamplePrefix(r).PoP
-	}
-	_, pre, _, _, arrival, _ := p.planHead(id)
-	return p.servingPoP(pre.PoP, arrival)
-}
-
-// PartitionByPoP buckets session IDs 1..NumSessions by serving PoP,
-// clamping PoPs outside [0, numPoPs) into bucket 0 (the same fallback
-// Fleet.ServerFor applies). Within a bucket IDs stay ascending, so shard
-// event scheduling matches the order a single global engine would use.
-func (p *Population) PartitionByPoP(numPoPs int) [][]uint64 {
-	if numPoPs < 1 {
-		numPoPs = 1
-	}
-	parts := make([][]uint64, numPoPs)
-	for id := uint64(1); id <= uint64(p.Scenario.NumSessions); id++ {
-		pop := p.SessionPoP(id)
-		if pop < 0 || pop >= numPoPs {
-			pop = 0
-		}
-		parts[pop] = append(parts[pop], id)
-	}
-	return parts
-}
-
 // SessionRef is the compact per-session record a partition retains: the
 // ID plus the already-computed arrival time, so the runner schedules
 // arrivals without replaying the plan head a second time. Sixteen bytes
@@ -643,9 +610,10 @@ type SessionRef struct {
 // a session's chunks all land on one server (see cdn.SlotFor), and
 // sessions on different servers share no mutable state, so every bucket
 // is an independent event system. The returned slice is indexed by
-// pop*ServersPerPoP+slot; serving PoPs outside [0, NumPoPs) clamp to
-// PoP 0, mirroring Fleet.ServerFor. Within a bucket IDs stay ascending,
-// so shard event scheduling matches a single global engine's order.
+// pop*ServersPerPoP+slot. cfg.NumPoPs must be the population's PoP count
+// and the timeline's failover PoPs must lie below it (the runner
+// validates both). Within a bucket IDs stay ascending, so shard event
+// scheduling matches a single global engine's order.
 //
 // Each session's plan head is replayed exactly once here; the arrival
 // time rides along in the SessionRef instead of being re-derived at
@@ -662,9 +630,6 @@ func (p *Population) PartitionBySlot(cfg cdn.FleetConfig) ([][]SessionRef, []int
 	for id := uint64(1); id <= uint64(p.Scenario.NumSessions); id++ {
 		_, pre, video, watch, arrival, _ := p.planHead(id)
 		pop := p.servingPoP(pre.PoP, arrival)
-		if pop < 0 || pop >= cfg.NumPoPs {
-			pop = 0
-		}
 		slot := cdn.SlotFor(cfg, video.ID, video.Rank, id)
 		b := pop*cfg.ServersPerPoP + slot
 		parts[b] = append(parts[b], SessionRef{ID: id, ArrivalMS: arrival + p.Scenario.ArrivalOffsetMS})

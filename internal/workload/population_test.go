@@ -4,8 +4,11 @@ import (
 	"math"
 	"testing"
 
+	"vidperf/internal/cdn"
 	"vidperf/internal/clientstack"
+	"vidperf/internal/live"
 	"vidperf/internal/netpath"
+	"vidperf/internal/proxypop"
 	"vidperf/internal/stats"
 )
 
@@ -195,55 +198,68 @@ func TestConnTypeLabel(t *testing.T) {
 	}
 }
 
-func TestSessionPoPMatchesPlan(t *testing.T) {
-	p := testPop()
-	for id := uint64(1); id <= 500; id++ {
-		if got, want := p.SessionPoP(id), p.PlanSession(id).Prefix.PoP; got != want {
-			t.Fatalf("session %d: SessionPoP %d != plan PoP %d", id, got, want)
+// checkPartition pins determinism invariant 2 on the partitioner the
+// runner uses: every session lands exactly once, in ascending ID order,
+// in the bucket of its plan's serving PoP and server slot, carrying its
+// plan's arrival; and each bucket's chunk total is the sum of its plans'
+// watch lengths.
+func checkPartition(t *testing.T, p *Population) {
+	t.Helper()
+	cfg := p.Scenario.Fleet.WithDefaults()
+	parts, chunks := p.PartitionBySlot(cfg)
+	if len(parts) != cfg.NumPoPs*cfg.ServersPerPoP || len(chunks) != len(parts) {
+		t.Fatalf("got %d buckets and %d chunk totals, want %d", len(parts), len(chunks), cfg.NumPoPs*cfg.ServersPerPoP)
+	}
+	n := p.Scenario.NumSessions
+	seen := make([]int, n+1)
+	for b, refs := range parts {
+		var last uint64
+		sum := 0
+		for _, ref := range refs {
+			if ref.ID <= last || ref.ID > uint64(n) {
+				t.Fatalf("bucket %d: session %d after %d (IDs must ascend within 1..%d)", b, ref.ID, last, n)
+			}
+			last = ref.ID
+			seen[ref.ID]++
+			plan := p.PlanSession(ref.ID)
+			if want := plan.ServingPoP*cfg.ServersPerPoP + cdn.SlotFor(cfg, plan.Video.ID, plan.Video.Rank, plan.ID); b != want {
+				t.Fatalf("session %d in bucket %d, plan (PoP %d) says bucket %d", ref.ID, b, plan.ServingPoP, want)
+			}
+			if ref.ArrivalMS != plan.ArrivalMS {
+				t.Fatalf("session %d: partition arrival %v != plan arrival %v", ref.ID, ref.ArrivalMS, plan.ArrivalMS)
+			}
+			sum += plan.WatchChunks
+		}
+		if chunks[b] != sum {
+			t.Fatalf("bucket %d: chunk total %d, plans sum to %d", b, chunks[b], sum)
 		}
 	}
-}
-
-func TestPartitionByPoPCoversAllSessions(t *testing.T) {
-	p := testPop()
-	parts := p.PartitionByPoP(6)
-	if len(parts) != 6 {
-		t.Fatalf("got %d buckets", len(parts))
-	}
-	seen := map[uint64]int{}
-	for pop, ids := range parts {
-		last := uint64(0)
-		for _, id := range ids {
-			if id <= last {
-				t.Fatalf("pop %d: IDs not strictly ascending at %d", pop, id)
-			}
-			last = id
-			seen[id]++
-			if got := p.SessionPoP(id); got != pop {
-				t.Fatalf("session %d in bucket %d but SessionPoP = %d", id, pop, got)
-			}
-		}
-	}
-	for id := uint64(1); id <= uint64(p.Scenario.NumSessions); id++ {
+	for id := 1; id <= n; id++ {
 		if seen[id] != 1 {
 			t.Fatalf("session %d appears %d times", id, seen[id])
 		}
 	}
-	// Clamping: with a single bucket, everything lands in PoP 0.
-	one := p.PartitionByPoP(1)
-	if len(one) != 1 || len(one[0]) != p.Scenario.NumSessions {
-		t.Fatalf("clamped partition sizes wrong: %d buckets", len(one))
-	}
 }
 
-// TestSessionArrivalMatchesPlan pins the arrival-only replay to the full
-// plan: the runner schedules from SessionArrival and rebuilds the plan at
-// arrival time, so the two must agree exactly for every session.
-func TestSessionArrivalMatchesPlan(t *testing.T) {
-	pop := Build(Scenario{Seed: 42, NumSessions: 500, NumPrefixes: 120})
-	for id := uint64(1); id <= 500; id++ {
-		if got, want := pop.SessionArrival(id), pop.PlanSession(id).ArrivalMS; got != want {
-			t.Fatalf("session %d: SessionArrival %v != plan arrival %v", id, got, want)
-		}
+// TestPartitionBySlotMatchesPlans runs checkPartition on the scenario
+// families that change a plan head, and on a fleet with fewer PoPs than
+// the defaults (prefixes must map to the PoPs that exist); the timeline
+// families (failover, arrival warp) are covered in timeline_test.go.
+func TestPartitionBySlotMatchesPlans(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		sc   Scenario
+	}{
+		{"plain", Scenario{Seed: 1, NumSessions: 1000, NumPrefixes: 800}},
+		{"offset-top-ranks", Scenario{Seed: 42, NumSessions: 500, NumPrefixes: 120,
+			ArrivalOffsetMS: 3.6e6, Fleet: cdn.FleetConfig{PartitionTopRanks: 50}}},
+		{"live", Scenario{Seed: 9, NumSessions: 500, NumPrefixes: 120,
+			Live: live.Config{Channels: 8, SwitchPerMin: 2}}},
+		{"proxy", Scenario{Seed: 61, NumSessions: 500, NumPrefixes: 120,
+			Proxy: proxypop.Config{Share: 0.23, Cohorts: 4, EgressKbps: 25000}}},
+		{"three-pops", Scenario{Seed: 3, NumSessions: 500, NumPrefixes: 300,
+			Fleet: cdn.FleetConfig{NumPoPs: 3}}},
+	} {
+		t.Run(c.name, func(t *testing.T) { checkPartition(t, Build(c.sc)) })
 	}
 }
