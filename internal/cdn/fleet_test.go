@@ -7,11 +7,10 @@ import (
 	"vidperf/internal/sim"
 )
 
-// TestSlotFleet pins a slot fleet's server identity: its RNG streams are
-// the ones the server would draw in slot order from its PoP's stream,
-// whichever slot is built; PoPServers holds only that server; and
-// out-of-range PoPs and slots panic.
-func TestSlotFleet(t *testing.T) {
+// TestPoPFleetMatchesFullFleet: a slot fleet's one server draws the RNG
+// streams it would get if its whole PoP were built in slot order from the
+// PoP's stream, whichever slot is built, so it serves identically.
+func TestPoPFleetMatchesFullFleet(t *testing.T) {
 	cfg := FleetConfig{NumPoPs: 4, ServersPerPoP: 3}
 	for pop := 0; pop < 4; pop++ {
 		// Reference: the whole PoP built in slot order from one stream.
@@ -22,17 +21,7 @@ func TestSlotFleet(t *testing.T) {
 			ref[slot] = NewServer(pop*3+slot, pop, cfg.Server, be, r.Split())
 		}
 		for slot := 0; slot < 3; slot++ {
-			f := NewSlotFleet(cfg, 77, pop, slot)
-			srvs := f.PoPServers(pop)
-			for s, srv := range srvs {
-				if (srv != nil) != (s == slot) {
-					t.Fatalf("pop %d slot %d fleet: server at slot %d is %v", pop, slot, s, srv)
-				}
-			}
-			if f.PoPServers((pop+1)%4) != nil || f.PoPServers(-1) != nil || f.PoPServers(99) != nil {
-				t.Fatalf("pop %d slot %d fleet returned servers for another PoP", pop, slot)
-			}
-			srv := srvs[slot]
+			srv := NewSlotFleet(cfg, 77, pop, slot).PoPServers(pop)[slot]
 			if srv.PoPID != pop {
 				t.Fatalf("pop %d slot %d: server PoP %d", pop, slot, srv.PoPID)
 			}
@@ -47,6 +36,26 @@ func TestSlotFleet(t *testing.T) {
 				if refRes != slotRes {
 					t.Fatalf("pop %d slot %d req %d: slot fleet %+v vs slot-order build %+v", pop, slot, i, slotRes, refRes)
 				}
+			}
+		}
+	}
+}
+
+// TestPoPFleetClamping: a slot fleet clamps nothing. PoPServers holds only
+// the built server, returns nil for every other PoP, and NewSlotFleet
+// panics on an out-of-range PoP or slot.
+func TestPoPFleetClamping(t *testing.T) {
+	cfg := FleetConfig{NumPoPs: 4, ServersPerPoP: 3}
+	for pop := 0; pop < 4; pop++ {
+		for slot := 0; slot < 3; slot++ {
+			f := NewSlotFleet(cfg, 77, pop, slot)
+			for s, srv := range f.PoPServers(pop) {
+				if (srv != nil) != (s == slot) {
+					t.Fatalf("pop %d slot %d fleet: server at slot %d is %v", pop, slot, s, srv)
+				}
+			}
+			if f.PoPServers((pop+1)%4) != nil || f.PoPServers(-1) != nil || f.PoPServers(99) != nil {
+				t.Fatalf("pop %d slot %d fleet returned servers for another PoP", pop, slot)
 			}
 		}
 	}

@@ -199,17 +199,35 @@ func TestConnTypeLabel(t *testing.T) {
 }
 
 // checkPartition pins determinism invariant 2 on the partitioner the
-// runner uses: every session lands exactly once, in ascending ID order,
-// in the bucket of its plan's serving PoP and server slot, carrying its
-// plan's arrival; and each bucket's chunk total is the sum of its plans'
-// watch lengths.
+// runner uses, PartitionBySlot: every session lands exactly once, in
+// ascending ID order, in the bucket of its plan's serving PoP and server
+// slot, carrying its plan's arrival; and each bucket's chunk total is the
+// sum of its plans' watch lengths.
 func checkPartition(t *testing.T, p *Population) {
+	t.Helper()
+	checkPartitionCoverage(t, p)
+	checkPartitionBuckets(t, p)
+	checkPartitionArrivals(t, p)
+}
+
+// slotPartition returns p's PartitionBySlot buckets and chunk totals under
+// its scenario's fleet, after checking there is one of each per shard.
+func slotPartition(t *testing.T, p *Population) (cdn.FleetConfig, [][]SessionRef, []int) {
 	t.Helper()
 	cfg := p.Scenario.Fleet.WithDefaults()
 	parts, chunks := p.PartitionBySlot(cfg)
 	if len(parts) != cfg.NumPoPs*cfg.ServersPerPoP || len(chunks) != len(parts) {
 		t.Fatalf("got %d buckets and %d chunk totals, want %d", len(parts), len(chunks), cfg.NumPoPs*cfg.ServersPerPoP)
 	}
+	return cfg, parts, chunks
+}
+
+// checkPartitionCoverage: every session appears exactly once, IDs ascend
+// within each bucket, and each bucket's chunk total is the sum of its
+// plans' watch lengths.
+func checkPartitionCoverage(t *testing.T, p *Population) {
+	t.Helper()
+	_, parts, chunks := slotPartition(t, p)
 	n := p.Scenario.NumSessions
 	seen := make([]int, n+1)
 	for b, refs := range parts {
@@ -221,14 +239,7 @@ func checkPartition(t *testing.T, p *Population) {
 			}
 			last = ref.ID
 			seen[ref.ID]++
-			plan := p.PlanSession(ref.ID)
-			if want := plan.ServingPoP*cfg.ServersPerPoP + cdn.SlotFor(cfg, plan.Video.ID, plan.Video.Rank, plan.ID); b != want {
-				t.Fatalf("session %d in bucket %d, plan (PoP %d) says bucket %d", ref.ID, b, plan.ServingPoP, want)
-			}
-			if ref.ArrivalMS != plan.ArrivalMS {
-				t.Fatalf("session %d: partition arrival %v != plan arrival %v", ref.ID, ref.ArrivalMS, plan.ArrivalMS)
-			}
-			sum += plan.WatchChunks
+			sum += p.PlanSession(ref.ID).WatchChunks
 		}
 		if chunks[b] != sum {
 			t.Fatalf("bucket %d: chunk total %d, plans sum to %d", b, chunks[b], sum)
@@ -241,25 +252,69 @@ func checkPartition(t *testing.T, p *Population) {
 	}
 }
 
-// TestPartitionBySlotMatchesPlans runs checkPartition on the scenario
-// families that change a plan head, and on a fleet with fewer PoPs than
-// the defaults (prefixes must map to the PoPs that exist); the timeline
-// families (failover, arrival warp) are covered in timeline_test.go.
-func TestPartitionBySlotMatchesPlans(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		sc   Scenario
-	}{
-		{"plain", Scenario{Seed: 1, NumSessions: 1000, NumPrefixes: 800}},
-		{"offset-top-ranks", Scenario{Seed: 42, NumSessions: 500, NumPrefixes: 120,
-			ArrivalOffsetMS: 3.6e6, Fleet: cdn.FleetConfig{PartitionTopRanks: 50}}},
-		{"live", Scenario{Seed: 9, NumSessions: 500, NumPrefixes: 120,
-			Live: live.Config{Channels: 8, SwitchPerMin: 2}}},
-		{"proxy", Scenario{Seed: 61, NumSessions: 500, NumPrefixes: 120,
-			Proxy: proxypop.Config{Share: 0.23, Cohorts: 4, EgressKbps: 25000}}},
-		{"three-pops", Scenario{Seed: 3, NumSessions: 500, NumPrefixes: 300,
-			Fleet: cdn.FleetConfig{NumPoPs: 3}}},
-	} {
-		t.Run(c.name, func(t *testing.T) { checkPartition(t, Build(c.sc)) })
+// checkPartitionBuckets: each session sits in the bucket of its plan's
+// serving PoP and server slot.
+func checkPartitionBuckets(t *testing.T, p *Population) {
+	t.Helper()
+	cfg, parts, _ := slotPartition(t, p)
+	for b, refs := range parts {
+		for _, ref := range refs {
+			plan := p.PlanSession(ref.ID)
+			if want := plan.ServingPoP*cfg.ServersPerPoP + cdn.SlotFor(cfg, plan.Video.ID, plan.Video.Rank, plan.ID); b != want {
+				t.Fatalf("session %d in bucket %d, plan (PoP %d) says bucket %d", ref.ID, b, plan.ServingPoP, want)
+			}
+		}
 	}
 }
+
+// checkPartitionArrivals: each session carries its plan's arrival.
+func checkPartitionArrivals(t *testing.T, p *Population) {
+	t.Helper()
+	_, parts, _ := slotPartition(t, p)
+	for _, refs := range parts {
+		for _, ref := range refs {
+			if want := p.PlanSession(ref.ID).ArrivalMS; ref.ArrivalMS != want {
+				t.Fatalf("session %d: partition arrival %v != plan arrival %v", ref.ID, ref.ArrivalMS, want)
+			}
+		}
+	}
+}
+
+// partitionCases are the scenario families that change a plan head, and a
+// fleet with fewer PoPs than the defaults (prefixes must map to the PoPs
+// that exist); the timeline families (failover, arrival warp) run
+// checkPartition in timeline_test.go.
+var partitionCases = []struct {
+	name string
+	sc   Scenario
+}{
+	{"plain", Scenario{Seed: 1, NumSessions: 1000, NumPrefixes: 800}},
+	{"offset-top-ranks", Scenario{Seed: 42, NumSessions: 500, NumPrefixes: 120,
+		ArrivalOffsetMS: 3.6e6, Fleet: cdn.FleetConfig{PartitionTopRanks: 50}}},
+	{"live", Scenario{Seed: 9, NumSessions: 500, NumPrefixes: 120,
+		Live: live.Config{Channels: 8, SwitchPerMin: 2}}},
+	{"proxy", Scenario{Seed: 61, NumSessions: 500, NumPrefixes: 120,
+		Proxy: proxypop.Config{Share: 0.23, Cohorts: 4, EgressKbps: 25000}}},
+	{"three-pops", Scenario{Seed: 3, NumSessions: 500, NumPrefixes: 300,
+		Fleet: cdn.FleetConfig{NumPoPs: 3}}},
+}
+
+func runPartitionCases(t *testing.T, check func(*testing.T, *Population)) {
+	for _, c := range partitionCases {
+		t.Run(c.name, func(t *testing.T) { check(t, Build(c.sc)) })
+	}
+}
+
+// TestSessionPoPMatchesPlan: PartitionBySlot puts each session in the
+// bucket of its plan's serving PoP and slot.
+func TestSessionPoPMatchesPlan(t *testing.T) { runPartitionCases(t, checkPartitionBuckets) }
+
+// TestPartitionByPoPCoversAllSessions: PartitionBySlot covers every
+// session exactly once, in ascending ID order, with matching chunk totals.
+func TestPartitionByPoPCoversAllSessions(t *testing.T) {
+	runPartitionCases(t, checkPartitionCoverage)
+}
+
+// TestSessionArrivalMatchesPlan: PartitionBySlot's refs carry each plan's
+// arrival.
+func TestSessionArrivalMatchesPlan(t *testing.T) { runPartitionCases(t, checkPartitionArrivals) }
