@@ -78,7 +78,10 @@ func main() {
 
 	if *list {
 		for _, name := range experiment.Presets() {
-			sp, _ := experiment.Preset(name)
+			sp, err := experiment.Preset(name)
+			if err != nil {
+				logging.Fatal(log, "preset load failed", slog.Any("err", err))
+			}
 			fmt.Printf("%-22s %s\n", name, sp.Description)
 		}
 		return
@@ -154,25 +157,22 @@ func main() {
 }
 
 func loadSpec(log *slog.Logger) *experiment.Spec {
+	var sp *experiment.Spec
+	var err error
 	switch {
 	case *specPath != "" && *preset != "":
 		logging.Fatal(log, "invalid flags", slog.String("err", "-spec and -preset are mutually exclusive"))
 	case *specPath != "":
-		sp, err := experiment.LoadFile(*specPath)
-		if err != nil {
-			logging.Fatal(log, "spec load failed", slog.Any("err", err))
-		}
-		return sp
+		sp, err = experiment.LoadFile(*specPath)
 	case *preset != "":
-		sp, ok := experiment.Preset(*preset)
-		if !ok {
-			logging.Fatal(log, "unknown preset", slog.String("preset", *preset),
-				slog.String("have", strings.Join(experiment.Presets(), ", ")))
-		}
-		return &sp
+		sp, err = experiment.Preset(*preset)
+	default:
+		logging.Fatal(log, "invalid flags", slog.String("err", "one of -spec, -preset, or -list is required"))
 	}
-	logging.Fatal(log, "invalid flags", slog.String("err", "one of -spec, -preset, or -list is required"))
-	return nil
+	if err != nil {
+		logging.Fatal(log, "spec load failed", slog.Any("err", err))
+	}
+	return sp
 }
 
 // printSummary renders the per-cell table: headline metrics per cell

@@ -16,9 +16,9 @@ import (
 // snapshot contract end to end: the cell file exists, carries the
 // diagnosis label, and its per-label session counts cover the campaign.
 func TestPaperBaselineWithDiagnosisSmoke(t *testing.T) {
-	sp, ok := experiment.Preset("paper-baseline")
-	if !ok {
-		t.Fatal("paper-baseline preset missing")
+	sp, err := experiment.Preset("paper-baseline")
+	if err != nil {
+		t.Fatal(err)
 	}
 	sp.Diagnosis = true
 	sp.Scenario.Sessions = 400
@@ -27,7 +27,7 @@ func TestPaperBaselineWithDiagnosisSmoke(t *testing.T) {
 	sp.SketchK = 64
 
 	dir := t.TempDir()
-	res, err := experiment.RunCampaign(&sp, experiment.RunOptions{OutDir: dir})
+	res, err := experiment.RunCampaign(sp, experiment.RunOptions{OutDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,8 @@
 //	vodsim serve -resume state.ckpt -max-windows 48 -out snapshot.json
 //
 // Flag precedence in spec mode: an explicitly-set flag beats the spec's
-// serve block, which beats the flag's default. With -resume, every
+// serve block, which beats the flag's default (for -window-min, the
+// scenario's arrival window). With -resume, every
 // determinism-relevant setting comes from the checkpoint and only
 // runtime flags (-listen, -pace, -checkpoint, -checkpoint-every,
 // -max-windows, -out, -parallel, -log-format) may be set.
@@ -298,6 +299,11 @@ func buildServeEngine(set map[string]bool, f serveFlags, log *slog.Logger) (*ser
 	}
 	if !set["diagnose"] {
 		cfg.Diagnose = sp.Diagnosis
+	}
+	if !set["window-min"] {
+		// Left at 0, the window is the serve block's window_min if set,
+		// else the scenario's arrival window (serve.Config's default).
+		cfg.WindowMS = 0
 	}
 	// The spec's serve block fills every serve knob the command line left
 	// at its default; an explicitly-set flag wins.

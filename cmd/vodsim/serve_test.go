@@ -154,6 +154,27 @@ func TestBuildServeEngineFromSpec(t *testing.T) {
 	if cfg.WindowMS != 2*60*1000 || cfg.Pace != 0 {
 		t.Fatalf("flag overrides lost: %+v", cfg)
 	}
+
+	// With no window_min and no -window-min, the window is the
+	// scenario's arrival window, not the flag's 30-minute default.
+	spec = `{
+		"name": "serve-window",
+		"scenario": {"arrival_window_min": 5, "seed": 7},
+		"serve": {"sessions_per_window": 100}
+	}`
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f = defaultServeFlags()
+	f.spec = path
+	eng, err = buildServeEngine(map[string]bool{"spec": true}, f, testLogger())
+	if err != nil {
+		t.Fatalf("buildServeEngine(spec without window_min): %v", err)
+	}
+	if cfg = eng.Config(); cfg.WindowMS != 5*60*1000 || cfg.SessionsPerWindow != 100 {
+		t.Fatalf("window = %g ms, sessions/window = %d; want the scenario's 5 minutes and 100",
+			cfg.WindowMS, cfg.SessionsPerWindow)
+	}
 }
 
 // TestBuildServeEngineResume writes a real checkpoint by running a small

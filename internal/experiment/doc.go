@@ -1,7 +1,8 @@
 // Package experiment turns measurement campaigns into data: a JSON
 // scenario-spec format that maps onto workload.Scenario, named presets
 // for the paper's comparative setups (paper-baseline, cold-start,
-// flash-crowd, abr-ablation, cache-policy-matrix, zipf-sweep), a grid
+// flash-crowd, abr-ablation, cache-policy-matrix, zipf-sweep; every
+// file under examples/specs/ is one, embedded by package specs), a grid
 // expander that crosses axes (abr × ram_gb × zipf_s × …) into experiment
 // cells with deterministic per-cell seeds, and a campaign runner that
 // executes cells through the streaming-telemetry pipeline

@@ -41,6 +41,7 @@ func FuzzDecodeSpec(f *testing.F) {
 		`{"preset":"paper-baseline"}`,
 		`{"name":"x","seed_mode":"banana"}`,
 		`{"name":"x","sketch_k":3}`,
+		`{"name":"x","sketch_k":9}`, // odd: NewSketch would round it to 10
 		`{"name":"x","diagnosis":true}`,
 		`{"name":"x","axes":[{"name":"cold","values":[false,true]},{"name":"cold","values":[true]}]}`,
 		`{"name":"x","baseline":"missing-cell"}`,

@@ -42,10 +42,10 @@ func (c Cell) FileName() string {
 
 // renderAxisValue formats one axis value for cell names: strings lose
 // their quotes; everything else is re-marshalled through Go's canonical
-// JSON encoding so equivalent spellings collapse to one name ("1.0" in
-// a spec file and 1.0 in a preset both render "1" — cell names, file
-// names, and per-cell seeds must not depend on which source spelled the
-// value). Unparseable values fall back to their raw text.
+// JSON encoding so equivalent spellings collapse to one name ("1.0" and
+// "1" both render "1" — cell names, file names, and per-cell seeds must
+// not depend on how a spec spelled the value). Unparseable values fall
+// back to their raw text.
 func renderAxisValue(v json.RawMessage) string {
 	var s string
 	if err := json.Unmarshal(v, &s); err == nil {

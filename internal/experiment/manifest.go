@@ -67,7 +67,7 @@ func (s *Spec) Hash() string {
 	b, err := json.Marshal(s)
 	if err != nil {
 		// A Spec is plain data (strings, numbers, raw JSON); Marshal
-		// cannot fail on one that Load or the preset table produced.
+		// cannot fail on one that Load produced.
 		panic(fmt.Sprintf("experiment: marshal spec %s: %v", s.Name, err))
 	}
 	sum := sha256.Sum256(b)

@@ -59,28 +59,6 @@ func TestZipfSpecMatchesOldSweep(t *testing.T) {
 	}
 }
 
-// TestZipfSpecFileMatchesPreset asserts the shipped file and the
-// built-in preset expand to the same cells — same names (and therefore
-// same snapshot file names and per-cell seeds) and same scenarios —
-// even where the two sources spell a value differently ("1.0" vs 1.0).
-func TestZipfSpecFileMatchesPreset(t *testing.T) {
-	fileCells, err := loadZipfSpec(t).Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps, ok := Preset("zipf-sweep")
-	if !ok {
-		t.Fatal("zipf-sweep preset missing")
-	}
-	presetCells, err := ps.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fileCells, presetCells) {
-		t.Errorf("file cells %+v != preset cells %+v", fileCells, presetCells)
-	}
-}
-
 // TestZipfSpecRunParity runs one zipf cell through the campaign runner
 // (at reduced scale) and byte-compares its snapshot against a direct
 // telemetry-mode session.Execute of the old hardcoded scenario — the spec-driven

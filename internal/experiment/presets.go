@@ -1,206 +1,34 @@
 package experiment
 
 import (
-	"encoding/json"
-	"sort"
+	"bytes"
+	"fmt"
+	"strings"
+
+	"vidperf/examples/specs"
 )
 
-// presets is the built-in spec registry. Each entry is a complete,
-// validated Spec; files under examples/specs/ either restate them (so
-// they are greppable documentation) or extend them via "preset".
-var presets = map[string]Spec{
-	// The steady-state campaign the paper measures: every knob at its
-	// calibrated default, one cell. This is the spec the CI determinism
-	// gate replays at -parallel 1 and 8 and byte-compares.
-	"paper-baseline": {
-		Name:        "paper-baseline",
-		Description: "Paper §3 steady-state campaign at laptop scale; all knobs at calibrated defaults.",
-		Scenario:    ScenarioSpec{Seed: u64(1)},
-	},
-
-	// Freshly deployed CDN vs the pre-warmed steady state (ablation; the
-	// paper measures only the warm regime).
-	"cold-start": {
-		Name:        "cold-start",
-		Description: "Warm (paper regime) vs cold CDN caches: miss rate, Dread, and startup deltas.",
-		Scenario:    ScenarioSpec{Seed: u64(21), Sessions: 4000, Prefixes: 600, Videos: 1500},
-		Axes:        []Axis{{Name: "cold", Values: vals(false, true)}},
-		Baseline:    "cold=false",
-	},
-
-	// A release-day surge: cold caches crossed with the same session
-	// volume compressed from a 30-minute window into 2 minutes, against
-	// a hotter catalog. The grid separates the two effects: the surge
-	// alone barely moves per-chunk latency (the worker pools have
-	// headroom — Dwait stays sub-ms, as the paper reports), while cold
-	// caches dominate every miss-path metric.
-	"flash-crowd": {
-		Name:        "flash-crowd",
-		Description: "Release-day flash crowd: cold caches crossed with a 30-minute vs 2-minute arrival window on a skewed catalog.",
-		Scenario:    ScenarioSpec{Seed: u64(31), Sessions: 4000, Prefixes: 600, Videos: 1500, ZipfS: 1.1},
-		Axes: []Axis{
-			{Name: "cold", Values: vals(false, true)},
-			{Name: "arrival_window_min", Values: vals(30, 2)},
-		},
-		Baseline: "cold=false,arrival_window_min=30",
-	},
-
-	// The §4.3 adaptation-signal ablation (old cmd/sweep -factor abr).
-	"abr-ablation": {
-		Name:        "abr-ablation",
-		Description: "ABR algorithm ablation: bitrate vs re-buffering across the internal/abr variants.",
-		Scenario:    ScenarioSpec{Seed: u64(14), Sessions: 2000, Prefixes: 400, Videos: 1500},
-		Axes: []Axis{{Name: "abr", Values: vals(
-			"hybrid", "buffer-based", "rate-smoothed", "rate-instant", "server-signal")}},
-		Baseline: "abr=hybrid",
-	},
-
-	// Eviction policy × RAM size grid (§4.1 take-away: GD-Size over LRU).
-	"cache-policy-matrix": {
-		Name:        "cache-policy-matrix",
-		Description: "Cache eviction policy crossed with RAM size: hit ratio and retry-timer share.",
-		Scenario:    ScenarioSpec{Seed: u64(12), Sessions: 2000, Prefixes: 400, Videos: 1500},
-		Axes: []Axis{
-			{Name: "cache_policy", Values: vals("lru", "lfu", "gd-size")},
-			{Name: "ram_gb", Values: vals(0.5, 2)},
-		},
-		Baseline: "cache_policy=lru,ram_gb=2",
-	},
-
-	// A PoP failing mid-campaign: PoP 2 is out for the middle ten
-	// minutes of the 30-minute window, its arrivals anycast-failed-over
-	// to PoP 0 on a visibly longer path. Diagnosis is on so analyze
-	// -windows can show the label mix shifting during the outage and
-	// recovering after it (the acceptance evidence for timed fault
-	// injection).
-	"pop-outage": {
-		Name:        "pop-outage",
-		Description: "PoP 2 outage minutes 10-20 with failover to PoP 0: per-window QoE dip and recovery.",
-		Scenario:    ScenarioSpec{Seed: u64(41), Sessions: 4000, Prefixes: 600, Videos: 1500},
-		Diagnosis:   true,
-		Timeline: &TimelineSpec{Phases: []PhaseSpec{{
-			Name: "outage", StartMin: 10, DurationMin: 10,
-			PoPDown: []int{2}, FailoverPoP: 0, FailoverExtraRTTms: 120,
-		}}},
-	},
-
-	// An origin brownout under cold caches: every miss pays 6x the
-	// backend latency for the middle ten minutes. Cold caches keep the
-	// miss rate high enough that the brownout dominates the window's
-	// first-byte delays — the paper's "misses raise median latency 40x"
-	// sensitivity, made transient.
-	"backend-brownout": {
-		Name:        "backend-brownout",
-		Description: "6x origin-latency brownout minutes 10-20 on cold caches: windowed D_BE and startup spike.",
-		Scenario:    ScenarioSpec{Seed: u64(42), Sessions: 4000, Prefixes: 600, Videos: 1500, Cold: b(true)},
-		Diagnosis:   true,
-		Timeline: &TimelineSpec{Phases: []PhaseSpec{{
-			Name: "brownout", StartMin: 10, DurationMin: 10,
-			BackendLatencyFactor: 6,
-		}}},
-	},
-
-	// A network-path degradation that sets in and lifts: sessions
-	// arriving in the middle ten minutes see a third of their bottleneck
-	// rate, 1.5% extra segment loss, and 60 ms extra RTT — the §4.2
-	// congestion-episode picture as a campaign-wide transient instead of
-	// a per-prefix process.
-	"degrade-recover": {
-		Name:        "degrade-recover",
-		Description: "Path degradation minutes 10-20 (throughput/3, +1.5% loss, +60 ms RTT), then recovery.",
-		Scenario:    ScenarioSpec{Seed: u64(43), Sessions: 4000, Prefixes: 600, Videos: 1500},
-		Diagnosis:   true,
-		Timeline: &TimelineSpec{Phases: []PhaseSpec{{
-			Name: "degrade", StartMin: 10, DurationMin: 10,
-			ThroughputFactor: 0.33, ExtraLossProb: 0.015, ExtraRTTms: 60,
-		}}},
-	},
-
-	// A steady live/linear campaign: eight channels on the shared publish
-	// clock, no switching. Diagnosis is on so the cause-share table shows
-	// the live-edge-limited label — degraded sessions whose stalls were
-	// the publish clock, not any delivery layer. This is the spec the CI
-	// live-determinism gate replays at -parallel 1 and 8 and byte-compares.
-	"live-steady": {
-		Name:        "live-steady",
-		Description: "Eight live channels, no switching: join time, live-edge lag, and per-channel audience mix.",
-		Scenario:    ScenarioSpec{Seed: u64(51), Sessions: 4000, Prefixes: 600, Videos: 1500},
-		Diagnosis:   true,
-		Live:        &LiveSpec{Channels: 8},
-	},
-
-	// Channel-surfing under a skewed audience: twelve channels joined by
-	// a Zipf draw, with sessions switching twice a minute. Switch storms
-	// fragment per-session cache locality while the publish clock keeps
-	// the hot edge synchronized — the stress case for the live path.
-	"channel-switch-storm": {
-		Name:        "channel-switch-storm",
-		Description: "Twelve zipf-joined live channels with two switches per viewing minute: switch-storm stress on the live edge.",
-		Scenario:    ScenarioSpec{Seed: u64(52), Sessions: 4000, Prefixes: 600, Videos: 1500},
-		Diagnosis:   true,
-		Live: &LiveSpec{
-			Channels: 12, SwitchPerMin: 2,
-			Join: "zipf", JoinZipfS: 1.1,
-		},
-	},
-
-	// A proxied-enterprise population: 23% of sessions behind twelve
-	// shared-egress cohorts (the paper's §3 measurement), each tromboning
-	// its members through a 25 Mbit/s concentrator. Diagnosis is on so
-	// the cause table shows the proxy-tromboned label; the trace feeds
-	// `analyze detect-proxies` (the §3 rules + ablation). This is the
-	// spec the CI proxy-determinism gate replays at -parallel 1 and 8 and
-	// byte-compares.
-	"proxied-enterprise": {
-		Name:        "proxied-enterprise",
-		Description: "23% of sessions behind twelve shared-egress proxy cohorts: tromboned paths, §3 detection signals, CV(SRTT) tail inflation.",
-		Scenario:    ScenarioSpec{Seed: u64(61), Sessions: 4000, Prefixes: 600, Videos: 1500},
-		Diagnosis:   true,
-		Proxy:       &ProxySpec{Share: 0.23, Cohorts: 12, EgressKbps: 25000},
-	},
-
-	// The old hardcoded cmd/sweep zipf factor, ported verbatim: same
-	// seed, same scale, same exponents. internal/experiment's parity
-	// test pins this preset's cells to the old construction.
-	"zipf-sweep": {
-		Name:        "zipf-sweep",
-		Description: "Popularity skew (Zipf exponent) vs cache behaviour; port of the old sweep -factor zipf.",
-		Scenario:    ScenarioSpec{Seed: u64(11), Sessions: 2000, Prefixes: 400, Videos: 1500},
-		Axes:        []Axis{{Name: "zipf_s", Values: vals(0.6, 0.8, 0.9, 1.0, 1.1)}},
-		Baseline:    "zipf_s=0.9",
-	},
-}
-
-// Preset returns a copy of the named built-in spec.
-func Preset(name string) (Spec, bool) {
-	s, ok := presets[name]
-	return s, ok
-}
-
-// Presets lists the built-in spec names, sorted.
-func Presets() []string {
-	out := make([]string, 0, len(presets))
-	for name := range presets {
-		out = append(out, name)
+// Preset loads the built-in spec <name>.json from examples/specs,
+// exactly as Load reads it from a file.
+func Preset(name string) (*Spec, error) {
+	b, err := specs.FS.ReadFile(name + ".json")
+	if err != nil {
+		return nil, fmt.Errorf("experiment: unknown preset %q (have %v)", name, Presets())
 	}
-	sort.Strings(out)
-	return out
+	s, err := Load(bytes.NewReader(b))
+	if err != nil {
+		return nil, fmt.Errorf("preset %s: %w", name, err)
+	}
+	return s, nil
 }
 
-func u64(v uint64) *uint64 { return &v }
-
-func b(v bool) *bool { return &v }
-
-// vals marshals literal axis values; a value json can't encode is a
-// programming error in the preset table, so it panics at init.
-func vals(vs ...any) []json.RawMessage {
-	out := make([]json.RawMessage, len(vs))
-	for i, v := range vs {
-		b, err := json.Marshal(v)
-		if err != nil {
-			panic(err)
-		}
-		out[i] = b
+// Presets lists the built-in spec names in file-name order.
+func Presets() []string {
+	// The embedded root always exists, so ReadDir cannot fail.
+	entries, _ := specs.FS.ReadDir(".")
+	out := make([]string, len(entries))
+	for i, e := range entries {
+		out[i] = strings.TrimSuffix(e.Name(), ".json")
 	}
 	return out
 }

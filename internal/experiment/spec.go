@@ -296,11 +296,11 @@ func Load(r io.Reader) (*Spec, error) {
 	}
 	s.Schema = SpecSchema
 	if s.Preset != "" {
-		base, ok := Preset(s.Preset)
-		if !ok {
-			return nil, fmt.Errorf("experiment: unknown preset %q (have %v)", s.Preset, Presets())
+		base, err := Preset(s.Preset)
+		if err != nil {
+			return nil, err
 		}
-		merged := base
+		merged := *base
 		merged.Preset = s.Preset
 		if s.Name != "" {
 			merged.Name = s.Name
@@ -337,8 +337,6 @@ func Load(r io.Reader) (*Spec, error) {
 		}
 		merged.Scenario = base.Scenario.merge(s.Scenario)
 		s = merged
-		// The preset literal carries schema 0; the loaded spec must not.
-		s.Schema = SpecSchema
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -374,8 +372,10 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("experiment: spec %s: seed_mode %q, want %q or %q",
 			s.Name, s.SeedMode, SeedShared, SeedPerCell)
 	}
-	if s.SketchK != 0 && (s.SketchK < 8 || s.SketchK > telemetry.MaxSketchK) {
-		return fmt.Errorf("experiment: spec %s: sketch_k must be 0 or in [8, %d] (got %d)",
+	// An odd k would be rounded up by telemetry.NewSketch, leaving the
+	// manifest's sketch_k different from every snapshot's.
+	if s.SketchK != 0 && (s.SketchK < 8 || s.SketchK > telemetry.MaxSketchK || s.SketchK%2 != 0) {
+		return fmt.Errorf("experiment: spec %s: sketch_k must be 0 or an even value in [8, %d] (got %d)",
 			s.Name, telemetry.MaxSketchK, s.SketchK)
 	}
 	if s.Serve != nil {

@@ -37,6 +37,7 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 		{"tiny sketch k", `{"name":"x","sketch_k":2}`, "sketch_k"},
 		{"huge sketch k", `{"name":"x","sketch_k":4611686018427387904}`, "sketch_k"},
 		{"sketch k past the maximum", `{"name":"x","sketch_k":65537}`, "sketch_k"},
+		{"odd sketch k", `{"name":"x","sketch_k":9}`, "sketch_k must be 0 or an even value in [8, 65536]"},
 		{"shared rung code", `{"name":"x","scenario":{"bitrates":[235,239,750,1750]}}`, "share cache key code"},
 		{"unsorted ladder", `{"name":"x","scenario":{"bitrates":[3000,750,235]}}`, "ascending"},
 		{"zero rung", `{"name":"x","scenario":{"bitrates":[0,750,41200]}}`, "out of range"},
@@ -231,11 +232,27 @@ func TestPresetOverlay(t *testing.T) {
 	}
 }
 
+// shippedSpecFiles lists examples/specs/*.json, the built-in presets.
+func shippedSpecFiles(t *testing.T) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "specs", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) < 5 {
+		t.Fatalf("expected the shipped spec set under examples/specs/, found %v", paths)
+	}
+	return paths
+}
+
+// TestPresetsValidate resolves every registered preset by name, the way
+// sweep -preset does, and checks it validates, expands and names a
+// baseline cell of its grid.
 func TestPresetsValidate(t *testing.T) {
 	for _, name := range Presets() {
-		sp, ok := Preset(name)
-		if !ok {
-			t.Fatalf("Preset(%q) missing", name)
+		sp, err := Preset(name)
+		if err != nil {
+			t.Fatalf("Preset(%q): %v", name, err)
 		}
 		if err := sp.Validate(); err != nil {
 			t.Errorf("preset %s invalid: %v", name, err)
@@ -251,15 +268,10 @@ func TestPresetsValidate(t *testing.T) {
 	}
 }
 
+// TestShippedSpecFilesLoad checks every shipped file, and so every
+// preset, loads, expands and names a baseline cell of its grid.
 func TestShippedSpecFilesLoad(t *testing.T) {
-	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "specs", "*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) < 5 {
-		t.Fatalf("expected the shipped spec set under examples/specs/, found %v", paths)
-	}
-	for _, p := range paths {
+	for _, p := range shippedSpecFiles(t) {
 		sp, err := LoadFile(p)
 		if err != nil {
 			t.Errorf("%s: %v", p, err)
@@ -272,6 +284,38 @@ func TestShippedSpecFilesLoad(t *testing.T) {
 		}
 		if sp.BaselineIndex(cells) < 0 {
 			t.Errorf("%s: baseline %q resolves to no cell", p, sp.Baseline)
+		}
+	}
+}
+
+// TestPresetsAreTheShippedFiles pins the preset registry to
+// examples/specs: one preset per file, named by its stem, loading to the
+// spec (and so the manifest spec_hash) that sweep -spec loads from the
+// file. A file whose name differs from its stem would rename the
+// campaign under {"preset": stem}.
+func TestPresetsAreTheShippedFiles(t *testing.T) {
+	paths := shippedSpecFiles(t)
+	stems := make([]string, len(paths))
+	for i, p := range paths {
+		stems[i] = strings.TrimSuffix(filepath.Base(p), ".json")
+	}
+	if got := Presets(); !reflect.DeepEqual(got, stems) {
+		t.Fatalf("Presets() = %v, want the file stems %v", got, stems)
+	}
+	for i, p := range paths {
+		file, err := LoadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if file.Name != stems[i] {
+			t.Errorf("%s: name %q, want its stem %q", p, file.Name, stems[i])
+		}
+		preset, err := Preset(stems[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if preset.Hash() != file.Hash() {
+			t.Errorf("preset %s hashes %s, its file %s", stems[i], preset.Hash(), file.Hash())
 		}
 	}
 }
@@ -291,8 +335,8 @@ func TestAxisValueRendering(t *testing.T) {
 	for _, c := range []struct {
 		raw, want string
 	}{
-		// "1.0" must collapse to "1": a preset's float64(1.0) marshals
-		// as "1", and cell names/seeds may not depend on the spelling.
+		// "1.0" must collapse to "1": cell names/seeds may not depend on
+		// how a spec spells the value.
 		{`"lru"`, "lru"}, {`0.5`, "0.5"}, {`2`, "2"}, {`false`, "false"}, {`1.0`, "1"},
 	} {
 		if got := renderAxisValue(json.RawMessage(c.raw)); got != c.want {

@@ -59,9 +59,7 @@ func Fig04(ds *core.Dataset) Result {
 	return r
 }
 
-// Fig05 regenerates the CDN latency breakdown.
-func Fig05(ds *core.Dataset) Result { return fig05(analysis.BreakdownCDNLatency(ds)) }
-
+// fig05 regenerates the CDN latency breakdown.
 func fig05(br analysis.CDNLatencyBreakdown) Result {
 	r := Result{
 		ID:    "fig05",
@@ -209,9 +207,7 @@ func Table4(ds *core.Dataset) Result {
 	return r
 }
 
-// Fig11 regenerates the with/without-loss session comparison.
-func Fig11(ds *core.Dataset) Result { return fig11(analysis.SplitByLoss(ds)) }
-
+// fig11 regenerates the with/without-loss session comparison.
 func fig11(ls analysis.LossSplit) Result {
 	r := Result{
 		ID:    "fig11",
@@ -326,9 +322,7 @@ func Fig15(ds *core.Dataset) Result {
 	}
 }
 
-// Fig16 regenerates the latency-vs-throughput split by perfscore.
-func Fig16(ds *core.Dataset) Result { return fig16(analysis.SplitPerfScores(ds)) }
-
+// fig16 regenerates the latency-vs-throughput split by perfscore.
 func fig16(ps analysis.PerfScoreSplit) Result {
 	dlbGap := ps.BadDLB.Quantile(0.5) / ps.GoodDLB.Quantile(0.5)
 	dfbGap := ps.BadDFB.Quantile(0.5) / ps.GoodDFB.Quantile(0.5)
@@ -440,9 +434,7 @@ func Fig18(ds *core.Dataset) Result {
 	}
 }
 
-// Fig19 regenerates dropped frames vs download rate.
-func Fig19(ds *core.Dataset) Result { return fig19(ds, analysis.CheckRateHypothesis(ds)) }
-
+// fig19 regenerates dropped frames vs download rate.
 func fig19(ds *core.Dataset, rh analysis.RateHypothesisReport) Result {
 	f := analysis.ComputeDropsVsRate(ds, 0.5, 5)
 	var low, mid, high stats.BinStat
@@ -537,9 +529,7 @@ func Fig21(ds *core.Dataset) Result {
 	return r
 }
 
-// Fig22 regenerates the unpopular-browser rendering comparison.
-func Fig22(ds *core.Dataset) Result { return fig22(analysis.ComputeUnpopularBrowsers(ds, 30)) }
-
+// fig22 regenerates the unpopular-browser rendering comparison.
 func fig22(rep analysis.UnpopularBrowserReport) Result {
 	r := Result{
 		ID:    "fig22",
@@ -563,10 +553,6 @@ func fig22(rep analysis.UnpopularBrowserReport) Result {
 	return r
 }
 
-// Table1 cross-checks the summary-of-findings table: one boolean per
-// paper finding, derived from the other analyses.
-func Table1(ds *core.Dataset) Result { return table1(ds, computeShared(ds)) }
-
 // shared holds the analyses that Table 1 and a figure both read, so All
 // computes each of them once.
 type shared struct {
@@ -587,6 +573,8 @@ func computeShared(ds *core.Dataset) shared {
 	}
 }
 
+// table1 cross-checks the summary-of-findings table: one boolean per
+// paper finding, derived from the other analyses.
 func table1(ds *core.Dataset, sh shared) Result {
 	br, ls, ps, rh, ub := sh.br, sh.ls, sh.ps, sh.rh, sh.ub
 	mp := analysis.ComputeMissPersistence(ds)

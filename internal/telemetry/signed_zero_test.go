@@ -16,7 +16,10 @@ import (
 func TestSnapshotSketchesHoldNoNegativeZero(t *testing.T) {
 	ran := 0
 	for _, name := range experiment.Presets() {
-		spec, _ := experiment.Preset(name)
+		spec, err := experiment.Preset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if name != "paper-baseline" && spec.Timeline == nil && spec.Live == nil && spec.Proxy == nil {
 			continue
 		}
@@ -26,7 +29,7 @@ func TestSnapshotSketchesHoldNoNegativeZero(t *testing.T) {
 		}
 		for _, cell := range cells {
 			cell.Scenario.NumSessions = 500
-			res, err := experiment.RunCell(&spec, cell, "")
+			res, err := experiment.RunCell(spec, cell, "")
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, cell.Name, err)
 			}
