@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"io"
 	"log/slog"
 	"strings"
@@ -64,6 +65,23 @@ func TestLoadSpec(t *testing.T) {
 	*specPath, *preset = "", names[0]
 	if sp := loadSpec(discardLogger()); sp.Name == "" {
 		t.Fatalf("preset %q loaded with no name", names[0])
+	}
+
+	// -sessions and -parallel, once set, override the spec keys of the
+	// same name; 0, their default, leaves the spec's values.
+	*specPath, *preset = "", "serve-steady"
+	for _, set := range [][2]string{{"sessions", "123"}, {"parallel", "3"}} {
+		if err := flag.Set(set[0], set[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sc := loadSpec(discardLogger()).Scenario; sc.Sessions != 123 || sc.Parallel != 3 {
+		t.Fatalf("overridden scenario = %+v, want sessions 123 and parallel 3", sc)
+	}
+	flag.Set("sessions", "0")
+	flag.Set("parallel", "0")
+	if sc := loadSpec(discardLogger()).Scenario; sc.Sessions != 500 || sc.Parallel != 0 {
+		t.Fatalf("scenario after -sessions 0 = %+v, want the spec's 500 sessions", sc)
 	}
 }
 

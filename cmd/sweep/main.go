@@ -26,8 +26,9 @@
 // rather than silently overwritten. The snapshots are also directly
 // readable by `analyze snapshot`, `analyze compare`, `analyze
 // diagnose`, and (for specs with a "timeline" block) `analyze
-// windows`. -sessions/-parallel
-// override every cell (the old sweep's laptop-scale knobs); -full-deltas
+// windows`. -sessions and -parallel, when set, override the spec's
+// scenario keys of the same name, and so every cell, under the override
+// rule vodsim uses (the old sweep's laptop-scale knobs); -full-deltas
 // appends the complete per-metric delta table for every non-baseline
 // cell instead of the compact summary columns. -cpuprofile/-memprofile
 // write runtime/pprof profiles covering the whole campaign (see
@@ -56,8 +57,8 @@ var (
 	list       = flag.Bool("list", false, "list built-in presets and exit")
 	outDir     = flag.String("out", "", "directory for per-cell snapshot files (omit to keep snapshots in memory)")
 	workers    = flag.Int("workers", 1, "max cells simulated concurrently")
-	sessions   = flag.Int("sessions", 0, "override every cell's session count (0 = per spec)")
-	parallel   = flag.Int("parallel", 0, "override every cell's shard parallelism (0 = per spec)")
+	_          = flag.Int("sessions", 0, "override the spec's sessions key, and so every cell's session count (0 = per spec)")
+	_          = flag.Int("parallel", 0, "override the spec's parallel key, and so every cell's shard parallelism (0 = per spec)")
 	fullDeltas = flag.Bool("full-deltas", false, "print the full per-metric delta table for each non-baseline cell")
 	cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file (go tool pprof)")
 	memProfile = flag.String("memprofile", "", "write an allocation profile to this file on successful exit (go tool pprof)")
@@ -101,14 +102,6 @@ func main() {
 	}()
 
 	sp := loadSpec(log)
-	// Cell scenarios inherit the spec scenario, so the laptop-scale
-	// overrides apply once here and reach every cell through Expand.
-	if *sessions > 0 {
-		sp.Scenario.Sessions = *sessions
-	}
-	if *parallel > 0 {
-		sp.Scenario.Parallel = *parallel
-	}
 	cells, err := sp.Expand()
 	if err != nil {
 		logging.Fatal(log, "spec expansion failed", slog.Any("err", err))
@@ -156,6 +149,9 @@ func main() {
 	}
 }
 
+// loadSpec loads the -spec file or -preset and applies the -sessions and
+// -parallel overrides. Cell scenarios inherit the spec scenario, so the
+// overrides apply once here and reach every cell through Expand.
 func loadSpec(log *slog.Logger) *experiment.Spec {
 	var sp *experiment.Spec
 	var err error
@@ -171,6 +167,12 @@ func loadSpec(log *slog.Logger) *experiment.Spec {
 	}
 	if err != nil {
 		logging.Fatal(log, "spec load failed", slog.Any("err", err))
+	}
+	if err := sp.OverrideFlags(flag.CommandLine, false, "sessions", "parallel"); err != nil {
+		logging.Fatal(log, "invalid flags", slog.Any("err", err))
+	}
+	if err := sp.Validate(); err != nil {
+		logging.Fatal(log, "invalid flags", slog.Any("err", err))
 	}
 	return sp
 }

@@ -43,17 +43,20 @@
 // cause-share table from them.
 //
 // With -spec the scenario comes from a declarative experiment spec
-// (internal/experiment; see examples/specs/) instead of individual
-// flags:
+// (internal/experiment; see examples/specs/) and the run writes a
+// labelled telemetry snapshot, or with -trace the JSONL trace:
 //
 //	vodsim -spec examples/specs/paper-baseline.json -out snapshot.json
 //
 // The spec must expand to a single cell (multi-cell campaigns belong to
-// cmd/sweep); the run always streams, writing a labelled telemetry
-// snapshot. Only -out, -parallel, -seed, -sessions, -prefixes, -videos,
-// -sketch-k and -diagnose may be combined with -spec, overriding the
-// spec's values — the overrides the CI determinism gate uses to replay
-// one spec at several -parallel settings and byte-compare the snapshots.
+// cmd/sweep). There is one override rule, shared with vodsim serve and
+// cmd/sweep: every scenario flag the user sets (-seed, -sessions,
+// -prefixes, -videos, -abr, -cold, -parallel) overrides the spec key of
+// the same name, -sketch-k sets sketch_k and -diagnose sets diagnosis,
+// and the result is validated like a spec file. Without -spec the run
+// starts from an empty spec and every scenario flag applies, defaults
+// included. The CI determinism gate uses the overrides to replay one
+// spec at several -parallel settings and byte-compare the snapshots.
 //
 // A spec with a "timeline" block (see docs/SPECS.md) injects timed
 // faults and degradations — PoP outages, backend brownouts, cache
@@ -76,14 +79,12 @@ import (
 	"os"
 	"path/filepath"
 
-	"vidperf/internal/catalog"
 	"vidperf/internal/core"
 	"vidperf/internal/experiment"
 	"vidperf/internal/logging"
 	"vidperf/internal/profiling"
 	"vidperf/internal/session"
 	"vidperf/internal/telemetry"
-	"vidperf/internal/workload"
 )
 
 func main() {
@@ -91,251 +92,178 @@ func main() {
 		serveMain(os.Args[2:])
 		return
 	}
-
-	var (
-		sessions   = flag.Int("sessions", 20000, "number of sessions to simulate")
-		prefixes   = flag.Int("prefixes", 2500, "number of client /24 prefixes")
-		videos     = flag.Int("videos", 6000, "catalog size (titles)")
-		seed       = flag.Uint64("seed", 1, "master scenario seed")
-		abrName    = flag.String("abr", "hybrid", "ABR algorithm (hybrid, rate-smoothed, rate-instant, rate-instant-screened, buffer-based, server-signal, fixed-low, fixed-high)")
-		cold       = flag.Bool("cold", false, "skip CDN cache pre-warming (cold-start ablation)")
-		parallel   = flag.Int("parallel", 0, "max server-slot shards simulated concurrently (0 = GOMAXPROCS, 1 = sequential; output is identical at any setting)")
-		stream     = flag.Bool("stream", false, "streaming telemetry mode: aggregate into bounded-memory sketches and write a snapshot instead of a trace")
-		diagnoseF  = flag.Bool("diagnose", false, "classify every session's dominant bottleneck (internal/diagnose) during the streamed run; requires -stream or -spec")
-		spec       = flag.String("spec", "", "run a single-cell experiment spec (JSON, see examples/specs/) in streaming mode; replaces the scenario flags")
-		traceOut   = flag.Bool("trace", false, "with -spec: materialize the full JSONL trace instead of a streaming snapshot (input to `analyze detect-proxies`)")
-		sketchK    = flag.Int("sketch-k", telemetry.DefaultSketchK, "quantile-sketch compaction parameter in -stream mode (error bound ≈ 4/k)")
-		out        = flag.String("out", "trace.jsonl", "output path (JSONL trace, or JSON snapshot with -stream)")
-		chunksCSV  = flag.String("chunks-csv", "", "optional CSV export of the chunk table")
-		sessCSV    = flag.String("sessions-csv", "", "optional CSV export of the session table")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-		memProfile = flag.String("memprofile", "", "write an allocation profile to this file on successful exit (go tool pprof)")
-		logFormat  = flag.String("log-format", "text", "stderr log format: text or json")
-	)
-	flag.Parse()
-
-	log, err := logging.New(*logFormat)
+	fs, f := parseFlags(os.Args[1:])
+	log, err := logging.New(f.logFormat)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vodsim:", err)
 		os.Exit(1)
 	}
-
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-
-	if *spec != "" {
-		if err := validateSpecFlags(set, *sketchK, flag.Args()); err != nil {
-			logging.Fatal(log, "invalid flags", slog.Any("err", err))
-		}
-		stopProfiles := startProfiles(log, *cpuProfile, *memProfile)
-		defer stopProfiles()
-		runSpec(log, *spec, set, *sessions, *prefixes, *videos, *seed, *parallel, *sketchK, *diagnoseF, *traceOut, *out)
-		return
-	}
-	if *traceOut {
-		logging.Fatal(log, "invalid flags", slog.Any("err",
-			fmt.Errorf("-trace only applies to -spec runs (plain runs already write a JSONL trace)")))
-	}
-
-	if err := validateFlags(*sessions, *prefixes, *videos, *parallel, *sketchK,
-		*stream, *diagnoseF, *chunksCSV, *sessCSV, flag.Args()); err != nil {
-		logging.Fatal(log, "invalid flags", slog.Any("err", err))
-	}
-	stopProfiles := startProfiles(log, *cpuProfile, *memProfile)
-	defer stopProfiles()
-
-	sc := workload.Scenario{
-		Seed:        *seed,
-		NumSessions: *sessions,
-		NumPrefixes: *prefixes,
-		Catalog:     catalog.Config{NumVideos: *videos},
-		ABRName:     *abrName,
-		ColdStart:   *cold,
-		Parallelism: *parallel,
-	}
-	log.Info("simulating",
-		slog.Int("sessions", *sessions), slog.Uint64("seed", *seed),
-		slog.String("abr", *abrName), slog.Bool("cold", *cold),
-		slog.Int("parallel", *parallel), slog.Bool("stream", *stream),
-		slog.Bool("diagnose", *diagnoseF))
-
-	if *stream {
-		runStreaming(log, sc, *sketchK, *diagnoseF, *out)
-		return
-	}
-
-	res, err := session.Execute(sc, session.Options{})
+	sp, cell, err := configure(fs, f)
 	if err != nil {
+		logging.Fatal(log, "invalid run", slog.Any("err", err))
+	}
+	stopProfiles := startProfiles(log, f.cpuProfile, f.memProfile)
+	defer stopProfiles()
+	if err := run(log, f, sp, cell); err != nil {
 		logging.Fatal(log, "run failed", slog.Any("err", err))
 	}
-	ds := res.Dataset
-	log.Info("generated dataset", slog.String("dataset", ds.String()))
-
-	if err := writeTrace(*out, ds); err != nil {
-		logging.Fatal(log, "write failed", slog.Any("err", err))
-	}
-	log.Info("wrote trace", slog.String("path", *out))
-
-	if *chunksCSV != "" {
-		if err := writeFile(*chunksCSV, func(f *os.File) error {
-			return core.WriteChunksCSV(f, ds.Chunks)
-		}); err != nil {
-			logging.Fatal(log, "write failed", slog.Any("err", err))
-		}
-		log.Info("wrote chunk CSV", slog.String("path", *chunksCSV))
-	}
-	if *sessCSV != "" {
-		if err := writeFile(*sessCSV, func(f *os.File) error {
-			return core.WriteSessionsCSV(f, ds.Sessions)
-		}); err != nil {
-			logging.Fatal(log, "write failed", slog.Any("err", err))
-		}
-		log.Info("wrote session CSV", slog.String("path", *sessCSV))
-	}
 }
 
-// validateFlags rejects flag combinations that would otherwise silently
-// misbehave, before any simulation work starts.
-func validateFlags(sessions, prefixes, videos, parallel, sketchK int,
-	stream, diagnose bool, chunksCSV, sessCSV string, extra []string) error {
-	if len(extra) > 0 {
-		return fmt.Errorf("unexpected arguments %q (all options are flags)", extra)
-	}
-	if sessions < 1 {
-		return fmt.Errorf("-sessions must be >= 1 (got %d)", sessions)
-	}
-	if prefixes < 1 {
-		return fmt.Errorf("-prefixes must be >= 1 (got %d)", prefixes)
-	}
-	if videos < 1 {
-		return fmt.Errorf("-videos must be >= 1 (got %d)", videos)
-	}
-	if parallel < 0 {
-		return fmt.Errorf("-parallel must be >= 0 (got %d); 0 means GOMAXPROCS", parallel)
-	}
-	if stream {
-		if sketchK < 8 {
-			return fmt.Errorf("-sketch-k must be >= 8 (got %d)", sketchK)
-		}
-		if chunksCSV != "" || sessCSV != "" {
-			return fmt.Errorf("-stream keeps no per-record tables; drop -chunks-csv/-sessions-csv or run without -stream")
-		}
-	} else if diagnose {
-		return fmt.Errorf("-diagnose classifies sessions inside the streaming aggregator; combine it with -stream (or -spec)")
-	}
-	return nil
+// batchFlags holds vodsim's output and mode flags. The scenario flags,
+// -sketch-k and -diagnose are read back from the flag set by
+// specFromFlags.
+type batchFlags struct {
+	spec, out, chunksCSV, sessCSV string
+	cpuProfile, memProfile        string
+	logFormat                     string
+	stream, trace, diagnose       bool
 }
 
-// specOverridableFlags are the flags that may accompany -spec, each
-// overriding the spec's value when explicitly set.
-var specOverridableFlags = map[string]bool{
-	"spec": true, "out": true, "parallel": true, "seed": true,
-	"sessions": true, "prefixes": true, "videos": true, "sketch-k": true,
-	"diagnose": true, "trace": true, "cpuprofile": true, "memprofile": true,
-	"log-format": true,
+// parseFlags parses vodsim's command line.
+func parseFlags(args []string) (*flag.FlagSet, *batchFlags) {
+	fs := flag.NewFlagSet("vodsim", flag.ExitOnError)
+	var f batchFlags
+	fs.Int("sessions", 20000, "number of sessions to simulate")
+	fs.Int("prefixes", 2500, "number of client /24 prefixes")
+	fs.Int("videos", 6000, "catalog size (titles)")
+	fs.Uint64("seed", 1, "master scenario seed")
+	fs.String("abr", "hybrid", "ABR algorithm (hybrid, rate-smoothed, rate-instant, rate-instant-screened, buffer-based, server-signal, fixed-low, fixed-high)")
+	fs.Bool("cold", false, "skip CDN cache pre-warming (cold-start ablation)")
+	fs.Int("parallel", 0, "max server-slot shards simulated concurrently (0 = GOMAXPROCS, 1 = sequential; output is identical at any setting)")
+	fs.BoolVar(&f.stream, "stream", false, "streaming telemetry mode: aggregate into bounded-memory sketches and write a snapshot instead of a trace (what -spec runs always do)")
+	fs.BoolVar(&f.diagnose, "diagnose", false, "classify every session's dominant bottleneck (internal/diagnose) into the snapshot; needs snapshot output (-stream, or -spec without -trace)")
+	fs.StringVar(&f.spec, "spec", "", "single-cell experiment spec (JSON, see examples/specs/); scenario flags override its keys")
+	fs.BoolVar(&f.trace, "trace", false, "with -spec: write the full JSONL trace instead of a snapshot (input to `analyze detect-proxies`)")
+	fs.Int("sketch-k", telemetry.DefaultSketchK, "quantile-sketch compaction parameter for snapshots (error bound ≈ 4/k); sets the spec's sketch_k")
+	fs.StringVar(&f.out, "out", "trace.jsonl", "output path (JSONL trace, or JSON snapshot)")
+	fs.StringVar(&f.chunksCSV, "chunks-csv", "", "optional CSV export of the chunk table (trace output only)")
+	fs.StringVar(&f.sessCSV, "sessions-csv", "", "optional CSV export of the session table (trace output only)")
+	fs.StringVar(&f.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+	fs.StringVar(&f.memProfile, "memprofile", "", "write an allocation profile to this file on successful exit (go tool pprof)")
+	fs.StringVar(&f.logFormat, "log-format", "text", "stderr log format: text or json")
+	fs.Parse(args)
+	return fs, &f
 }
 
-// validateSpecFlags rejects flag combinations that contradict spec mode:
-// the spec is the scenario, so only the override allowlist may be set,
-// and overrides obey the same bounds as their -stream counterparts.
-func validateSpecFlags(set map[string]bool, sketchK int, extra []string) error {
-	if len(extra) > 0 {
-		return fmt.Errorf("unexpected arguments %q (all options are flags)", extra)
+// snapshot reports whether the run writes a telemetry snapshot rather
+// than a JSONL trace: -stream runs and -spec runs without -trace do.
+func (f *batchFlags) snapshot() bool { return f.stream || f.spec != "" && !f.trace }
+
+// configure checks the flags that pick the output, then builds the
+// run's spec and its one cell from the scenario flags.
+func configure(fs *flag.FlagSet, f *batchFlags) (*experiment.Spec, experiment.Cell, error) {
+	switch {
+	case fs.NArg() > 0:
+		return nil, experiment.Cell{}, fmt.Errorf("unexpected arguments %q (all options are flags)", fs.Args())
+	case f.stream && f.trace:
+		return nil, experiment.Cell{}, fmt.Errorf("-stream writes a snapshot and -trace a JSONL trace; pick one")
+	case f.snapshot() && (f.chunksCSV != "" || f.sessCSV != ""):
+		return nil, experiment.Cell{}, fmt.Errorf("-chunks-csv/-sessions-csv export the trace's tables; a snapshot keeps none (drop -stream, or add -trace with -spec)")
+	case !f.snapshot() && f.diagnose:
+		return nil, experiment.Cell{}, fmt.Errorf("-diagnose classifies sessions into the snapshot; combine it with -stream (or -spec without -trace)")
 	}
-	for name := range set {
-		if !specOverridableFlags[name] {
-			return fmt.Errorf("-%s cannot be combined with -spec (the spec defines the scenario; only -out/-parallel/-seed/-sessions/-prefixes/-videos/-sketch-k/-diagnose override)", name)
+	return specFromFlags(fs, f.spec)
+}
+
+// specFromFlags is the one way vodsim and vodsim serve build a scenario:
+// the -spec file, or an empty spec when there is none, with the
+// scenario flags overriding the spec keys of the same name (every one
+// of them without a spec file, else those the user set), -sketch-k
+// setting sketch_k and -diagnose setting diagnosis. The result must
+// validate and expand to one cell.
+func specFromFlags(fs *flag.FlagSet, path string) (*experiment.Spec, experiment.Cell, error) {
+	sp := &experiment.Spec{Name: "flags"}
+	if path != "" {
+		var err error
+		if sp, err = experiment.LoadFile(path); err != nil {
+			return nil, experiment.Cell{}, err
 		}
 	}
-	if set["sketch-k"] && sketchK < 8 {
-		return fmt.Errorf("-sketch-k must be >= 8 (got %d)", sketchK)
+	if err := sp.OverrideFlags(fs, path == "",
+		"seed", "sessions", "prefixes", "videos", "abr", "cold", "parallel"); err != nil {
+		return nil, experiment.Cell{}, err
 	}
-	return nil
-}
-
-// runSpec executes a single-cell experiment spec in streaming mode,
-// applying any explicitly-set override flags, and writes the labelled
-// snapshot to out. An explicit -diagnose / -diagnose=false overrides
-// the spec's diagnosis toggle in either direction, like every other
-// override flag (it is an output toggle, so the simulated world — and
-// every non-diagnosis byte of the snapshot state — is unchanged). With
-// -trace the same cell instead materializes the full joined dataset and
-// out receives the JSONL trace — the input `analyze detect-proxies`
-// needs, since the §3 detector reads per-session records, not sketches.
-func runSpec(log *slog.Logger, path string, set map[string]bool, sessions, prefixes, videos int,
-	seed uint64, parallel, sketchK int, diagnose, trace bool, out string) {
-	sp, err := experiment.LoadFile(path)
-	if err != nil {
-		logging.Fatal(log, "spec load failed", slog.Any("err", err))
+	fs.Visit(func(fl *flag.Flag) {
+		switch v := fl.Value.(flag.Getter).Get(); fl.Name {
+		case "sketch-k":
+			sp.SketchK = v.(int)
+		case "diagnose":
+			sp.Diagnosis = v.(bool)
+		}
+	})
+	if err := sp.Validate(); err != nil {
+		return nil, experiment.Cell{}, err
 	}
 	cells, err := sp.Expand()
 	if err != nil {
-		logging.Fatal(log, "spec expansion failed", slog.Any("err", err))
+		return nil, experiment.Cell{}, err
 	}
 	if len(cells) != 1 {
-		logging.Fatal(log, "multi-cell spec",
-			slog.String("spec", path), slog.Int("cells", len(cells)),
-			slog.String("hint", "vodsim -spec runs single-cell specs (use cmd/sweep for campaigns)"))
+		return nil, experiment.Cell{}, fmt.Errorf("spec %s expands to %d cells; vodsim runs single-cell specs (use cmd/sweep for campaigns)", sp.Name, len(cells))
 	}
-	cell := cells[0]
-	if set["sessions"] {
-		cell.Scenario.NumSessions = sessions
-	}
-	if set["prefixes"] {
-		cell.Scenario.NumPrefixes = prefixes
-	}
-	if set["videos"] {
-		cell.Scenario.Catalog.NumVideos = videos
-	}
-	if set["seed"] {
-		cell.Scenario.Seed = seed
-	}
-	if set["parallel"] {
-		cell.Scenario.Parallelism = parallel
-	}
-	if set["sketch-k"] {
-		sp.SketchK = sketchK
-	}
-	if set["diagnose"] {
-		sp.Diagnosis = diagnose
-	}
-	sc := cell.Scenario.WithDefaults()
-	log.Info("running spec cell",
-		slog.String("spec", sp.Name), slog.String("cell", cell.Name),
-		slog.Int("sessions", sc.NumSessions), slog.Uint64("seed", sc.Seed),
-		slog.String("abr", sc.ABRName), slog.Int("parallel", cell.Scenario.Parallelism),
-		slog.Bool("trace", trace))
-	if trace {
-		res, err := session.Execute(cell.Scenario, session.Options{})
-		if err != nil {
-			logging.Fatal(log, "cell run failed", slog.Any("err", err))
-		}
-		log.Info("generated dataset", slog.String("dataset", res.Dataset.String()))
-		if err := writeTrace(out, res.Dataset); err != nil {
-			logging.Fatal(log, "write failed", slog.Any("err", err))
-		}
-		log.Info("wrote trace", slog.String("path", out))
-		return
-	}
-	res, err := experiment.RunCell(sp, cell, "")
-	if err != nil {
-		logging.Fatal(log, "cell run failed", slog.Any("err", err))
-	}
-	writeSnapshotFile(log, out, res.Snapshot)
+	return sp, cells[0], nil
 }
 
-// runStreaming executes the campaign through per-shard telemetry
-// accumulators and writes the merged snapshot.
-func runStreaming(log *slog.Logger, sc workload.Scenario, sketchK int, diag bool, out string) {
-	res, err := session.Execute(sc, session.Options{Telemetry: true, SketchK: sketchK, Diagnose: diag})
-	if err != nil {
-		logging.Fatal(log, "streaming run failed", slog.Any("err", err))
+// setFlags returns the names of the flags the command line set.
+func setFlags(fs *flag.FlagSet) map[string]bool {
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	return set
+}
+
+// run simulates the cell and writes its snapshot or trace (plus the CSV
+// exports) to the output paths.
+func run(log *slog.Logger, f *batchFlags, sp *experiment.Spec, cell experiment.Cell) error {
+	sc := cell.Scenario.WithDefaults()
+	log.Info("simulating",
+		slog.String("spec", sp.Name), slog.String("cell", cell.Name),
+		slog.Int("sessions", sc.NumSessions), slog.Uint64("seed", sc.Seed),
+		slog.String("abr", sc.ABRName), slog.Bool("cold", sc.ColdStart),
+		slog.Int("parallel", sc.Parallelism), slog.Bool("snapshot", f.snapshot()),
+		slog.Bool("diagnose", sp.Diagnosis))
+	if f.snapshot() {
+		res, err := experiment.RunCell(sp, cell, "")
+		if err != nil {
+			return err
+		}
+		if f.spec == "" {
+			// A flag-only run is no campaign cell: its snapshot carries
+			// no spec labels, like a one-window serve run's.
+			res.Snapshot.Labels = nil
+		}
+		return writeSnapshotFile(log, f.out, res.Snapshot)
 	}
-	writeSnapshotFile(log, out, res.Snapshot)
+	res, err := session.Execute(cell.Scenario, session.Options{})
+	if err != nil {
+		return err
+	}
+	ds := res.Dataset
+	log.Info("generated dataset", slog.String("dataset", ds.String()))
+	if err := writeTrace(f.out, ds); err != nil {
+		return err
+	}
+	log.Info("wrote trace", slog.String("path", f.out))
+	if f.chunksCSV != "" {
+		if err := writeFile(f.chunksCSV, func(file *os.File) error {
+			return core.WriteChunksCSV(file, ds.Chunks)
+		}); err != nil {
+			return err
+		}
+		log.Info("wrote chunk CSV", slog.String("path", f.chunksCSV))
+	}
+	if f.sessCSV != "" {
+		if err := writeFile(f.sessCSV, func(file *os.File) error {
+			return core.WriteSessionsCSV(file, ds.Sessions)
+		}); err != nil {
+			return err
+		}
+		log.Info("wrote session CSV", slog.String("path", f.sessCSV))
+	}
+	return nil
 }
 
 // writeSnapshotFile logs the snapshot's totals and writes it to out.
-func writeSnapshotFile(log *slog.Logger, out string, sn *telemetry.Snapshot) {
+func writeSnapshotFile(log *slog.Logger, out string, sn *telemetry.Snapshot) error {
 	log.Info("streamed campaign",
 		slog.Uint64("sessions", sn.Counter(telemetry.CounterSessions)),
 		slog.Uint64("chunks", sn.Counter(telemetry.CounterChunks)),
@@ -343,9 +271,10 @@ func writeSnapshotFile(log *slog.Logger, out string, sn *telemetry.Snapshot) {
 	if err := writeFile(out, func(f *os.File) error {
 		return telemetry.WriteSnapshot(f, sn)
 	}); err != nil {
-		logging.Fatal(log, "write failed", slog.Any("err", err))
+		return err
 	}
 	log.Info("wrote snapshot", slog.String("path", out))
+	return nil
 }
 
 // startProfiles wires the -cpuprofile/-memprofile flags. The returned

@@ -1,97 +1,105 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-func TestValidateFlags(t *testing.T) {
-	ok := func(sessions, prefixes, videos, parallel, sketchK int,
-		stream bool, chunksCSV, sessCSV string, extra []string) error {
-		return validateFlags(sessions, prefixes, videos, parallel, sketchK,
-			stream, false, chunksCSV, sessCSV, extra)
+// expectError checks that configuring args fails with an error naming
+// want.
+func expectError(t *testing.T, want string, args ...string) {
+	t.Helper()
+	_, _, _, err := configureArgs(args...)
+	if err == nil {
+		t.Errorf("%q: accepted", args)
+		return
 	}
-	// -diagnose rides the streaming aggregator: fine with -stream, an
-	// error in batch mode.
-	if err := validateFlags(100, 50, 50, 0, 256, true, true, "", "", nil); err != nil {
-		t.Fatalf("-stream -diagnose rejected: %v", err)
-	}
-	if err := validateFlags(100, 50, 50, 0, 256, false, true, "", "", nil); err == nil ||
-		!strings.Contains(err.Error(), "-diagnose") {
-		t.Fatalf("batch -diagnose: want -diagnose error, got %v", err)
-	}
-	if err := ok(100, 50, 50, 0, 256, false, "", "", nil); err != nil {
-		t.Fatalf("valid batch flags rejected: %v", err)
-	}
-	if err := ok(100, 50, 50, 4, 256, true, "", "", nil); err != nil {
-		t.Fatalf("valid stream flags rejected: %v", err)
-	}
-	// -sketch-k only matters in stream mode; batch runs ignore it.
-	if err := ok(100, 50, 50, 0, 2, false, "", "", nil); err != nil {
-		t.Fatalf("batch run rejected over unused -sketch-k: %v", err)
-	}
-	cases := []struct {
-		name string
-		err  error
-		want string
-	}{
-		{"negative parallel", ok(100, 50, 50, -1, 256, false, "", "", nil), "-parallel"},
-		{"zero sessions", ok(0, 50, 50, 0, 256, false, "", "", nil), "-sessions"},
-		{"negative prefixes", ok(100, -3, 50, 0, 256, false, "", "", nil), "-prefixes"},
-		{"zero videos", ok(100, 50, 0, 0, 256, false, "", "", nil), "-videos"},
-		{"tiny sketch-k", ok(100, 50, 50, 0, 2, true, "", "", nil), "-sketch-k"},
-		{"stream+chunks-csv", ok(100, 50, 50, 0, 256, true, "c.csv", "", nil), "-chunks-csv"},
-		{"stream+sessions-csv", ok(100, 50, 50, 0, 256, true, "", "s.csv", nil), "-stream"},
-		{"positional args", ok(100, 50, 50, 0, 256, false, "", "", []string{"trace.jsonl"}), "unexpected"},
-	}
-	for _, c := range cases {
-		if c.err == nil {
-			t.Errorf("%s: accepted", c.name)
-			continue
-		}
-		if !strings.Contains(c.err.Error(), c.want) {
-			t.Errorf("%s: error %q does not mention %q", c.name, c.err, c.want)
-		}
+	if !strings.Contains(err.Error(), want) {
+		t.Errorf("%q: error %q does not mention %q", args, err, want)
 	}
 }
 
+// TestValidateFlags checks the flag-only runs: valid flags configure,
+// and bad values or output combinations fail before any simulation.
+func TestValidateFlags(t *testing.T) {
+	small := []string{"-sessions", "100", "-prefixes", "50", "-videos", "50"}
+	for _, extra := range [][]string{
+		nil,
+		{"-stream", "-diagnose"},
+		{"-stream", "-parallel", "4"},
+		{"-parallel", "0"}, // the flag's default: GOMAXPROCS
+		{"-trace"},         // plain runs write a trace anyway
+		{"-seed", "0"},
+		{"-chunks-csv", "c.csv", "-sessions-csv", "s.csv"},
+	} {
+		if _, _, _, err := configureArgs(append(extra, small...)...); err != nil {
+			t.Errorf("%q rejected: %v", extra, err)
+		}
+	}
+	// -diagnose rides the snapshot; a trace run has none.
+	expectError(t, "-diagnose", "-diagnose")
+	expectError(t, "parallel", "-parallel", "-1")
+	expectError(t, "sessions", "-sessions", "0")
+	expectError(t, "sessions", "-sessions", "-5")
+	expectError(t, "prefixes", "-prefixes", "-3")
+	expectError(t, "videos", "-videos", "0")
+	expectError(t, "abr", "-abr", "")
+	// -sketch-k sets sketch_k in every mode, so Spec.Validate checks it
+	// even where a trace run would not use it.
+	expectError(t, "sketch_k", "-sketch-k", "2")
+	expectError(t, "sketch_k", "-stream", "-sketch-k", "2")
+	expectError(t, "sketch_k", "-stream", "-sketch-k", "9")
+	expectError(t, "sketch_k", "-stream", "-sketch-k", "100000000")
+	expectError(t, "-chunks-csv", "-stream", "-chunks-csv", "c.csv")
+	expectError(t, "-stream", "-stream", "-sessions-csv", "s.csv")
+	expectError(t, "pick one", "-stream", "-trace")
+	expectError(t, "unexpected", "trace.jsonl")
+}
+
+// TestValidateSpecFlags checks -spec runs: every scenario flag is an
+// override of the spec key of the same name, and the overridden spec is
+// validated like a spec file.
 func TestValidateSpecFlags(t *testing.T) {
-	set := func(names ...string) map[string]bool {
-		m := map[string]bool{"spec": true}
-		for _, n := range names {
-			m[n] = true
-		}
-		return m
-	}
-	// The override allowlist is fine, alone or together.
-	if err := validateSpecFlags(set(), 256, nil); err != nil {
-		t.Errorf("bare -spec rejected: %v", err)
-	}
-	if err := validateSpecFlags(set("out", "parallel", "seed", "sessions", "prefixes", "videos", "sketch-k", "diagnose"), 256, nil); err != nil {
-		t.Errorf("override flags rejected: %v", err)
-	}
-	// Scenario-defining flags must not fight the spec.
-	for _, bad := range []string{"abr", "cold", "stream", "chunks-csv", "sessions-csv"} {
-		err := validateSpecFlags(set(bad), 256, nil)
-		if err == nil {
-			t.Errorf("-%s combined with -spec accepted", bad)
-			continue
-		}
-		if !strings.Contains(err.Error(), bad) {
-			t.Errorf("-%s: error %q does not name the flag", bad, err)
+	spec := "../../examples/specs/paper-baseline.json"
+	for _, extra := range [][]string{
+		nil,
+		{"-out", "x.json", "-parallel", "3", "-seed", "2", "-sessions", "100",
+			"-prefixes", "50", "-videos", "60", "-sketch-k", "64", "-diagnose"},
+		{"-abr", "rate-smoothed", "-cold"},
+		{"-stream"}, // a -spec run writes a snapshot anyway
+		{"-trace", "-chunks-csv", "c.csv", "-sessions-csv", "s.csv"},
+	} {
+		if _, _, _, err := configureArgs(append([]string{"-spec", spec}, extra...)...); err != nil {
+			t.Errorf("-spec with %q rejected: %v", extra, err)
 		}
 	}
-	if err := validateSpecFlags(set(), 256, []string{"extra.json"}); err == nil {
-		t.Error("positional args with -spec accepted")
+	_, _, cell, err := configureArgs("-spec", spec, "-abr", "rate-smoothed", "-cold=true")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The -stream bound on -sketch-k applies in spec mode too: an
-	// out-of-range override must error, not silently clamp.
-	if err := validateSpecFlags(set("sketch-k"), 2, nil); err == nil ||
-		!strings.Contains(err.Error(), "sketch-k") {
-		t.Errorf("tiny -sketch-k with -spec: %v", err)
+	if cell.Scenario.ABRName != "rate-smoothed" || !cell.Scenario.ColdStart {
+		t.Errorf("-abr/-cold overrides did not reach the cell: %+v", cell.Scenario)
 	}
-	// An unset -sketch-k carries the flag default; no bound check applies.
-	if err := validateSpecFlags(set(), 2, nil); err != nil {
-		t.Errorf("unset sketch-k value checked anyway: %v", err)
+	// The snapshot output keeps no tables, and the spec's own -diagnose
+	// needs the snapshot.
+	for _, bad := range []string{"-chunks-csv", "-sessions-csv"} {
+		expectError(t, bad, "-spec", spec, bad, "x.csv")
 	}
+	expectError(t, "-diagnose", "-spec", spec, "-trace", "-diagnose")
+	expectError(t, "unexpected", "-spec", spec, "extra.json")
+	expectError(t, "sketch_k", "-spec", spec, "-sketch-k", "2")
+	expectError(t, "sketch_k", "-spec", spec, "-sketch-k", "9")
+	expectError(t, "sessions", "-spec", spec, "-sessions", "0")
+	expectError(t, "prefixes", "-spec", spec, "-prefixes", "-3")
+
+	// A multi-cell spec belongs to cmd/sweep.
+	expectError(t, "cells", "-spec", "../../examples/specs/cold-start.json")
+	// A bad scenario key fails at load time, not in the simulation.
+	path := filepath.Join(t.TempDir(), "bad.json")
+	if err := os.WriteFile(path, []byte(`{"name": "bad", "scenario": {"prefixes": -3}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	expectError(t, "prefixes", "-spec", path)
 }

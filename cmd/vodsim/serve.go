@@ -9,12 +9,17 @@
 //	vodsim serve -spec examples/specs/serve-steady.json
 //	vodsim serve -resume state.ckpt -max-windows 48 -out snapshot.json
 //
-// Flag precedence in spec mode: an explicitly-set flag beats the spec's
-// serve block, which beats the flag's default (for -window-min, the
-// scenario's arrival window). With -resume, every
-// determinism-relevant setting comes from the checkpoint and only
-// runtime flags (-listen, -pace, -checkpoint, -checkpoint-every,
-// -max-windows, -out, -parallel, -log-format) may be set.
+// The scenario follows vodsim's one override rule: every scenario flag
+// the user sets (-seed, -prefixes, -videos, -abr, -cold, -parallel)
+// overrides the spec key of the same name, -sketch-k sets sketch_k and
+// -diagnose sets diagnosis; without -spec every scenario flag applies.
+// Likewise an explicitly-set serve flag beats the spec's serve block,
+// which beats the engine default (for -window-min, the scenario's
+// arrival window; for -sessions-per-window, its session count). With
+// -resume, every determinism-relevant setting comes from the checkpoint
+// and only runtime flags (-listen, -pace, -checkpoint,
+// -checkpoint-every, -max-windows, -out, -parallel, -log-format) may be
+// set.
 package main
 
 import (
@@ -30,29 +35,21 @@ import (
 	"syscall"
 	"time"
 
-	"vidperf/internal/catalog"
 	"vidperf/internal/experiment"
 	"vidperf/internal/logging"
 	"vidperf/internal/serve"
 	"vidperf/internal/telemetry"
-	"vidperf/internal/workload"
 )
 
 // serveFlags carries the parsed serve flag values through validation and
-// engine construction.
+// engine construction. The scenario flags, -sketch-k and -diagnose are
+// read back from the flag set by specFromFlags.
 type serveFlags struct {
-	spec    string
-	resume  string
-	seed    uint64
-	abrName string
-	cold    bool
+	spec   string
+	resume string
 
 	sessionsPerWindow int
-	prefixes          int
-	videos            int
 	parallel          int
-	sketchK           int
-	diagnose          bool
 
 	windowMin       float64
 	ring            int
@@ -62,22 +59,24 @@ type serveFlags struct {
 	checkpointEvery int
 	maxWindows      int
 	out             string
+	logFormat       string
 }
 
-func serveMain(args []string) {
+// parseServeFlags parses the serve subcommand's command line.
+func parseServeFlags(args []string) (*flag.FlagSet, serveFlags) {
 	fs := flag.NewFlagSet("vodsim serve", flag.ExitOnError)
 	var f serveFlags
-	fs.StringVar(&f.spec, "spec", "", "single-cell experiment spec (JSON) providing the scenario and optional serve block")
+	fs.StringVar(&f.spec, "spec", "", "single-cell experiment spec (JSON) providing the scenario and optional serve block; scenario flags override its keys")
 	fs.StringVar(&f.resume, "resume", "", "resume from this checkpoint file instead of starting fresh")
-	fs.Uint64Var(&f.seed, "seed", 1, "serve seed (window w runs at serve.WindowSeed(seed, w))")
-	fs.StringVar(&f.abrName, "abr", "hybrid", "ABR algorithm for every window")
-	fs.BoolVar(&f.cold, "cold", false, "skip CDN cache pre-warming in every window")
+	fs.Uint64("seed", 1, "serve seed (window w runs at serve.WindowSeed(seed, w))")
+	fs.String("abr", "hybrid", "ABR algorithm for every window")
+	fs.Bool("cold", false, "skip CDN cache pre-warming in every window")
 	fs.IntVar(&f.sessionsPerWindow, "sessions-per-window", 2000, "sessions generated per service window")
-	fs.IntVar(&f.prefixes, "prefixes", 2500, "number of client /24 prefixes")
-	fs.IntVar(&f.videos, "videos", 6000, "catalog size (titles)")
+	fs.Int("prefixes", 2500, "number of client /24 prefixes")
+	fs.Int("videos", 6000, "catalog size (titles)")
 	fs.IntVar(&f.parallel, "parallel", 0, "max server-slot shards simulated concurrently (0 = GOMAXPROCS; output is identical at any setting)")
-	fs.IntVar(&f.sketchK, "sketch-k", telemetry.DefaultSketchK, "quantile-sketch compaction parameter (error bound ≈ 4/k)")
-	fs.BoolVar(&f.diagnose, "diagnose", false, "classify every session's dominant bottleneck, enabling /diagnose")
+	fs.Int("sketch-k", telemetry.DefaultSketchK, "quantile-sketch compaction parameter (error bound ≈ 4/k); sets the spec's sketch_k")
+	fs.Bool("diagnose", false, "classify every session's dominant bottleneck, enabling /diagnose")
 	fs.Float64Var(&f.windowMin, "window-min", 30, "virtual length of one service window, in minutes")
 	fs.IntVar(&f.ring, "ring", 12, "closed windows retained for /windows")
 	fs.Float64Var(&f.pace, "pace", 0, "virtual-to-wall speed factor (60 plays a 30-minute window in 30s wall; 0 = max speed)")
@@ -86,22 +85,23 @@ func serveMain(args []string) {
 	fs.IntVar(&f.checkpointEvery, "checkpoint-every", 0, "write a checkpoint after every n-th closed window (0 = only on demand and at shutdown)")
 	fs.IntVar(&f.maxWindows, "max-windows", 0, "stop after this many total closed windows (0 = run until signalled)")
 	fs.StringVar(&f.out, "out", "", "write the final cumulative snapshot (JSON) here on exit")
-	logFormat := fs.String("log-format", "text", "stderr log format: text or json")
+	fs.StringVar(&f.logFormat, "log-format", "text", "stderr log format: text or json")
 	fs.Parse(args)
+	return fs, f
+}
 
-	log, err := logging.New(*logFormat)
+func serveMain(args []string) {
+	fs, f := parseServeFlags(args)
+	log, err := logging.New(f.logFormat)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vodsim serve:", err)
 		os.Exit(1)
 	}
-	set := map[string]bool{}
-	fs.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
-
-	if err := validateServeFlags(set, f, fs.Args()); err != nil {
+	if err := validateServeFlags(fs, f); err != nil {
 		logging.Fatal(log, "invalid flags", slog.Any("err", err))
 	}
 
-	eng, err := buildServeEngine(set, f, log)
+	eng, err := buildServeEngine(fs, f, log)
 	if err != nil {
 		logging.Fatal(log, "serve setup failed", slog.Any("err", err))
 	}
@@ -163,72 +163,45 @@ var serveRuntimeFlags = map[string]bool{
 	"parallel": true, "log-format": true,
 }
 
-// serveSpecBlockedFlags are the flags a spec-driven serve run may not
-// set: the spec owns the simulated world, and a checkpoint resume owns
-// everything.
-var serveSpecBlockedFlags = map[string]bool{
-	"abr": true, "cold": true, "seed": true, "resume": true,
-}
-
 // validateServeFlags rejects serve flag combinations that contradict the
-// mode (fresh, spec, resume) before any engine work starts.
-func validateServeFlags(set map[string]bool, f serveFlags, extra []string) error {
-	if len(extra) > 0 {
-		return fmt.Errorf("unexpected arguments %q (all options are flags)", extra)
+// mode (fresh or resume) and serve knobs out of range before any engine
+// work starts; the scenario is checked when specFromFlags builds it.
+func validateServeFlags(fs *flag.FlagSet, f serveFlags) error {
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q (all options are flags)", fs.Args())
 	}
-	if f.resume != "" {
-		for name := range set {
-			if !serveRuntimeFlags[name] {
-				return fmt.Errorf("-%s cannot be combined with -resume (the checkpoint defines the run; only runtime flags -listen/-pace/-checkpoint/-checkpoint-every/-max-windows/-out/-parallel/-log-format apply)", name)
-			}
-		}
-	} else if f.spec != "" {
-		for name := range set {
-			if serveSpecBlockedFlags[name] {
-				return fmt.Errorf("-%s cannot be combined with -spec in serve mode (the spec defines the scenario)", name)
-			}
+	for name := range setFlags(fs) {
+		if f.resume != "" && !serveRuntimeFlags[name] {
+			return fmt.Errorf("-%s cannot be combined with -resume (the checkpoint defines the run; only runtime flags -listen/-pace/-checkpoint/-checkpoint-every/-max-windows/-out/-parallel/-log-format apply)", name)
 		}
 	}
-	if f.sessionsPerWindow < 1 {
+	switch {
+	case f.resume != "" && f.parallel < 0:
+		// Without -resume, -parallel is a scenario override and
+		// Scenario.Validate checks it.
+		return fmt.Errorf("-parallel must be >= 0 (got %d); 0 keeps the checkpoint's", f.parallel)
+	case f.sessionsPerWindow < 1:
 		return fmt.Errorf("-sessions-per-window must be >= 1 (got %d)", f.sessionsPerWindow)
-	}
-	if f.prefixes < 1 {
-		return fmt.Errorf("-prefixes must be >= 1 (got %d)", f.prefixes)
-	}
-	if f.videos < 1 {
-		return fmt.Errorf("-videos must be >= 1 (got %d)", f.videos)
-	}
-	if f.parallel < 0 {
-		return fmt.Errorf("-parallel must be >= 0 (got %d); 0 means GOMAXPROCS", f.parallel)
-	}
-	if f.sketchK < 8 {
-		return fmt.Errorf("-sketch-k must be >= 8 (got %d)", f.sketchK)
-	}
-	if f.windowMin <= 0 {
+	case f.windowMin <= 0:
 		return fmt.Errorf("-window-min must be > 0 (got %g)", f.windowMin)
-	}
-	if f.ring < 1 {
+	case f.ring < 1:
 		return fmt.Errorf("-ring must be >= 1 (got %d)", f.ring)
-	}
-	if f.pace < 0 {
+	case f.pace < 0:
 		return fmt.Errorf("-pace must be >= 0 (got %g); 0 means max speed", f.pace)
-	}
-	if f.checkpointEvery < 0 {
+	case f.checkpointEvery < 0:
 		return fmt.Errorf("-checkpoint-every must be >= 0 (got %d)", f.checkpointEvery)
-	}
-	if f.maxWindows < 0 {
+	case f.maxWindows < 0:
 		return fmt.Errorf("-max-windows must be >= 0 (got %d)", f.maxWindows)
-	}
-	if f.checkpointEvery > 0 && f.checkpoint == "" && f.resume == "" {
+	case f.checkpointEvery > 0 && f.checkpoint == "" && f.resume == "":
 		return fmt.Errorf("-checkpoint-every needs -checkpoint (nowhere to write)")
 	}
 	return nil
 }
 
 // buildServeEngine constructs the engine for the selected mode: resumed
-// from a checkpoint, configured by a spec (flags overriding its serve
-// block), or configured by flags alone.
-func buildServeEngine(set map[string]bool, f serveFlags, log *slog.Logger) (*serve.Engine, error) {
+// from a checkpoint, or configured by a spec (or flags alone) with set
+// flags overriding it.
+func buildServeEngine(fs *flag.FlagSet, f serveFlags, log *slog.Logger) (*serve.Engine, error) {
 	if f.resume != "" {
 		ck, err := serve.LoadCheckpoint(f.resume)
 		if err != nil {
@@ -250,83 +223,44 @@ func buildServeEngine(set map[string]bool, f serveFlags, log *slog.Logger) (*ser
 		}, log)
 	}
 
+	sp, cell, err := specFromFlags(fs, f.spec)
+	if err != nil {
+		return nil, err
+	}
+	// A serve flag the user set beats the spec's serve block, and a
+	// block field left at zero takes the engine default. Without a spec,
+	// the flag's default stands in for the block.
+	set := setFlags(fs)
+	var sv experiment.ServeSpec
+	if sp.Serve != nil {
+		sv = *sp.Serve
+	}
 	cfg := serve.Config{
-		SketchK:                f.sketchK,
-		Diagnose:               f.diagnose,
-		Ring:                   f.ring,
-		Pace:                   f.pace,
+		Scenario:               cell.Scenario,
+		SketchK:                sp.EffectiveSketchK(),
+		Diagnose:               sp.Diagnosis,
+		SessionsPerWindow:      sv.SessionsPerWindow,
+		WindowMS:               sv.WindowMS(),
+		Ring:                   sv.Ring,
+		Pace:                   sv.Pace,
 		CheckpointPath:         f.checkpoint,
-		CheckpointEveryWindows: f.checkpointEvery,
+		CheckpointEveryWindows: sv.CheckpointEveryWindows,
 		MaxWindows:             f.maxWindows,
-		SessionsPerWindow:      f.sessionsPerWindow,
-		WindowMS:               f.windowMin * 60 * 1000,
 	}
-	if f.spec == "" {
-		cfg.Scenario = workload.Scenario{
-			Seed:        f.seed,
-			NumPrefixes: f.prefixes,
-			Catalog:     catalog.Config{NumVideos: f.videos},
-			ABRName:     f.abrName,
-			ColdStart:   f.cold,
-			Parallelism: f.parallel,
-		}
-		return serve.NewEngine(cfg, log)
+	if set["sessions-per-window"] || f.spec == "" {
+		cfg.SessionsPerWindow = f.sessionsPerWindow
 	}
-
-	sp, err := experiment.LoadFile(f.spec)
-	if err != nil {
-		return nil, err
+	if set["window-min"] {
+		cfg.WindowMS = f.windowMin * 60 * 1000
 	}
-	cells, err := sp.Expand()
-	if err != nil {
-		return nil, err
+	if set["ring"] {
+		cfg.Ring = f.ring
 	}
-	if len(cells) != 1 {
-		return nil, fmt.Errorf("spec %s expands to %d cells; vodsim serve runs single-cell specs", sp.Name, len(cells))
+	if set["pace"] {
+		cfg.Pace = f.pace
 	}
-	cfg.Scenario = cells[0].Scenario
-	if set["prefixes"] {
-		cfg.Scenario.NumPrefixes = f.prefixes
-	}
-	if set["videos"] {
-		cfg.Scenario.Catalog.NumVideos = f.videos
-	}
-	if set["parallel"] {
-		cfg.Scenario.Parallelism = f.parallel
-	}
-	if !set["sketch-k"] && sp.SketchK > 0 {
-		cfg.SketchK = sp.SketchK
-	}
-	if !set["diagnose"] {
-		cfg.Diagnose = sp.Diagnosis
-	}
-	if !set["window-min"] {
-		// Left at 0, the window is the serve block's window_min if set,
-		// else the scenario's arrival window (serve.Config's default).
-		cfg.WindowMS = 0
-	}
-	// The spec's serve block fills every serve knob the command line left
-	// at its default; an explicitly-set flag wins.
-	if sv := sp.Serve; sv != nil {
-		if !set["sessions-per-window"] && sv.SessionsPerWindow > 0 {
-			cfg.SessionsPerWindow = sv.SessionsPerWindow
-		} else if !set["sessions-per-window"] {
-			cfg.SessionsPerWindow = cfg.Scenario.NumSessions
-		}
-		if !set["window-min"] && sv.WindowMin > 0 {
-			cfg.WindowMS = sv.WindowMS()
-		}
-		if !set["ring"] && sv.Ring > 0 {
-			cfg.Ring = sv.Ring
-		}
-		if !set["pace"] && sv.Pace > 0 {
-			cfg.Pace = sv.Pace
-		}
-		if !set["checkpoint-every"] && sv.CheckpointEveryWindows > 0 {
-			cfg.CheckpointEveryWindows = sv.CheckpointEveryWindows
-		}
-	} else if !set["sessions-per-window"] {
-		cfg.SessionsPerWindow = cfg.Scenario.NumSessions
+	if set["checkpoint-every"] {
+		cfg.CheckpointEveryWindows = f.checkpointEvery
 	}
 	return serve.NewEngine(cfg, log)
 }

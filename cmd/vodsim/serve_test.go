@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -18,101 +19,103 @@ func testLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
 
-// defaultServeFlags mirrors the flag defaults serveMain registers.
-func defaultServeFlags() serveFlags {
-	return serveFlags{
-		seed: 1, abrName: "hybrid",
-		sessionsPerWindow: 2000, prefixes: 2500, videos: 6000, sketchK: 256,
-		windowMin: 30, ring: 12, listen: "127.0.0.1:9632",
+// serveEngine parses a serve command line and builds its engine, as
+// serveMain does.
+func serveEngine(args ...string) (*serve.Engine, error) {
+	fs, f := parseServeFlags(args)
+	if err := validateServeFlags(fs, f); err != nil {
+		return nil, err
 	}
+	return buildServeEngine(fs, f, testLogger())
 }
 
 func TestValidateServeFlags(t *testing.T) {
-	ok := func(name string, set map[string]bool, mut func(*serveFlags)) {
+	check := func(wantSub string, args ...string) {
 		t.Helper()
-		f := defaultServeFlags()
-		if mut != nil {
-			mut(&f)
-		}
-		if err := validateServeFlags(set, f, nil); err != nil {
-			t.Errorf("%s: unexpected error: %v", name, err)
+		err := validateServeFlags(parseServeFlags(args))
+		switch {
+		case wantSub == "" && err != nil:
+			t.Errorf("%q: unexpected error: %v", args, err)
+		case wantSub != "" && err == nil:
+			t.Errorf("%q: expected an error", args)
+		case wantSub != "" && !strings.Contains(err.Error(), wantSub):
+			t.Errorf("%q: error %q does not mention %q", args, err, wantSub)
 		}
 	}
-	bad := func(name string, set map[string]bool, mut func(*serveFlags), wantSub string) {
-		t.Helper()
-		f := defaultServeFlags()
-		if mut != nil {
-			mut(&f)
-		}
-		err := validateServeFlags(set, f, nil)
-		if err == nil {
-			t.Errorf("%s: expected an error", name)
-			return
-		}
-		if !strings.Contains(err.Error(), wantSub) {
-			t.Errorf("%s: error %q does not mention %q", name, err, wantSub)
-		}
+	check("")
+	check("", "-resume", "x.ckpt", "-pace", "2", "-max-windows", "3", "-out", "o.json", "-parallel", "4")
+	check("", "-spec", "s.json", "-window-min", "5", "-sessions-per-window", "9")
+	check("", "-checkpoint", "x.ckpt", "-checkpoint-every", "4")
+
+	check("-seed", "-resume", "x.ckpt", "-seed", "3")
+	check("-spec", "-resume", "x.ckpt", "-spec", "s.json")
+	check("-parallel", "-resume", "x.ckpt", "-parallel", "-1")
+	check("-sketch-k", "-resume", "x.ckpt", "-sketch-k", "64")
+	check("-sessions-per-window", "-sessions-per-window", "0")
+	check("-window-min", "-window-min", "0")
+	check("-pace", "-pace", "-1")
+	check("-ring", "-ring", "0")
+	check("-checkpoint-every", "-checkpoint-every", "4")
+	check("unexpected", "stray")
+
+	// The scenario flags are checked where the scenario is built. Each
+	// set one overrides its spec key (-videos is left to the spec here);
+	// a bad value fails like a bad key.
+	spec := filepath.Join(t.TempDir(), "s.json")
+	if err := os.WriteFile(spec, []byte(`{"name": "s", "scenario": {"prefixes": 100, "videos": 300}}`), 0o644); err != nil {
+		t.Fatal(err)
 	}
-
-	ok("defaults", nil, nil)
-	ok("resume with runtime flags",
-		map[string]bool{"resume": true, "pace": true, "max-windows": true, "out": true},
-		func(f *serveFlags) { f.resume = "x.ckpt" })
-	ok("spec with serve overrides",
-		map[string]bool{"spec": true, "window-min": true, "sessions-per-window": true},
-		func(f *serveFlags) { f.spec = "s.json" })
-	ok("checkpoint-every with checkpoint",
-		map[string]bool{"checkpoint": true, "checkpoint-every": true},
-		func(f *serveFlags) { f.checkpoint = "x.ckpt"; f.checkpointEvery = 4 })
-
-	bad("resume with scenario flag",
-		map[string]bool{"resume": true, "seed": true},
-		func(f *serveFlags) { f.resume = "x.ckpt" }, "-seed")
-	bad("resume with spec",
-		map[string]bool{"resume": true, "spec": true},
-		func(f *serveFlags) { f.resume = "x.ckpt"; f.spec = "s.json" }, "-spec")
-	bad("spec with abr",
-		map[string]bool{"spec": true, "abr": true},
-		func(f *serveFlags) { f.spec = "s.json" }, "-abr")
-	bad("spec with seed",
-		map[string]bool{"spec": true, "seed": true},
-		func(f *serveFlags) { f.spec = "s.json" }, "-seed")
-	bad("zero sessions per window", nil,
-		func(f *serveFlags) { f.sessionsPerWindow = 0 }, "-sessions-per-window")
-	bad("zero window", nil,
-		func(f *serveFlags) { f.windowMin = 0 }, "-window-min")
-	bad("negative pace", nil,
-		func(f *serveFlags) { f.pace = -1 }, "-pace")
-	bad("tiny sketch", nil,
-		func(f *serveFlags) { f.sketchK = 4 }, "-sketch-k")
-	bad("zero ring", nil,
-		func(f *serveFlags) { f.ring = 0 }, "-ring")
-	bad("checkpoint-every without checkpoint",
-		map[string]bool{"checkpoint-every": true},
-		func(f *serveFlags) { f.checkpointEvery = 4 }, "-checkpoint-every")
-
-	if err := validateServeFlags(nil, defaultServeFlags(), []string{"stray"}); err == nil {
-		t.Error("positional arguments were accepted")
+	eng, err := serveEngine("-spec", spec, "-seed", "8", "-abr", "buffer-based", "-cold",
+		"-prefixes", "120", "-parallel", "2", "-listen", "")
+	if err != nil {
+		t.Fatalf("-spec with -seed/-abr/-cold: %v", err)
+	}
+	if sc := eng.Config().Scenario; sc.Seed != 8 || sc.ABRName != "buffer-based" || !sc.ColdStart ||
+		sc.NumPrefixes != 120 || sc.Catalog.NumVideos != 300 || sc.Parallelism != 2 {
+		t.Fatalf("overrides did not reach the scenario: %+v", sc)
+	}
+	for _, bad := range []struct {
+		want string
+		args []string
+	}{
+		{"sketch_k", []string{"-sketch-k", "9"}},
+		{"sketch_k", []string{"-sketch-k", "4"}},
+		{"sketch_k", []string{"-spec", spec, "-sketch-k", "9"}},
+		{"prefixes", []string{"-prefixes", "0"}},
+		{"videos", []string{"-videos", "-1"}},
+		{"parallel", []string{"-parallel", "-1"}},
+		{"ABR", []string{"-abr", "nope"}},
+		{"WindowMS", []string{"-window-min", "NaN"}},
+		{"WindowMS", []string{"-window-min", "+Inf"}},
+		{"Pace", []string{"-pace", "NaN"}},
+	} {
+		if _, err := serveEngine(append(bad.args, "-listen", "")...); err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("%q: error %v, want one naming %s", bad.args, err, bad.want)
+		}
 	}
 }
 
 // TestBuildServeEngineFromFlags: flag-only construction carries every
-// scenario and serve knob into the engine's effective config.
+// scenario and serve knob into the engine's effective config, and the
+// scenario is the literal the flags always built.
 func TestBuildServeEngineFromFlags(t *testing.T) {
-	f := defaultServeFlags()
-	f.seed = 42
-	f.sessionsPerWindow = 500
-	f.windowMin = 5
-	f.ring = 3
-	f.diagnose = true
-	eng, err := buildServeEngine(nil, f, testLogger())
+	eng, err := serveEngine("-seed", "42", "-sessions-per-window", "500", "-window-min", "5",
+		"-ring", "3", "-diagnose")
 	if err != nil {
 		t.Fatalf("buildServeEngine: %v", err)
 	}
 	cfg := eng.Config()
-	if cfg.Scenario.Seed != 42 || cfg.SessionsPerWindow != 500 ||
-		cfg.WindowMS != 5*60*1000 || cfg.Ring != 3 || !cfg.Diagnose {
+	if cfg.SessionsPerWindow != 500 || cfg.WindowMS != 5*60*1000 || cfg.Ring != 3 || !cfg.Diagnose || cfg.SketchK != 256 {
 		t.Fatalf("effective config = %+v", cfg)
+	}
+	want := workload.Scenario{Seed: 42, NumPrefixes: 2500, Catalog: catalog.Config{NumVideos: 6000}, ABRName: "hybrid"}
+	if !reflect.DeepEqual(cfg.Scenario, want) {
+		t.Fatalf("scenario = %+v, want %+v", cfg.Scenario, want)
+	}
+	// Unset, -sessions-per-window takes its flag default, not the
+	// scenario's session count.
+	if eng, err = serveEngine(); err != nil || eng.Config().SessionsPerWindow != 2000 || eng.Config().WindowMS != 30*60*1000 {
+		t.Fatalf("defaults: %v, %+v", err, eng.Config())
 	}
 }
 
@@ -131,9 +134,7 @@ func TestBuildServeEngineFromSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f := defaultServeFlags()
-	f.spec = path
-	eng, err := buildServeEngine(map[string]bool{"spec": true}, f, testLogger())
+	eng, err := serveEngine("-spec", path)
 	if err != nil {
 		t.Fatalf("buildServeEngine(spec): %v", err)
 	}
@@ -144,9 +145,7 @@ func TestBuildServeEngineFromSpec(t *testing.T) {
 	}
 
 	// An explicit flag beats the serve block.
-	f.windowMin = 2
-	f.pace = 0
-	eng, err = buildServeEngine(map[string]bool{"spec": true, "window-min": true, "pace": true}, f, testLogger())
+	eng, err = serveEngine("-spec", path, "-window-min", "2", "-pace", "0")
 	if err != nil {
 		t.Fatalf("buildServeEngine(spec+flags): %v", err)
 	}
@@ -165,9 +164,7 @@ func TestBuildServeEngineFromSpec(t *testing.T) {
 	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f = defaultServeFlags()
-	f.spec = path
-	eng, err = buildServeEngine(map[string]bool{"spec": true}, f, testLogger())
+	eng, err = serveEngine("-spec", path)
 	if err != nil {
 		t.Fatalf("buildServeEngine(spec without window_min): %v", err)
 	}
@@ -203,13 +200,7 @@ func TestBuildServeEngineResume(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 
-	f := defaultServeFlags()
-	f.resume = ckptPath
-	f.maxWindows = 3
-	f.parallel = 4
-	f.pace = 12
-	set := map[string]bool{"resume": true, "max-windows": true, "parallel": true, "pace": true}
-	eng, err := buildServeEngine(set, f, testLogger())
+	eng, err := serveEngine("-resume", ckptPath, "-max-windows", "3", "-parallel", "4", "-pace", "12")
 	if err != nil {
 		t.Fatalf("buildServeEngine: %v", err)
 	}
@@ -227,8 +218,7 @@ func TestBuildServeEngineResume(t *testing.T) {
 		t.Fatalf("resumed engine reports %d windows done, want 1", eng.WindowsDone())
 	}
 
-	f.resume = filepath.Join(t.TempDir(), "missing.ckpt")
-	if _, err := buildServeEngine(map[string]bool{"resume": true}, f, testLogger()); err == nil {
+	if _, err := serveEngine("-resume", filepath.Join(t.TempDir(), "missing.ckpt")); err == nil {
 		t.Fatal("resume from a missing checkpoint did not error")
 	}
 }

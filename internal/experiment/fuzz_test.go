@@ -66,6 +66,15 @@ func FuzzDecodeSpec(f *testing.F) {
 		`{"name":"x","proxy":{"share":0.2,"extra_rtt_min_ms":200,"extra_rtt_max_ms":25}}`, // min > max
 		`{"name":"x","proxy":{"share":0.2},"live":{"channels":4}}`,                        // proxy composes with live
 		`{"name":"x","proxy":{"share":0.2},"serve":{"window_min":5}}`,                     // proxy composes with serve
+		// Scenario values that once loaded and then panicked, hung or ran
+		// out of range in the simulation.
+		`{"name":"x","scenario":{"prefixes":-3}}`,
+		`{"name":"x","scenario":{"sessions":-5}}`,
+		`{"name":"x","scenario":{"zipf_s":-1,"ram_gb":-2,"chunk_sec":-6}}`,
+		`{"name":"x","scenario":{"cache_policy":"nope"}}`,
+		`{"name":"x","scenario":{"gpu_frac":3,"enterprise_frac":-0.5}}`,
+		`{"name":"x","axes":[{"name":"videos","values":[100,-1]}]}`,
+		`{"name":"x","axes":[{"name":"servers_per_pop","values":[-1]},{"name":"mean_watched_chunks","values":[-10]}]}`,
 	} {
 		f.Add([]byte(s))
 	}
@@ -90,6 +99,11 @@ func FuzzDecodeSpec(f *testing.F) {
 		}
 		if sp.BaselineIndex(cells) < 0 {
 			t.Fatalf("loaded spec has no baseline cell (input %q)", data)
+		}
+		for _, c := range cells {
+			if err := c.Scenario.Validate(); err != nil {
+				t.Fatalf("loaded spec has an out-of-range cell %s: %v (input %q)", c.Name, err, data)
+			}
 		}
 	})
 }

@@ -3,12 +3,13 @@ package experiment
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"os"
+	"reflect"
+	"slices"
 
-	"vidperf/internal/catalog"
-	"vidperf/internal/geo"
 	"vidperf/internal/telemetry"
 	"vidperf/internal/workload"
 )
@@ -360,8 +361,9 @@ func LoadFile(path string) (*Spec, error) {
 
 // Validate checks everything Expand relies on: a name, a legal seed mode
 // and sketch parameter, well-formed axes (known scenario fields, values
-// that decode into them, no duplicate axis), and a baseline that names a
-// cell of the grid.
+// that decode into them, no duplicate axis), every cell's scenario
+// (workload.Scenario.Validate), and a baseline that names a cell of the
+// grid.
 func (s *Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("experiment: spec has no name")
@@ -411,19 +413,9 @@ func (s *Spec) Validate() error {
 	if err != nil {
 		return err
 	}
-	// The timeline's intrinsic invariants were checked by Expand (via
-	// Build); the PoP count, PoP references and the bitrate ladder are
-	// checked per cell because an axis may sweep the fleet size or the
-	// ladder.
+	// Every cell is range-checked, since an axis may sweep any knob.
 	for _, c := range cells {
-		pops := c.Scenario.Fleet.WithDefaults().NumPoPs
-		if n := len(geo.DefaultPoPs()); pops < 1 || pops > n {
-			return fmt.Errorf("experiment: spec %s: cell %s: pops %d, want 1 to %d", s.Name, c.Name, pops, n)
-		}
-		if err := c.Scenario.Timeline.ValidatePoPs(pops); err != nil {
-			return fmt.Errorf("experiment: spec %s: cell %s: %w", s.Name, c.Name, err)
-		}
-		if err := catalog.ValidateBitrates(c.Scenario.Catalog.Bitrates); err != nil {
+		if err := c.Scenario.Validate(); err != nil {
 			return fmt.Errorf("experiment: spec %s: cell %s: %w", s.Name, c.Name, err)
 		}
 	}
@@ -472,6 +464,43 @@ func axisOverlay(name string, value json.RawMessage) (ScenarioSpec, error) {
 		return overlay, fmt.Errorf("axis %q = %s: %w", name, value, err)
 	}
 	return overlay, nil
+}
+
+// OverrideFlags is how a command line configures a run: each flag of fs
+// named by keys overrides the scenario key of the same name, through
+// the strict overlay an axis value takes. With all false only the flags
+// the user set apply, on top of a spec file; with all true every named
+// flag applies, defaults included, since the flags are the whole
+// scenario. A value that would leave its key unset (0, or an empty
+// name) is an error unless it is the flag's default, which then leaves
+// the key as the spec has it. Validate checks the result.
+func (s *Spec) OverrideFlags(fs *flag.FlagSet, all bool, keys ...string) error {
+	var err error
+	visit := func(f *flag.Flag) {
+		if err != nil || !slices.Contains(keys, f.Name) {
+			return
+		}
+		var value []byte
+		if value, err = json.Marshal(f.Value.(flag.Getter).Get()); err != nil {
+			return
+		}
+		var overlay ScenarioSpec
+		if overlay, err = axisOverlay(f.Name, value); err != nil {
+			err = fmt.Errorf("experiment: -%s: %w", f.Name, err)
+			return
+		}
+		if reflect.ValueOf(overlay).IsZero() && f.Value.String() != f.DefValue {
+			err = fmt.Errorf("experiment: -%s %s would leave %s unset; give it a value", f.Name, f.Value, f.Name)
+			return
+		}
+		s.Scenario = s.Scenario.merge(overlay)
+	}
+	if all {
+		fs.VisitAll(visit)
+	} else {
+		fs.Visit(visit)
+	}
+	return err
 }
 
 // EffectiveSketchK resolves the spec's sketch parameter.

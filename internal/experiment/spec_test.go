@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"encoding/json"
+	"flag"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -56,6 +57,89 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
 		}
+	}
+}
+
+// TestLoadRejectsOutOfRangeScenario pins Load to workload.Scenario.Validate:
+// each value below once panicked in a run (negative counts, sizes,
+// durations and exponents, an unknown cache policy), appended session
+// refs without bound (negative sessions), or ran silently (fractions
+// out of [0, 1]). As a scenario field or as an axis value, Load must
+// refuse it with an error naming the key, and for an axis the cell.
+func TestLoadRejectsOutOfRangeScenario(t *testing.T) {
+	for _, c := range []struct{ key, value string }{
+		{"prefixes", "-3"},
+		{"videos", "-1"},
+		{"zipf_s", "-0.9"},
+		{"ram_gb", "-2"},
+		{"disk_gb", "-64"},
+		{"mean_watched_chunks", "-10"},
+		{"chunk_sec", "-6"},
+		{"servers_per_pop", "-1"},
+		{"cache_policy", `"nope"`},
+		{"sessions", "-5"},
+		{"gpu_frac", "3"},
+		{"enterprise_frac", "-0.5"},
+		{"non_us_frac", "1.5"},
+		{"workers", "-4"},
+		{"parallel", "-1"},
+	} {
+		field := `{"name":"x","scenario":{"` + c.key + `":` + c.value + `}}`
+		if _, err := Load(strings.NewReader(field)); err == nil || !strings.Contains(err.Error(), "cell base: workload: "+c.key) {
+			t.Errorf("scenario %s = %s: error %v, want one naming the key", c.key, c.value, err)
+		}
+		axis := `{"name":"x","axes":[{"name":"` + c.key + `","values":[` + c.value + `]}]}`
+		want := "cell " + c.key + "=" + renderAxisValue(json.RawMessage(c.value)) + ": workload: " + c.key
+		if _, err := Load(strings.NewReader(axis)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("axis %s = [%s]: error %v, want one containing %q", c.key, c.value, err, want)
+		}
+	}
+	// A good value next to a bad one on an axis: the bad cell is named.
+	_, err := Load(strings.NewReader(`{"name":"x","axes":[{"name":"videos","values":[100,-1]}]}`))
+	if err == nil || !strings.Contains(err.Error(), "cell videos=-1") {
+		t.Errorf("videos axis [100, -1]: error %v, want one naming cell videos=-1", err)
+	}
+}
+
+// TestOverrideFlags checks the command-line override rule: set flags
+// override the scenario key of the same name through the axis overlay,
+// a zero value that would leave its key unset is refused unless it is
+// the flag's default, and with all every named flag applies.
+func TestOverrideFlags(t *testing.T) {
+	newFlags := func(args ...string) *flag.FlagSet {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.Int("sessions", 20000, "")
+		fs.Int("parallel", 0, "")
+		fs.Uint64("seed", 1, "")
+		fs.Bool("cold", false, "")
+		fs.String("abr", "hybrid", "")
+		fs.Int("workers", 1, "") // a scenario key, but not named below
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return fs
+	}
+	keys := []string{"sessions", "parallel", "seed", "cold", "abr"}
+	sp := load(t, `{"name":"x","scenario":{"sessions":50,"parallel":3,"abr":"fixed-low"}}`)
+	if err := sp.OverrideFlags(newFlags("-sessions", "70", "-seed", "0", "-cold=false", "-parallel", "0", "-workers", "9"), false, keys...); err != nil {
+		t.Fatal(err)
+	}
+	sc := sp.Scenario
+	if sc.Sessions != 70 || sc.Seed == nil || *sc.Seed != 0 || sc.Cold == nil || *sc.Cold ||
+		sc.Parallel != 3 || sc.ABR != "fixed-low" || sc.Workers != 0 {
+		t.Fatalf("overridden scenario = %+v", sc)
+	}
+	for _, bad := range [][]string{{"-sessions", "0"}, {"-abr", ""}} {
+		if err := load(t, `{"name":"x"}`).OverrideFlags(newFlags(bad...), false, keys...); err == nil {
+			t.Errorf("%q accepted", bad)
+		}
+	}
+	sp = load(t, `{"name":"x"}`)
+	if err := sp.OverrideFlags(newFlags(), true, keys...); err != nil {
+		t.Fatal(err)
+	}
+	if sc := sp.Scenario; sc.Sessions != 20000 || *sc.Seed != 1 || sc.ABR != "hybrid" || sc.Cold == nil {
+		t.Fatalf("all-flags scenario = %+v", sc)
 	}
 }
 

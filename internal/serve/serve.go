@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"sync"
 	"time"
 
@@ -102,6 +103,14 @@ func (c Config) Validate() error {
 	}
 	if c.Scenario.ArrivalOffsetMS != 0 {
 		return errors.New("serve: Scenario.ArrivalOffsetMS is owned by the serve engine and must be zero")
+	}
+	// A non-finite window length would put windows at NaN or infinite
+	// virtual times, and a non-finite pace gives no wall-clock schedule.
+	if math.IsNaN(c.WindowMS) || math.IsInf(c.WindowMS, 0) {
+		return fmt.Errorf("serve: WindowMS %g, want a finite value", c.WindowMS)
+	}
+	if math.IsNaN(c.Pace) || math.IsInf(c.Pace, 0) {
+		return fmt.Errorf("serve: Pace %g, want a finite value", c.Pace)
 	}
 	return nil
 }

@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"vidperf/internal/catalog"
@@ -223,6 +225,23 @@ func TestConfigValidation(t *testing.T) {
 	cfg.Scenario.ABRName = "no-such-abr"
 	if _, err := serve.NewEngine(cfg, quietLog()); err == nil {
 		t.Fatal("NewEngine accepted an unknown ABR")
+	}
+}
+
+// TestConfigRejectsNonFiniteTimes: a NaN or infinite window length or
+// pace would run every window at a NaN or infinite virtual time.
+func TestConfigRejectsNonFiniteTimes(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := testConfig(1, 0)
+		cfg.WindowMS = v
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "WindowMS") {
+			t.Errorf("WindowMS %g: error %v", v, err)
+		}
+		cfg = testConfig(1, 0)
+		cfg.Pace = v
+		if _, err := serve.NewEngine(cfg, quietLog()); err == nil || !strings.Contains(err.Error(), "Pace") {
+			t.Errorf("Pace %g: error %v", v, err)
+		}
 	}
 }
 

@@ -67,12 +67,16 @@ type Result struct {
 	Snapshot *telemetry.Snapshot
 }
 
-// Execute runs the scenario in the mode Options selects. The ABR name is
-// validated before the population is built so flag typos fail fast
-// instead of after seconds of world generation; option combinations that
-// contradict the selected mode fail the same way.
+// Execute runs the scenario in the mode Options selects. The ABR name and
+// the scenario's ranges (workload.Scenario.Validate) are checked before
+// the population is built, so a bad knob fails fast with an error
+// instead of panicking or running seconds of world generation; option
+// combinations that contradict the selected mode fail the same way.
 func Execute(sc workload.Scenario, opt Options) (Result, error) {
 	if _, err := NewABR(sc.ABRName); err != nil {
+		return Result{}, err
+	}
+	if err := sc.Validate(); err != nil {
 		return Result{}, err
 	}
 	if opt.Sinks != nil && opt.Telemetry {

@@ -26,10 +26,8 @@ import (
 
 	"vidperf/internal/abr"
 	"vidperf/internal/cache"
-	"vidperf/internal/catalog"
 	"vidperf/internal/cdn"
 	"vidperf/internal/core"
-	"vidperf/internal/geo"
 	"vidperf/internal/sim"
 	"vidperf/internal/timeline"
 	"vidperf/internal/workload"
@@ -128,31 +126,13 @@ func (sh *slotShard) putRecords(b []core.ChunkRecord) {
 	sh.recPool = append(sh.recPool, b[:0])
 }
 
-// planShards partitions the campaign by (PoP, server slot) and validates
-// the scenario. It is the phase where configuration errors surface,
-// before any of the expensive per-shard work starts. Sink factories run
-// here, sequentially in ascending (PoP, slot) order.
+// planShards partitions the campaign by (PoP, server slot), the phase
+// before any of the expensive per-shard work starts; Execute has already
+// validated the scenario. Sink factories run here, sequentially in
+// ascending (PoP, slot) order.
 func planShards(pop *workload.Population, factory SinkFactory) ([]*slotShard, error) {
 	sc := pop.Scenario
 	cfg := sc.Fleet.WithDefaults()
-	if n := len(geo.DefaultPoPs()); cfg.NumPoPs < 1 || cfg.NumPoPs > n {
-		return nil, fmt.Errorf("session: %d PoPs, want 1 to %d", cfg.NumPoPs, n)
-	}
-	if err := sc.Timeline.Validate(); err != nil {
-		return nil, err
-	}
-	if err := sc.Timeline.ValidatePoPs(cfg.NumPoPs); err != nil {
-		return nil, err
-	}
-	if err := sc.Live.Validate(); err != nil {
-		return nil, err
-	}
-	if err := sc.Proxy.Validate(); err != nil {
-		return nil, err
-	}
-	if err := catalog.ValidateBitrates(sc.Catalog.Bitrates); err != nil {
-		return nil, err
-	}
 	parts, plannedChunks := pop.PartitionBySlot(cfg)
 	shards := make([]*slotShard, 0, len(parts))
 	for bucket, refs := range parts {

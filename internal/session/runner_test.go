@@ -3,6 +3,7 @@ package session
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"vidperf/internal/catalog"
@@ -397,6 +398,17 @@ func TestExecuteRejectsInvalidLadder(t *testing.T) {
 		if _, err := Execute(sc, Options{}); err == nil {
 			t.Errorf("Execute accepted bitrate ladder %v", ladder)
 		}
+	}
+}
+
+// TestExecuteRejectsOutOfRangeScenario: Execute range-checks the
+// scenario (workload.Scenario.Validate) before building the population,
+// so a negative prefix count is an error rather than a panic in Build.
+func TestExecuteRejectsOutOfRangeScenario(t *testing.T) {
+	sc := smallScenario(1)
+	sc.NumPrefixes = -3
+	if _, err := Execute(sc, Options{}); err == nil || !strings.Contains(err.Error(), "prefixes -3") {
+		t.Fatalf("Execute with NumPrefixes -3: error %v, want one naming prefixes", err)
 	}
 }
 

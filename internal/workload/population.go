@@ -8,7 +8,9 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
+	"vidperf/internal/cache"
 	"vidperf/internal/catalog"
 	"vidperf/internal/cdn"
 	"vidperf/internal/clientstack"
@@ -152,6 +154,77 @@ func (s Scenario) WithDefaults() Scenario {
 	return s
 }
 
+// Validate is the range check for an effective scenario: every count at
+// least 1, parallel at least 0, every size, duration and exponent
+// positive, every fraction in [0, 1], 1 to 6 PoPs, a valid bitrate
+// ladder, a known cache policy, and valid timeline, live and proxy
+// blocks. A zero knob selects its default, so only its explicit value is
+// checked. Errors name the knob by its spec key (the Go field where no
+// key exists). The ABR name is checked by session.NewABR.
+func (s Scenario) Validate() error {
+	const frac = "in [0, 1]"
+	s = s.WithDefaults()
+	srv := s.Fleet.Server
+	for _, k := range []struct {
+		key  string
+		v    float64
+		want string
+	}{
+		{"sessions", float64(s.NumSessions), ">= 1"},
+		{"prefixes", float64(s.NumPrefixes), ">= 1"},
+		{"videos", float64(s.Catalog.NumVideos), ">= 1"},
+		{"servers_per_pop", float64(s.Fleet.ServersPerPoP), ">= 1"},
+		{"workers", float64(srv.Workers), ">= 1"},
+		{"parallel", float64(s.Parallelism), ">= 0"},
+		{"prefetch", float64(srv.Prefetch), ">= 0"},
+		{"partition_top_ranks", float64(s.Fleet.PartitionTopRanks), ">= 0"},
+		{"ram_gb", float64(srv.RAMBytes) / (1 << 30), "> 0"},
+		{"disk_gb", float64(srv.DiskBytes) / (1 << 30), "> 0"},
+		{"zipf_s", s.Catalog.ZipfExponent, "> 0"},
+		{"chunk_sec", s.Catalog.ChunkDuration, "> 0"},
+		{"mean_watched_chunks", s.MeanWatchedChunks, "> 0"},
+		{"start_threshold_sec", s.StartThresholdSec, "> 0"},
+		{"max_buffer_sec", s.MaxBufferSec, "> 0"},
+		{"arrival_window_min", s.ArrivalWindowMS / 60000, "> 0"},
+		{"open_retry_ms", srv.OpenRetryMS, "> 0"},
+		{"FPS", s.FPS, "> 0"},
+		{"ArrivalOffsetMS", s.ArrivalOffsetMS, ">= 0"},
+		{"non_us_frac", s.NonUSFrac, frac},
+		{"enterprise_frac", s.EnterprisePrefixFrac, frac},
+		{"small_biz_frac", s.SmallBizPrefixFrac, frac},
+		{"proxy_frac", s.ResidentialProxyFrac, frac},
+		{"gpu_frac", s.GPUFrac, frac},
+	} {
+		// Zero is always legal (it selects the default), so every range
+		// reduces to a finite non-negative value, at most 1 for a fraction.
+		if !(k.v >= 0) || math.IsInf(k.v, 1) || k.want == frac && k.v > 1 {
+			return fmt.Errorf("workload: %s %v, want %s", k.key, k.v, k.want)
+		}
+	}
+	pops := s.Fleet.WithDefaults().NumPoPs
+	if n := len(geo.DefaultPoPs()); pops < 1 || pops > n {
+		return fmt.Errorf("workload: pops %d, want 1 to %d", pops, n)
+	}
+	if srv.Policy != "" {
+		if _, ok := cache.NewPolicy(srv.Policy, 1); !ok {
+			return fmt.Errorf("workload: cache_policy %q, want lru, lfu, perfect-lfu, gd-size or gdsf", srv.Policy)
+		}
+	}
+	if err := catalog.ValidateBitrates(s.Catalog.Bitrates); err != nil {
+		return err
+	}
+	if err := s.Timeline.Validate(); err != nil {
+		return err
+	}
+	if err := s.Timeline.ValidatePoPs(pops); err != nil {
+		return err
+	}
+	if err := s.Live.Validate(); err != nil {
+		return err
+	}
+	return s.Proxy.Validate()
+}
+
 // Prefix is one client /24 with its persistent location and path profile.
 type Prefix struct {
 	ID      int
@@ -206,8 +279,8 @@ const liveSlackChunks = 2048
 
 // Build generates the population for sc. The same seed yields the same
 // population. Prefixes map to the nearest of the first Fleet.NumPoPs
-// entries of geo.DefaultPoPs; the session runner rejects a NumPoPs
-// outside [1, len(geo.DefaultPoPs())] before any session runs.
+// entries of geo.DefaultPoPs. Build assumes a scenario that passes
+// Validate, which session.Execute checks before it builds one.
 func Build(sc Scenario) *Population {
 	sc = sc.WithDefaults()
 	r := stats.NewRand(sc.Seed ^ 0xa5a5a5a5deadbeef)

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"vidperf/internal/cdn"
@@ -14,6 +15,32 @@ import (
 
 func testPop() *Population {
 	return Build(Scenario{Seed: 1, NumSessions: 1000, NumPrefixes: 800})
+}
+
+// TestScenarioValidate: the zero scenario (all defaults) and the paper's
+// explicit knobs are valid; a non-finite or negative value of a knob only
+// Go callers can set is refused by name.
+func TestScenarioValidate(t *testing.T) {
+	if err := (Scenario{}).Validate(); err != nil {
+		t.Fatalf("zero scenario: %v", err)
+	}
+	ok := Scenario{NumSessions: 1, NonUSFrac: 1, GPUFrac: 1, Fleet: cdn.FleetConfig{NumPoPs: 6}}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("boundary scenario: %v", err)
+	}
+	for name, sc := range map[string]Scenario{
+		"FPS":             {FPS: math.NaN()},
+		"ArrivalOffsetMS": {ArrivalOffsetMS: -1},
+		"max_buffer_sec":  {MaxBufferSec: math.Inf(1)},
+		"pops":            {Fleet: cdn.FleetConfig{NumPoPs: 7}},
+		"cache_policy":    {Fleet: cdn.FleetConfig{Server: cdn.Config{Policy: "fifo"}}},
+		"live":            {Live: live.Config{Channels: -1}},
+		"proxy":           {Proxy: proxypop.Config{Share: 2}},
+	} {
+		if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: error %v, want one naming it", name, err)
+		}
+	}
 }
 
 func TestBuildDefaults(t *testing.T) {
