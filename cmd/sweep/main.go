@@ -26,9 +26,10 @@
 // rather than silently overwritten. The snapshots are also directly
 // readable by `analyze snapshot`, `analyze compare`, `analyze
 // diagnose`, and (for specs with a "timeline" block) `analyze
-// windows`. -sessions and -parallel, when set, override the spec's
-// scenario keys of the same name, and so every cell, under the override
-// rule vodsim uses (the old sweep's laptop-scale knobs); -full-deltas
+// windows`. -sessions and -parallel, when set to a value other than
+// their 0 default, override the spec's scenario keys of the same name,
+// and so every cell, under the override rule vodsim uses (the old
+// sweep's laptop-scale knobs); -full-deltas
 // appends the complete per-metric delta table for every non-baseline
 // cell instead of the compact summary columns. -cpuprofile/-memprofile
 // write runtime/pprof profiles covering the whole campaign (see
@@ -168,7 +169,16 @@ func loadSpec(log *slog.Logger) *experiment.Spec {
 	if err != nil {
 		logging.Fatal(log, "spec load failed", slog.Any("err", err))
 	}
-	if err := sp.OverrideFlags(flag.CommandLine, false, "sessions", "parallel"); err != nil {
+	// -sessions and -parallel default to 0, "per spec": only a value
+	// other than the default overrides.
+	changed := func(fn func(*flag.Flag)) {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Value.String() != f.DefValue {
+				fn(f)
+			}
+		})
+	}
+	if err := sp.OverrideFlags(changed); err != nil {
 		logging.Fatal(log, "invalid flags", slog.Any("err", err))
 	}
 	if err := sp.Validate(); err != nil {

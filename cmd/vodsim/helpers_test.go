@@ -1,7 +1,6 @@
 package main
 
 import (
-	"errors"
 	"io"
 	"log/slog"
 	"math"
@@ -36,102 +35,6 @@ func TestNewLogger(t *testing.T) {
 	}
 }
 
-func TestWriteFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "out.txt")
-	if err := writeFile(path, func(f *os.File) error {
-		_, err := f.WriteString("hello\n")
-		return err
-	}); err != nil {
-		t.Fatalf("writeFile: %v", err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read back: %v", err)
-	}
-	if string(got) != "hello\n" {
-		t.Fatalf("file holds %q", got)
-	}
-
-	if err := writeFile(filepath.Join(t.TempDir(), "missing", "out.txt"),
-		func(f *os.File) error { return nil }); err == nil {
-		t.Fatal("writeFile into a missing directory did not error")
-	}
-	// A failing writer leaves the previous file as it was, even after it
-	// wrote part of its output, and leaves no temporary file behind.
-	boom := errors.New("boom")
-	if err := writeFile(path, func(f *os.File) error {
-		if _, err := f.WriteString("partial"); err != nil {
-			return err
-		}
-		return boom
-	}); !errors.Is(err, boom) {
-		t.Fatalf("writeFile swallowed the writer error: %v", err)
-	}
-	if got, err := os.ReadFile(path); err != nil || string(got) != "hello\n" {
-		t.Fatalf("after a failed write the file holds %q (%v), want the previous contents", got, err)
-	}
-	// The same for a trace whose chunk cannot be encoded, found only
-	// after the sessions were written.
-	ds := &core.Dataset{
-		Sessions: make([]core.SessionRecord, 200),
-		Chunks:   []core.ChunkRecord{{DFBms: math.NaN()}},
-	}
-	if err := writeTrace(path, ds); err == nil {
-		t.Fatal("writeTrace wrote a NaN chunk field")
-	}
-	if got, err := os.ReadFile(path); err != nil || string(got) != "hello\n" {
-		t.Fatalf("after a failed trace write the file holds %.40q (%v), want the previous contents", got, err)
-	}
-	entries, err := os.ReadDir(filepath.Dir(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		for _, e := range entries {
-			t.Errorf("directory holds %s", e.Name())
-		}
-	}
-
-	// A symlink is written through, and its target keeps its mode.
-	if err := os.Chmod(path, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	link := filepath.Join(t.TempDir(), "link.txt")
-	if err := os.Symlink(path, link); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFile(link, func(f *os.File) error {
-		_, err := f.WriteString("via link\n")
-		return err
-	}); err != nil {
-		t.Fatalf("writeFile through a symlink: %v", err)
-	}
-	if got, err := os.ReadFile(path); err != nil || string(got) != "via link\n" {
-		t.Fatalf("symlink target holds %q (%v)", got, err)
-	}
-	if fi, err := os.Lstat(link); err != nil || fi.Mode()&os.ModeSymlink == 0 {
-		t.Fatalf("symlink was replaced (%v)", err)
-	}
-	if fi, err := os.Stat(path); err != nil || fi.Mode().Perm() != 0o600 {
-		t.Fatalf("target mode changed (%v)", err)
-	}
-
-	// A device is written in place, not replaced. Only checked as a user
-	// other than root: should writeFile regress to renaming over it, root
-	// would replace the device, where another user only gets an error.
-	if os.Geteuid() != 0 {
-		if err := writeFile(os.DevNull, func(f *os.File) error {
-			_, err := f.WriteString("discarded")
-			return err
-		}); err != nil {
-			t.Fatalf("writeFile(%s): %v", os.DevNull, err)
-		}
-		if fi, err := os.Stat(os.DevNull); err != nil || fi.Mode().IsRegular() {
-			t.Fatalf("%s was replaced (%v)", os.DevNull, err)
-		}
-	}
-}
-
 func testScenarioSmall(seed uint64) workload.Scenario {
 	return workload.Scenario{
 		Seed:        seed,
@@ -157,6 +60,23 @@ func TestWriteTrace(t *testing.T) {
 	}
 	if info.Size() == 0 {
 		t.Fatal("trace file is empty")
+	}
+
+	// A trace whose chunk cannot be encoded, found only after the
+	// sessions were written, leaves the previous trace as it was.
+	prev, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := &core.Dataset{
+		Sessions: make([]core.SessionRecord, 200),
+		Chunks:   []core.ChunkRecord{{DFBms: math.NaN()}},
+	}
+	if err := writeTrace(path, bad); err == nil {
+		t.Fatal("writeTrace wrote a NaN chunk field")
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != string(prev) {
+		t.Fatalf("after a failed trace write the file holds %.40q (%v), want the previous trace", got, err)
 	}
 }
 

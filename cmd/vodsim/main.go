@@ -50,13 +50,14 @@
 //
 // The spec must expand to a single cell (multi-cell campaigns belong to
 // cmd/sweep). There is one override rule, shared with vodsim serve and
-// cmd/sweep: every scenario flag the user sets (-seed, -sessions,
-// -prefixes, -videos, -abr, -cold, -parallel) overrides the spec key of
-// the same name, -sketch-k sets sketch_k and -diagnose sets diagnosis,
-// and the result is validated like a spec file. Without -spec the run
-// starts from an empty spec and every scenario flag applies, defaults
-// included. The CI determinism gate uses the overrides to replay one
-// spec at several -parallel settings and byte-compare the snapshots.
+// cmd/sweep: each flag that configures the run (-seed, -sessions,
+// -prefixes, -videos, -abr, -cold, -parallel, -sketch-k, -diagnose) is
+// a row of internal/experiment's flag table, which names the spec key
+// it sets; a flag the user sets replaces that key, and the result is
+// validated like a spec file. Without -spec the run starts from an
+// empty spec and every flag applies, defaults included. The CI
+// determinism gate uses the overrides to replay one spec at several
+// -parallel settings and byte-compare the snapshots.
 //
 // A spec with a "timeline" block (see docs/SPECS.md) injects timed
 // faults and degradations — PoP outages, backend brownouts, cache
@@ -77,8 +78,8 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"path/filepath"
 
+	"vidperf/internal/atomicfile"
 	"vidperf/internal/core"
 	"vidperf/internal/experiment"
 	"vidperf/internal/logging"
@@ -109,9 +110,9 @@ func main() {
 	}
 }
 
-// batchFlags holds vodsim's output and mode flags. The scenario flags,
-// -sketch-k and -diagnose are read back from the flag set by
-// specFromFlags.
+// batchFlags holds vodsim's output and mode flags. The flags that
+// configure the spec (the scenario flags, -sketch-k and -diagnose) are
+// read back from the flag set by specFromFlags.
 type batchFlags struct {
 	spec, out, chunksCSV, sessCSV string
 	cpuProfile, memProfile        string
@@ -165,32 +166,23 @@ func configure(fs *flag.FlagSet, f *batchFlags) (*experiment.Spec, experiment.Ce
 	return specFromFlags(fs, f.spec)
 }
 
-// specFromFlags is the one way vodsim and vodsim serve build a scenario:
-// the -spec file, or an empty spec when there is none, with the
-// scenario flags overriding the spec keys of the same name (every one
-// of them without a spec file, else those the user set), -sketch-k
-// setting sketch_k and -diagnose setting diagnosis. The result must
-// validate and expand to one cell.
+// specFromFlags is the one way vodsim and vodsim serve build a run: the
+// -spec file, or an empty spec when there is none, overridden by the
+// flags the experiment package's flag table maps to spec keys (every one
+// of them without a spec file, else those the user set). The result
+// must validate and expand to one cell.
 func specFromFlags(fs *flag.FlagSet, path string) (*experiment.Spec, experiment.Cell, error) {
-	sp := &experiment.Spec{Name: "flags"}
+	sp, visit := &experiment.Spec{Name: "flags"}, fs.VisitAll
 	if path != "" {
 		var err error
 		if sp, err = experiment.LoadFile(path); err != nil {
 			return nil, experiment.Cell{}, err
 		}
+		visit = fs.Visit
 	}
-	if err := sp.OverrideFlags(fs, path == "",
-		"seed", "sessions", "prefixes", "videos", "abr", "cold", "parallel"); err != nil {
+	if err := sp.OverrideFlags(visit); err != nil {
 		return nil, experiment.Cell{}, err
 	}
-	fs.Visit(func(fl *flag.Flag) {
-		switch v := fl.Value.(flag.Getter).Get(); fl.Name {
-		case "sketch-k":
-			sp.SketchK = v.(int)
-		case "diagnose":
-			sp.Diagnosis = v.(bool)
-		}
-	})
 	if err := sp.Validate(); err != nil {
 		return nil, experiment.Cell{}, err
 	}
@@ -202,13 +194,6 @@ func specFromFlags(fs *flag.FlagSet, path string) (*experiment.Spec, experiment.
 		return nil, experiment.Cell{}, fmt.Errorf("spec %s expands to %d cells; vodsim runs single-cell specs (use cmd/sweep for campaigns)", sp.Name, len(cells))
 	}
 	return sp, cells[0], nil
-}
-
-// setFlags returns the names of the flags the command line set.
-func setFlags(fs *flag.FlagSet) map[string]bool {
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	return set
 }
 
 // run simulates the cell and writes its snapshot or trace (plus the CSV
@@ -244,7 +229,7 @@ func run(log *slog.Logger, f *batchFlags, sp *experiment.Spec, cell experiment.C
 	}
 	log.Info("wrote trace", slog.String("path", f.out))
 	if f.chunksCSV != "" {
-		if err := writeFile(f.chunksCSV, func(file *os.File) error {
+		if err := atomicfile.Write(f.chunksCSV, func(file *os.File) error {
 			return core.WriteChunksCSV(file, ds.Chunks)
 		}); err != nil {
 			return err
@@ -252,7 +237,7 @@ func run(log *slog.Logger, f *batchFlags, sp *experiment.Spec, cell experiment.C
 		log.Info("wrote chunk CSV", slog.String("path", f.chunksCSV))
 	}
 	if f.sessCSV != "" {
-		if err := writeFile(f.sessCSV, func(file *os.File) error {
+		if err := atomicfile.Write(f.sessCSV, func(file *os.File) error {
 			return core.WriteSessionsCSV(file, ds.Sessions)
 		}); err != nil {
 			return err
@@ -268,7 +253,7 @@ func writeSnapshotFile(log *slog.Logger, out string, sn *telemetry.Snapshot) err
 		slog.Uint64("sessions", sn.Counter(telemetry.CounterSessions)),
 		slog.Uint64("chunks", sn.Counter(telemetry.CounterChunks)),
 		slog.Int("sketches", len(sn.Sketches)), slog.Int("sketch_k", sn.SketchK))
-	if err := writeFile(out, func(f *os.File) error {
+	if err := atomicfile.Write(out, func(f *os.File) error {
 		return telemetry.WriteSnapshot(f, sn)
 	}); err != nil {
 		return err
@@ -293,66 +278,5 @@ func startProfiles(log *slog.Logger, cpuPath, memPath string) func() {
 }
 
 func writeTrace(path string, ds *core.Dataset) error {
-	return writeFile(path, func(f *os.File) error { return core.WriteJSONL(f, ds) })
-}
-
-// writeFile writes path through fn without ever leaving it half written:
-// fn writes a temporary file in the same directory, which replaces path
-// only once fn, Sync and Close have all succeeded. On any failure the
-// temporary file is removed and path keeps its previous contents. An
-// existing file keeps its mode, a new one gets 0644, and a symlink is
-// written through to its target. A target that is not a regular file,
-// such as a pipe or /dev/null, is written in place: renaming over it
-// would replace it.
-func writeFile(path string, fn func(*os.File) error) (err error) {
-	if target, err := filepath.EvalSymlinks(path); err == nil {
-		path = target
-	}
-	mode := os.FileMode(0o644)
-	if fi, err := os.Stat(path); err == nil {
-		if !fi.Mode().IsRegular() {
-			return writeInPlace(path, fn)
-		}
-		mode = fi.Mode().Perm()
-	}
-	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".*.tmp")
-	if err != nil {
-		return fmt.Errorf("create %s: %w", path, err)
-	}
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(f.Name())
-		}
-	}()
-	if err := fn(f); err != nil {
-		return err
-	}
-	if err := f.Chmod(mode); err != nil {
-		return fmt.Errorf("write %s: %w", path, err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("write %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("write %s: %w", path, err)
-	}
-	if err := os.Rename(f.Name(), path); err != nil {
-		return fmt.Errorf("write %s: %w", path, err)
-	}
-	return nil
-}
-
-// writeInPlace writes fn's output straight into path, an existing file
-// that is not a regular one.
-func writeInPlace(path string, fn func(*os.File) error) error {
-	f, err := os.OpenFile(path, os.O_WRONLY, 0)
-	if err != nil {
-		return fmt.Errorf("open %s: %w", path, err)
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return atomicfile.Write(path, func(f *os.File) error { return core.WriteJSONL(f, ds) })
 }

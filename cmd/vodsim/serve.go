@@ -9,13 +9,15 @@
 //	vodsim serve -spec examples/specs/serve-steady.json
 //	vodsim serve -resume state.ckpt -max-windows 48 -out snapshot.json
 //
-// The scenario follows vodsim's one override rule: every scenario flag
-// the user sets (-seed, -prefixes, -videos, -abr, -cold, -parallel)
-// overrides the spec key of the same name, -sketch-k sets sketch_k and
-// -diagnose sets diagnosis; without -spec every scenario flag applies.
-// Likewise an explicitly-set serve flag beats the spec's serve block,
-// which beats the engine default (for -window-min, the scenario's
-// arrival window; for -sessions-per-window, its session count). With
+// The spec follows vodsim's one override rule: each flag the user sets
+// among -seed, -prefixes, -videos, -abr, -cold, -parallel, -sketch-k,
+// -diagnose and the serve knobs -sessions-per-window, -window-min,
+// -ring, -pace and -checkpoint-every replaces the spec key the
+// experiment package's flag table maps it to (serve.window_min for
+// -window-min); without -spec every one of them applies. A serve key
+// left unset takes the engine default (for window_min, the scenario's
+// arrival window; for sessions_per_window, its session count), and
+// serve.Config.Validate is the one range check of the serve knobs. With
 // -resume, every determinism-relevant setting comes from the checkpoint
 // and only runtime flags (-listen, -pace, -checkpoint,
 // -checkpoint-every, -max-windows, -out, -parallel, -log-format) may be
@@ -35,24 +37,22 @@ import (
 	"syscall"
 	"time"
 
-	"vidperf/internal/experiment"
+	"vidperf/internal/atomicfile"
 	"vidperf/internal/logging"
 	"vidperf/internal/serve"
 	"vidperf/internal/telemetry"
 )
 
 // serveFlags carries the parsed serve flag values through validation and
-// engine construction. The scenario flags, -sketch-k and -diagnose are
-// read back from the flag set by specFromFlags.
+// engine construction. The flags that configure the spec (the scenario
+// flags, -sketch-k, -diagnose and the serve knobs) are read back from
+// the flag set by specFromFlags; -parallel, -pace and -checkpoint-every
+// are also kept here for -resume, which takes no spec.
 type serveFlags struct {
 	spec   string
 	resume string
 
-	sessionsPerWindow int
-	parallel          int
-
-	windowMin       float64
-	ring            int
+	parallel        int
 	pace            float64
 	listen          string
 	checkpoint      string
@@ -71,14 +71,14 @@ func parseServeFlags(args []string) (*flag.FlagSet, serveFlags) {
 	fs.Uint64("seed", 1, "serve seed (window w runs at serve.WindowSeed(seed, w))")
 	fs.String("abr", "hybrid", "ABR algorithm for every window")
 	fs.Bool("cold", false, "skip CDN cache pre-warming in every window")
-	fs.IntVar(&f.sessionsPerWindow, "sessions-per-window", 2000, "sessions generated per service window")
+	fs.Int("sessions-per-window", 2000, "sessions generated per service window")
 	fs.Int("prefixes", 2500, "number of client /24 prefixes")
 	fs.Int("videos", 6000, "catalog size (titles)")
 	fs.IntVar(&f.parallel, "parallel", 0, "max server-slot shards simulated concurrently (0 = GOMAXPROCS; output is identical at any setting)")
 	fs.Int("sketch-k", telemetry.DefaultSketchK, "quantile-sketch compaction parameter (error bound ≈ 4/k); sets the spec's sketch_k")
 	fs.Bool("diagnose", false, "classify every session's dominant bottleneck, enabling /diagnose")
-	fs.Float64Var(&f.windowMin, "window-min", 30, "virtual length of one service window, in minutes")
-	fs.IntVar(&f.ring, "ring", 12, "closed windows retained for /windows")
+	fs.Float64("window-min", 30, "virtual length of one service window, in minutes")
+	fs.Int("ring", 12, "closed windows retained for /windows")
 	fs.Float64Var(&f.pace, "pace", 0, "virtual-to-wall speed factor (60 plays a 30-minute window in 30s wall; 0 = max speed)")
 	fs.StringVar(&f.listen, "listen", "127.0.0.1:9632", "HTTP listen address for /snapshot /windows /diagnose /metrics /status /checkpoint (empty disables HTTP)")
 	fs.StringVar(&f.checkpoint, "checkpoint", "", "checkpoint file path (written on POST /checkpoint, every -checkpoint-every windows, and at shutdown)")
@@ -148,7 +148,7 @@ func serveMain(args []string) {
 		slog.Float64("virtual_ms", eng.VirtualMS()))
 
 	if f.out != "" {
-		if err := writeFile(f.out, func(file *os.File) error { return eng.WriteSnapshot(file) }); err != nil {
+		if err := atomicfile.Write(f.out, func(file *os.File) error { return eng.WriteSnapshot(file) }); err != nil {
 			logging.Fatal(log, "write failed", slog.Any("err", err))
 		}
 		log.Info("wrote snapshot", slog.String("path", f.out))
@@ -164,34 +164,26 @@ var serveRuntimeFlags = map[string]bool{
 }
 
 // validateServeFlags rejects serve flag combinations that contradict the
-// mode (fresh or resume) and serve knobs out of range before any engine
-// work starts; the scenario is checked when specFromFlags builds it.
+// mode (fresh or resume) before any engine work starts. Values are
+// checked where they land: the spec's keys by Spec.Validate when
+// specFromFlags builds the spec, the serve knobs by serve.Config.Validate.
 func validateServeFlags(fs *flag.FlagSet, f serveFlags) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments %q (all options are flags)", fs.Args())
 	}
-	for name := range setFlags(fs) {
-		if f.resume != "" && !serveRuntimeFlags[name] {
-			return fmt.Errorf("-%s cannot be combined with -resume (the checkpoint defines the run; only runtime flags -listen/-pace/-checkpoint/-checkpoint-every/-max-windows/-out/-parallel/-log-format apply)", name)
+	var err error
+	fs.Visit(func(fl *flag.Flag) {
+		if err == nil && f.resume != "" && !serveRuntimeFlags[fl.Name] {
+			err = fmt.Errorf("-%s cannot be combined with -resume (the checkpoint defines the run; only runtime flags -listen/-pace/-checkpoint/-checkpoint-every/-max-windows/-out/-parallel/-log-format apply)", fl.Name)
 		}
-	}
+	})
 	switch {
+	case err != nil:
+		return err
 	case f.resume != "" && f.parallel < 0:
 		// Without -resume, -parallel is a scenario override and
 		// Scenario.Validate checks it.
 		return fmt.Errorf("-parallel must be >= 0 (got %d); 0 keeps the checkpoint's", f.parallel)
-	case f.sessionsPerWindow < 1:
-		return fmt.Errorf("-sessions-per-window must be >= 1 (got %d)", f.sessionsPerWindow)
-	case f.windowMin <= 0:
-		return fmt.Errorf("-window-min must be > 0 (got %g)", f.windowMin)
-	case f.ring < 1:
-		return fmt.Errorf("-ring must be >= 1 (got %d)", f.ring)
-	case f.pace < 0:
-		return fmt.Errorf("-pace must be >= 0 (got %g); 0 means max speed", f.pace)
-	case f.checkpointEvery < 0:
-		return fmt.Errorf("-checkpoint-every must be >= 0 (got %d)", f.checkpointEvery)
-	case f.maxWindows < 0:
-		return fmt.Errorf("-max-windows must be >= 0 (got %d)", f.maxWindows)
 	case f.checkpointEvery > 0 && f.checkpoint == "" && f.resume == "":
 		return fmt.Errorf("-checkpoint-every needs -checkpoint (nowhere to write)")
 	}
@@ -222,45 +214,12 @@ func buildServeEngine(fs *flag.FlagSet, f serveFlags, log *slog.Logger) (*serve.
 			Parallelism:            f.parallel,
 		}, log)
 	}
-
 	sp, cell, err := specFromFlags(fs, f.spec)
 	if err != nil {
 		return nil, err
 	}
-	// A serve flag the user set beats the spec's serve block, and a
-	// block field left at zero takes the engine default. Without a spec,
-	// the flag's default stands in for the block.
-	set := setFlags(fs)
-	var sv experiment.ServeSpec
-	if sp.Serve != nil {
-		sv = *sp.Serve
-	}
-	cfg := serve.Config{
-		Scenario:               cell.Scenario,
-		SketchK:                sp.EffectiveSketchK(),
-		Diagnose:               sp.Diagnosis,
-		SessionsPerWindow:      sv.SessionsPerWindow,
-		WindowMS:               sv.WindowMS(),
-		Ring:                   sv.Ring,
-		Pace:                   sv.Pace,
-		CheckpointPath:         f.checkpoint,
-		CheckpointEveryWindows: sv.CheckpointEveryWindows,
-		MaxWindows:             f.maxWindows,
-	}
-	if set["sessions-per-window"] || f.spec == "" {
-		cfg.SessionsPerWindow = f.sessionsPerWindow
-	}
-	if set["window-min"] {
-		cfg.WindowMS = f.windowMin * 60 * 1000
-	}
-	if set["ring"] {
-		cfg.Ring = f.ring
-	}
-	if set["pace"] {
-		cfg.Pace = f.pace
-	}
-	if set["checkpoint-every"] {
-		cfg.CheckpointEveryWindows = f.checkpointEvery
-	}
+	cfg := sp.ServeConfig(cell)
+	cfg.CheckpointPath = f.checkpoint
+	cfg.MaxWindows = f.maxWindows
 	return serve.NewEngine(cfg, log)
 }

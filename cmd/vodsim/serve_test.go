@@ -51,16 +51,13 @@ func TestValidateServeFlags(t *testing.T) {
 	check("-spec", "-resume", "x.ckpt", "-spec", "s.json")
 	check("-parallel", "-resume", "x.ckpt", "-parallel", "-1")
 	check("-sketch-k", "-resume", "x.ckpt", "-sketch-k", "64")
-	check("-sessions-per-window", "-sessions-per-window", "0")
-	check("-window-min", "-window-min", "0")
-	check("-pace", "-pace", "-1")
-	check("-ring", "-ring", "0")
 	check("-checkpoint-every", "-checkpoint-every", "4")
 	check("unexpected", "stray")
 
-	// The scenario flags are checked where the scenario is built. Each
-	// set one overrides its spec key (-videos is left to the spec here);
-	// a bad value fails like a bad key.
+	// The scenario flags and serve knobs are checked where the spec is
+	// built. Each set one overrides its spec key (-videos is left to the
+	// spec here); a bad value fails like a bad key, and a serve knob out
+	// of range fails in serve.Config.Validate, with -resume too.
 	spec := filepath.Join(t.TempDir(), "s.json")
 	if err := os.WriteFile(spec, []byte(`{"name": "s", "scenario": {"prefixes": 100, "videos": 300}}`), 0o644); err != nil {
 		t.Fatal(err)
@@ -74,6 +71,7 @@ func TestValidateServeFlags(t *testing.T) {
 		sc.NumPrefixes != 120 || sc.Catalog.NumVideos != 300 || sc.Parallelism != 2 {
 		t.Fatalf("overrides did not reach the scenario: %+v", sc)
 	}
+	ckpt := writeCheckpoint(t)
 	for _, bad := range []struct {
 		want string
 		args []string
@@ -85,12 +83,43 @@ func TestValidateServeFlags(t *testing.T) {
 		{"videos", []string{"-videos", "-1"}},
 		{"parallel", []string{"-parallel", "-1"}},
 		{"ABR", []string{"-abr", "nope"}},
-		{"WindowMS", []string{"-window-min", "NaN"}},
-		{"WindowMS", []string{"-window-min", "+Inf"}},
-		{"Pace", []string{"-pace", "NaN"}},
+		{"serve.sessions_per_window", []string{"-sessions-per-window", "0"}},
+		{"serve.window_min", []string{"-window-min", "0"}},
+		{"Pace", []string{"-pace", "-1"}},
+		{"serve.ring", []string{"-ring", "0"}},
+		{"Ring", []string{"-ring", "-1"}},
+		{"serve.window_min", []string{"-window-min", "NaN"}},
+		{"serve.window_min", []string{"-window-min", "+Inf"}},
+		{"serve.pace", []string{"-pace", "NaN"}},
+		{"Pace", []string{"-resume", ckpt, "-pace", "NaN"}},
+		{"MaxWindows", []string{"-max-windows", "-1"}},
 	} {
 		if _, err := serveEngine(append(bad.args, "-listen", "")...); err == nil || !strings.Contains(err.Error(), bad.want) {
 			t.Errorf("%q: error %v, want one naming %s", bad.args, err, bad.want)
+		}
+	}
+}
+
+// TestServeKnobsCheckedOnce: a serve knob out of range fails with
+// serve.Config.Validate's error whether it comes from a flag or from the
+// spec's serve block.
+func TestServeKnobsCheckedOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.json")
+	for _, c := range []struct{ flag, key, value, want string }{
+		{"-sessions-per-window", "sessions_per_window", "-5", "serve: SessionsPerWindow -5, want a finite value >= 0"},
+		{"-window-min", "window_min", "-1", "serve: WindowMS -60000, want a finite value >= 0"},
+		{"-ring", "ring", "-1", "serve: Ring -1, want a finite value >= 0"},
+		{"-pace", "pace", "-2", "serve: Pace -2, want a finite value >= 0"},
+		{"-checkpoint-every", "checkpoint_every_windows", "-1", "serve: CheckpointEveryWindows -1, want a finite value >= 0"},
+	} {
+		spec := `{"name": "s", "serve": {"` + c.key + `": ` + c.value + `}}`
+		if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, args := range [][]string{{c.flag, c.value}, {"-spec", path}} {
+			if _, err := serveEngine(append(args, "-listen", "")...); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%q (spec %s): error %v, want one containing %q", args, spec, err, c.want)
+			}
 		}
 	}
 }
@@ -145,12 +174,12 @@ func TestBuildServeEngineFromSpec(t *testing.T) {
 	}
 
 	// An explicit flag beats the serve block.
-	eng, err = serveEngine("-spec", path, "-window-min", "2", "-pace", "0")
+	eng, err = serveEngine("-spec", path, "-window-min", "2", "-pace", "0", "-sessions-per-window", "40")
 	if err != nil {
 		t.Fatalf("buildServeEngine(spec+flags): %v", err)
 	}
 	cfg = eng.Config()
-	if cfg.WindowMS != 2*60*1000 || cfg.Pace != 0 {
+	if cfg.WindowMS != 2*60*1000 || cfg.Pace != 0 || cfg.SessionsPerWindow != 40 || cfg.Ring != 6 {
 		t.Fatalf("flag overrides lost: %+v", cfg)
 	}
 
@@ -179,27 +208,7 @@ func TestBuildServeEngineFromSpec(t *testing.T) {
 // comes from the checkpoint, runtime knobs from the flags, and an
 // unset -checkpoint keeps writing to the resumed file.
 func TestBuildServeEngineResume(t *testing.T) {
-	ckptPath := filepath.Join(t.TempDir(), "svc.ckpt")
-	src, err := serve.NewEngine(serve.Config{
-		Scenario: workload.Scenario{
-			Seed:        31,
-			NumPrefixes: 100,
-			Catalog:     catalog.Config{NumVideos: 500},
-			Parallelism: 1,
-		},
-		SessionsPerWindow: 80,
-		WindowMS:          60000,
-		SketchK:           64,
-		MaxWindows:        1,
-		CheckpointPath:    ckptPath,
-	}, testLogger())
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	if err := src.Run(context.Background()); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-
+	ckptPath := writeCheckpoint(t)
 	eng, err := serveEngine("-resume", ckptPath, "-max-windows", "3", "-parallel", "4", "-pace", "12")
 	if err != nil {
 		t.Fatalf("buildServeEngine: %v", err)
@@ -221,4 +230,31 @@ func TestBuildServeEngineResume(t *testing.T) {
 	if _, err := serveEngine("-resume", filepath.Join(t.TempDir(), "missing.ckpt")); err == nil {
 		t.Fatal("resume from a missing checkpoint did not error")
 	}
+}
+
+// writeCheckpoint runs a small one-window engine and returns the
+// checkpoint file it wrote.
+func writeCheckpoint(t *testing.T) string {
+	t.Helper()
+	ckptPath := filepath.Join(t.TempDir(), "svc.ckpt")
+	src, err := serve.NewEngine(serve.Config{
+		Scenario: workload.Scenario{
+			Seed:        31,
+			NumPrefixes: 100,
+			Catalog:     catalog.Config{NumVideos: 500},
+			Parallelism: 1,
+		},
+		SessionsPerWindow: 80,
+		WindowMS:          60000,
+		SketchK:           64,
+		MaxWindows:        1,
+		CheckpointPath:    ckptPath,
+	}, testLogger())
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	if err := src.Run(context.Background()); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return ckptPath
 }

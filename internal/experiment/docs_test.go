@@ -93,3 +93,20 @@ func TestSpecsDocListsPresets(t *testing.T) {
 		}
 	}
 }
+
+// TestSpecsDocListsFlags: every row of the flag table is in the doc's
+// override table, and the doc's table has no other rows.
+func TestSpecsDocListsFlags(t *testing.T) {
+	doc, err := os.ReadFile(specDocPath)
+	if err != nil {
+		t.Fatalf("spec reference missing: %v", err)
+	}
+	row := regexp.MustCompile("(?m)^\\| `([a-z_.]+)` \\| `-([a-z-]+)` \\|")
+	documented := map[string]string{}
+	for _, m := range row.FindAllStringSubmatch(string(doc), -1) {
+		documented[m[2]] = m[1]
+	}
+	if !reflect.DeepEqual(documented, flagKeys) {
+		t.Errorf("docs/SPECS.md maps flags to keys as %v, the flag table as %v", documented, flagKeys)
+	}
+}

@@ -87,27 +87,30 @@ func splitmix(z uint64) uint64 {
 }
 
 // Expand crosses the spec's axes into the cell grid, first axis slowest
-// (row-major in declaration order). Cell scenarios are the base scenario
-// with each axis overlay applied left to right; in SeedPerCell mode the
-// seed is then re-derived from the cell name. Expansion is deterministic:
-// the same spec always yields the same cells, names, and seeds.
+// (row-major in declaration order). A cell's scenario is the base
+// scenario with each axis value laid over it left to right (see
+// overlay); in SeedPerCell mode the seed is then re-derived from the
+// cell name. Expansion is deterministic: the same spec always yields the
+// same cells, names, and seeds.
 func (s *Spec) Expand() ([]Cell, error) {
-	base := s.Scenario.Apply(workload.Scenario{})
 	tl, err := s.Timeline.Build()
 	if err != nil {
 		return nil, fmt.Errorf("experiment: spec %s: %w", s.Name, err)
 	}
-	base.Timeline = tl
 	lv, err := s.Live.Build()
 	if err != nil {
 		return nil, fmt.Errorf("experiment: spec %s: %w", s.Name, err)
 	}
-	base.Live = lv
 	px, err := s.Proxy.Build()
 	if err != nil {
 		return nil, fmt.Errorf("experiment: spec %s: %w", s.Name, err)
 	}
-	base.Proxy = px
+	build := func(scen ScenarioSpec) workload.Scenario {
+		sc := scen.Apply(workload.Scenario{})
+		sc.Timeline, sc.Live, sc.Proxy = tl, lv, px
+		return sc
+	}
+	base := build(s.Scenario)
 	if len(s.Axes) == 0 {
 		return []Cell{{Name: "base", Scenario: base, Axes: map[string]string{}}}, nil
 	}
@@ -124,21 +127,24 @@ func (s *Spec) Expand() ([]Cell, error) {
 	cells := make([]Cell, 0, n)
 	idx := make([]int, len(s.Axes))
 	for i := 0; i < n; i++ {
-		sc := base
+		scen := s.Scenario
 		parts := make([]string, len(s.Axes))
 		axes := make(map[string]string, len(s.Axes))
 		for a, ax := range s.Axes {
 			v := ax.Values[idx[a]]
-			overlay, err := axisOverlay(ax.Name, v)
-			if err != nil {
-				return nil, fmt.Errorf("experiment: spec %s: %w", s.Name, err)
+			patch, err := patchAt(ax.Name, v)
+			if err == nil {
+				err = refine(&scen, patch)
 			}
-			sc = overlay.Apply(sc)
+			if err != nil {
+				return nil, fmt.Errorf("experiment: spec %s: axis %q = %s: %w", s.Name, ax.Name, v, err)
+			}
 			rendered := renderAxisValue(v)
 			parts[a] = ax.Name + "=" + rendered
 			axes[ax.Name] = rendered
 		}
 		name := strings.Join(parts, ",")
+		sc := build(scen)
 		if s.SeedMode == SeedPerCell {
 			sc.Seed = DeriveSeed(base.Seed, name)
 		}

@@ -59,8 +59,8 @@ func TestLiveBlockDefaults(t *testing.T) {
 	}
 }
 
-// TestLiveBlockPresetOverride: a file's live block replaces the preset's
-// (whole-block override, like timeline and serve), and the shipped live
+// TestLiveBlockPresetOverride: a file's live block refines the preset's
+// key by key, like the serve and proxy blocks, and the shipped live
 // presets carry their blocks through Load.
 func TestLiveBlockPresetOverride(t *testing.T) {
 	sp, err := Load(strings.NewReader(`{
@@ -73,6 +73,14 @@ func TestLiveBlockPresetOverride(t *testing.T) {
 	}
 	if sp.Live == nil || sp.Live.Channels != 3 {
 		t.Fatalf("live block after preset merge = %+v", sp.Live)
+	}
+	// A key the file leaves out keeps the preset's value.
+	sp, err = Load(strings.NewReader(`{"preset": "live-steady", "live": {"switch_per_min": 2}}`))
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if want := (LiveSpec{Channels: 8, SwitchPerMin: 2}); sp.Live == nil || *sp.Live != want {
+		t.Fatalf("live block after preset merge = %+v, want %+v", sp.Live, want)
 	}
 
 	for _, preset := range []string{"live-steady", "channel-switch-storm"} {

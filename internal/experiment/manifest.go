@@ -15,6 +15,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+
+	"vidperf/internal/atomicfile"
 )
 
 // ManifestSchema is the manifest wire-format version WriteManifest emits
@@ -141,7 +143,8 @@ func ReadManifestFile(dir string) (*Manifest, error) {
 // different spec content is refused, while re-running the identical
 // spec (same hash) into its own directory remains legal. On success the
 // manifest is written up front, so even a partially-failed campaign
-// leaves its provenance on disk.
+// leaves its provenance on disk, and atomically, so a campaign killed
+// mid-write leaves the previous manifest rather than a truncated one.
 func claimOutDir(dir string, m *Manifest) error {
 	path := filepath.Join(dir, ManifestFileName)
 	if f, err := os.Open(path); err == nil {
@@ -157,13 +160,5 @@ func claimOutDir(dir string, m *Manifest) error {
 	} else if !os.IsNotExist(err) {
 		return fmt.Errorf("experiment: %w", err)
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("experiment: %w", err)
-	}
-	if err := WriteManifest(f, m); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return atomicfile.Write(path, func(f *os.File) error { return WriteManifest(f, m) })
 }

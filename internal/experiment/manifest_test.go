@@ -2,10 +2,13 @@ package experiment
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"vidperf/internal/atomicfile"
 )
 
 // manifestSpec is a tiny two-cell spec for manifest tests.
@@ -127,5 +130,41 @@ func TestCampaignBaseline(t *testing.T) {
 	empty := &CampaignResult{BaselineIndex: -1}
 	if empty.Baseline() != nil {
 		t.Fatal("Baseline() on an empty result is not nil")
+	}
+}
+
+// TestClaimOutDirSurvivesFailedWrite: a manifest write that fails part
+// way, as in a sweep killed while writing it, leaves the previous
+// manifest in place, so the directory stays claimable by its spec.
+func TestClaimOutDirSurvivesFailedWrite(t *testing.T) {
+	sp := manifestSpec(t)
+	cells, err := sp.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := BuildManifest(sp, cells)
+	dir := t.TempDir()
+	if err := claimOutDir(dir, m); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, ManifestFileName)
+	prev, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	killed := errors.New("killed")
+	if err := atomicfile.Write(path, func(f *os.File) error {
+		if _, err := f.Write(prev[:len(prev)/2]); err != nil {
+			return err
+		}
+		return killed
+	}); !errors.Is(err, killed) {
+		t.Fatalf("interrupted write returned %v", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, prev) {
+		t.Fatalf("after an interrupted write the manifest holds %.40q (%v), want the previous one", got, err)
+	}
+	if err := claimOutDir(dir, m); err != nil {
+		t.Fatalf("re-claim after an interrupted write: %v", err)
 	}
 }

@@ -138,10 +138,13 @@ func TestCampaignWorkerCountInvariant(t *testing.T) {
 }
 
 // TestCampaignCellErrorNamesCell verifies a bad cell (unknown ABR) fails
-// the campaign with the offending cell in the error.
+// the campaign with the offending cell in the error. Load refuses such a
+// spec, so the bad value is added to a loaded one, as a spec built in Go
+// could carry it.
 func TestCampaignCellErrorNamesCell(t *testing.T) {
 	sp := load(t, `{"name":"bad","scenario":{"sessions":10,"prefixes":10,"videos":10},
-		"axes":[{"name":"abr","values":["hybrid","warp-drive"]}]}`)
+		"axes":[{"name":"abr","values":["hybrid"]}]}`)
+	sp.Axes[0].Values = append(sp.Axes[0].Values, json.RawMessage(`"warp-drive"`))
 	_, err := RunCampaign(sp, RunOptions{Workers: 2})
 	if err == nil {
 		t.Fatal("campaign with unknown ABR succeeded")

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"sync"
 
+	"vidperf/internal/atomicfile"
 	"vidperf/internal/session"
 	"vidperf/internal/telemetry"
 )
@@ -165,15 +166,9 @@ func RunCell(spec *Spec, cell Cell, outDir string) (CellResult, error) {
 	res := CellResult{Cell: cell, Snapshot: sn}
 	if outDir != "" {
 		res.Path = filepath.Join(outDir, cell.FileName())
-		f, err := os.Create(res.Path)
-		if err != nil {
-			return res, err
-		}
-		if err := telemetry.WriteSnapshot(f, sn); err != nil {
-			f.Close()
-			return res, err
-		}
-		if err := f.Close(); err != nil {
+		if err := atomicfile.Write(res.Path, func(f *os.File) error {
+			return telemetry.WriteSnapshot(f, sn)
+		}); err != nil {
 			return res, err
 		}
 	}

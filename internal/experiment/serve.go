@@ -6,12 +6,13 @@
 // file describes both the world and its service posture.
 package experiment
 
-import "fmt"
+import "vidperf/internal/serve"
 
 // ServeSpec is the "serve" block: continuous-service knobs in
 // campaign-friendly units. Zero fields take internal/serve's defaults
 // (window length from the scenario's arrival window, sessions per window
-// from the scenario's session count, ring 12).
+// from the scenario's session count, ring 12), and serve.Config.Validate
+// rejects negative ones.
 type ServeSpec struct {
 	// WindowMin is the virtual length of one service window, in minutes.
 	WindowMin float64 `json:"window_min,omitempty"`
@@ -29,22 +30,25 @@ type ServeSpec struct {
 // WindowMS returns the window length in milliseconds (0 when unset).
 func (s *ServeSpec) WindowMS() float64 { return s.WindowMin * 60 * 1000 }
 
-// validate rejects impossible serve blocks.
-func (s *ServeSpec) validate(specName string) error {
-	if s.WindowMin < 0 {
-		return fmt.Errorf("experiment: spec %s: serve window_min must be >= 0 (got %g)", specName, s.WindowMin)
+// ServeConfig is the serve engine configuration the spec describes for
+// cell: the cell's scenario, the resolved sketch parameter, the
+// diagnosis toggle, and the serve block's knobs, whose zero fields take
+// the engine's defaults. The runtime fields (CheckpointPath,
+// MaxWindows) are the caller's. serve.Config.Validate is the one range
+// check of the result.
+func (s *Spec) ServeConfig(cell Cell) serve.Config {
+	var sv ServeSpec
+	if s.Serve != nil {
+		sv = *s.Serve
 	}
-	if s.SessionsPerWindow < 0 {
-		return fmt.Errorf("experiment: spec %s: serve sessions_per_window must be >= 0 (got %d)", specName, s.SessionsPerWindow)
+	return serve.Config{
+		Scenario:               cell.Scenario,
+		SketchK:                s.EffectiveSketchK(),
+		Diagnose:               s.Diagnosis,
+		SessionsPerWindow:      sv.SessionsPerWindow,
+		WindowMS:               sv.WindowMS(),
+		Ring:                   sv.Ring,
+		Pace:                   sv.Pace,
+		CheckpointEveryWindows: sv.CheckpointEveryWindows,
 	}
-	if s.Ring < 0 {
-		return fmt.Errorf("experiment: spec %s: serve ring must be >= 0 (got %d)", specName, s.Ring)
-	}
-	if s.Pace < 0 {
-		return fmt.Errorf("experiment: spec %s: serve pace must be >= 0 (got %g)", specName, s.Pace)
-	}
-	if s.CheckpointEveryWindows < 0 {
-		return fmt.Errorf("experiment: spec %s: serve checkpoint_every_windows must be >= 0 (got %d)", specName, s.CheckpointEveryWindows)
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"flag"
 	"strings"
 	"testing"
 )
@@ -34,8 +35,8 @@ func TestServeBlockLoads(t *testing.T) {
 	}
 }
 
-// TestServeBlockPresetOverride: a file's serve block replaces the
-// preset's (whole-block override, like timeline).
+// TestServeBlockPresetOverride: a file's serve block refines the
+// preset's key by key.
 func TestServeBlockPresetOverride(t *testing.T) {
 	sp, err := Load(strings.NewReader(`{
 		"preset": "paper-baseline",
@@ -51,13 +52,15 @@ func TestServeBlockPresetOverride(t *testing.T) {
 }
 
 // TestServeBlockValidation: impossible serve blocks and the
-// serve/timeline conflict are load-time errors.
+// serve/timeline and serve/live conflicts are load-time errors.
 func TestServeBlockValidation(t *testing.T) {
 	for name, doc := range map[string]string{
-		"negative window": `{"name": "x", "serve": {"window_min": -1}}`,
-		"negative ring":   `{"name": "x", "serve": {"ring": -2}}`,
-		"negative pace":   `{"name": "x", "serve": {"pace": -0.5}}`,
-		"negative every":  `{"name": "x", "serve": {"checkpoint_every_windows": -1}}`,
+		"negative window":   `{"name": "x", "serve": {"window_min": -1}}`,
+		"negative ring":     `{"name": "x", "serve": {"ring": -2}}`,
+		"negative pace":     `{"name": "x", "serve": {"pace": -0.5}}`,
+		"negative every":    `{"name": "x", "serve": {"checkpoint_every_windows": -1}}`,
+		"negative sessions": `{"name": "x", "serve": {"sessions_per_window": -1}}`,
+		"with live":         `{"name": "x", "serve": {"window_min": 5}, "live": {"channels": 4}}`,
 		"with timeline": `{"name": "x",
 			"serve": {"window_min": 5},
 			"timeline": {"phases": [{"name": "p", "start_min": 1, "duration_min": 1}]}}`,
@@ -66,5 +69,29 @@ func TestServeBlockValidation(t *testing.T) {
 		if _, err := Load(strings.NewReader(doc)); err == nil {
 			t.Errorf("%s: spec loaded without error", name)
 		}
+	}
+}
+
+// TestServeFlagsOverrideServeBlock: a serve flag reaches the engine
+// configuration through the flag table, replacing its serve block key
+// and leaving the others as the spec has them.
+func TestServeFlagsOverrideServeBlock(t *testing.T) {
+	sp := load(t, `{"name": "svc", "serve": {"window_min": 5, "sessions_per_window": 250, "ring": 6}}`)
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+	fs.Int("sessions-per-window", 2000, "")
+	fs.Int("ring", 12, "")
+	if err := fs.Parse([]string{"-sessions-per-window", "77"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.OverrideFlags(fs.Visit); err != nil {
+		t.Fatal(err)
+	}
+	cells, err := sp.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sp.ServeConfig(cells[0])
+	if cfg.SessionsPerWindow != 77 || cfg.WindowMS != 5*60*1000 || cfg.Ring != 6 {
+		t.Fatalf("serve config = %+v, want 77 sessions per window over the block's 5 minutes and ring 6", cfg)
 	}
 }

@@ -3,13 +3,11 @@ package experiment
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
-	"reflect"
-	"slices"
 
+	"vidperf/internal/session"
 	"vidperf/internal/telemetry"
 	"vidperf/internal/workload"
 )
@@ -118,11 +116,10 @@ type Axis struct {
 
 // ScenarioSpec is the JSON face of workload.Scenario: the sweepable knobs
 // with snake_case names and campaign-friendly units (GB, minutes). Zero
-// values inherit — first from the preset/base scenario, ultimately from
-// Scenario.WithDefaults — so Apply only writes fields the spec set.
-// Booleans and the seed are pointers so an explicit false/0 still
-// overrides (an axis like "cold": [false, true] must produce two
-// distinct cells).
+// values select Scenario.WithDefaults' defaults, so Apply only writes
+// fields the spec set. Booleans and the seed are pointers so an explicit
+// false/0 is a value (an axis like "cold": [false, true] must produce
+// two distinct cells).
 type ScenarioSpec struct {
 	Seed     *uint64 `json:"seed,omitempty"`
 	Sessions int     `json:"sessions,omitempty"`
@@ -256,19 +253,6 @@ func (s ScenarioSpec) Apply(base workload.Scenario) workload.Scenario {
 	return sc
 }
 
-// merge overlays o's set fields onto s (o wins), field by field, so a
-// spec file refines its preset the same way Apply refines a scenario.
-func (s ScenarioSpec) merge(o ScenarioSpec) ScenarioSpec {
-	// Re-decode o's set fields over a copy of s: omitempty drops o's
-	// unset fields, so only explicit values overwrite.
-	b, err := json.Marshal(o)
-	out := s
-	if err != nil || json.Unmarshal(b, &out) != nil {
-		return o
-	}
-	return out
-}
-
 // decodeStrict decodes one JSON value rejecting unknown fields and
 // trailing garbage.
 func decodeStrict(r io.Reader, v any) error {
@@ -286,59 +270,33 @@ func decodeStrict(r io.Reader, v any) error {
 
 // Load parses and validates a spec, resolving its preset (if any) and
 // rejecting unknown fields — a typo like "session" instead of "sessions"
-// fails here, not as a silently-default campaign.
+// fails here, not as a silently-default campaign. A file that names a
+// preset is laid over it (see overlay): every key the file sets replaces
+// the preset's, and a block the file sets refines the preset's block
+// key by key.
 func Load(r io.Reader) (*Spec, error) {
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("experiment: read spec: %w", err)
+	}
 	var s Spec
-	if err := decodeStrict(r, &s); err != nil {
+	if err := decodeStrict(bytes.NewReader(raw), &s); err != nil {
 		return nil, fmt.Errorf("experiment: parse spec: %w", err)
 	}
 	if s.Schema != 0 && s.Schema != SpecSchema {
 		return nil, fmt.Errorf("experiment: spec schema %d, want %d", s.Schema, SpecSchema)
 	}
-	s.Schema = SpecSchema
 	if s.Preset != "" {
 		base, err := Preset(s.Preset)
 		if err != nil {
 			return nil, err
 		}
-		merged := *base
-		merged.Preset = s.Preset
-		if s.Name != "" {
-			merged.Name = s.Name
+		if err := refine(base, raw); err != nil {
+			return nil, fmt.Errorf("experiment: parse spec: %w", err)
 		}
-		if s.Description != "" {
-			merged.Description = s.Description
-		}
-		if s.SketchK != 0 {
-			merged.SketchK = s.SketchK
-		}
-		if s.SeedMode != "" {
-			merged.SeedMode = s.SeedMode
-		}
-		if s.Diagnosis {
-			merged.Diagnosis = true
-		}
-		if s.Timeline != nil {
-			merged.Timeline = s.Timeline
-		}
-		if s.Serve != nil {
-			merged.Serve = s.Serve
-		}
-		if s.Live != nil {
-			merged.Live = s.Live
-		}
-		if s.Proxy != nil {
-			merged.Proxy = s.Proxy
-		}
-		if len(s.Axes) != 0 {
-			merged.Axes = s.Axes
-		}
-		if s.Baseline != "" {
-			merged.Baseline = s.Baseline
-		}
-		merged.Scenario = base.Scenario.merge(s.Scenario)
-		s = merged
+		s = *base
 	}
+	s.Schema = SpecSchema
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -361,9 +319,9 @@ func LoadFile(path string) (*Spec, error) {
 
 // Validate checks everything Expand relies on: a name, a legal seed mode
 // and sketch parameter, well-formed axes (known scenario fields, values
-// that decode into them, no duplicate axis), every cell's scenario
-// (workload.Scenario.Validate), and a baseline that names a cell of the
-// grid.
+// that decode into them and set them, no duplicate axis), every cell's
+// scenario (workload.Scenario.Validate) and ABR name, the serve block
+// (serve.Config.Validate), and a baseline that names a cell of the grid.
 func (s *Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("experiment: spec has no name")
@@ -380,17 +338,6 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("experiment: spec %s: sketch_k must be 0 or an even value in [8, %d] (got %d)",
 			s.Name, telemetry.MaxSketchK, s.SketchK)
 	}
-	if s.Serve != nil {
-		if err := s.Serve.validate(s.Name); err != nil {
-			return err
-		}
-		if s.Timeline != nil {
-			return fmt.Errorf("experiment: spec %s: serve and timeline are mutually exclusive (phase injection is a batch-campaign feature)", s.Name)
-		}
-		if s.Live != nil {
-			return fmt.Errorf("experiment: spec %s: serve and live are mutually exclusive (live channels are a batch-campaign feature)", s.Name)
-		}
-	}
 	seen := map[string]bool{}
 	for _, ax := range s.Axes {
 		if ax.Name == "" {
@@ -404,8 +351,8 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("experiment: spec %s: axis %q has no values", s.Name, ax.Name)
 		}
 		for _, v := range ax.Values {
-			if _, err := axisOverlay(ax.Name, v); err != nil {
-				return fmt.Errorf("experiment: spec %s: %w", s.Name, err)
+			if _, err := setKey("scenario."+ax.Name, v, false); err != nil {
+				return fmt.Errorf("experiment: spec %s: axis %q = %s: %w", s.Name, ax.Name, v, err)
 			}
 		}
 	}
@@ -415,8 +362,17 @@ func (s *Spec) Validate() error {
 	}
 	// Every cell is range-checked, since an axis may sweep any knob.
 	for _, c := range cells {
-		if err := c.Scenario.Validate(); err != nil {
+		err := c.Scenario.Validate()
+		if err == nil {
+			_, err = session.NewABR(c.Scenario.ABRName)
+		}
+		if err != nil {
 			return fmt.Errorf("experiment: spec %s: cell %s: %w", s.Name, c.Name, err)
+		}
+	}
+	if s.Serve != nil {
+		if err := s.ServeConfig(cells[0]).Validate(); err != nil {
+			return fmt.Errorf("experiment: spec %s: serve block: %w", s.Name, err)
 		}
 	}
 	if s.Baseline != "" {
@@ -448,59 +404,6 @@ func (s *Spec) BaselineIndex(cells []Cell) int {
 		}
 	}
 	return -1
-}
-
-// axisOverlay builds the one-field ScenarioSpec {"name": value}. Axis
-// names are exactly the ScenarioSpec JSON names, so the strict decoder
-// is the single source of truth for which axes exist and which value
-// types they take.
-func axisOverlay(name string, value json.RawMessage) (ScenarioSpec, error) {
-	var overlay ScenarioSpec
-	obj, err := json.Marshal(map[string]json.RawMessage{name: value})
-	if err != nil {
-		return overlay, err
-	}
-	if err := decodeStrict(bytes.NewReader(obj), &overlay); err != nil {
-		return overlay, fmt.Errorf("axis %q = %s: %w", name, value, err)
-	}
-	return overlay, nil
-}
-
-// OverrideFlags is how a command line configures a run: each flag of fs
-// named by keys overrides the scenario key of the same name, through
-// the strict overlay an axis value takes. With all false only the flags
-// the user set apply, on top of a spec file; with all true every named
-// flag applies, defaults included, since the flags are the whole
-// scenario. A value that would leave its key unset (0, or an empty
-// name) is an error unless it is the flag's default, which then leaves
-// the key as the spec has it. Validate checks the result.
-func (s *Spec) OverrideFlags(fs *flag.FlagSet, all bool, keys ...string) error {
-	var err error
-	visit := func(f *flag.Flag) {
-		if err != nil || !slices.Contains(keys, f.Name) {
-			return
-		}
-		var value []byte
-		if value, err = json.Marshal(f.Value.(flag.Getter).Get()); err != nil {
-			return
-		}
-		var overlay ScenarioSpec
-		if overlay, err = axisOverlay(f.Name, value); err != nil {
-			err = fmt.Errorf("experiment: -%s: %w", f.Name, err)
-			return
-		}
-		if reflect.ValueOf(overlay).IsZero() && f.Value.String() != f.DefValue {
-			err = fmt.Errorf("experiment: -%s %s would leave %s unset; give it a value", f.Name, f.Value, f.Name)
-			return
-		}
-		s.Scenario = s.Scenario.merge(overlay)
-	}
-	if all {
-		fs.VisitAll(visit)
-	} else {
-		fs.Visit(visit)
-	}
-	return err
 }
 
 // EffectiveSketchK resolves the spec's sketch parameter.

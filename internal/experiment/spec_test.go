@@ -47,6 +47,10 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 		{"too many pops", `{"name":"x","scenario":{"pops":7}}`, "pops 7, want 1 to 6"},
 		{"negative pops", `{"name":"x","scenario":{"pops":-1}}`, "pops -1"},
 		{"too many pops on an axis", `{"name":"x","axes":[{"name":"pops","values":[6,8]}]}`, "cell pops=8"},
+		{"unknown abr", `{"name":"x","scenario":{"abr":"nope"}}`, `cell base: session: unknown ABR algorithm "nope"`},
+		{"unknown abr on an axis", `{"name":"x","axes":[{"name":"abr","values":["hybrid","nope"]}]}`, `cell abr=nope: session: unknown ABR algorithm "nope"`},
+		{"zero on an axis", `{"name":"x","axes":[{"name":"zipf_s","values":[0,0.9]}]}`, `axis "zipf_s" = 0: it would leave the key unset`},
+		{"empty name on an axis", `{"name":"x","axes":[{"name":"abr","values":[""]}]}`, `axis "abr" = "": it would leave the key unset`},
 	}
 	for _, c := range cases {
 		_, err := Load(strings.NewReader(c.src))
@@ -101,10 +105,11 @@ func TestLoadRejectsOutOfRangeScenario(t *testing.T) {
 	}
 }
 
-// TestOverrideFlags checks the command-line override rule: set flags
-// override the scenario key of the same name through the axis overlay,
-// a zero value that would leave its key unset is refused unless it is
-// the flag's default, and with all every named flag applies.
+// TestOverrideFlags checks the command-line override rule: each visited
+// flag the flag table lists overrides its spec key through the overlay,
+// replacing the spec's value; a zero value that would leave its key
+// unset is refused unless it is the flag's default; and with VisitAll
+// every listed flag applies.
 func TestOverrideFlags(t *testing.T) {
 	newFlags := func(args ...string) *flag.FlagSet {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -113,29 +118,30 @@ func TestOverrideFlags(t *testing.T) {
 		fs.Uint64("seed", 1, "")
 		fs.Bool("cold", false, "")
 		fs.String("abr", "hybrid", "")
-		fs.Int("workers", 1, "") // a scenario key, but not named below
+		fs.Int("workers", 1, "") // a scenario key, but no row of the flag table
 		if err := fs.Parse(args); err != nil {
 			t.Fatal(err)
 		}
 		return fs
 	}
-	keys := []string{"sessions", "parallel", "seed", "cold", "abr"}
 	sp := load(t, `{"name":"x","scenario":{"sessions":50,"parallel":3,"abr":"fixed-low"}}`)
-	if err := sp.OverrideFlags(newFlags("-sessions", "70", "-seed", "0", "-cold=false", "-parallel", "0", "-workers", "9"), false, keys...); err != nil {
+	if err := sp.OverrideFlags(newFlags("-sessions", "70", "-seed", "0", "-cold=false", "-parallel", "0", "-workers", "9").Visit); err != nil {
 		t.Fatal(err)
 	}
+	// -parallel 0, the flag's default, replaces the spec's 3 like a
+	// file's 0 would: it selects the default.
 	sc := sp.Scenario
 	if sc.Sessions != 70 || sc.Seed == nil || *sc.Seed != 0 || sc.Cold == nil || *sc.Cold ||
-		sc.Parallel != 3 || sc.ABR != "fixed-low" || sc.Workers != 0 {
+		sc.Parallel != 0 || sc.ABR != "fixed-low" || sc.Workers != 0 {
 		t.Fatalf("overridden scenario = %+v", sc)
 	}
 	for _, bad := range [][]string{{"-sessions", "0"}, {"-abr", ""}} {
-		if err := load(t, `{"name":"x"}`).OverrideFlags(newFlags(bad...), false, keys...); err == nil {
+		if err := load(t, `{"name":"x"}`).OverrideFlags(newFlags(bad...).Visit); err == nil {
 			t.Errorf("%q accepted", bad)
 		}
 	}
 	sp = load(t, `{"name":"x"}`)
-	if err := sp.OverrideFlags(newFlags(), true, keys...); err != nil {
+	if err := sp.OverrideFlags(newFlags().VisitAll); err != nil {
 		t.Fatal(err)
 	}
 	if sc := sp.Scenario; sc.Sessions != 20000 || *sc.Seed != 1 || sc.ABR != "hybrid" || sc.Cold == nil {
@@ -313,6 +319,33 @@ func TestPresetOverlay(t *testing.T) {
 	}
 	if sp.Baseline != "zipf_s=0.9" {
 		t.Errorf("preset baseline lost: %q", sp.Baseline)
+	}
+	// The decoder matches keys without regard to case, so a file's
+	// "Sessions" replaces the preset's "sessions".
+	if sp := load(t, `{"preset":"zipf-sweep","scenario":{"Sessions":700}}`); sp.Scenario.Sessions != 700 {
+		t.Errorf("override spelled \"Sessions\" lost: sessions = %d", sp.Scenario.Sessions)
+	}
+}
+
+// TestPresetOverlayReplacesKeys: every key a file sets replaces its
+// preset's, explicit zeros included — "diagnosis": false turns the
+// preset's diagnosis off and a scenario 0 selects the default — while
+// the keys it leaves out keep the preset's values. A timeline's phases
+// are an array, so they replace the preset's whole, leaving no stale
+// field of the preset's phase.
+func TestPresetOverlayReplacesKeys(t *testing.T) {
+	sp := load(t, `{"name":"brownout","preset":"pop-outage","diagnosis":false,
+		"scenario":{"sessions":0},
+		"timeline":{"phases":[{"name":"brownout","start_min":5,"duration_min":5,"backend_latency_factor":3}]}}`)
+	if sp.Diagnosis {
+		t.Error(`"diagnosis": false left the preset's diagnosis on`)
+	}
+	if sc := sp.Scenario; sc.Sessions != 0 || sc.Seed == nil || *sc.Seed != 41 || sc.Prefixes != 600 {
+		t.Errorf("scenario = %+v, want sessions 0 (the default) over the preset's seed 41 and 600 prefixes", sc)
+	}
+	want := []PhaseSpec{{Name: "brownout", StartMin: 5, DurationMin: 5, BackendLatencyFactor: 3}}
+	if sp.Timeline == nil || !reflect.DeepEqual(sp.Timeline.Phases, want) {
+		t.Errorf("timeline = %+v, want exactly the file's phase %+v", sp.Timeline, want)
 	}
 }
 

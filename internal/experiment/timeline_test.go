@@ -90,8 +90,8 @@ func TestTimelineSpecRejectsBadPoPs(t *testing.T) {
 	}
 }
 
-// TestTimelinePresetOverlay: a spec file can replace its preset's
-// timeline wholesale.
+// TestTimelinePresetOverlay: a spec file's timeline phases replace its
+// preset's.
 func TestTimelinePresetOverlay(t *testing.T) {
 	sp, err := Load(strings.NewReader(`{
 		"name": "my-outage",

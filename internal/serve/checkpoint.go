@@ -14,8 +14,8 @@ import (
 	"io"
 	"log/slog"
 	"os"
-	"path/filepath"
 
+	"vidperf/internal/atomicfile"
 	"vidperf/internal/telemetry"
 )
 
@@ -60,7 +60,7 @@ func (e *Engine) checkpointLocked() *Checkpoint {
 }
 
 // checkpointNow writes the current state to Config.CheckpointPath
-// atomically (temp file + rename, so a crash mid-write never corrupts
+// atomically (internal/atomicfile, so a crash mid-write never corrupts
 // the previous checkpoint). Only the engine goroutine calls it, at
 // window boundaries.
 func (e *Engine) checkpointNow() error {
@@ -74,22 +74,10 @@ func (e *Engine) checkpointNow() error {
 	if err != nil {
 		return fmt.Errorf("serve: encode checkpoint: %w", err)
 	}
-	dir, base := filepath.Split(e.cfg.CheckpointPath)
-	tmp, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
-		return fmt.Errorf("serve: write checkpoint: %w", err)
-	}
-	if _, err := tmp.Write(append(buf, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: write checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: write checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), e.cfg.CheckpointPath); err != nil {
-		os.Remove(tmp.Name())
+	if err := atomicfile.Write(e.cfg.CheckpointPath, func(f *os.File) error {
+		_, err := f.Write(append(buf, '\n'))
+		return err
+	}); err != nil {
 		return fmt.Errorf("serve: write checkpoint: %w", err)
 	}
 	e.log.Info("checkpoint written",

@@ -44,15 +44,15 @@ type Config struct {
 	// seed, and its population/fleet/ABR knobs apply to every window.
 	// NumSessions and ArrivalWindowMS act as defaults for
 	// SessionsPerWindow and WindowMS; ArrivalOffsetMS must be zero (the
-	// engine owns the virtual clock) and Timeline must be empty (phase
-	// injection is a batch-campaign feature).
+	// engine owns the virtual clock), and Timeline and Live must be empty
+	// (phase injection and live channels are batch-campaign features).
 	Scenario workload.Scenario
 
 	// SessionsPerWindow is the number of sessions each service window
-	// generates (<= 0 uses the effective Scenario.NumSessions).
+	// generates (0 uses the effective Scenario.NumSessions).
 	SessionsPerWindow int
 	// WindowMS is the virtual length of one service window
-	// (<= 0 uses the effective Scenario.ArrivalWindowMS, 30 minutes).
+	// (0 uses the effective Scenario.ArrivalWindowMS, 30 minutes).
 	WindowMS float64
 	// Ring is how many closed windows /windows retains (default 12).
 	Ring int
@@ -64,8 +64,8 @@ type Config struct {
 	Diagnose bool
 
 	// Pace is the virtual-to-wall speed factor: pace 60 plays a 30-minute
-	// window every 30 wall-seconds. Zero (or negative) runs windows back
-	// to back at full speed.
+	// window every 30 wall-seconds. Zero runs windows back to back at
+	// full speed.
 	Pace float64
 	// CheckpointPath, when set, is where checkpoints are written: on
 	// POST /checkpoint, every CheckpointEveryWindows windows, and when
@@ -95,22 +95,35 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate rejects configurations that would break the serve
-// determinism contract.
+// Validate is the one range check of the serve knobs: it rejects a
+// negative or non-finite value (0 selects the default), and the
+// scenario features serve mode cannot run.
 func (c Config) Validate() error {
 	if !c.Scenario.Timeline.Empty() {
 		return errors.New("serve: scenario timelines are not supported in serve mode (phase injection is a batch-campaign feature)")
+	}
+	if c.Scenario.Live.Enabled() {
+		return errors.New("serve: live channels are not supported in serve mode (live channels are a batch-campaign feature)")
 	}
 	if c.Scenario.ArrivalOffsetMS != 0 {
 		return errors.New("serve: Scenario.ArrivalOffsetMS is owned by the serve engine and must be zero")
 	}
 	// A non-finite window length would put windows at NaN or infinite
 	// virtual times, and a non-finite pace gives no wall-clock schedule.
-	if math.IsNaN(c.WindowMS) || math.IsInf(c.WindowMS, 0) {
-		return fmt.Errorf("serve: WindowMS %g, want a finite value", c.WindowMS)
-	}
-	if math.IsNaN(c.Pace) || math.IsInf(c.Pace, 0) {
-		return fmt.Errorf("serve: Pace %g, want a finite value", c.Pace)
+	for _, f := range []struct {
+		name  string
+		value float64
+	}{
+		{"SessionsPerWindow", float64(c.SessionsPerWindow)},
+		{"WindowMS", c.WindowMS},
+		{"Ring", float64(c.Ring)},
+		{"Pace", c.Pace},
+		{"CheckpointEveryWindows", float64(c.CheckpointEveryWindows)},
+		{"MaxWindows", float64(c.MaxWindows)},
+	} {
+		if !(f.value >= 0) || math.IsInf(f.value, 0) {
+			return fmt.Errorf("serve: %s %g, want a finite value >= 0 (0 selects the default)", f.name, f.value)
+		}
 	}
 	return nil
 }

@@ -1,4 +1,4 @@
-// metrics.go is the extractor registry: the pipeline that reduces a
+// metrics.go is the metric extraction: the pipeline that reduces a
 // telemetry.Snapshot to the flat scalar metrics the store indexes and
 // the query layer ranks by.
 package store
@@ -12,8 +12,7 @@ import (
 	"vidperf/internal/telemetry"
 )
 
-// Quantiles are the per-sketch quantile levels the default registry
-// extracts, published as "<sketch>_p50" … "<sketch>_p99".
+// Quantiles are the per-sketch quantile levels extraction publishes, published as "<sketch>_p50" … "<sketch>_p99".
 var Quantiles = []float64{0.50, 0.90, 0.95, 0.99}
 
 // QuantileMetric names the extracted metric for one sketch and level,
@@ -22,8 +21,8 @@ func QuantileMetric(sketch string, q float64) string {
 	return fmt.Sprintf("%s_p%d", sketch, int(math.Round(q*100)))
 }
 
-// Derived ratio metrics the default registry publishes alongside the
-// raw counters.
+// Derived ratio metrics extraction publishes alongside the raw
+// counters.
 const (
 	// MetricHitRatio is chunks_hit / chunks.
 	MetricHitRatio = "hit_ratio"
@@ -34,47 +33,7 @@ const (
 	DiagSharePrefix = "diag_share_"
 )
 
-// Extractor folds metrics extracted from one snapshot into out. An
-// extractor must be a pure function of the snapshot so that ingesting
-// the same snapshot always produces the same metrics.
-type Extractor func(sn *telemetry.Snapshot, out map[string]float64)
-
-// Registry is an ordered list of named extractors. Later extractors
-// see (and may overwrite) earlier ones' keys; registration order is
-// the only order that matters, so extraction is deterministic.
-type Registry struct {
-	names []string
-	fns   []Extractor
-}
-
-// Register appends an extractor under a diagnostic name. Registering a
-// name twice replaces the earlier extractor in place, keeping its
-// position.
-func (r *Registry) Register(name string, fn Extractor) {
-	for i, n := range r.names {
-		if n == name {
-			r.fns[i] = fn
-			return
-		}
-	}
-	r.names = append(r.names, name)
-	r.fns = append(r.fns, fn)
-}
-
-// Names lists the registered extractors in registration order.
-func (r *Registry) Names() []string { return append([]string(nil), r.names...) }
-
-// Extract runs every extractor over the snapshot and returns the
-// merged metric map.
-func (r *Registry) Extract(sn *telemetry.Snapshot) map[string]float64 {
-	out := make(map[string]float64)
-	for _, fn := range r.fns {
-		fn(sn, out)
-	}
-	return out
-}
-
-// DefaultRegistry builds the standard extractor pipeline:
+// extract reduces a snapshot to the store's scalar metrics:
 //
 //   - counters: every snapshot counter verbatim (sessions, chunks,
 //     chunks_hit, sessions_diag=<label>, sessions_window=<name>, …)
@@ -83,13 +42,18 @@ func (r *Registry) Extract(sn *telemetry.Snapshot) map[string]float64 {
 //     "<sketch>_p<level>"; empty sketches contribute nothing
 //   - diag-shares: diag_share_<label> per diagnosis cause, the fraction
 //     of sessions attributed to that cause
-func DefaultRegistry() *Registry {
-	r := &Registry{}
-	r.Register("counters", extractCounters)
-	r.Register("ratios", extractRatios)
-	r.Register("quantiles", extractQuantiles)
-	r.Register("diag-shares", extractDiagShares)
-	return r
+//
+// Each extractor is a pure function of the snapshot, and they run in
+// this order, so ingesting the same snapshot always yields the same
+// metrics.
+func extract(sn *telemetry.Snapshot) map[string]float64 {
+	out := make(map[string]float64)
+	for _, fn := range []func(*telemetry.Snapshot, map[string]float64){
+		extractCounters, extractRatios, extractQuantiles, extractDiagShares,
+	} {
+		fn(sn, out)
+	}
+	return out
 }
 
 func extractCounters(sn *telemetry.Snapshot, out map[string]float64) {

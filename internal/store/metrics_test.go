@@ -1,45 +1,14 @@
 package store
 
 import (
+	"bytes"
+	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"vidperf/internal/telemetry"
 )
-
-// TestRegistryRegisterReplaces: registering under an existing name
-// replaces the extractor in place, keeping registration order.
-func TestRegistryRegisterReplaces(t *testing.T) {
-	r := &Registry{}
-	r.Register("a", func(sn *telemetry.Snapshot, out map[string]float64) { out["a"] = 1 })
-	r.Register("b", func(sn *telemetry.Snapshot, out map[string]float64) { out["b"] = 2 })
-	r.Register("a", func(sn *telemetry.Snapshot, out map[string]float64) { out["a"] = 3 })
-
-	names := r.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("Names() = %v, want [a b]", names)
-	}
-	got := r.Extract(snap(nil, nil, nil))
-	if got["a"] != 3 || got["b"] != 2 {
-		t.Fatalf("Extract after replace = %v", got)
-	}
-}
-
-// TestSetRegistry: a custom registry governs subsequent ingests.
-func TestSetRegistry(t *testing.T) {
-	r := &Registry{}
-	r.Register("only", func(sn *telemetry.Snapshot, out map[string]float64) {
-		out["only"] = float64(sn.Counters["sessions"])
-	})
-	s := New()
-	s.SetRegistry(r)
-	if err := s.Add("sw", "c", snap(map[string]string{"cell": "c"}, map[string]uint64{"sessions": 9}, nil)); err != nil {
-		t.Fatal(err)
-	}
-	e := s.Entries("sw")[0]
-	if len(e.Metrics) != 1 || e.Metrics["only"] != 9 {
-		t.Fatalf("custom registry metrics = %v", e.Metrics)
-	}
-}
 
 // TestDiagShareMetrics: dimensioned diagnosis counters become
 // diag_share_<label> fractions of the session total.
@@ -49,7 +18,7 @@ func TestDiagShareMetrics(t *testing.T) {
 		telemetry.CounterSessions + "_" + telemetry.DiagDim + "=healthy":        6,
 		telemetry.CounterSessions + "_" + telemetry.DiagDim + "=server-latency": 2,
 	}, nil)
-	got := DefaultRegistry().Extract(sn)
+	got := extract(sn)
 	if got[DiagSharePrefix+"healthy"] != 0.75 {
 		t.Fatalf("diag_share_healthy = %g, want 0.75", got[DiagSharePrefix+"healthy"])
 	}
@@ -58,11 +27,35 @@ func TestDiagShareMetrics(t *testing.T) {
 	}
 }
 
-// TestSaveErrorPaths: Save into a nonexistent directory fails and
-// leaves no temp file behind.
+// TestSaveErrorPaths: Save into a nonexistent directory fails, and a
+// save that fails part way leaves the previous store and no temporary
+// file behind.
 func TestSaveErrorPaths(t *testing.T) {
 	s := New()
 	if err := s.Save("/nonexistent-dir/sub/store.json"); err == nil {
 		t.Fatal("Save into a missing directory succeeded")
+	}
+	path := filepath.Join(t.TempDir(), "store.json")
+	if err := s.Add("sw", "c", snap(map[string]string{"cell": "c"}, map[string]uint64{"sessions": 9}, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	prev, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// JSON has no NaN, so this entry fails to encode after the sweeps
+	// and the first entry were written.
+	s.entries["sw/d"] = Entry{Sweep: "sw", Cell: "d", Metrics: map[string]float64{"x": math.NaN()}}
+	if err := s.Save(path); err == nil {
+		t.Fatal("Save encoded a NaN metric")
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, prev) {
+		t.Fatalf("after a failed save the store holds %.40q (%v), want the previous store", got, err)
+	}
+	if entries, err := os.ReadDir(filepath.Dir(path)); err != nil || len(entries) != 1 {
+		t.Fatalf("directory holds %v (%v), want only the store", entries, err)
 	}
 }

@@ -3,9 +3,9 @@
 // and rank without re-reading the raw snapshot files.
 //
 // Snapshots enter through Add / IngestSnapshotFile / IngestDir. At
-// ingest time the metric extractor registry (metrics.go) reduces each
-// snapshot to a flat map of scalar metrics — counters, derived ratios,
-// sketch quantiles, diagnosis cause shares — and the store keeps only
+// ingest time metric extraction (metrics.go) reduces each snapshot to a
+// flat map of scalar metrics — counters, derived ratios, sketch
+// quantiles, diagnosis cause shares — and the store keeps only
 // that reduction plus the snapshot's labels. Entries are keyed by
 // (sweep, cell); re-ingesting a cell replaces its entry, so ingest is
 // idempotent, and the on-disk form sorts entries by key, so the store's
@@ -28,6 +28,7 @@ import (
 	"sort"
 	"strings"
 
+	"vidperf/internal/atomicfile"
 	"vidperf/internal/experiment"
 	"vidperf/internal/telemetry"
 )
@@ -47,7 +48,7 @@ type Entry struct {
 	// Labels is the snapshot's label set verbatim (spec, cell, seed,
 	// diagnosis, axis:<name>, …).
 	Labels map[string]string `json:"labels,omitempty"`
-	// Metrics is the extractor registry's reduction of the snapshot.
+	// Metrics is the extracted reduction of the snapshot (metrics.go).
 	Metrics map[string]float64 `json:"metrics"`
 }
 
@@ -72,7 +73,6 @@ type SweepMeta struct {
 type Store struct {
 	sweeps  map[string]SweepMeta
 	entries map[string]Entry // by Entry.Key()
-	reg     *Registry
 }
 
 // fileFormat is the serialized store: sweeps and entries only, with
@@ -83,12 +83,8 @@ type fileFormat struct {
 	Entries []Entry              `json:"entries"`
 }
 
-// New returns an empty store using the default extractor registry.
-func New() *Store { return &Store{reg: DefaultRegistry()} }
-
-// SetRegistry replaces the extractor registry used by subsequent
-// ingests. Entries already in the store keep their extracted metrics.
-func (s *Store) SetRegistry(r *Registry) { s.reg = r }
+// New returns an empty store.
+func New() *Store { return &Store{} }
 
 func (s *Store) init() {
 	if s.sweeps == nil {
@@ -96,9 +92,6 @@ func (s *Store) init() {
 	}
 	if s.entries == nil {
 		s.entries = make(map[string]Entry)
-	}
-	if s.reg == nil {
-		s.reg = DefaultRegistry()
 	}
 }
 
@@ -169,7 +162,7 @@ func (s *Store) Add(sweep, cell string, sn *telemetry.Snapshot) error {
 	for k, v := range sn.Labels {
 		labels[k] = v
 	}
-	e := Entry{Sweep: sweep, Cell: cell, Labels: labels, Metrics: s.reg.Extract(sn)}
+	e := Entry{Sweep: sweep, Cell: cell, Labels: labels, Metrics: extract(sn)}
 	s.entries[e.Key()] = e
 	return nil
 }
@@ -244,28 +237,10 @@ func (s *Store) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Save writes the store to path atomically (write-then-rename), so a
+// Save writes the store to path atomically (internal/atomicfile), so a
 // crash mid-save never leaves a truncated store behind.
 func (s *Store) Save(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := s.Write(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
+	return atomicfile.Write(path, func(f *os.File) error { return s.Write(f) })
 }
 
 // Load reads a store written by Write, rejecting other schemas.

@@ -24,7 +24,7 @@
 //
 // Flash crowds reshape the arrival process itself: the timeline defines a
 // piecewise-constant arrival-rate function (factor 1 outside phases) and
-// WarpArrival maps each session's uniform nominal draw through the
+// NewArrivalWarp maps each session's uniform nominal draw through the
 // inverse cumulative rate, concentrating arrivals into high-rate phases
 // without adding or reordering RNG draws.
 //
@@ -55,9 +55,6 @@ type Phase struct {
 
 	Effects Effects
 }
-
-// DurationMS returns the phase length.
-func (p Phase) DurationMS() float64 { return p.EndMS - p.StartMS }
 
 // Contains reports whether t falls inside the phase's half-open window.
 func (p Phase) Contains(t float64) bool { return t >= p.StartMS && t < p.EndMS }
@@ -236,15 +233,4 @@ func (t Timeline) PhaseAt(at float64) *Phase {
 		return &t.Phases[i]
 	}
 	return nil
-}
-
-// HasPoPOutage reports whether any phase takes a PoP down — the check
-// partitioners use to keep the no-timeline fast path.
-func (t Timeline) HasPoPOutage() bool {
-	for _, p := range t.Phases {
-		if len(p.Effects.PoPDown) > 0 {
-			return true
-		}
-	}
-	return false
 }

@@ -183,11 +183,11 @@ func TestWarpIdentityWithoutRateFactors(t *testing.T) {
 			Effects: Effects{PoPDown: []int{1}, BackendLatencyFactor: 3}},
 	)
 	for _, u := range []float64{0, 50, 100, 150, 200, 555.25, 999.999} {
-		if got := tl.WarpArrival(u, 1000); got != u {
-			t.Errorf("WarpArrival(%g) = %g, want identity", u, got)
+		if got := tl.NewArrivalWarp(1000).At(u); got != u {
+			t.Errorf("warp(%g) = %g, want identity", u, got)
 		}
 	}
-	if got := (Timeline{}).WarpArrival(123.5, 1000); got != 123.5 {
+	if got := (Timeline{}).NewArrivalWarp(1000).At(123.5); got != 123.5 {
 		t.Errorf("empty timeline warp = %g, want identity", got)
 	}
 }
@@ -197,15 +197,15 @@ func TestWarpIdentityWithoutRateFactors(t *testing.T) {
 // and the map must stay monotonic.
 func TestWarpConcentratesArrivals(t *testing.T) {
 	const w = 1000.0
-	tl := valid(Phase{Name: "crowd", StartMS: 400, EndMS: 600,
-		Effects: Effects{ArrivalRateFactor: 4}})
+	warp := valid(Phase{Name: "crowd", StartMS: 400, EndMS: 600,
+		Effects: Effects{ArrivalRateFactor: 4}}).NewArrivalWarp(w)
 	// Rate mass: 400*1 + 200*4 + 400*1 = 1600. The phase holds 800/1600 =
 	// 50% of arrivals in 20% of the window.
 	in, n := 0, 100000
 	prev := -1.0
 	for i := 0; i < n; i++ {
 		u := w * float64(i) / float64(n)
-		at := tl.WarpArrival(u, w)
+		at := warp.At(u)
 		if at < prev {
 			t.Fatalf("warp not monotonic at u=%g: %g < %g", u, at, prev)
 		}
@@ -219,18 +219,18 @@ func TestWarpConcentratesArrivals(t *testing.T) {
 	}
 	// Exact boundary mapping: nominal mass fraction 400/1600 of the
 	// window start lands exactly on the phase start.
-	if got := tl.WarpArrival(w*400/1600, w); math.Abs(got-400) > 1e-9 {
+	if got := warp.At(w * 400 / 1600); math.Abs(got-400) > 1e-9 {
 		t.Errorf("mass boundary maps to %g, want 400", got)
 	}
-	if got := tl.WarpArrival(w*1200/1600, w); math.Abs(got-600) > 1e-9 {
+	if got := warp.At(w * 1200 / 1600); math.Abs(got-600) > 1e-9 {
 		t.Errorf("mass boundary maps to %g, want 600", got)
 	}
 	// Endpoints stay inside the window.
-	if got := tl.WarpArrival(0, w); got != 0 {
-		t.Errorf("WarpArrival(0) = %g", got)
+	if got := warp.At(0); got != 0 {
+		t.Errorf("warp(0) = %g", got)
 	}
-	if got := tl.WarpArrival(999.999999, w); got >= w {
-		t.Errorf("WarpArrival(~end) = %g, escaped the window", got)
+	if got := warp.At(999.999999); got >= w {
+		t.Errorf("warp(~end) = %g, escaped the window", got)
 	}
 }
 
@@ -238,12 +238,12 @@ func TestWarpConcentratesArrivals(t *testing.T) {
 // phase (the inverse of a flash crowd: a partial drain).
 func TestWarpThinsArrivals(t *testing.T) {
 	const w = 1000.0
-	tl := valid(Phase{Name: "drain", StartMS: 0, EndMS: 500,
-		Effects: Effects{ArrivalRateFactor: 0.5}})
+	warp := valid(Phase{Name: "drain", StartMS: 0, EndMS: 500,
+		Effects: Effects{ArrivalRateFactor: 0.5}}).NewArrivalWarp(w)
 	// Mass: 500*0.5 + 500*1 = 750; the phase holds 250/750 = 1/3.
 	in, n := 0, 30000
 	for i := 0; i < n; i++ {
-		if at := tl.WarpArrival(w*float64(i)/float64(n), w); at < 500 {
+		if at := warp.At(w * float64(i) / float64(n)); at < 500 {
 			in++
 		}
 	}
@@ -263,11 +263,5 @@ func TestEffectsHelpers(t *testing.T) {
 	}
 	if !e.PoPIsDown(4) || e.PoPIsDown(0) {
 		t.Errorf("PoPIsDown wrong: %v", e.PoPDown)
-	}
-	if tl := valid(Phase{Name: "o", StartMS: 0, EndMS: 1, Effects: e}); !tl.HasPoPOutage() {
-		t.Error("HasPoPOutage = false with PoPDown set")
-	}
-	if (Timeline{}).HasPoPOutage() {
-		t.Error("empty timeline HasPoPOutage = true")
 	}
 }

@@ -82,19 +82,6 @@ func WindowAt(ws []Window, t float64) int {
 	return -1
 }
 
-// WarpArrival maps a session's nominal uniform arrival draw u in
-// [0, campaignMS) to its actual arrival time under the timeline's
-// piecewise-constant arrival-rate function (ArrivalRateFactor inside
-// phases, 1 outside): the inverse cumulative-rate transform, so a phase
-// with factor m receives m× the arrival density while the total session
-// count is unchanged. It is a pure, strictly monotonic function — no RNG
-// draws — so warped campaigns stay byte-identical at any parallelism and
-// an all-factor-1 timeline is the identity. Hot paths that warp once per
-// session should build the segments once with NewArrivalWarp instead.
-func (t Timeline) WarpArrival(u, campaignMS float64) float64 {
-	return t.NewArrivalWarp(campaignMS).At(u)
-}
-
 // ArrivalWarp is the precomputed arrival-rate transform of one timeline
 // over one campaign window: the constant-rate segments and their total
 // mass, built once and shared by every per-session warp (the planner
