@@ -6,7 +6,7 @@
 //
 //	vodsim serve -seed 7 -sessions-per-window 2000 -window-min 30 \
 //	       -pace 60 -listen 127.0.0.1:9632 -checkpoint state.ckpt
-//	vodsim serve -spec examples/specs/serve-steady.json
+//	vodsim serve -spec examples/specs/serve-steady.json -checkpoint state.ckpt
 //	vodsim serve -resume state.ckpt -max-windows 48 -out snapshot.json
 //
 // The spec follows vodsim's one override rule: each flag the user sets
@@ -166,7 +166,8 @@ var serveRuntimeFlags = map[string]bool{
 // validateServeFlags rejects serve flag combinations that contradict the
 // mode (fresh or resume) before any engine work starts. Values are
 // checked where they land: the spec's keys by Spec.Validate when
-// specFromFlags builds the spec, the serve knobs by serve.Config.Validate.
+// specFromFlags builds the spec, the serve knobs by serve.Config.Validate,
+// and a checkpoint interval with no -checkpoint by serve.NewEngine.
 func validateServeFlags(fs *flag.FlagSet, f serveFlags) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments %q (all options are flags)", fs.Args())
@@ -184,8 +185,6 @@ func validateServeFlags(fs *flag.FlagSet, f serveFlags) error {
 		// Without -resume, -parallel is a scenario override and
 		// Scenario.Validate checks it.
 		return fmt.Errorf("-parallel must be >= 0 (got %d); 0 keeps the checkpoint's", f.parallel)
-	case f.checkpointEvery > 0 && f.checkpoint == "" && f.resume == "":
-		return fmt.Errorf("-checkpoint-every needs -checkpoint (nowhere to write)")
 	}
 	return nil
 }

@@ -51,7 +51,6 @@ func TestValidateServeFlags(t *testing.T) {
 	check("-spec", "-resume", "x.ckpt", "-spec", "s.json")
 	check("-parallel", "-resume", "x.ckpt", "-parallel", "-1")
 	check("-sketch-k", "-resume", "x.ckpt", "-sketch-k", "64")
-	check("-checkpoint-every", "-checkpoint-every", "4")
 	check("unexpected", "stray")
 
 	// The scenario flags and serve knobs are checked where the spec is
@@ -93,6 +92,10 @@ func TestValidateServeFlags(t *testing.T) {
 		{"serve.pace", []string{"-pace", "NaN"}},
 		{"Pace", []string{"-resume", ckpt, "-pace", "NaN"}},
 		{"MaxWindows", []string{"-max-windows", "-1"}},
+		// Periodic checkpoints need a path, whether the interval comes
+		// from the flag or from the spec's serve block.
+		{"no CheckpointPath", []string{"-checkpoint-every", "4"}},
+		{"no CheckpointPath", []string{"-spec", "../../examples/specs/serve-steady.json"}},
 	} {
 		if _, err := serveEngine(append(bad.args, "-listen", "")...); err == nil || !strings.Contains(err.Error(), bad.want) {
 			t.Errorf("%q: error %v, want one naming %s", bad.args, err, bad.want)

@@ -130,7 +130,12 @@ func ComputeBrowserRendering(d *core.Dataset) []BrowserRenderRow {
 		if rows[i].OS != rows[j].OS {
 			return rows[i].OS < rows[j].OS
 		}
-		return rows[i].ChunkShare > rows[j].ChunkShare
+		// Rows come from a map: equal shares are ordered by name, or
+		// the table's order would change from run to run.
+		if rows[i].ChunkShare != rows[j].ChunkShare {
+			return rows[i].ChunkShare > rows[j].ChunkShare
+		}
+		return rows[i].Browser < rows[j].Browser
 	})
 	return rows
 }

@@ -153,6 +153,14 @@ func TestBrowserRenderingOnTinyDataset(t *testing.T) {
 			t.Errorf("share = %v, want 50", r.ChunkShare)
 		}
 	}
+	// The two rows tie on share; they must come out in name order on
+	// every call, not in map order.
+	for i := 0; i < 20; i++ {
+		rows := ComputeBrowserRendering(tinyDataset())
+		if rows[0].Browser != "Chrome" || rows[1].Browser != "Safari" {
+			t.Fatalf("call %d: rows ordered %s, %s; want Chrome, Safari", i, rows[0].Browser, rows[1].Browser)
+		}
+	}
 }
 
 func TestLoadParadoxOnTinyDataset(t *testing.T) {

@@ -5,8 +5,8 @@
 // A two-level RAM+disk composition mirrors the ATS "multi-level" cache.
 //
 // All policies share the Policy interface and keep no hit counters:
-// TestPolicyOrderingOnZipfStream and examples/cache-policy compare them on
-// identical request streams and tally the outcomes with Stats.
+// TestPolicyOrderingOnZipfStream compares them on identical request
+// streams, and the cache-policy-matrix spec compares them inside the CDN.
 package cache
 
 // Policy is a byte-capacity cache eviction policy. Implementations are not
@@ -37,38 +37,4 @@ type Policy interface {
 	// below one byte clamp to one. Growing never evicts. This is the
 	// hook behind timed cache-degradation phases (internal/timeline).
 	Resize(capacity int64)
-}
-
-// Stats counts cache outcomes for a request stream.
-type Stats struct {
-	Hits   int64
-	Misses int64
-}
-
-// Record adds one lookup outcome.
-func (s *Stats) Record(hit bool) {
-	if hit {
-		s.Hits++
-	} else {
-		s.Misses++
-	}
-}
-
-// Requests returns the total number of recorded lookups.
-func (s *Stats) Requests() int64 { return s.Hits + s.Misses }
-
-// HitRatio returns Hits/Requests, or 0 before any request.
-func (s *Stats) HitRatio() float64 {
-	if n := s.Requests(); n > 0 {
-		return float64(s.Hits) / float64(n)
-	}
-	return 0
-}
-
-// MissRatio returns 1 - HitRatio for a non-empty stream, else 0.
-func (s *Stats) MissRatio() float64 {
-	if s.Requests() == 0 {
-		return 0
-	}
-	return 1 - s.HitRatio()
 }

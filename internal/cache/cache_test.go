@@ -224,23 +224,6 @@ func TestNewPolicy(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
-	var s Stats
-	s.Record(true)
-	s.Record(true)
-	s.Record(false)
-	if s.Requests() != 3 || s.Hits != 2 || s.Misses != 1 {
-		t.Fatalf("stats = %+v", s)
-	}
-	if s.HitRatio() != 2.0/3.0 {
-		t.Errorf("hit ratio = %v", s.HitRatio())
-	}
-	var empty Stats
-	if empty.HitRatio() != 0 || empty.MissRatio() != 0 {
-		t.Error("empty stats ratios should be 0")
-	}
-}
-
 func TestMultiLevelPromotion(t *testing.T) {
 	m := NewMultiLevel(NewLRU(100), NewLRU(1000))
 	if got := m.Lookup(1, 50); got != LevelMiss {
@@ -339,18 +322,18 @@ func TestPolicyOrderingOnZipfStream(t *testing.T) {
 	run := func(p Policy) float64 {
 		r := stats.NewRand(42)
 		z := stats.NewZipf(2000, 1.0)
-		var st Stats
-		for i := 0; i < 60000; i++ {
+		const requests = 60000
+		hits := 0
+		for i := 0; i < requests; i++ {
 			key := uint64(z.Sample(r))
 			size := int64(400 + 50*int(key%7))
 			if p.Get(key) {
-				st.Record(true)
+				hits++
 			} else {
-				st.Record(false)
 				p.Put(key, size)
 			}
 		}
-		return st.HitRatio()
+		return float64(hits) / requests
 	}
 	lru := run(NewLRU(40000))
 	plfu := run(NewPerfectLFU(40000))

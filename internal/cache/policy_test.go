@@ -1,5 +1,5 @@
 // policy_test.go hardens the priority-cache policies at the level
-// TestPolicyOrderingOnZipfStream and examples/cache-policy depend on:
+// TestPolicyOrderingOnZipfStream and the cache-policy-matrix spec depend on:
 // exact eviction order, deterministic tie-breaking, and byte accounting
 // across in-place updates — plus the multi-level RAM/disk promotion and
 // demotion cycle.

@@ -1,7 +1,8 @@
 // Package experiment turns measurement campaigns into data: a JSON
 // scenario-spec format that maps onto workload.Scenario, named presets
 // for the paper's comparative setups (paper-baseline, cold-start,
-// flash-crowd, abr-ablation, cache-policy-matrix, zipf-sweep; every
+// flash-crowd, abr-ablation, cache-policy-matrix, zipf-sweep) and for
+// its reproduction (paper-repro, and paper-seeds, its seed set; every
 // file under examples/specs/ is one, embedded by package specs), a grid
 // expander that crosses axes (abr × ram_gb × zipf_s × …) into experiment
 // cells with deterministic per-cell seeds, and a campaign runner that
@@ -12,8 +13,8 @@
 // The paper's value is comparative (§4–§6 contrast cache levels, org
 // types, bitrates, and PoPs); this package is the substrate that lets
 // every such contrast be written as a spec file under examples/specs/
-// and replayed by cmd/sweep, cmd/vodsim -spec, and cmd/analyze -compare
-// instead of living as hardcoded Go.
+// and replayed by cmd/sweep, cmd/vodsim -spec, cmd/repro -spec, and
+// cmd/analyze -compare instead of living as hardcoded Go.
 //
 // A spec with "diagnosis": true additionally classifies every session's
 // dominant bottleneck (internal/diagnose) during the run: cell snapshots

@@ -189,13 +189,21 @@ type Engine struct {
 	ckptReq chan chan ckptReply
 }
 
-// NewEngine builds an engine for a fresh run (virtual time zero).
+// NewEngine builds an engine for a fresh run (virtual time zero). It
+// refuses a configuration Run would fail on: one Config.Validate
+// rejects, an unknown ABR, or periodic checkpoints with no path to
+// write them to.
 func NewEngine(cfg Config, log *slog.Logger) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if _, err := session.NewABR(cfg.Scenario.ABRName); err != nil {
 		return nil, err
+	}
+	// Config.Validate cannot check this: a spec's serve block is
+	// validated before any command gives it a checkpoint path.
+	if cfg.CheckpointEveryWindows > 0 && cfg.CheckpointPath == "" {
+		return nil, fmt.Errorf("serve: CheckpointEveryWindows %d but no CheckpointPath: nowhere to write the checkpoints", cfg.CheckpointEveryWindows)
 	}
 	if log == nil {
 		log = slog.Default()

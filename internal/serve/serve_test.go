@@ -185,6 +185,11 @@ func TestCheckpointRoundTripsThroughJSON(t *testing.T) {
 		t.Fatalf("resumed engine at window %d / %gms, want 2 / %gms",
 			resumed.WindowsDone(), resumed.VirtualMS(), ck.VirtualMS)
 	}
+	// The checkpoint's config carries the interval, not the path: a
+	// resume with no path to write to fails like a fresh start.
+	if _, err := serve.ResumeEngine(ck, serve.Runtime{CheckpointEveryWindows: 1}, quietLog()); err == nil {
+		t.Fatal("ResumeEngine accepted a checkpoint interval with no path")
+	}
 }
 
 // TestWindowSeed: window 0 is the base seed (the batch-equivalence
@@ -225,6 +230,17 @@ func TestConfigValidation(t *testing.T) {
 	cfg.Scenario.ABRName = "no-such-abr"
 	if _, err := serve.NewEngine(cfg, quietLog()); err == nil {
 		t.Fatal("NewEngine accepted an unknown ABR")
+	}
+	// Periodic checkpoints with nowhere to write them fail at start, not
+	// when the first one is due. Validate accepts them: a spec's serve
+	// block is checked before a command supplies the path.
+	cfg = testConfig(1, 0)
+	cfg.CheckpointEveryWindows = 2
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("Validate refused a checkpoint interval without a path: %v", err)
+	}
+	if _, err := serve.NewEngine(cfg, quietLog()); err == nil || !strings.Contains(err.Error(), "no CheckpointPath") {
+		t.Fatalf("NewEngine with a checkpoint interval and no path: error %v", err)
 	}
 }
 
