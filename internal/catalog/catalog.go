@@ -8,6 +8,7 @@ package catalog
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"vidperf/internal/stats"
 )
@@ -89,6 +90,9 @@ type Catalog struct {
 	ChunkDuration float64 // seconds
 
 	pop *stats.Zipf
+
+	derivedMu sync.Mutex
+	derived   map[any]func() any // see Derive
 }
 
 // New generates a catalog from cfg using r for the duration samples.
@@ -117,6 +121,30 @@ func New(cfg Config, r *stats.Rand) *Catalog {
 		}
 	}
 	return c
+}
+
+// Derive returns build(c, key), calling build only on the first call
+// for key and handing the same value to every later caller, concurrent
+// ones included (they wait for the first build). The value lives
+// exactly as long as the catalog, so a structure derived from one run's
+// catalog (the session runner's warm-up ownership index) is built once
+// per run, shared by all of its shards, and freed with it. build must be
+// a pure function of the catalog and key, and callers must treat the
+// value as read-only. As with context.Value, K should be an unexported
+// type of the calling package. A call that finds its value allocates
+// nothing.
+func Derive[K comparable, V any](c *Catalog, key K, build func(*Catalog, K) V) V {
+	c.derivedMu.Lock()
+	get, ok := c.derived[key]
+	if !ok {
+		if c.derived == nil {
+			c.derived = make(map[any]func() any, 1)
+		}
+		get = sync.OnceValue(func() any { return build(c, key) })
+		c.derived[key] = get
+	}
+	c.derivedMu.Unlock()
+	return get().(V)
 }
 
 // Sample draws a video according to the Zipf popularity model.

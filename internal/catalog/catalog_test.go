@@ -172,3 +172,27 @@ func TestDeterministicGeneration(t *testing.T) {
 		}
 	}
 }
+
+// TestDerive: a value is built once per key and handed to every later
+// caller; distinct keys, including equal values of distinct key types,
+// get their own builds.
+func TestDerive(t *testing.T) {
+	type keyA struct{ n int }
+	type keyB struct{ n int }
+	c := New(Config{NumVideos: 10}, stats.NewRand(1))
+	builds := 0
+	build := func(got *Catalog, k keyA) *int {
+		if got != c {
+			t.Fatal("build got another catalog")
+		}
+		builds++
+		v := k.n * 10
+		return &v
+	}
+	a1, a1again, a2 := Derive(c, keyA{1}, build), Derive(c, keyA{1}, build), Derive(c, keyA{2}, build)
+	b1 := Derive(c, keyB{1}, func(*Catalog, keyB) string { return "b" })
+	if a1 != a1again || *a1 != 10 || *a2 != 20 || b1 != "b" || builds != 2 {
+		t.Fatalf("a1 %v (again %v), a2 %v, b1 %q, %d builds; want one shared a1, a2 = 20, b1 = b, 2 builds",
+			*a1, *a1again, *a2, b1, builds)
+	}
+}

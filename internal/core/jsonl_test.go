@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -269,7 +270,49 @@ func TestReadJSONLInputs(t *testing.T) {
 	}
 }
 
-// TestReadJSONLChunkLineAllocationFree: with the dataset's capacity in
+// TestReadJSONLBlockBoundaries: ReadJSONL gathers records in blocks of
+// recordBlock and returns them in order in slices of exact length, at
+// zero records, exactly one block, and one block plus one record, of
+// sessions and chunks alike; and the dataset writes back to the bytes
+// it was read from.
+func TestReadJSONLBlockBoundaries(t *testing.T) {
+	for _, n := range []int{0, recordBlock, recordBlock + 1} {
+		want := &Dataset{}
+		for i := 0; i < n; i++ {
+			want.Sessions = append(want.Sessions, sampleSession(uint64(i+1)))
+			c := sampleChunk()
+			c.SessionID, c.ChunkID = uint64(i/3+1), i%3
+			want.Chunks = append(want.Chunks, c)
+		}
+		var in bytes.Buffer
+		if err := WriteJSONL(&in, want); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadJSONL(bytes.NewReader(in.Bytes()))
+		if err != nil {
+			t.Fatalf("%d records: %v", n, err)
+		}
+		if len(got.Sessions) != n || cap(got.Sessions) != n || len(got.Chunks) != n || cap(got.Chunks) != n {
+			t.Errorf("%d records: sessions len %d cap %d, chunks len %d cap %d", n,
+				len(got.Sessions), cap(got.Sessions), len(got.Chunks), cap(got.Chunks))
+		}
+		if n == 0 && (got.Sessions != nil || got.Chunks != nil) {
+			t.Errorf("no records: got non-nil slices")
+		}
+		if !slices.Equal(got.Sessions, want.Sessions) || !slices.Equal(got.Chunks, want.Chunks) {
+			t.Errorf("%d records: read back differs", n)
+		}
+		var out bytes.Buffer
+		if err := WriteJSONL(&out, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), in.Bytes()) {
+			t.Errorf("%d records: rewrite differs from the input", n)
+		}
+	}
+}
+
+// TestReadJSONLChunkLineAllocationFree: with a block's capacity in
 // place, decoding a chunk line allocates nothing; its one string field
 // is interned.
 func TestReadJSONLChunkLineAllocationFree(t *testing.T) {
@@ -279,17 +322,17 @@ func TestReadJSONLChunkLineAllocationFree(t *testing.T) {
 	}
 	line := buf.Bytes()
 	dec := lineDecoder{strs: make(map[string]string)}
-	d := &Dataset{Chunks: make([]ChunkRecord, 0, 1000)}
+	var recs traceRecords
 	allocs := testing.AllocsPerRun(200, func() {
-		if err := dec.line(d, line); err != nil {
+		if err := dec.line(&recs, line); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
 		t.Errorf("chunk line costs %.1f allocations, want 0", allocs)
 	}
-	if d.Chunks[0] != sampleChunk() {
-		t.Errorf("decoded %+v", d.Chunks[0])
+	if got := recs.chunks.slice(); got[0] != sampleChunk() {
+		t.Errorf("decoded %+v", got[0])
 	}
 }
 

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 )
 
@@ -10,16 +11,15 @@ import (
 // writer emits this order, so two datasets with equal contents serialize
 // to identical bytes regardless of how their records were produced —
 // the property the sharded runner's determinism guarantee rests on.
+//
+// Keys are unique, so any correct sort gives the same order; the
+// generic sort swaps the large records without reflection.
 func (d *Dataset) SortCanonical() {
-	sort.Slice(d.Sessions, func(i, j int) bool {
-		return d.Sessions[i].SessionID < d.Sessions[j].SessionID
+	slices.SortFunc(d.Sessions, func(a, b SessionRecord) int {
+		return cmp.Compare(a.SessionID, b.SessionID)
 	})
-	sort.Slice(d.Chunks, func(i, j int) bool {
-		a, b := &d.Chunks[i], &d.Chunks[j]
-		if a.SessionID != b.SessionID {
-			return a.SessionID < b.SessionID
-		}
-		return a.ChunkID < b.ChunkID
+	slices.SortFunc(d.Chunks, func(a, b ChunkRecord) int {
+		return cmp.Or(cmp.Compare(a.SessionID, b.SessionID), cmp.Compare(a.ChunkID, b.ChunkID))
 	})
 }
 

@@ -62,7 +62,7 @@ func WriteJSONL(w io.Writer, d *Dataset) error {
 // through a bounded buffer; a line may be of any length. Blank lines are
 // skipped, and errors name the line.
 func ReadJSONL(r io.Reader) (*Dataset, error) {
-	d := &Dataset{}
+	var recs traceRecords
 	br := bufio.NewReaderSize(r, 64<<10)
 	dec := lineDecoder{strs: make(map[string]string)}
 	var long []byte // a line longer than br's buffer
@@ -79,15 +79,61 @@ func ReadJSONL(r io.Reader) (*Dataset, error) {
 		if err != nil && err != io.EOF {
 			return nil, fmt.Errorf("core: read trace: line %d: %w", n, err)
 		}
-		if derr := dec.line(d, line); derr != nil {
+		if derr := dec.line(&recs, line); derr != nil {
 			return nil, fmt.Errorf("core: read trace: line %d: %w", n, derr)
 		}
 		if err == io.EOF {
 			break
 		}
 	}
+	d := &Dataset{Sessions: recs.sessions.slice(), Chunks: recs.chunks.slice()}
 	d.Index()
 	return d, nil
+}
+
+// traceRecords gathers the records ReadJSONL decodes.
+type traceRecords struct {
+	sessions blocks[SessionRecord]
+	chunks   blocks[ChunkRecord]
+}
+
+// recordBlock is how many records a blocks gathers per allocation.
+const recordBlock = 1024
+
+// blocks gathers records of unknown count in fixed-size blocks, then
+// copies them once into a slice of exact length. Growing one slice by
+// append instead copies every record again at each regrowth and
+// allocates several times the records' size for a large trace.
+type blocks[T any] struct {
+	full [][]T // filled blocks, in order
+	cur  []T   // the block being filled
+}
+
+func (b *blocks[T]) add(v T) {
+	if len(b.cur) == cap(b.cur) {
+		if b.cur != nil {
+			b.full = append(b.full, b.cur)
+		}
+		b.cur = make([]T, 0, recordBlock)
+	}
+	b.cur = append(b.cur, v)
+}
+
+// slice returns every record added, in order, in a slice whose length
+// and capacity are the record count; nil if there is none.
+func (b *blocks[T]) slice() []T {
+	n := len(b.cur)
+	for _, f := range b.full {
+		n += len(f)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, 0, n)
+	for _, f := range b.full {
+		out = append(out, f...)
+	}
+	return append(out, b.cur...)
 }
 
 // field is one key of a record object on the wire: its name, and how to
@@ -375,8 +421,8 @@ var lineFields = []field[traceLine]{
 
 var errEOL = errors.New("unexpected end of line")
 
-// line decodes one trace line and appends its record to d.
-func (dec *lineDecoder) line(d *Dataset, line []byte) error {
+// line decodes one trace line and adds its record to recs.
+func (dec *lineDecoder) line(recs *traceRecords, line []byte) error {
 	dec.b, dec.i = line, 0
 	dec.skipSpace()
 	if dec.i == len(dec.b) {
@@ -393,9 +439,9 @@ func (dec *lineDecoder) line(d *Dataset, line []byte) error {
 	}
 	switch {
 	case l.haveSession:
-		d.Sessions = append(d.Sessions, l.session)
+		recs.sessions.add(l.session)
 	case l.haveChunk:
-		d.Chunks = append(d.Chunks, l.chunk)
+		recs.chunks.add(l.chunk)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package session
 
 import (
 	"math"
+	"slices"
 
 	"vidperf/internal/cache"
 	"vidperf/internal/catalog"
@@ -23,11 +24,13 @@ import (
 // cold titles are exactly the requests that miss — the paper's unpopular-
 // content findings need that residue.
 //
-// Each server's insert sequence is a warmSet. An empty LRU level (the
-// default policy) takes it as a seed (cache.LRU.SetSeed): it behaves as
-// if every insert had been replayed but materializes only the entries a
-// session touches. Other policies, and a level that already holds
-// content, replay the inserts through Put.
+// Each server's insert sequence is a warmSet over the titles its slot
+// owns, read from the catalog's ownership index (built by the first
+// WarmPoP on the catalog, shared read-only by every later one). An empty
+// LRU level (the default policy) takes it as a seed (cache.LRU.SetSeed):
+// it behaves as if every insert had been replayed but materializes only
+// the entries a session touches. Other policies, and a level that
+// already holds content, replay the inserts through Put.
 func WarmPoP(fleet *cdn.Fleet, cat *catalog.Catalog, pop int) {
 	servers := fleet.PoPServers(pop)
 	if len(cat.Bitrates) == 0 || servers == nil {
@@ -68,17 +71,91 @@ func seedableCatalog(cat *catalog.Catalog) bool {
 		catalog.ChunkSizeBytes(top, cat.ChunkDuration) <= math.MaxInt32
 }
 
+// ownership is a catalog's warm-up ownership index under one fleet
+// shape: for each rank below the cold tail, the slot that warms it
+// (slot[rank], from cdn.SlotFor; -1 for the partitioned top ranks,
+// which every slot warms), and for each slot the ranks it warms,
+// ascending: ranks[off[s]:off[s+1]] (CSR layout).
+type ownership struct {
+	slot  []int32
+	off   []int32
+	ranks []int32
+}
+
+// ownershipKey is what an ownership index depends on besides its
+// catalog: the two fleet knobs cdn.SlotFor reads.
+type ownershipKey struct{ servers, partitionTop int }
+
+// ownershipOf returns cat's ownership index under cfg (an effective
+// configuration), building it on the first call (catalog.Derive). Every
+// shard of a run shares the one catalog of its population, so the index
+// is built once per run whatever the number of shards.
+func ownershipOf(cat *catalog.Catalog, cfg cdn.FleetConfig) *ownership {
+	return catalog.Derive(cat, ownershipKey{servers: cfg.ServersPerPoP, partitionTop: cfg.PartitionTopRanks}, newOwnership)
+}
+
+// newOwnership hashes each rank to its slot once, lays the slots out by
+// a prefix sum of their counts and fills them in ascending rank order:
+// four allocations, whatever the catalog size or slot count.
+func newOwnership(cat *catalog.Catalog, key ownershipKey) *ownership {
+	// The key holds every field cdn.SlotFor reads.
+	cfg := cdn.FleetConfig{ServersPerPoP: key.servers, PartitionTopRanks: key.partitionTop}
+	coldTail := coldTailOf(cat)
+	o := &ownership{slot: make([]int32, coldTail), off: make([]int32, cfg.ServersPerPoP+1)}
+	for rank := range o.slot {
+		if cfg.PartitionTopRanks > 0 && rank < cfg.PartitionTopRanks {
+			o.slot[rank] = -1
+			for s := range cfg.ServersPerPoP {
+				o.off[s+1]++
+			}
+			continue
+		}
+		s := cdn.SlotFor(cfg, cat.Videos[rank].ID, rank, 0)
+		o.slot[rank] = int32(s)
+		o.off[s+1]++
+	}
+	for s := 1; s < len(o.off); s++ {
+		o.off[s] += o.off[s-1]
+	}
+	// o.off[s] is now slot s's start; use it as the slot's fill cursor,
+	// then shift the cursors (each now the next slot's start) back.
+	o.ranks = make([]int32, o.off[len(o.off)-1])
+	place := func(s int, rank int) {
+		o.ranks[o.off[s]] = int32(rank)
+		o.off[s]++
+	}
+	for rank, s := range o.slot {
+		if s >= 0 {
+			place(int(s), rank)
+			continue
+		}
+		for t := range cfg.ServersPerPoP {
+			place(t, rank)
+		}
+	}
+	copy(o.off[1:], o.off[:len(o.off)-1])
+	o.off[0] = 0
+	return o
+}
+
+// coldTailOf is the first rank that is never warmed. The deep tail
+// (bottom 5% of ranks, ~2% of requests — matching the paper's ~2%
+// average miss rate) was never requested in the cache's history: those
+// titles are fully cold everywhere, giving the paper's persistent
+// all-miss sessions (§4.1 finding 2) and Fig. 6a's rank gradient.
+func coldTailOf(cat *catalog.Catalog) int { return len(cat.Videos) * 95 / 100 }
+
 // warmSet is one server slot's warm insert sequence, as a cache.Seed.
-// The sequence walks titles from the least popular warmed rank (just
-// above the cold tail) to rank 0, each title's chunks in order and each
-// chunk's eligible rungs in ascending bitrate. Titles pinned to another
-// slot are skipped; partitioned top ranks belong to every slot. A
-// position packs (rank order, chunk, rung index), so positions follow
-// the insert order.
+// The sequence walks the slot's titles (its ranks in the ownership
+// index) from the least popular warmed rank (just above the cold tail)
+// to rank 0, each title's chunks in order and each chunk's eligible
+// rungs in ascending bitrate. A position packs (rank order, chunk, rung
+// index), so positions follow the insert order.
 type warmSet struct {
-	cat  *catalog.Catalog
-	cfg  cdn.FleetConfig
-	slot int
+	cat   *catalog.Catalog
+	slot  int
+	slots []int32 // the ownership index's slot of each rank
+	ranks []int32 // the ranks the slot warms, ascending
 
 	startRung   int // kbps of the conservative startup rung
 	topQuartile int // ranks below it warm every rung
@@ -100,18 +177,15 @@ func newWarmSet(cat *catalog.Catalog, cfg cdn.FleetConfig, slot int) *warmSet {
 	if len(cat.Bitrates) > 1 {
 		startRung = cat.Bitrates[1]
 	}
+	o := ownershipOf(cat, cfg)
 	return &warmSet{
 		cat:         cat,
-		cfg:         cfg,
 		slot:        slot,
+		slots:       o.slot,
+		ranks:       o.ranks[o.off[slot]:o.off[slot+1]],
 		startRung:   startRung,
 		topQuartile: len(cat.Videos) / 4,
-		// The deep tail (bottom 5% of ranks, ~2% of requests — matching
-		// the paper's ~2% average miss rate) was never requested in the
-		// cache's history: those titles are fully cold everywhere, giving
-		// the paper's persistent all-miss sessions (§4.1 finding 2) and
-		// Fig. 6a's rank gradient.
-		coldTail: len(cat.Videos) * 95 / 100,
+		coldTail:    coldTailOf(cat),
 	}
 }
 
@@ -119,12 +193,11 @@ func warmPos(order, chunk, rung int) uint64 {
 	return uint64(order)<<warmOrderShift | uint64(chunk)<<warmChunkShift | uint64(rung)
 }
 
-// owns reports whether the title at rank is warmed on this slot.
+// owns reports whether the title at rank (below the cold tail) is
+// warmed on this slot.
 func (w *warmSet) owns(rank int) bool {
-	if w.cfg.PartitionTopRanks > 0 && rank < w.cfg.PartitionTopRanks {
-		return true
-	}
-	return cdn.SlotFor(w.cfg, w.cat.Videos[rank].ID, rank, 0) == w.slot
+	s := w.slots[rank]
+	return s < 0 || int(s) == w.slot
 }
 
 // startupChunks is how many leading chunks of a title warm the startup
@@ -144,20 +217,24 @@ func (w *warmSet) entry(v *catalog.Video, chunk, b int) (uint64, int64) {
 
 // Next implements cache.Seed.
 func (w *warmSet) Next(pos uint64) (uint64, uint64, int64, bool) {
-	order := int(pos >> warmOrderShift)
+	order := pos >> warmOrderShift
+	if order >= uint64(w.coldTail) {
+		return 0, 0, 0, false
+	}
 	chunk := int(pos >> warmChunkShift & warmChunkMask)
 	b := int(pos & warmRungMask)
-	for ; order < w.coldTail; order, chunk, b = order+1, 0, 0 {
-		rank := w.coldTail - 1 - order
-		if !w.owns(rank) {
-			continue
-		}
+	i, at := slices.BinarySearch(w.ranks, int32(w.coldTail-1-int(order)))
+	if !at { // resume at the slot's next title down
+		i, chunk, b = i-1, 0, 0
+	}
+	for ; i >= 0; i, chunk, b = i-1, 0, 0 {
+		rank := int(w.ranks[i])
 		v := &w.cat.Videos[rank]
 		for ; chunk < v.NumChunks; chunk, b = chunk+1, 0 {
 			for ; b < len(w.cat.Bitrates); b++ {
 				if w.eligible(rank, chunk, w.cat.Bitrates[b]) {
 					key, size := w.entry(v, chunk, b)
-					return warmPos(order, chunk, b), key, size, true
+					return warmPos(w.coldTail-1-rank, chunk, b), key, size, true
 				}
 			}
 		}
@@ -197,10 +274,8 @@ func (w *warmSet) Find(key uint64) (uint64, int64, bool) {
 // walked entry by entry, newest first.
 func (w *warmSet) Fit(capacity int64) (uint64, int, int64) {
 	rem, n := capacity, 0
-	for rank := 0; rank < w.coldTail; rank++ {
-		if !w.owns(rank) {
-			continue
-		}
+	for _, r := range w.ranks {
+		rank := int(r)
 		v := &w.cat.Videos[rank]
 		vn, vb := w.videoFit(v, rank, capacity)
 		if vb <= rem {

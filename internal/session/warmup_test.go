@@ -1,9 +1,11 @@
 package session
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"vidperf/internal/cache"
@@ -243,9 +245,10 @@ func TestWarmSetFind(t *testing.T) {
 			for rank := ws.coldTail; rank < len(cat.Videos); rank++ {
 				reject("a cold-tail title", catalog.ChunkKey(cat.Videos[rank].ID, 0, top))
 			}
+			ref := newRefWarmSet(cat, w.cfg, slot)
 			for rank := 0; rank < ws.coldTail; rank++ {
 				v := &cat.Videos[rank]
-				if !ws.owns(rank) {
+				if !ref.ownsByHash(rank) {
 					reject("another slot's title", catalog.ChunkKey(v.ID, 0, top))
 					continue
 				}
@@ -340,6 +343,240 @@ func TestSeededWarmupMatchesEagerReplay(t *testing.T) {
 							eager.Len(), seeded.Len(), eager.Size(), seeded.Size())
 					}
 				}
+			}
+		}
+	}
+}
+
+// refWarmSet is the warm set as it was before the ownership index:
+// every walk visits every rank below the cold tail and asks ownsByHash,
+// one cdn.SlotFor hash per rank. It keeps warmSet's warming policy
+// (eligible, entry, videoFit) and is the oracle for its Next, Find and
+// Fit.
+type refWarmSet struct {
+	*warmSet
+	cfg  cdn.FleetConfig
+	slot int
+}
+
+func newRefWarmSet(cat *catalog.Catalog, cfg cdn.FleetConfig, slot int) *refWarmSet {
+	return &refWarmSet{warmSet: newWarmSet(cat, cfg, slot), cfg: cfg, slot: slot}
+}
+
+// ownsByHash reports whether the title at rank is warmed on this slot.
+func (w *refWarmSet) ownsByHash(rank int) bool {
+	if w.cfg.PartitionTopRanks > 0 && rank < w.cfg.PartitionTopRanks {
+		return true
+	}
+	return cdn.SlotFor(w.cfg, w.cat.Videos[rank].ID, rank, 0) == w.slot
+}
+
+func (w *refWarmSet) Next(pos uint64) (uint64, uint64, int64, bool) {
+	order := int(pos >> warmOrderShift)
+	chunk := int(pos >> warmChunkShift & warmChunkMask)
+	b := int(pos & warmRungMask)
+	for ; order < w.coldTail; order, chunk, b = order+1, 0, 0 {
+		rank := w.coldTail - 1 - order
+		if !w.ownsByHash(rank) {
+			continue
+		}
+		v := &w.cat.Videos[rank]
+		for ; chunk < v.NumChunks; chunk, b = chunk+1, 0 {
+			for ; b < len(w.cat.Bitrates); b++ {
+				if w.eligible(rank, chunk, w.cat.Bitrates[b]) {
+					key, size := w.entry(v, chunk, b)
+					return warmPos(order, chunk, b), key, size, true
+				}
+			}
+		}
+	}
+	return 0, 0, 0, false
+}
+
+func (w *refWarmSet) Find(key uint64) (uint64, int64, bool) {
+	id := key >> 32
+	chunk := int(key >> warmChunkShift & warmChunkMask)
+	code := int(key & warmRungMask)
+	if id >= uint64(w.coldTail) {
+		return 0, 0, false
+	}
+	v := &w.cat.Videos[id]
+	rank := v.Rank
+	if v.ID != int(id) || rank >= w.coldTail || chunk >= v.NumChunks || !w.ownsByHash(rank) {
+		return 0, 0, false
+	}
+	for b, kbps := range w.cat.Bitrates {
+		if kbps/10 != code {
+			continue
+		}
+		if !w.eligible(rank, chunk, kbps) {
+			return 0, 0, false
+		}
+		_, size := w.entry(v, chunk, b)
+		return warmPos(w.coldTail-1-rank, chunk, b), size, true
+	}
+	return 0, 0, false
+}
+
+func (w *refWarmSet) Fit(capacity int64) (uint64, int, int64) {
+	rem, n := capacity, 0
+	for rank := 0; rank < w.coldTail; rank++ {
+		if !w.ownsByHash(rank) {
+			continue
+		}
+		v := &w.cat.Videos[rank]
+		vn, vb := w.videoFit(v, rank, capacity)
+		if vb <= rem {
+			rem -= vb
+			n += vn
+			continue
+		}
+		order := w.coldTail - 1 - rank
+		for chunk := v.NumChunks - 1; chunk >= 0; chunk-- {
+			for b := len(w.cat.Bitrates) - 1; b >= 0; b-- {
+				if !w.eligible(rank, chunk, w.cat.Bitrates[b]) {
+					continue
+				}
+				_, size := w.entry(v, chunk, b)
+				if size <= 0 || size > capacity {
+					continue
+				}
+				if size > rem {
+					return warmPos(order, chunk, b) + 1, n, capacity - rem
+				}
+				rem -= size
+				n++
+			}
+		}
+	}
+	return 0, n, capacity - rem
+}
+
+// TestWarmSetMatchesOwnsOracle: with the ownership index, Next, Find
+// and Fit answer exactly as the per-rank owns walk, at one, three and
+// fourteen servers per PoP and with no partitioned ranks, some, and
+// more than the cold tail. Next is also asked from positions inside and
+// between titles, and Find about every title's keys on every slot.
+func TestWarmSetMatchesOwnsOracle(t *testing.T) {
+	cat := catalog.New(catalog.Config{NumVideos: 200, DurationMedian: 40}, stats.NewRand(9))
+	coldTail := coldTailOf(cat)
+	for _, servers := range []int{1, 3, 14} {
+		for _, top := range []int{0, 50, coldTail, coldTail + 40} {
+			cfg := cdn.FleetConfig{NumPoPs: 1, ServersPerPoP: servers, PartitionTopRanks: top}.WithDefaults()
+			total := 0
+			for slot := 0; slot < servers; slot++ {
+				ws, ref := newWarmSet(cat, cfg, slot), newRefWarmSet(cat, cfg, slot)
+				name := fmt.Sprintf("servers=%d top=%d slot=%d", servers, top, slot)
+				var pos []uint64
+				var bytes int64
+				for p := uint64(0); ; {
+					at, key, size, ok := ws.Next(p)
+					rat, rkey, rsize, rok := ref.Next(p)
+					if at != rat || key != rkey || size != rsize || ok != rok {
+						t.Fatalf("%s: Next(%#x) = (%#x, %#x, %d, %v), oracle (%#x, %#x, %d, %v)",
+							name, p, at, key, size, ok, rat, rkey, rsize, rok)
+					}
+					if !ok {
+						break
+					}
+					pos = append(pos, at)
+					bytes += size
+					p = at + 1
+				}
+				total += len(pos)
+				// Positions the walk never stops at: a title's end, a
+				// rank another slot owns, past the cold tail.
+				for order := uint64(0); order <= uint64(coldTail)+1; order++ {
+					for _, p := range []uint64{order << warmOrderShift, order<<warmOrderShift | 1<<warmChunkShift - 1, order<<warmOrderShift | warmChunkMask<<warmChunkShift} {
+						at, key, size, ok := ws.Next(p)
+						rat, rkey, rsize, rok := ref.Next(p)
+						if at != rat || key != rkey || size != rsize || ok != rok {
+							t.Fatalf("%s: Next(%#x) = (%#x, %#x, %d, %v), oracle (%#x, %#x, %d, %v)",
+								name, p, at, key, size, ok, rat, rkey, rsize, rok)
+						}
+					}
+				}
+				for rank := range cat.Videos {
+					v := &cat.Videos[rank]
+					for _, chunk := range []int{0, 3, v.NumChunks - 1, v.NumChunks} {
+						for _, kbps := range cat.Bitrates {
+							key := catalog.ChunkKey(v.ID, chunk, kbps)
+							p, size, ok := ws.Find(key)
+							rp, rsize, rok := ref.Find(key)
+							if p != rp || size != rsize || ok != rok {
+								t.Fatalf("%s: Find(%#x) = (%#x, %d, %v), oracle (%#x, %d, %v)", name, key, p, size, ok, rp, rsize, rok)
+							}
+						}
+					}
+				}
+				for _, capacity := range []int64{1, 1 << 20, bytes / 3, bytes - 1, bytes, bytes + 1} {
+					start, n, b := ws.Fit(capacity)
+					rstart, rn, rb := ref.Fit(capacity)
+					if start != rstart || n != rn || b != rb {
+						t.Fatalf("%s: Fit(%d) = (%#x, %d, %d), oracle (%#x, %d, %d)", name, capacity, start, n, b, rstart, rn, rb)
+					}
+				}
+			}
+			if total == 0 {
+				t.Errorf("servers=%d top=%d: no slot warms anything", servers, top)
+			}
+		}
+	}
+}
+
+// TestWarmPoPConcurrentSharesIndex: shards warming one catalog at once
+// build its ownership index once and share it, and each server ends as
+// a warm-up on its own catalog leaves it. Run under -race, this is the
+// check that the index is only read once built.
+func TestWarmPoPConcurrentSharesIndex(t *testing.T) {
+	newCat := func() *catalog.Catalog {
+		return catalog.New(catalog.Config{NumVideos: 400, DurationMedian: 60}, stats.NewRand(11))
+	}
+	cfg := cdn.FleetConfig{NumPoPs: 2, ServersPerPoP: 14, PartitionTopRanks: 20}
+	shared := newCat()
+	type shard struct{ pop, slot int }
+	var shards []shard
+	for pop := 0; pop < cfg.NumPoPs; pop++ {
+		for slot := 0; slot < cfg.ServersPerPoP; slot++ {
+			shards = append(shards, shard{pop, slot})
+		}
+	}
+	got := make([]*cdn.Server, len(shards))
+	var wg sync.WaitGroup
+	for i, sh := range shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fleet := cdn.NewSlotFleet(cfg, 4, sh.pop, sh.slot)
+			WarmPoP(fleet, shared, sh.pop)
+			srv := fleet.PoPServers(sh.pop)[sh.slot]
+			for rank := 0; rank < 60; rank++ {
+				srv.Cache().Lookup(catalog.ChunkKey(shared.Videos[rank].ID, 1, 1750), 1)
+			}
+			got[i] = srv
+		}()
+	}
+	wg.Wait()
+	eff := cfg.WithDefaults()
+	if ownershipOf(shared, eff) != ownershipOf(shared, eff) {
+		t.Fatal("the catalog's ownership index was rebuilt")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { ownershipOf(shared, eff) }); allocs != 0 {
+		t.Errorf("finding the built ownership index costs %v allocations, want 0", allocs)
+	}
+	for i, sh := range shards {
+		fleet := cdn.NewSlotFleet(cfg, 4, sh.pop, sh.slot)
+		own := newCat()
+		WarmPoP(fleet, own, sh.pop)
+		want := fleet.PoPServers(sh.pop)[sh.slot].Cache()
+		for rank := 0; rank < 60; rank++ {
+			want.Lookup(catalog.ChunkKey(own.Videos[rank].ID, 1, 1750), 1)
+		}
+		have := got[i].Cache()
+		for _, lv := range [][2]cache.Policy{{have.RAM, want.RAM}, {have.Disk, want.Disk}} {
+			if lv[0].Len() != lv[1].Len() || lv[0].Size() != lv[1].Size() {
+				t.Errorf("pop %d slot %d: len %d size %d, alone len %d size %d", sh.pop, sh.slot,
+					lv[0].Len(), lv[0].Size(), lv[1].Len(), lv[1].Size())
 			}
 		}
 	}

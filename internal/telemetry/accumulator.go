@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"vidperf/internal/core"
@@ -65,25 +66,33 @@ const (
 	rebufHistBins    = 100
 )
 
-// namedSketch is one optional-family sketch and its canonical name.
-type namedSketch struct {
-	name string
-	sk   *QuantileSketch
+// qoeSketches is the per-session QoE trio the diagnosis and window
+// dimensions keep for each label or window: three consecutive sketches
+// of the accumulator's slab, named after qoeBases in order.
+type qoeSketches []QuantileSketch
+
+// qoeBases are the base metrics of a QoE trio, in slab order.
+var qoeBases = [...]string{MetricStartupMS, MetricRebufferRate, MetricAvgBitrateKbps}
+
+// qoeAt is the i-th trio of sk, a family's slab slice of trios.
+func qoeAt(sk []QuantileSketch, i int) qoeSketches {
+	return qoeSketches(sk[len(qoeBases)*i : len(qoeBases)*(i+1)])
 }
 
-// qoeSketches is the per-session QoE trio (startup, re-buffering ratio,
-// average bitrate) the diagnosis and window dimensions keep for each
-// label or window.
-type qoeSketches struct {
-	startup, rebuffer, bitrate *QuantileSketch
+// appendQoENames appends one trio's names, each base named by key.
+func appendQoENames(names []string, key func(base string) string) []string {
+	for _, base := range qoeBases {
+		names = append(names, key(base))
+	}
+	return names
 }
 
 func (q qoeSketches) add(s *core.SessionRecord) {
 	if !math.IsNaN(s.StartupMS) {
-		q.startup.Add(s.StartupMS)
+		q[0].Add(s.StartupMS)
 	}
-	q.rebuffer.Add(s.RebufferRate)
-	q.bitrate.Add(s.AvgBitrateKbps)
+	q[1].Add(s.RebufferRate)
+	q[2].Add(s.AvgBitrateKbps)
 }
 
 // Accumulator folds finished sessions into the campaign's bounded-memory
@@ -93,19 +102,22 @@ func (q qoeSketches) add(s *core.SessionRecord) {
 //
 // The record path touches only dense state: core sketches sit in fixed
 // slots, optional-family sketches are reached by label ordinal or window
-// index, and counters are keyed by (family, value) — see counterKey. The
-// canonical string names are built only when a snapshot is taken.
+// index, and counters are keyed by (family, value) — see counterKey.
+// Counter names are built only when a snapshot is taken; sketch names
+// are built once per shape (once per Campaign) and shared by every
+// accumulator of it.
 type Accumulator struct {
-	k            int
 	core         [numCoreSketches]QuantileSketch
 	startupHist  *Histogram
 	rebufferHist *Histogram
 	counts       map[counterKey]uint64
 
-	// extra lists every optional-family sketch in creation order, which is
-	// the same for every accumulator of one Config; merges pair them by
-	// position and snapshots name them.
-	extra []namedSketch
+	// extra is one slab holding every optional-family sketch in the
+	// shape's order, which is the same for every accumulator of one
+	// Config; merges pair them by position and snapshots name them from
+	// the shape.
+	extra []QuantileSketch
+	shape *shape
 
 	// fams are the optional families the Config enables, in
 	// NewAccumulatorWith's order.
@@ -114,9 +126,9 @@ type Accumulator struct {
 
 // family is one optional aggregate family: diagnosis (diag.go), timeline
 // windows (windows.go), live (live.go) or proxy (proxy.go). Its
-// constructor registers every sketch it keeps through addSketch, so its
-// whole shape exists before the first session and empty shards still
-// merge and snapshot deterministically.
+// constructor takes every sketch it keeps from the accumulator's slab,
+// so its whole shape exists before the first session and empty shards
+// still merge and snapshot deterministically.
 type family interface {
 	// consume folds one finished session. The record comes by value: a
 	// pointer through this interface call would move every folded record
@@ -149,60 +161,108 @@ type Config struct {
 	Proxy bool
 }
 
+// shape is what every accumulator of one Config shares: the Config,
+// with its own copy of the windows, and the canonical names of the
+// optional-family sketches in slab order. A Campaign builds it once, so
+// its shard accumulators build no name.
+type shape struct {
+	cfg   Config
+	names []string
+}
+
+// newShape lays out cfg's optional families in the order diagnosis,
+// windows, live, proxy, the order newAccumulator builds them in.
+func newShape(cfg Config) *shape {
+	// Snapshots share the window list; a clipped copy makes any append
+	// to one (MergeSnapshots) reallocate.
+	cfg.Windows = slices.Clip(slices.Clone(cfg.Windows))
+	sh := &shape{cfg: cfg}
+	if cfg.Diagnose != nil {
+		sh.names = appendDiagNames(sh.names)
+	}
+	if len(cfg.Windows) > 0 {
+		sh.names = appendWindowNames(sh.names, cfg.Windows)
+	}
+	if cfg.Live {
+		sh.names = append(sh.names, liveMetricNames[:]...)
+	}
+	if cfg.Proxy {
+		sh.names = append(sh.names, proxyMetricNames[:]...)
+	}
+	return sh
+}
+
 // NewAccumulatorWith returns an empty accumulator with the configured
 // optional families. Dimension counters key on each record's own
 // PoP/org/cache fields, so one accumulator serves one shard or a whole
-// merged campaign alike. The families consume in the order built here,
-// so windows read the label diagnosis has just assigned.
-func NewAccumulatorWith(cfg Config) *Accumulator {
+// merged campaign alike.
+func NewAccumulatorWith(cfg Config) *Accumulator { return newShape(cfg).newAccumulator() }
+
+// newAccumulator returns an empty accumulator of this shape. Each family
+// takes its sketches from the front of what is left of the slab, so
+// they line up with the shape's names. The families consume in the
+// order built here, so windows read the label diagnosis has just
+// assigned.
+func (sh *shape) newAccumulator() *Accumulator {
+	cfg := sh.cfg
 	a := &Accumulator{
-		k:            cfg.SketchK,
 		startupHist:  NewHistogram(0, startupHistMaxMS, startupHistBins),
 		rebufferHist: NewHistogram(0, 1, rebufHistBins),
 		counts:       map[counterKey]uint64{},
+		extra:        make([]QuantileSketch, len(sh.names)),
+		shape:        sh,
 		fams:         make([]family, 0, 4),
 	}
 	for i := range a.core {
 		a.core[i] = *NewSketch(cfg.SketchK)
 	}
+	for i := range a.extra {
+		a.extra[i] = *NewSketch(cfg.SketchK)
+	}
+	rest := a.extra
+	take := func(n int) []QuantileSketch {
+		sk := rest[:n:n]
+		rest = rest[n:]
+		return sk
+	}
 	var diag *diagFamily
 	if cfg.Diagnose != nil {
-		diag = newDiagFamily(a, *cfg.Diagnose)
+		diag = newDiagFamily(a, *cfg.Diagnose, take(len(qoeBases)*len(diagLabels)))
 		a.fams = append(a.fams, diag)
 	}
 	if len(cfg.Windows) > 0 {
-		a.fams = append(a.fams, newWindowFamily(a, cfg.Windows, diag))
+		a.fams = append(a.fams, newWindowFamily(a, cfg.Windows, diag, take(len(qoeBases)*len(cfg.Windows))))
 	}
 	if cfg.Live {
-		a.fams = append(a.fams, newLiveFamily(a))
+		a.fams = append(a.fams, newLiveFamily(a, take(len(liveMetricNames))))
 	}
 	if cfg.Proxy {
-		a.fams = append(a.fams, newProxyFamily(a))
+		a.fams = append(a.fams, newProxyFamily(a, take(len(proxyMetricNames))))
 	}
 	return a
 }
 
-// addSketch creates one optional-family sketch under its canonical name.
-// Call it only from a family constructor.
-func (a *Accumulator) addSketch(name string) *QuantileSketch {
-	sk := NewSketch(a.k)
-	a.extra = append(a.extra, namedSketch{name: name, sk: sk})
-	return sk
-}
-
-// addQoE creates one QoE trio, naming each sketch by key(base).
-func (a *Accumulator) addQoE(key func(base string) string) qoeSketches {
-	return qoeSketches{
-		startup:  a.addSketch(key(MetricStartupMS)),
-		rebuffer: a.addSketch(key(MetricRebufferRate)),
-		bitrate:  a.addSketch(key(MetricAvgBitrateKbps)),
-	}
-}
-
 // nextFamily returns the tag the family being built counts its own
 // dimensioned counters under: famFamily plus its position in fams, as
-// NewAccumulatorWith appends each family right after constructing it.
+// newAccumulator appends each family right after constructing it.
 func (a *Accumulator) nextFamily() counterFamily { return famFamily + counterFamily(len(a.fams)) }
+
+// ReserveRecords implements core.RecordReserver. The sharded runner
+// calls it before a shard's first record with the shard's session count
+// and an upper bound on its chunks, and no sketch is fed more than one
+// sample per session or per chunk, so each sketch's first level-0
+// allocation is sized for max(sessions, chunks) samples, at most k,
+// rather than k. A sketch fed past it grows as append does; no sketch
+// state the snapshot shows depends on the hint.
+func (a *Accumulator) ReserveRecords(sessions, chunks int) {
+	n := max(sessions, chunks)
+	for i := range a.core {
+		a.core[i].reserve(n)
+	}
+	for i := range a.extra {
+		a.extra[i].reserve(n)
+	}
+}
 
 // ConsumeSession implements core.RecordSink: it folds one finished
 // session and its chunks into the aggregates and retains nothing.
@@ -273,8 +333,8 @@ func (a *Accumulator) Merge(o *Accumulator) {
 	for i := range a.core {
 		a.core[i].Merge(&o.core[i])
 	}
-	for i, ns := range a.extra {
-		ns.sk.Merge(o.extra[i].sk)
+	for i := range a.extra {
+		a.extra[i].Merge(&o.extra[i])
 	}
 	a.startupHist.Merge(o.startupHist)
 	a.rebufferHist.Merge(o.rebufferHist)
@@ -290,12 +350,12 @@ func (a *Accumulator) snapshot() *Snapshot {
 	for i, name := range metricNames {
 		sketches[name] = &a.core[i]
 	}
-	for _, ns := range a.extra {
-		sketches[ns.name] = ns.sk
+	for i, name := range a.shape.names {
+		sketches[name] = &a.extra[i]
 	}
 	sn := &Snapshot{
 		Schema:   SnapshotSchema,
-		SketchK:  NewSketch(a.k).K(),
+		SketchK:  NewSketch(a.shape.cfg.SketchK).K(),
 		Sketches: sketches,
 		Histograms: map[string]*Histogram{
 			MetricStartupMS:    a.startupHist,
@@ -340,15 +400,16 @@ func (a *Accumulator) counterName(k counterKey) string {
 // runner's canonical ascending (PoP, server-slot) plan order, which is
 // what keeps streamed output byte-identical at any parallelism.
 type Campaign struct {
-	mu   sync.Mutex
-	cfg  Config
-	accs []*Accumulator
+	mu    sync.Mutex
+	shape *shape
+	accs  []*Accumulator
 }
 
 // NewCampaignWith returns an empty campaign whose per-PoP accumulators
-// run with the configured optional families.
+// run with the configured optional families. The families' sketch names
+// are built here, once for every accumulator the campaign mints.
 func NewCampaignWith(cfg Config) *Campaign {
-	return &Campaign{cfg: cfg}
+	return &Campaign{shape: newShape(cfg)}
 }
 
 // Sink returns a fresh accumulator for one shard. Every call gets its own
@@ -360,7 +421,7 @@ func NewCampaignWith(cfg Config) *Campaign {
 func (c *Campaign) Sink(popID int) core.RecordSink {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	a := NewAccumulatorWith(c.cfg)
+	a := c.shape.newAccumulator()
 	c.accs = append(c.accs, a)
 	return a
 }
@@ -370,7 +431,7 @@ func (c *Campaign) Sink(popID int) core.RecordSink {
 func (c *Campaign) Snapshot() *Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	merged := NewAccumulatorWith(c.cfg)
+	merged := c.shape.newAccumulator()
 	for _, a := range c.accs {
 		merged.Merge(a)
 	}

@@ -44,26 +44,31 @@ type diagFamily struct {
 	cfg    diagnose.Config
 	counts map[counterKey]uint64
 	fam    counterFamily
-	qoe    []qoeSketches // indexed like diagLabels
+	qoe    []QuantileSketch // one trio per label, in diagLabels order
 	// label is the label of the session consumed last, which the windows
 	// family crosses with the session's arrival window.
 	label diagnose.Label
 }
 
-// newDiagFamily creates the per-label sketches of every label, empty or
-// not.
-func newDiagFamily(a *Accumulator, cfg diagnose.Config) *diagFamily {
-	f := &diagFamily{cfg: cfg, counts: a.counts, fam: a.nextFamily(), qoe: make([]qoeSketches, len(diagLabels))}
-	for i, l := range diagLabels {
-		f.qoe[i] = a.addQoE(func(base string) string { return DiagSketchKey(base, l) })
+// appendDiagNames appends the names of the per-label sketches, one QoE
+// trio per label.
+func appendDiagNames(names []string) []string {
+	for _, l := range diagLabels {
+		names = appendQoENames(names, func(base string) string { return DiagSketchKey(base, l) })
 	}
-	return f
+	return names
+}
+
+// newDiagFamily keeps the per-label sketches of every label, empty or
+// not, in qoe (named by appendDiagNames).
+func newDiagFamily(a *Accumulator, cfg diagnose.Config, qoe []QuantileSketch) *diagFamily {
+	return &diagFamily{cfg: cfg, counts: a.counts, fam: a.nextFamily(), qoe: qoe}
 }
 
 func (f *diagFamily) consume(s core.SessionRecord, chunks []core.ChunkRecord) {
 	f.label = diagnose.Classify(s, chunks, f.cfg).Label
 	f.counts[counterKey{fam: f.fam, str: string(f.label)}]++
-	f.qoe[slices.Index(diagLabels, f.label)].add(&s)
+	qoeAt(f.qoe, slices.Index(diagLabels, f.label)).add(&s)
 }
 
 func (f *diagFamily) counterName(k counterKey) string {

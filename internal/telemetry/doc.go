@@ -40,14 +40,15 @@
 // state behind cmd/analyze -diagnose), timeline windows (windows.go,
 // behind cmd/analyze -windows), live (live.go) and proxy (proxy.go). A
 // family is a private type implementing the family interface. Its
-// constructor registers its sketches through addSketch, so its whole
-// shape exists before the first session; consume folds one finished
-// session; at snapshot time it names its own dimensioned counters and
-// adds its own snapshot fields (the window list). NewAccumulatorWith
-// builds the families the Config enables, in the order diagnosis,
-// windows, live, proxy, and wires the one rule that crosses families:
-// the windows family reads the label the diagnosis family has just
-// assigned, for the per-window cause counters. Every family folds only
+// sketches' names are laid out once per Config (a Campaign's shape) and
+// its constructor takes the sketches themselves from the accumulator's
+// one slab, so its whole shape exists before the first session; consume
+// folds one finished session; at snapshot time it names its own
+// dimensioned counters and adds its own snapshot fields (the window
+// list). NewAccumulatorWith builds the families the Config enables, in
+// the order diagnosis, windows, live, proxy, and wires the one rule that
+// crosses families: the windows family reads the label the diagnosis
+// family has just assigned, for the per-window cause counters. Every family folds only
 // values fixed by the session's own records, so the determinism rule
 // holds for its state too.
 package telemetry

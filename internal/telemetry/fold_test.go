@@ -1,10 +1,13 @@
 package telemetry
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"vidperf/internal/core"
 	"vidperf/internal/diagnose"
+	"vidperf/internal/timeline"
 )
 
 // foldSession is one live, proxied session with a mix of hit and miss
@@ -62,5 +65,90 @@ func TestLiveSwitchesPresentAtZero(t *testing.T) {
 	}
 	if _, ok := NewAccumulatorWith(Config{SketchK: 32}).snapshot().Counters[CounterLiveSwitches]; ok {
 		t.Fatalf("non-live accumulator reports %s", CounterLiveSwitches)
+	}
+}
+
+// TestReserveRecordsLeavesSnapshotUnchanged: a campaign whose shard
+// accumulators get ReserveRecords hints snapshots to the same bytes as
+// one whose accumulators get none — with a shard fed exactly its hint,
+// one fed far past it (and past k), and one fed nothing. The hint does
+// size a sketch's first level 0, and an empty sketch still writes no
+// levels and no parity.
+func TestReserveRecordsLeavesSnapshotUnchanged(t *testing.T) {
+	cfg := Config{SketchK: 32, Diagnose: &diagnose.Config{}, Windows: testWindows(), Live: true, Proxy: true}
+	s, chunks := foldSession()
+	feeds := []struct{ sessions, hintSessions, hintChunks int }{
+		{3, 3, 3 * len(chunks)},
+		{60, 1, 1},
+		{0, 5, 40},
+	}
+	snap := func(reserve bool) []byte {
+		c := NewCampaignWith(cfg)
+		for _, f := range feeds {
+			sink := c.Sink(0)
+			if reserve {
+				sink.(core.RecordReserver).ReserveRecords(f.hintSessions, f.hintChunks)
+			}
+			for i := 0; i < f.sessions; i++ {
+				s.SessionID, s.ArrivalMS = uint64(i), float64(i*50%3000)
+				chunks[0].DFBms = float64(i)
+				sink.ConsumeSession(s, chunks)
+			}
+		}
+		return snapshotBytesOf(t, c.Snapshot())
+	}
+	if plain, reserved := snap(false), snap(true); !bytes.Equal(plain, reserved) {
+		t.Fatal("ReserveRecords changed the snapshot bytes")
+	}
+
+	a := NewAccumulatorWith(cfg)
+	a.ReserveRecords(1, len(chunks))
+	a.ConsumeSession(s, chunks)
+	if got := cap(a.core[slotDFB].levels[0]); got != len(chunks) {
+		t.Errorf("reserved dfb sketch level 0 has cap %d, want %d", got, len(chunks))
+	}
+	if got := cap(a.core[slotStartup].levels[0]); got != len(chunks) {
+		t.Errorf("reserved startup sketch level 0 has cap %d, want %d", got, len(chunks))
+	}
+	empty := NewSketch(32)
+	empty.reserve(5)
+	got, err := json.Marshal(empty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(NewSketch(32))
+	if !bytes.Equal(got, want) || bytes.Contains(got, []byte("levels")) || bytes.Contains(got, []byte("parity")) {
+		t.Errorf("reserved empty sketch writes %s, want %s", got, want)
+	}
+}
+
+// TestAccumulatorAllocationsBounded: building an accumulator costs a
+// fixed number of allocations, and a campaign's shard accumulator does
+// not grow with the number of optional sketches — their names are built
+// once per campaign and the sketches come from one slab.
+func TestAccumulatorAllocationsBounded(t *testing.T) {
+	few := Config{SketchK: 32, Diagnose: &diagnose.Config{}, Windows: testWindows(), Live: true, Proxy: true}
+	many := few
+	many.Windows = timeline.Timeline{Phases: []timeline.Phase{
+		{Name: "a", StartMS: 100, EndMS: 200}, {Name: "b", StartMS: 300, EndMS: 400},
+		{Name: "c", StartMS: 500, EndMS: 600}, {Name: "d", StartMS: 700, EndMS: 800},
+	}}.Windows(1000)
+	shard := func(cfg Config) float64 {
+		c := NewCampaignWith(cfg)
+		return testing.AllocsPerRun(50, func() { c.Sink(0) })
+	}
+	fewAllocs, manyAllocs := shard(few), shard(many)
+	standalone := testing.AllocsPerRun(50, func() { NewAccumulatorWith(few) })
+	t.Logf("shard accumulator: %v allocs (%d windows), %v allocs (%d windows); NewAccumulatorWith %v allocs",
+		fewAllocs, len(few.Windows), manyAllocs, len(many.Windows), standalone)
+	if manyAllocs != fewAllocs {
+		t.Errorf("shard accumulator allocations grow with the windows: %v for %d, %v for %d",
+			fewAllocs, len(few.Windows), manyAllocs, len(many.Windows))
+	}
+	if fewAllocs > 14 {
+		t.Errorf("shard accumulator costs %v allocations, want at most 14", fewAllocs)
+	}
+	if standalone > 64 {
+		t.Errorf("NewAccumulatorWith costs %v allocations, want at most 64", standalone)
 	}
 }

@@ -44,13 +44,12 @@ type liveFamily struct {
 	joinTime, edgeLag *QuantileSketch
 }
 
-func newLiveFamily(a *Accumulator) *liveFamily {
-	return &liveFamily{
-		counts:   a.counts,
-		fam:      a.nextFamily(),
-		joinTime: a.addSketch(MetricJoinTimeMS),
-		edgeLag:  a.addSketch(MetricLiveEdgeLagMS),
-	}
+// liveMetricNames lists the live sketches in slab order.
+var liveMetricNames = [...]string{MetricJoinTimeMS, MetricLiveEdgeLagMS}
+
+// newLiveFamily keeps the live sketches in sk, named by liveMetricNames.
+func newLiveFamily(a *Accumulator, sk []QuantileSketch) *liveFamily {
+	return &liveFamily{counts: a.counts, fam: a.nextFamily(), joinTime: &sk[0], edgeLag: &sk[1]}
 }
 
 // consume counts a live session under its channel. The switch counter

@@ -40,8 +40,8 @@ func ProxyEgressSessionsKey(cohort int) string {
 	return IntDimKey(CounterSessions, ProxyEgressDim, cohort)
 }
 
-// proxyMetricNames lists the proxy sketches in canonical order.
-var proxyMetricNames = []string{
+// proxyMetricNames lists the proxy sketches in slab order.
+var proxyMetricNames = [...]string{
 	MetricSRTTCVProxied, MetricSRTTCVClear,
 	MetricStartupProxied, MetricStartupClear,
 }
@@ -55,14 +55,16 @@ type proxyFamily struct {
 	startupProxied, startupClear *QuantileSketch
 }
 
-func newProxyFamily(a *Accumulator) *proxyFamily {
+// newProxyFamily keeps the proxy sketches in sk, named by
+// proxyMetricNames.
+func newProxyFamily(a *Accumulator, sk []QuantileSketch) *proxyFamily {
 	return &proxyFamily{
 		counts:         a.counts,
 		fam:            a.nextFamily(),
-		cvProxied:      a.addSketch(MetricSRTTCVProxied),
-		cvClear:        a.addSketch(MetricSRTTCVClear),
-		startupProxied: a.addSketch(MetricStartupProxied),
-		startupClear:   a.addSketch(MetricStartupClear),
+		cvProxied:      &sk[0],
+		cvClear:        &sk[1],
+		startupProxied: &sk[2],
+		startupClear:   &sk[3],
 	}
 }
 

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -28,7 +29,10 @@ import (
 // Quantile is bounded by ErrorBound (≈ 4/k); with the default k=256 that
 // is under 1.6% of rank. NaN inputs are ignored.
 type QuantileSketch struct {
-	k      int
+	k int
+	// first, when non-zero, is the capacity of level 0's first
+	// allocation instead of k (see reserve).
+	first  int
 	n      uint64
 	min    float64
 	max    float64
@@ -54,6 +58,15 @@ func NewSketch(k int) *QuantileSketch {
 	k = min(max(k, 8), MaxSketchK)
 	k += k & 1
 	return &QuantileSketch{k: k, min: math.Inf(1), max: math.Inf(-1)}
+}
+
+// reserve sizes the sketch's first level-0 allocation for n samples,
+// at most k, when it holds none yet. It changes no state a snapshot
+// shows: more samples grow the level as append does.
+func (s *QuantileSketch) reserve(n int) {
+	if len(s.levels) == 0 && n > 0 {
+		s.first = min(n, s.k)
+	}
 }
 
 // K returns the compaction parameter.
@@ -86,7 +99,7 @@ func (s *QuantileSketch) Add(v float64) {
 	if len(s.levels) == 0 {
 		// Room for the first levels up front (k·2³ samples, about one
 		// shard's chunks), so early compactions do not regrow the slice.
-		s.levels = append(make([][]float64, 0, 4), make([]float64, 0, s.k))
+		s.levels = append(make([][]float64, 0, 4), make([]float64, 0, cmp.Or(s.first, s.k)))
 	}
 	s.n++
 	if v < s.min {

@@ -48,19 +48,24 @@ type windowFamily struct {
 	windows []timeline.Window
 	counts  map[counterKey]uint64
 	fam     counterFamily
-	qoe     []qoeSketches // indexed like windows
-	diag    *diagFamily   // nil unless diagnosis labels the sessions too
+	qoe     []QuantileSketch // one trio per window, in window order
+	diag    *diagFamily      // nil unless diagnosis labels the sessions too
 }
 
-// newWindowFamily creates the per-window sketches of every window,
-// empty or not.
-func newWindowFamily(a *Accumulator, ws []timeline.Window, diag *diagFamily) *windowFamily {
-	f := &windowFamily{windows: append([]timeline.Window(nil), ws...), counts: a.counts, fam: a.nextFamily(), diag: diag}
-	f.qoe = make([]qoeSketches, len(f.windows))
-	for i, w := range f.windows {
-		f.qoe[i] = a.addQoE(func(base string) string { return WindowSketchKey(base, w.Name) })
+// appendWindowNames appends the names of the per-window sketches, one
+// QoE trio per window.
+func appendWindowNames(names []string, ws []timeline.Window) []string {
+	for _, w := range ws {
+		names = appendQoENames(names, func(base string) string { return WindowSketchKey(base, w.Name) })
 	}
-	return f
+	return names
+}
+
+// newWindowFamily keeps the per-window sketches of every window, empty
+// or not, in qoe (named by appendWindowNames). ws is the shape's window
+// list, shared read-only by every accumulator of the shape.
+func newWindowFamily(a *Accumulator, ws []timeline.Window, diag *diagFamily, qoe []QuantileSketch) *windowFamily {
+	return &windowFamily{windows: ws, counts: a.counts, fam: a.nextFamily(), qoe: qoe, diag: diag}
 }
 
 // consume charges one finished session to its arrival window. Its
@@ -75,7 +80,7 @@ func (f *windowFamily) consume(s core.SessionRecord, _ []core.ChunkRecord) {
 		return
 	}
 	f.counts[counterKey{fam: f.fam, num: i}]++
-	f.qoe[i].add(&s)
+	qoeAt(f.qoe, i).add(&s)
 	if f.diag != nil {
 		f.counts[counterKey{fam: f.fam, num: i, str: string(f.diag.label)}]++
 	}
