@@ -288,7 +288,7 @@ func BenchmarkTCPTransfer(b *testing.B) {
 		sizes[i] = catalog.ChunkSizeBytes(kbps, 6)
 	}
 	for _, pr := range profiles {
-		conns := make([]*tcpmodel.Conn, 64)
+		conns := make([]tcpmodel.Conn, 64)
 		for i := range conns {
 			path := pr.profile(r.Uniform(5, 60), r).SessionParams(r)
 			conns[i] = tcpmodel.New(path, r.Split())
@@ -296,7 +296,7 @@ func BenchmarkTCPTransfer(b *testing.B) {
 		b.Run(pr.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				c := conns[i%len(conns)]
+				c := &conns[i%len(conns)]
 				c.AdvanceIdle(2000)
 				c.Transfer(sizes[(i/len(conns)+i)%len(sizes)])
 			}

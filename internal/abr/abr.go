@@ -236,11 +236,11 @@ type Estimator struct {
 
 // NewEstimator returns an estimator with smoothing factor alpha
 // (default 0.3 when alpha <= 0).
-func NewEstimator(alpha float64) *Estimator {
+func NewEstimator(alpha float64) Estimator {
 	if alpha <= 0 {
 		alpha = 0.3
 	}
-	return &Estimator{ewma: stats.EWMA{Alpha: alpha}}
+	return Estimator{ewma: stats.EWMA{Alpha: alpha}}
 }
 
 // Observe folds one chunk's instantaneous throughput sample in.

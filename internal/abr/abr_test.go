@@ -140,8 +140,13 @@ func TestEstimator(t *testing.T) {
 	if e.Kbps() != 1500 {
 		t.Errorf("ewma = %v, want 1500", e.Kbps())
 	}
-	if NewEstimator(0) == nil {
-		t.Error("default alpha constructor failed")
+	def, explicit := NewEstimator(0), NewEstimator(0.3)
+	for _, kbps := range []float64{1000, 2000, 500} {
+		def.Observe(kbps)
+		explicit.Observe(kbps)
+	}
+	if def.Kbps() != explicit.Kbps() {
+		t.Errorf("alpha 0 estimate %v, want the default 0.3's %v", def.Kbps(), explicit.Kbps())
 	}
 }
 

@@ -18,6 +18,30 @@ func TestStrings(t *testing.T) {
 	}
 }
 
+// TestUserAgentTable: the table returns the concatenated label for every
+// (browser, OS) pair, values outside the enums included, and a known
+// pair's label allocates nothing.
+func TestUserAgentTable(t *testing.T) {
+	for b := Browser(-1); b <= OtherBrowser+1; b++ {
+		for o := OS(-1); o <= Linux+1; o++ {
+			if got, want := (Platform{OS: o, Browser: b}).UserAgent(), b.String()+"/"+o.String(); got != want {
+				t.Errorf("UserAgent(%d, %d) = %q, want %q", b, o, got, want)
+			}
+		}
+	}
+	var label string
+	allocs := testing.AllocsPerRun(100, func() {
+		for b := Chrome; b <= OtherBrowser; b++ {
+			for o := Windows; o <= Linux; o++ {
+				label = (Platform{OS: o, Browser: b}).UserAgent()
+			}
+		}
+	})
+	if allocs != 0 || label != "Other/Linux" {
+		t.Errorf("UserAgent over every known pair: %.0f allocations, last label %q; want 0, \"Other/Linux\"", allocs, label)
+	}
+}
+
 func TestPopularBrowsers(t *testing.T) {
 	for _, b := range []Browser{Chrome, Firefox, InternetExplorer, Safari, Edge} {
 		if !b.Popular() {

@@ -102,6 +102,23 @@ type Platform struct {
 }
 
 // UserAgent renders a compact OS/browser label used in session records.
+// The labels of every known (browser, OS) pair are built once, so a
+// session's label costs no allocation.
 func (p Platform) UserAgent() string {
-	return p.Browser.String() + "/" + p.OS.String()
+	if uint(p.Browser) < uint(len(userAgents)) && uint(p.OS) < uint(len(userAgents[0])) {
+		return userAgents[p.Browser][p.OS]
+	}
+	return userAgent(p.Browser, p.OS)
 }
+
+func userAgent(b Browser, o OS) string { return b.String() + "/" + o.String() }
+
+// userAgents is UserAgent's table, indexed by browser, then OS.
+var userAgents = func() (t [OtherBrowser + 1][Linux + 1]string) {
+	for b := range t {
+		for o := range t[b] {
+			t[b][o] = userAgent(Browser(b), OS(o))
+		}
+	}
+	return t
+}()

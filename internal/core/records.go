@@ -44,8 +44,8 @@ type ChunkRecord struct {
 	CacheLevel string // "ram", "disk", "miss"
 	RetryTimer bool   // the ATS open-read retry timer fired
 
-	// CDN, TCP layer (kernel snapshot at chunk completion plus per-chunk
-	// deltas derived from the 500 ms sampling).
+	// CDN, TCP layer (kernel snapshot at chunk completion plus the
+	// chunk's own segment counts).
 	CWND      int
 	SRTTms    float64
 	SRTTVarMS float64
@@ -182,7 +182,7 @@ type SessionRecord struct {
 	AvgBitrateKbps float64
 	PlayedSec      float64
 
-	// TCP summary over the session's 500 ms kernel samples.
+	// TCP summary over the session's per-chunk kernel snapshots.
 	SRTTMinMS  float64
 	SRTTMeanMS float64
 	SRTTStdMS  float64

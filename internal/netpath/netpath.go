@@ -200,7 +200,7 @@ type Congestion struct {
 // is quiet, at 11 am it is saturated — which is what makes ~40% of
 // enterprise sessions cross CV(SRTT) > 1 (Table 4) while others stay
 // clean.
-func (p Profile) NewCongestion(r *stats.Rand) *Congestion {
+func (p Profile) NewCongestion(r *stats.Rand) Congestion {
 	scale := 1.0
 	switch p.Org {
 	case Enterprise:
@@ -216,7 +216,7 @@ func (p Profile) NewCongestion(r *stats.Rand) *Congestion {
 			scale = r.LogNormal(0, 0.7)
 		}
 	}
-	return &Congestion{prof: p, scale: scale}
+	return Congestion{prof: p, scale: scale}
 }
 
 // Step advances the Markov chain one chunk and returns the extra path

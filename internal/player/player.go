@@ -27,11 +27,11 @@ type Player struct {
 
 // New returns a player that starts playback once threshold seconds are
 // buffered (a typical production value is one chunk's worth).
-func New(thresholdSec float64) *Player {
+func New(thresholdSec float64) Player {
 	if thresholdSec <= 0 {
 		thresholdSec = 6
 	}
-	return &Player{StartThresholdSec: thresholdSec}
+	return Player{StartThresholdSec: thresholdSec}
 }
 
 // AdvanceTo moves wall time forward to nowMS, draining the buffer if

@@ -8,12 +8,14 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"os"
+	"strconv"
 
 	"vidperf/internal/atomicfile"
 	"vidperf/internal/telemetry"
@@ -22,7 +24,9 @@ import (
 // CheckpointSchema is the checkpoint wire-format version.
 const CheckpointSchema = 1
 
-// Checkpoint is the serialized engine state.
+// Checkpoint is the serialized engine state. Its wire form is
+// json.Marshal's; the engine writes it with encodeCheckpoint, which
+// spells out every field, so a field added here goes there too.
 type Checkpoint struct {
 	Schema int `json:"schema"`
 	// Config is the effective configuration of the checkpointed run.
@@ -69,7 +73,7 @@ func (e *Engine) checkpointNow() error {
 	}
 	e.mu.RLock()
 	ck := e.checkpointLocked()
-	buf, err := json.Marshal(ck)
+	buf, err := encodeCheckpoint(ck)
 	e.mu.RUnlock()
 	if err != nil {
 		return fmt.Errorf("serve: encode checkpoint: %w", err)
@@ -84,6 +88,77 @@ func (e *Engine) checkpointNow() error {
 		slog.String("path", e.cfg.CheckpointPath),
 		slog.Int("windows_done", ck.WindowsDone),
 		slog.Float64("virtual_ms", ck.VirtualMS))
+	return nil
+}
+
+// encodeCheckpoint returns the bytes json.Marshal(ck) does, in one
+// encoding pass: the envelope is written here and each snapshot through
+// telemetry.WriteSnapshot. json.Marshal would run every sketch's and
+// histogram's MarshalJSON and then scan and compact their bytes again.
+// The field names and omitempty rules are Checkpoint's and WindowResult's
+// JSON tags; TestEncodeCheckpointMatchesMarshal pins the two byte-equal.
+func encodeCheckpoint(ck *Checkpoint) ([]byte, error) {
+	var buf bytes.Buffer
+	buf.WriteString(`{"schema":`)
+	buf.WriteString(strconv.Itoa(ck.Schema))
+	if err := writeJSONField(&buf, `,"config":`, ck.Config); err != nil {
+		return nil, err
+	}
+	buf.WriteString(`,"windows_done":`)
+	buf.WriteString(strconv.Itoa(ck.WindowsDone))
+	if err := writeJSONField(&buf, `,"virtual_ms":`, ck.VirtualMS); err != nil {
+		return nil, err
+	}
+	if ck.Cumulative != nil {
+		buf.WriteString(`,"cumulative":`)
+		if err := writeSnapshotBody(&buf, ck.Cumulative); err != nil {
+			return nil, err
+		}
+	}
+	if len(ck.Ring) > 0 {
+		buf.WriteString(`,"ring":[`)
+		for i := range ck.Ring {
+			w := &ck.Ring[i]
+			if i > 0 {
+				buf.WriteByte(',')
+			}
+			buf.WriteString(`{"index":`)
+			buf.WriteString(strconv.Itoa(w.Index))
+			if err := writeJSONField(&buf, `,"window":`, w.Window); err != nil {
+				return nil, err
+			}
+			buf.WriteString(`,"snapshot":`)
+			if w.Snapshot == nil {
+				buf.WriteString("null")
+			} else if err := writeSnapshotBody(&buf, w.Snapshot); err != nil {
+				return nil, err
+			}
+			buf.WriteByte('}')
+		}
+		buf.WriteByte(']')
+	}
+	buf.WriteByte('}')
+	return buf.Bytes(), nil
+}
+
+// writeJSONField writes key and then v as json.Marshal encodes it.
+func writeJSONField(buf *bytes.Buffer, key string, v any) error {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	buf.WriteString(key)
+	buf.Write(b)
+	return nil
+}
+
+// writeSnapshotBody writes s as WriteSnapshot does, without the newline
+// that ends WriteSnapshot's output.
+func writeSnapshotBody(buf *bytes.Buffer, s *telemetry.Snapshot) error {
+	if err := telemetry.WriteSnapshot(buf, s); err != nil {
+		return err
+	}
+	buf.Truncate(buf.Len() - 1)
 	return nil
 }
 

@@ -23,6 +23,7 @@ package session
 
 import (
 	"fmt"
+	"slices"
 
 	"vidperf/internal/abr"
 	"vidperf/internal/cache"
@@ -109,13 +110,14 @@ type slotShard struct {
 	srtt    []float64
 }
 
-// getRecords hands out a recycled chunk-record buffer, or a fresh one
-// sized for the session's planned watch length.
+// getRecords hands out a recycled chunk-record buffer, or a fresh one,
+// with room for the session's planned watch length, so the session's
+// appends never regrow it (abandonment only shortens a session).
 func (sh *slotShard) getRecords(capHint int) []core.ChunkRecord {
 	if n := len(sh.recPool); n > 0 {
 		b := sh.recPool[n-1]
 		sh.recPool = sh.recPool[:n-1]
-		return b
+		return slices.Grow(b, capHint)
 	}
 	return make([]core.ChunkRecord, 0, capHint)
 }

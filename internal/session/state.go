@@ -24,6 +24,10 @@ import (
 // The session is its own event handler and CDN client: Fire issues the
 // next chunk request and Served takes the server's answer. A session has
 // at most one request in flight, whose context it keeps in req.
+//
+// Its generators, connection, congestion process, player and estimator
+// are values inside it, so setting up a session is one allocation; conn
+// draws from connR, the stream split off r.
 type sessionState struct {
 	shard *slotShard
 	pop   *workload.Population
@@ -32,11 +36,12 @@ type sessionState struct {
 	eng   *sim.Engine
 	sink  core.RecordSink
 
-	r      *stats.Rand
-	conn   *tcpmodel.Conn
-	cong   *netpath.Congestion
-	play   *player.Player
-	est    *abr.Estimator
+	r      stats.Rand
+	connR  stats.Rand
+	conn   tcpmodel.Conn
+	cong   netpath.Congestion
+	play   player.Player
+	est    abr.Estimator
 	server *cdn.Server
 
 	req         chunkRequest
@@ -85,7 +90,6 @@ var liveProbe func(sessionID uint64, absChunk int, issueMS, publishMS float64)
 
 func newSessionState(sh *slotShard, plan workload.SessionPlan, eng *sim.Engine) *sessionState {
 	pop := sh.pop
-	r := stats.NewRand(pop.Scenario.Seed ^ (plan.ID * 0xdeadbeefcafef00d))
 	prof := plan.Prefix.Profile
 	if plan.Proxied {
 		// Tromboned sessions overlay the shared-egress queueing process
@@ -102,13 +106,15 @@ func newSessionState(sh *slotShard, plan workload.SessionPlan, eng *sim.Engine) 
 		server:  sh.server,
 		eng:     eng,
 		sink:    sh.sink,
-		r:       r,
-		conn:    tcpmodel.New(plan.PathParams, r.Split()),
-		cong:    prof.NewCongestion(r),
+		r:       *stats.NewRand(pop.Scenario.Seed ^ (plan.ID * 0xdeadbeefcafef00d)),
 		play:    player.New(pop.Scenario.StartThresholdSec),
 		est:     abr.NewEstimator(0.3),
 		records: sh.getRecords(plan.WatchChunks),
 	}
+	// The connection's stream is split off before the congestion draws.
+	st.connR = *st.r.Split()
+	st.conn = tcpmodel.New(plan.PathParams, &st.connR)
+	st.cong = prof.NewCongestion(&st.r)
 	if plan.Live {
 		st.liveVideo = pop.LiveVideo(plan.LiveChannel)
 		st.liveChannel = plan.LiveChannel
@@ -177,7 +183,7 @@ func (s *sessionState) requestNextChunk() {
 
 	// Path state for this chunk: cross-traffic episode level. A congested
 	// uplink both delays and drops, so the episode raises the loss rate.
-	extra := s.cong.Step(s.r)
+	extra := s.cong.Step(&s.r)
 	s.conn.SetExtraDelayMS(extra)
 	s.conn.SetRandomLossProb(s.plan.PathParams.RandomLossProb + netpath.LossBoost(extra))
 
@@ -218,7 +224,7 @@ func (s *sessionState) prefetchList(idx, bitrate int) []cdn.NextChunk {
 func (s *sessionState) onServed(res cdn.ServeResult) {
 	t0, idx, bitrate, dur, size := s.req.t0, s.req.idx, s.req.bitrate, s.req.dur, s.req.size
 	tr := s.conn.Transfer(size)
-	dds := s.plan.Stack.Sample(idx, s.r)
+	dds := s.plan.Stack.Sample(idx, &s.r)
 
 	// Eq. 1 composition: D_FB = rtt0 + D_CDN + D_BE + D_DS.
 	dfb := tr.RTT0ms + res.ServerLatencyMS() + dds.DDSms
@@ -242,7 +248,7 @@ func (s *sessionState) onServed(res cdn.ServeResult) {
 		rate = dur / ((dfb + dlb) / 1000)
 	}
 	render := clientstack.RenderChunk(s.plan.Platform, visible, rate, bitrate,
-		s.pop.Scenario.FPS, dur, bufferedBefore, s.r)
+		s.pop.Scenario.FPS, dur, bufferedBefore, &s.r)
 
 	info := s.conn.Info()
 	rec := core.ChunkRecord{

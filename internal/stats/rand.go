@@ -22,7 +22,9 @@ type Rand struct {
 }
 
 // NewRand returns a generator seeded with seed. Two generators with the
-// same seed produce identical streams.
+// same seed produce identical streams. NewRand and Split inline, so
+// *NewRand(seed) or *r.Split() fills a Rand value held inside another
+// struct or on the stack without a heap allocation.
 func NewRand(seed uint64) *Rand {
 	return &Rand{state: seed}
 }

@@ -2,9 +2,10 @@
 // session: IW10 slow start, AIMD congestion avoidance, fast retransmit,
 // RFC 6298 SRTT/RTTVAR/RTO estimation, a droptail bottleneck queue whose
 // overflow produces the bursty end-of-slow-start losses the paper observes
-// on a session's first chunk (Fig. 15), and periodic tcp_info snapshots
-// (CWND, SRTT, SRTTVAR, retx, MSS) exactly like the 500 ms kernel sampling
-// the paper's CDN hosts perform.
+// on a session's first chunk (Fig. 15). Conn.Info is the kernel's tcp_info
+// view (CWND, SRTT, SRTTVAR, retx, MSS): sessions read it once per chunk,
+// at chunk end, which is the sample the paper joins to each chunk from its
+// CDN hosts' 500 ms series (Table 2).
 //
 // The model is a per-round fluid approximation: each round trip the sender
 // transmits a window, the droptail queue at the bottleneck absorbs up to
@@ -99,9 +100,6 @@ type TransferResult struct {
 	Timeouts     int
 	CwndEnd      int
 	SRTTEnd      float64
-	// Snapshots are the tcp_info samples taken during this transfer
-	// (every 500 ms of connection time, plus one at transfer end).
-	Snapshots []TCPInfo
 }
 
 // LossRate returns SegmentsLost/SegmentsSent for the chunk.
@@ -113,7 +111,9 @@ func (t TransferResult) LossRate() float64 {
 }
 
 // Conn is one long-lived sender. A video session uses a single Conn for
-// all its chunks (the paper's sessions are one TCP connection).
+// all its chunks (the paper's sessions are one TCP connection). New returns
+// it by value, so a session embeds its connection; a copy shares the
+// generator.
 type Conn struct {
 	p Params
 	r *stats.Rand
@@ -125,34 +125,21 @@ type Conn struct {
 	srttInit bool
 
 	clockMS      float64
-	lastSampleMS float64
 	retransTotal int
 	queuedBytes  float64 // standing queue at the bottleneck
 	extraDelayMS float64 // time-varying path delay (cross-traffic congestion)
-
-	// snaps is the reused backing array for TransferResult.Snapshots, so
-	// steady-state chunk transfers allocate nothing for sampling. It starts
-	// on snapBuf, which holds a chunk's usual few samples without a
-	// separate allocation.
-	snaps   []TCPInfo
-	snapBuf [8]TCPInfo
 }
-
-// SampleIntervalMS is the tcp_info sampling period (paper: 500 ms).
-const SampleIntervalMS = 500.0
 
 // New creates a connection over the given path. r must not be shared with
 // other concurrent components.
-func New(p Params, r *stats.Rand) *Conn {
+func New(p Params, r *stats.Rand) Conn {
 	p = p.withDefaults()
-	c := &Conn{
+	return Conn{
 		p:        p,
 		r:        r,
 		cwnd:     p.InitCwnd,
 		ssthresh: 1 << 30, // effectively unbounded until first loss
 	}
-	c.snaps = c.snapBuf[:0]
-	return c
 }
 
 // Params returns the path parameters the connection was built with.
@@ -284,15 +271,6 @@ func (c *Conn) SSAfterIdleWouldTrigger(ms float64) bool {
 	return c.p.SlowStartAfterIdle && ms > c.RTOms()
 }
 
-// maybeSample appends a snapshot if at least SampleIntervalMS of
-// connection time has passed since the last one.
-func (c *Conn) maybeSample() {
-	if c.clockMS-c.lastSampleMS >= SampleIntervalMS {
-		c.lastSampleMS = c.clockMS
-		c.snaps = append(c.snaps, c.Info())
-	}
-}
-
 // lossesInWindow counts lost segments for a window of n segments given the
 // droptail overflow (burst beyond buffer capacity) plus random loss.
 // headroom is the data the path absorbs without overflow.
@@ -312,15 +290,12 @@ func (c *Conn) lossesInWindow(n int, windowBytes, headroom, mss float64) int {
 
 // Transfer delivers size bytes to the client and returns the chunk's
 // delivery metrics. The connection's congestion state persists across
-// calls, so a session's later chunks start with the grown window. The
-// result's Snapshots slice is backed by a per-connection scratch buffer
-// and is valid only until the next Transfer on this connection; callers
-// that keep it longer must copy it.
+// calls, so a session's later chunks start with the grown window. Info
+// after the call is the chunk-end tcp_info sample.
 func (c *Conn) Transfer(size int64) TransferResult {
 	if size <= 0 {
 		return TransferResult{CwndEnd: c.cwnd, SRTTEnd: c.srtt}
 	}
-	c.snaps = c.snaps[:0]
 	res := TransferResult{}
 	bytesLeft := float64(size)
 	rate := c.rateBytesPerMS()
@@ -392,7 +367,6 @@ func (c *Conn) Transfer(size int64) TransferResult {
 			res.FirstRoundMS = roundTime
 		}
 		res.TotalMS += roundTime
-		c.maybeSample()
 
 		bytesLeft -= delivered
 
@@ -406,7 +380,6 @@ func (c *Conn) Transfer(size int64) TransferResult {
 			res.TotalMS += timeout
 			c.ssthresh = maxInt(c.cwnd/2, 2)
 			c.cwnd = c.p.InitCwnd
-			c.maybeSample()
 		case lost > 0:
 			// Fast retransmit / fast recovery: multiplicative decrease,
 			// one extra round to retransmit.
@@ -417,7 +390,6 @@ func (c *Conn) Transfer(size int64) TransferResult {
 			c.clockMS += recovery
 			res.TotalMS += recovery
 			res.Rounds++
-			c.maybeSample()
 		default:
 			// Congestion-window validation (RFC 2861): an application-
 			// limited round (partial window) must not grow the window —
@@ -442,9 +414,6 @@ func (c *Conn) Transfer(size int64) TransferResult {
 		}
 	}
 
-	// Final mandatory per-chunk snapshot.
-	c.snaps = append(c.snaps, c.Info())
-	res.Snapshots = c.snaps
 	res.CwndEnd = c.cwnd
 	res.SRTTEnd = c.srtt
 	if res.TotalMS > res.FirstRoundMS {

@@ -25,12 +25,9 @@ type refConn struct {
 	srttInit bool
 
 	clockMS      float64
-	lastSampleMS float64
 	retransTotal int
 	queuedBytes  float64
 	extraDelayMS float64
-
-	snaps []TCPInfo
 }
 
 func newRefConn(p Params, r *stats.Rand) *refConn {
@@ -128,13 +125,6 @@ func (c *refConn) AdvanceIdle(ms float64) {
 	}
 }
 
-func (c *refConn) maybeSample() {
-	if c.clockMS-c.lastSampleMS >= SampleIntervalMS {
-		c.lastSampleMS = c.clockMS
-		c.snaps = append(c.snaps, c.Info())
-	}
-}
-
 func (c *refConn) lossesInWindow(n int, windowBytes float64) int {
 	lost := 0
 	headroom := c.bdpBytes() + float64(c.p.BufferBytes)
@@ -161,7 +151,6 @@ func (c *refConn) Transfer(size int64) TransferResult {
 	if size <= 0 {
 		return TransferResult{CwndEnd: c.cwnd, SRTTEnd: c.srtt}
 	}
-	c.snaps = c.snaps[:0]
 	res := TransferResult{}
 	bytesLeft := float64(size)
 	rate := c.rateBytesPerMS()
@@ -200,7 +189,6 @@ func (c *refConn) Transfer(size int64) TransferResult {
 			res.FirstRoundMS = roundTime
 		}
 		res.TotalMS += roundTime
-		c.maybeSample()
 
 		bytesLeft -= delivered
 
@@ -212,7 +200,6 @@ func (c *refConn) Transfer(size int64) TransferResult {
 			res.TotalMS += timeout
 			c.ssthresh = maxInt(c.cwnd/2, 2)
 			c.cwnd = c.p.InitCwnd
-			c.maybeSample()
 		case lost > 0:
 			c.ssthresh = maxInt(c.cwnd/2, 2)
 			c.cwnd = c.ssthresh
@@ -221,7 +208,6 @@ func (c *refConn) Transfer(size int64) TransferResult {
 			c.clockMS += recovery
 			res.TotalMS += recovery
 			res.Rounds++
-			c.maybeSample()
 		default:
 			if sendBytes >= windowBytes {
 				if c.cwnd < c.ssthresh {
@@ -248,8 +234,6 @@ func (c *refConn) Transfer(size int64) TransferResult {
 		}
 	}
 
-	c.snaps = append(c.snaps, c.Info())
-	res.Snapshots = c.snaps
 	res.CwndEnd = c.cwnd
 	res.SRTTEnd = c.srtt
 	if res.TotalMS > res.FirstRoundMS {

@@ -136,39 +136,60 @@ func TestRTOBounds(t *testing.T) {
 	}
 }
 
-func TestSnapshotsEvery500ms(t *testing.T) {
-	// A long transfer on a slow path takes many seconds: expect roughly
-	// duration/500ms samples (plus the final per-chunk one).
-	p := Params{BaseRTTms: 80, BottleneckKbps: 2000}
+// checkChunkEndInfo transfers size bytes five times on one connection and
+// checks that Info after each transfer is the chunk-end tcp_info sample the
+// session joins to its chunk record: it carries the MSS and the window and
+// SRTT the transfer ended with, its retransmission count moved by the
+// transfer's losses, and its clock moved forward by the transfer's wire
+// time (less any serialization-floor padding, which stretches TotalMS but
+// not the connection clock), so successive samples are time-ordered.
+func checkChunkEndInfo(t *testing.T, name string, p Params, size int64) {
+	t.Helper()
 	c := New(p, stats.NewRand(8))
-	res := c.Transfer(3000000) // 12 s at 2 Mbps
-	if res.TotalMS < 5000 {
-		t.Fatalf("transfer unexpectedly fast: %v ms", res.TotalMS)
-	}
-	wantMin := int(res.TotalMS/SampleIntervalMS) / 2
-	if len(res.Snapshots) < wantMin {
-		t.Errorf("got %d snapshots over %.0f ms, want >= %d",
-			len(res.Snapshots), res.TotalMS, wantMin)
-	}
-	// Snapshots must be time-ordered and carry MSS.
-	for i, s := range res.Snapshots {
-		if s.MSS != 1460 {
-			t.Fatalf("snapshot %d MSS = %d", i, s.MSS)
+	for i := 0; i < 5; i++ {
+		before := c.Info()
+		res := c.Transfer(size)
+		info := c.Info()
+		if info.MSS != 1460 {
+			t.Fatalf("%s chunk %d: MSS = %d", name, i, info.MSS)
 		}
-		if i > 0 && s.AtMS < res.Snapshots[i-1].AtMS {
-			t.Fatal("snapshots out of order")
+		if info.CWNDSegments != res.CwndEnd || !sameBits(info.SRTTms, res.SRTTEnd) {
+			t.Fatalf("%s chunk %d: Info cwnd %d srtt %v, transfer ended at %d, %v",
+				name, i, info.CWNDSegments, info.SRTTms, res.CwndEnd, res.SRTTEnd)
+		}
+		if d := info.AtMS - before.AtMS; !(d > 0) || d > res.TotalMS+1e-6 {
+			t.Fatalf("%s chunk %d: clock moved %v ms over a %v ms transfer", name, i, d, res.TotalMS)
+		}
+		if info.RetransTotal-before.RetransTotal != res.SegmentsLost {
+			t.Fatalf("%s chunk %d: retx moved %d, transfer lost %d",
+				name, i, info.RetransTotal-before.RetransTotal, res.SegmentsLost)
 		}
 	}
 }
 
-func TestAtLeastOneSnapshotPerChunk(t *testing.T) {
-	c := New(cleanPath(), stats.NewRand(9))
-	for i := 0; i < 5; i++ {
-		res := c.Transfer(50000) // small, fast chunks
-		if len(res.Snapshots) < 1 {
-			t.Fatalf("chunk %d had no snapshot", i)
-		}
+// TestSnapshotsEvery500ms: the paper's CDN hosts sample tcp_info every
+// 500 ms and join each chunk to its last sample; the model takes only that
+// last one. On a slow path each chunk spans many 500 ms intervals, and the
+// chunk-end samples still carry MSS and come in time order.
+func TestSnapshotsEvery500ms(t *testing.T) {
+	p := Params{BaseRTTms: 80, BottleneckKbps: 2000}
+	c := New(p, stats.NewRand(8))
+	if res := c.Transfer(3000000); res.TotalMS < 5000 {
+		t.Fatalf("transfer unexpectedly fast: %v ms", res.TotalMS)
 	}
+	checkChunkEndInfo(t, "12 s at 2 Mbps", p, 3000000)
+}
+
+// TestAtLeastOneSnapshotPerChunk: even a chunk far shorter than 500 ms gets
+// its own chunk-end sample.
+func TestAtLeastOneSnapshotPerChunk(t *testing.T) {
+	checkChunkEndInfo(t, "small fast chunks", cleanPath(), 50000)
+}
+
+// TestInfoIsChunkEndSnapshot: the chunk-end sample matches the transfer's
+// end state on a lossy path too.
+func TestInfoIsChunkEndSnapshot(t *testing.T) {
+	checkChunkEndInfo(t, "lossy", Params{BaseRTTms: 60, JitterMS: 5, BottleneckKbps: 4000, RandomLossProb: 0.02}, 750000)
 }
 
 func TestEq3Throughput(t *testing.T) {
@@ -345,27 +366,21 @@ func sameInfo(a, b TCPInfo) bool {
 		a.RetransTotal == b.RetransTotal && a.MSS == b.MSS
 }
 
+// sameResult compares every TransferResult field bit for bit. The
+// chunk-end tcp_info sample is Info, which sameState compares.
 func sameResult(a, b TransferResult) bool {
-	if !(sameBits(a.RTT0ms, b.RTT0ms) && sameBits(a.FirstRoundMS, b.FirstRoundMS) &&
+	return sameBits(a.RTT0ms, b.RTT0ms) && sameBits(a.FirstRoundMS, b.FirstRoundMS) &&
 		sameBits(a.TotalMS, b.TotalMS) && sameBits(a.LastByteMS, b.LastByteMS) &&
 		a.SegmentsSent == b.SegmentsSent && a.SegmentsLost == b.SegmentsLost &&
 		a.Rounds == b.Rounds && a.Timeouts == b.Timeouts && a.CwndEnd == b.CwndEnd &&
-		sameBits(a.SRTTEnd, b.SRTTEnd) && len(a.Snapshots) == len(b.Snapshots)) {
-		return false
-	}
-	for i := range a.Snapshots {
-		if !sameInfo(a.Snapshots[i], b.Snapshots[i]) {
-			return false
-		}
-	}
-	return true
+		sameBits(a.SRTTEnd, b.SRTTEnd)
 }
 
 // sameState compares every field the two kernels share, bit for bit.
 func sameState(c *Conn, ref *refConn) bool {
 	return sameParams(c.p, ref.p) && c.cwnd == ref.cwnd && c.ssthresh == ref.ssthresh &&
 		sameBits(c.srtt, ref.srtt) && sameBits(c.rttvar, ref.rttvar) && c.srttInit == ref.srttInit &&
-		sameBits(c.clockMS, ref.clockMS) && sameBits(c.lastSampleMS, ref.lastSampleMS) &&
+		sameBits(c.clockMS, ref.clockMS) &&
 		c.retransTotal == ref.retransTotal && sameBits(c.queuedBytes, ref.queuedBytes) &&
 		sameBits(c.extraDelayMS, ref.extraDelayMS) && sameBits(c.RTOms(), ref.RTOms()) &&
 		sameInfo(c.Info(), ref.Info())
@@ -383,7 +398,7 @@ func runKernelScript(t testing.TB, p Params, seed uint64, ops []kernelOp) {
 		switch op.kind {
 		case opTransfer:
 			if c.p.RandomLossProb > deadLossProb {
-				checkLossKernel(t, c, ref, op.size)
+				checkLossKernel(t, &c, ref, op.size)
 				break
 			}
 			got, want := c.Transfer(op.size), ref.Transfer(op.size)
@@ -400,8 +415,8 @@ func runKernelScript(t testing.TB, p Params, seed uint64, ops []kernelOp) {
 			c.SetRandomLossProb(op.x)
 			ref.SetRandomLossProb(op.x)
 		}
-		if !sameState(c, ref) {
-			t.Fatalf("params %+v seed %d op %d %+v: state diverged:\n got %+v\nwant %+v", p, seed, i, op, *c, *ref)
+		if !sameState(&c, ref) {
+			t.Fatalf("params %+v seed %d op %d %+v: state diverged:\n got %+v\nwant %+v", p, seed, i, op, c, *ref)
 		}
 		if c.r.Uint64() != ref.r.Uint64() {
 			t.Fatalf("params %+v seed %d op %d %+v: generators diverged", p, seed, i, op)
@@ -498,8 +513,8 @@ func randomKernelCase(r *stats.Rand) (Params, []kernelOp) {
 
 // TestTransferMatchesReference drives the kernel and the reference kernel
 // through random paths and call scripts and requires bit-identical
-// results, snapshots, connection state and generator state after every
-// call.
+// results, chunk-end tcp_info, connection state and generator state after
+// every call.
 func TestTransferMatchesReference(t *testing.T) {
 	r := stats.NewRand(2016)
 	for i := 0; i < 400; i++ {
@@ -601,8 +616,8 @@ func TestSettersTreatNaNAsZero(t *testing.T) {
 		{"SetRandomLossProb", (*Conn).SetRandomLossProb},
 	} {
 		nan, zero := New(p, stats.NewRand(13)), New(p, stats.NewRand(13))
-		tc.set(nan, math.NaN())
-		tc.set(zero, 0)
+		tc.set(&nan, math.NaN())
+		tc.set(&zero, 0)
 		for i := 0; i < 3; i++ {
 			got, want := nan.Transfer(2000000), zero.Transfer(2000000)
 			if !sameResult(got, want) {
@@ -615,24 +630,22 @@ func TestSettersTreatNaNAsZero(t *testing.T) {
 	}
 }
 
-// TestTransferSnapshotsAllocationFree: a connection's first transfers
-// sample into the array inside Conn, so a new connection costs one
-// allocation however many chunks it carries, as long as no chunk takes
-// more than eight samples.
-func TestTransferSnapshotsAllocationFree(t *testing.T) {
+// TestTransferAllocationFree: a connection is a value, so building one
+// and running four transfers over it allocates nothing; a session embeds
+// its connection and pays no allocation for it.
+func TestTransferAllocationFree(t *testing.T) {
 	r := stats.NewRand(14)
+	var res TransferResult
 	allocs := testing.AllocsPerRun(50, func() {
 		c := New(cleanPath(), r)
 		for i := 0; i < 4; i++ {
-			if res := c.Transfer(750000); len(res.Snapshots) > len(c.snapBuf) {
-				t.Fatalf("chunk %d took %d samples", i, len(res.Snapshots))
-			}
+			res = c.Transfer(750000)
 		}
-		connSink = c // keeps the connection on the heap, as a session's is
 	})
-	if allocs > 1 {
-		t.Errorf("a connection and four transfers allocate %.0f objects, want 1", allocs)
+	if allocs != 0 {
+		t.Errorf("a connection and four transfers allocate %.0f objects, want 0", allocs)
+	}
+	if res.SegmentsSent == 0 {
+		t.Fatal("transfers sent nothing")
 	}
 }
-
-var connSink *Conn

@@ -9,6 +9,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"vidperf/internal/cache"
 	"vidperf/internal/catalog"
@@ -529,13 +530,13 @@ func (p *Population) PlanSession(id uint64) SessionPlan {
 		Live:          p.Scenario.Live.Enabled(),
 		LiveChannel:   lv.Channel,
 		LiveJoinChunk: lv.Join,
-		Platform:      samplePlatform(r, p.Scenario.GPUFrac),
-		PathParams:    pre.Profile.SessionParams(r),
-		ClientIP:      fmt.Sprintf("10.%d.%d.%d", pre.ID/250, pre.ID%250, 1+r.Intn(250)),
+		Platform:      samplePlatform(&r, p.Scenario.GPUFrac),
+		PathParams:    pre.Profile.SessionParams(&r),
+		ClientIP:      beaconIP(pre.ID, 1+r.Intn(250)),
 		ServingPoP:    pre.PoP,
 		BackendFactor: 1,
 	}
-	plan.Stack = clientstack.NewStackProfile(plan.Platform, r)
+	plan.Stack = clientstack.NewStackProfile(plan.Platform, &r)
 	if r.Bool(0.15) {
 		plan.HiddenProb = 0.5
 	}
@@ -575,6 +576,20 @@ func (p *Population) PlanSession(id uint64) SessionPlan {
 	return plan
 }
 
+// beaconIP renders the player beacon's address 10.(prefix/250).(prefix%250).host
+// with strconv appends into a stack buffer, so the string is the one
+// allocation.
+func beaconIP(prefix, host int) string {
+	var b [24]byte
+	buf := append(b[:0], "10."...)
+	buf = strconv.AppendInt(buf, int64(prefix/250), 10)
+	buf = append(buf, '.')
+	buf = strconv.AppendInt(buf, int64(prefix%250), 10)
+	buf = append(buf, '.')
+	buf = strconv.AppendInt(buf, int64(host), 10)
+	return string(buf)
+}
+
 // warpArrival maps a nominal uniform arrival draw through the timeline's
 // precomputed arrival-rate transform (identity without a timeline).
 func (p *Population) warpArrival(u float64) float64 {
@@ -592,7 +607,8 @@ type liveHead struct {
 // video, watch-length, and (warped) arrival draws, in exactly the order
 // PlanSession consumes them — and returns the RNG positioned for the
 // remaining draws. It is the single place that draw order lives, so the
-// partitioner and the full planner can never disagree. The returned
+// partitioner and the full planner can never disagree. The generator is
+// returned by value and stays on the caller's stack. The returned
 // arrival is window-relative: timeline phase lookups key on it, and
 // callers that need the virtual-clock arrival add Scenario.ArrivalOffsetMS
 // themselves.
@@ -601,10 +617,10 @@ type liveHead struct {
 // the channel's asset replaces the sampled title, and the join chunk
 // derives from the arrival with no further randomness — so a disabled
 // live block leaves the draw stream untouched.
-func (p *Population) planHead(id uint64) (r *stats.Rand, pre *Prefix, video *catalog.Video, watch int, arrival float64, lv liveHead) {
-	r = stats.NewRand(p.Scenario.Seed ^ (id * 0x9e3779b97f4a7c15))
-	pre = p.SamplePrefix(r)
-	video = p.Catalog.Sample(r)
+func (p *Population) planHead(id uint64) (r stats.Rand, pre *Prefix, video *catalog.Video, watch int, arrival float64, lv liveHead) {
+	r = *stats.NewRand(p.Scenario.Seed ^ (id * 0x9e3779b97f4a7c15))
+	pre = p.SamplePrefix(&r)
+	video = p.Catalog.Sample(&r)
 	rawWatch := 1 + int(r.Exp(p.Scenario.MeanWatchedChunks-1))
 	watch = rawWatch
 	if watch > video.NumChunks {

@@ -54,3 +54,41 @@ func TestProxyDisabledPathAddsNoAllocations(t *testing.T) {
 			enabledAllocs, plainAllocs)
 	}
 }
+
+// TestPlanSessionAllocatesOnlyTheIP: a plan's one heap object is its
+// beacon IP string. The plan head's generator stays on the stack, and a
+// proxied plan's addresses are its cohort's shared strings.
+func TestPlanSessionAllocatesOnlyTheIP(t *testing.T) {
+	base := Scenario{Seed: 7, NumSessions: 512, NumPrefixes: 64}
+	proxied := base
+	proxied.Proxy = proxypop.Config{Share: 0.23, Cohorts: 3, EgressKbps: 25000}
+	for name, sc := range map[string]Scenario{"plain": base, "proxied": proxied} {
+		p := Build(sc)
+		id := uint64(0)
+		allocs := testing.AllocsPerRun(2000, func() {
+			p.PlanSession(id%uint64(sc.NumSessions) + 1)
+			id++
+		})
+		if allocs > 1 {
+			t.Errorf("%s: PlanSession allocates %.2f objects per plan, want at most 1", name, allocs)
+		}
+	}
+}
+
+// TestBeaconIP pins the beacon address format PlanSession used to build
+// with fmt.Sprintf("10.%d.%d.%d", prefix/250, prefix%250, host).
+func TestBeaconIP(t *testing.T) {
+	for _, tc := range []struct {
+		prefix, host int
+		want         string
+	}{
+		{0, 1, "10.0.0.1"},
+		{249, 250, "10.0.249.250"},
+		{250, 17, "10.1.0.17"},
+		{123456, 99, "10.493.206.99"},
+	} {
+		if got := beaconIP(tc.prefix, tc.host); got != tc.want {
+			t.Errorf("beaconIP(%d, %d) = %q, want %q", tc.prefix, tc.host, got, tc.want)
+		}
+	}
+}
