@@ -13,8 +13,8 @@ import (
 
 // captureStdout runs fn with os.Stdout redirected and returns what it
 // printed, so the subcommand entry points can be exercised end to end
-// (their error paths log.Fatal and are covered by the CI smoke jobs
-// instead).
+// (their error paths exit through logging.Fatal and are covered by the
+// CI smoke jobs instead).
 func captureStdout(t *testing.T, fn func()) string {
 	t.Helper()
 	old := os.Stdout

@@ -65,7 +65,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log"
+	"log/slog"
 	"os"
 	"sort"
 	"strings"
@@ -73,6 +73,7 @@ import (
 	"vidperf/internal/core"
 	"vidperf/internal/experiment"
 	"vidperf/internal/figures"
+	"vidperf/internal/logging"
 	"vidperf/internal/proxydetect"
 	"vidperf/internal/store"
 	"vidperf/internal/telemetry"
@@ -96,9 +97,21 @@ run 'analyze <subcommand> -h' for that subcommand's flags.
 `)
 }
 
+// log is the command's structured logger on stderr (internal/logging):
+// progress at Info, and a failure at Error before exit status 1.
+var log, _ = logging.New("") // the text handler; "" is always accepted
+
+// fatal logs a failed step with its error and exits 1.
+func fatal(msg string, err error) {
+	logging.Fatal(log, msg, slog.Any("err", err))
+}
+
+// badArgs reports a subcommand given the wrong arguments and exits 1.
+func badArgs(usage string, args int) {
+	logging.Fatal(log, "invalid arguments", slog.String("usage", usage), slog.Int("args", args))
+}
+
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("analyze: ")
 	if len(os.Args) < 2 {
 		usage()
 		os.Exit(2)
@@ -127,9 +140,9 @@ func main() {
 		usage()
 	default:
 		if strings.HasPrefix(cmd, "-") {
-			log.Fatalf("flag-style invocation was replaced by subcommands (e.g. 'analyze snapshot %s'); run 'analyze help'", strings.TrimLeft(cmd, "-"))
+			fatal("invalid invocation", fmt.Errorf("flag-style invocation was replaced by subcommands (e.g. 'analyze snapshot %s'); run 'analyze help'", strings.TrimLeft(cmd, "-")))
 		}
-		log.Fatalf("unknown subcommand %q; run 'analyze help'", cmd)
+		fatal("invalid invocation", fmt.Errorf("unknown subcommand %q; run 'analyze help'", cmd))
 	}
 }
 
@@ -147,23 +160,13 @@ func cmdTrace(args []string) {
 	case 1:
 		path = fs.Arg(0)
 	default:
-		log.Fatalf("usage: analyze trace [flags] [trace.jsonl] (got %d args)", fs.NArg())
+		badArgs("analyze trace [flags] [trace.jsonl]", fs.NArg())
 	}
-
-	f, err := os.Open(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ds, err := core.ReadJSONL(f)
-	f.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("loaded %s", ds)
+	ds := loadTrace(path)
 	if *filter {
 		kept := proxydetect.Keep(ds, proxydetect.Detect(ds.Sessions, proxydetect.Config{}))
-		log.Printf("proxy filtering kept %d/%d sessions (%.1f%%)", len(kept.Sessions), len(ds.Sessions),
-			100*float64(len(kept.Sessions))/float64(max(len(ds.Sessions), 1)))
+		log.Info("proxy filtering", slog.Int("kept", len(kept.Sessions)), slog.Int("sessions", len(ds.Sessions)),
+			slog.String("kept_pct", fmt.Sprintf("%.1f", 100*float64(len(kept.Sessions))/float64(max(len(ds.Sessions), 1)))))
 		ds = kept
 	}
 	renderFigures(figures.All(ds, *maxRank), *only)
@@ -175,12 +178,12 @@ func cmdSnapshot(args []string) {
 	only := fs.String("only", "", "comma-separated figure IDs to render (default all)")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
-		log.Fatalf("usage: analyze snapshot [flags] snap.json (got %d args)", fs.NArg())
+		badArgs("analyze snapshot [flags] snap.json", fs.NArg())
 	}
 	sn := loadSnapshot(fs.Arg(0))
-	log.Printf("loaded snapshot: %d sessions, %d chunks, %d sketches (k=%d)",
-		sn.Counter(telemetry.CounterSessions), sn.Counter(telemetry.CounterChunks),
-		len(sn.Sketches), sn.SketchK)
+	log.Info("loaded snapshot", slog.Uint64("sessions", sn.Counter(telemetry.CounterSessions)),
+		slog.Uint64("chunks", sn.Counter(telemetry.CounterChunks)),
+		slog.Int("sketches", len(sn.Sketches)), slog.Int("k", sn.SketchK))
 	renderFigures(figures.AllStreaming(sn), *only)
 }
 
@@ -214,7 +217,7 @@ func renderFigures(results []figures.Result, only string) {
 		for i, res := range results {
 			ids[i] = res.ID
 		}
-		log.Fatalf("-only %q matched no figure (this mode renders: %s)", only, strings.Join(ids, ", "))
+		fatal("invalid flags", fmt.Errorf("-only %q matched no figure (this mode renders: %s)", only, strings.Join(ids, ", ")))
 	}
 	fmt.Printf("== %d figures reproduce, %d shape mismatches ==\n", pass, fail)
 	if fail > 0 {
@@ -227,13 +230,13 @@ func cmdCompare(args []string) {
 	fs := flag.NewFlagSet("analyze compare", flag.ExitOnError)
 	fs.Parse(args)
 	if fs.NArg() != 2 {
-		log.Fatalf("usage: analyze compare baseline.json candidate.json (got %d args)", fs.NArg())
+		badArgs("analyze compare baseline.json candidate.json", fs.NArg())
 	}
 	base := loadSnapshot(fs.Arg(0))
 	cand := loadSnapshot(fs.Arg(1))
-	log.Printf("baseline %s: %d sessions; candidate %s: %d sessions",
-		fs.Arg(0), base.Counter(telemetry.CounterSessions),
-		fs.Arg(1), cand.Counter(telemetry.CounterSessions))
+	log.Info("loaded snapshots",
+		slog.String("baseline", fs.Arg(0)), slog.Uint64("baseline_sessions", base.Counter(telemetry.CounterSessions)),
+		slog.String("candidate", fs.Arg(1)), slog.Uint64("candidate_sessions", cand.Counter(telemetry.CounterSessions)))
 	fmt.Print(renderCompare(base, cand))
 }
 
@@ -250,11 +253,11 @@ func cmdDiagnose(args []string) {
 	fs := flag.NewFlagSet("analyze diagnose", flag.ExitOnError)
 	fs.Parse(args)
 	if fs.NArg() != 1 {
-		log.Fatalf("usage: analyze diagnose snap.json (got %d args)", fs.NArg())
+		badArgs("analyze diagnose snap.json", fs.NArg())
 	}
 	sn := loadSnapshot(fs.Arg(0))
-	log.Printf("loaded snapshot: %d sessions, %d chunks (k=%d)",
-		sn.Counter(telemetry.CounterSessions), sn.Counter(telemetry.CounterChunks), sn.SketchK)
+	log.Info("loaded snapshot", slog.Uint64("sessions", sn.Counter(telemetry.CounterSessions)),
+		slog.Uint64("chunks", sn.Counter(telemetry.CounterChunks)), slog.Int("k", sn.SketchK))
 	res := figures.StreamDiagnosis(sn)
 	fmt.Print(res.Render() + "\n")
 	if !res.Pass {
@@ -273,11 +276,11 @@ func cmdWindows(args []string) {
 	fs := flag.NewFlagSet("analyze windows", flag.ExitOnError)
 	fs.Parse(args)
 	if fs.NArg() != 1 {
-		log.Fatalf("usage: analyze windows snap.json (got %d args)", fs.NArg())
+		badArgs("analyze windows snap.json", fs.NArg())
 	}
 	sn := loadSnapshot(fs.Arg(0))
-	log.Printf("loaded snapshot: %d sessions, %d windows (k=%d)",
-		sn.Counter(telemetry.CounterSessions), len(sn.Windows), sn.SketchK)
+	log.Info("loaded snapshot", slog.Uint64("sessions", sn.Counter(telemetry.CounterSessions)),
+		slog.Int("windows", len(sn.Windows)), slog.Int("k", sn.SketchK))
 	res := figures.StreamWindows(sn)
 	fmt.Print(res.Render() + "\n")
 	if !res.Pass {
@@ -300,18 +303,9 @@ func cmdDetectProxies(args []string) {
 		"rule-(ii) volume threshold: more sessions than this behind one IP flags it as a shared egress")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
-		log.Fatalf("usage: analyze detect-proxies [flags] trace.jsonl (got %d args)", fs.NArg())
+		badArgs("analyze detect-proxies [flags] trace.jsonl", fs.NArg())
 	}
-	f, err := os.Open(fs.Arg(0))
-	if err != nil {
-		log.Fatal(err)
-	}
-	ds, err := core.ReadJSONL(f)
-	f.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("loaded %s", ds)
+	ds := loadTrace(fs.Arg(0))
 	res := figures.ProxyDetection(ds, proxydetect.Config{MaxSessionsPerEgress: *maxPerEgress})
 	fmt.Print(res.Render() + "\n")
 	if !res.Pass {
@@ -333,45 +327,46 @@ func cmdIngest(args []string) {
 	sweep := fs.String("sweep", "", "sweep name to ingest under (default: the directory manifest's spec name; required for loose snapshots)")
 	fs.Parse(args)
 	if fs.NArg() == 0 {
-		log.Fatal("usage: analyze ingest -store campaigns.json [-sweep name] dir|snap.json ...")
+		badArgs("analyze ingest -store campaigns.json [-sweep name] dir|snap.json ...", 0)
 	}
 	st, err := store.Open(*storePath)
 	if err != nil {
-		log.Fatal(err)
+		fatal("store open failed", err)
 	}
 	for _, path := range fs.Args() {
 		info, err := os.Stat(path)
 		if err != nil {
-			log.Fatal(err)
+			fatal("ingest failed", err)
 		}
 		if info.IsDir() {
 			name := *sweep
 			if name == "" {
 				m, err := experiment.ReadManifestFile(path)
 				if err != nil {
-					log.Fatal(err)
+					fatal("ingest failed", err)
 				}
 				name = m.Spec
 			}
 			n, err := st.IngestDir(name, path)
 			if err != nil {
-				log.Fatal(err)
+				fatal("ingest failed", err)
 			}
-			log.Printf("ingested %d cells from %s into sweep %q", n, path, name)
+			log.Info("ingested sweep directory", slog.Int("cells", n), slog.String("path", path), slog.String("sweep", name))
 			continue
 		}
 		if *sweep == "" {
-			log.Fatalf("%s: loose snapshots need -sweep (there is no manifest to name the sweep)", path)
+			fatal("invalid arguments", fmt.Errorf("%s: loose snapshots need -sweep (there is no manifest to name the sweep)", path))
 		}
 		if err := st.IngestSnapshotFile(*sweep, path); err != nil {
-			log.Fatal(err)
+			fatal("ingest failed", err)
 		}
-		log.Printf("ingested %s into sweep %q", path, *sweep)
+		log.Info("ingested snapshot", slog.String("path", path), slog.String("sweep", *sweep))
 	}
 	if err := st.Save(*storePath); err != nil {
-		log.Fatal(err)
+		fatal("store save failed", err)
 	}
-	log.Printf("store %s: %d entries across sweeps %v", *storePath, st.Len(), st.Sweeps())
+	log.Info("store saved", slog.String("path", *storePath), slog.Int("entries", st.Len()),
+		slog.String("sweeps", fmt.Sprint(st.Sweeps())))
 }
 
 // cmdQuery runs a filter/group/rank query against the store and prints
@@ -388,25 +383,25 @@ func cmdQuery(args []string) {
 	asJSON := fs.Bool("json", false, "emit rows as JSON instead of the table")
 	fs.Parse(args)
 	if fs.NArg() != 0 {
-		log.Fatalf("usage: analyze query [flags] (got %d stray args)", fs.NArg())
+		badArgs("analyze query [flags]", fs.NArg())
 	}
 	st, err := store.Open(*storePath)
 	if err != nil {
-		log.Fatal(err)
+		fatal("store open failed", err)
 	}
 	if *rank == "" {
-		log.Fatalf("-rank is required; metrics in this store: %s", strings.Join(st.Metrics(*sweep), ", "))
+		fatal("invalid flags", fmt.Errorf("-rank is required; metrics in this store: %s", strings.Join(st.Metrics(*sweep), ", ")))
 	}
 	q := store.Query{Sweep: *sweep, GroupBy: *groupBy, Rank: *rank, Desc: *desc, Limit: *limit}
 	if *where != "" {
 		q.Where, err = parseWhere(*where)
 		if err != nil {
-			log.Fatal(err)
+			fatal("invalid flags", err)
 		}
 	}
 	rows, err := st.Query(q)
 	if err != nil {
-		log.Fatal(err)
+		fatal("query failed", err)
 	}
 	if *asJSON {
 		printJSON(rows)
@@ -495,15 +490,15 @@ func cmdDiffSweep(args []string) {
 	asJSON := fs.Bool("json", false, "emit the full diff as JSON instead of the table")
 	fs.Parse(args)
 	if fs.NArg() != 2 {
-		log.Fatalf("usage: analyze diff-sweep -store campaigns.json base candidate (got %d args)", fs.NArg())
+		badArgs("analyze diff-sweep -store campaigns.json base candidate", fs.NArg())
 	}
 	st, err := store.Open(*storePath)
 	if err != nil {
-		log.Fatal(err)
+		fatal("store open failed", err)
 	}
 	d, err := st.CompareSweeps(fs.Arg(0), fs.Arg(1), nil)
 	if err != nil {
-		log.Fatal(err)
+		fatal("diff-sweep failed", err)
 	}
 	if *asJSON {
 		printJSON(d)
@@ -545,19 +540,35 @@ func printJSON(v any) {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", " ")
 	if err := enc.Encode(v); err != nil {
-		log.Fatal(err)
+		fatal("write failed", err)
 	}
 }
 
+// loadTrace reads a JSONL trace, exiting 1 if it cannot.
+func loadTrace(path string) *core.Dataset {
+	f, err := os.Open(path)
+	if err != nil {
+		fatal("trace load failed", err)
+	}
+	ds, err := core.ReadJSONL(f)
+	f.Close()
+	if err != nil {
+		fatal("trace load failed", fmt.Errorf("%s: %w", path, err))
+	}
+	log.Info("loaded trace", slog.String("dataset", ds.String()))
+	return ds
+}
+
+// loadSnapshot reads a telemetry snapshot, exiting 1 if it cannot.
 func loadSnapshot(path string) *telemetry.Snapshot {
 	f, err := os.Open(path)
 	if err != nil {
-		log.Fatal(err)
+		fatal("snapshot load failed", err)
 	}
 	defer f.Close()
 	sn, err := telemetry.ReadSnapshot(f)
 	if err != nil {
-		log.Fatalf("%s: %v", path, err)
+		fatal("snapshot load failed", fmt.Errorf("%s: %w", path, err))
 	}
 	return sn
 }

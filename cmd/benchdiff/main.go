@@ -31,12 +31,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
+	"log/slog"
 	"os"
 	"regexp"
 	"sort"
 	"strconv"
 	"strings"
+
+	"vidperf/internal/logging"
 )
 
 // Baseline is the committed reference file.
@@ -58,8 +60,8 @@ type BenchStat struct {
 }
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("benchdiff: ")
+	log, _ := logging.New("") // the text handler; "" is always accepted
+	fatal := func(msg string, err error) { logging.Fatal(log, msg, slog.Any("err", err)) }
 	var (
 		baselinePath = flag.String("baseline", "BENCH_BASELINE.json", "committed baseline JSON")
 		in           = flag.String("in", "", "bench output file (default stdin)")
@@ -68,44 +70,45 @@ func main() {
 	)
 	flag.Parse()
 	if len(flag.Args()) > 0 {
-		log.Fatalf("unexpected arguments %q", flag.Args())
+		fatal("invalid arguments", fmt.Errorf("unexpected arguments %q", flag.Args()))
 	}
 	if *threshold <= 0 {
-		log.Fatalf("-threshold must be > 0 (got %g)", *threshold)
+		fatal("invalid flags", fmt.Errorf("-threshold must be > 0 (got %g)", *threshold))
 	}
 
 	r := io.Reader(os.Stdin)
 	if *in != "" {
 		f, err := os.Open(*in)
 		if err != nil {
-			log.Fatal(err)
+			fatal("input open failed", err)
 		}
 		defer f.Close()
 		r = f
 	}
 	got, err := ParseBench(r)
 	if err != nil {
-		log.Fatal(err)
+		fatal("bench output parse failed", err)
 	}
 	if len(got) == 0 {
-		log.Fatal("no benchmark results in input")
+		logging.Fatal(log, "no benchmark results in input")
 	}
 
 	if *update {
 		if err := writeBaseline(*baselinePath, got); err != nil {
-			log.Fatal(err)
+			fatal("baseline write failed", err)
 		}
-		log.Printf("wrote %d benchmarks to %s", len(got), *baselinePath)
+		log.Info("baseline written", slog.Int("benchmarks", len(got)), slog.String("path", *baselinePath))
 		return
 	}
 
 	base, err := readBaseline(*baselinePath)
 	if err != nil {
-		log.Fatal(err)
+		fatal("baseline read failed", err)
 	}
 	regressions := Compare(os.Stdout, base.Benchmarks, got, *threshold)
 	if regressions > 0 {
-		log.Fatalf("%d regression(s) beyond %.0f%%", regressions, *threshold*100)
+		logging.Fatal(log, "regressions beyond threshold", slog.Int("regressions", regressions),
+			slog.String("threshold", fmt.Sprintf("%.0f%%", *threshold*100)))
 	}
 	fmt.Printf("no regressions beyond %.0f%%\n", *threshold*100)
 }

@@ -28,8 +28,15 @@
 // network-path degradation, and flash-crowd arrival surges, each a
 // timed phase. The timeline presets (pop-outage, backend-brownout,
 // degrade-recover) ship ready to run; cell snapshots gain per-window
-// telemetry for cmd/analyze -windows. docs/SPECS.md is the normative
-// field reference, pinned by a test against this package's types.
+// telemetry for cmd/analyze -windows. A phase's effect keys are
+// timeline.Effects' own JSON tags, embedded in PhaseSpec.
+//
+// The "live" and "proxy" blocks have no mirror type here: they decode
+// straight into live.Config and proxypop.Config, whose JSON tags are the
+// spec keys. Expand applies the rule that a present block turns its
+// feature on (channels >= 1, share > 0) and the package's defaults and
+// range check. docs/SPECS.md is the normative field reference, pinned by
+// a test against every struct the spec format reaches.
 //
 // Determinism: a cell's snapshot depends only on its scenario (seed
 // included) and sketch parameter — never on how many cells ran

@@ -13,20 +13,24 @@ import (
 const specDocPath = "../../docs/SPECS.md"
 
 // jsonTags collects the JSON field names of every struct in the spec
-// format, recursing into nested spec structs.
+// format, recursing into nested and embedded structs of this module: a
+// spec block may be another package's config (live.Config,
+// proxypop.Config, timeline.Effects), decoded under its own tags.
 func jsonTags(t reflect.Type, out map[string]bool) {
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)
 		tag := strings.Split(f.Tag.Get("json"), ",")[0]
-		if tag == "" || tag == "-" {
+		if tag == "-" || (tag == "" && !f.Anonymous) {
 			continue
 		}
-		out[tag] = true
+		if tag != "" {
+			out[tag] = true
+		}
 		ft := f.Type
 		for ft.Kind() == reflect.Pointer || ft.Kind() == reflect.Slice {
 			ft = ft.Elem()
 		}
-		if ft.Kind() == reflect.Struct && ft.PkgPath() == t.PkgPath() {
+		if ft.Kind() == reflect.Struct && strings.HasPrefix(ft.PkgPath(), "vidperf/") {
 			jsonTags(ft, out)
 		}
 	}

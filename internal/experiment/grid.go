@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 
+	"vidperf/internal/live"
+	"vidperf/internal/proxypop"
 	"vidperf/internal/workload"
 )
 
@@ -97,13 +99,28 @@ func (s *Spec) Expand() ([]Cell, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiment: spec %s: %w", s.Name, err)
 	}
-	lv, err := s.Live.Build()
-	if err != nil {
-		return nil, fmt.Errorf("experiment: spec %s: %w", s.Name, err)
+	// A present live or proxy block turns its feature on and takes its
+	// package's defaults; an absent one leaves the zero config, which is
+	// the feature off.
+	var lv live.Config
+	if s.Live != nil {
+		if s.Live.Channels < 1 {
+			return nil, fmt.Errorf("experiment: spec %s: live block: channels must be >= 1 (got %d)", s.Name, s.Live.Channels)
+		}
+		lv = s.Live.WithDefaults()
+		if err := lv.Validate(); err != nil {
+			return nil, fmt.Errorf("experiment: spec %s: live block: %w", s.Name, err)
+		}
 	}
-	px, err := s.Proxy.Build()
-	if err != nil {
-		return nil, fmt.Errorf("experiment: spec %s: %w", s.Name, err)
+	var px proxypop.Config
+	if s.Proxy != nil {
+		if s.Proxy.Share <= 0 {
+			return nil, fmt.Errorf("experiment: spec %s: proxy block: share must be > 0 (got %g)", s.Name, s.Proxy.Share)
+		}
+		px = s.Proxy.WithDefaults()
+		if err := px.Validate(); err != nil {
+			return nil, fmt.Errorf("experiment: spec %s: proxy block: %w", s.Name, err)
+		}
 	}
 	build := func(scen ScenarioSpec) workload.Scenario {
 		sc := scen.Apply(workload.Scenario{})

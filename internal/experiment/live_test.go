@@ -79,7 +79,7 @@ func TestLiveBlockPresetOverride(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if want := (LiveSpec{Channels: 8, SwitchPerMin: 2}); sp.Live == nil || *sp.Live != want {
+	if want := (live.Config{Channels: 8, SwitchPerMin: 2}); sp.Live == nil || *sp.Live != want {
 		t.Fatalf("live block after preset merge = %+v, want %+v", sp.Live, want)
 	}
 

@@ -7,6 +7,8 @@ import (
 	"io"
 	"os"
 
+	"vidperf/internal/live"
+	"vidperf/internal/proxypop"
 	"vidperf/internal/session"
 	"vidperf/internal/telemetry"
 	"vidperf/internal/workload"
@@ -87,16 +89,21 @@ type Spec struct {
 	// delivery path. Live campaigns additionally record join_time_ms and
 	// live_edge_lag_ms sketches plus per-channel session counters. It is
 	// incompatible with serve mode (live campaigns are batch campaigns);
-	// like the timeline it is shared by every cell, not an axis.
-	Live *LiveSpec `json:"live,omitempty"`
+	// like the timeline it is shared by every cell, not an axis. Its keys
+	// are live.Config's; channels is required (>= 1), and every other key
+	// is optional, inheriting internal/live's calibrated defaults.
+	Live *live.Config `json:"live,omitempty"`
 
 	// Proxy places a share of sessions behind shared-egress proxy/NAT
 	// cohorts (internal/proxypop): tromboned paths with extra RTT and
 	// inflated jitter, one egress IP per cohort, and the §3 detector
 	// signals recorded per session. Unlike timeline and live it composes
 	// with both serve and live modes — proxied enterprises exist in
-	// every campaign shape. Shared by every cell, not an axis.
-	Proxy *ProxySpec `json:"proxy,omitempty"`
+	// every campaign shape. Shared by every cell, not an axis. Its keys
+	// are proxypop.Config's; share is required (in (0, 1]), and every
+	// other key is optional, inheriting internal/proxypop's calibrated
+	// defaults.
+	Proxy *proxypop.Config `json:"proxy,omitempty"`
 
 	// Axes are crossed into the cell grid in declaration order (first
 	// axis slowest). A spec with no axes is a single cell named "base".

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"vidperf/internal/timeline"
 	"vidperf/internal/workload"
 )
 
@@ -343,7 +344,7 @@ func TestPresetOverlayReplacesKeys(t *testing.T) {
 	if sc := sp.Scenario; sc.Sessions != 0 || sc.Seed == nil || *sc.Seed != 41 || sc.Prefixes != 600 {
 		t.Errorf("scenario = %+v, want sessions 0 (the default) over the preset's seed 41 and 600 prefixes", sc)
 	}
-	want := []PhaseSpec{{Name: "brownout", StartMin: 5, DurationMin: 5, BackendLatencyFactor: 3}}
+	want := []PhaseSpec{{Name: "brownout", StartMin: 5, DurationMin: 5, Effects: timeline.Effects{BackendLatencyFactor: 3}}}
 	if sp.Timeline == nil || !reflect.DeepEqual(sp.Timeline.Phases, want) {
 		t.Errorf("timeline = %+v, want exactly the file's phase %+v", sp.Timeline, want)
 	}

@@ -19,32 +19,15 @@ type TimelineSpec struct {
 }
 
 // PhaseSpec is one phase of the timeline block. Bounds are minutes of
-// virtual time since campaign start; every effect field is optional and
-// its zero value means "unchanged" (factors use 0, not 1, as neutral —
-// the same convention the scenario spec uses for its knobs).
+// virtual time since campaign start; the effects are timeline.Effects
+// under their own JSON keys, each optional, its zero value meaning
+// "unchanged" (factors use 0, not 1, as neutral — the same convention
+// the scenario spec uses for its knobs).
 type PhaseSpec struct {
 	Name        string  `json:"name"`
 	StartMin    float64 `json:"start_min"`
 	DurationMin float64 `json:"duration_min"`
-
-	// PoP outage and failover.
-	PoPDown            []int   `json:"pop_down,omitempty"`
-	FailoverPoP        int     `json:"failover_pop,omitempty"`
-	FailoverExtraRTTms float64 `json:"failover_extra_rtt_ms,omitempty"`
-
-	// Backend brownout.
-	BackendLatencyFactor float64 `json:"backend_latency_factor,omitempty"`
-
-	// Cache degradation.
-	CacheCapacityFactor float64 `json:"cache_capacity_factor,omitempty"`
-
-	// Network-path degradation.
-	ExtraLossProb    float64 `json:"extra_loss_prob,omitempty"`
-	ThroughputFactor float64 `json:"throughput_factor,omitempty"`
-	ExtraRTTms       float64 `json:"extra_rtt_ms,omitempty"`
-
-	// Flash crowd.
-	ArrivalRateFactor float64 `json:"arrival_rate_factor,omitempty"`
+	timeline.Effects
 }
 
 // Build converts the spec block into a validated timeline.Timeline.
@@ -54,21 +37,13 @@ func (t *TimelineSpec) Build() (timeline.Timeline, error) {
 		return tl, nil
 	}
 	for _, p := range t.Phases {
+		eff := p.Effects
+		eff.PoPDown = append([]int(nil), p.PoPDown...)
 		tl.Phases = append(tl.Phases, timeline.Phase{
 			Name:    p.Name,
 			StartMS: p.StartMin * 60 * 1000,
 			EndMS:   (p.StartMin + p.DurationMin) * 60 * 1000,
-			Effects: timeline.Effects{
-				PoPDown:              append([]int(nil), p.PoPDown...),
-				FailoverPoP:          p.FailoverPoP,
-				FailoverExtraRTTms:   p.FailoverExtraRTTms,
-				BackendLatencyFactor: p.BackendLatencyFactor,
-				CacheCapacityFactor:  p.CacheCapacityFactor,
-				ExtraLossProb:        p.ExtraLossProb,
-				ThroughputFactor:     p.ThroughputFactor,
-				ExtraRTTms:           p.ExtraRTTms,
-				ArrivalRateFactor:    p.ArrivalRateFactor,
-			},
+			Effects: eff,
 		})
 	}
 	if err := tl.Validate(); err != nil {

@@ -47,27 +47,28 @@ const (
 // Config is the live-channel block of a workload scenario. The zero
 // value (Channels == 0) disables live mode entirely; an enabled config
 // uses the neutral-zero convention for the remaining knobs (0/"" selects
-// the default, like every other scenario field).
+// the default, like every other scenario field). Its JSON keys are those
+// of an experiment spec's "live" block and of a serve checkpoint.
 type Config struct {
 	// Channels is the number of linear channels on air. 0 disables live
 	// mode (the scenario runs as plain VoD).
-	Channels int
+	Channels int `json:"channels"`
 	// ChunkDurationSec is the published chunk length in seconds; chunk i
 	// of every channel becomes fetchable at i·ChunkDurationSec.
 	// 0 selects DefaultChunkDurationSec.
-	ChunkDurationSec float64
+	ChunkDurationSec float64 `json:"chunk_sec,omitempty"`
 	// SwitchPerMin is the expected per-session channel switches per
 	// minute of playback (0 = sessions stay on their join channel).
-	SwitchPerMin float64
+	SwitchPerMin float64 `json:"switch_per_min,omitempty"`
 	// JoinDist is the channel-popularity distribution sessions join
 	// under: JoinUniform (default) or JoinZipf.
-	JoinDist string
+	JoinDist string `json:"join,omitempty"`
 	// JoinZipfS is the zipf skew exponent when JoinDist is JoinZipf;
 	// 0 selects DefaultJoinZipfS.
-	JoinZipfS float64
+	JoinZipfS float64 `json:"join_zipf_s,omitempty"`
 	// JoinBehindChunks is how many chunks behind the live edge a session
 	// starts; 0 selects DefaultJoinBehindChunks.
-	JoinBehindChunks int
+	JoinBehindChunks int `json:"join_behind_chunks,omitempty"`
 }
 
 // Enabled reports whether the scenario runs in live mode.

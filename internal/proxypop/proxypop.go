@@ -66,28 +66,29 @@ const (
 // Config is the proxy block of a workload scenario. The zero value
 // (Share == 0) disables proxied populations entirely; an enabled config
 // uses the neutral-zero convention for the remaining knobs (0 selects
-// the default, like every other scenario field).
+// the default, like every other scenario field). Its JSON keys are those
+// of an experiment spec's "proxy" block and of a serve checkpoint.
 type Config struct {
 	// Share is the fraction of sessions behind a shared egress. 0
 	// disables the block; the paper's trace measured ≈0.23.
-	Share float64
+	Share float64 `json:"share"`
 	// Cohorts is how many egress identities the proxied share splits
 	// into; 0 selects DefaultCohorts.
-	Cohorts int
+	Cohorts int `json:"cohorts,omitempty"`
 	// ExtraRTTMinMS / ExtraRTTMaxMS bound the per-cohort trombone RTT
 	// penalty; 0 selects the defaults.
-	ExtraRTTMinMS float64
-	ExtraRTTMaxMS float64
+	ExtraRTTMinMS float64 `json:"extra_rtt_min_ms,omitempty"`
+	ExtraRTTMaxMS float64 `json:"extra_rtt_max_ms,omitempty"`
 	// JitterFactor multiplies prefix jitter on tromboned paths; 0
 	// selects DefaultJitterFactor.
-	JitterFactor float64
+	JitterFactor float64 `json:"jitter_factor,omitempty"`
 	// EgressKbps is each cohort's shared uplink capacity, divided among
 	// the expected concurrent members (0 = uncontended egress).
-	EgressKbps float64
+	EgressKbps float64 `json:"egress_kbps,omitempty"`
 	// BeaconMismatchProb is the share of proxied sessions whose beacon
 	// IP disagrees with the CDN-seen egress IP; 0 selects
 	// DefaultBeaconMismatchProb.
-	BeaconMismatchProb float64
+	BeaconMismatchProb float64 `json:"beacon_mismatch_prob,omitempty"`
 }
 
 // Enabled reports whether the scenario models proxied populations.

@@ -21,8 +21,10 @@ import (
 	"vidperf/internal/telemetry"
 )
 
-// CheckpointSchema is the checkpoint wire-format version.
-const CheckpointSchema = 1
+// CheckpointSchema is the checkpoint wire-format version. Schema 2
+// stores the scenario's live and proxy blocks under their spec keys
+// (schema 1 used the Go field names) and is decoded strictly.
+const CheckpointSchema = 2
 
 // Checkpoint is the serialized engine state. Its wire form is
 // json.Marshal's; the engine writes it with encodeCheckpoint, which
@@ -214,14 +216,29 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	return ReadCheckpoint(f)
 }
 
-// ReadCheckpoint decodes a checkpoint written by the engine.
+// ReadCheckpoint decodes a checkpoint written by the engine. Like a spec
+// it is decoded strictly: an unknown key (a renamed one included) or
+// data after the checkpoint object is an error, not a field left at its
+// default.
 func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
 	var ck Checkpoint
-	if err := json.NewDecoder(r).Decode(&ck); err != nil {
-		return nil, fmt.Errorf("serve: decode checkpoint: %w", err)
+	err := dec.Decode(&ck)
+	if err == nil {
+		var extra json.RawMessage
+		if dec.Decode(&extra) != io.EOF {
+			err = errors.New("trailing data after checkpoint object")
+		}
 	}
-	if ck.Schema != CheckpointSchema {
-		return nil, fmt.Errorf("serve: checkpoint schema %d, want %d", ck.Schema, CheckpointSchema)
+	// Another schema's keys fail the strict decode, which still fills in
+	// every key it knows: name the schema, not the first key it spells
+	// differently. A document that breaks off before its schema has none.
+	if ck.Schema != CheckpointSchema && (err == nil || ck.Schema != 0) {
+		return nil, fmt.Errorf("serve: checkpoint schema %d, want %d: this build cannot resume it; start a fresh run (without -resume)", ck.Schema, CheckpointSchema)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("serve: decode checkpoint: %w", err)
 	}
 	if ck.WindowsDone < 0 || (ck.WindowsDone > 0 && ck.Cumulative == nil) {
 		return nil, fmt.Errorf("serve: checkpoint has %d windows done but no cumulative snapshot", ck.WindowsDone)

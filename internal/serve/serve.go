@@ -190,12 +190,15 @@ type Engine struct {
 }
 
 // NewEngine builds an engine for a fresh run (virtual time zero). It
-// refuses a configuration Run would fail on: one Config.Validate
-// rejects, an unknown ABR, or periodic checkpoints with no path to
-// write them to.
+// refuses a configuration Run would fail on: one Config.Validate or
+// workload.Scenario.Validate rejects, an unknown ABR, or periodic
+// checkpoints with no path to write them to.
 func NewEngine(cfg Config, log *slog.Logger) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if err := cfg.Scenario.Validate(); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	if _, err := session.NewABR(cfg.Scenario.ABRName); err != nil {
 		return nil, err

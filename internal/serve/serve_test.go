@@ -242,6 +242,13 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := serve.NewEngine(cfg, quietLog()); err == nil || !strings.Contains(err.Error(), "no CheckpointPath") {
 		t.Fatalf("NewEngine with a checkpoint interval and no path: error %v", err)
 	}
+	// An out-of-range scenario knob fails at construction, not inside
+	// the first window that builds a population.
+	cfg = testConfig(1, 0)
+	cfg.Scenario.NumPrefixes = -3
+	if _, err := serve.NewEngine(cfg, quietLog()); err == nil || !strings.Contains(err.Error(), "prefixes") {
+		t.Fatalf("NewEngine with -3 prefixes: error %v", err)
+	}
 }
 
 // TestConfigRejectsNonFiniteTimes: a NaN or infinite window length or
@@ -265,14 +272,56 @@ func TestConfigRejectsNonFiniteTimes(t *testing.T) {
 // load-time errors, not silent divergence later.
 func TestReadCheckpointRejectsCorruptState(t *testing.T) {
 	for name, body := range map[string]string{
-		"bad schema":     `{"schema": 2, "config": {}, "windows_done": 0}`,
-		"missing fold":   `{"schema": 1, "config": {}, "windows_done": 3}`,
-		"negative count": `{"schema": 1, "config": {}, "windows_done": -1}`,
-		"oversized ring": `{"schema": 1, "config": {}, "windows_done": 0, "ring": [{"index": 0}]}`,
+		"bad schema":     `{"schema": 3, "config": {}, "windows_done": 0}`,
+		"missing fold":   `{"schema": 2, "config": {}, "windows_done": 3}`,
+		"negative count": `{"schema": 2, "config": {}, "windows_done": -1}`,
+		"oversized ring": `{"schema": 2, "config": {}, "windows_done": 0, "ring": [{"index": 0}]}`,
 		"not a document": `]`,
 	} {
 		if _, err := serve.ReadCheckpoint(bytes.NewReader([]byte(body))); err == nil {
 			t.Errorf("ReadCheckpoint accepted %s", name)
+		}
+	}
+}
+
+// TestResumeRefusesBadCheckpoints: a checkpoint whose keys, trailing
+// bytes, schema or values the engine did not write fails at load or at
+// ResumeEngine, before any window runs: a renamed or unknown key would
+// otherwise leave its field at the default, and a resumed run would fold
+// another scenario's windows into the old run's snapshot.
+func TestResumeRefusesBadCheckpoints(t *testing.T) {
+	real, err := os.ReadFile(filepath.Join("testdata", "checkpoint.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit := func(old, new string) []byte {
+		t.Helper()
+		if !bytes.Contains(real, []byte(old)) {
+			t.Fatalf("testdata/checkpoint.json has no %s", old)
+		}
+		return bytes.Replace(real, []byte(old), []byte(new), 1)
+	}
+	// Schema 1 spelled the live and proxy blocks with Go field names.
+	schema1 := bytes.Replace(edit(`{"schema":2,`, `{"schema":1,`),
+		[]byte(`"Live":{"channels":0}`),
+		[]byte(`"Live":{"Channels":0,"ChunkDurationSec":0,"SwitchPerMin":0,"JoinDist":"","JoinZipfS":0,"JoinBehindChunks":0}`), 1)
+	for _, c := range []struct {
+		name, want string
+		data       []byte
+	}{
+		{"renamed key", `unknown field "NumPrefixez"`, edit(`"NumPrefixes":150`, `"NumPrefixez":150`)},
+		{"unknown key", `unknown field "note"`, edit(`{"schema":2,`, `{"schema":2,"note":"x",`)},
+		{"trailing data", "trailing data", append(append([]byte(nil), real...), "{}\n"...)},
+		{"schema 1", "without -resume", schema1},
+		{"schema 1, current keys", "without -resume", edit(`{"schema":2,`, `{"schema":1,`)},
+		{"out-of-range value", "prefixes -3", edit(`"NumPrefixes":150`, `"NumPrefixes":-3`)},
+	} {
+		ck, err := serve.ReadCheckpoint(bytes.NewReader(c.data))
+		if err == nil {
+			_, err = serve.ResumeEngine(ck, serve.Runtime{}, quietLog())
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
 		}
 	}
 }
@@ -301,15 +350,17 @@ func TestResumeRejectsMismatchedFold(t *testing.T) {
 // FuzzReadCheckpoint: no input makes ReadCheckpoint or ResumeEngine
 // panic, and whatever ReadCheckpoint accepts re-marshals to a fixed
 // point. The first seed is the checkpoint TestCheckpointRoundTripsThroughJSON
-// writes (seed 47, two windows).
+// writes (seed 47, two windows); the last is that file with a renamed
+// key, which the strict decoder refuses.
 func FuzzReadCheckpoint(f *testing.F) {
 	real, err := os.ReadFile(filepath.Join("testdata", "checkpoint.json"))
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(real)
-	f.Add([]byte(`{"schema":1,"config":{},"windows_done":1,"cumulative":{"schema":1,"sketch_k":64,"sketches":{"x":null},"histograms":{},"counters":{}}}`))
-	f.Add([]byte(`{"schema":1,"config":{"Scenario":{"ABRName":"nope"}},"windows_done":0}`))
+	f.Add([]byte(`{"schema":2,"config":{},"windows_done":1,"cumulative":{"schema":1,"sketch_k":64,"sketches":{"x":null},"histograms":{},"counters":{}}}`))
+	f.Add([]byte(`{"schema":2,"config":{"Scenario":{"ABRName":"nope"}},"windows_done":0}`))
+	f.Add(bytes.Replace(real, []byte(`"NumPrefixes"`), []byte(`"NumPrefixez"`), 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := serve.ReadCheckpoint(bytes.NewReader(data))
 		if err != nil {

@@ -136,11 +136,15 @@ func executeTelemetry(sc workload.Scenario, opt Options) (*telemetry.Snapshot, e
 		Live:    eff.Live.Enabled(),
 		Proxy:   eff.Proxy.Enabled(),
 	}
+	pop := workload.Build(sc)
 	if opt.Diagnose {
-		cfg.Diagnose = &diagnose.Config{}
+		// The abr-limited screen measures bitrate against the run's own
+		// ladder, catalog defaults applied.
+		ladder := pop.Catalog.Bitrates
+		cfg.Diagnose = &diagnose.Config{LadderTopKbps: float64(ladder[len(ladder)-1])}
 	}
 	camp := telemetry.NewCampaignWith(cfg)
-	if err := runOnPopulationWithSinks(workload.Build(sc), camp.Sink, opt.Progress); err != nil {
+	if err := runOnPopulationWithSinks(pop, camp.Sink, opt.Progress); err != nil {
 		return nil, err
 	}
 	return camp.Snapshot(), nil

@@ -8,9 +8,11 @@ import (
 
 	"vidperf/internal/catalog"
 	"vidperf/internal/core"
+	"vidperf/internal/diagnose"
 	"vidperf/internal/proxydetect"
 	"vidperf/internal/stats"
 	"vidperf/internal/tcpmodel"
+	"vidperf/internal/telemetry"
 	"vidperf/internal/workload"
 )
 
@@ -397,6 +399,34 @@ func TestExecuteRejectsInvalidLadder(t *testing.T) {
 		sc.Catalog.Bitrates = ladder
 		if _, err := Execute(sc, Options{}); err == nil {
 			t.Errorf("Execute accepted bitrate ladder %v", ladder)
+		}
+	}
+}
+
+// TestDiagnosisUsesTheRunsLadder: the abr-limited screen measures a
+// session's bitrate against the top rung of the run's own ladder. On a
+// ladder topping out at 1050 kbps a diagnosed campaign labels every
+// session as classifying it against 1050 kbps does; against the default
+// ladder's 3000 kbps nearly every smooth session would read abr-limited.
+func TestDiagnosisUsesTheRunsLadder(t *testing.T) {
+	sc := smallScenario(7)
+	sc.NumSessions = 600
+	sc.Catalog.Bitrates = []int{235, 375, 560, 750, 1050}
+	res, err := Execute(sc, Options{Telemetry: true, Diagnose: true})
+	if err != nil {
+		t.Fatalf("Execute: %v", err)
+	}
+	ds := mustRun(t, sc)
+	want := map[diagnose.Label]uint64{}
+	for i, chunks := range ds.SessionChunks() {
+		want[diagnose.Classify(ds.Sessions[i], chunks, diagnose.Config{LadderTopKbps: 1050}).Label]++
+	}
+	if want[diagnose.Healthy] == 0 {
+		t.Fatal("no healthy session against a 1050 kbps top rung; the ladders are not told apart")
+	}
+	for _, l := range diagnose.Labels() {
+		if got := res.Snapshot.Counter(telemetry.DiagSessionsKey(l)); got != want[l] {
+			t.Errorf("%s sessions = %d, want %d (classified against the 1050 kbps top rung)", l, got, want[l])
 		}
 	}
 }

@@ -61,7 +61,8 @@ func (p Phase) Contains(t float64) bool { return t >= p.StartMS && t < p.EndMS }
 
 // Effects are the parameter overrides a phase applies. The zero value of
 // every field means "unchanged"; factors therefore use 0 (not 1) as their
-// neutral encoding and are substituted with 1 when read.
+// neutral encoding and are substituted with 1 when read. Its JSON keys
+// are those of a phase in an experiment spec's "timeline" block.
 type Effects struct {
 	// PoPDown lists PoP IDs that are out during the phase. Sessions whose
 	// prefix maps to a down PoP and that arrive inside the phase are
@@ -69,36 +70,36 @@ type Effects struct {
 	// the outage redirects new arrivals; sessions already playing when
 	// the PoP fails are not killed — they arrived earlier, on a healthy
 	// PoP).
-	PoPDown []int
+	PoPDown []int `json:"pop_down,omitempty"`
 	// FailoverPoP receives the redirected sessions (default 0). It must
 	// not itself be listed in PoPDown.
-	FailoverPoP int
+	FailoverPoP int `json:"failover_pop,omitempty"`
 	// FailoverExtraRTTms is added to a redirected session's base RTT,
 	// standing in for the longer path to the farther PoP.
-	FailoverExtraRTTms float64
+	FailoverExtraRTTms float64 `json:"failover_extra_rtt_ms,omitempty"`
 
 	// BackendLatencyFactor multiplies D_BE for cache-miss fetches issued
 	// by sessions that arrived inside the phase (origin brownout).
 	// 0 means unchanged (factor 1).
-	BackendLatencyFactor float64
+	BackendLatencyFactor float64 `json:"backend_latency_factor,omitempty"`
 
 	// CacheCapacityFactor scales every server cache's RAM and disk
 	// capacity while the phase lasts (e.g. 0.25 = shrink to a quarter,
 	// evicting down at the phase start; restored at the phase end).
 	// 0 means unchanged. This is a per-server engine event, not a
 	// per-session override.
-	CacheCapacityFactor float64
+	CacheCapacityFactor float64 `json:"cache_capacity_factor,omitempty"`
 
 	// Network-path degradation for sessions arriving inside the phase.
-	ExtraLossProb    float64 // added to the per-segment random loss rate
-	ThroughputFactor float64 // multiplies the bottleneck rate (0 = unchanged)
-	ExtraRTTms       float64 // added to the base path RTT
+	ExtraLossProb    float64 `json:"extra_loss_prob,omitempty"`   // added to the per-segment random loss rate
+	ThroughputFactor float64 `json:"throughput_factor,omitempty"` // multiplies the bottleneck rate (0 = unchanged)
+	ExtraRTTms       float64 `json:"extra_rtt_ms,omitempty"`      // added to the base path RTT
 
 	// ArrivalRateFactor multiplies the arrival density inside the phase
 	// (flash crowd). 0 means unchanged (factor 1); values below 1 thin
 	// arrivals, 0 is not a valid way to express "no arrivals" — use a
 	// small positive factor.
-	ArrivalRateFactor float64
+	ArrivalRateFactor float64 `json:"arrival_rate_factor,omitempty"`
 }
 
 // rateOr returns f if set (non-zero), else 1 — the neutral-0 convention
