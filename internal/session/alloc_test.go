@@ -32,10 +32,10 @@ func telemetryMallocs(t *testing.T, sessions int) (mallocs, chunks uint64) {
 // build, fleet warm-up, accumulators, snapshot), leaving the per-session
 // and per-chunk path. Chunk events, CDN requests, cache fills and the
 // telemetry fold allocate nothing there; what remains is per-session
-// (TestTelemetryExecuteMallocsPerSession), about 0.5 objects per chunk.
+// (TestTelemetryExecuteMallocsPerSession), about 0.22 objects per chunk.
 // One closure or key string per chunk would cross the ceiling.
 func TestTelemetryExecuteMallocsPerChunk(t *testing.T) {
-	const ceiling = 1.0
+	const ceiling = 0.3
 	m1, c1 := telemetryMallocs(t, 400)
 	m2, c2 := telemetryMallocs(t, 2000)
 	if c2 <= c1 {
@@ -44,7 +44,7 @@ func TestTelemetryExecuteMallocsPerChunk(t *testing.T) {
 	perChunk := (float64(m2) - float64(m1)) / float64(c2-c1)
 	t.Logf("%.2f heap objects per chunk (%d chunks: %d objects; %d chunks: %d objects)", perChunk, c1, m1, c2, m2)
 	if perChunk > ceiling {
-		t.Fatalf("telemetry-mode run allocates %.2f heap objects per chunk, ceiling %.1f", perChunk, ceiling)
+		t.Fatalf("telemetry-mode run allocates %.2f heap objects per chunk, ceiling %.2f", perChunk, ceiling)
 	}
 }
 
@@ -53,16 +53,18 @@ func TestTelemetryExecuteMallocsPerChunk(t *testing.T) {
 // difference between a 4000- and a 2000-session campaign over the same
 // world, divided by 2000. A session's generators, connection, congestion
 // process, player and estimator are values inside its sessionState, its
-// plan head's generator stays on the stack, and its user-agent label
-// comes from a table, so what remains is the state itself, the beacon IP
-// string and whatever the shards' pools and sinks grow by.
+// plan head's generator stays on the stack, its user-agent label comes
+// from a table, and the state and its record buffer come from the
+// worker's free list, so what remains is the beacon IP string (one per
+// session) and whatever the worker's pools and the shards' sinks grow
+// by: about 1.37 objects.
 func TestTelemetryExecuteMallocsPerSession(t *testing.T) {
-	const ceiling = 5.0
+	const ceiling = 1.5
 	m1, _ := telemetryMallocs(t, 2000)
 	m2, _ := telemetryMallocs(t, 4000)
 	perSession := (float64(m2) - float64(m1)) / 2000
 	t.Logf("%.2f heap objects per session (2000 sessions: %d objects; 4000: %d)", perSession, m1, m2)
 	if perSession > ceiling {
-		t.Fatalf("telemetry-mode run allocates %.2f heap objects per session, ceiling %.0f", perSession, ceiling)
+		t.Fatalf("telemetry-mode run allocates %.2f heap objects per session, ceiling %.1f", perSession, ceiling)
 	}
 }

@@ -90,42 +90,58 @@ func runOnPopulationWithSinks(pop *workload.Population, factory SinkFactory, pro
 }
 
 // slotShard is one server's slice of the campaign: the sessions it
-// serves, the one server that serves them, its engine, and its record
-// sink. Shards share only the immutable population.
+// serves, the one server that serves them, and its record sink. Shards
+// share only the immutable population.
 type slotShard struct {
-	pop    *workload.Population
-	refs   []workload.SessionRef
-	popID  int
-	slot   int
-	algo   abr.Algorithm
-	shard  sim.Shard
-	sink   core.RecordSink
-	server *cdn.Server // set for the duration of run
+	pop   *workload.Population
+	refs  []workload.SessionRef
+	popID int
+	slot  int
+	algo  abr.Algorithm
+	shard sim.Shard
+	sink  core.RecordSink
 
-	// recPool recycles finished sessions' ChunkRecord buffers (sinks copy
-	// what they keep, per the core.RecordSink contract) so steady-state
-	// execution allocates no per-chunk storage. srtt is the finish-time
-	// scratch for the per-session SRTT series.
-	recPool [][]core.ChunkRecord
-	srtt    []float64
+	// server and scratch are set for the duration of run: the server is
+	// built for it, and the scratch is lent by the worker running it.
+	server  *cdn.Server
+	scratch *shardScratch
 }
 
-// getRecords hands out a recycled chunk-record buffer, or a fresh one,
-// with room for the session's planned watch length, so the session's
-// appends never regrow it (abandonment only shortens a session).
-func (sh *slotShard) getRecords(capHint int) []core.ChunkRecord {
-	if n := len(sh.recPool); n > 0 {
-		b := sh.recPool[n-1]
-		sh.recPool = sh.recPool[:n-1]
-		return slices.Grow(b, capHint)
+// shardScratch is what a shard borrows from the worker that runs it:
+// the event engine, the arrival handlers, the free list of finished
+// session states, and the SRTT series buffer. A worker runs one shard
+// at a time, so one scratch serves every shard of the worker in turn,
+// and each pool holds at most that worker's peak count of concurrent
+// sessions, however many shards it has run. The scratch is garbage once
+// executeShards returns.
+type shardScratch struct {
+	eng      sim.Engine
+	arrivals []arrival
+	// states are finished sessions' states, reset, each keeping the
+	// capacity of its chunk-record and prefetch buffers.
+	states []*sessionState
+	srtt   []float64
+}
+
+// getState hands out a recycled session state, or a fresh one. Either
+// equals a zero sessionState apart from the capacity of its buffers.
+func (scr *shardScratch) getState() *sessionState {
+	if n := len(scr.states); n > 0 {
+		st := scr.states[n-1]
+		scr.states = scr.states[:n-1]
+		return st
 	}
-	return make([]core.ChunkRecord, 0, capHint)
+	return new(sessionState)
 }
 
-// putRecords returns a finished session's buffer to the pool. The caller
-// must be done with every record in it.
-func (sh *slotShard) putRecords(b []core.ChunkRecord) {
-	sh.recPool = append(sh.recPool, b[:0])
+// putState resets a finished session's state and returns it to the free
+// list. The caller must hold the last reference to it (see finish), and
+// be done with every record in its buffer. The reset also drops the
+// state's references to its shard's server, sink and population, so a
+// free state keeps no finished shard alive.
+func (scr *shardScratch) putState(st *sessionState) {
+	*st = sessionState{records: st.records[:0], nextBuf: st.nextBuf[:0]}
+	scr.states = append(scr.states, st)
 }
 
 // planShards partitions the campaign by (PoP, server slot), the phase
@@ -164,8 +180,10 @@ func planShards(pop *workload.Population, factory SinkFactory) ([]*slotShard, er
 }
 
 // executeShards runs every shard's event loop, at most parallelism at a
-// time. Shard weights (session counts) let the scheduler start the
-// heaviest shards first so the run's tail is not one hot server.
+// time. Shard weights (planned chunks) let the scheduler start the
+// heaviest shards first so the run's tail is not one hot server. Each
+// worker lends its scratch to the shard it runs and takes it back when
+// the shard drains.
 func executeShards(parallelism int, shards []*slotShard, prog *Progress) {
 	byID := make(map[int]*slotShard, len(shards))
 	simShards := make([]*sim.Shard, 0, len(shards))
@@ -173,8 +191,9 @@ func executeShards(parallelism int, shards []*slotShard, prog *Progress) {
 		byID[sh.shard.ID] = sh
 		simShards = append(simShards, &sh.shard)
 	}
-	sim.RunShards(parallelism, simShards, func(s *sim.Shard) {
-		byID[s.ID].run()
+	scratch := make([]shardScratch, sim.Workers(parallelism, len(shards)))
+	sim.RunShards(parallelism, simShards, func(w int, s *sim.Shard) {
+		byID[s.ID].run(&scratch[w])
 		if prog != nil {
 			prog.ShardsDone.Add(1)
 		}
@@ -182,31 +201,34 @@ func executeShards(parallelism int, shards []*slotShard, prog *Progress) {
 }
 
 // run builds the shard's server, warms it, schedules the shard's session
-// arrivals, and drains the event loop. Everything it touches is
-// shard-private except the read-only population. Session state (TCP
-// connection, player, ABR estimator) is created at arrival time and
-// becomes garbage once the session's records are handed to the sink, so
-// a streaming sink keeps the shard's live heap proportional to
-// concurrently playing sessions rather than to the whole campaign. The
-// server and its cache are dropped when the loop drains: shards live
-// until the whole campaign ends.
-func (sh *slotShard) run() {
+// arrivals on the scratch's engine, and drains the event loop.
+// Everything it touches is shard-private except the read-only population
+// and the scratch it borrows. A session's state comes from the scratch's
+// free list at arrival and goes back to it once the session's records
+// are handed to the sink, so a streaming sink keeps the live heap
+// proportional to concurrently playing sessions rather than to the whole
+// campaign. The server and the scratch are dropped when the loop drains:
+// shards live until the whole campaign ends.
+func (sh *slotShard) run(scratch *shardScratch) {
 	sc := sh.pop.Scenario
 	fleet := cdn.NewSlotFleet(sc.Fleet, sc.Seed, sh.popID, sh.slot)
 	if !sc.ColdStart {
 		WarmPoP(fleet, sh.pop.Catalog, sh.popID)
 	}
 	sh.server = fleet.PoPServers(sh.popID)[sh.slot]
+	sh.scratch = scratch
 	reserveArenas(sh.server.Cache(), sh.shard.Weight)
-	eng := &sh.shard.Engine
+	eng := &scratch.eng
+	eng.Reset()
 	scheduleTimelineEvents(eng, sh.server, sc.Timeline, sc.ArrivalOffsetMS)
-	arrivals := make([]arrival, len(sh.refs))
+	arrivals := slices.Grow(scratch.arrivals[:0], len(sh.refs))[:len(sh.refs)]
 	for i, ref := range sh.refs {
 		arrivals[i] = arrival{sh: sh, id: ref.ID}
 		eng.At(ref.ArrivalMS, &arrivals[i])
 	}
 	eng.Run()
-	sh.server = nil
+	scratch.arrivals = arrivals[:0]
+	sh.server, sh.scratch = nil, nil
 }
 
 // reserveArenas sizes an LRU cache's arenas for a shard's planned chunk
@@ -231,7 +253,7 @@ type arrival struct {
 // Fire implements sim.Handler.
 func (a *arrival) Fire(float64) {
 	plan := a.sh.pop.PlanSession(a.id)
-	newSessionState(a.sh, plan, &a.sh.shard.Engine).requestNextChunk()
+	newSessionState(a.sh, plan).requestNextChunk()
 }
 
 // scheduleTimelineEvents installs the timeline's per-server mutations as

@@ -2,10 +2,14 @@ package session
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
+	"vidperf/internal/cdn"
 	"vidperf/internal/core"
+	"vidperf/internal/proxypop"
 	"vidperf/internal/telemetry"
 	"vidperf/internal/workload"
 )
@@ -150,5 +154,142 @@ func TestRecycledChunkBuffersSafe(t *testing.T) {
 	}
 	if recycled == 0 {
 		t.Fatal("no retained chunk slice was ever recycled; the buffer pool appears inactive")
+	}
+}
+
+// recycleScenarios are the session paths a recycled state must carry
+// cleanly: plain VoD, prefetching servers, live channel switching, and
+// proxied cohorts under a full-effects timeline.
+func recycleScenarios() map[string]workload.Scenario {
+	prefetch := smallScenario(43)
+	prefetch.Fleet.Server.Prefetch = 2
+	proxied := timelineScenario(44)
+	proxied.Proxy = proxypop.Config{Share: 0.3, Cohorts: 2}
+	return map[string]workload.Scenario{
+		"vod":      smallScenario(42),
+		"prefetch": prefetch,
+		"live":     stormLiveScenario(45, 1),
+		"proxied":  proxied,
+	}
+}
+
+// traceBytes runs sc in dataset mode and returns its JSONL trace.
+func traceBytes(t *testing.T, sc workload.Scenario) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := core.WriteJSONL(&buf, mustRun(t, sc)); err != nil {
+		t.Fatalf("WriteJSONL: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// TestRecycledStateStartsClean: after shards run on a scratch, every
+// state on its free list equals a fresh one field for field, apart from
+// the capacity of its reused buffers, and so does the state the free
+// list hands out next.
+func TestRecycledStateStartsClean(t *testing.T) {
+	for name, sc := range recycleScenarios() {
+		sc.Parallelism = 1
+		pop := workload.Build(sc)
+		var col core.SpanCollector
+		shards, err := planShards(pop, func(int) core.RecordSink { return col.NewSink() })
+		if err != nil {
+			t.Fatalf("%s: planShards: %v", name, err)
+		}
+		var scratch shardScratch
+		for _, sh := range shards[:min(3, len(shards))] {
+			sh.run(&scratch)
+		}
+		if len(scratch.states) == 0 {
+			t.Fatalf("%s: no session state was returned to the free list", name)
+		}
+		reused := 0
+		for i, st := range append(slices.Clone(scratch.states), scratch.getState()) {
+			if cap(st.records) > 0 {
+				reused++
+			}
+			if len(st.records) != 0 || len(st.nextBuf) != 0 {
+				t.Errorf("%s: free state %d holds %d records and %d prefetch entries", name, i, len(st.records), len(st.nextBuf))
+			}
+			got := *st
+			got.records, got.nextBuf = nil, nil
+			v := reflect.ValueOf(got)
+			for f := 0; f < v.NumField(); f++ {
+				if !v.Field(f).IsZero() {
+					t.Errorf("%s: free state %d keeps field %s of its last session", name, i, v.Type().Field(f).Name)
+				}
+			}
+		}
+		if reused == 0 {
+			t.Errorf("%s: no free state keeps a record buffer to reuse", name)
+		}
+	}
+}
+
+// TestExecuteShardsReturnsScratch: once executeShards returns, no shard
+// still holds its worker's scratch or its server, at any parallelism.
+func TestExecuteShardsReturnsScratch(t *testing.T) {
+	for _, par := range []int{1, 2, 8} {
+		pop := workload.Build(smallScenario(46))
+		var col core.SpanCollector
+		shards, err := planShards(pop, func(int) core.RecordSink { return col.NewSink() })
+		if err != nil {
+			t.Fatalf("planShards: %v", err)
+		}
+		executeShards(par, shards, nil)
+		for _, sh := range shards {
+			if sh.scratch != nil || sh.server != nil {
+				t.Fatalf("parallelism %d: shard %d still holds scratch %v, server %v after executeShards",
+					par, sh.shard.ID, sh.scratch != nil, sh.server != nil)
+			}
+		}
+	}
+}
+
+// TestRecycledStatesUnreferenced shows that nothing refers to a session
+// state once finish has returned it to the free list. The probe takes
+// every freed state back out of circulation, so it is never reused and
+// stays zeroed: an event, an in-flight request or a sink that still
+// held one would fire it, and a zeroed state panics on Fire and on
+// Served. Every scenario must run to the same trace as with recycling.
+func TestRecycledStatesUnreferenced(t *testing.T) {
+	var zeroed sessionState
+	for name, use := range map[string]func(){
+		"Fire":   func() { zeroed.Fire(0) },
+		"Served": func() { zeroed.Served(cdn.ServeResult{}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s on a zeroed state did not panic; it cannot serve as poison", name)
+				}
+			}()
+			use()
+		}()
+	}
+
+	freed := 0
+	probe := func(scratch *shardScratch, st *sessionState) {
+		n := len(scratch.states) - 1
+		if scratch.states[n] != st {
+			t.Fatal("finish did not put the state on top of the free list")
+		}
+		scratch.states = scratch.states[:n]
+		freed++
+	}
+	t.Cleanup(func() { recycleProbe = nil })
+	for name, sc := range recycleScenarios() {
+		sc.Parallelism = 1
+		want := traceBytes(t, sc)
+		freed = 0
+		recycleProbe = probe
+		got := traceBytes(t, sc)
+		recycleProbe = nil
+		if freed != sc.NumSessions {
+			t.Errorf("%s: %d states freed, want one per session (%d)", name, freed, sc.NumSessions)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: trace without state reuse differs from the recycled run", name)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package session
 
 import (
 	"math"
+	"slices"
 
 	"vidperf/internal/abr"
 	"vidperf/internal/catalog"
@@ -18,8 +19,9 @@ import (
 
 // sessionState is one in-flight session. Its randomness derives from
 // (scenario seed, session ID) only, and it touches only its own shard's
-// engine, server, and sink. Its chunk-record buffer is borrowed
-// from the shard's pool and returned when the session finishes.
+// engine, server, and sink. The state itself, with its chunk-record
+// buffer, comes from the free list of the scratch its shard borrowed
+// and returns there when the session finishes.
 //
 // The session is its own event handler and CDN client: Fire issues the
 // next chunk request and Served takes the server's answer. A session has
@@ -29,12 +31,12 @@ import (
 // are values inside it, so setting up a session is one allocation; conn
 // draws from connR, the stream split off r.
 type sessionState struct {
-	shard *slotShard
-	pop   *workload.Population
-	plan  workload.SessionPlan
-	algo  abr.Algorithm
-	eng   *sim.Engine
-	sink  core.RecordSink
+	scratch *shardScratch
+	pop     *workload.Population
+	plan    workload.SessionPlan
+	algo    abr.Algorithm
+	eng     *sim.Engine
+	sink    core.RecordSink
 
 	r      stats.Rand
 	connR  stats.Rand
@@ -88,7 +90,13 @@ func (s *sessionState) Served(res cdn.ServeResult) { s.onServed(res) }
 // hook is package-level state, so it must stay nil in production runs.
 var liveProbe func(sessionID uint64, absChunk int, issueMS, publishMS float64)
 
-func newSessionState(sh *slotShard, plan workload.SessionPlan, eng *sim.Engine) *sessionState {
+// recycleProbe, when non-nil, sees each session state right after
+// finish returns it to scr's free list. Like liveProbe it exists for
+// tests, which run at Parallelism 1, and must stay nil in production
+// runs.
+var recycleProbe func(scr *shardScratch, st *sessionState)
+
+func newSessionState(sh *slotShard, plan workload.SessionPlan) *sessionState {
 	pop := sh.pop
 	prof := plan.Prefix.Profile
 	if plan.Proxied {
@@ -98,18 +106,24 @@ func newSessionState(sh *slotShard, plan workload.SessionPlan, eng *sim.Engine) 
 		// direct world.
 		prof = pop.ProxyCohort(plan.ProxyCohort).Trombone.CongestionProfile(prof)
 	}
-	st := &sessionState{
-		shard:   sh,
+	st := sh.scratch.getState()
+	// Every field is assigned here, so nothing of a recycled state's
+	// last session survives but its buffers' capacity. The record buffer
+	// is grown to the planned watch length, so the session's appends
+	// never regrow it (abandonment only shortens a session).
+	*st = sessionState{
+		scratch: sh.scratch,
 		pop:     pop,
 		plan:    plan,
 		algo:    sh.algo,
 		server:  sh.server,
-		eng:     eng,
+		eng:     &sh.scratch.eng,
 		sink:    sh.sink,
 		r:       *stats.NewRand(pop.Scenario.Seed ^ (plan.ID * 0xdeadbeefcafef00d)),
 		play:    player.New(pop.Scenario.StartThresholdSec),
 		est:     abr.NewEstimator(0.3),
-		records: sh.getRecords(plan.WatchChunks),
+		records: slices.Grow(st.records[:0], plan.WatchChunks),
+		nextBuf: st.nextBuf[:0],
 	}
 	// The connection's stream is split off before the congestion draws.
 	st.connR = *st.r.Split()
@@ -342,13 +356,13 @@ func (s *sessionState) finish() {
 
 	// The session's SRTT series is the per-chunk kernel snapshot (Table 2,
 	// "CDN TCP layer"), one equally-weighted sample per chunk. The slice
-	// is shard-level scratch: sessions finish one at a time within a
-	// shard's engine, and the stats helpers retain nothing.
-	srttSeries := s.shard.srtt[:0]
+	// is worker scratch: sessions finish one at a time within a shard's
+	// engine, and the stats helpers retain nothing.
+	srttSeries := s.scratch.srtt[:0]
 	for i := range s.records {
 		srttSeries = append(srttSeries, s.records[i].SRTTms)
 	}
-	s.shard.srtt = srttSeries[:0]
+	s.scratch.srtt = srttSeries[:0]
 	var srttMin, srttMean, srttStd, srttCV float64
 	if len(srttSeries) > 0 {
 		srttMin = stats.Min(srttSeries)
@@ -417,8 +431,18 @@ func (s *sessionState) finish() {
 		rec.ProxyCohort = pl.ProxyCohort
 	}
 	s.sink.ConsumeSession(rec, s.records)
-	// The sink contract says chunks are valid only for the duration of the
-	// call, so the buffer can be recycled for the shard's next session.
-	s.shard.putRecords(s.records)
-	s.records = nil
+	// Nothing refers to the state past this point, so it goes back to
+	// the free list. finish runs inside Served, whose in-flight request
+	// has already been recycled and cleared (cdn's inflight.Fire); a
+	// session schedules itself only at the end of onServed, which
+	// returns right after this call, or from requestNextChunk, which
+	// never runs with a request in flight; and the sink contract says the
+	// chunks are valid only for the duration of the call, so the record
+	// buffer is free too. TestRecycledStatesUnreferenced poisons every
+	// freed state and runs every scenario feature to check this.
+	scr := s.scratch
+	scr.putState(s)
+	if recycleProbe != nil {
+		recycleProbe(scr, s)
+	}
 }

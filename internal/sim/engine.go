@@ -11,7 +11,7 @@
 //
 // An Engine is strictly single-goroutine. Scaling comes from partitioning:
 // a campaign splits into disjoint event systems (one per CDN server), each
-// on its own Engine wrapped in a Shard, executed concurrently by RunShards.
+// described by a Shard and run on its worker's Engine by RunShards.
 package sim
 
 // Handler is the work an event does when the engine reaches its time.
@@ -81,6 +81,15 @@ type Engine struct {
 	now    float64
 	seq    uint64
 	events eventHeap
+}
+
+// Reset readies the engine for a new run from time 0, dropping any
+// pending events. It keeps the event heap's backing array, so a worker
+// that runs shard after shard on one engine grows it only to the
+// largest heap any of them needs.
+func (e *Engine) Reset() {
+	clear(e.events)
+	*e = Engine{events: e.events[:0]}
 }
 
 // Now returns the current simulated time in milliseconds.

@@ -1,24 +1,26 @@
 package sim
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
 
-// shardTrace runs a small self-scheduling workload on one shard and
-// returns the event-time trace it produced.
-func shardTrace(s *Shard) []float64 {
+// shardTrace runs a small self-scheduling workload for one shard on e
+// and returns the event-time trace it produced.
+func shardTrace(e *Engine, s *Shard) []float64 {
+	e.Reset()
 	var trace []float64
 	for i := 0; i < 5; i++ {
 		at := float64((s.ID + 1) * (i + 1))
-		s.Engine.At(at, Func(func(now float64) {
+		e.At(at, Func(func(now float64) {
 			trace = append(trace, now)
 			if now < 100 {
-				s.Engine.After(7, Func(func(now float64) { trace = append(trace, now) }))
+				e.After(7, Func(func(now float64) { trace = append(trace, now) }))
 			}
 		}))
 	}
-	s.Engine.Run()
+	e.Run()
 	return trace
 }
 
@@ -30,7 +32,8 @@ func TestRunShardsParallelismInvariant(t *testing.T) {
 			shards[i] = &Shard{ID: i}
 		}
 		traces := make([][]float64, len(shards))
-		RunShards(par, shards, func(s *Shard) { traces[s.ID] = shardTrace(s) })
+		engines := make([]Engine, Workers(par, len(shards)))
+		RunShards(par, shards, func(w int, s *Shard) { traces[s.ID] = shardTrace(&engines[w], s) })
 		results[par] = traces
 	}
 	for _, par := range []int{3, 16} {
@@ -54,7 +57,7 @@ func TestRunShardsRunsEveryShardOnce(t *testing.T) {
 	for i := range shards {
 		shards[i] = &Shard{ID: i}
 	}
-	RunShards(4, shards, func(s *Shard) { atomic.AddInt64(&counts[s.ID], 1) })
+	RunShards(4, shards, func(_ int, s *Shard) { atomic.AddInt64(&counts[s.ID], 1) })
 	for i, c := range counts {
 		if c != 1 {
 			t.Fatalf("shard %d ran %d times", i, c)
@@ -64,8 +67,65 @@ func TestRunShardsRunsEveryShardOnce(t *testing.T) {
 
 func TestRunShardsZeroParallelism(t *testing.T) {
 	var ran atomic.Int64
-	RunShards(0, []*Shard{{ID: 0}, {ID: 1}}, func(*Shard) { ran.Add(1) })
+	RunShards(0, []*Shard{{ID: 0}, {ID: 1}}, func(int, *Shard) { ran.Add(1) })
 	if ran.Load() != 2 {
 		t.Fatalf("ran %d shards, want 2", ran.Load())
+	}
+}
+
+// TestRunShardsWorkersExclusive: every call gets a worker index below
+// Workers, and no two calls in flight share one, so a worker's scratch
+// is never used by two shards at once.
+func TestRunShardsWorkersExclusive(t *testing.T) {
+	shards := make([]*Shard, 40)
+	for i := range shards {
+		shards[i] = &Shard{ID: i, Weight: i % 7}
+	}
+	for _, par := range []int{1, 2, 4, 0} {
+		workers := Workers(par, len(shards))
+		busy := make([]atomic.Bool, workers)
+		var ran atomic.Int64
+		RunShards(par, shards, func(w int, s *Shard) {
+			if w < 0 || w >= workers {
+				t.Errorf("parallelism %d: worker %d outside [0, %d)", par, w, workers)
+				return
+			}
+			if !busy[w].CompareAndSwap(false, true) {
+				t.Errorf("parallelism %d: worker %d runs two shards at once", par, w)
+			}
+			runtime.Gosched()
+			busy[w].Store(false)
+			ran.Add(1)
+		})
+		if ran.Load() != int64(len(shards)) {
+			t.Fatalf("parallelism %d: ran %d shards, want %d", par, ran.Load(), len(shards))
+		}
+	}
+	if got := Workers(3, 0); got != 0 {
+		t.Errorf("Workers(3, 0) = %d, want 0", got)
+	}
+}
+
+// TestEngineResetKeepsHeap: a reset engine starts at time 0 with no
+// pending events and schedules into its old backing array.
+func TestEngineResetKeepsHeap(t *testing.T) {
+	var e Engine
+	var h firings
+	for i := 0; i < 64; i++ {
+		e.At(float64(i), &h)
+	}
+	e.RunUntil(10)
+	e.Reset()
+	if e.Now() != 0 || e.Pending() != 0 {
+		t.Fatalf("after Reset: now %v, %d pending; want 0, 0", e.Now(), e.Pending())
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 64; i++ {
+			e.At(float64(i), &h)
+		}
+		e.Run()
+		e.Reset()
+	}); allocs != 0 {
+		t.Fatalf("refilling a reset engine allocates %v objects, want 0", allocs)
 	}
 }

@@ -108,8 +108,8 @@ func (q qoeSketches) add(s *core.SessionRecord) {
 // accumulator of it.
 type Accumulator struct {
 	core         [numCoreSketches]QuantileSketch
-	startupHist  *Histogram
-	rebufferHist *Histogram
+	startupHist  Histogram
+	rebufferHist Histogram
 	counts       map[counterKey]uint64
 
 	// extra is one slab holding every optional-family sketch in the
@@ -162,13 +162,21 @@ type Config struct {
 }
 
 // shape is what every accumulator of one Config shares: the Config,
-// with its own copy of the windows, and the canonical names of the
-// optional-family sketches in slab order. A Campaign builds it once, so
-// its shard accumulators build no name.
+// with its own copy of the windows, the canonical names of the
+// optional-family sketches in slab order, and the number of counter
+// keys the Config bounds. A Campaign builds it once, so its shard
+// accumulators build no name.
 type shape struct {
-	cfg   Config
-	names []string
+	cfg         Config
+	names       []string
+	counterKeys int
 }
+
+// baseCounterKeys is how many counters a one-PoP accumulator of any
+// Config keeps at most on the default ladder: the five undimensioned
+// ones, the PoP's sessions, chunks and hits, three org types, three
+// cache levels and eight bitrates.
+const baseCounterKeys = 5 + 3 + 3 + 3 + 8
 
 // newShape lays out cfg's optional families in the order diagnosis,
 // windows, live, proxy, the order newAccumulator builds them in.
@@ -176,18 +184,26 @@ func newShape(cfg Config) *shape {
 	// Snapshots share the window list; a clipped copy makes any append
 	// to one (MergeSnapshots) reallocate.
 	cfg.Windows = slices.Clip(slices.Clone(cfg.Windows))
-	sh := &shape{cfg: cfg}
+	sh := &shape{cfg: cfg, counterKeys: baseCounterKeys}
+	labels := 0
 	if cfg.Diagnose != nil {
 		sh.names = appendDiagNames(sh.names)
+		labels = len(diagLabels)
+		sh.counterKeys += labels
 	}
 	if len(cfg.Windows) > 0 {
 		sh.names = appendWindowNames(sh.names, cfg.Windows)
+		sh.counterKeys += 1 + len(cfg.Windows)*(1+labels)
 	}
+	// Live channels and proxy cohorts have no bound in the Config; only
+	// their undimensioned counters are counted.
 	if cfg.Live {
 		sh.names = append(sh.names, liveMetricNames[:]...)
+		sh.counterKeys++
 	}
 	if cfg.Proxy {
 		sh.names = append(sh.names, proxyMetricNames[:]...)
+		sh.counterKeys += 2
 	}
 	return sh
 }
@@ -205,10 +221,11 @@ func NewAccumulatorWith(cfg Config) *Accumulator { return newShape(cfg).newAccum
 // assigned.
 func (sh *shape) newAccumulator() *Accumulator {
 	cfg := sh.cfg
+	bins := make([]uint64, startupHistBins+rebufHistBins)
 	a := &Accumulator{
-		startupHist:  NewHistogram(0, startupHistMaxMS, startupHistBins),
-		rebufferHist: NewHistogram(0, 1, rebufHistBins),
-		counts:       map[counterKey]uint64{},
+		startupHist:  histogramOver(0, startupHistMaxMS, bins[:startupHistBins:startupHistBins]),
+		rebufferHist: histogramOver(0, 1, bins[startupHistBins:]),
+		counts:       make(map[counterKey]uint64, sh.counterKeys),
 		extra:        make([]QuantileSketch, len(sh.names)),
 		shape:        sh,
 		fams:         make([]family, 0, 4),
@@ -249,18 +266,45 @@ func (a *Accumulator) nextFamily() counterFamily { return famFamily + counterFam
 
 // ReserveRecords implements core.RecordReserver. The sharded runner
 // calls it before a shard's first record with the shard's session count
-// and an upper bound on its chunks, and no sketch is fed more than one
-// sample per session or per chunk, so each sketch's first level-0
-// allocation is sized for max(sessions, chunks) samples, at most k,
-// rather than k. A sketch fed past it grows as append does; no sketch
-// state the snapshot shows depends on the hint.
+// and an upper bound on its chunks. The per-chunk core sketches take at
+// most one sample per chunk, and the others (startup, rebuffer and every
+// optional-family sketch) at most one per session, so each sketch's
+// first level 0 is sized for min(that count, k) samples. Every sketch's
+// level 0 is carved out of one slab and its level-header slice out of
+// another, so a shard's sketches cost two allocations, not two each. A
+// sketch fed past its reservation grows as append does; no sketch state
+// the snapshot shows depends on the hint.
 func (a *Accumulator) ReserveRecords(sessions, chunks int) {
-	n := max(sessions, chunks)
-	for i := range a.core {
-		a.core[i].reserve(n)
+	k := a.core[0].k
+	perChunk, perSession := min(max(chunks, 0), k), min(max(sessions, 0), k)
+	n := numCoreSketches + len(a.extra)
+	// sketch returns the i-th sketch, core slots first, and the
+	// samples its level 0 is sized for.
+	sketch := func(i int) (*QuantileSketch, int) {
+		switch {
+		case i >= numCoreSketches:
+			return &a.extra[i-numCoreSketches], perSession
+		case i == slotStartup || i == slotRebuffer:
+			return &a.core[i], perSession
+		}
+		return &a.core[i], perChunk
 	}
-	for i := range a.extra {
-		a.extra[i].reserve(n)
+	total := 0
+	for i := range n {
+		_, size := sketch(i)
+		total += size
+	}
+	if total == 0 {
+		return
+	}
+	l0s := make([]float64, total)
+	hdrs := make([][]float64, firstLevels*n)
+	for i := range n {
+		s, size := sketch(i)
+		if size > 0 {
+			s.reserve(l0s[:0:size], hdrs[:0:firstLevels])
+		}
+		l0s, hdrs = l0s[size:], hdrs[firstLevels:]
 	}
 }
 
@@ -336,8 +380,8 @@ func (a *Accumulator) Merge(o *Accumulator) {
 	for i := range a.extra {
 		a.extra[i].Merge(&o.extra[i])
 	}
-	a.startupHist.Merge(o.startupHist)
-	a.rebufferHist.Merge(o.rebufferHist)
+	a.startupHist.Merge(&o.startupHist)
+	a.rebufferHist.Merge(&o.rebufferHist)
 	for k, n := range o.counts {
 		a.counts[k] += n
 	}
@@ -358,8 +402,8 @@ func (a *Accumulator) snapshot() *Snapshot {
 		SketchK:  NewSketch(a.shape.cfg.SketchK).K(),
 		Sketches: sketches,
 		Histograms: map[string]*Histogram{
-			MetricStartupMS:    a.startupHist,
-			MetricRebufferRate: a.rebufferHist,
+			MetricStartupMS:    &a.startupHist,
+			MetricRebufferRate: &a.rebufferHist,
 		},
 		Counters: make(map[string]uint64, len(a.counts)),
 	}

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"vidperf/internal/core"
@@ -72,7 +73,8 @@ func TestLiveSwitchesPresentAtZero(t *testing.T) {
 // accumulators get ReserveRecords hints snapshots to the same bytes as
 // one whose accumulators get none — with a shard fed exactly its hint,
 // one fed far past it (and past k), and one fed nothing. The hint does
-// size a sketch's first level 0, and an empty sketch still writes no
+// size a sketch's first level 0 (by chunks for the per-chunk sketches,
+// by sessions for the others), and an empty sketch still writes no
 // levels and no parity.
 func TestReserveRecordsLeavesSnapshotUnchanged(t *testing.T) {
 	cfg := Config{SketchK: 32, Diagnose: &diagnose.Config{}, Windows: testWindows(), Live: true, Proxy: true}
@@ -107,11 +109,19 @@ func TestReserveRecordsLeavesSnapshotUnchanged(t *testing.T) {
 	if got := cap(a.core[slotDFB].levels[0]); got != len(chunks) {
 		t.Errorf("reserved dfb sketch level 0 has cap %d, want %d", got, len(chunks))
 	}
-	if got := cap(a.core[slotStartup].levels[0]); got != len(chunks) {
-		t.Errorf("reserved startup sketch level 0 has cap %d, want %d", got, len(chunks))
+	// Per-session sketches are sized by the session count.
+	if got := cap(a.core[slotStartup].levels[0]); got != 1 {
+		t.Errorf("reserved startup sketch level 0 has cap %d, want 1", got)
+	}
+	joinTime := &a.extra[slices.Index(a.shape.names, MetricJoinTimeMS)]
+	if got := cap(joinTime.levels[0]); got != 1 {
+		t.Errorf("reserved %s sketch level 0 has cap %d, want 1", MetricJoinTimeMS, got)
+	}
+	if got := cap(joinTime.levels); got != firstLevels {
+		t.Errorf("reserved %s sketch has room for %d levels, want %d", MetricJoinTimeMS, got, firstLevels)
 	}
 	empty := NewSketch(32)
-	empty.reserve(5)
+	empty.reserve(make([]float64, 0, 5), make([][]float64, 0, firstLevels))
 	got, err := json.Marshal(empty)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +135,9 @@ func TestReserveRecordsLeavesSnapshotUnchanged(t *testing.T) {
 // TestAccumulatorAllocationsBounded: building an accumulator costs a
 // fixed number of allocations, and a campaign's shard accumulator does
 // not grow with the number of optional sketches — their names are built
-// once per campaign and the sketches come from one slab.
+// once per campaign, the sketches come from one slab, both histograms'
+// bins from one slice, and the counter map is made once at the size the
+// shape bounds.
 func TestAccumulatorAllocationsBounded(t *testing.T) {
 	few := Config{SketchK: 32, Diagnose: &diagnose.Config{}, Windows: testWindows(), Live: true, Proxy: true}
 	many := few
@@ -145,10 +157,28 @@ func TestAccumulatorAllocationsBounded(t *testing.T) {
 		t.Errorf("shard accumulator allocations grow with the windows: %v for %d, %v for %d",
 			fewAllocs, len(few.Windows), manyAllocs, len(many.Windows))
 	}
-	if fewAllocs > 14 {
-		t.Errorf("shard accumulator costs %v allocations, want at most 14", fewAllocs)
+	if fewAllocs > 12 {
+		t.Errorf("shard accumulator costs %v allocations, want at most 12", fewAllocs)
 	}
 	if standalone > 64 {
 		t.Errorf("NewAccumulatorWith costs %v allocations, want at most 64", standalone)
+	}
+}
+
+// TestReservedShardFoldsFirstSession: a reserved shard accumulator with
+// every family on folds its first session with no allocation beyond
+// the reservation's two slabs — no sketch allocates its level 0 or its
+// level headers, and the counter map does not grow.
+func TestReservedShardFoldsFirstSession(t *testing.T) {
+	c := NewCampaignWith(Config{SketchK: 32, Diagnose: &diagnose.Config{}, Windows: testWindows(), Live: true, Proxy: true})
+	s, chunks := foldSession()
+	built := testing.AllocsPerRun(50, func() { c.Sink(0) })
+	fed := testing.AllocsPerRun(50, func() {
+		sink := c.Sink(0)
+		sink.(core.RecordReserver).ReserveRecords(10, 10*len(chunks))
+		sink.ConsumeSession(s, chunks)
+	})
+	if fed-built > 2 {
+		t.Fatalf("reserving and folding a first session costs %v allocations beyond the accumulator's %v, want 2", fed-built, built)
 	}
 }

@@ -24,13 +24,18 @@ type Histogram struct {
 // count (bins is clamped to >= 1; hi must exceed lo or NewHistogram
 // panics — the shapes are compile-time constants in this codebase).
 func NewHistogram(lo, hi float64, bins int) *Histogram {
+	h := histogramOver(lo, hi, make([]uint64, max(bins, 1)))
+	return &h
+}
+
+// histogramOver returns an empty histogram over [lo, hi) that counts
+// into bins, which must be zeroed and non-empty; an accumulator carves
+// its histograms' bins out of one slice.
+func histogramOver(lo, hi float64, bins []uint64) Histogram {
 	if hi <= lo {
 		panic(fmt.Sprintf("telemetry: NewHistogram(%g, %g): empty range", lo, hi))
 	}
-	if bins < 1 {
-		bins = 1
-	}
-	return &Histogram{lo: lo, hi: hi, counts: make([]uint64, bins)}
+	return Histogram{lo: lo, hi: hi, counts: bins}
 }
 
 // Add folds one sample into the histogram. NaN is ignored.

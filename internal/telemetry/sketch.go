@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -30,9 +29,9 @@ import (
 // is under 1.6% of rank. NaN inputs are ignored.
 type QuantileSketch struct {
 	k int
-	// first, when non-zero, is the capacity of level 0's first
-	// allocation instead of k (see reserve).
-	first  int
+	// first, when non-nil, is the buffer level 0 starts in instead of a
+	// fresh one of k samples (see reserve).
+	first  []float64
 	n      uint64
 	min    float64
 	max    float64
@@ -60,12 +59,21 @@ func NewSketch(k int) *QuantileSketch {
 	return &QuantileSketch{k: k, min: math.Inf(1), max: math.Inf(-1)}
 }
 
-// reserve sizes the sketch's first level-0 allocation for n samples,
-// at most k, when it holds none yet. It changes no state a snapshot
-// shows: more samples grow the level as append does.
-func (s *QuantileSketch) reserve(n int) {
-	if len(s.levels) == 0 && n > 0 {
-		s.first = min(n, s.k)
+// firstLevels is how many levels a sketch's level-header slice has
+// room for when its first sample arrives: k·2³ samples, about one
+// shard's chunks, so early compactions do not regrow the slice.
+const firstLevels = 4
+
+// reserve gives an empty sketch the buffers its first sample will use:
+// l0, empty with room for the samples its feed is expected to bring (at
+// most k), becomes level 0, and hdr, empty with room for firstLevels
+// levels, the level-header slice. The caller carves both out of larger
+// slabs. It changes no state a snapshot shows: an empty sketch still
+// writes no levels and no parity, and more samples grow level 0 as
+// append does.
+func (s *QuantileSketch) reserve(l0 []float64, hdr [][]float64) {
+	if len(s.levels) == 0 {
+		s.first, s.levels = l0, hdr
 	}
 }
 
@@ -97,9 +105,13 @@ func (s *QuantileSketch) Add(v float64) {
 		return
 	}
 	if len(s.levels) == 0 {
-		// Room for the first levels up front (k·2³ samples, about one
-		// shard's chunks), so early compactions do not regrow the slice.
-		s.levels = append(make([][]float64, 0, 4), make([]float64, 0, cmp.Or(s.first, s.k)))
+		if cap(s.levels) == 0 {
+			s.levels = make([][]float64, 0, firstLevels)
+		}
+		if s.first == nil {
+			s.first = make([]float64, 0, s.k)
+		}
+		s.levels, s.first = append(s.levels, s.first), nil
 	}
 	s.n++
 	if v < s.min {
