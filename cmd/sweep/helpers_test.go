@@ -31,11 +31,11 @@ func TestNewLogger(t *testing.T) {
 
 func TestRatiosOnEmptySnapshot(t *testing.T) {
 	sn := &telemetry.Snapshot{}
-	if r := hitRatio(sn); r != 0 {
-		t.Fatalf("hitRatio of an empty snapshot = %g", r)
+	if r := sn.ChunkShare(telemetry.CounterChunksHit); r != 0 {
+		t.Fatalf("hit ratio of an empty snapshot = %g", r)
 	}
-	if r := retryShare(sn); r != 0 {
-		t.Fatalf("retryShare of an empty snapshot = %g", r)
+	if r := sn.ChunkShare(telemetry.CounterChunksRetryTimer); r != 0 {
+		t.Fatalf("retry share of an empty snapshot = %g", r)
 	}
 }
 
@@ -106,7 +106,7 @@ func TestPrintSummary(t *testing.T) {
 	if len(res.Cells) < 2 {
 		t.Fatalf("campaign ran %d cells, want >= 2 so the delta column renders", len(res.Cells))
 	}
-	if hitRatio(base.Snapshot) <= 0 {
+	if base.Snapshot.ChunkShare(telemetry.CounterChunksHit) <= 0 {
 		t.Fatal("baseline cell has a zero hit ratio")
 	}
 }

@@ -195,43 +195,29 @@ func printSummary(res *experiment.CampaignResult) {
 		res.Spec.Name, len(res.Cells), base.Cell.Name)
 	fmt.Printf("%-34s %10s %9s %8s %8s %11s %10s %9s\n",
 		"cell", "seed", "sessions", "hit%", "retry%", "startup p50", "rebuf p90", "Δhit%")
+	baseHit := base.Snapshot.ChunkShare(telemetry.CounterChunksHit)
 	for i := range res.Cells {
 		c := &res.Cells[i]
 		sn := c.Snapshot
+		hit := sn.ChunkShare(telemetry.CounterChunksHit)
 		marker := ""
 		dHit := "-"
 		if i == res.BaselineIndex {
 			marker = " *"
 		} else {
-			dHit = fmt.Sprintf("%+.2f", 100*(hitRatio(sn)-hitRatio(base.Snapshot)))
+			dHit = fmt.Sprintf("%+.2f", 100*(hit-baseHit))
 		}
 		fmt.Printf("%-34s %10d %9d %8.2f %8.2f %11.0f %10.4f %9s%s\n",
 			c.Cell.Name, c.Cell.Scenario.Seed,
 			sn.Counter(telemetry.CounterSessions),
-			100*hitRatio(sn),
-			100*retryShare(sn),
+			100*hit,
+			100*sn.ChunkShare(telemetry.CounterChunksRetryTimer),
 			sn.Sketch(telemetry.MetricStartupMS).Quantile(0.5),
 			sn.Sketch(telemetry.MetricRebufferRate).Quantile(0.9),
 			dHit, marker)
 	}
 	fmt.Println("(* baseline; Δ columns are candidate − baseline. analysis quantiles:",
 		quantileList(), "— run with -full-deltas or analyze compare for the full tables)")
-}
-
-func hitRatio(sn *telemetry.Snapshot) float64 {
-	chunks := sn.Counter(telemetry.CounterChunks)
-	if chunks == 0 {
-		return 0
-	}
-	return float64(sn.Counter(telemetry.CounterChunksHit)) / float64(chunks)
-}
-
-func retryShare(sn *telemetry.Snapshot) float64 {
-	chunks := sn.Counter(telemetry.CounterChunks)
-	if chunks == 0 {
-		return 0
-	}
-	return float64(sn.Counter(telemetry.CounterChunksRetryTimer)) / float64(chunks)
 }
 
 func quantileList() string {

@@ -74,10 +74,10 @@ func TestPaperBaselineWithDiagnosisSmoke(t *testing.T) {
 // on an empty snapshot (a cell that simulated nothing).
 func TestSummaryHelpersZeroSafe(t *testing.T) {
 	sn := &telemetry.Snapshot{Schema: telemetry.SnapshotSchema}
-	if got := hitRatio(sn); got != 0 {
-		t.Errorf("hitRatio(empty) = %v", got)
+	if got := sn.ChunkShare(telemetry.CounterChunksHit); got != 0 {
+		t.Errorf("hit ratio(empty) = %v", got)
 	}
-	if got := retryShare(sn); got != 0 {
-		t.Errorf("retryShare(empty) = %v", got)
+	if got := sn.ChunkShare(telemetry.CounterChunksRetryTimer); got != 0 {
+		t.Errorf("retry share(empty) = %v", got)
 	}
 }

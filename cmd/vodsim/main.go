@@ -128,7 +128,7 @@ func parseFlags(args []string) (*flag.FlagSet, *batchFlags) {
 	fs.Int("prefixes", 2500, "number of client /24 prefixes")
 	fs.Int("videos", 6000, "catalog size (titles)")
 	fs.Uint64("seed", 1, "master scenario seed")
-	fs.String("abr", "hybrid", "ABR algorithm (hybrid, rate-smoothed, rate-instant, rate-instant-screened, buffer-based, server-signal, fixed-low, fixed-high)")
+	fs.String("abr", "hybrid", "ABR algorithm (hybrid, rate-smoothed, rate-instant, rate-instant-screened, rate-smoothed-screened, buffer-based, server-signal, fixed-low, fixed-high)")
 	fs.Bool("cold", false, "skip CDN cache pre-warming (cold-start ablation)")
 	fs.Int("parallel", 0, "max server-slot shards simulated concurrently (0 = GOMAXPROCS, 1 = sequential; output is identical at any setting)")
 	fs.BoolVar(&f.stream, "stream", false, "streaming telemetry mode: aggregate into bounded-memory sketches and write a snapshot instead of a trace (what -spec runs always do)")

@@ -103,3 +103,23 @@ func TestValidateSpecFlags(t *testing.T) {
 	}
 	expectError(t, "prefixes", "-spec", path)
 }
+
+// TestABRHelpListsAccepted: every name -abr's help lists configures a
+// run, and the list holds all nine names session.NewABR accepts.
+func TestABRHelpListsAccepted(t *testing.T) {
+	fs, _ := parseFlags(nil)
+	usage := fs.Lookup("abr").Usage
+	open, end := strings.Index(usage, "("), strings.LastIndex(usage, ")")
+	if open < 0 || end < open {
+		t.Fatalf("-abr help lists no names: %q", usage)
+	}
+	names := strings.Split(usage[open+1:end], ", ")
+	if len(names) != 9 {
+		t.Errorf("-abr help lists %d names, want 9: %q", len(names), names)
+	}
+	for _, name := range names {
+		if _, _, _, err := configureArgs("-sessions", "10", "-prefixes", "5", "-videos", "5", "-abr", name); err != nil {
+			t.Errorf("-abr %s: %v", name, err)
+		}
+	}
+}

@@ -25,19 +25,16 @@ type StreamingCDNBreakdown struct {
 func StreamBreakdownCDNLatency(sn *telemetry.Snapshot) StreamingCDNBreakdown {
 	hit := sn.Sketch(telemetry.MetricServerHitMS)
 	miss := sn.Sketch(telemetry.MetricServerMissMS)
-	out := StreamingCDNBreakdown{
-		Dwait:        sn.Sketch(telemetry.MetricDwaitMS),
-		Dopen:        sn.Sketch(telemetry.MetricDopenMS),
-		Dread:        sn.Sketch(telemetry.MetricDreadMS),
-		TotalHit:     hit,
-		TotalMiss:    miss,
-		MedianHitMS:  hit.Quantile(0.5),
-		MedianMissMS: miss.Quantile(0.5),
+	return StreamingCDNBreakdown{
+		Dwait:                sn.Sketch(telemetry.MetricDwaitMS),
+		Dopen:                sn.Sketch(telemetry.MetricDopenMS),
+		Dread:                sn.Sketch(telemetry.MetricDreadMS),
+		TotalHit:             hit,
+		TotalMiss:            miss,
+		MedianHitMS:          hit.Quantile(0.5),
+		MedianMissMS:         miss.Quantile(0.5),
+		RetryTimerChunkShare: sn.ChunkShare(telemetry.CounterChunksRetryTimer),
 	}
-	if chunks := sn.Counter(telemetry.CounterChunks); chunks > 0 {
-		out.RetryTimerChunkShare = float64(sn.Counter(telemetry.CounterChunksRetryTimer)) / float64(chunks)
-	}
-	return out
 }
 
 // StreamingQoE summarizes the per-session QoE distributions of a
@@ -96,12 +93,10 @@ func StreamHitRatios(sn *telemetry.Snapshot) StreamingMix {
 	out := StreamingMix{
 		Chunks:   sn.Counter(telemetry.CounterChunks),
 		Hits:     sn.Counter(telemetry.CounterChunksHit),
+		Overall:  sn.ChunkShare(telemetry.CounterChunksHit),
 		ByLevel:  telemetry.CountersByDim(sn.Counters, telemetry.CounterChunks, "cache"),
 		Bitrates: telemetry.CountersByDim(sn.Counters, telemetry.CounterChunks, "bitrate"),
 		Orgs:     telemetry.CountersByDim(sn.Counters, telemetry.CounterSessions, "org"),
-	}
-	if out.Chunks > 0 {
-		out.Overall = float64(out.Hits) / float64(out.Chunks)
 	}
 	hitsByPoP := map[int]uint64{}
 	for _, d := range telemetry.CountersByDim(sn.Counters, telemetry.CounterChunksHit, "pop") {

@@ -12,66 +12,42 @@ import (
 	"vidperf/internal/stats"
 )
 
-// Config parameterizes the backend latency model. Zero fields take
-// defaults calibrated to the paper's Fig. 5 miss curve.
-type Config struct {
-	// WANRTTms is the PoP-to-origin network round trip (default 45 ms).
-	WANRTTms float64
-	// ServiceMedianMS is the origin's median service time (default 28 ms).
-	ServiceMedianMS float64
-	// ServiceSigma is the lognormal shape of the service time
-	// (default 0.55, giving a moderately heavy tail).
-	ServiceSigma float64
-	// SlowProb is the probability of a pathological origin stall
-	// (default 0.002) adding SlowPenaltyMS.
-	SlowProb float64
-	// SlowPenaltyMS is the stall magnitude (default 800 ms).
-	SlowPenaltyMS float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.WANRTTms == 0 {
-		c.WANRTTms = 45
-	}
-	if c.ServiceMedianMS == 0 {
-		c.ServiceMedianMS = 28
-	}
-	if c.ServiceSigma == 0 {
-		c.ServiceSigma = 0.55
-	}
-	if c.SlowProb == 0 {
-		c.SlowProb = 0.002
-	}
-	if c.SlowPenaltyMS == 0 {
-		c.SlowPenaltyMS = 800
-	}
-	return c
-}
+// The latency model's calibration, fitted to the miss curve of the
+// paper's Fig. 5: a median D_BE of about 73 ms (WAN round trip plus the
+// median service time), which with the CDN's own service time puts the
+// median miss near the paper's ~80 ms.
+const (
+	// wanRTTMS is the PoP-to-origin network round trip, the floor of
+	// every fetch.
+	wanRTTMS = 45
+	// serviceMedianMS is the origin's median service time.
+	serviceMedianMS = 28
+	// serviceSigma is the lognormal shape of the service time: a
+	// moderately heavy tail, so Fig. 5's miss p99 sits near twice its
+	// median.
+	serviceSigma = 0.55
+	// slowProb is the probability of a pathological origin stall, which
+	// adds slowPenaltyMS: the rare multi-second misses of Fig. 5's tail.
+	slowProb      = 0.002
+	slowPenaltyMS = 800
+)
 
 // Service is an origin latency sampler. It is not safe for concurrent use.
 type Service struct {
-	cfg Config
-	r   *stats.Rand
-
-	// Requests counts backend fetches (for the load take-away analysis).
-	Requests int64
+	r *stats.Rand
 }
 
-// New builds a backend service model.
-func New(cfg Config, r *stats.Rand) *Service {
-	return &Service{cfg: cfg.withDefaults(), r: r}
+// New builds a backend service model drawing from r.
+func New(r *stats.Rand) *Service {
+	return &Service{r: r}
 }
-
-// Config returns the effective (defaulted) configuration.
-func (s *Service) Config() Config { return s.cfg }
 
 // FetchLatencyMS samples one backend fetch's D_BE in milliseconds:
 // WAN RTT + origin service time (+ rare stall).
 func (s *Service) FetchLatencyMS() float64 {
-	s.Requests++
-	lat := s.cfg.WANRTTms + s.r.LogNormal(math.Log(s.cfg.ServiceMedianMS), s.cfg.ServiceSigma)
-	if s.r.Bool(s.cfg.SlowProb) {
-		lat += s.cfg.SlowPenaltyMS
+	lat := wanRTTMS + s.r.LogNormal(math.Log(serviceMedianMS), serviceSigma)
+	if s.r.Bool(slowProb) {
+		lat += slowPenaltyMS
 	}
 	return lat
 }

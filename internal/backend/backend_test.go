@@ -1,21 +1,23 @@
 package backend
 
 import (
+	"math"
 	"testing"
 
 	"vidperf/internal/stats"
 )
 
+// TestDefaults pins the calibration the Fig. 5 miss curve rests on.
 func TestDefaults(t *testing.T) {
-	s := New(Config{}, stats.NewRand(1))
-	c := s.Config()
-	if c.WANRTTms != 45 || c.ServiceMedianMS != 28 {
-		t.Errorf("defaults = %+v", c)
+	if wanRTTMS != 45 || serviceMedianMS != 28 || serviceSigma != 0.55 ||
+		slowProb != 0.002 || slowPenaltyMS != 800 {
+		t.Errorf("calibration = WAN %v, service %v/%v, stall %v × %v ms",
+			wanRTTMS, serviceMedianMS, serviceSigma, slowProb, slowPenaltyMS)
 	}
 }
 
 func TestLatencyDistribution(t *testing.T) {
-	s := New(Config{}, stats.NewRand(2))
+	s := New(stats.NewRand(2))
 	xs := make([]float64, 20000)
 	for i := range xs {
 		xs[i] = s.FetchLatencyMS()
@@ -26,27 +28,31 @@ func TestLatencyDistribution(t *testing.T) {
 	if med < 55 || med > 100 {
 		t.Errorf("median D_BE = %.1f ms, want ~73", med)
 	}
-	if stats.Min(xs) < 45 {
+	if stats.Min(xs) < wanRTTMS {
 		t.Errorf("latency below WAN floor: %v", stats.Min(xs))
 	}
 	// Heavy-ish tail from the lognormal + stalls.
 	if stats.Quantile(xs, 0.99) < med*1.8 {
 		t.Errorf("tail too light: p99=%.1f med=%.1f", stats.Quantile(xs, 0.99), med)
 	}
-	if s.Requests != int64(len(xs)) {
-		t.Errorf("request count = %d", s.Requests)
-	}
 }
 
+// TestStallsRaiseTail: a share slowProb of fetches stalls, and only a
+// stall reaches WAN RTT plus the penalty (the lognormal service time
+// passes 800 ms less than once in 10⁹ draws), so the share of samples
+// at or above that line is binomial around slowProb.
 func TestStallsRaiseTail(t *testing.T) {
-	fast := New(Config{SlowProb: 1e-12}, stats.NewRand(3))
-	slow := New(Config{SlowProb: 0.2, SlowPenaltyMS: 1000}, stats.NewRand(3))
-	var fs, ss stats.Summary
-	for i := 0; i < 5000; i++ {
-		fs.Add(fast.FetchLatencyMS())
-		ss.Add(slow.FetchLatencyMS())
+	const n = 1000000
+	s := New(stats.NewRand(3))
+	stalls := 0
+	for i := 0; i < n; i++ {
+		if s.FetchLatencyMS() >= wanRTTMS+slowPenaltyMS {
+			stalls++
+		}
 	}
-	if ss.Mean() < fs.Mean()+100 {
-		t.Errorf("stalls did not raise mean: %v vs %v", ss.Mean(), fs.Mean())
+	mean := n * slowProb
+	sd := math.Sqrt(n * slowProb * (1 - slowProb))
+	if math.Abs(float64(stalls)-mean) > 4*sd {
+		t.Errorf("%d of %d fetches stalled, want %.0f ± %.0f", stalls, n, mean, 4*sd)
 	}
 }

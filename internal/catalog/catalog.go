@@ -26,11 +26,6 @@ type Config struct {
 	NumVideos     int     // default 6000
 	ZipfExponent  float64 // default 0.9 (calibrated to top-10% ≈ 66% of plays)
 	ChunkDuration float64 // seconds per chunk; default 6 (paper §3)
-	// DurationMedian and DurationSigma parameterize the lognormal duration
-	// distribution. Defaults: median 120 s, sigma 1.1, clamped to
-	// [18 s, 2 h] to match Fig. 3a's support.
-	DurationMedian float64
-	DurationSigma  float64
 	// Bitrates is the encoding ladder in kbps. Default is an 8-rung ladder
 	// from 235 kbps to 3000 kbps.
 	Bitrates []int
@@ -46,17 +41,19 @@ func (c Config) withDefaults() Config {
 	if c.ChunkDuration == 0 {
 		c.ChunkDuration = 6
 	}
-	if c.DurationMedian == 0 {
-		c.DurationMedian = 120
-	}
-	if c.DurationSigma == 0 {
-		c.DurationSigma = 1.1
-	}
 	if len(c.Bitrates) == 0 {
 		c.Bitrates = []int{235, 375, 560, 750, 1050, 1750, 2350, 3000}
 	}
 	return c
 }
+
+// Title durations are lognormal with this median (seconds) and shape,
+// clamped to [3 chunks, MaxDurationSec]: the heavy-tailed support of the
+// paper's Fig. 3a.
+const (
+	durationMedianSec = 120
+	durationSigma     = 1.1
+)
 
 // MaxDurationSec is the longest title a catalog generates.
 const MaxDurationSec = 7200
@@ -103,10 +100,10 @@ func New(cfg Config, r *stats.Rand) *Catalog {
 		ChunkDuration: cfg.ChunkDuration,
 		pop:           stats.NewZipf(cfg.NumVideos, cfg.ZipfExponent),
 	}
-	mu := math.Log(cfg.DurationMedian)
+	mu := math.Log(durationMedianSec)
 	c.Videos = make([]Video, cfg.NumVideos)
 	for i := range c.Videos {
-		d := r.LogNormal(mu, cfg.DurationSigma)
+		d := r.LogNormal(mu, durationSigma)
 		if d < 3*cfg.ChunkDuration {
 			d = 3 * cfg.ChunkDuration
 		}
@@ -151,9 +148,6 @@ func Derive[K comparable, V any](c *Catalog, key K, build func(*Catalog, K) V) V
 func (c *Catalog) Sample(r *stats.Rand) *Video {
 	return &c.Videos[c.pop.Sample(r)]
 }
-
-// Popularity returns the play probability of the video at rank i.
-func (c *Catalog) Popularity(rank int) float64 { return c.pop.Prob(rank) }
 
 // TopShare returns the probability mass of the most popular frac of titles.
 func (c *Catalog) TopShare(frac float64) float64 { return c.pop.TopShare(frac) }

@@ -11,8 +11,7 @@ type FleetConfig struct {
 	NumPoPs       int // default 6; the first NumPoPs of geo.DefaultPoPs, at most 6
 	ServersPerPoP int // default 14 (≈85 servers total, paper §3)
 
-	Server  Config
-	Backend backend.Config
+	Server Config
 
 	// PartitionTopRanks spreads videos with rank < PartitionTopRanks over
 	// all servers of a PoP (per-session hashing) instead of pinning them
@@ -66,7 +65,7 @@ func NewSlotFleet(cfg FleetConfig, seed uint64, popID, slot int) *Fleet {
 		r.Split() // server stream of the earlier slot
 	}
 	f := &Fleet{cfg: cfg, popID: popID, servers: make([]*Server, cfg.ServersPerPoP)}
-	be := backend.New(cfg.Backend, r.Split())
+	be := backend.New(r.Split())
 	f.servers[slot] = NewServer(popID*cfg.ServersPerPoP+slot, popID, cfg.Server, be, r.Split())
 	return f
 }

@@ -17,7 +17,7 @@ func TestPoPFleetMatchesFullFleet(t *testing.T) {
 		r := popRand(77, pop)
 		ref := make([]*Server, 3)
 		for slot := range ref {
-			be := backend.New(cfg.Backend, r.Split())
+			be := backend.New(r.Split())
 			ref[slot] = NewServer(pop*3+slot, pop, cfg.Server, be, r.Split())
 		}
 		for slot := 0; slot < 3; slot++ {

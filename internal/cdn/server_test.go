@@ -12,7 +12,7 @@ import (
 
 func newTestServer(cfg Config) *Server {
 	r := stats.NewRand(42)
-	be := backend.New(backend.Config{}, r.Split())
+	be := backend.New(r.Split())
 	return NewServer(0, 0, cfg, be, r.Split())
 }
 

@@ -76,87 +76,69 @@ func Labels() []Label {
 	}
 }
 
-// Config holds the classifier thresholds. The zero value of every field
-// selects the documented default, so Config{} is the standard classifier.
+// The classifier's thresholds, set against the paper's figures.
+const (
+	// startupDegradedMS marks a session degraded when its startup delay
+	// exceeds it: about 1.7× the default 6 s buffering threshold, near
+	// which §5's startup delays concentrate. Sessions that never started
+	// playback (NaN startup) are always degraded.
+	startupDegradedMS = 10000
+
+	// rebufferDegraded marks a session degraded when its re-buffering
+	// ratio (fraction of session time stalled) exceeds it: the paper
+	// reports re-buffering as rare (§5), so 1% is already an outlier.
+	rebufferDegraded = 0.01
+
+	// abrLowShare: a smooth session whose average bitrate is below this
+	// share of the ladder's top rung is abr-limited rather than healthy
+	// (§5: most sessions sit at the top rungs).
+	abrLowShare = 0.5
+
+	// lossRate is the per-chunk retransmission-rate threshold above which
+	// a slow chunk is charged to network loss (Fig. 12: re-buffering
+	// rises with the retransmission rate).
+	lossRate = 0.05
+
+	// ddsBoundMS charges a slow chunk to the client stack when its Eq. 5
+	// lower bound on download-stack latency exceeds it, well past one
+	// RTO of slack the bound already subtracts.
+	ddsBoundMS = 150
+
+	// serverShare charges a slow chunk to the server when the
+	// server-side latency D_CDN + D_BE makes up at least this share of
+	// the chunk's total delivery time D_FB + D_LB (the latency share of
+	// Fig. 16).
+	serverShare = 0.3
+
+	// liveLagShare labels a degraded live session live-edge-limited when
+	// its publish-clock wait is at least this share of its total stall
+	// budget (lag + re-buffering time), i.e. the clock — not the delivery
+	// path — dominated the stalls. Live channels extend the paper's
+	// on-demand workload, so no figure of it calibrates this.
+	liveLagShare = 0.5
+
+	// proxyCVMin labels a degraded session proxy-tromboned when it shows
+	// the §3/§4.2 proxy signature: the CDN-seen IP disagrees with the
+	// beacon (rule-i evidence, not ground truth) AND the session's
+	// CV(SRTT) is at least this (Table 4's high-CV tail). Tromboned paths
+	// mix detour queueing into every chunk, so blaming a single delivery
+	// layer would mis-charge the concentrator's queue.
+	proxyCVMin = 0.8
+)
+
+// Config holds what a run tells the classifier about itself. The zero
+// value of every field selects the documented default, so Config{} is
+// the standard classifier.
 type Config struct {
-	// StartupDegradedMS marks a session degraded when its startup delay
-	// exceeds this (default 10000 ms ≈ 1.7× the default 6 s buffering
-	// threshold). Sessions that never started playback (NaN startup) are
-	// always degraded.
-	StartupDegradedMS float64
-
-	// RebufferDegraded marks a session degraded when its re-buffering
-	// ratio (fraction of session time stalled) exceeds this (default
-	// 0.01 — the paper reports re-buffering as rare, so 1% is already an
-	// outlier).
-	RebufferDegraded float64
-
 	// LadderTopKbps is the top rung of the encoding ladder (default 3000,
 	// the paper's §3 ladder) used by the abr-limited screen.
 	LadderTopKbps float64
-
-	// ABRLowShare: a smooth session whose average bitrate is below this
-	// share of LadderTopKbps is abr-limited rather than healthy
-	// (default 0.5).
-	ABRLowShare float64
-
-	// LossRate is the per-chunk retransmission-rate threshold above which
-	// a slow chunk is charged to network loss (default 0.05).
-	LossRate float64
-
-	// DDSBoundMS charges a slow chunk to the client stack when its Eq. 5
-	// lower bound on download-stack latency exceeds this (default 150 ms,
-	// well past one RTO of slack the bound already subtracts).
-	DDSBoundMS float64
-
-	// ServerShare charges a slow chunk to the server when the server-side
-	// latency D_CDN + D_BE makes up at least this share of the chunk's
-	// total delivery time D_FB + D_LB (default 0.3).
-	ServerShare float64
-
-	// LiveLagShare labels a degraded live session live-edge-limited when
-	// its publish-clock wait is at least this share of its total stall
-	// budget (lag + re-buffering time), i.e. the clock — not the delivery
-	// path — dominated the stalls (default 0.5).
-	LiveLagShare float64
-
-	// ProxyCVMin labels a degraded session proxy-tromboned when it shows
-	// the §3/§4.2 proxy signature: the CDN-seen IP disagrees with the
-	// beacon (rule-i evidence, not ground truth) AND the session's
-	// CV(SRTT) is at least this (default 0.8 — Table 4's high-CV tail).
-	// Tromboned paths mix detour queueing into every chunk, so blaming a
-	// single delivery layer would mis-charge the concentrator's queue.
-	ProxyCVMin float64
 }
 
 // WithDefaults returns the config with zero fields replaced by defaults.
 func (c Config) WithDefaults() Config {
-	if c.StartupDegradedMS == 0 {
-		c.StartupDegradedMS = 10000
-	}
-	if c.RebufferDegraded == 0 {
-		c.RebufferDegraded = 0.01
-	}
 	if c.LadderTopKbps == 0 {
 		c.LadderTopKbps = 3000
-	}
-	if c.ABRLowShare == 0 {
-		c.ABRLowShare = 0.5
-	}
-	if c.LossRate == 0 {
-		c.LossRate = 0.05
-	}
-	if c.DDSBoundMS == 0 {
-		c.DDSBoundMS = 150
-	}
-	if c.ServerShare == 0 {
-		c.ServerShare = 0.3
-	}
-	if c.LiveLagShare == 0 {
-		c.LiveLagShare = 0.5
-	}
-	if c.ProxyCVMin == 0 {
-		c.ProxyCVMin = 0.8
 	}
 	return c
 }
@@ -192,10 +174,10 @@ func Classify(s core.SessionRecord, chunks []core.ChunkRecord, cfg Config) Diagn
 	var d Diagnosis
 
 	d.Degraded = math.IsNaN(s.StartupMS) ||
-		s.StartupMS > cfg.StartupDegradedMS ||
-		s.RebufferRate > cfg.RebufferDegraded
+		s.StartupMS > startupDegradedMS ||
+		s.RebufferRate > rebufferDegraded
 	if !d.Degraded {
-		if s.AvgBitrateKbps < cfg.ABRLowShare*cfg.LadderTopKbps {
+		if s.AvgBitrateKbps < abrLowShare*cfg.LadderTopKbps {
 			d.Label = ABRLimited
 		} else {
 			d.Label = Healthy
@@ -209,7 +191,7 @@ func Classify(s core.SessionRecord, chunks []core.ChunkRecord, cfg Config) Diagn
 	// keeps genuinely network- or server-stalled live sessions (small lag,
 	// big re-buffering) in the regular vote below.
 	if s.Live && s.LiveEdgeLagMS > 0 &&
-		s.LiveEdgeLagMS >= cfg.LiveLagShare*(s.LiveEdgeLagMS+s.RebufDurMS) {
+		s.LiveEdgeLagMS >= liveLagShare*(s.LiveEdgeLagMS+s.RebufDurMS) {
 		d.Label = LiveEdgeLimited
 		return d
 	}
@@ -220,7 +202,7 @@ func Classify(s core.SessionRecord, chunks []core.ChunkRecord, cfg Config) Diagn
 	// egress: the detour's queueing colours every chunk, so the per-chunk
 	// vote would scatter blame across layers that all sit behind the
 	// concentrator.
-	if s.IPMismatch() && s.SRTTCV >= cfg.ProxyCVMin {
+	if s.IPMismatch() && s.SRTTCV >= proxyCVMin {
 		d.Label = ProxyTromboned
 		return d
 	}
@@ -238,7 +220,7 @@ func Classify(s core.SessionRecord, chunks []core.ChunkRecord, cfg Config) Diagn
 	for i := range chunks {
 		c := &chunks[i]
 		if c.PerfScore() < 1 || c.BufCount > 0 {
-			d.voteChunk(c, outlier[i], cfg)
+			d.voteChunk(c, outlier[i])
 			voted = true
 		}
 	}
@@ -247,7 +229,7 @@ func Classify(s core.SessionRecord, chunks []core.ChunkRecord, cfg Config) Diagn
 		// chunk below the score threshold, or a truncated session): vote
 		// over everything the session fetched.
 		for i := range chunks {
-			d.voteChunk(&chunks[i], outlier[i], cfg)
+			d.voteChunk(&chunks[i], outlier[i])
 		}
 	}
 
@@ -258,14 +240,14 @@ func Classify(s core.SessionRecord, chunks []core.ChunkRecord, cfg Config) Diagn
 // voteChunk charges one chunk to a layer. Rule order is fixed — stack and
 // loss have direct evidence, the server split needs the latency
 // decomposition, and throughput is the residual network explanation.
-func (d *Diagnosis) voteChunk(c *core.ChunkRecord, stackOutlier bool, cfg Config) {
+func (d *Diagnosis) voteChunk(c *core.ChunkRecord, stackOutlier bool) {
 	d.SlowChunks++
 	switch {
-	case stackOutlier || core.EstimateDDSms(*c) > cfg.DDSBoundMS:
+	case stackOutlier || core.EstimateDDSms(*c) > ddsBoundMS:
 		d.StackSlow++
-	case c.LossRate() > cfg.LossRate:
+	case c.LossRate() > lossRate:
 		d.LossSlow++
-	case c.ServerLatencyMS() >= cfg.ServerShare*(c.DFBms+c.DLBms):
+	case c.ServerLatencyMS() >= serverShare*(c.DFBms+c.DLBms):
 		// Server layer; split by which server component dominated. A miss
 		// whose backend fetch is at least the CDN's own service time is
 		// the cost of the miss itself; everything else (queueing, disk

@@ -105,12 +105,12 @@ func TestDegradedScreenBoundaries(t *testing.T) {
 		sess core.SessionRecord
 		want Label
 	}{
-		{"startup at threshold", core.SessionRecord{StartupMS: cfg.StartupDegradedMS, AvgBitrateKbps: 2500}, Healthy},
-		{"startup above threshold", core.SessionRecord{StartupMS: cfg.StartupDegradedMS + 1, AvgBitrateKbps: 2500}, NetworkThroughput},
-		{"rebuffer at threshold", core.SessionRecord{StartupMS: 500, RebufferRate: cfg.RebufferDegraded, AvgBitrateKbps: 2500}, Healthy},
-		{"rebuffer above threshold", core.SessionRecord{StartupMS: 500, RebufferRate: cfg.RebufferDegraded + 0.001, AvgBitrateKbps: 2500}, NetworkThroughput},
-		{"bitrate at abr threshold", core.SessionRecord{StartupMS: 500, AvgBitrateKbps: cfg.ABRLowShare * cfg.LadderTopKbps}, Healthy},
-		{"bitrate below abr threshold", core.SessionRecord{StartupMS: 500, AvgBitrateKbps: cfg.ABRLowShare*cfg.LadderTopKbps - 1}, ABRLimited},
+		{"startup at threshold", core.SessionRecord{StartupMS: startupDegradedMS, AvgBitrateKbps: 2500}, Healthy},
+		{"startup above threshold", core.SessionRecord{StartupMS: startupDegradedMS + 1, AvgBitrateKbps: 2500}, NetworkThroughput},
+		{"rebuffer at threshold", core.SessionRecord{StartupMS: 500, RebufferRate: rebufferDegraded, AvgBitrateKbps: 2500}, Healthy},
+		{"rebuffer above threshold", core.SessionRecord{StartupMS: 500, RebufferRate: rebufferDegraded + 0.001, AvgBitrateKbps: 2500}, NetworkThroughput},
+		{"bitrate at abr threshold", core.SessionRecord{StartupMS: 500, AvgBitrateKbps: abrLowShare * cfg.LadderTopKbps}, Healthy},
+		{"bitrate below abr threshold", core.SessionRecord{StartupMS: 500, AvgBitrateKbps: abrLowShare*cfg.LadderTopKbps - 1}, ABRLimited},
 		{"never started", core.SessionRecord{StartupMS: math.NaN(), AvgBitrateKbps: 2500}, NetworkThroughput},
 	}
 	for _, c := range cases {
@@ -128,22 +128,20 @@ func TestDegradedScreenBoundaries(t *testing.T) {
 // TestLayerRuleBoundaries pins each per-chunk threshold exactly at its
 // boundary value.
 func TestLayerRuleBoundaries(t *testing.T) {
-	cfg := Config{}.WithDefaults()
-
-	// Loss rate strictly above LossRate flips the chunk to loss.
+	// Loss rate strictly above lossRate flips the chunk to loss.
 	atLoss := slowChunk()
-	atLoss.SegsSent, atLoss.SegsLost = 100, int(cfg.LossRate*100) // == threshold
+	atLoss.SegsSent, atLoss.SegsLost = 100, int(lossRate*100) // == threshold
 	overLoss := slowChunk()
-	overLoss.SegsSent, overLoss.SegsLost = 100, int(cfg.LossRate*100)+1
+	overLoss.SegsSent, overLoss.SegsLost = 100, int(lossRate*100)+1
 
-	// Server latency at exactly ServerShare of delivery time counts as
+	// Server latency at exactly serverShare of delivery time counts as
 	// server (>=). Build DFB+DLB = 10000 and server = 3000, keeping DFB
 	// within one RTO of the server latency so Eq. 5 stays silent.
 	atServer := chunk()
 	atServer.DFBms, atServer.DLBms = 3100, 6900
 	atServer.CacheHit, atServer.CacheLevel = false, "miss"
 	atServer.DwaitMS, atServer.DopenMS, atServer.DreadMS = 500, 500, 500
-	atServer.DBEms = cfg.ServerShare*10000 - 1500 // server total exactly 3000
+	atServer.DBEms = serverShare*10000 - 1500 // server total exactly 3000
 	underServer := atServer
 	underServer.DBEms -= 4 // just below the share → residual throughput
 
@@ -177,13 +175,13 @@ func TestLayerRuleBoundaries(t *testing.T) {
 		})
 	}
 
-	// Eq. 5 bound exactly at DDSBoundMS is not stack; just above is.
+	// Eq. 5 bound exactly at ddsBoundMS is not stack; just above is.
 	// DDS = DFB − DCDN − DBE − (200 + srtt + 4·srttvar); with srtt=50,
 	// var=5, DCDN=1: DDS = DFB − 271.
 	at := chunk()
 	at.DwaitMS, at.DopenMS, at.DreadMS = 0.4, 0.3, 0.3
 	at.SRTTms, at.SRTTVarMS = 50, 5
-	at.DFBms = 271 + cfg.DDSBoundMS
+	at.DFBms = 271 + ddsBoundMS
 	at.DLBms = 8000
 	d := Classify(degraded(), []core.ChunkRecord{at}, Config{})
 	if d.Label != NetworkThroughput {
@@ -238,18 +236,14 @@ func TestFallbacks(t *testing.T) {
 	}
 }
 
-// TestConfigDefaults: the zero config resolves to the documented
-// defaults and explicit values survive.
+// TestConfigDefaults: the zero config classifies against the paper's
+// 3000 kbps ladder top and an explicit ladder top survives.
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}.WithDefaults()
-	if c.StartupDegradedMS != 10000 || c.RebufferDegraded != 0.01 ||
-		c.LadderTopKbps != 3000 || c.ABRLowShare != 0.5 ||
-		c.LossRate != 0.05 || c.DDSBoundMS != 150 || c.ServerShare != 0.3 {
+	if c := (Config{}).WithDefaults(); c.LadderTopKbps != 3000 {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
-	custom := Config{LossRate: 0.2}.WithDefaults()
-	if custom.LossRate != 0.2 || custom.DDSBoundMS != 150 {
-		t.Fatalf("explicit value overwritten: %+v", custom)
+	if c := (Config{LadderTopKbps: 1050}).WithDefaults(); c.LadderTopKbps != 1050 {
+		t.Fatalf("explicit value overwritten: %+v", c)
 	}
 }
 

@@ -88,7 +88,7 @@ func Fig06(ds *core.Dataset, maxRank int) Result {
 	r := Result{
 		ID:    "fig06",
 		Title: "Performance vs popularity: miss rate and CDN latency vs rank",
-		Paper: "miss %% rises sharply for unpopular videos; median hit-side server delay rises with rank",
+		Paper: "miss % rises sharply for unpopular videos; median hit-side server delay rises with rank",
 	}
 	r.Lines = append(r.Lines, fmt.Sprintf("%-10s %10s %10s %16s", "rank>=x", "chunks", "miss %", "med hit lat ms"))
 	for _, p := range pts {

@@ -69,6 +69,16 @@ func TestAllFiguresPass(t *testing.T) {
 	}
 }
 
+// TestTitlesArePlainText: Title and Paper are printed as they are, not
+// through a format string, so a "%%" in them reaches the report as is.
+func TestTitlesArePlainText(t *testing.T) {
+	for _, res := range All(figDataset(), figMaxRank) {
+		if strings.Contains(res.Title, "%%") || strings.Contains(res.Paper, "%%") {
+			t.Errorf("%s: title %q / paper %q hold a format escape", res.ID, res.Title, res.Paper)
+		}
+	}
+}
+
 func TestRenderFormat(t *testing.T) {
 	res := Fig13() // self-contained, fast
 	out := res.Render()

@@ -21,10 +21,13 @@ import (
 	"vidperf/internal/telemetry"
 )
 
-// CheckpointSchema is the checkpoint wire-format version. Schema 2
-// stores the scenario's live and proxy blocks under their spec keys
-// (schema 1 used the Go field names) and is decoded strictly.
-const CheckpointSchema = 2
+// CheckpointSchema is the checkpoint wire-format version. Schema 3
+// drops the calibration values the scenario no longer carries (the
+// backend block, the CDN's and catalog's service-time and duration
+// parameters, FPS); schema 2 stored them, schema 1 also spelled the
+// live and proxy blocks with Go field names. Checkpoints are decoded
+// strictly, so neither older schema loads.
+const CheckpointSchema = 3
 
 // Checkpoint is the serialized engine state. Its wire form is
 // json.Marshal's; the engine writes it with encodeCheckpoint, which

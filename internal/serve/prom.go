@@ -69,8 +69,8 @@ func (e *Engine) writeMetrics(w io.Writer) {
 	writeFamily(w, "vodsim_cache_hit_ratio", "gauge",
 		"Cumulative CDN cache hit ratio over closed windows.")
 	hitRatio := 0.0
-	if chunks := counter(telemetry.CounterChunks); chunks > 0 {
-		hitRatio = float64(counter(telemetry.CounterChunksHit)) / float64(chunks)
+	if cum != nil {
+		hitRatio = cum.ChunkShare(telemetry.CounterChunksHit)
 	}
 	writeSample(w, "vodsim_cache_hit_ratio", nil, hitRatio)
 

@@ -272,10 +272,10 @@ func TestConfigRejectsNonFiniteTimes(t *testing.T) {
 // load-time errors, not silent divergence later.
 func TestReadCheckpointRejectsCorruptState(t *testing.T) {
 	for name, body := range map[string]string{
-		"bad schema":     `{"schema": 3, "config": {}, "windows_done": 0}`,
-		"missing fold":   `{"schema": 2, "config": {}, "windows_done": 3}`,
-		"negative count": `{"schema": 2, "config": {}, "windows_done": -1}`,
-		"oversized ring": `{"schema": 2, "config": {}, "windows_done": 0, "ring": [{"index": 0}]}`,
+		"bad schema":     `{"schema": 4, "config": {}, "windows_done": 0}`,
+		"missing fold":   `{"schema": 3, "config": {}, "windows_done": 3}`,
+		"negative count": `{"schema": 3, "config": {}, "windows_done": -1}`,
+		"oversized ring": `{"schema": 3, "config": {}, "windows_done": 0, "ring": [{"index": 0}]}`,
 		"not a document": `]`,
 	} {
 		if _, err := serve.ReadCheckpoint(bytes.NewReader([]byte(body))); err == nil {
@@ -301,8 +301,25 @@ func TestResumeRefusesBadCheckpoints(t *testing.T) {
 		}
 		return bytes.Replace(real, []byte(old), []byte(new), 1)
 	}
-	// Schema 1 spelled the live and proxy blocks with Go field names.
-	schema1 := bytes.Replace(edit(`{"schema":2,`, `{"schema":1,`),
+	// Schema 2 stored the calibration values as config fields: the
+	// backend block, the CDN's and catalog's parameters and FPS. These
+	// edits give back, byte for byte, the file a schema-2 build wrote for
+	// the same run.
+	schema2 := real
+	for _, e := range [][2]string{
+		{`{"schema":3,`, `{"schema":2,`},
+		{`"ChunkDuration":0,`, `"ChunkDuration":0,"DurationMedian":0,"DurationSigma":0,`},
+		{`"OpenRetryMS":0,`, `"OpenRetryMS":0,"RAMReadMedianMS":0,"DiskSeekMedianMS":0,"DiskReadMBps":0,"OpenMedianMS":0,`},
+		{`"PinFirstChunks":false},`, `"PinFirstChunks":false},"Backend":{"WANRTTms":0,"ServiceMedianMS":0,"ServiceSigma":0,"SlowProb":0,"SlowPenaltyMS":0},`},
+		{`"MaxBufferSec":0,`, `"MaxBufferSec":0,"FPS":0,`},
+	} {
+		if !bytes.Contains(schema2, []byte(e[0])) {
+			t.Fatalf("testdata/checkpoint.json has no %s", e[0])
+		}
+		schema2 = bytes.Replace(schema2, []byte(e[0]), []byte(e[1]), 1)
+	}
+	// Schema 1 also spelled the live and proxy blocks with Go field names.
+	schema1 := bytes.Replace(bytes.Replace(schema2, []byte(`{"schema":2,`), []byte(`{"schema":1,`), 1),
 		[]byte(`"Live":{"channels":0}`),
 		[]byte(`"Live":{"Channels":0,"ChunkDurationSec":0,"SwitchPerMin":0,"JoinDist":"","JoinZipfS":0,"JoinBehindChunks":0}`), 1)
 	for _, c := range []struct {
@@ -310,10 +327,12 @@ func TestResumeRefusesBadCheckpoints(t *testing.T) {
 		data       []byte
 	}{
 		{"renamed key", `unknown field "NumPrefixez"`, edit(`"NumPrefixes":150`, `"NumPrefixez":150`)},
-		{"unknown key", `unknown field "note"`, edit(`{"schema":2,`, `{"schema":2,"note":"x",`)},
+		{"unknown key", `unknown field "note"`, edit(`{"schema":3,`, `{"schema":3,"note":"x",`)},
+		{"removed calibration key", `unknown field "FPS"`, edit(`"MaxBufferSec":0,`, `"MaxBufferSec":0,"FPS":0,`)},
 		{"trailing data", "trailing data", append(append([]byte(nil), real...), "{}\n"...)},
+		{"schema 2", "without -resume", schema2},
+		{"schema 2, current keys", "without -resume", edit(`{"schema":3,`, `{"schema":2,`)},
 		{"schema 1", "without -resume", schema1},
-		{"schema 1, current keys", "without -resume", edit(`{"schema":2,`, `{"schema":1,`)},
 		{"out-of-range value", "prefixes -3", edit(`"NumPrefixes":150`, `"NumPrefixes":-3`)},
 	} {
 		ck, err := serve.ReadCheckpoint(bytes.NewReader(c.data))
@@ -358,8 +377,8 @@ func FuzzReadCheckpoint(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(real)
-	f.Add([]byte(`{"schema":2,"config":{},"windows_done":1,"cumulative":{"schema":1,"sketch_k":64,"sketches":{"x":null},"histograms":{},"counters":{}}}`))
-	f.Add([]byte(`{"schema":2,"config":{"Scenario":{"ABRName":"nope"}},"windows_done":0}`))
+	f.Add([]byte(`{"schema":3,"config":{},"windows_done":1,"cumulative":{"schema":1,"sketch_k":64,"sketches":{"x":null},"histograms":{},"counters":{}}}`))
+	f.Add([]byte(`{"schema":3,"config":{"Scenario":{"ABRName":"nope"}},"windows_done":0}`))
 	f.Add(bytes.Replace(real, []byte(`"NumPrefixes"`), []byte(`"NumPrefixez"`), 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := serve.ReadCheckpoint(bytes.NewReader(data))

@@ -17,6 +17,10 @@ import (
 	"vidperf/internal/workload"
 )
 
+// frameRate is the encoded frame rate of every rung, the frames per
+// second the rendering path (§4.4, Figs. 19–22) counts drops against.
+const frameRate = 30
+
 // sessionState is one in-flight session. Its randomness derives from
 // (scenario seed, session ID) only, and it touches only its own shard's
 // engine, server, and sink. The state itself, with its chunk-record
@@ -262,7 +266,7 @@ func (s *sessionState) onServed(res cdn.ServeResult) {
 		rate = dur / ((dfb + dlb) / 1000)
 	}
 	render := clientstack.RenderChunk(s.plan.Platform, visible, rate, bitrate,
-		s.pop.Scenario.FPS, dur, bufferedBefore, &s.r)
+		frameRate, dur, bufferedBefore, &s.r)
 
 	info := s.conn.Info()
 	rec := core.ChunkRecord{

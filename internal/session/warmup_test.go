@@ -32,7 +32,7 @@ func warmedPoP(cfg cdn.FleetConfig, seed uint64, cat *catalog.Catalog, pop int) 
 
 func TestWarmFleetPopulatesCaches(t *testing.T) {
 	cfg := cdn.FleetConfig{NumPoPs: 2, ServersPerPoP: 3}
-	cat := catalog.New(catalog.Config{NumVideos: 200, DurationMedian: 60}, stats.NewRand(1))
+	cat := catalog.New(catalog.Config{NumVideos: 200}, stats.NewRand(1))
 	for pop := 0; pop < 2; pop++ {
 		servers := warmedPoP(cfg, 1, cat, pop)
 		// Every server with mapped content must hold bytes.
@@ -58,7 +58,7 @@ func TestWarmFleetPopulatesCaches(t *testing.T) {
 
 func TestWarmFleetTopQuartileGetsAllRungs(t *testing.T) {
 	cfg := cdn.FleetConfig{NumPoPs: 1, ServersPerPoP: 2}
-	cat := catalog.New(catalog.Config{NumVideos: 100, DurationMedian: 60}, stats.NewRand(2))
+	cat := catalog.New(catalog.Config{NumVideos: 100}, stats.NewRand(2))
 	servers := warmedPoP(cfg, 2, cat, 0)
 
 	v0 := &cat.Videos[0] // top quartile: all rungs warmed
@@ -85,7 +85,7 @@ func TestWarmFleetTopQuartileGetsAllRungs(t *testing.T) {
 
 func TestWarmFleetPartitionedSpreadsPopular(t *testing.T) {
 	cfg := cdn.FleetConfig{NumPoPs: 1, ServersPerPoP: 4, PartitionTopRanks: 10}
-	cat := catalog.New(catalog.Config{NumVideos: 100, DurationMedian: 60}, stats.NewRand(3))
+	cat := catalog.New(catalog.Config{NumVideos: 100}, stats.NewRand(3))
 
 	// Partitioned top titles must be resident on every server of the PoP.
 	key := catalog.ChunkKey(cat.Videos[0].ID, 0, 1750)
@@ -176,7 +176,7 @@ func warmWorlds() []struct {
 	cfg  cdn.FleetConfig
 } {
 	mk := func(n int, ladder []int) *catalog.Catalog {
-		return catalog.New(catalog.Config{NumVideos: n, DurationMedian: 60, Bitrates: ladder}, stats.NewRand(uint64(n)))
+		return catalog.New(catalog.Config{NumVideos: n, Bitrates: ladder}, stats.NewRand(uint64(n)))
 	}
 	return []struct {
 		name string
@@ -458,7 +458,7 @@ func (w *refWarmSet) Fit(capacity int64) (uint64, int, int64) {
 // more than the cold tail. Next is also asked from positions inside and
 // between titles, and Find about every title's keys on every slot.
 func TestWarmSetMatchesOwnsOracle(t *testing.T) {
-	cat := catalog.New(catalog.Config{NumVideos: 200, DurationMedian: 40}, stats.NewRand(9))
+	cat := catalog.New(catalog.Config{NumVideos: 200}, stats.NewRand(9))
 	coldTail := coldTailOf(cat)
 	for _, servers := range []int{1, 3, 14} {
 		for _, top := range []int{0, 50, coldTail, coldTail + 40} {
@@ -530,7 +530,7 @@ func TestWarmSetMatchesOwnsOracle(t *testing.T) {
 // check that the index is only read once built.
 func TestWarmPoPConcurrentSharesIndex(t *testing.T) {
 	newCat := func() *catalog.Catalog {
-		return catalog.New(catalog.Config{NumVideos: 400, DurationMedian: 60}, stats.NewRand(11))
+		return catalog.New(catalog.Config{NumVideos: 400}, stats.NewRand(11))
 	}
 	cfg := cdn.FleetConfig{NumPoPs: 2, ServersPerPoP: 14, PartitionTopRanks: 20}
 	shared := newCat()
@@ -623,7 +623,7 @@ func TestWarmPoPCostIndependentOfCatalog(t *testing.T) {
 // through Put, and end exactly where a replay of the reference walk
 // does.
 func TestWarmPoPReplaysWithoutSeed(t *testing.T) {
-	cat := catalog.New(catalog.Config{NumVideos: 200, DurationMedian: 60}, stats.NewRand(4))
+	cat := catalog.New(catalog.Config{NumVideos: 200}, stats.NewRand(4))
 	for _, policy := range []string{"gdsf", "lru"} {
 		cfg := cdn.FleetConfig{NumPoPs: 1, ServersPerPoP: 2, Server: cdn.Config{Policy: policy, RAMBytes: 8 << 20, DiskBytes: 64 << 20}}
 		fleet := cdn.NewSlotFleet(cfg, 1, 0, 1)

@@ -63,12 +63,11 @@ func extractCounters(sn *telemetry.Snapshot, out map[string]float64) {
 }
 
 func extractRatios(sn *telemetry.Snapshot, out map[string]float64) {
-	chunks := sn.Counter(telemetry.CounterChunks)
-	if chunks == 0 {
+	if sn.Counter(telemetry.CounterChunks) == 0 {
 		return
 	}
-	out[MetricHitRatio] = float64(sn.Counter(telemetry.CounterChunksHit)) / float64(chunks)
-	out[MetricRetryShare] = float64(sn.Counter(telemetry.CounterChunksRetryTimer)) / float64(chunks)
+	out[MetricHitRatio] = sn.ChunkShare(telemetry.CounterChunksHit)
+	out[MetricRetryShare] = sn.ChunkShare(telemetry.CounterChunksRetryTimer)
 }
 
 func extractQuantiles(sn *telemetry.Snapshot, out map[string]float64) {

@@ -62,6 +62,18 @@ func (s *Snapshot) Histogram(name string) *Histogram { return s.Histograms[name]
 // Counter returns the named counter (zero if absent).
 func (s *Snapshot) Counter(name string) uint64 { return s.Counters[name] }
 
+// ChunkShare returns the named counter's share of all chunks, the
+// counter divided by CounterChunks: CounterChunksHit gives the cache-hit
+// ratio and CounterChunksRetryTimer the retry-timer share. It is 0 for a
+// snapshot without chunks.
+func (s *Snapshot) ChunkShare(name string) float64 {
+	chunks := s.Counter(CounterChunks)
+	if chunks == 0 {
+		return 0
+	}
+	return float64(s.Counter(name)) / float64(chunks)
+}
+
 // snapshotWire is Snapshot's JSON form, field for field, with every
 // sketch and histogram held as its wire struct. WriteSnapshot and
 // ReadSnapshot go through it, so encoding/json writes or reads each

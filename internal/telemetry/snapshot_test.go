@@ -190,3 +190,20 @@ func TestReadSnapshotReportsFirstBadValue(t *testing.T) {
 		}
 	}
 }
+
+// TestChunkShare: a counter's share of all chunks, and 0 without chunks
+// rather than a NaN from 0/0.
+func TestChunkShare(t *testing.T) {
+	sn := &Snapshot{Counters: map[string]uint64{
+		CounterChunks: 8, CounterChunksHit: 6, CounterChunksRetryTimer: 3,
+	}}
+	if got := sn.ChunkShare(CounterChunksHit); got != 0.75 {
+		t.Errorf("hit share = %v, want 0.75", got)
+	}
+	if got := sn.ChunkShare(CounterChunksRetryTimer); got != 0.375 {
+		t.Errorf("retry-timer share = %v, want 0.375", got)
+	}
+	if got := (&Snapshot{Counters: map[string]uint64{CounterChunksHit: 6}}).ChunkShare(CounterChunksHit); got != 0 {
+		t.Errorf("share without chunks = %v, want 0", got)
+	}
+}

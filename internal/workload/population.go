@@ -49,7 +49,6 @@ type Scenario struct {
 	MeanWatchedChunks float64 // default 10 (geometric-ish abandonment)
 	StartThresholdSec float64 // default 6 (one chunk)
 	MaxBufferSec      float64 // default 18 (player high-water mark)
-	FPS               float64 // default 30
 
 	// ArrivalWindowMS spreads session starts uniformly over this window
 	// (default 30 minutes), interleaving sessions at the servers.
@@ -141,9 +140,6 @@ func (s Scenario) WithDefaults() Scenario {
 		// the idle gaps the 500 ms kernel sampler observes.
 		s.MaxBufferSec = 18
 	}
-	if s.FPS == 0 {
-		s.FPS = 30
-	}
 	if s.ArrivalWindowMS == 0 {
 		s.ArrivalWindowMS = 30 * 60 * 1000
 	}
@@ -188,7 +184,6 @@ func (s Scenario) Validate() error {
 		{"max_buffer_sec", s.MaxBufferSec, "> 0"},
 		{"arrival_window_min", s.ArrivalWindowMS / 60000, "> 0"},
 		{"open_retry_ms", srv.OpenRetryMS, "> 0"},
-		{"FPS", s.FPS, "> 0"},
 		{"ArrivalOffsetMS", s.ArrivalOffsetMS, ">= 0"},
 		{"non_us_frac", s.NonUSFrac, frac},
 		{"enterprise_frac", s.EnterprisePrefixFrac, frac},

@@ -29,7 +29,6 @@ func TestScenarioValidate(t *testing.T) {
 		t.Fatalf("boundary scenario: %v", err)
 	}
 	for name, sc := range map[string]Scenario{
-		"FPS":             {FPS: math.NaN()},
 		"ArrivalOffsetMS": {ArrivalOffsetMS: -1},
 		"max_buffer_sec":  {MaxBufferSec: math.Inf(1)},
 		"pops":            {Fleet: cdn.FleetConfig{NumPoPs: 7}},
