@@ -32,6 +32,10 @@ const (
 	slowPenaltyMS = 800
 )
 
+// logServiceMedian is the service time's lognormal location, computed
+// once rather than per fetch.
+var logServiceMedian = math.Log(serviceMedianMS)
+
 // Service is an origin latency sampler. It is not safe for concurrent use.
 type Service struct {
 	r *stats.Rand
@@ -45,7 +49,7 @@ func New(r *stats.Rand) *Service {
 // FetchLatencyMS samples one backend fetch's D_BE in milliseconds:
 // WAN RTT + origin service time (+ rare stall).
 func (s *Service) FetchLatencyMS() float64 {
-	lat := wanRTTMS + s.r.LogNormal(math.Log(serviceMedianMS), serviceSigma)
+	lat := wanRTTMS + s.r.LogNormal(logServiceMedian, serviceSigma)
 	if s.r.Bool(slowProb) {
 		lat += slowPenaltyMS
 	}

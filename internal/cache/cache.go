@@ -1,8 +1,11 @@
 // Package cache implements the byte-capacity object caches used by the CDN
-// substrate: LRU (the ATS default the paper measures), in-cache LFU,
-// perfect LFU, and GreedyDual-Size / GDSF (the "better suited policies for
+// substrate. There are two Policy implementations: LRU (the ATS default
+// the paper measures) and one heap policy that evicts the entry of least
+// priority, whose priority rule gives in-cache LFU, perfect LFU, and
+// GreedyDual-Size / GDSF (the "better suited policies for
 // popularity-heavy workloads" the paper's §4.1 take-away recommends).
-// A two-level RAM+disk composition mirrors the ATS "multi-level" cache.
+// NewPolicy builds either by name. A two-level RAM+disk composition
+// mirrors the ATS "multi-level" cache.
 //
 // All policies share the Policy interface and keep no hit counters:
 // TestPolicyOrderingOnZipfStream compares them on identical request
@@ -12,8 +15,6 @@ package cache
 // Policy is a byte-capacity cache eviction policy. Implementations are not
 // safe for concurrent use; the CDN server model serializes access.
 type Policy interface {
-	// Name identifies the policy (e.g. "lru", "gdsf").
-	Name() string
 	// Get looks up key and, on a hit, records the access (recency and/or
 	// frequency update). It reports whether the object was resident.
 	Get(key uint64) bool
@@ -23,8 +24,6 @@ type Policy interface {
 	Put(key uint64, size int64)
 	// Contains reports residency without recording an access.
 	Contains(key uint64) bool
-	// Remove evicts key if resident.
-	Remove(key uint64)
 	// Len returns the number of resident objects.
 	Len() int
 	// Size returns the total resident bytes.
@@ -37,4 +36,18 @@ type Policy interface {
 	// below one byte clamp to one. Growing never evicts. This is the
 	// hook behind timed cache-degradation phases (internal/timeline).
 	Resize(capacity int64)
+}
+
+// NewPolicy constructs a policy by name: "lru", "lfu", "perfect-lfu",
+// "gd-size" or "gdsf". It returns false for an unknown name, and panics
+// if capacity <= 0.
+func NewPolicy(name string, capacity int64) (Policy, bool) {
+	if name == "lru" {
+		return NewLRU(capacity), true
+	}
+	rule, ok := heapRules[name]
+	if !ok {
+		return nil, false
+	}
+	return newHeapPolicy(capacity, rule), true
 }

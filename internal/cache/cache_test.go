@@ -49,16 +49,6 @@ func TestLRUUpdateSize(t *testing.T) {
 	}
 }
 
-func TestLRURemove(t *testing.T) {
-	c := NewLRU(100)
-	c.Put(1, 30)
-	c.Remove(1)
-	if c.Contains(1) || c.Size() != 0 || c.Len() != 0 {
-		t.Error("Remove did not clear entry")
-	}
-	c.Remove(99) // no-op must not panic
-}
-
 func TestLRUCapacityPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -68,8 +58,20 @@ func TestLRUCapacityPanics(t *testing.T) {
 	NewLRU(0)
 }
 
+// policyNames lists every name NewPolicy accepts.
+var policyNames = []string{"lru", "lfu", "perfect-lfu", "gd-size", "gdsf"}
+
+// mustPolicy returns the named policy, one of policyNames.
+func mustPolicy(name string, capacity int64) Policy {
+	p, ok := NewPolicy(name, capacity)
+	if !ok {
+		panic("cache: unknown policy " + name)
+	}
+	return p
+}
+
 func TestLFUEvictsLeastFrequent(t *testing.T) {
-	c := NewLFU(100)
+	c := mustPolicy("lfu", 100)
 	c.Put(1, 40)
 	c.Put(2, 40)
 	c.Get(1)
@@ -87,7 +89,7 @@ func TestLFUNewInsertBouncesAgainstHotSet(t *testing.T) {
 	// The classic LFU admission behaviour: a fresh frequency-1 insert that
 	// does not fit is itself the minimum-priority entry, so it bounces and
 	// the hot resident survives.
-	c := NewLFU(100)
+	c := mustPolicy("lfu", 100)
 	c.Put(1, 60)
 	for i := 0; i < 10; i++ {
 		c.Get(1)
@@ -103,12 +105,13 @@ func TestLFUNewInsertBouncesAgainstHotSet(t *testing.T) {
 
 func TestLFUForgetsOnEviction(t *testing.T) {
 	// In-cache LFU: once evicted, a key's frequency history is gone.
-	c := NewLFU(100)
+	c := mustPolicy("lfu", 100)
 	c.Put(1, 60)
 	for i := 0; i < 10; i++ {
 		c.Get(1) // freq 11
 	}
-	c.Remove(1) // simulate departure
+	c.Resize(50) // evict key 1 (60 bytes)
+	c.Resize(100)
 	c.Put(2, 60)
 	c.Get(2)
 	c.Get(2) // freq 3
@@ -126,12 +129,13 @@ func TestPerfectLFUKeepsHistory(t *testing.T) {
 	// Same sequence as TestLFUForgetsOnEviction, but with perfect LFU the
 	// all-time frequency (11) survives eviction, so key 1 wins re-admission
 	// against key 2 (freq 3).
-	c := NewPerfectLFU(100)
+	c := mustPolicy("perfect-lfu", 100)
 	c.Put(1, 60)
 	for i := 0; i < 10; i++ {
 		c.Get(1) // freq 11
 	}
-	c.Remove(1)
+	c.Resize(50) // evict key 1 (60 bytes)
+	c.Resize(100)
 	c.Put(2, 60)
 	c.Get(2)
 	c.Get(2) // freq 3
@@ -146,7 +150,7 @@ func TestPerfectLFUKeepsHistory(t *testing.T) {
 
 func TestPerfectLFUHighFreqEvictionForSpace(t *testing.T) {
 	// A hot object still leaves when everything else resident is hotter.
-	c := NewPerfectLFU(100)
+	c := mustPolicy("perfect-lfu", 100)
 	c.Put(1, 60) // freq 1
 	for i := 0; i < 30; i++ {
 		c.Get(2) // build history for key 2 while absent: freq 30
@@ -161,7 +165,7 @@ func TestPerfectLFUHighFreqEvictionForSpace(t *testing.T) {
 }
 
 func TestGDSizePrefersSmallObjects(t *testing.T) {
-	c := NewGDSize(100)
+	c := mustPolicy("gd-size", 100)
 	c.Put(1, 80) // large
 	c.Put(2, 10) // small
 	c.Put(3, 15) // forces eviction; GD-Size evicts the large low-value object
@@ -174,7 +178,7 @@ func TestGDSizePrefersSmallObjects(t *testing.T) {
 }
 
 func TestGDSFFrequencyWins(t *testing.T) {
-	c := NewGDSF(100)
+	c := mustPolicy("gdsf", 100)
 	c.Put(1, 50)
 	c.Put(2, 50)
 	for i := 0; i < 20; i++ {
@@ -192,7 +196,7 @@ func TestGDSFFrequencyWins(t *testing.T) {
 func TestGreedyDualAging(t *testing.T) {
 	// After many evictions L rises, so a new cold object can displace an
 	// old once-popular one: the cache does not fossilize.
-	c := NewGDSF(100)
+	c := mustPolicy("gdsf", 100)
 	c.Put(1, 50)
 	for i := 0; i < 5; i++ {
 		c.Get(1)
@@ -206,14 +210,20 @@ func TestGreedyDualAging(t *testing.T) {
 }
 
 func TestNewPolicy(t *testing.T) {
-	for _, name := range []string{"lru", "lfu", "perfect-lfu", "gd-size", "gdsf"} {
+	for _, name := range policyNames {
 		p, ok := NewPolicy(name, 1000)
 		if !ok || p == nil {
 			t.Errorf("NewPolicy(%q) failed", name)
 			continue
 		}
-		if p.Name() != name {
-			t.Errorf("NewPolicy(%q).Name() = %q", name, p.Name())
+		switch h := p.(type) {
+		case *LRU:
+			ok = name == "lru"
+		case *heapPolicy:
+			ok = h.rule == heapRules[name]
+		}
+		if !ok {
+			t.Errorf("NewPolicy(%q) built the wrong policy: %T", name, p)
 		}
 		if p.Capacity() != 1000 {
 			t.Errorf("capacity = %d", p.Capacity())
@@ -260,21 +270,17 @@ func TestLevelString(t *testing.T) {
 // Property: under any request stream, every policy maintains
 // Size() <= Capacity(), non-negative size, and Len consistent with Size.
 func TestPolicyInvariantsProperty(t *testing.T) {
-	policies := []string{"lru", "lfu", "perfect-lfu", "gd-size", "gdsf"}
-	for _, name := range policies {
+	for _, name := range policyNames {
 		name := name
 		f := func(seed uint64) bool {
 			r := stats.NewRand(seed)
 			p, _ := NewPolicy(name, 1000)
 			for i := 0; i < 500; i++ {
 				key := uint64(r.Intn(50))
-				switch r.Intn(3) {
-				case 0:
+				if r.Intn(2) == 0 {
 					p.Put(key, int64(1+r.Intn(400)))
-				case 1:
+				} else {
 					p.Get(key)
-				case 2:
-					p.Remove(key)
 				}
 				if p.Size() > p.Capacity() || p.Size() < 0 {
 					return false
@@ -336,8 +342,8 @@ func TestPolicyOrderingOnZipfStream(t *testing.T) {
 		return float64(hits) / requests
 	}
 	lru := run(NewLRU(40000))
-	plfu := run(NewPerfectLFU(40000))
-	gdsf := run(NewGDSF(40000))
+	plfu := run(mustPolicy("perfect-lfu", 40000))
+	gdsf := run(mustPolicy("gdsf", 40000))
 	if plfu <= lru {
 		t.Errorf("perfect-LFU (%.3f) should beat LRU (%.3f) on Zipf stream", plfu, lru)
 	}

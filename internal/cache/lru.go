@@ -45,15 +45,13 @@ type LRU struct {
 	index lruTable
 
 	// Seeded segment: the entries of seed at or after seedCursor whose
-	// size fits seedCap (the capacity at SetSeed), minus those that left
-	// it — promoted into the arena (so the arena index holds them) or
-	// removed (seedGone). seedN counts the rest; the seed is dropped when
-	// it reaches zero.
+	// size fits seedCap (the capacity at SetSeed), minus those promoted
+	// into the arena (so the arena index holds them). seedN counts the
+	// rest; the seed is dropped when it reaches zero.
 	seed       Seed
 	seedCursor uint64
 	seedCap    int64
 	seedN      int
-	seedGone   map[uint64]struct{}
 }
 
 // Seed is an ordered, read-only set of distinct (key, size) entries an
@@ -89,9 +87,6 @@ func NewLRU(capacity int64) *LRU {
 	c.index.init(16)
 	return c
 }
-
-// Name implements Policy.
-func (c *LRU) Name() string { return "lru" }
 
 // Get implements Policy.
 func (c *LRU) Get(key uint64) bool {
@@ -151,27 +146,6 @@ func (c *LRU) Contains(key uint64) bool {
 	}
 	_, ok := c.seedLookup(key)
 	return ok
-}
-
-// Remove implements Policy.
-func (c *LRU) Remove(key uint64) {
-	if n, ok := c.index.get(c.keys, key); ok {
-		c.size -= int64(c.sizes[n])
-		c.index.del(c.keys, key)
-		c.unlink(n)
-		c.freeNode(n)
-	} else if size, ok := c.seedLookup(key); ok {
-		c.size -= size
-		c.takeSeed()
-	}
-	// A seed entry must not come back once its key is removed, whether
-	// it was still in the segment or had been promoted out of it.
-	if c.seed != nil {
-		if c.seedGone == nil {
-			c.seedGone = make(map[uint64]struct{})
-		}
-		c.seedGone[key] = struct{}{}
-	}
 }
 
 // Len implements Policy.
@@ -249,9 +223,6 @@ func (c *LRU) seedLookup(key uint64) (int64, bool) {
 	if !ok || pos < c.seedCursor || size <= 0 || size > c.seedCap {
 		return 0, false
 	}
-	if _, gone := c.seedGone[key]; gone {
-		return 0, false
-	}
 	return size, true
 }
 
@@ -267,7 +238,7 @@ func (c *LRU) promote(key uint64, size int64) {
 func (c *LRU) takeSeed() {
 	c.seedN--
 	if c.seedN == 0 {
-		c.seed, c.seedGone = nil, nil
+		c.seed = nil
 	}
 }
 
@@ -284,9 +255,6 @@ func (c *LRU) evictSeed() {
 			continue
 		}
 		if _, promoted := c.index.get(c.keys, key); promoted {
-			continue
-		}
-		if _, gone := c.seedGone[key]; gone {
 			continue
 		}
 		c.size -= size

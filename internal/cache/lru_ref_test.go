@@ -63,15 +63,6 @@ func (c *refLRU) Put(key uint64, size int64) {
 
 func (c *refLRU) Contains(key uint64) bool { _, ok := c.items[key]; return ok }
 
-func (c *refLRU) Remove(key uint64) {
-	if el, ok := c.items[key]; ok {
-		e := el.Value.(*refEntry)
-		c.ll.Remove(el)
-		delete(c.items, key)
-		c.size -= e.size
-	}
-}
-
 func (c *refLRU) Resize(capacity int64) {
 	if capacity < 1 {
 		capacity = 1
@@ -107,7 +98,7 @@ func (c *LRU) recencyOrder() []uint64 {
 
 // TestLRUMatchesReference drives the arena LRU and the container/list
 // oracle through long randomized operation sequences (gets, puts,
-// re-puts, removals, resizes over a small key space so evictions and
+// re-puts, resizes over a small key space so evictions and
 // collisions are constant) and demands identical observables after every
 // step — including the full recency order, which pins eviction order
 // exactly.
@@ -118,15 +109,12 @@ func TestLRUMatchesReference(t *testing.T) {
 		ref := newRefLRU(10_000)
 		for op := 0; op < 20_000; op++ {
 			key := uint64(r.Intn(400))
-			switch r.Intn(10) {
+			switch r.Intn(9) {
 			case 0:
-				c.Remove(key)
-				ref.Remove(key)
-			case 1:
 				if got, want := c.Get(key), ref.Get(key); got != want {
 					t.Fatalf("seed %d op %d: Get(%d) = %v, reference %v", seed, op, key, got, want)
 				}
-			case 2:
+			case 1:
 				// Occasionally resize within a band that forces evictions.
 				cap := int64(2_000 + r.Intn(12_000))
 				c.Resize(cap)
@@ -154,8 +142,7 @@ func TestLRUMatchesReference(t *testing.T) {
 }
 
 // TestLRUDegenerateOps covers the paths randomized runs hit rarely:
-// oversized and non-positive puts, removing absent keys, and resizing an
-// empty cache.
+// oversized and non-positive puts, and resizing an empty cache.
 func TestLRUDegenerateOps(t *testing.T) {
 	c := NewLRU(100)
 	c.Put(1, 0)
@@ -164,7 +151,6 @@ func TestLRUDegenerateOps(t *testing.T) {
 	if c.Len() != 0 || c.Size() != 0 {
 		t.Fatalf("degenerate puts were admitted: len=%d size=%d", c.Len(), c.Size())
 	}
-	c.Remove(42)
 	c.Resize(0) // clamps to 1
 	if c.Capacity() != 1 {
 		t.Fatalf("Resize(0) capacity = %d, want 1", c.Capacity())

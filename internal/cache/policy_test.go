@@ -1,4 +1,4 @@
-// policy_test.go hardens the priority-cache policies at the level
+// policy_test.go hardens the heap policy at the level
 // TestPolicyOrderingOnZipfStream and the cache-policy-matrix spec depend on:
 // exact eviction order, deterministic tie-breaking, and byte accounting
 // across in-place updates — plus the multi-level RAM/disk promotion and
@@ -10,7 +10,7 @@ import "testing"
 // TestGDSizeEvictionOrder: GD-Size priority is L + 1e6/size, so larger
 // objects go first, in size order, until the newcomer fits.
 func TestGDSizeEvictionOrder(t *testing.T) {
-	c := NewGDSize(1000)
+	c := mustPolicy("gd-size", 1000)
 	c.Put(1, 500) // lowest priority (largest)
 	c.Put(2, 300)
 	c.Put(3, 200)
@@ -41,7 +41,7 @@ func TestGDSizeEvictionOrder(t *testing.T) {
 // TestGDSizeTieBreaking: equal sizes mean equal priorities; the older
 // insertion is evicted first (heap ties break on insertion tick).
 func TestGDSizeTieBreaking(t *testing.T) {
-	c := NewGDSize(300)
+	c := mustPolicy("gd-size", 300)
 	c.Put(10, 100)
 	c.Put(11, 100)
 	c.Put(12, 100)
@@ -60,37 +60,38 @@ func TestGDSizeTieBreaking(t *testing.T) {
 // with a new size must adjust Size by the delta, and shrinking must not
 // trigger eviction.
 func TestGreedyDualByteAccountingAfterUpdate(t *testing.T) {
-	for _, c := range []Policy{NewGDSize(1000), NewGDSF(1000)} {
+	for _, name := range []string{"gd-size", "gdsf"} {
+		c := mustPolicy(name, 1000)
 		c.Put(1, 400)
 		c.Put(2, 400)
 		if c.Size() != 800 {
-			t.Fatalf("%s: size = %d, want 800", c.Name(), c.Size())
+			t.Fatalf("%s: size = %d, want 800", name, c.Size())
 		}
 		c.Put(1, 100) // shrink in place
 		if c.Size() != 500 || c.Len() != 2 {
-			t.Errorf("%s: after shrink size = %d len = %d, want 500/2", c.Name(), c.Size(), c.Len())
+			t.Errorf("%s: after shrink size = %d len = %d, want 500/2", name, c.Size(), c.Len())
 		}
 		c.Put(1, 600) // grow in place: 600+400 fits exactly
 		if c.Size() != 1000 || !c.Contains(1) || !c.Contains(2) {
-			t.Errorf("%s: after grow size = %d, want 1000 with both resident", c.Name(), c.Size())
+			t.Errorf("%s: after grow size = %d, want 1000 with both resident", name, c.Size())
 		}
 		// Grow beyond capacity: must evict, never overflow. At 700 bytes
 		// key 1's priority (∝ 1/size) drops below key 2's, so GD-Size
 		// evicts the freshly-grown object itself — the correct victim.
 		c.Put(1, 700)
 		if c.Size() > c.Capacity() {
-			t.Errorf("%s: size %d exceeds capacity %d after growth eviction", c.Name(), c.Size(), c.Capacity())
+			t.Errorf("%s: size %d exceeds capacity %d after growth eviction", name, c.Size(), c.Capacity())
 		}
 		if c.Contains(1) || !c.Contains(2) || c.Size() != 400 {
 			t.Errorf("%s: after growth eviction contains(1)=%v contains(2)=%v size=%d, want false/true/400",
-				c.Name(), c.Contains(1), c.Contains(2), c.Size())
+				name, c.Contains(1), c.Contains(2), c.Size())
 		}
 	}
 }
 
 // TestLFUTieBreaking: equal frequencies evict the older insertion first.
 func TestLFUTieBreaking(t *testing.T) {
-	c := NewLFU(300)
+	c := mustPolicy("lfu", 300)
 	c.Put(1, 100)
 	c.Put(2, 100)
 	c.Put(3, 100)
@@ -106,7 +107,7 @@ func TestLFUTieBreaking(t *testing.T) {
 // TestLFUByteAccountingAfterUpdate: a resident re-Put keeps one entry
 // and tracks the byte delta; eviction under growth respects frequency.
 func TestLFUByteAccountingAfterUpdate(t *testing.T) {
-	c := NewLFU(1000)
+	c := mustPolicy("lfu", 1000)
 	c.Put(1, 400)
 	c.Put(2, 400)
 	c.Get(1) // key 1 now hotter
@@ -117,9 +118,9 @@ func TestLFUByteAccountingAfterUpdate(t *testing.T) {
 	if c.Size() != 900 {
 		t.Errorf("size = %d, want 900", c.Size())
 	}
-	c.Remove(1)
+	c.Resize(899) // evicts key 1 at its updated size
 	if c.Size() != 0 || c.Len() != 0 {
-		t.Errorf("after remove: size = %d len = %d", c.Size(), c.Len())
+		t.Errorf("after shrink: size = %d len = %d", c.Size(), c.Len())
 	}
 }
 

@@ -2,20 +2,13 @@ package cache
 
 import "testing"
 
-// resizePolicies builds one of each policy at the given capacity.
-func resizePolicies(capacity int64) []Policy {
-	return []Policy{
-		NewLRU(capacity), NewLFU(capacity), NewPerfectLFU(capacity),
-		NewGDSize(capacity), NewGDSF(capacity),
-	}
-}
-
 // TestResizeShrinkEvicts: shrinking must evict down to the new capacity
 // in each policy's normal order, and growth back must not resurrect
 // anything.
 func TestResizeShrinkEvicts(t *testing.T) {
-	for _, p := range resizePolicies(1000) {
-		t.Run(p.Name(), func(t *testing.T) {
+	for _, name := range policyNames {
+		t.Run(name, func(t *testing.T) {
+			p := mustPolicy(name, 1000)
 			for k := uint64(1); k <= 10; k++ {
 				p.Put(k, 100)
 			}
@@ -66,14 +59,15 @@ func TestResizeEvictionOrder(t *testing.T) {
 // TestResizeClampsToOneByte: capacities below one byte clamp instead of
 // panicking (a timeline cache factor can be arbitrarily small).
 func TestResizeClampsToOneByte(t *testing.T) {
-	for _, p := range resizePolicies(100) {
+	for _, name := range policyNames {
+		p := mustPolicy(name, 100)
 		p.Put(1, 50)
 		p.Resize(0)
 		if p.Capacity() != 1 {
-			t.Fatalf("%s: Capacity() = %d after Resize(0), want 1", p.Name(), p.Capacity())
+			t.Fatalf("%s: Capacity() = %d after Resize(0), want 1", name, p.Capacity())
 		}
 		if p.Len() != 0 {
-			t.Fatalf("%s: %d entries survived a 1-byte cache", p.Name(), p.Len())
+			t.Fatalf("%s: %d entries survived a 1-byte cache", name, p.Len())
 		}
 	}
 }
@@ -82,7 +76,7 @@ func TestResizeClampsToOneByte(t *testing.T) {
 // released for entries a resize evicts (same contract as demand
 // eviction), so a later re-admission starts fresh.
 func TestResizeInCacheCountersDie(t *testing.T) {
-	c := NewLFU(200)
+	c := mustPolicy("lfu", 200).(*heapPolicy)
 	c.Put(1, 100)
 	c.Put(2, 100)
 	c.Get(1)
@@ -91,17 +85,17 @@ func TestResizeInCacheCountersDie(t *testing.T) {
 	if c.Contains(2) {
 		t.Fatal("LFU shrink evicted the frequent entry")
 	}
-	if got := c.freqs[2]; got != 0 {
+	if got := c.counts[2]; got != 0 {
 		t.Fatalf("evicted entry kept in-cache frequency %v", got)
 	}
-	// PerfectLFU keeps all-time counts across resize evictions.
-	p := NewPerfectLFU(200)
+	// Perfect-LFU keeps all-time counts across resize evictions.
+	p := mustPolicy("perfect-lfu", 200).(*heapPolicy)
 	p.Put(1, 100)
 	p.Put(2, 100)
 	p.Get(2)
 	p.Resize(100)
-	if p.freqs[1] == 0 {
-		t.Fatal("PerfectLFU resize dropped the all-time count")
+	if p.counts[1] == 0 {
+		t.Fatal("perfect-LFU resize dropped the all-time count")
 	}
 }
 

@@ -83,9 +83,6 @@ func residents(c *LRU) []uint64 {
 		if _, promoted := c.index.get(c.keys, key); promoted {
 			continue
 		}
-		if _, gone := c.seedGone[key]; gone {
-			continue
-		}
 		seg = append(seg, key)
 	}
 	slices.Reverse(seg)
@@ -148,7 +145,7 @@ func TestSeededLRUMatchesEagerFill(t *testing.T) {
 		for op := 0; op < 200; op++ {
 			key := uint64(r.Intn(keySpace))
 			var step string
-			switch r.Intn(10) {
+			switch r.Intn(8) {
 			case 0, 1, 2:
 				step = "Get"
 				if eager.Get(key) != seeded.Get(key) {
@@ -167,11 +164,7 @@ func TestSeededLRUMatchesEagerFill(t *testing.T) {
 				if eager.Contains(key) != seeded.Contains(key) {
 					t.Fatalf("trial %d op %d: Contains(%d) disagrees", trial, op, key)
 				}
-			case 7, 8:
-				step = "Remove"
-				eager.Remove(key)
-				seeded.Remove(key)
-			case 9:
+			case 7:
 				step = "Resize"
 				c := 1 + r.Int63n(2*capacity)
 				eager.Resize(c)
@@ -189,10 +182,10 @@ func TestSeededLRUMatchesEagerFill(t *testing.T) {
 	}
 }
 
-// TestSeededLRUPromotionAndRemoval pins the segment rules on a small
-// hand-built seed: a touched entry moves to the front with its bytes, a
-// removed entry never comes back, and the seed is dropped once drained.
-func TestSeededLRUPromotionAndRemoval(t *testing.T) {
+// TestSeededLRUPromotion pins the segment rules on a small hand-built
+// seed: a touched entry moves to the front with its bytes, eviction
+// drains the segment past it, and the seed is dropped once drained.
+func TestSeededLRUPromotion(t *testing.T) {
 	seed := newSliceSeed([]uint64{10, 11, 12, 13}, []int64{100, 100, 100, 100})
 	c := NewLRU(300) // fits 11, 12, 13
 	c.SetSeed(seed)
@@ -202,17 +195,12 @@ func TestSeededLRUPromotionAndRemoval(t *testing.T) {
 	if !c.Get(11) || c.Size() != 300 || c.index.n != 1 {
 		t.Fatalf("promotion: size=%d arena=%d", c.Size(), c.index.n)
 	}
-	c.Remove(12)
-	if c.Contains(12) || c.Len() != 2 || c.Size() != 200 {
-		t.Fatalf("remove: len=%d size=%d", c.Len(), c.Size())
-	}
-	c.Remove(11) // promoted, then removed: the seed must not resurrect it
-	if c.Contains(11) || c.Len() != 1 {
-		t.Fatalf("remove promoted: contains=%v len=%d", c.Contains(11), c.Len())
-	}
-	c.Put(20, 250) // evicts 13, the last seed entry
-	if c.seed != nil || c.Contains(13) || c.Len() != 1 || c.Size() != 250 {
+	c.Put(20, 200) // evicts 12 and 13, the segment's last entries
+	if c.seed != nil || c.Contains(12) || c.Contains(13) || c.Len() != 2 || c.Size() != 300 {
 		t.Fatalf("drain: seed=%v len=%d size=%d", c.seed != nil, c.Len(), c.Size())
+	}
+	if !c.Contains(11) || !c.Contains(20) {
+		t.Fatalf("drain evicted an arena entry: contains(11)=%v contains(20)=%v", c.Contains(11), c.Contains(20))
 	}
 }
 

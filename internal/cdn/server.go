@@ -50,6 +50,14 @@ const (
 	openMedianMS     = 0.5 // header parse + cache-open attempt
 )
 
+// The lognormal location of each median, computed once rather than per
+// request.
+var (
+	logRAMReadMedian  = math.Log(ramReadMedianMS)
+	logDiskSeekMedian = math.Log(diskSeekMedianMS)
+	logOpenMedian     = math.Log(openMedianMS)
+)
+
 func (c Config) withDefaults() Config {
 	if c.RAMBytes == 0 {
 		c.RAMBytes = 2 << 30
@@ -278,7 +286,7 @@ func (s *Server) start(f *inflight) {
 	res := &f.res
 	*res = ServeResult{
 		DwaitMS: (eng.Now() - f.arrivedMS) + dispatch,
-		DopenMS: s.r.LogNormal(math.Log(openMedianMS), 0.4),
+		DopenMS: s.r.LogNormal(logOpenMedian, 0.4),
 	}
 
 	if s.cfg.PinFirstChunks && f.req.ChunkIndex == 0 {
@@ -345,11 +353,11 @@ func (s *Server) prefetch(eng *sim.Engine, req Request) {
 }
 
 func (s *Server) ramReadMS() float64 {
-	return s.r.LogNormal(math.Log(ramReadMedianMS), 0.5)
+	return s.r.LogNormal(logRAMReadMedian, 0.5)
 }
 
 func (s *Server) diskReadMS(size int64) float64 {
-	seek := s.r.LogNormal(math.Log(diskSeekMedianMS), 0.6)
+	seek := s.r.LogNormal(logDiskSeekMedian, 0.6)
 	transfer := float64(size) / (diskReadMBps * 1000) // MB/s -> bytes/ms
 	return seek + transfer
 }

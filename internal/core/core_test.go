@@ -5,7 +5,6 @@ import (
 	"encoding/csv"
 	"math"
 	"strings"
-	"sync"
 	"testing"
 
 	"vidperf/internal/stats"
@@ -359,67 +358,46 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMergeCanonicalOrder checks the deterministic merge: shard order and
-// completion order must not affect the result.
-func TestMergeCanonicalOrder(t *testing.T) {
+// TestSortCanonicalOrder checks the canonical order every writer emits:
+// the order records arrive in must not affect the sorted dataset.
+func TestSortCanonicalOrder(t *testing.T) {
 	mk := func(ids ...uint64) *Dataset {
 		d := &Dataset{}
 		for _, id := range ids {
-			s := sampleSession(id)
-			d.Sessions = append(d.Sessions, s)
-			for ci := 0; ci < 2; ci++ {
+			d.Sessions = append(d.Sessions, sampleSession(id))
+			for ci := 1; ci >= 0; ci-- {
 				c := sampleChunk()
 				c.SessionID = id
 				c.ChunkID = ci
 				d.Chunks = append(d.Chunks, c)
 			}
 		}
+		d.SortCanonical()
+		d.Index()
 		return d
 	}
-	a := Merge(mk(3, 1), nil, mk(4, 2))
-	b := Merge(mk(2, 4), mk(1, 3))
+	a, b := mk(3, 1, 4, 2), mk(2, 4, 1, 3)
 	if len(a.Sessions) != 4 || len(a.Chunks) != 8 {
-		t.Fatalf("merged sizes wrong: %s", a)
+		t.Fatalf("sizes wrong: %s", a)
 	}
 	for i := range a.Sessions {
 		if a.Sessions[i].SessionID != uint64(i+1) {
 			t.Fatalf("sessions not in canonical order: %d at %d", a.Sessions[i].SessionID, i)
 		}
 		if a.Sessions[i] != b.Sessions[i] {
-			t.Fatal("merge depends on shard order")
+			t.Fatal("sorted sessions depend on arrival order")
 		}
 	}
 	for i := range a.Chunks {
+		if c := a.Chunks[i]; c.SessionID != uint64(i/2+1) || c.ChunkID != i%2 {
+			t.Fatalf("chunk %d is (%d, %d), not canonical", i, c.SessionID, c.ChunkID)
+		}
 		if a.Chunks[i] != b.Chunks[i] {
-			t.Fatal("chunk merge depends on shard order")
+			t.Fatal("sorted chunks depend on arrival order")
 		}
 	}
 	if a.Session(3) == nil || a.Session(3).SessionID != 3 {
-		t.Error("merged dataset not indexed")
-	}
-}
-
-// TestCollectorConcurrentAdd exercises the shard-sink path under real
-// concurrency.
-func TestCollectorConcurrentAdd(t *testing.T) {
-	var col Collector
-	var wg sync.WaitGroup
-	for i := 1; i <= 16; i++ {
-		wg.Add(1)
-		go func(id uint64) {
-			defer wg.Done()
-			col.Add(&Dataset{Sessions: []SessionRecord{sampleSession(id)}})
-		}(uint64(i))
-	}
-	wg.Wait()
-	m := col.Merge()
-	if len(m.Sessions) != 16 {
-		t.Fatalf("collector lost sessions: %d/16", len(m.Sessions))
-	}
-	for i := range m.Sessions {
-		if m.Sessions[i].SessionID != uint64(i+1) {
-			t.Fatalf("not canonical at %d: %d", i, m.Sessions[i].SessionID)
-		}
+		t.Error("sorted dataset not indexed")
 	}
 }
 

@@ -3,14 +3,14 @@ package core
 import "sync"
 
 // SpanCollector assembles shard record streams into one dataset whose
-// backing arrays are allocated exactly once. Collector (above) has every
-// shard fill a private Dataset and then copies the union — two full
-// passes of allocation for a campaign-sized trace. SpanCollector instead
-// uses the shards' ReserveRecords hints to carve one pair of backing
-// arrays into disjoint per-shard spans up front: shards append into
-// their spans concurrently without locks, and Dataset() compacts the
-// spans in place, sorts canonically, and indexes. The result is
-// byte-identical to the Collector+Merge path — canonical order erases
+// backing arrays are allocated exactly once. Rather than have every
+// shard fill a private Dataset and then copy the union — two full
+// passes of allocation for a campaign-sized trace — it uses the shards'
+// ReserveRecords hints to carve one pair of backing arrays into
+// disjoint per-shard spans up front: shards append into their spans
+// concurrently without locks, and Dataset() compacts the spans in
+// place, sorts canonically, and indexes. The result is byte-identical
+// to sorting the union of per-shard datasets — canonical order erases
 // span layout — for roughly half the allocation.
 //
 // Usage: call NewSink once per shard from the runner's sequential plan

@@ -10,17 +10,12 @@ import (
 	"vidperf/internal/analysis"
 	"vidperf/internal/core"
 	"vidperf/internal/proxydetect"
-	"vidperf/internal/telemetry"
 )
 
-// StreamProxy renders the proxied-population report: the proxied-vs-
-// direct CV(SRTT) and startup splits, the per-egress audience mix, and
-// the detector-signal counters (internal/proxypop). Only rendered for
-// snapshots from proxied campaigns.
-func StreamProxy(sn *telemetry.Snapshot) Result {
-	return streamProxyResult(analysis.StreamProxy(sn))
-}
-
+// streamProxyResult renders the proxied-population report: the
+// proxied-vs-direct CV(SRTT) and startup splits, the per-egress audience
+// mix, and the detector-signal counters (internal/proxypop). Only
+// rendered for snapshots from proxied campaigns.
 func streamProxyResult(p analysis.StreamingProxy) Result {
 	r := Result{
 		ID:    "stream-proxy",

@@ -148,14 +148,10 @@ func streamDiagnosisResult(d analysis.StreamingDiagnosis) Result {
 	return r
 }
 
-// StreamLive renders the live-streaming report: the join-time and
+// streamLiveResult renders the live-streaming report: the join-time and
 // live-edge-lag distributions, the per-channel audience mix, and the
 // channel-switch count (internal/live). Only rendered for snapshots
 // from live campaigns.
-func StreamLive(sn *telemetry.Snapshot) Result {
-	return streamLiveResult(analysis.StreamLive(sn))
-}
-
 func streamLiveResult(l analysis.StreamingLive) Result {
 	var joined uint64
 	for _, d := range l.Channels {

@@ -346,21 +346,29 @@ func tcpParams() tcpmodel.Params {
 }
 
 // TestExecuteSinksMatchesDataset pins the sink seam: streaming the
-// campaign into per-shard Dataset sinks and merging must reproduce the
-// materialized dataset mode exactly.
+// campaign into per-shard Dataset sinks and sorting their union must
+// reproduce the materialized dataset mode exactly.
 func TestExecuteSinksMatchesDataset(t *testing.T) {
 	want := mustRun(t, smallScenario(29))
 
-	var col core.Collector
+	// The runner builds every sink in its sequential plan phase, so a
+	// plain slice gathers them.
+	var parts []*core.Dataset
 	_, err := Execute(smallScenario(29), Options{Sinks: func(popID int) core.RecordSink {
 		ds := &core.Dataset{}
-		col.Add(ds)
+		parts = append(parts, ds)
 		return ds
 	}})
 	if err != nil {
 		t.Fatalf("Execute(Sinks): %v", err)
 	}
-	got := col.Merge()
+	got := &core.Dataset{}
+	for _, p := range parts {
+		got.Sessions = append(got.Sessions, p.Sessions...)
+		got.Chunks = append(got.Chunks, p.Chunks...)
+	}
+	got.SortCanonical()
+	got.Index()
 	if len(got.Sessions) != len(want.Sessions) || len(got.Chunks) != len(want.Chunks) {
 		t.Fatalf("sizes differ: %s vs %s", got, want)
 	}

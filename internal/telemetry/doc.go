@@ -21,9 +21,10 @@
 // accumulators in canonical (ascending) PoP order, never in shard
 // completion order. Under that rule a streamed snapshot serializes to
 // byte-identical JSON at every Scenario.Parallelism setting, the same
-// guarantee core.Merge gives the exact path. Anything that consumes or
-// extends this package must preserve it: merge in canonical PoP order,
-// and never let goroutine scheduling pick the order aggregates combine.
+// guarantee canonical order (core.Dataset.SortCanonical) gives the
+// exact path. Anything that consumes or extends this package must
+// preserve it: merge in canonical PoP order, and never let goroutine
+// scheduling pick the order aggregates combine.
 //
 // # Wiring
 //

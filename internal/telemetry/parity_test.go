@@ -46,16 +46,24 @@ func parityRun(t *testing.T) (*core.Dataset, *telemetry.Snapshot) {
 	t.Helper()
 	parityOnce.Do(func() {
 		camp := telemetry.NewCampaignWith(telemetry.Config{})
-		var col core.Collector
+		// The runner builds every sink in its sequential plan phase, so
+		// a plain slice gathers them.
+		var parts []*core.Dataset
 		_, err := session.Execute(parityScenario(), session.Options{Sinks: func(popID int) core.RecordSink {
 			ds := &core.Dataset{}
-			col.Add(ds)
+			parts = append(parts, ds)
 			return core.TeeSink(ds, camp.Sink(popID))
 		}})
 		if err != nil {
 			panic(err)
 		}
-		parityDS = col.Merge()
+		parityDS = &core.Dataset{}
+		for _, p := range parts {
+			parityDS.Sessions = append(parityDS.Sessions, p.Sessions...)
+			parityDS.Chunks = append(parityDS.Chunks, p.Chunks...)
+		}
+		parityDS.SortCanonical()
+		parityDS.Index()
 		paritySnap = camp.Snapshot()
 	})
 	if parityDS == nil || paritySnap == nil {

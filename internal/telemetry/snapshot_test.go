@@ -203,7 +203,9 @@ func TestChunkShare(t *testing.T) {
 	if got := sn.ChunkShare(CounterChunksRetryTimer); got != 0.375 {
 		t.Errorf("retry-timer share = %v, want 0.375", got)
 	}
-	if got := (&Snapshot{Counters: map[string]uint64{CounterChunksHit: 6}}).ChunkShare(CounterChunksHit); got != 0 {
-		t.Errorf("share without chunks = %v, want 0", got)
+	for _, empty := range []*Snapshot{{Counters: map[string]uint64{CounterChunksHit: 6}}, {}} {
+		if got := empty.ChunkShare(CounterChunksHit); got != 0 {
+			t.Errorf("share without chunks (counters %v) = %v, want 0", empty.Counters, got)
+		}
 	}
 }
