@@ -29,6 +29,16 @@ func TestNewLogger(t *testing.T) {
 	}
 }
 
+func TestRatiosOnEmptySnapshot(t *testing.T) {
+	sn := &telemetry.Snapshot{}
+	if r := sn.ChunkShare(telemetry.CounterChunksHit); r != 0 {
+		t.Fatalf("hit ratio of an empty snapshot = %g", r)
+	}
+	if r := sn.ChunkShare(telemetry.CounterChunksRetryTimer); r != 0 {
+		t.Fatalf("retry share of an empty snapshot = %g", r)
+	}
+}
+
 func TestQuantileList(t *testing.T) {
 	qs := quantileList()
 	if !strings.Contains(qs, "p50") || !strings.Contains(qs, "/") {
