@@ -32,8 +32,7 @@ func queryFixtureStore(t *testing.T) *store.Store {
 				"spec": "zipf-sweep", "cell": c.name, "preset": "paper",
 				"axis:zipf_s": c.axisVal,
 			},
-			Sketches:   map[string]*telemetry.QuantileSketch{},
-			Histograms: map[string]*telemetry.Histogram{},
+			Sketches: map[string]*telemetry.QuantileSketch{},
 			Counters: map[string]uint64{
 				"sessions": 100, "chunks": 1000, "chunks_hit": c.hit,
 			},

@@ -22,9 +22,9 @@
 // at once; the written trace is byte-identical at every -parallel value.
 //
 // With -stream the campaign runs through the internal/telemetry subsystem
-// instead: finished sessions fold into mergeable sketches, histograms and
-// counters as each shard produces them, no record is ever materialized,
-// and -out receives a JSON telemetry snapshot (input to
+// instead: finished sessions fold into mergeable sketches and counters
+// as each shard produces them, no record is ever materialized, and -out
+// receives a JSON telemetry snapshot (input to
 // `analyze snapshot`) rather than a JSONL trace. Peak memory is
 // O(sketch), independent of the record volume, so -stream is the mode for
 // 10M+-session campaigns. -stream cannot be combined with the CSV exports,

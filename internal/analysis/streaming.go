@@ -44,7 +44,6 @@ func StreamBreakdownCDNLatency(sn *telemetry.Snapshot) StreamingCDNBreakdown {
 type StreamingQoE struct {
 	Startup           *telemetry.QuantileSketch // ms, started sessions only
 	RebufferRate      *telemetry.QuantileSketch // fraction of session time stalled
-	StartupHist       *telemetry.Histogram
 	Sessions          uint64
 	NeverStarted      uint64
 	NeverStartedShare float64
@@ -55,7 +54,6 @@ func StreamQoESummary(sn *telemetry.Snapshot) StreamingQoE {
 	out := StreamingQoE{
 		Startup:      sn.Sketch(telemetry.MetricStartupMS),
 		RebufferRate: sn.Sketch(telemetry.MetricRebufferRate),
-		StartupHist:  sn.Histogram(telemetry.MetricStartupMS),
 		Sessions:     sn.Counter(telemetry.CounterSessions),
 		NeverStarted: sn.Counter(telemetry.CounterSessionsNeverStart),
 	}

@@ -88,19 +88,6 @@ func TestEstimateDDS(t *testing.T) {
 	}
 }
 
-func TestSplitByPerfScore(t *testing.T) {
-	good := sampleChunk() // score ~2.8
-	bad := sampleChunk()
-	bad.DLBms = 10000 // score 6/10.15 < 1
-	s := SplitByPerfScore([]ChunkRecord{good, bad, good})
-	if len(s.Good) != 2 || len(s.Bad) != 1 {
-		t.Fatalf("split = %d good, %d bad", len(s.Good), len(s.Bad))
-	}
-	if s.Bad[0] != 1 {
-		t.Error("wrong bad index")
-	}
-}
-
 func TestDetectStackOutliers(t *testing.T) {
 	r := stats.NewRand(3)
 	var chunks []ChunkRecord

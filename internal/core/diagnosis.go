@@ -71,25 +71,6 @@ func EstimateDDSms(c ChunkRecord) float64 {
 	return est
 }
 
-// PerfSplit classifies chunks by the Eq. 2 score and reports the latency
-// and throughput shares of each class (Fig. 16's inputs).
-type PerfSplit struct {
-	Good, Bad []int // chunk indices with score >= 1 / < 1
-}
-
-// SplitByPerfScore partitions chunk indices by perfscore ≥ 1.
-func SplitByPerfScore(chunks []ChunkRecord) PerfSplit {
-	var s PerfSplit
-	for i := range chunks {
-		if chunks[i].PerfScore() >= 1 {
-			s.Good = append(s.Good, i)
-		} else {
-			s.Bad = append(s.Bad, i)
-		}
-	}
-	return s
-}
-
 // LatencyShare returns D_FB/(D_FB+D_LB) for a chunk — the paper's measure
 // of whether latency or throughput dominates its delivery time.
 func LatencyShare(c ChunkRecord) float64 {

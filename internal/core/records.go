@@ -269,7 +269,7 @@ type RecordReserver interface {
 }
 
 // ConsumeSession implements RecordSink by appending the records; the
-// canonical order is restored by Merge/SortCanonical afterwards.
+// caller restores the canonical order with SortCanonical afterwards.
 func (d *Dataset) ConsumeSession(s SessionRecord, chunks []ChunkRecord) {
 	d.Sessions = append(d.Sessions, s)
 	d.Chunks = append(d.Chunks, chunks...)

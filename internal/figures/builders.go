@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"vidperf/internal/analysis"
 	"vidperf/internal/clientstack"
@@ -273,7 +274,7 @@ func Fig13() Result {
 			parts = append(parts, fmt.Sprintf("%d:%.1f%%", i, c.LossRate()*100))
 			rebufs += c.BufCount
 		}
-		return fmt.Sprintf("%-18s %s", label, joinStrings(parts)), rebufs
+		return fmt.Sprintf("%-18s %s", label, strings.Join(parts, " ")), rebufs
 	}
 	l1, rb1 := lossRow("early-loss case", recsE)
 	l2, rb2 := lossRow("late-loss case", recsL)
@@ -370,8 +371,8 @@ func Fig17() Result {
 		tps = append(tps, fmt.Sprintf("%d:%.1f", i, c.InstantThroughputKbps()/1000))
 	}
 	r.Lines = append(r.Lines,
-		"D_FB (ms) by chunk:      "+joinStrings(dfbs),
-		"TP_inst (Mbps) by chunk: "+joinStrings(tps),
+		"D_FB (ms) by chunk:      "+strings.Join(dfbs, " "),
+		"TP_inst (Mbps) by chunk: "+strings.Join(tps, " "),
 		fmt.Sprintf("Eq.4 flagged chunks: %v", rep.Outliers),
 	)
 	flagged7 := len(rep.Outliers) == 1 && rep.Outliers[0] == 7
@@ -662,15 +663,4 @@ func firstLastNonEmpty(bins []stats.BinStat) (stats.BinStat, stats.BinStat) {
 		}
 	}
 	return first, last
-}
-
-func joinStrings(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += " "
-		}
-		out += p
-	}
-	return out
 }

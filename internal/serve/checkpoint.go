@@ -1,8 +1,8 @@
 // checkpoint.go is the serve checkpoint codec: a checkpoint is the
 // engine's complete resumable state at a window boundary — the effective
 // config (seed and virtual clock geometry included), the window counter,
-// the cumulative fold, and the ring. Sketches, histograms, and counters
-// all round-trip JSON exactly (their wire formats encode the full
+// the cumulative fold, and the ring. Sketches and counters both
+// round-trip JSON exactly (their wire formats encode the full
 // internal state), so a resumed engine's published snapshots are
 // byte-identical to the uninterrupted run's.
 package serve
@@ -21,13 +21,14 @@ import (
 	"vidperf/internal/telemetry"
 )
 
-// CheckpointSchema is the checkpoint wire-format version. Schema 3
-// drops the calibration values the scenario no longer carries (the
-// backend block, the CDN's and catalog's service-time and duration
-// parameters, FPS); schema 2 stored them, schema 1 also spelled the
-// live and proxy blocks with Go field names. Checkpoints are decoded
-// strictly, so neither older schema loads.
-const CheckpointSchema = 3
+// CheckpointSchema is the checkpoint wire-format version. Schema 4
+// holds schema-2 telemetry snapshots: no histograms, and a sum in every
+// sketch. Schema 3 dropped the calibration values the scenario no
+// longer carries (the backend block, the CDN's and catalog's
+// service-time and duration parameters, FPS); schema 2 stored them,
+// schema 1 also spelled the live and proxy blocks with Go field names.
+// Checkpoints are decoded strictly, so no older schema loads.
+const CheckpointSchema = 4
 
 // Checkpoint is the serialized engine state. Its wire form is
 // json.Marshal's; the engine writes it with encodeCheckpoint, which
@@ -98,8 +99,8 @@ func (e *Engine) checkpointNow() error {
 
 // encodeCheckpoint returns the bytes json.Marshal(ck) does, in one
 // encoding pass: the envelope is written here and each snapshot through
-// telemetry.WriteSnapshot. json.Marshal would run every sketch's and
-// histogram's MarshalJSON and then scan and compact their bytes again.
+// telemetry.WriteSnapshot. json.Marshal would run every sketch's
+// MarshalJSON and then scan and compact their bytes again.
 // The field names and omitempty rules are Checkpoint's and WindowResult's
 // JSON tags; TestEncodeCheckpointMatchesMarshal pins the two byte-equal.
 func encodeCheckpoint(ck *Checkpoint) ([]byte, error) {

@@ -77,10 +77,10 @@ func (e *Engine) writeMetrics(w io.Writer) {
 	if cum != nil {
 		writeSummary(w, "vodsim_startup_ms",
 			"Session startup delay in milliseconds (started sessions only).",
-			cum.Sketch(telemetry.MetricStartupMS), cum.Histogram(telemetry.MetricStartupMS))
+			cum.Sketch(telemetry.MetricStartupMS))
 		writeSummary(w, "vodsim_rebuffer_rate",
 			"Per-session fraction of playback time spent stalled.",
-			cum.Sketch(telemetry.MetricRebufferRate), cum.Histogram(telemetry.MetricRebufferRate))
+			cum.Sketch(telemetry.MetricRebufferRate))
 	}
 
 	if diagOn {
@@ -118,26 +118,20 @@ func (e *Engine) writeMetrics(w io.Writer) {
 }
 
 // writeSummary renders one distribution as a Prometheus summary:
-// quantile-labelled samples from the sketch plus _sum and _count from
-// the exact histogram. Quantile samples are skipped while the
-// distribution is empty so the exposition never carries NaN.
-func writeSummary(w io.Writer, name, help string, sk *telemetry.QuantileSketch, h *telemetry.Histogram) {
+// quantile-labelled samples, _sum and _count, all from the sketch.
+// Quantile samples are skipped while the distribution is empty so the
+// exposition never carries NaN.
+func writeSummary(w io.Writer, name, help string, sk *telemetry.QuantileSketch) {
 	writeFamily(w, name, "summary", help)
-	if sk != nil && sk.N() > 0 {
+	if sk.N() > 0 {
 		vals := make([]float64, len(summaryQuantiles))
 		sk.Quantiles(summaryQuantiles, vals)
 		for i, q := range summaryQuantiles {
 			writeSample(w, name, [][2]string{{"quantile", fmt.Sprintf("%g", q)}}, vals[i])
 		}
 	}
-	var sum float64
-	var count uint64
-	if h != nil && h.N() > 0 {
-		count = h.N()
-		sum = h.Mean() * float64(h.N())
-	}
-	writeSample(w, name+"_sum", nil, sum)
-	writeSample(w, name+"_count", nil, float64(count))
+	writeSample(w, name+"_sum", nil, sk.Sum())
+	writeSample(w, name+"_count", nil, float64(sk.N()))
 }
 
 // writeFamily emits the HELP and TYPE lines for one metric family.

@@ -1,12 +1,15 @@
 package serve_test
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+
+	"vidperf/internal/telemetry"
 )
 
 // promFamily is one parsed metric family of a text exposition.
@@ -237,6 +240,7 @@ func TestMetricsExpositionFormat(t *testing.T) {
 	// matching the sessions that actually started.
 	startup := families["vodsim_startup_ms"]
 	var quantiles, count int
+	var sumValue, countValue float64
 	for _, s := range startup.samples {
 		switch s.name {
 		case "vodsim_startup_ms":
@@ -244,8 +248,11 @@ func TestMetricsExpositionFormat(t *testing.T) {
 				t.Error("startup sample without quantile label")
 			}
 			quantiles++
+		case "vodsim_startup_ms_sum":
+			sumValue = s.value
 		case "vodsim_startup_ms_count":
 			count++
+			countValue = s.value
 			if s.value <= 0 {
 				t.Errorf("startup count = %g", s.value)
 			}
@@ -253,6 +260,16 @@ func TestMetricsExpositionFormat(t *testing.T) {
 	}
 	if quantiles != 3 || count != 1 {
 		t.Errorf("startup summary has %d quantile samples and %d counts", quantiles, count)
+	}
+	// _sum and _count are the cumulative startup sketch's exact sum and
+	// sample count (%g prints the shortest form that parses back).
+	cum, err := telemetry.ReadSnapshot(bytes.NewReader(engineSnapshotBytes(t, eng)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk := cum.Sketch(telemetry.MetricStartupMS)
+	if sumValue != sk.Sum() || countValue != float64(sk.N()) {
+		t.Errorf("startup _sum %v, _count %v; want the sketch's %v and %d", sumValue, countValue, sk.Sum(), sk.N())
 	}
 
 	// Diagnosis counters are labelled and sum to the session total.

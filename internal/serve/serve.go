@@ -327,8 +327,8 @@ func (e *Engine) publish(idx int, w timeline.Window, sn *telemetry.Snapshot, wal
 	}
 	cum, err := telemetry.MergeSnapshots(e.cum, telemetry.WithoutWindows(sn))
 	if err != nil {
-		// Unreachable with a fixed sketch k and the fixed histogram
-		// shapes; a panic here means published state would diverge from
+		// Unreachable with a fixed sketch k, the only shape a merge
+		// checks; a panic here means published state would diverge from
 		// the fold contract, which must not go unnoticed.
 		panic(err)
 	}

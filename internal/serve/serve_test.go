@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -272,10 +273,10 @@ func TestConfigRejectsNonFiniteTimes(t *testing.T) {
 // load-time errors, not silent divergence later.
 func TestReadCheckpointRejectsCorruptState(t *testing.T) {
 	for name, body := range map[string]string{
-		"bad schema":     `{"schema": 4, "config": {}, "windows_done": 0}`,
-		"missing fold":   `{"schema": 3, "config": {}, "windows_done": 3}`,
-		"negative count": `{"schema": 3, "config": {}, "windows_done": -1}`,
-		"oversized ring": `{"schema": 3, "config": {}, "windows_done": 0, "ring": [{"index": 0}]}`,
+		"bad schema":     `{"schema": 5, "config": {}, "windows_done": 0}`,
+		"missing fold":   `{"schema": 4, "config": {}, "windows_done": 3}`,
+		"negative count": `{"schema": 4, "config": {}, "windows_done": -1}`,
+		"oversized ring": `{"schema": 4, "config": {}, "windows_done": 0, "ring": [{"index": 0}]}`,
 		"not a document": `]`,
 	} {
 		if _, err := serve.ReadCheckpoint(bytes.NewReader([]byte(body))); err == nil {
@@ -301,11 +302,22 @@ func TestResumeRefusesBadCheckpoints(t *testing.T) {
 		}
 		return bytes.Replace(real, []byte(old), []byte(new), 1)
 	}
-	// Schema 2 stored the calibration values as config fields: the
-	// backend block, the CDN's and catalog's parameters and FPS. These
-	// edits give back, byte for byte, the file a schema-2 build wrote for
-	// the same run.
-	schema2 := real
+	// Schema 3 held schema-1 snapshots: sketches without a sum, and
+	// fixed-bin histograms (left empty here).
+	schema3 := regexp.MustCompile(`"sum":[-+.0-9eE]+,`).ReplaceAll(real, nil)
+	for _, e := range [][2]string{
+		{`{"schema":4,`, `{"schema":3,`},
+		{`{"schema":2,"sketch_k"`, `{"schema":1,"sketch_k"`},
+		{`,"counters":`, `,"histograms":{},"counters":`},
+	} {
+		if !bytes.Contains(schema3, []byte(e[0])) {
+			t.Fatalf("testdata/checkpoint.json has no %s", e[0])
+		}
+		schema3 = bytes.ReplaceAll(schema3, []byte(e[0]), []byte(e[1]))
+	}
+	// Schema 2 also stored the calibration values as config fields: the
+	// backend block, the CDN's and catalog's parameters and FPS.
+	schema2 := schema3
 	for _, e := range [][2]string{
 		{`{"schema":3,`, `{"schema":2,`},
 		{`"ChunkDuration":0,`, `"ChunkDuration":0,"DurationMedian":0,"DurationSigma":0,`},
@@ -327,11 +339,12 @@ func TestResumeRefusesBadCheckpoints(t *testing.T) {
 		data       []byte
 	}{
 		{"renamed key", `unknown field "NumPrefixez"`, edit(`"NumPrefixes":150`, `"NumPrefixez":150`)},
-		{"unknown key", `unknown field "note"`, edit(`{"schema":3,`, `{"schema":3,"note":"x",`)},
+		{"unknown key", `unknown field "note"`, edit(`{"schema":4,`, `{"schema":4,"note":"x",`)},
 		{"removed calibration key", `unknown field "FPS"`, edit(`"MaxBufferSec":0,`, `"MaxBufferSec":0,"FPS":0,`)},
 		{"trailing data", "trailing data", append(append([]byte(nil), real...), "{}\n"...)},
+		{"schema 3", "without -resume", schema3},
+		{"schema 3, current keys", "without -resume", edit(`{"schema":4,`, `{"schema":3,`)},
 		{"schema 2", "without -resume", schema2},
-		{"schema 2, current keys", "without -resume", edit(`{"schema":3,`, `{"schema":2,`)},
 		{"schema 1", "without -resume", schema1},
 		{"out-of-range value", "prefixes -3", edit(`"NumPrefixes":150`, `"NumPrefixes":-3`)},
 	} {
@@ -369,16 +382,17 @@ func TestResumeRejectsMismatchedFold(t *testing.T) {
 // FuzzReadCheckpoint: no input makes ReadCheckpoint or ResumeEngine
 // panic, and whatever ReadCheckpoint accepts re-marshals to a fixed
 // point. The first seed is the checkpoint TestCheckpointRoundTripsThroughJSON
-// writes (seed 47, two windows); the last is that file with a renamed
-// key, which the strict decoder refuses.
+// writes (seed 47, two windows); the last two are a schema-3 checkpoint
+// and that file with a renamed key, which the decoder refuses.
 func FuzzReadCheckpoint(f *testing.F) {
 	real, err := os.ReadFile(filepath.Join("testdata", "checkpoint.json"))
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(real)
-	f.Add([]byte(`{"schema":3,"config":{},"windows_done":1,"cumulative":{"schema":1,"sketch_k":64,"sketches":{"x":null},"histograms":{},"counters":{}}}`))
-	f.Add([]byte(`{"schema":3,"config":{"Scenario":{"ABRName":"nope"}},"windows_done":0}`))
+	f.Add([]byte(`{"schema":4,"config":{},"windows_done":1,"cumulative":{"schema":2,"sketch_k":64,"sketches":{"x":null},"counters":{}}}`))
+	f.Add([]byte(`{"schema":4,"config":{"Scenario":{"ABRName":"nope"}},"windows_done":0}`))
+	f.Add([]byte(`{"schema":3,"config":{},"windows_done":1,"cumulative":{"schema":1,"sketch_k":64,"sketches":{},"histograms":{},"counters":{}}}`))
 	f.Add(bytes.Replace(real, []byte(`"NumPrefixes"`), []byte(`"NumPrefixez"`), 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := serve.ReadCheckpoint(bytes.NewReader(data))

@@ -20,7 +20,7 @@ import (
 // Result.Dataset.
 type Options struct {
 	// Telemetry selects streaming-telemetry mode: finished sessions fold
-	// into mergeable sketches, histograms, and counters as each shard
+	// into mergeable sketches and counters as each shard
 	// produces them, no record is materialized, and Execute returns the
 	// merged campaign snapshot as Result.Snapshot. One telemetry.Campaign
 	// supplies the per-PoP accumulator sinks and the shards merge in

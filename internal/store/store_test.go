@@ -15,12 +15,11 @@ import (
 // snap builds a minimal labelled snapshot for store tests.
 func snap(labels map[string]string, counters map[string]uint64, sketches map[string][]float64) *telemetry.Snapshot {
 	sn := &telemetry.Snapshot{
-		Schema:     telemetry.SnapshotSchema,
-		SketchK:    64,
-		Labels:     labels,
-		Sketches:   make(map[string]*telemetry.QuantileSketch),
-		Histograms: make(map[string]*telemetry.Histogram),
-		Counters:   counters,
+		Schema:   telemetry.SnapshotSchema,
+		SketchK:  64,
+		Labels:   labels,
+		Sketches: make(map[string]*telemetry.QuantileSketch),
+		Counters: counters,
 	}
 	for name, vals := range sketches {
 		sk := telemetry.NewSketch(64)

@@ -59,13 +59,6 @@ const (
 	CounterChunksRetryTimer   = "chunks_retry_timer"
 )
 
-// histogram shapes, shared by every accumulator so snapshots merge.
-const (
-	startupHistMaxMS = 20000
-	startupHistBins  = 200
-	rebufHistBins    = 100
-)
-
 // qoeSketches is the per-session QoE trio the diagnosis and window
 // dimensions keep for each label or window: three consecutive sketches
 // of the accumulator's slab, named after qoeBases in order.
@@ -107,10 +100,8 @@ func (q qoeSketches) add(s *core.SessionRecord) {
 // are built once per shape (once per Campaign) and shared by every
 // accumulator of it.
 type Accumulator struct {
-	core         [numCoreSketches]QuantileSketch
-	startupHist  Histogram
-	rebufferHist Histogram
-	counts       map[counterKey]uint64
+	core   [numCoreSketches]QuantileSketch
+	counts map[counterKey]uint64
 
 	// extra is one slab holding every optional-family sketch in the
 	// shape's order, which is the same for every accumulator of one
@@ -221,14 +212,11 @@ func NewAccumulatorWith(cfg Config) *Accumulator { return newShape(cfg).newAccum
 // assigned.
 func (sh *shape) newAccumulator() *Accumulator {
 	cfg := sh.cfg
-	bins := make([]uint64, startupHistBins+rebufHistBins)
 	a := &Accumulator{
-		startupHist:  histogramOver(0, startupHistMaxMS, bins[:startupHistBins:startupHistBins]),
-		rebufferHist: histogramOver(0, 1, bins[startupHistBins:]),
-		counts:       make(map[counterKey]uint64, sh.counterKeys),
-		extra:        make([]QuantileSketch, len(sh.names)),
-		shape:        sh,
-		fams:         make([]family, 0, 4),
+		counts: make(map[counterKey]uint64, sh.counterKeys),
+		extra:  make([]QuantileSketch, len(sh.names)),
+		shape:  sh,
+		fams:   make([]family, 0, 4),
 	}
 	for i := range a.core {
 		a.core[i] = *NewSketch(cfg.SketchK)
@@ -320,10 +308,8 @@ func (a *Accumulator) ConsumeSession(s core.SessionRecord, chunks []core.ChunkRe
 		a.counts[plainKey(CounterSessionsNeverStart)]++
 	} else {
 		a.core[slotStartup].Add(s.StartupMS)
-		a.startupHist.Add(s.StartupMS)
 	}
 	a.core[slotRebuffer].Add(s.RebufferRate)
-	a.rebufferHist.Add(s.RebufferRate)
 	for _, f := range a.fams {
 		f.consume(s, chunks)
 	}
@@ -380,15 +366,13 @@ func (a *Accumulator) Merge(o *Accumulator) {
 	for i := range a.extra {
 		a.extra[i].Merge(&o.extra[i])
 	}
-	a.startupHist.Merge(&o.startupHist)
-	a.rebufferHist.Merge(&o.rebufferHist)
 	for k, n := range o.counts {
 		a.counts[k] += n
 	}
 }
 
 // snapshot packages the accumulator's state under its canonical names.
-// The sketches and histograms are shared with the accumulator, not copied.
+// The sketches are shared with the accumulator, not copied.
 func (a *Accumulator) snapshot() *Snapshot {
 	sketches := make(map[string]*QuantileSketch, len(a.core)+len(a.extra))
 	for i, name := range metricNames {
@@ -401,10 +385,6 @@ func (a *Accumulator) snapshot() *Snapshot {
 		Schema:   SnapshotSchema,
 		SketchK:  NewSketch(a.shape.cfg.SketchK).K(),
 		Sketches: sketches,
-		Histograms: map[string]*Histogram{
-			MetricStartupMS:    &a.startupHist,
-			MetricRebufferRate: &a.rebufferHist,
-		},
 		Counters: make(map[string]uint64, len(a.counts)),
 	}
 	for k, n := range a.counts {

@@ -1,10 +1,11 @@
 // Package telemetry is the online, one-pass metrics subsystem: it folds
 // the runner's per-session and per-chunk records into bounded-memory,
 // mergeable aggregates — deterministic KLL-style quantile sketches
-// (QuantileSketch), fixed-bin histograms (Histogram), and dimensioned
-// counters (DimKey) keyed by PoP, cache level, bitrate, and org type —
-// covering every distribution the paper's §4–§5 analyses consume (startup
-// time, D_FB, D_LB, SRTT, server latency, re-buffering ratio, hit ratio).
+// (QuantileSketch), each carrying the running sum of its samples, and
+// dimensioned counters (DimKey) keyed by PoP, cache level, bitrate, and
+// org type — covering every distribution the paper's §4–§5 analyses
+// consume (startup time, D_FB, D_LB, SRTT, server latency, re-buffering
+// ratio, hit ratio).
 // A campaign streamed through an Accumulator needs O(sketch) memory
 // instead of O(records), which is what lets a single machine characterize
 // 10M+ sessions the way the paper's pipeline processed its 523M-chunk
@@ -15,7 +16,9 @@
 // Every aggregate here is deterministic given its insertion order: the
 // quantile sketch uses a fixed compaction schedule with an alternating
 // offset (no randomness), and merging two sketches is a pure function of
-// the two states. The sharded session runner feeds one Accumulator per
+// the two states. A sketch's sum is a float64 running sum, so it too
+// depends on the order of the adds and merges, not only on the samples.
+// The sharded session runner feeds one Accumulator per
 // PoP shard — each shard's engine is deterministic, so each accumulator's
 // insertion order is too — and Campaign.Snapshot merges the per-shard
 // accumulators in canonical (ascending) PoP order, never in shard

@@ -135,9 +135,8 @@ func TestReserveRecordsLeavesSnapshotUnchanged(t *testing.T) {
 // TestAccumulatorAllocationsBounded: building an accumulator costs a
 // fixed number of allocations, and a campaign's shard accumulator does
 // not grow with the number of optional sketches — their names are built
-// once per campaign, the sketches come from one slab, both histograms'
-// bins from one slice, and the counter map is made once at the size the
-// shape bounds.
+// once per campaign, the sketches come from one slab, and the counter map
+// is made once at the size the shape bounds.
 func TestAccumulatorAllocationsBounded(t *testing.T) {
 	few := Config{SketchK: 32, Diagnose: &diagnose.Config{}, Windows: testWindows(), Live: true, Proxy: true}
 	many := few

@@ -24,11 +24,10 @@ func MergeSnapshots(dst, src *Snapshot) (*Snapshot, error) {
 	}
 	if dst == nil {
 		dst = &Snapshot{
-			Schema:     SnapshotSchema,
-			SketchK:    src.SketchK,
-			Sketches:   make(map[string]*QuantileSketch, len(src.Sketches)),
-			Histograms: make(map[string]*Histogram, len(src.Histograms)),
-			Counters:   make(map[string]uint64, len(src.Counters)),
+			Schema:   SnapshotSchema,
+			SketchK:  src.SketchK,
+			Sketches: make(map[string]*QuantileSketch, len(src.Sketches)),
+			Counters: make(map[string]uint64, len(src.Counters)),
 		}
 	}
 	if src.SketchK != dst.SketchK {
@@ -43,23 +42,6 @@ func MergeSnapshots(dst, src *Snapshot) (*Snapshot, error) {
 		} else {
 			dst.Sketches[name] = sk.Clone()
 		}
-	}
-	for name, h := range src.Histograms {
-		if h == nil {
-			continue
-		}
-		d, ok := dst.Histograms[name]
-		if !ok {
-			dst.Histograms[name] = h.Clone()
-			continue
-		}
-		dlo, dhi, dbins := d.Bounds()
-		slo, shi, sbins := h.Bounds()
-		if dlo != slo || dhi != shi || dbins != sbins {
-			return dst, fmt.Errorf("telemetry: merging histogram %s [%g,%g)/%d into [%g,%g)/%d",
-				name, slo, shi, sbins, dlo, dhi, dbins)
-		}
-		d.Merge(h)
 	}
 	for name, n := range src.Counters {
 		dst.Counters[name] += n
@@ -88,19 +70,15 @@ var windowKeyMark = "_" + WindowDim + "="
 // equivalent batch run byte for byte.
 func WithoutWindows(s *Snapshot) *Snapshot {
 	out := &Snapshot{
-		Schema:     s.Schema,
-		SketchK:    s.SketchK,
-		Sketches:   make(map[string]*QuantileSketch, len(s.Sketches)),
-		Histograms: make(map[string]*Histogram, len(s.Histograms)),
-		Counters:   make(map[string]uint64, len(s.Counters)),
+		Schema:   s.Schema,
+		SketchK:  s.SketchK,
+		Sketches: make(map[string]*QuantileSketch, len(s.Sketches)),
+		Counters: make(map[string]uint64, len(s.Counters)),
 	}
 	for name, sk := range s.Sketches {
 		if !strings.Contains(name, windowKeyMark) {
 			out.Sketches[name] = sk
 		}
-	}
-	for name, h := range s.Histograms {
-		out.Histograms[name] = h
 	}
 	for name, n := range s.Counters {
 		if !strings.Contains(name, windowKeyMark) {

@@ -253,18 +253,18 @@ func TestStreamingTableParity(t *testing.T) {
 		t.Errorf("hit/miss gap %vx lost in streaming path", stream.MedianMissMS/stream.MedianHitMS)
 	}
 
-	// Histogram means are exact (running sums), so they must match the
-	// dataset to float tolerance.
+	// Sketch sums are exact running sums, so the mean they give must
+	// match the dataset to float tolerance.
 	var rebuf stats.Summary
 	for i := range ds.Sessions {
 		rebuf.Add(ds.Sessions[i].RebufferRate)
 	}
-	h := sn.Histogram(telemetry.MetricRebufferRate)
-	if h == nil || h.N() != uint64(len(ds.Sessions)) {
-		t.Fatalf("rebuffer histogram missing or short: %+v", h)
+	sk := sn.Sketch(telemetry.MetricRebufferRate)
+	if sk.N() != uint64(len(ds.Sessions)) {
+		t.Fatalf("rebuffer sketch holds %d sessions, want %d", sk.N(), len(ds.Sessions))
 	}
-	if math.Abs(h.Mean()-rebuf.Mean()) > 1e-9 {
-		t.Errorf("histogram mean %v, exact %v", h.Mean(), rebuf.Mean())
+	if mean := sk.Sum() / float64(sk.N()); math.Abs(mean-rebuf.Mean()) > 1e-9 {
+		t.Errorf("rebuffer sketch mean %v, exact %v", mean, rebuf.Mean())
 	}
 }
 

@@ -67,7 +67,9 @@ func TestProxyAccumulator(t *testing.T) {
 // TestProxyAccumulatorEagerAndMergeable: proxy sketches exist even on an
 // empty accumulator (the eager-shape invariant), a non-proxy
 // accumulator carries none of them, and a sharded consume merges to the
-// sequential accumulator's exact snapshot bytes.
+// sequential accumulator's exact snapshot bytes, sketch sums aside. A
+// float sum depends on how its adds are grouped, so each merged sum is
+// instead the two shards' sums added, bit for bit.
 func TestProxyAccumulatorEagerAndMergeable(t *testing.T) {
 	empty := NewAccumulatorWith(Config{SketchK: 32, Proxy: true}).snapshot()
 	for _, name := range proxyMetricNames {
@@ -94,8 +96,19 @@ func TestProxyAccumulatorEagerAndMergeable(t *testing.T) {
 			s2.ConsumeSession(rec, nil)
 		}
 	}
+	want := map[string]float64{}
+	for name, sk := range s1.snapshot().Sketches {
+		want[name] = sk.Sum() + s2.snapshot().Sketches[name].Sum()
+	}
 	s1.Merge(s2)
-	if !bytes.Equal(snapshotBytesOf(t, s1.snapshot()), snapshotBytesOf(t, seq.snapshot())) {
+	merged, sequential := s1.snapshot(), seq.snapshot()
+	for name, sk := range merged.Sketches {
+		if math.Float64bits(sk.Sum()) != math.Float64bits(want[name]) {
+			t.Errorf("merged %s sum %v, want the shards' sums added, %v", name, sk.Sum(), want[name])
+		}
+		sk.sum, sequential.Sketches[name].sum = 0, 0
+	}
+	if !bytes.Equal(snapshotBytesOf(t, merged), snapshotBytesOf(t, sequential)) {
 		t.Fatal("sharded proxy accumulation is not byte-identical to sequential")
 	}
 }

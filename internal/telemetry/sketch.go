@@ -35,6 +35,7 @@ type QuantileSketch struct {
 	n      uint64
 	min    float64
 	max    float64
+	sum    float64     // of every sample, added in the order Add and Merge saw them
 	levels [][]float64 // levels[h] holds items of weight 1<<h
 	// parity bit h is level h's next compaction offset. A uint64 covers
 	// every level a sketch can reach: level 64 would need n ≥ k·2⁶⁴.
@@ -83,6 +84,11 @@ func (s *QuantileSketch) K() int { return s.k }
 // N returns how many finite samples have been added (including via Merge).
 func (s *QuantileSketch) N() uint64 { return s.n }
 
+// Sum returns the sum of every sample added (including via Merge), 0
+// for an empty sketch. It is exact up to float64 rounding in the order
+// the samples arrived, not an estimate from the retained items.
+func (s *QuantileSketch) Sum() float64 { return s.sum }
+
 // Min returns the smallest sample seen, or NaN for an empty sketch.
 func (s *QuantileSketch) Min() float64 {
 	if s.n == 0 {
@@ -114,6 +120,7 @@ func (s *QuantileSketch) Add(v float64) {
 		s.levels, s.first = append(s.levels, s.first), nil
 	}
 	s.n++
+	s.sum += v
 	if v < s.min {
 		s.min = v
 	}
@@ -134,6 +141,7 @@ func (s *QuantileSketch) Clone() *QuantileSketch {
 		n:      s.n,
 		min:    s.min,
 		max:    s.max,
+		sum:    s.sum,
 		parity: s.parity,
 	}
 	if s.levels != nil {
@@ -160,6 +168,7 @@ func (s *QuantileSketch) Merge(o *QuantileSketch) {
 		s.levels[h] = append(s.levels[h], o.levels[h]...)
 	}
 	s.n += o.n
+	s.sum += o.sum
 	if o.min < s.min {
 		s.min = o.min
 	}
@@ -428,6 +437,7 @@ type sketchWire struct {
 	N      uint64      `json:"n"`
 	Min    float64     `json:"min"`
 	Max    float64     `json:"max"`
+	Sum    float64     `json:"sum,omitempty"`
 	Parity []bool      `json:"parity,omitempty"`
 	Levels [][]float64 `json:"levels,omitempty"`
 }
@@ -436,7 +446,7 @@ type sketchWire struct {
 // An empty sketch writes min/max as 0 (JSON has no infinities); fromWire
 // restores the sentinels.
 func (s *QuantileSketch) wire() sketchWire {
-	w := sketchWire{K: s.k, N: s.n, Levels: s.levels}
+	w := sketchWire{K: s.k, N: s.n, Sum: s.sum, Levels: s.levels}
 	if len(s.levels) > 0 {
 		w.Parity = make([]bool, len(s.levels))
 		for h := range w.Parity {
@@ -456,14 +466,17 @@ func (s *QuantileSketch) MarshalJSON() ([]byte, error) {
 
 // fromWire sets s to the state w encodes, taking w's levels. It rejects
 // any state NewSketch, Add and Merge cannot reach the shape of: a k
-// NewSketch would not return, a parity bit per level missing, or levels
-// whose weights do not sum to n.
+// NewSketch would not return, a sum on an empty sketch, a parity bit per
+// level missing, or levels whose weights do not sum to n.
 func (s *QuantileSketch) fromWire(w *sketchWire) error {
 	if w.K < 8 || w.K > MaxSketchK || w.K%2 == 1 {
 		return fmt.Errorf("telemetry: sketch k=%d, want an even value in [8, %d]", w.K, MaxSketchK)
 	}
 	*s = *NewSketch(w.K)
 	if w.N == 0 {
+		if w.Sum != 0 {
+			return fmt.Errorf("telemetry: empty sketch has sum %g", w.Sum)
+		}
 		return nil
 	}
 	if len(w.Levels) != len(w.Parity) {
@@ -486,7 +499,7 @@ func (s *QuantileSketch) fromWire(w *sketchWire) error {
 		return fmt.Errorf("telemetry: sketch levels hold weight %d, want n=%d", held, w.N)
 	}
 	s.n = w.N
-	s.min, s.max = w.Min, w.Max
+	s.min, s.max, s.sum = w.Min, w.Max, w.Sum
 	s.levels = w.Levels
 	for h, odd := range w.Parity {
 		if odd {

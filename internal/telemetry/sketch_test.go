@@ -166,6 +166,10 @@ func TestSketchRejectsCorruptWire(t *testing.T) {
 	if err := json.Unmarshal([]byte(wrap), &s); err == nil {
 		t.Fatal("sketch with wrapped level weights decoded without error")
 	}
+	// No Add or Merge gives an empty sketch a sum.
+	if err := json.Unmarshal([]byte(`{"k":8,"n":0,"min":0,"max":0,"sum":2.5}`), &s); err == nil {
+		t.Fatal("empty sketch with a sum decoded without error")
+	}
 }
 
 // TestSketchRejectsKNewSketchNeverReturns: a k out of range once decoded,
@@ -210,81 +214,50 @@ func TestSketchEmptyAndNaN(t *testing.T) {
 	}
 }
 
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i) / 10) // 0.0 .. 9.9 uniform
+// TestSketchSum: Sum is the float64 sum of every non-NaN sample in the
+// order Add saw them; Merge adds the two sums, and Clone and the wire
+// form carry the sum exactly.
+func TestSketchSum(t *testing.T) {
+	a, b := NewSketch(16), NewSketch(16)
+	if a.Sum() != 0 {
+		t.Fatalf("empty sketch sum %g", a.Sum())
 	}
-	h.Add(-1)         // under
-	h.Add(10)         // over (hi-exclusive)
-	h.Add(math.NaN()) // ignored
-	if h.N() != 102 {
-		t.Fatalf("N = %d", h.N())
-	}
-	bins, under, over := h.Counts()
-	if under != 1 || over != 1 {
-		t.Fatalf("under/over = %d/%d", under, over)
-	}
-	for i, c := range bins {
-		if c != 10 {
-			t.Fatalf("bin %d count %d, want 10", i, c)
+	var wantA, wantB float64
+	for i, v := range permutation(3000, 11) {
+		v = v/7 + 0.1 // inexact in binary, so the order of the adds shows
+		if i%3 == 0 {
+			b.Add(v)
+			wantB += v
+		} else {
+			a.Add(v)
+			wantA += v
 		}
 	}
-	if med := h.Quantile(0.5); math.Abs(med-5) > 1 {
-		t.Errorf("median = %v", med)
+	a.Add(math.NaN())
+	if a.Sum() != wantA || b.Sum() != wantB {
+		t.Fatalf("sums %v, %v; want %v, %v", a.Sum(), b.Sum(), wantA, wantB)
 	}
-	o := NewHistogram(0, 10, 10)
-	o.Add(5)
-	h.Merge(o)
-	if h.N() != 103 {
-		t.Errorf("merged N = %d", h.N())
+	c := a.Clone()
+	if c.Sum() != wantA {
+		t.Fatalf("clone sum %v, want %v", c.Sum(), wantA)
 	}
-}
-
-func TestHistogramMergeShapeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("shape mismatch did not panic")
-		}
-	}()
-	a, b := NewHistogram(0, 10, 10), NewHistogram(0, 20, 10)
-	b.Add(1)
 	a.Merge(b)
-}
-
-func TestHistogramJSONRoundTrip(t *testing.T) {
-	h := NewHistogram(0, 1, 20)
-	for _, v := range permutation(1000, 9) {
-		h.Add(v / 1000)
+	if a.Sum() != wantA+wantB || c.Sum() != wantA {
+		t.Fatalf("merged sum %v (want %v), clone sum %v after the merge", a.Sum(), wantA+wantB, c.Sum())
 	}
-	b1, err := json.Marshal(h)
+	raw, err := json.Marshal(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back Histogram
-	if err := json.Unmarshal(b1, &back); err != nil {
+	var back QuantileSketch
+	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
-	b2, err := json.Marshal(&back)
-	if err != nil {
-		t.Fatal(err)
+	if back.Sum() != a.Sum() {
+		t.Fatalf("wire round trip sum %v, want %v", back.Sum(), a.Sum())
 	}
-	if !bytes.Equal(b1, b2) {
-		t.Fatal("histogram JSON round-trip not byte-identical")
-	}
-}
-
-// TestHistogramRejectsWrappedCounts: counts whose sum reaches n only by
-// wrapping past 2^64 once decoded, into a state Add and Merge never reach.
-func TestHistogramRejectsWrappedCounts(t *testing.T) {
-	for _, src := range []string{
-		`{"lo":0,"hi":1,"counts":[18446744073709551615,2],"n":1,"sum":0}`,
-		`{"lo":0,"hi":1,"counts":[1],"under":18446744073709551615,"over":1,"n":1,"sum":0}`,
-	} {
-		var h Histogram
-		if err := json.Unmarshal([]byte(src), &h); err == nil {
-			t.Errorf("%s decoded with n=%d", src, h.N())
-		}
+	if empty, _ := json.Marshal(NewSketch(16)); strings.Contains(string(empty), `"sum"`) {
+		t.Fatalf("empty sketch writes a sum: %s", empty)
 	}
 }
 

@@ -12,15 +12,16 @@ import (
 )
 
 // SnapshotSchema is the wire-format version WriteSnapshot emits and
-// ReadSnapshot requires.
-const SnapshotSchema = 1
+// ReadSnapshot requires. Schema 2 dropped the fixed-bin histograms of
+// schema 1; every sketch carries the sum of its samples instead.
+const SnapshotSchema = 2
 
 // Snapshot is the merged, serializable state of one streamed campaign:
-// the named quantile sketches, histograms, and counters. It is the
+// the named quantile sketches and counters. It is the
 // exchange format between cmd/vodsim -stream and cmd/analyze -snapshot.
 //
 // JSON encoding is deterministic: maps marshal with sorted keys and the
-// sketch/histogram states are themselves deterministic, so two snapshots
+// sketch states are themselves deterministic, so two snapshots
 // of the same campaign are byte-identical regardless of how many shards
 // ran concurrently.
 type Snapshot struct {
@@ -38,10 +39,9 @@ type Snapshot struct {
 	Labels map[string]string `json:"labels,omitempty"`
 	// Windows lists the timeline windows (in time order) the windowed
 	// counters and sketches key on; empty for runs without a timeline.
-	Windows    []timeline.Window          `json:"windows,omitempty"`
-	Sketches   map[string]*QuantileSketch `json:"sketches"`
-	Histograms map[string]*Histogram      `json:"histograms"`
-	Counters   map[string]uint64          `json:"counters"`
+	Windows  []timeline.Window          `json:"windows,omitempty"`
+	Sketches map[string]*QuantileSketch `json:"sketches"`
+	Counters map[string]uint64          `json:"counters"`
 }
 
 // Label returns the named label ("" if absent).
@@ -55,9 +55,6 @@ func (s *Snapshot) Sketch(name string) *QuantileSketch {
 	}
 	return NewSketch(s.SketchK)
 }
-
-// Histogram returns the named histogram, or nil if absent.
-func (s *Snapshot) Histogram(name string) *Histogram { return s.Histograms[name] }
 
 // Counter returns the named counter (zero if absent).
 func (s *Snapshot) Counter(name string) uint64 { return s.Counters[name] }
@@ -75,21 +72,20 @@ func (s *Snapshot) ChunkShare(name string) float64 {
 }
 
 // snapshotWire is Snapshot's JSON form, field for field, with every
-// sketch and histogram held as its wire struct. WriteSnapshot and
+// sketch held as its wire struct. WriteSnapshot and
 // ReadSnapshot go through it, so encoding/json writes or reads each
 // sketch inside its one pass over the snapshot; through the Marshaler
 // methods every sketch's bytes are scanned again (compacted on encode,
 // re-parsed on decode). TestWriteSnapshotMatchesReflectionEncode pins the
 // two forms byte-equal.
 type snapshotWire struct {
-	Schema     int                    `json:"schema"`
-	SketchK    int                    `json:"sketch_k"`
-	VirtualMS  float64                `json:"virtual_ms,omitempty"`
-	Labels     map[string]string      `json:"labels,omitempty"`
-	Windows    []timeline.Window      `json:"windows,omitempty"`
-	Sketches   map[string]*sketchWire `json:"sketches"`
-	Histograms map[string]*histWire   `json:"histograms"`
-	Counters   map[string]uint64      `json:"counters"`
+	Schema    int                    `json:"schema"`
+	SketchK   int                    `json:"sketch_k"`
+	VirtualMS float64                `json:"virtual_ms,omitempty"`
+	Labels    map[string]string      `json:"labels,omitempty"`
+	Windows   []timeline.Window      `json:"windows,omitempty"`
+	Sketches  map[string]*sketchWire `json:"sketches"`
+	Counters  map[string]uint64      `json:"counters"`
 }
 
 // WriteSnapshot serializes the snapshot as a single JSON object: the
@@ -98,8 +94,7 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 	sw := snapshotWire{
 		Schema: s.Schema, SketchK: s.SketchK, VirtualMS: s.VirtualMS,
 		Labels: s.Labels, Windows: s.Windows, Counters: s.Counters,
-		Sketches:   wiresOf(s.Sketches, (*QuantileSketch).wire),
-		Histograms: wiresOf(s.Histograms, (*Histogram).wire),
+		Sketches: wiresOf(s.Sketches, (*QuantileSketch).wire),
 	}
 	bw := bufio.NewWriter(w)
 	if err := json.NewEncoder(bw).Encode(&sw); err != nil {
@@ -109,10 +104,10 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 }
 
 // ReadSnapshot loads a snapshot written by WriteSnapshot, rejecting
-// payloads that are not schema-1 telemetry snapshots (a JSONL trace, for
+// payloads that are not schema-2 telemetry snapshots (a JSONL trace, for
 // instance, fails here with a clear error instead of rendering nonsense),
-// sketches and histograms UnmarshalJSON would reject, and null sketches
-// or histograms, which WriteSnapshot never writes.
+// sketches UnmarshalJSON would reject, and null sketches, which
+// WriteSnapshot never writes.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	var w snapshotWire
 	dec := json.NewDecoder(bufio.NewReader(r))
@@ -127,9 +122,6 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if s.Sketches, err = fromWires(w.Sketches, (*QuantileSketch).fromWire); err != nil {
 		return nil, fmt.Errorf("telemetry: read snapshot: %w", err)
 	}
-	if s.Histograms, err = fromWires(w.Histograms, (*Histogram).fromWire); err != nil {
-		return nil, fmt.Errorf("telemetry: read snapshot: %w", err)
-	}
 	if s.Schema != SnapshotSchema {
 		return nil, fmt.Errorf("telemetry: snapshot schema %d, want %d (is this a telemetry snapshot, not a trace?)",
 			s.Schema, SnapshotSchema)
@@ -137,11 +129,6 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	for name, sk := range s.Sketches {
 		if sk == nil {
 			return nil, fmt.Errorf("telemetry: read snapshot: sketch %q is null", name)
-		}
-	}
-	for name, h := range s.Histograms {
-		if h == nil {
-			return nil, fmt.Errorf("telemetry: read snapshot: histogram %q is null", name)
 		}
 	}
 	return &s, nil

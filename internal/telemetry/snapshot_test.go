@@ -13,22 +13,24 @@ import (
 
 // hugeKSnapshot holds a sketch whose k no NewSketch call returns; decoding
 // it once succeeded, and the first Clone, Merge or Add then panicked.
-const hugeKSnapshot = `{"schema":1,"sketch_k":256,"sketches":{"dfb_ms":{"k":4611686018427387904,"n":1,"min":1,"max":1,"parity":[false],"levels":[[1]]}},"histograms":{},"counters":{}}`
+const hugeKSnapshot = `{"schema":2,"sketch_k":256,"sketches":{"dfb_ms":{"k":4611686018427387904,"n":1,"min":1,"max":1,"parity":[false],"levels":[[1]]}},"counters":{}}`
 
-// wrappedHistSnapshot holds a histogram whose counts sum to n only once
-// wrapped past 2^64; it once decoded.
-const wrappedHistSnapshot = `{"schema":1,"sketch_k":8,"sketches":{},"histograms":{"h":{"lo":0,"hi":1,"counts":[18446744073709551615,2],"n":1,"sum":0}},"counters":{}}`
+// schema1Snapshot is a valid snapshot in the format before schema 2, with
+// the fixed-bin histograms that schema dropped.
+const schema1Snapshot = `{"schema":1,"sketch_k":8,"sketches":{"a":{"k":8,"n":1,"min":1,"max":1,"parity":[false],"levels":[[1]]}},"histograms":{"h":{"lo":0,"hi":1,"counts":[1],"n":1,"sum":0.5}},"counters":{"c":3}}`
 
 func TestReadSnapshotRejectsMalformedSketches(t *testing.T) {
 	for name, src := range map[string]string{
-		"huge k":         hugeKSnapshot,
-		"null sketch":    `{"schema":1,"sketch_k":256,"sketches":{"dfb_ms":null},"histograms":{},"counters":{}}`,
-		"null histogram": `{"schema":1,"sketch_k":256,"sketches":{},"histograms":{"x":null},"counters":{}}`,
-		"wrapped counts": wrappedHistSnapshot,
+		"huge k":      hugeKSnapshot,
+		"null sketch": `{"schema":2,"sketch_k":256,"sketches":{"dfb_ms":null},"counters":{}}`,
 	} {
 		if _, err := ReadSnapshot(strings.NewReader(src)); err == nil {
 			t.Errorf("%s: snapshot read without error", name)
 		}
+	}
+	if _, err := ReadSnapshot(strings.NewReader(schema1Snapshot)); err == nil ||
+		!strings.Contains(err.Error(), "snapshot schema 1, want 2") {
+		t.Errorf("schema-1 snapshot: error %v, want the schema error", err)
 	}
 }
 
@@ -46,8 +48,8 @@ func FuzzReadSnapshot(f *testing.F) {
 	}
 	f.Add(real)
 	f.Add([]byte(hugeKSnapshot))
-	f.Add([]byte(wrappedHistSnapshot))
-	f.Add([]byte(`{"schema":1,"sketch_k":8,"sketches":{"a":{"k":8,"n":0,"min":0,"max":0}},"histograms":{"h":{"lo":0,"hi":1,"counts":[1],"n":1,"sum":0.5}},"counters":{"c":3},"windows":[{"name":"w00-x","start_ms":0,"end_ms":1}],"virtual_ms":5}`))
+	f.Add([]byte(schema1Snapshot))
+	f.Add([]byte(`{"schema":2,"sketch_k":8,"sketches":{"a":{"k":8,"n":0,"min":0,"max":0},"b":{"k":8,"n":1,"min":1,"max":1,"sum":1,"parity":[false],"levels":[[1]]}},"counters":{"c":3},"windows":[{"name":"w00-x","start_ms":0,"end_ms":1}],"virtual_ms":5}`))
 	f.Add([]byte(`{"session_id":1}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sn, err := ReadSnapshot(bytes.NewReader(data))
@@ -118,8 +120,8 @@ func allFamiliesSnapshot() *Snapshot {
 }
 
 // TestWriteSnapshotMatchesReflectionEncode: WriteSnapshot, which encodes
-// each sketch and histogram straight from its wire struct, writes the
-// bytes a json.Encoder writes for the *Snapshot through their MarshalJSON
+// each sketch straight from its wire struct, writes the bytes a
+// json.Encoder writes for the *Snapshot through the sketches' MarshalJSON
 // methods; and ReadSnapshot then WriteSnapshot reproduces a written file.
 func TestWriteSnapshotMatchesReflectionEncode(t *testing.T) {
 	file, real := readTestdataSnapshot(t)
@@ -132,7 +134,7 @@ func TestWriteSnapshotMatchesReflectionEncode(t *testing.T) {
 		t.Fatal("allFamiliesSnapshot lacks a family")
 	}
 	withNils := allFamiliesSnapshot()
-	withNils.Sketches["nil"], withNils.Histograms["nil"] = nil, nil
+	withNils.Sketches["nil"] = nil
 	for name, sn := range map[string]*Snapshot{
 		"vodsim testdata": real,
 		"all families":    full,
@@ -159,26 +161,24 @@ func TestWriteSnapshotMatchesReflectionEncode(t *testing.T) {
 	}
 }
 
-// TestReadSnapshotReportsFirstBadValue: of several sketches and
-// histograms UnmarshalJSON rejects, ReadSnapshot reports the one a decode
-// through those methods met first — sketches before histograms, each in
-// key order — with the same message.
+// TestReadSnapshotReportsFirstBadValue: of several sketches
+// UnmarshalJSON rejects, ReadSnapshot reports the one a decode through
+// that method met first, in key order, with the same message.
 func TestReadSnapshotReportsFirstBadValue(t *testing.T) {
 	const (
-		badK    = `{"k":6,"n":1,"min":1,"max":1,"parity":[false],"levels":[[1]]}`
-		badN    = `{"k":8,"n":5,"min":1,"max":1,"parity":[false],"levels":[[1]]}`
-		badHist = `{"lo":1,"hi":0,"counts":[1],"n":1,"sum":0}`
-		badSum  = `{"lo":0,"hi":1,"counts":[1],"n":2,"sum":0}`
+		badK   = `{"k":6,"n":1,"min":1,"max":1,"parity":[false],"levels":[[1]]}`
+		badN   = `{"k":8,"n":5,"min":1,"max":1,"parity":[false],"levels":[[1]]}`
+		badSum = `{"k":8,"n":0,"min":0,"max":0,"sum":2}`
 	)
-	for _, tc := range []struct{ sketches, hists, want string }{
-		{`"a":` + badK + `,"b":` + badN, `"h":` + badHist,
+	for _, tc := range []struct{ sketches, want string }{
+		{`"a":` + badK + `,"b":` + badN,
 			"telemetry: read snapshot: telemetry: sketch k=6, want an even value in [8, 65536]"},
-		{`"a":` + badN + `,"b":` + badK, ``,
+		{`"a":` + badN + `,"b":` + badK,
 			"telemetry: read snapshot: telemetry: sketch levels hold weight 1, want n=5"},
-		{``, `"g":` + badSum + `,"h":` + badHist,
-			"telemetry: read snapshot: telemetry: histogram counts sum to 1, want n=2"},
+		{`"g":` + badSum + `,"h":` + badK,
+			"telemetry: read snapshot: telemetry: empty sketch has sum 2"},
 	} {
-		src := `{"schema":1,"sketch_k":8,"sketches":{` + tc.sketches + `},"histograms":{` + tc.hists + `},"counters":{}}`
+		src := `{"schema":2,"sketch_k":8,"sketches":{` + tc.sketches + `},"counters":{}}`
 		_, err := ReadSnapshot(strings.NewReader(src))
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("%s:\n got %v\nwant %s", src, err, tc.want)
