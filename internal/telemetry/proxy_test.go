@@ -96,9 +96,9 @@ func TestProxyAccumulatorEagerAndMergeable(t *testing.T) {
 			s2.ConsumeSession(rec, nil)
 		}
 	}
-	want := map[string]float64{}
+	want, shard2 := map[string]float64{}, s2.snapshot().Sketches
 	for name, sk := range s1.snapshot().Sketches {
-		want[name] = sk.Sum() + s2.snapshot().Sketches[name].Sum()
+		want[name] = sk.Sum() + shard2[name].Sum()
 	}
 	s1.Merge(s2)
 	merged, sequential := s1.snapshot(), seq.snapshot()
