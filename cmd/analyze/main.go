@@ -237,14 +237,12 @@ func cmdCompare(args []string) {
 	log.Info("loaded snapshots",
 		slog.String("baseline", fs.Arg(0)), slog.Uint64("baseline_sessions", base.Counter(telemetry.CounterSessions)),
 		slog.String("candidate", fs.Arg(1)), slog.Uint64("candidate_sessions", cand.Counter(telemetry.CounterSessions)))
-	fmt.Print(renderCompare(base, cand))
+	fmt.Print(render(figures.StreamCompare(base, cand)))
 }
 
-// renderCompare is the compare output (a function of the two snapshots
-// alone, so the golden tests can pin the table bytes).
-func renderCompare(base, cand *telemetry.Snapshot) string {
-	return figures.StreamCompare(base, cand).Render() + "\n"
-}
+// render is a report subcommand's output: the result's table and a
+// closing newline. The golden tests pin these bytes.
+func render(res figures.Result) string { return res.Render() + "\n" }
 
 // cmdDiagnose renders the cause-share report. A snapshot without
 // labels, or whose label counts fail to cover every session, exits
@@ -259,15 +257,10 @@ func cmdDiagnose(args []string) {
 	log.Info("loaded snapshot", slog.Uint64("sessions", sn.Counter(telemetry.CounterSessions)),
 		slog.Uint64("chunks", sn.Counter(telemetry.CounterChunks)), slog.Int("k", sn.SketchK))
 	res := figures.StreamDiagnosis(sn)
-	fmt.Print(res.Render() + "\n")
+	fmt.Print(render(res))
 	if !res.Pass {
 		os.Exit(1)
 	}
-}
-
-// renderDiagnose is the diagnose output (pinned by the golden tests).
-func renderDiagnose(sn *telemetry.Snapshot) string {
-	return figures.StreamDiagnosis(sn).Render() + "\n"
 }
 
 // cmdWindows renders the per-window QoE/diagnosis report, failing
@@ -282,15 +275,10 @@ func cmdWindows(args []string) {
 	log.Info("loaded snapshot", slog.Uint64("sessions", sn.Counter(telemetry.CounterSessions)),
 		slog.Int("windows", len(sn.Windows)), slog.Int("k", sn.SketchK))
 	res := figures.StreamWindows(sn)
-	fmt.Print(res.Render() + "\n")
+	fmt.Print(render(res))
 	if !res.Pass {
 		os.Exit(1)
 	}
-}
-
-// renderWindows is the windows output (pinned by the golden tests).
-func renderWindows(sn *telemetry.Snapshot) string {
-	return figures.StreamWindows(sn).Render() + "\n"
 }
 
 // cmdDetectProxies runs the §3 detector over a materialized trace and
@@ -307,16 +295,10 @@ func cmdDetectProxies(args []string) {
 	}
 	ds := loadTrace(fs.Arg(0))
 	res := figures.ProxyDetection(ds, proxydetect.Config{MaxSessionsPerEgress: *maxPerEgress})
-	fmt.Print(res.Render() + "\n")
+	fmt.Print(render(res))
 	if !res.Pass {
 		os.Exit(1)
 	}
-}
-
-// renderDetectProxies is the detect-proxies output (pinned by the
-// golden tests).
-func renderDetectProxies(ds *core.Dataset, cfg proxydetect.Config) string {
-	return figures.ProxyDetection(ds, cfg).Render() + "\n"
 }
 
 // cmdIngest folds sweep directories and loose snapshots into the

@@ -99,7 +99,7 @@ func goldenTimelineSnapshot(t *testing.T) *telemetry.Snapshot {
 // TestGoldenWindows pins the analyze -windows per-window QoE and
 // diagnosis tables byte for byte.
 func TestGoldenWindows(t *testing.T) {
-	checkGolden(t, "windows-degrade.golden", renderWindows(goldenTimelineSnapshot(t)))
+	checkGolden(t, "windows-degrade.golden", render(figures.StreamWindows(goldenTimelineSnapshot(t))))
 }
 
 // TestWindowsCoverageInvariant: the rendered report passes exactly when
@@ -109,11 +109,11 @@ func TestGoldenWindows(t *testing.T) {
 func TestWindowsCoverageInvariant(t *testing.T) {
 	sn := goldenTimelineSnapshot(t)
 	delete(sn.Counters, telemetry.WindowSessionsKey(sn.Windows[0].Name))
-	if got := renderWindows(sn); !strings.Contains(got, "SHAPE MISMATCH") {
+	if got := render(figures.StreamWindows(sn)); !strings.Contains(got, "SHAPE MISMATCH") {
 		t.Errorf("report with missing window counts did not fail: %s", got)
 	}
 	warm, _ := goldenSnapshots(t)
-	if got := renderWindows(warm); !strings.Contains(got, "no timeline windows") {
+	if got := render(figures.StreamWindows(warm)); !strings.Contains(got, "no timeline windows") {
 		t.Errorf("windowless snapshot did not explain itself: %s", got)
 	}
 }
@@ -144,7 +144,7 @@ func goldenLiveSnapshot(t *testing.T) *telemetry.Snapshot {
 // and the full analyze snapshot figure set including stream-live.
 func TestGoldenLive(t *testing.T) {
 	sn := goldenLiveSnapshot(t)
-	checkGolden(t, "diagnose-live.golden", renderDiagnose(sn))
+	checkGolden(t, "diagnose-live.golden", render(figures.StreamDiagnosis(sn)))
 	var b strings.Builder
 	for _, res := range figures.AllStreaming(sn) {
 		b.WriteString(res.Render() + "\n")
@@ -178,7 +178,7 @@ func TestGoldenProxy(t *testing.T) {
 	sn.Labels = map[string]string{
 		"spec": "golden", "cell": "base", "diagnosis": "on", "proxy": "share=0.23",
 	}
-	checkGolden(t, "diagnose-proxy.golden", renderDiagnose(sn))
+	checkGolden(t, "diagnose-proxy.golden", render(figures.StreamDiagnosis(sn)))
 	var b strings.Builder
 	for _, fr := range figures.AllStreaming(sn) {
 		b.WriteString(fr.Render() + "\n")
@@ -189,7 +189,7 @@ func TestGoldenProxy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "detect-proxies.golden", renderDetectProxies(dres.Dataset, proxydetect.Config{}))
+	checkGolden(t, "detect-proxies.golden", render(figures.ProxyDetection(dres.Dataset, proxydetect.Config{})))
 }
 
 // TestDetectProxiesGroundTruthGate: the detect-proxies report passes on
@@ -220,15 +220,15 @@ func TestDetectProxiesGroundTruthGate(t *testing.T) {
 // for byte.
 func TestGoldenDiagnose(t *testing.T) {
 	warm, cold := goldenSnapshots(t)
-	checkGolden(t, "diagnose-warm.golden", renderDiagnose(warm))
-	checkGolden(t, "diagnose-cold.golden", renderDiagnose(cold))
+	checkGolden(t, "diagnose-warm.golden", render(figures.StreamDiagnosis(warm)))
+	checkGolden(t, "diagnose-cold.golden", render(figures.StreamDiagnosis(cold)))
 }
 
 // TestGoldenCompare pins the analyze -compare delta table — including
 // the diag_share_* cause-share rows — byte for byte.
 func TestGoldenCompare(t *testing.T) {
 	warm, cold := goldenSnapshots(t)
-	checkGolden(t, "compare-warm-cold.golden", renderCompare(warm, cold))
+	checkGolden(t, "compare-warm-cold.golden", render(figures.StreamCompare(warm, cold)))
 }
 
 // TestDiagnoseCoverageInvariant: the rendered report passes exactly when
@@ -242,7 +242,7 @@ func TestDiagnoseCoverageInvariant(t *testing.T) {
 			delete(warm.Counters, key)
 		}
 	}
-	got := renderDiagnose(warm)
+	got := render(figures.StreamDiagnosis(warm))
 	if !strings.Contains(got, "SHAPE MISMATCH") {
 		t.Errorf("report with missing label counts did not fail: %s", got)
 	}

@@ -1,6 +1,10 @@
 package cache
 
-import "math"
+import (
+	"math"
+
+	"vidperf/internal/stats"
+)
 
 // LRU is a least-recently-used byte-capacity cache, the Apache Traffic
 // Server default eviction policy the paper's CDN runs.
@@ -357,17 +361,8 @@ func (t *lruTable) init(capacity int) {
 	t.n = 0
 }
 
-// lruHash is the splitmix64 finalizer; chunk keys are already widely
-// spread, but the finalizer makes the probe sequence safe for any keys.
-func lruHash(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 func (t *lruTable) get(keys []uint64, key uint64) (int32, bool) {
-	h := lruHash(key)
+	h := stats.SplitMix64(key)
 	fp := uint16(h >> 48)
 	for i := h & t.mask; ; i = (i + 1) & t.mask {
 		v := t.vals[i]
@@ -384,7 +379,7 @@ func (t *lruTable) put(keys []uint64, key uint64, val int32) {
 	if 4*(t.n+1) > 3*len(t.vals) {
 		t.grow(keys)
 	}
-	h := lruHash(key)
+	h := stats.SplitMix64(key)
 	fp := uint16(h >> 48)
 	for i := h & t.mask; ; i = (i + 1) & t.mask {
 		v := t.vals[i]
@@ -406,7 +401,7 @@ func (t *lruTable) put(keys []uint64, key uint64, val int32) {
 // other live entry's node, since backward shifting recomputes their home
 // slots from the arena keys.
 func (t *lruTable) del(keys []uint64, key uint64) {
-	h := lruHash(key)
+	h := stats.SplitMix64(key)
 	fp := uint16(h >> 48)
 	i := h & t.mask
 	for {
@@ -428,7 +423,7 @@ func (t *lruTable) del(keys []uint64, key uint64) {
 		if t.vals[j] == lruNil {
 			break
 		}
-		hj := lruHash(keys[t.vals[j]]) & t.mask
+		hj := stats.SplitMix64(keys[t.vals[j]]) & t.mask
 		// Move j down iff its ideal slot does not sit strictly between
 		// the hole and j (cyclically) — i.e. its probe passed the hole.
 		if (j-hj)&t.mask >= (j-i)&t.mask {

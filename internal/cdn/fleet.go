@@ -74,7 +74,7 @@ func NewSlotFleet(cfg FleetConfig, seed uint64, popID, slot int) *Fleet {
 // shared sequential stream — so a server's streams do not depend on which
 // other PoPs exist.
 func popRand(seed uint64, popID int) *stats.Rand {
-	return stats.NewRand(mix(seed^0x5eed5eed5eed5eed) ^ mix(uint64(popID)+1))
+	return stats.NewRand(stats.SplitMix64(seed^0x5eed5eed5eed5eed) ^ stats.SplitMix64(uint64(popID)+1))
 }
 
 // Config returns the effective fleet configuration.
@@ -92,9 +92,9 @@ func (f *Fleet) Config() FleetConfig { return f.cfg }
 // is what makes per-server sharding sound.
 func SlotFor(cfg FleetConfig, videoID, videoRank int, sessionID uint64) int {
 	if cfg.PartitionTopRanks > 0 && videoRank < cfg.PartitionTopRanks {
-		return int(mix(uint64(videoID)*0x9e3779b97f4a7c15^sessionID) % uint64(cfg.ServersPerPoP))
+		return int(stats.SplitMix64(uint64(videoID)*0x9e3779b97f4a7c15^sessionID) % uint64(cfg.ServersPerPoP))
 	}
-	return int(mix(uint64(videoID)) % uint64(cfg.ServersPerPoP))
+	return int(stats.SplitMix64(uint64(videoID)) % uint64(cfg.ServersPerPoP))
 }
 
 // PoPServers returns the server slots of one PoP (for warmup and
@@ -105,13 +105,4 @@ func (f *Fleet) PoPServers(popID int) []*Server {
 		return nil
 	}
 	return f.servers
-}
-
-// mix is a 64-bit finalizer (splitmix64) used for consistent hashing and
-// for deriving per-PoP RNG roots.
-func mix(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

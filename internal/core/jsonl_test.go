@@ -397,47 +397,6 @@ func FuzzReadJSONL(f *testing.F) {
 	})
 }
 
-// FuzzReadSessionsCSV: the session CSV reader returns an error, never a
-// panic, and what it accepts is in canonical form after one write: that
-// write reads back and writes again to the same bytes.
-func FuzzReadSessionsCSV(f *testing.F) {
-	sessions := []SessionRecord{sampleSession(1), sampleSession(2)}
-	sessions[1].StartupMS = math.NaN()
-	sessions[1].OrgName = "Org, \"Inc\"\nLtd"
-	var canon bytes.Buffer
-	if err := WriteSessionsCSV(&canon, sessions); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(canon.Bytes())
-	f.Add(canon.Bytes()[:canon.Len()/2])
-	header := strings.Join(sessionsCSVHeader, ",") + "\n"
-	f.Add([]byte(header))
-	f.Add([]byte(header + strings.Repeat("1,", len(sessionsCSVHeader)-1) + "1\n"))
-	// A quoted CR CR LF reads as CR LF, which encoding/csv cannot write
-	// back: the reader rejects it.
-	f.Add([]byte(header + "1,\"a\r\r\nb\"," + strings.Repeat("1,", len(sessionsCSVHeader)-3) + "1\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, err := ReadSessionsCSV(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var w1, w2 bytes.Buffer
-		if err := WriteSessionsCSV(&w1, recs); err != nil {
-			t.Fatalf("write: %v", err)
-		}
-		back, err := ReadSessionsCSV(bytes.NewReader(w1.Bytes()))
-		if err != nil {
-			t.Fatalf("re-read: %v", err)
-		}
-		if err := WriteSessionsCSV(&w2, back); err != nil {
-			t.Fatalf("re-write: %v", err)
-		}
-		if !bytes.Equal(w1.Bytes(), w2.Bytes()) {
-			t.Fatalf("write, read, write is not byte-stable:\n%q\n%q", w1.Bytes(), w2.Bytes())
-		}
-	})
-}
-
 // benchDataset is a generated dataset the size of the trace-analyze
 // workload's: 2500 sessions and 17.5k chunks, with full-precision floats
 // like the simulator's.

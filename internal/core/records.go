@@ -237,19 +237,6 @@ type RecordSink interface {
 	ConsumeSession(s SessionRecord, chunks []ChunkRecord)
 }
 
-// TeeSink fans one record stream out to several sinks in order, letting a
-// run feed an exact Dataset and a streaming aggregate simultaneously
-// (which is how the parity tests compare the two paths on identical data).
-func TeeSink(sinks ...RecordSink) RecordSink { return teeSink(sinks) }
-
-type teeSink []RecordSink
-
-func (t teeSink) ConsumeSession(s SessionRecord, chunks []ChunkRecord) {
-	for _, sink := range t {
-		sink.ConsumeSession(s, chunks)
-	}
-}
-
 // Dataset is a joined trace: one SessionRecord per session and its
 // ChunkRecords in (SessionID, ChunkID) order.
 type Dataset struct {

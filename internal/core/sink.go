@@ -9,7 +9,6 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"strings"
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -987,8 +986,7 @@ func WriteChunksCSV(w io.Writer, chunks []ChunkRecord) error {
 	return cw.Error()
 }
 
-// sessionsCSVHeader is the column order shared by WriteSessionsCSV and
-// ReadSessionsCSV.
+// sessionsCSVHeader is WriteSessionsCSV's column order.
 var sessionsCSVHeader = []string{
 	"session_id", "user_agent", "os", "browser", "video_id", "video_rank",
 	"video_len_sec", "num_chunks", "prefix", "country", "us", "pop",
@@ -1029,121 +1027,6 @@ func WriteSessionsCSV(w io.Writer, sessions []SessionRecord) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadSessionsCSV loads a session table written by WriteSessionsCSV. An
-// empty startup_ms field reads back as NaN, so write → read → write is
-// byte-identical. Fields the CSV omits (beacon IPs, prefix ID, proxy flag)
-// are zero in the returned records.
-func ReadSessionsCSV(r io.Reader) ([]SessionRecord, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("core: read sessions CSV header: %w", err)
-	}
-	if len(header) != len(sessionsCSVHeader) {
-		return nil, fmt.Errorf("core: sessions CSV has %d columns, want %d",
-			len(header), len(sessionsCSVHeader))
-	}
-	for i, col := range sessionsCSVHeader {
-		if header[i] != col {
-			return nil, fmt.Errorf("core: sessions CSV column %d is %q, want %q", i, header[i], col)
-		}
-	}
-	var out []SessionRecord
-	for line := 2; ; line++ {
-		row, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: read sessions CSV: %w", err)
-		}
-		p := rowParser{row: row}
-		s := SessionRecord{
-			SessionID: p.uint64(), UserAgent: p.str(), OS: p.str(), Browser: p.str(),
-			VideoID: p.int(), VideoRank: p.int(),
-			VideoLenSec: p.float(), NumChunks: p.int(),
-			Prefix: p.str(), Country: p.str(), US: p.bool(), PoP: p.int(),
-			ServerID: p.int(), OrgName: p.str(), OrgType: p.str(), ConnType: p.str(),
-			DistanceKM: p.float(), StartupMS: p.float(),
-			RebufCount: p.int(), RebufDurMS: p.float(), RebufferRate: p.float(),
-			AvgBitrateKbps: p.float(), PlayedSec: p.float(),
-			SRTTMinMS: p.float(), SRTTMeanMS: p.float(), SRTTStdMS: p.float(),
-			SRTTCV: p.float(), RetxRate: p.float(), HadLoss: p.bool(),
-			GPU: p.bool(), CPUCores: p.int(), CPULoad: p.float(),
-		}
-		if p.err != nil {
-			return nil, fmt.Errorf("core: sessions CSV line %d: %w", line, p.err)
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
-// rowParser consumes one CSV row field by field, latching the first error.
-type rowParser struct {
-	row []string
-	i   int
-	err error
-}
-
-func (p *rowParser) next() string {
-	v := p.row[p.i]
-	p.i++
-	return v
-}
-
-// str rejects a field holding CR LF: encoding/csv writes it verbatim and
-// reads it back as LF, so the record could not be written back as read.
-func (p *rowParser) str() string {
-	v := p.next()
-	if strings.Contains(v, "\r\n") && p.err == nil {
-		p.err = fmt.Errorf("field %d holds CR LF", p.i-1)
-	}
-	return v
-}
-
-func (p *rowParser) float() float64 {
-	s := p.next()
-	if s == "" {
-		return math.NaN()
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil && p.err == nil {
-		p.err = err
-	}
-	return v
-}
-
-func (p *rowParser) int() int {
-	v, err := strconv.Atoi(p.next())
-	if err != nil && p.err == nil {
-		p.err = err
-	}
-	return v
-}
-
-func (p *rowParser) uint64() uint64 {
-	v, err := strconv.ParseUint(p.next(), 10, 64)
-	if err != nil && p.err == nil {
-		p.err = err
-	}
-	return v
-}
-
-func (p *rowParser) bool() bool {
-	switch p.next() {
-	case "1":
-		return true
-	case "0":
-		return false
-	default:
-		if p.err == nil {
-			p.err = fmt.Errorf("bad boolean field %d", p.i-1)
-		}
-		return false
-	}
 }
 
 func f(v float64) string { return strconv.FormatFloat(v, 'g', 8, 64) }

@@ -7,6 +7,7 @@ import (
 
 	"vidperf/internal/live"
 	"vidperf/internal/proxypop"
+	"vidperf/internal/stats"
 	"vidperf/internal/workload"
 )
 
@@ -63,9 +64,10 @@ func renderAxisValue(v json.RawMessage) string {
 }
 
 // DeriveSeed maps (base seed, cell name) to the cell's scenario seed in
-// SeedPerCell mode: an FNV-1a fold of the name through a splitmix64
-// finalizer. It is a pure function, so campaigns regenerate identically
-// run to run and cells keep their seeds when unrelated axes are added.
+// SeedPerCell mode: an FNV-1a fold of the name through
+// stats.SplitMix64. It is a pure function, so campaigns regenerate
+// identically run to run and cells keep their seeds when unrelated axes
+// are added.
 func DeriveSeed(base uint64, cellName string) uint64 {
 	const (
 		fnvOffset = 14695981039346656037
@@ -76,16 +78,7 @@ func DeriveSeed(base uint64, cellName string) uint64 {
 		h ^= uint64(cellName[i])
 		h *= fnvPrime
 	}
-	return splitmix(base ^ h)
-}
-
-// splitmix is the splitmix64 finalizer (same construction the CDN fleet
-// uses for per-PoP RNG roots).
-func splitmix(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return stats.SplitMix64(base ^ h)
 }
 
 // Expand crosses the spec's axes into the cell grid, first axis slowest

@@ -45,9 +45,9 @@ type Manifest struct {
 	// Spec is the generating spec's name (the snapshots' "spec" label).
 	Spec string `json:"spec"`
 	// SpecHash fingerprints the effective spec content (overrides like
-	// sweep -sessions included): two sweeps mix in one store only when
-	// their hashes agree, so cells from incompatible configurations never
-	// silently land in one league table.
+	// sweep -sessions included, -parallel excluded): two sweeps mix in
+	// one store only when their hashes agree, so cells from incompatible
+	// configurations never silently land in one league table.
 	SpecHash string `json:"spec_hash"`
 	// SketchK and Diagnosis echo the reporting configuration every cell
 	// ran with.
@@ -64,9 +64,14 @@ type Manifest struct {
 // maps with sorted keys, so the hash is a pure function of the spec's
 // content — the same spec hashes identically across runs, processes,
 // and machines, and any override (a different session count, a toggled
-// diagnosis flag) changes it.
+// diagnosis flag) changes it. The scenario's parallel key is left out:
+// cells are byte-identical at every parallelism, so a sweep rerun at
+// another -parallel is the same sweep and may land in the same
+// directory or store.
 func (s *Spec) Hash() string {
-	b, err := json.Marshal(s)
+	c := *s
+	c.Scenario.Parallel = 0
+	b, err := json.Marshal(&c)
 	if err != nil {
 		// A Spec is plain data (strings, numbers, raw JSON); Marshal
 		// cannot fail on one that Load produced.

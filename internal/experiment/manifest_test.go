@@ -26,7 +26,8 @@ func manifestSpec(t *testing.T) *Spec {
 }
 
 // TestSpecHashStableAndContentSensitive: the hash is a pure function of
-// spec content — identical specs agree, any override changes it.
+// spec content — identical specs agree, any override changes it, apart
+// from the parallel key, which changes no output.
 func TestSpecHashStableAndContentSensitive(t *testing.T) {
 	a, b := manifestSpec(t), manifestSpec(t)
 	if a.Hash() != b.Hash() {
@@ -40,6 +41,14 @@ func TestSpecHashStableAndContentSensitive(t *testing.T) {
 	c.Diagnosis = true
 	if a.Hash() == c.Hash() {
 		t.Fatal("diagnosis toggle did not change the spec hash")
+	}
+	d := manifestSpec(t)
+	d.Scenario.Parallel = 4
+	if a.Hash() != d.Hash() {
+		t.Fatal("parallel override changed the spec hash")
+	}
+	if d.Scenario.Parallel != 4 {
+		t.Fatalf("Hash changed the spec's parallel key to %d", d.Scenario.Parallel)
 	}
 }
 
@@ -113,6 +122,51 @@ func TestRunCampaignWritesManifestAndRefusesForeignDir(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "refusing to overwrite") {
 		t.Fatalf("unexpected refusal error: %v", err)
 	}
+}
+
+// TestRunCampaignRerunAtOtherParallelism: a sweep rerun into its own
+// directory at another parallelism is the same sweep. It is accepted,
+// and it rewrites every file, manifest included, to the same bytes.
+func TestRunCampaignRerunAtOtherParallelism(t *testing.T) {
+	dir := t.TempDir()
+	sp := manifestSpec(t)
+	sp.Scenario.Parallel = 1
+	if _, err := RunCampaign(sp, RunOptions{OutDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	first := readDir(t, dir)
+	sp = manifestSpec(t)
+	sp.Scenario.Parallel = 2
+	if _, err := RunCampaign(sp, RunOptions{OutDir: dir}); err != nil {
+		t.Fatalf("rerun at parallel 2 was refused: %v", err)
+	}
+	second := readDir(t, dir)
+	if len(first) != len(second) {
+		t.Fatalf("rerun wrote %d files, first run %d", len(second), len(first))
+	}
+	for name, b := range first {
+		if !bytes.Equal(b, second[name]) {
+			t.Errorf("%s differs between parallel 1 and 2", name)
+		}
+	}
+}
+
+// readDir returns every file in dir by name.
+func readDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = b
+	}
+	return out
 }
 
 // TestCampaignBaseline: Baseline() resolves the baseline cell and is

@@ -251,6 +251,3 @@ func LossBoost(extraDelayMS float64) float64 {
 	}
 	return boost
 }
-
-// On reports whether an episode is currently active.
-func (c *Congestion) On() bool { return c.on }

@@ -89,7 +89,7 @@ func TestCongestionMarkov(t *testing.T) {
 	onChunks, total := 0, 20000
 	for i := 0; i < total; i++ {
 		d := c.Step(r)
-		if c.On() {
+		if c.on {
 			onChunks++
 			if d <= 0 {
 				t.Fatal("on episode with zero delay")
@@ -112,7 +112,7 @@ func TestResidentialCongestionRare(t *testing.T) {
 	onChunks := 0
 	for i := 0; i < 20000; i++ {
 		c.Step(r)
-		if c.On() {
+		if c.on {
 			onChunks++
 		}
 	}

@@ -111,9 +111,6 @@ func (p *Player) BufferSec() float64 { return p.bufferSec }
 // Started reports whether playback has begun.
 func (p *Player) Started() bool { return p.started }
 
-// Stalled reports whether the player is currently re-buffering.
-func (p *Player) Stalled() bool { return p.stalled }
-
 // StartupMS returns the wall time at which playback started (the paper's
 // Fig. 4/7 "startup time"), or 0 if it never did.
 func (p *Player) StartupMS() float64 { return p.startupMS }

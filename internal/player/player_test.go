@@ -59,7 +59,7 @@ func TestRebufferWhenStarved(t *testing.T) {
 	if math.Abs(p.RebufDurMS()-4000) > 1 {
 		t.Errorf("rebuffer duration = %v, want 4000", p.RebufDurMS())
 	}
-	if p.Stalled() {
+	if p.stalled {
 		t.Error("should have resumed at threshold")
 	}
 }

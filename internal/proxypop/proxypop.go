@@ -22,6 +22,7 @@ import (
 	"math"
 
 	"vidperf/internal/netpath"
+	"vidperf/internal/stats"
 )
 
 // Defaults for the zero-valued knobs of an enabled Config.
@@ -214,8 +215,8 @@ type Cohort struct {
 }
 
 // BuildCohorts materializes the cohort table for a campaign seed. The
-// per-cohort trombone penalty hashes from (seed, cohort ID) with a
-// splitmix finalizer — no RNG draws — so building the table leaves the
+// per-cohort trombone penalty hashes from (seed, cohort ID) with
+// stats.SplitMix64 — no RNG draws — so building the table leaves the
 // population's draw streams untouched. perSessionKbps is the contended
 // per-member egress share (see PerSessionEgressKbps; 0 = uncontended).
 // Call on a defaulted, validated config.
@@ -230,7 +231,7 @@ func (c Config) BuildCohorts(seed uint64, perSessionKbps float64) []Cohort {
 	out := make([]Cohort, n)
 	for i := range out {
 		id := i + 1
-		u := unitFloat(splitmix64(seed ^ uint64(id)*0x9e3779b97f4a7c15 ^ cohortSalt))
+		u := unitFloat(stats.SplitMix64(seed ^ uint64(id)*0x9e3779b97f4a7c15 ^ cohortSalt))
 		extra := c.ExtraRTTMinMS + u*(c.ExtraRTTMaxMS-c.ExtraRTTMinMS)
 		if extra < 0 {
 			extra = 0
@@ -300,16 +301,6 @@ func (c Config) PerSessionEgressKbps(concurrent float64) float64 {
 		kbps = MinEgressKbps
 	}
 	return kbps
-}
-
-// splitmix64 is the splitmix finalizer (same constants as
-// experiment.DeriveSeed's mixer): a bijective avalanche that turns
-// structured (seed, ID) keys into uncorrelated 64-bit values.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // unitFloat maps a hash to [0, 1) with 53-bit precision.

@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"vidperf/internal/session"
+	"vidperf/internal/stats"
 	"vidperf/internal/telemetry"
 	"vidperf/internal/timeline"
 	"vidperf/internal/workload"
@@ -135,17 +136,13 @@ const seedGamma = 0x9e3779b97f4a7c15
 // WindowSeed derives service window idx's scenario seed from the serve
 // seed. Window 0 *is* the base seed — a one-window serve run and the
 // equivalent batch run share every RNG stream — and later windows mix
-// the index through a splitmix64 finalizer so their session streams are
+// the index through stats.SplitMix64 so their session streams are
 // statistically independent of each other and of the base.
 func WindowSeed(base uint64, idx int) uint64 {
 	if idx <= 0 {
 		return base
 	}
-	z := base ^ uint64(idx)*seedGamma
-	z += seedGamma
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return stats.SplitMix64(base ^ uint64(idx)*seedGamma)
 }
 
 // WindowName names service window idx. The zero-padded index keeps

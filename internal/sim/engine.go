@@ -95,9 +95,6 @@ func (e *Engine) Reset() {
 // Now returns the current simulated time in milliseconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Pending returns the number of scheduled events not yet executed.
-func (e *Engine) Pending() int { return len(e.events) }
-
 // At schedules h to fire at absolute time at. Events scheduled in the past
 // fire at the current time (the engine never moves backwards).
 func (e *Engine) At(at float64, h Handler) {
@@ -144,16 +141,5 @@ func (e *Engine) Step() bool {
 // Run executes events until none remain.
 func (e *Engine) Run() {
 	for e.Step() {
-	}
-}
-
-// RunUntil executes events with time <= deadline. Later events remain queued
-// and the clock advances to deadline if it had not yet reached it.
-func (e *Engine) RunUntil(deadline float64) {
-	for len(e.events) > 0 && e.events[0].at <= deadline {
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
 	}
 }

@@ -75,29 +75,6 @@ func TestNegativeDelayClamped(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	var e Engine
-	var got []float64
-	for _, tm := range []float64{1, 2, 3, 4, 5} {
-		tm := tm
-		e.At(tm, Func(func(now float64) { got = append(got, now) }))
-	}
-	e.RunUntil(3)
-	if len(got) != 3 {
-		t.Fatalf("ran %d events, want 3", len(got))
-	}
-	if e.Pending() != 2 {
-		t.Errorf("pending = %d, want 2", e.Pending())
-	}
-	if e.Now() != 3 {
-		t.Errorf("Now = %v, want 3", e.Now())
-	}
-	e.RunUntil(100)
-	if e.Pending() != 0 || e.Now() != 100 {
-		t.Errorf("after drain: pending=%d now=%v", e.Pending(), e.Now())
-	}
-}
-
 // firings is a long-lived handler that counts how often it fired.
 type firings int
 
@@ -151,7 +128,7 @@ func TestMonotoneClockProperty(t *testing.T) {
 			}))
 		}
 		e.Run()
-		return ok && e.Pending() == 0
+		return ok && len(e.events) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

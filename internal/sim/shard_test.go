@@ -114,10 +114,12 @@ func TestEngineResetKeepsHeap(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		e.At(float64(i), &h)
 	}
-	e.RunUntil(10)
+	for i := 0; i <= 10; i++ {
+		e.Step()
+	}
 	e.Reset()
-	if e.Now() != 0 || e.Pending() != 0 {
-		t.Fatalf("after Reset: now %v, %d pending; want 0, 0", e.Now(), e.Pending())
+	if e.Now() != 0 || len(e.events) != 0 {
+		t.Fatalf("after Reset: now %v, %d pending; want 0, 0", e.Now(), len(e.events))
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
 		for i := 0; i < 64; i++ {

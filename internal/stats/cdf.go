@@ -43,26 +43,6 @@ func (e *ECDF) Quantile(q float64) float64 {
 	return quantileSorted(e.sorted, q)
 }
 
-// Points returns up to n (x, P(X<=x)) pairs evenly spaced in rank order,
-// suitable for rendering the CDF curves the paper plots.
-func (e *ECDF) Points(n int) []Point {
-	if len(e.sorted) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(e.sorted) {
-		n = len(e.sorted)
-	}
-	pts := make([]Point, 0, n)
-	for i := 0; i < n; i++ {
-		idx := i * (len(e.sorted) - 1) / max(n-1, 1)
-		pts = append(pts, Point{
-			X: e.sorted[idx],
-			Y: float64(idx+1) / float64(len(e.sorted)),
-		})
-	}
-	return pts
-}
-
 // Point is a single (x, y) pair in a rendered series.
 type Point struct {
 	X, Y float64
@@ -79,9 +59,6 @@ type BinStat struct {
 	P25    float64
 	P75    float64
 }
-
-// Center returns the bin midpoint.
-func (b BinStat) Center() float64 { return (b.Lo + b.Hi) / 2 }
 
 // BinnedStats buckets (x, y) samples into fixed-width bins of x spanning
 // [lo, hi) and returns per-bin summaries of y. Bins with no samples are

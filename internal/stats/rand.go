@@ -44,6 +44,11 @@ func (r *Rand) Uint64() uint64 {
 	return mix(r.state)
 }
 
+// SplitMix64 is one stateless splitmix64 step, mix(z + gamma): the draw a
+// Rand seeded with z returns first. Packages that hash a key or derive a
+// seed from an index use it so the whole module shares one mixer.
+func SplitMix64(z uint64) uint64 { return mix(z + gamma) }
+
 // mix is splitmix64's output function.
 func mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -201,12 +206,4 @@ func (r *Rand) Choice(weights []float64) int {
 		}
 	}
 	return len(weights) - 1
-}
-
-// Shuffle permutes xs in place using the Fisher–Yates algorithm.
-func Shuffle[T any](r *Rand, xs []T) {
-	for i := len(xs) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		xs[i], xs[j] = xs[j], xs[i]
-	}
 }

@@ -181,16 +181,26 @@ func TestChoiceWeights(t *testing.T) {
 	}
 }
 
-func TestShufflePermutation(t *testing.T) {
-	r := NewRand(31)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	Shuffle(r, xs)
-	seen := make(map[int]bool)
-	for _, x := range xs {
-		seen[x] = true
+// SplitMix64 must be the reference splitmix64: from state 0 the generator
+// emits 0xe220a8397b1dcdaf then 0x6e789e6aa1b965f4, and SplitMix64(z) is
+// the draw after state z. The CDN, the cache index, proxy cohorts, cell
+// seeds and serve window seeds all hash through it, so a change here
+// regenerates every trace.
+func TestSplitMix64(t *testing.T) {
+	cases := []struct{ z, want uint64 }{
+		{0, 0xe220a8397b1dcdaf},
+		{0x9e3779b97f4a7c15, 0x6e789e6aa1b965f4},
 	}
-	if len(seen) != 10 {
-		t.Fatalf("shuffle lost elements: %v", xs)
+	for _, c := range cases {
+		if got := SplitMix64(c.z); got != c.want {
+			t.Errorf("SplitMix64(%#x) = %#x, want %#x", c.z, got, c.want)
+		}
+	}
+	r := NewRand(0)
+	for _, c := range cases {
+		if got := r.Uint64(); got != c.want {
+			t.Errorf("NewRand(0) draw = %#x, want %#x", got, c.want)
+		}
 	}
 }
 

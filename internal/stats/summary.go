@@ -75,17 +75,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 // Median returns the 50th percentile of xs.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
-// IQR returns the interquartile range (p75 - p25) of xs.
-func IQR(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	Sort(sorted)
-	return quantileSorted(sorted, 0.75) - quantileSorted(sorted, 0.25)
-}
-
 // Min returns the smallest element of xs, or NaN if xs is empty.
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -100,42 +89,16 @@ func Min(xs []float64) float64 {
 	return m
 }
 
-// Max returns the largest element of xs, or NaN if xs is empty.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Summary accumulates streaming moments (Welford's algorithm) together
-// with min and max, so hot paths can collect statistics without retaining
-// every sample.
+// Summary accumulates streaming moments (Welford's algorithm), so hot
+// paths can collect statistics without retaining every sample.
 type Summary struct {
 	n        int
 	mean, m2 float64
-	min, max float64
 }
 
 // Add incorporates x into the summary.
 func (s *Summary) Add(x float64) {
 	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
 	d := x - s.mean
 	s.mean += d / float64(s.n)
 	s.m2 += d * (x - s.mean)
@@ -162,30 +125,6 @@ func (s *Summary) Var() float64 {
 
 // Std returns the running population standard deviation.
 func (s *Summary) Std() float64 { return math.Sqrt(s.Var()) }
-
-// CV returns the running coefficient of variation.
-func (s *Summary) CV() float64 {
-	if s.n == 0 || s.mean == 0 {
-		return math.NaN()
-	}
-	return s.Std() / s.mean
-}
-
-// Min returns the smallest sample, or NaN before any sample.
-func (s *Summary) Min() float64 {
-	if s.n == 0 {
-		return math.NaN()
-	}
-	return s.min
-}
-
-// Max returns the largest sample, or NaN before any sample.
-func (s *Summary) Max() float64 {
-	if s.n == 0 {
-		return math.NaN()
-	}
-	return s.max
-}
 
 // EWMA is an exponentially weighted moving average with smoothing factor
 // alpha in (0, 1]: next = (1-alpha)*prev + alpha*sample. TCP's SRTT uses

@@ -28,9 +28,6 @@ func NewZipf(n int, s float64) *Zipf {
 	return &Zipf{cum: cum}
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cum) }
-
 // Sample draws a rank in [0, N). Rank 0 is the most popular.
 func (z *Zipf) Sample(r *Rand) int {
 	x := r.Float64() * z.cum[len(z.cum)-1]

@@ -108,12 +108,6 @@ func (s *Store) Sweeps() []string {
 	return out
 }
 
-// Sweep returns a sweep's provenance record.
-func (s *Store) Sweep(name string) (SweepMeta, bool) {
-	m, ok := s.sweeps[name]
-	return m, ok
-}
-
 // Entries returns the sweep's entries in cell-key order ("" selects
 // every sweep). The slice is a copy; mutating it does not touch the
 // store.

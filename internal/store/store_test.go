@@ -196,7 +196,7 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("Save/Open round-trip changed the store bytes")
 	}
-	meta, ok := got.Sweep("sw")
+	meta, ok := got.sweeps["sw"]
 	if !ok || meta.SpecHash == "" || meta.Spec != "store-test" {
 		t.Fatalf("round-trip lost sweep provenance: %+v ok=%v", meta, ok)
 	}

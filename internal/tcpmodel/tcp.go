@@ -102,14 +102,6 @@ type TransferResult struct {
 	SRTTEnd      float64
 }
 
-// LossRate returns SegmentsLost/SegmentsSent for the chunk.
-func (t TransferResult) LossRate() float64 {
-	if t.SegmentsSent == 0 {
-		return 0
-	}
-	return float64(t.SegmentsLost) / float64(t.SegmentsSent)
-}
-
 // Conn is one long-lived sender. A video session uses a single Conn for
 // all its chunks (the paper's sessions are one TCP connection). New returns
 // it by value, so a session embeds its connection; a copy shares the
@@ -141,9 +133,6 @@ func New(p Params, r *stats.Rand) Conn {
 		ssthresh: 1 << 30, // effectively unbounded until first loss
 	}
 }
-
-// Params returns the path parameters the connection was built with.
-func (c *Conn) Params() Params { return c.p }
 
 // bdpBytes returns the path's current bandwidth-delay product. A
 // congestion episode lengthens the path, so the pipe holds more bytes in

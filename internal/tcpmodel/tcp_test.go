@@ -16,9 +16,17 @@ func cleanPath() Params {
 	}
 }
 
+// lossRate returns SegmentsLost/SegmentsSent for the chunk.
+func lossRate(r TransferResult) float64 {
+	if r.SegmentsSent == 0 {
+		return 0
+	}
+	return float64(r.SegmentsLost) / float64(r.SegmentsSent)
+}
+
 func TestDefaults(t *testing.T) {
 	c := New(Params{BaseRTTms: 40, BottleneckKbps: 10000}, stats.NewRand(1))
-	p := c.Params()
+	p := c.p
 	if p.MSS != 1460 {
 		t.Errorf("MSS = %d", p.MSS)
 	}
@@ -69,10 +77,10 @@ func TestFirstChunkLosesMoreThanLater(t *testing.T) {
 	for seed := uint64(0); seed < 60; seed++ {
 		c := New(p, stats.NewRand(seed))
 		r0 := c.Transfer(2000000)
-		first.Add(r0.LossRate())
+		first.Add(lossRate(r0))
 		for i := 0; i < 4; i++ {
 			ri := c.Transfer(2000000)
-			later.Add(ri.LossRate())
+			later.Add(lossRate(ri))
 		}
 	}
 	if first.Mean() <= later.Mean() {
@@ -116,7 +124,7 @@ func TestRandomLossCausesRetransmissions(t *testing.T) {
 	if res.SegmentsLost == 0 {
 		t.Error("no losses despite 2% random loss")
 	}
-	rate := res.LossRate()
+	rate := lossRate(res)
 	if rate < 0.005 || rate > 0.10 {
 		t.Errorf("loss rate %.4f implausible for p=0.02", rate)
 	}
@@ -230,11 +238,11 @@ func TestPacingReducesFirstChunkLoss(t *testing.T) {
 	var unpaced, paced stats.Summary
 	for seed := uint64(0); seed < 60; seed++ {
 		c1 := New(base, stats.NewRand(seed))
-		unpaced.Add(c1.Transfer(2000000).LossRate())
+		unpaced.Add(lossRate(c1.Transfer(2000000)))
 		pp := base
 		pp.Pacing = true
 		c2 := New(pp, stats.NewRand(seed))
-		paced.Add(c2.Transfer(2000000).LossRate())
+		paced.Add(lossRate(c2.Transfer(2000000)))
 	}
 	if paced.Mean() >= unpaced.Mean() {
 		t.Errorf("pacing did not reduce loss: paced %.4f vs unpaced %.4f",
@@ -316,7 +324,7 @@ func TestSRTTBoundsProperty(t *testing.T) {
 		c := New(p, r.Split())
 		c.Transfer(int64(r.Intn(4000000) + 1000))
 		srtt := c.Info().SRTTms
-		maxQueue := float64(c.Params().BufferBytes) / (p.BottleneckKbps / 8)
+		maxQueue := float64(c.p.BufferBytes) / (p.BottleneckKbps / 8)
 		return srtt >= base-1e-6 && srtt <= base+maxQueue+20*5+1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

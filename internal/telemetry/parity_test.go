@@ -1,7 +1,7 @@
 package telemetry_test
 
 // parity_test.go pins the streaming and exact paths together: one shared
-// campaign runs once with a TeeSink feeding both a materialized Dataset
+// campaign runs once with a tee feeding both a materialized Dataset
 // and the telemetry Campaign, then every sketch-backed quantile is
 // checked against the exact ECDF within the sketch's documented rank
 // error, every counter against the exact count, and the snapshot bytes
@@ -10,6 +10,7 @@ package telemetry_test
 import (
 	"bytes"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -40,6 +41,15 @@ var (
 	paritySnap *telemetry.Snapshot
 )
 
+// tee fans one record stream out to several sinks in order.
+type tee []core.RecordSink
+
+func (t tee) ConsumeSession(s core.SessionRecord, chunks []core.ChunkRecord) {
+	for _, sink := range t {
+		sink.ConsumeSession(s, chunks)
+	}
+}
+
 // parityRun executes the shared campaign once, teeing every finished
 // session into both paths so they see literally the same records.
 func parityRun(t *testing.T) (*core.Dataset, *telemetry.Snapshot) {
@@ -52,7 +62,7 @@ func parityRun(t *testing.T) (*core.Dataset, *telemetry.Snapshot) {
 		_, err := session.Execute(parityScenario(), session.Options{Sinks: func(popID int) core.RecordSink {
 			ds := &core.Dataset{}
 			parts = append(parts, ds)
-			return core.TeeSink(ds, camp.Sink(popID))
+			return tee{ds, camp.Sink(popID)}
 		}})
 		if err != nil {
 			panic(err)
@@ -93,9 +103,9 @@ func assertQuantileParity(t *testing.T, name string, sk *telemetry.QuantileSketc
 				name, q, got, lo, hi, eps)
 		}
 	}
-	if sk.Min() != stats.Min(exact) || sk.Max() != stats.Max(exact) {
+	if sk.Min() != slices.Min(exact) || sk.Max() != slices.Max(exact) {
 		t.Errorf("%s: sketch min/max %v/%v, exact %v/%v",
-			name, sk.Min(), sk.Max(), stats.Min(exact), stats.Max(exact))
+			name, sk.Min(), sk.Max(), slices.Min(exact), slices.Max(exact))
 	}
 }
 

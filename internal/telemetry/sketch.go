@@ -401,25 +401,8 @@ func weightedQuantile(items []weighted, n uint64, q float64) float64 {
 	return items[len(items)-1].v
 }
 
-// CDFAt estimates P(X <= x), or NaN for an empty sketch.
-func (s *QuantileSketch) CDFAt(x float64) float64 {
-	if s.n == 0 {
-		return math.NaN()
-	}
-	var cum uint64
-	for h, lvl := range s.levels {
-		w := uint64(1) << uint(h)
-		for _, v := range lvl {
-			if v <= x {
-				cum += w
-			}
-		}
-	}
-	return float64(cum) / float64(s.n)
-}
-
 // ErrorBound returns the documented worst-case normalized rank error of
-// Quantile and CDFAt: 4/k. The alternating compaction offset cancels
+// Quantile: 4/k. The alternating compaction offset cancels
 // consecutive compaction errors at each level, bounding the outstanding
 // error per level by that level's item weight; summed over levels that is
 // under 2N/k, and the bound doubles it as a safety margin for the parity
