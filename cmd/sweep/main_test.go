@@ -69,15 +69,3 @@ func TestPaperBaselineWithDiagnosisSmoke(t *testing.T) {
 		}
 	}
 }
-
-// TestSummaryHelpersZeroSafe: the table helpers must not divide by zero
-// on an empty snapshot (a cell that simulated nothing).
-func TestSummaryHelpersZeroSafe(t *testing.T) {
-	sn := &telemetry.Snapshot{Schema: telemetry.SnapshotSchema}
-	if got := sn.ChunkShare(telemetry.CounterChunksHit); got != 0 {
-		t.Errorf("hit ratio(empty) = %v", got)
-	}
-	if got := sn.ChunkShare(telemetry.CounterChunksRetryTimer); got != 0 {
-		t.Errorf("retry share(empty) = %v", got)
-	}
-}

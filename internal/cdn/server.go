@@ -23,11 +23,9 @@ import (
 // calibrated to the paper's Fig. 5 (median hit 2 ms, miss ~80 ms,
 // ~35% of chunks hitting the 10 ms retry timer).
 type Config struct {
-	RAMBytes  int64  // main-memory cache size (default 2 GiB)
-	DiskBytes int64  // disk cache size (default 64 GiB)
-	Policy    string // cache policy at both levels (default "lru")
+	RAMBytes int64  // main-memory cache size (default 2 GiB)
+	Policy   string // cache policy at both levels (default "lru")
 
-	Workers     int     // threadpool size (default 16)
 	OpenRetryMS float64 // ATS open-read retry timer (default 10 ms)
 
 	// Prefetch is the number of subsequent chunks fetched from the backend
@@ -50,6 +48,17 @@ const (
 	openMedianMS     = 0.5 // header parse + cache-open attempt
 )
 
+// DiskBytes is every server's disk cache size, the second level of the
+// Fig. 5 hit/miss split: a RAM miss the disk holds pays the 10 ms retry
+// timer, the upper mode of Dread, instead of a backend fetch (§4.1). It
+// is exported for the timeline's cache shrink (session), which scales
+// it with the RAM size.
+const DiskBytes = 64 << 30
+
+// workers is the ATS threadpool size: enough that the FIFO queue wait
+// Dwait stays sub-millisecond at the paper's load (§4.1, Fig. 5).
+const workers = 16
+
 // The lognormal location of each median, computed once rather than per
 // request.
 var (
@@ -62,14 +71,8 @@ func (c Config) withDefaults() Config {
 	if c.RAMBytes == 0 {
 		c.RAMBytes = 2 << 30
 	}
-	if c.DiskBytes == 0 {
-		c.DiskBytes = 64 << 30
-	}
 	if c.Policy == "" {
 		c.Policy = "lru"
-	}
-	if c.Workers == 0 {
-		c.Workers = 16
 	}
 	if c.OpenRetryMS == 0 {
 		c.OpenRetryMS = 10
@@ -239,7 +242,7 @@ func NewServer(id, popID int, cfg Config, be *backend.Service, r *stats.Rand) *S
 	if !ok {
 		panic("cdn: unknown cache policy " + cfg.Policy)
 	}
-	disk, _ := cache.NewPolicy(cfg.Policy, cfg.DiskBytes)
+	disk, _ := cache.NewPolicy(cfg.Policy, DiskBytes)
 	return &Server{
 		ID:      id,
 		PoPID:   popID,
@@ -262,7 +265,7 @@ func (s *Server) Config() Config { return s.cfg }
 func (s *Server) Serve(eng *sim.Engine, req Request, c Client) {
 	f := s.requests.get()
 	*f = inflight{srv: s, eng: eng, req: req, arrivedMS: eng.Now(), client: c}
-	if s.busy < s.cfg.Workers {
+	if s.busy < workers {
 		s.start(f)
 		return
 	}

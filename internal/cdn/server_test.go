@@ -70,7 +70,7 @@ func TestRetryTimerSeparatesDiskFromRAM(t *testing.T) {
 	// exactly the 8 ms difference.
 	dread := map[float64]float64{}
 	for _, retryMS := range []float64{10, 2} {
-		cfg := Config{RAMBytes: 1 << 20, DiskBytes: 1 << 30, OpenRetryMS: retryMS}
+		cfg := Config{RAMBytes: 1 << 20, OpenRetryMS: retryMS}
 		s := newTestServer(cfg)
 		reqA := Request{Key: 100, SizeBytes: 600000}
 		serveSync(s, reqA) // miss -> cached (RAM+disk)
@@ -121,15 +121,17 @@ func TestHitStatsDistribution(t *testing.T) {
 }
 
 func TestFIFOQueueWait(t *testing.T) {
-	// One worker, two simultaneous requests: the second must wait for the
-	// first's local work and record a larger Dwait.
-	cfg := Config{Workers: 1}
-	s := newTestServer(cfg)
+	// One more simultaneous request than the pool has workers: the last
+	// must wait for a worker's local work and record a larger Dwait.
+	s := newTestServer(Config{})
 	var eng sim.Engine
 	var first, second ServeResult
 	gotFirst := false
 	s.Serve(&eng, Request{Key: 1, SizeBytes: 400000}, clientFunc(func(r ServeResult) { first = r; gotFirst = true }))
-	s.Serve(&eng, Request{Key: 2, SizeBytes: 400000}, clientFunc(func(r ServeResult) { second = r }))
+	for k := uint64(2); k <= workers; k++ {
+		s.Serve(&eng, Request{Key: k, SizeBytes: 400000}, clientFunc(func(ServeResult) {}))
+	}
+	s.Serve(&eng, Request{Key: workers + 1, SizeBytes: 400000}, clientFunc(func(r ServeResult) { second = r }))
 	eng.Run()
 	if !gotFirst {
 		t.Fatal("first request never finished")
@@ -143,18 +145,18 @@ func TestFIFOQueueWait(t *testing.T) {
 // FIFO's backing array nor the recycled request handlers keep a client
 // (in the simulator, a whole session) reachable.
 func TestDrainedQueueHoldsNoClient(t *testing.T) {
-	s := newTestServer(Config{Workers: 1})
+	s := newTestServer(Config{})
 	var eng sim.Engine
 	served := 0
-	for k := uint64(1); k <= 6; k++ {
+	for k := uint64(1); k <= workers+5; k++ {
 		s.Serve(&eng, Request{Key: k, SizeBytes: 400000}, clientFunc(func(ServeResult) { served++ }))
 	}
 	if s.head != 0 || len(s.queue) != 5 {
 		t.Fatalf("backlog head=%d len=%d, want 0 and 5", s.head, len(s.queue))
 	}
 	eng.Run()
-	if served != 6 {
-		t.Fatalf("served %d requests, want 6", served)
+	if served != workers+5 {
+		t.Fatalf("served %d requests, want %d", served, workers+5)
 	}
 	if len(s.queue) != 0 {
 		t.Fatalf("drained queue has %d entries", len(s.queue))
@@ -280,7 +282,7 @@ func TestFleetPartitioningSpreadsPopular(t *testing.T) {
 // produce the paper's layered outcome: most chunks from RAM, a meaningful
 // disk share (retry timer), and a small backend miss rate.
 func TestLayeredServeShares(t *testing.T) {
-	cfg := Config{RAMBytes: 256 << 20, DiskBytes: 8 << 30}
+	cfg := Config{RAMBytes: 256 << 20}
 	s := newTestServer(cfg)
 	r := stats.NewRand(11)
 	z := stats.NewZipf(3000, 0.9)

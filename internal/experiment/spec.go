@@ -134,30 +134,18 @@ type ScenarioSpec struct {
 	Parallel int     `json:"parallel,omitempty"`
 
 	// Catalog.
-	Videos   int     `json:"videos,omitempty"`
-	ZipfS    float64 `json:"zipf_s,omitempty"`
-	ChunkSec float64 `json:"chunk_sec,omitempty"`
-	Bitrates []int   `json:"bitrates,omitempty"`
+	Videos int     `json:"videos,omitempty"`
+	ZipfS  float64 `json:"zipf_s,omitempty"`
 
 	// Client behaviour and mix.
 	ABR               string  `json:"abr,omitempty"`
 	MeanWatchedChunks float64 `json:"mean_watched_chunks,omitempty"`
-	StartThresholdSec float64 `json:"start_threshold_sec,omitempty"`
-	MaxBufferSec      float64 `json:"max_buffer_sec,omitempty"`
 	ArrivalWindowMin  float64 `json:"arrival_window_min,omitempty"`
-	NonUSFrac         float64 `json:"non_us_frac,omitempty"`
-	EnterpriseFrac    float64 `json:"enterprise_frac,omitempty"`
-	SmallBizFrac      float64 `json:"small_biz_frac,omitempty"`
 	ProxyFrac         float64 `json:"proxy_frac,omitempty"`
-	GPUFrac           float64 `json:"gpu_frac,omitempty"`
 
-	// CDN fleet and server.
-	PoPs              int     `json:"pops,omitempty"`
-	ServersPerPoP     int     `json:"servers_per_pop,omitempty"`
+	// CDN server.
 	RAMGB             float64 `json:"ram_gb,omitempty"`
-	DiskGB            float64 `json:"disk_gb,omitempty"`
 	CachePolicy       string  `json:"cache_policy,omitempty"`
-	Workers           int     `json:"workers,omitempty"`
 	OpenRetryMS       float64 `json:"open_retry_ms,omitempty"`
 	Prefetch          int     `json:"prefetch,omitempty"`
 	PinFirstChunks    *bool   `json:"pin_first_chunks,omitempty"`
@@ -188,59 +176,23 @@ func (s ScenarioSpec) Apply(base workload.Scenario) workload.Scenario {
 	if s.ZipfS != 0 {
 		sc.Catalog.ZipfExponent = s.ZipfS
 	}
-	if s.ChunkSec != 0 {
-		sc.Catalog.ChunkDuration = s.ChunkSec
-	}
-	if len(s.Bitrates) != 0 {
-		sc.Catalog.Bitrates = append([]int(nil), s.Bitrates...)
-	}
 	if s.ABR != "" {
 		sc.ABRName = s.ABR
 	}
 	if s.MeanWatchedChunks != 0 {
 		sc.MeanWatchedChunks = s.MeanWatchedChunks
 	}
-	if s.StartThresholdSec != 0 {
-		sc.StartThresholdSec = s.StartThresholdSec
-	}
-	if s.MaxBufferSec != 0 {
-		sc.MaxBufferSec = s.MaxBufferSec
-	}
 	if s.ArrivalWindowMin != 0 {
 		sc.ArrivalWindowMS = s.ArrivalWindowMin * 60 * 1000
-	}
-	if s.NonUSFrac != 0 {
-		sc.NonUSFrac = s.NonUSFrac
-	}
-	if s.EnterpriseFrac != 0 {
-		sc.EnterprisePrefixFrac = s.EnterpriseFrac
-	}
-	if s.SmallBizFrac != 0 {
-		sc.SmallBizPrefixFrac = s.SmallBizFrac
 	}
 	if s.ProxyFrac != 0 {
 		sc.ResidentialProxyFrac = s.ProxyFrac
 	}
-	if s.GPUFrac != 0 {
-		sc.GPUFrac = s.GPUFrac
-	}
-	if s.PoPs != 0 {
-		sc.Fleet.NumPoPs = s.PoPs
-	}
-	if s.ServersPerPoP != 0 {
-		sc.Fleet.ServersPerPoP = s.ServersPerPoP
-	}
 	if s.RAMGB != 0 {
 		sc.Fleet.Server.RAMBytes = int64(s.RAMGB * float64(1<<30))
 	}
-	if s.DiskGB != 0 {
-		sc.Fleet.Server.DiskBytes = int64(s.DiskGB * float64(1<<30))
-	}
 	if s.CachePolicy != "" {
 		sc.Fleet.Server.Policy = s.CachePolicy
-	}
-	if s.Workers != 0 {
-		sc.Fleet.Server.Workers = s.Workers
 	}
 	if s.OpenRetryMS != 0 {
 		sc.Fleet.Server.OpenRetryMS = s.OpenRetryMS

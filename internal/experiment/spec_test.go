@@ -40,14 +40,6 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 		{"huge sketch k", `{"name":"x","sketch_k":4611686018427387904}`, "sketch_k"},
 		{"sketch k past the maximum", `{"name":"x","sketch_k":65537}`, "sketch_k"},
 		{"odd sketch k", `{"name":"x","sketch_k":9}`, "sketch_k must be 0 or an even value in [8, 65536]"},
-		{"shared rung code", `{"name":"x","scenario":{"bitrates":[235,239,750,1750]}}`, "share cache key code"},
-		{"unsorted ladder", `{"name":"x","scenario":{"bitrates":[3000,750,235]}}`, "ascending"},
-		{"zero rung", `{"name":"x","scenario":{"bitrates":[0,750,41200]}}`, "out of range"},
-		{"oversized rung", `{"name":"x","scenario":{"bitrates":[750,41200]}}`, "out of range"},
-		{"bad ladder on an axis", `{"name":"x","axes":[{"name":"bitrates","values":[[235,3000],[750,750]]}]}`, "cell bitrates="},
-		{"too many pops", `{"name":"x","scenario":{"pops":7}}`, "pops 7, want 1 to 6"},
-		{"negative pops", `{"name":"x","scenario":{"pops":-1}}`, "pops -1"},
-		{"too many pops on an axis", `{"name":"x","axes":[{"name":"pops","values":[6,8]}]}`, "cell pops=8"},
 		{"unknown abr", `{"name":"x","scenario":{"abr":"nope"}}`, `cell base: session: unknown ABR algorithm "nope"`},
 		{"unknown abr on an axis", `{"name":"x","axes":[{"name":"abr","values":["hybrid","nope"]}]}`, `cell abr=nope: session: unknown ABR algorithm "nope"`},
 		{"zero on an axis", `{"name":"x","axes":[{"name":"zipf_s","values":[0,0.9]}]}`, `axis "zipf_s" = 0: it would leave the key unset`},
@@ -77,16 +69,9 @@ func TestLoadRejectsOutOfRangeScenario(t *testing.T) {
 		{"videos", "-1"},
 		{"zipf_s", "-0.9"},
 		{"ram_gb", "-2"},
-		{"disk_gb", "-64"},
 		{"mean_watched_chunks", "-10"},
-		{"chunk_sec", "-6"},
-		{"servers_per_pop", "-1"},
 		{"cache_policy", `"nope"`},
 		{"sessions", "-5"},
-		{"gpu_frac", "3"},
-		{"enterprise_frac", "-0.5"},
-		{"non_us_frac", "1.5"},
-		{"workers", "-4"},
 		{"parallel", "-1"},
 	} {
 		field := `{"name":"x","scenario":{"` + c.key + `":` + c.value + `}}`
@@ -119,21 +104,21 @@ func TestOverrideFlags(t *testing.T) {
 		fs.Uint64("seed", 1, "")
 		fs.Bool("cold", false, "")
 		fs.String("abr", "hybrid", "")
-		fs.Int("workers", 1, "") // a scenario key, but no row of the flag table
+		fs.Int("prefetch", 1, "") // a scenario key, but no row of the flag table
 		if err := fs.Parse(args); err != nil {
 			t.Fatal(err)
 		}
 		return fs
 	}
 	sp := load(t, `{"name":"x","scenario":{"sessions":50,"parallel":3,"abr":"fixed-low"}}`)
-	if err := sp.OverrideFlags(newFlags("-sessions", "70", "-seed", "0", "-cold=false", "-parallel", "0", "-workers", "9").Visit); err != nil {
+	if err := sp.OverrideFlags(newFlags("-sessions", "70", "-seed", "0", "-cold=false", "-parallel", "0", "-prefetch", "9").Visit); err != nil {
 		t.Fatal(err)
 	}
 	// -parallel 0, the flag's default, replaces the spec's 3 like a
 	// file's 0 would: it selects the default.
 	sc := sp.Scenario
 	if sc.Sessions != 70 || sc.Seed == nil || *sc.Seed != 0 || sc.Cold == nil || *sc.Cold ||
-		sc.Parallel != 0 || sc.ABR != "fixed-low" || sc.Workers != 0 {
+		sc.Parallel != 0 || sc.ABR != "fixed-low" || sc.Prefetch != 0 {
 		t.Fatalf("overridden scenario = %+v", sc)
 	}
 	for _, bad := range [][]string{{"-sessions", "0"}, {"-abr", ""}} {
@@ -178,7 +163,7 @@ func TestZeroFieldsInheritDefaults(t *testing.T) {
 
 func TestApplyCoversUnits(t *testing.T) {
 	sp := load(t, `{"name":"x","scenario":{
-		"seed": 7, "ram_gb": 0.5, "disk_gb": 2, "arrival_window_min": 2,
+		"seed": 7, "ram_gb": 0.5, "arrival_window_min": 2,
 		"cache_policy": "gd-size", "open_retry_ms": 5, "zipf_s": 1.1,
 		"cold": true, "pin_first_chunks": true, "abr": "buffer-based"}}`)
 	cells, err := sp.Expand()
@@ -191,9 +176,6 @@ func TestApplyCoversUnits(t *testing.T) {
 	}
 	if sc.Fleet.Server.RAMBytes != 1<<29 {
 		t.Errorf("RAMBytes = %d, want %d", sc.Fleet.Server.RAMBytes, 1<<29)
-	}
-	if sc.Fleet.Server.DiskBytes != 2<<30 {
-		t.Errorf("DiskBytes = %d, want %d", sc.Fleet.Server.DiskBytes, int64(2<<30))
 	}
 	if sc.ArrivalWindowMS != 120000 {
 		t.Errorf("ArrivalWindowMS = %g, want 120000", sc.ArrivalWindowMS)

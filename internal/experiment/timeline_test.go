@@ -67,7 +67,8 @@ func TestTimelineSpecRejectsOverlap(t *testing.T) {
 }
 
 // TestTimelineSpecRejectsBadPoPs: PoP references outside the cell's
-// fleet fail validation — including when an axis shrinks the fleet.
+// fleet fail validation — including when the cell's fleet is smaller
+// than the default six PoPs.
 func TestTimelineSpecRejectsBadPoPs(t *testing.T) {
 	_, err := Load(strings.NewReader(`{
 		"name": "tl",
@@ -78,15 +79,23 @@ func TestTimelineSpecRejectsBadPoPs(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "PoP 9") {
 		t.Fatalf("Load accepted PoP 9 outage in the default 6-PoP fleet: %v", err)
 	}
-	_, err = Load(strings.NewReader(`{
+	sp, err := Load(strings.NewReader(`{
 		"name": "tl",
 		"timeline": {"phases": [
 			{"name": "outage", "start_min": 0, "duration_min": 5, "pop_down": [4]}
-		]},
-		"axes": [{"name": "pops", "values": [6, 3]}]
+		]}
 	}`))
-	if err == nil || !strings.Contains(err.Error(), "PoP 4") {
-		t.Fatalf("Load accepted an outage the pops=3 cell cannot host: %v", err)
+	if err != nil {
+		t.Fatalf("Load rejected a PoP 4 outage in the default 6-PoP fleet: %v", err)
+	}
+	cells, err := sp.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := cells[0].Scenario
+	sc.Fleet.NumPoPs = 3
+	if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "PoP 4") {
+		t.Fatalf("Validate accepted an outage a 3-PoP fleet cannot host: %v", err)
 	}
 }
 

@@ -25,24 +25,27 @@ import (
 	"vidperf/internal/stats"
 )
 
-// Defaults for the zero-valued knobs of an enabled Config.
+// DefaultCohorts is the number of shared-egress identities the proxied
+// share of an enabled Config splits into when it sets none.
+const DefaultCohorts = 12
+
+// The tromboned path and the beacon evidence of every proxied session.
 const (
-	// DefaultCohorts is the number of shared-egress identities the
-	// proxied share splits into.
-	DefaultCohorts = 12
-	// DefaultExtraRTTMinMS / DefaultExtraRTTMaxMS bound the per-cohort
-	// trombone penalty, mirroring the enterprise backhaul detour term
-	// (netpath.EnterpriseProfile draws Uniform(25, 200)).
-	DefaultExtraRTTMinMS = 25
-	DefaultExtraRTTMaxMS = 200
-	// DefaultJitterFactor multiplies prefix jitter for tromboned paths:
-	// two extra queues (client→proxy, proxy→CDN) on every round trip.
-	DefaultJitterFactor = 3
-	// DefaultBeaconMismatchProb is the share of proxied sessions whose
-	// player beacon still reports the true client address (§3 rule i
+	// extraRTTMinMS / extraRTTMaxMS bound the per-cohort trombone
+	// penalty, mirroring the enterprise backhaul detour term
+	// (netpath.EnterpriseProfile draws Uniform(25, 200)) behind the
+	// close-but-slow prefixes of §4.2 (Fig. 9).
+	extraRTTMinMS = 25
+	extraRTTMaxMS = 200
+	// jitterFactor multiplies prefix jitter for tromboned paths: two
+	// extra queues (client→proxy, proxy→CDN) on every round trip, the
+	// high-CV(SRTT) tail of Table 4.
+	jitterFactor = 3
+	// beaconMismatchProb is the share of proxied sessions whose player
+	// beacon still reports the true client address (§3 rule i
 	// evidence); the rest are only catchable by the shared-IP volume
 	// rule (ii).
-	DefaultBeaconMismatchProb = 0.7
+	beaconMismatchProb = 0.7
 )
 
 // Bounds enforced by Validate.
@@ -76,20 +79,9 @@ type Config struct {
 	// Cohorts is how many egress identities the proxied share splits
 	// into; 0 selects DefaultCohorts.
 	Cohorts int `json:"cohorts,omitempty"`
-	// ExtraRTTMinMS / ExtraRTTMaxMS bound the per-cohort trombone RTT
-	// penalty; 0 selects the defaults.
-	ExtraRTTMinMS float64 `json:"extra_rtt_min_ms,omitempty"`
-	ExtraRTTMaxMS float64 `json:"extra_rtt_max_ms,omitempty"`
-	// JitterFactor multiplies prefix jitter on tromboned paths; 0
-	// selects DefaultJitterFactor.
-	JitterFactor float64 `json:"jitter_factor,omitempty"`
 	// EgressKbps is each cohort's shared uplink capacity, divided among
 	// the expected concurrent members (0 = uncontended egress).
 	EgressKbps float64 `json:"egress_kbps,omitempty"`
-	// BeaconMismatchProb is the share of proxied sessions whose beacon
-	// IP disagrees with the CDN-seen egress IP; 0 selects
-	// DefaultBeaconMismatchProb.
-	BeaconMismatchProb float64 `json:"beacon_mismatch_prob,omitempty"`
 }
 
 // Enabled reports whether the scenario models proxied populations.
@@ -104,18 +96,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.Cohorts == 0 {
 		c.Cohorts = DefaultCohorts
-	}
-	if c.ExtraRTTMinMS == 0 {
-		c.ExtraRTTMinMS = DefaultExtraRTTMinMS
-	}
-	if c.ExtraRTTMaxMS == 0 {
-		c.ExtraRTTMaxMS = DefaultExtraRTTMaxMS
-	}
-	if c.JitterFactor == 0 {
-		c.JitterFactor = DefaultJitterFactor
-	}
-	if c.BeaconMismatchProb == 0 {
-		c.BeaconMismatchProb = DefaultBeaconMismatchProb
 	}
 	return c
 }
@@ -133,23 +113,8 @@ func (c Config) Validate() error {
 	if c.Cohorts < 0 || c.Cohorts > MaxCohorts {
 		return fmt.Errorf("proxy: cohorts must be in [0, %d], got %d", MaxCohorts, c.Cohorts)
 	}
-	if c.ExtraRTTMinMS < 0 || c.ExtraRTTMaxMS < 0 {
-		return fmt.Errorf("proxy: extra RTT bounds must be >= 0, got [%g, %g]",
-			c.ExtraRTTMinMS, c.ExtraRTTMaxMS)
-	}
-	if c.ExtraRTTMinMS != 0 && c.ExtraRTTMaxMS != 0 && c.ExtraRTTMinMS > c.ExtraRTTMaxMS {
-		return fmt.Errorf("proxy: extra RTT min %g exceeds max %g",
-			c.ExtraRTTMinMS, c.ExtraRTTMaxMS)
-	}
-	if c.JitterFactor != 0 && c.JitterFactor < 1 {
-		return fmt.Errorf("proxy: jitter factor must be >= 1, got %g", c.JitterFactor)
-	}
 	if c.EgressKbps < 0 {
 		return fmt.Errorf("proxy: egress kbps must be >= 0, got %g", c.EgressKbps)
-	}
-	if c.BeaconMismatchProb < 0 || c.BeaconMismatchProb > 1 {
-		return fmt.Errorf("proxy: beacon mismatch prob must be in [0, 1], got %g",
-			c.BeaconMismatchProb)
 	}
 	return nil
 }
@@ -198,7 +163,7 @@ func (c Config) Assign(u float64) Assignment {
 	return Assignment{
 		Proxied:  true,
 		Cohort:   cohort,
-		Mismatch: frac < c.BeaconMismatchProb,
+		Mismatch: frac < beaconMismatchProb,
 	}
 }
 
@@ -232,10 +197,7 @@ func (c Config) BuildCohorts(seed uint64, perSessionKbps float64) []Cohort {
 	for i := range out {
 		id := i + 1
 		u := unitFloat(stats.SplitMix64(seed ^ uint64(id)*0x9e3779b97f4a7c15 ^ cohortSalt))
-		extra := c.ExtraRTTMinMS + u*(c.ExtraRTTMaxMS-c.ExtraRTTMinMS)
-		if extra < 0 {
-			extra = 0
-		}
+		extra := extraRTTMinMS + u*(extraRTTMaxMS-extraRTTMinMS)
 		qDelay := queueDelayPerRTT * extra
 		if qDelay < queueDelayMinMS {
 			qDelay = queueDelayMinMS
@@ -245,7 +207,7 @@ func (c Config) BuildCohorts(seed uint64, perSessionKbps float64) []Cohort {
 			EgressIP: fmt.Sprintf("egress-%04d", id),
 			Trombone: netpath.Trombone{
 				ExtraRTTMS:       extra,
-				JitterFactor:     c.JitterFactor,
+				JitterFactor:     jitterFactor,
 				EgressKbps:       perSessionKbps,
 				QueueOnProb:      queueOnProb,
 				QueueOffProb:     queueOffProb,

@@ -18,13 +18,11 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatalf("WithDefaults mutated the disabled config: %+v", got)
 	}
 	c := Config{Share: 0.23}.WithDefaults()
-	if c.Cohorts != DefaultCohorts || c.ExtraRTTMinMS != DefaultExtraRTTMinMS ||
-		c.ExtraRTTMaxMS != DefaultExtraRTTMaxMS || c.JitterFactor != DefaultJitterFactor ||
-		c.BeaconMismatchProb != DefaultBeaconMismatchProb {
+	if c.Cohorts != DefaultCohorts {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
-	custom := Config{Share: 0.5, Cohorts: 3, JitterFactor: 2}.WithDefaults()
-	if custom.Cohorts != 3 || custom.JitterFactor != 2 {
+	custom := Config{Share: 0.5, Cohorts: 3}.WithDefaults()
+	if custom.Cohorts != 3 {
 		t.Fatalf("explicit value overwritten: %+v", custom)
 	}
 	if err := custom.Validate(); err != nil {
@@ -33,19 +31,14 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 // TestValidateRejects pins the rejection cases: share outside [0, 1]
-// (checked even when the block is disabled), inverted RTT bounds, a
-// jitter factor below 1, and out-of-range knobs.
+// (checked even when the block is disabled) and out-of-range knobs.
 func TestValidateRejects(t *testing.T) {
 	for name, c := range map[string]Config{
 		"share>1":        {Share: 1.5},
 		"share<0":        {Share: -0.1},
 		"cohorts>max":    {Share: 0.2, Cohorts: MaxCohorts + 1},
 		"cohorts<0":      {Share: 0.2, Cohorts: -1},
-		"rtt-min<0":      {Share: 0.2, ExtraRTTMinMS: -1},
-		"rtt-inverted":   {Share: 0.2, ExtraRTTMinMS: 200, ExtraRTTMaxMS: 25},
-		"jitter<1":       {Share: 0.2, JitterFactor: 0.5},
 		"egress<0":       {Share: 0.2, EgressKbps: -1},
-		"mismatch>1":     {Share: 0.2, BeaconMismatchProb: 1.5},
 		"disabled-share": {Share: -2},
 	} {
 		if err := c.Validate(); err == nil {
@@ -100,20 +93,14 @@ func TestAssignRealizedShare(t *testing.T) {
 	}
 }
 
-// TestBuildCohortsRTTNeverNegativeProperty: for any seed and any legal
-// RTT window, every cohort's trombone penalty lands inside
-// [min, max] — never negative — and the cohort table is a pure
-// function of (seed, config).
+// TestBuildCohortsRTTNeverNegativeProperty: for any seed, every
+// cohort's trombone penalty lands inside the fixed [25, 200] ms window
+// — never negative — and the cohort table is a pure function of
+// (seed, config).
 func TestBuildCohortsRTTNeverNegativeProperty(t *testing.T) {
-	prop := func(seed uint64, lo, hi float64, cohorts uint8) bool {
-		// Keep the bounds strictly positive: 0 means "use the default"
-		// (the neutral-zero convention), which would change the window.
-		lo = math.Abs(math.Mod(lo, 500)) + 1
-		hi = lo + math.Abs(math.Mod(hi, 500))
-		c := Config{
-			Share: 0.2, Cohorts: int(cohorts%32) + 1,
-			ExtraRTTMinMS: lo, ExtraRTTMaxMS: hi,
-		}.WithDefaults()
+	const lo, hi = 25, 200
+	prop := func(seed uint64, cohorts uint8) bool {
+		c := Config{Share: 0.2, Cohorts: int(cohorts%32) + 1}.WithDefaults()
 		a := c.BuildCohorts(seed, 0)
 		b := c.BuildCohorts(seed, 0)
 		if len(a) != c.Cohorts {
@@ -121,7 +108,7 @@ func TestBuildCohortsRTTNeverNegativeProperty(t *testing.T) {
 		}
 		for i := range a {
 			tr := a[i].Trombone
-			if tr.ExtraRTTMS < lo-1e-9 || tr.ExtraRTTMS > hi+1e-9 || tr.ExtraRTTMS < 0 {
+			if tr.ExtraRTTMS < lo || tr.ExtraRTTMS > hi {
 				return false
 			}
 			if a[i] != b[i] {

@@ -21,14 +21,17 @@ import (
 	"vidperf/internal/telemetry"
 )
 
-// CheckpointSchema is the checkpoint wire-format version. Schema 4
-// holds schema-2 telemetry snapshots: no histograms, and a sum in every
-// sketch. Schema 3 dropped the calibration values the scenario no
-// longer carries (the backend block, the CDN's and catalog's
-// service-time and duration parameters, FPS); schema 2 stored them,
-// schema 1 also spelled the live and proxy blocks with Go field names.
-// Checkpoints are decoded strictly, so no older schema loads.
-const CheckpointSchema = 4
+// CheckpointSchema is the checkpoint wire-format version. Schema 5
+// dropped the population mix and server sizes the scenario no longer
+// carries (NonUSFrac, EnterprisePrefixFrac, SmallBizPrefixFrac, GPUFrac,
+// the CDN's DiskBytes and Workers); schema 4 stored them. Schema 4 was
+// the first to hold schema-2 telemetry snapshots: no histograms, and a
+// sum in every sketch. Schema 3 dropped the calibration values the
+// scenario no longer carries (the backend block, the CDN's and
+// catalog's service-time and duration parameters, FPS); schema 2 stored
+// them, schema 1 also spelled the live and proxy blocks with Go field
+// names. Checkpoints are decoded strictly, so no older schema loads.
+const CheckpointSchema = 5
 
 // Checkpoint is the serialized engine state. Its wire form is
 // json.Marshal's; the engine writes it with encodeCheckpoint, which

@@ -273,10 +273,10 @@ func TestConfigRejectsNonFiniteTimes(t *testing.T) {
 // load-time errors, not silent divergence later.
 func TestReadCheckpointRejectsCorruptState(t *testing.T) {
 	for name, body := range map[string]string{
-		"bad schema":     `{"schema": 5, "config": {}, "windows_done": 0}`,
-		"missing fold":   `{"schema": 4, "config": {}, "windows_done": 3}`,
-		"negative count": `{"schema": 4, "config": {}, "windows_done": -1}`,
-		"oversized ring": `{"schema": 4, "config": {}, "windows_done": 0, "ring": [{"index": 0}]}`,
+		"bad schema":     `{"schema": 6, "config": {}, "windows_done": 0}`,
+		"missing fold":   `{"schema": 5, "config": {}, "windows_done": 3}`,
+		"negative count": `{"schema": 5, "config": {}, "windows_done": -1}`,
+		"oversized ring": `{"schema": 5, "config": {}, "windows_done": 0, "ring": [{"index": 0}]}`,
 		"not a document": `]`,
 	} {
 		if _, err := serve.ReadCheckpoint(bytes.NewReader([]byte(body))); err == nil {
@@ -302,9 +302,24 @@ func TestResumeRefusesBadCheckpoints(t *testing.T) {
 		}
 		return bytes.Replace(real, []byte(old), []byte(new), 1)
 	}
+	// Schema 4 also stored the population mix and the CDN's disk size
+	// and threadpool as config fields.
+	schema4 := real
+	for _, e := range [][2]string{
+		{`{"schema":5,`, `{"schema":4,`},
+		{`"RAMBytes":0,`, `"RAMBytes":0,"DiskBytes":0,`},
+		{`"Policy":"",`, `"Policy":"","Workers":0,`},
+		{`"ABRName":"",`, `"ABRName":"","NonUSFrac":0,"EnterprisePrefixFrac":0,"SmallBizPrefixFrac":0,`},
+		{`"ArrivalOffsetMS":0,`, `"ArrivalOffsetMS":0,"GPUFrac":0,`},
+	} {
+		if !bytes.Contains(schema4, []byte(e[0])) {
+			t.Fatalf("testdata/checkpoint.json has no %s", e[0])
+		}
+		schema4 = bytes.Replace(schema4, []byte(e[0]), []byte(e[1]), 1)
+	}
 	// Schema 3 held schema-1 snapshots: sketches without a sum, and
 	// fixed-bin histograms (left empty here).
-	schema3 := regexp.MustCompile(`"sum":[-+.0-9eE]+,`).ReplaceAll(real, nil)
+	schema3 := regexp.MustCompile(`"sum":[-+.0-9eE]+,`).ReplaceAll(schema4, nil)
 	for _, e := range [][2]string{
 		{`{"schema":4,`, `{"schema":3,`},
 		{`{"schema":2,"sketch_k"`, `{"schema":1,"sketch_k"`},
@@ -339,11 +354,13 @@ func TestResumeRefusesBadCheckpoints(t *testing.T) {
 		data       []byte
 	}{
 		{"renamed key", `unknown field "NumPrefixez"`, edit(`"NumPrefixes":150`, `"NumPrefixez":150`)},
-		{"unknown key", `unknown field "note"`, edit(`{"schema":4,`, `{"schema":4,"note":"x",`)},
+		{"unknown key", `unknown field "note"`, edit(`{"schema":5,`, `{"schema":5,"note":"x",`)},
 		{"removed calibration key", `unknown field "FPS"`, edit(`"MaxBufferSec":0,`, `"MaxBufferSec":0,"FPS":0,`)},
+		{"removed population key", `unknown field "GPUFrac"`, edit(`"ArrivalOffsetMS":0,`, `"ArrivalOffsetMS":0,"GPUFrac":0,`)},
 		{"trailing data", "trailing data", append(append([]byte(nil), real...), "{}\n"...)},
+		{"schema 4", "without -resume", schema4},
 		{"schema 3", "without -resume", schema3},
-		{"schema 3, current keys", "without -resume", edit(`{"schema":4,`, `{"schema":3,`)},
+		{"schema 3, current keys", "without -resume", edit(`{"schema":5,`, `{"schema":3,`)},
 		{"schema 2", "without -resume", schema2},
 		{"schema 1", "without -resume", schema1},
 		{"out-of-range value", "prefixes -3", edit(`"NumPrefixes":150`, `"NumPrefixes":-3`)},
@@ -390,8 +407,8 @@ func FuzzReadCheckpoint(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(real)
-	f.Add([]byte(`{"schema":4,"config":{},"windows_done":1,"cumulative":{"schema":2,"sketch_k":64,"sketches":{"x":null},"counters":{}}}`))
-	f.Add([]byte(`{"schema":4,"config":{"Scenario":{"ABRName":"nope"}},"windows_done":0}`))
+	f.Add([]byte(`{"schema":5,"config":{},"windows_done":1,"cumulative":{"schema":2,"sketch_k":64,"sketches":{"x":null},"counters":{}}}`))
+	f.Add([]byte(`{"schema":5,"config":{"Scenario":{"ABRName":"nope"}},"windows_done":0}`))
 	f.Add([]byte(`{"schema":3,"config":{},"windows_done":1,"cumulative":{"schema":1,"sketch_k":64,"sketches":{},"histograms":{},"counters":{}}}`))
 	f.Add(bytes.Replace(real, []byte(`"NumPrefixes"`), []byte(`"NumPrefixez"`), 1))
 	f.Fuzz(func(t *testing.T, data []byte) {

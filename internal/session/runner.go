@@ -274,7 +274,7 @@ func scheduleTimelineEvents(eng *sim.Engine, srv *cdn.Server, tl timeline.Timeli
 		}
 		resize := func(factor float64) sim.Func {
 			return func(float64) {
-				srv.Cache().Resize(scaleBytes(cfg.RAMBytes, factor), scaleBytes(cfg.DiskBytes, factor))
+				srv.Cache().Resize(scaleBytes(cfg.RAMBytes, factor), scaleBytes(cdn.DiskBytes, factor))
 			}
 		}
 		eng.At(offsetMS+ph.StartMS, resize(f))

@@ -625,7 +625,7 @@ func TestWarmPoPCostIndependentOfCatalog(t *testing.T) {
 func TestWarmPoPReplaysWithoutSeed(t *testing.T) {
 	cat := catalog.New(catalog.Config{NumVideos: 200}, stats.NewRand(4))
 	for _, policy := range []string{"gdsf", "lru"} {
-		cfg := cdn.FleetConfig{NumPoPs: 1, ServersPerPoP: 2, Server: cdn.Config{Policy: policy, RAMBytes: 8 << 20, DiskBytes: 64 << 20}}
+		cfg := cdn.FleetConfig{NumPoPs: 1, ServersPerPoP: 2, Server: cdn.Config{Policy: policy, RAMBytes: 8 << 20}}
 		fleet := cdn.NewSlotFleet(cfg, 1, 0, 1)
 		ml := fleet.PoPServers(0)[1].Cache()
 		if policy == "lru" {
@@ -635,7 +635,7 @@ func TestWarmPoPReplaysWithoutSeed(t *testing.T) {
 		WarmPoP(fleet, cat, 0)
 
 		ram, _ := cache.NewPolicy(policy, 8<<20)
-		disk, _ := cache.NewPolicy(policy, 64<<20)
+		disk, _ := cache.NewPolicy(policy, cdn.DiskBytes)
 		if policy == "lru" {
 			disk.Put(1, 1)
 			ram.Put(1, 1)

@@ -39,11 +39,9 @@ type Scenario struct {
 	// see internal/abr for the ablation variants).
 	ABRName string
 
-	// Population mix.
-	NonUSFrac            float64 // default 0.07 (paper: >93% North America)
-	EnterprisePrefixFrac float64 // default 0.10
-	SmallBizPrefixFrac   float64 // default 0.08
-	ResidentialProxyFrac float64 // default 0.21 (transparent ISP proxies)
+	// ResidentialProxyFrac is the share of residential prefixes behind
+	// transparent ISP proxies (default 0.21).
+	ResidentialProxyFrac float64
 
 	// Session behaviour.
 	MeanWatchedChunks float64 // default 10 (geometric-ish abandonment)
@@ -62,10 +60,6 @@ type Scenario struct {
 	// virtual clock; the zero value is byte-identical to the pre-offset
 	// behaviour.
 	ArrivalOffsetMS float64
-
-	// GPUFrac is the share of clients with hardware rendering
-	// (default 0.45).
-	GPUFrac float64
 
 	// ColdStart skips cache pre-warming, simulating a freshly deployed
 	// CDN instead of the steady state the paper measures (ablation).
@@ -116,15 +110,6 @@ func (s Scenario) WithDefaults() Scenario {
 	if s.ABRName == "" {
 		s.ABRName = "hybrid"
 	}
-	if s.NonUSFrac == 0 {
-		s.NonUSFrac = 0.07
-	}
-	if s.EnterprisePrefixFrac == 0 {
-		s.EnterprisePrefixFrac = 0.10
-	}
-	if s.SmallBizPrefixFrac == 0 {
-		s.SmallBizPrefixFrac = 0.08
-	}
 	if s.ResidentialProxyFrac == 0 {
 		s.ResidentialProxyFrac = 0.21
 	}
@@ -142,9 +127,6 @@ func (s Scenario) WithDefaults() Scenario {
 	}
 	if s.ArrivalWindowMS == 0 {
 		s.ArrivalWindowMS = 30 * 60 * 1000
-	}
-	if s.GPUFrac == 0 {
-		s.GPUFrac = 0.45
 	}
 	s.Live = s.Live.WithDefaults()
 	s.Proxy = s.Proxy.WithDefaults()
@@ -170,26 +152,20 @@ func (s Scenario) Validate() error {
 		{"sessions", float64(s.NumSessions), ">= 1"},
 		{"prefixes", float64(s.NumPrefixes), ">= 1"},
 		{"videos", float64(s.Catalog.NumVideos), ">= 1"},
-		{"servers_per_pop", float64(s.Fleet.ServersPerPoP), ">= 1"},
-		{"workers", float64(srv.Workers), ">= 1"},
+		{"ServersPerPoP", float64(s.Fleet.ServersPerPoP), ">= 1"},
 		{"parallel", float64(s.Parallelism), ">= 0"},
 		{"prefetch", float64(srv.Prefetch), ">= 0"},
 		{"partition_top_ranks", float64(s.Fleet.PartitionTopRanks), ">= 0"},
 		{"ram_gb", float64(srv.RAMBytes) / (1 << 30), "> 0"},
-		{"disk_gb", float64(srv.DiskBytes) / (1 << 30), "> 0"},
 		{"zipf_s", s.Catalog.ZipfExponent, "> 0"},
-		{"chunk_sec", s.Catalog.ChunkDuration, "> 0"},
+		{"ChunkDuration", s.Catalog.ChunkDuration, "> 0"},
 		{"mean_watched_chunks", s.MeanWatchedChunks, "> 0"},
-		{"start_threshold_sec", s.StartThresholdSec, "> 0"},
-		{"max_buffer_sec", s.MaxBufferSec, "> 0"},
+		{"StartThresholdSec", s.StartThresholdSec, "> 0"},
+		{"MaxBufferSec", s.MaxBufferSec, "> 0"},
 		{"arrival_window_min", s.ArrivalWindowMS / 60000, "> 0"},
 		{"open_retry_ms", srv.OpenRetryMS, "> 0"},
 		{"ArrivalOffsetMS", s.ArrivalOffsetMS, ">= 0"},
-		{"non_us_frac", s.NonUSFrac, frac},
-		{"enterprise_frac", s.EnterprisePrefixFrac, frac},
-		{"small_biz_frac", s.SmallBizPrefixFrac, frac},
 		{"proxy_frac", s.ResidentialProxyFrac, frac},
-		{"gpu_frac", s.GPUFrac, frac},
 	} {
 		// Zero is always legal (it selects the default), so every range
 		// reduces to a finite non-negative value, at most 1 for a fraction.
@@ -199,7 +175,7 @@ func (s Scenario) Validate() error {
 	}
 	pops := s.Fleet.WithDefaults().NumPoPs
 	if n := len(geo.DefaultPoPs()); pops < 1 || pops > n {
-		return fmt.Errorf("workload: pops %d, want 1 to %d", pops, n)
+		return fmt.Errorf("workload: NumPoPs %d, want 1 to %d", pops, n)
 	}
 	if srv.Policy != "" {
 		if _, ok := cache.NewPolicy(srv.Policy, 1); !ok {
@@ -359,6 +335,18 @@ func (p *Population) buildLiveChannels() {
 // scenarios and 0 <= ch < Live.Channels.
 func (p *Population) LiveVideo(ch int) *catalog.Video { return &p.liveVideos[ch] }
 
+// The §3 population mix, measured on the paper's trace rather than
+// swept: a share of prefixes outside the US (the dataset is >93% North
+// American), and the enterprise and small-business prefix shares whose
+// tromboned, jittery paths make up the high-CV(SRTT) tail (§4.2, Fig. 9,
+// Table 4). The small-business share is of all prefixes, so it is drawn
+// conditionally on the prefix not being an enterprise.
+const (
+	nonUSFrac            = 0.07
+	enterprisePrefixFrac = 0.10
+	smallBizPrefixFrac   = 0.08
+)
+
 func (p *Population) buildPrefixes(r *stats.Rand) {
 	sc := p.Scenario
 	usCities := geo.USCities()
@@ -376,7 +364,7 @@ func (p *Population) buildPrefixes(r *stats.Rand) {
 
 	for i := 0; i < sc.NumPrefixes; i++ {
 		var city geo.City
-		us := !r.Bool(sc.NonUSFrac)
+		us := !r.Bool(nonUSFrac)
 		if us {
 			city = usCities[r.Choice(usW)]
 		} else {
@@ -402,7 +390,7 @@ func (p *Population) buildPrefixes(r *stats.Rand) {
 		}
 
 		switch {
-		case r.Bool(sc.EnterprisePrefixFrac):
+		case r.Bool(enterprisePrefixFrac):
 			pr.Profile = netpath.EnterpriseProfile(prop, r)
 			// Enterprises cluster into orgs of a few prefixes; org sizes
 			// are heavy-tailed so Table 4's session counts span decades.
@@ -411,7 +399,7 @@ func (p *Population) buildPrefixes(r *stats.Rand) {
 			}
 			pr.Profile.OrgName = fmt.Sprintf("Enterprise#%d", enterpriseOrg)
 			pr.Weight = r.Pareto(0.4, 1.3)
-		case r.Bool(sc.SmallBizPrefixFrac / (1 - sc.EnterprisePrefixFrac)):
+		case r.Bool(smallBizPrefixFrac / (1 - enterprisePrefixFrac)):
 			pr.Profile = netpath.SmallBusinessProfile(prop, r)
 			pr.Profile.OrgName = fmt.Sprintf("SmallBiz#%d", i%97)
 			pr.Weight = r.Pareto(0.3, 1.4)
@@ -525,7 +513,7 @@ func (p *Population) PlanSession(id uint64) SessionPlan {
 		Live:          p.Scenario.Live.Enabled(),
 		LiveChannel:   lv.Channel,
 		LiveJoinChunk: lv.Join,
-		Platform:      samplePlatform(&r, p.Scenario.GPUFrac),
+		Platform:      samplePlatform(&r),
 		PathParams:    pre.Profile.SessionParams(&r),
 		ClientIP:      beaconIP(pre.ID, 1+r.Intn(250)),
 		ServingPoP:    pre.PoP,
@@ -722,8 +710,13 @@ func (p *Population) PartitionBySlot(cfg cdn.FleetConfig) ([][]SessionRef, []int
 	return parts, chunks
 }
 
+// gpuFrac is the share of clients with hardware rendering, the
+// near-zero-drop bar that software rendering's rate-driven drops are
+// compared with (§4.4, Fig. 19).
+const gpuFrac = 0.45
+
 // samplePlatform draws the OS/browser/hardware mix of §3.
-func samplePlatform(r *stats.Rand, gpuFrac float64) clientstack.Platform {
+func samplePlatform(r *stats.Rand) clientstack.Platform {
 	var pl clientstack.Platform
 	switch r.Choice([]float64{88.5, 9.4, 2.1}) {
 	case 0:

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"vidperf/internal/catalog"
 	"vidperf/internal/cdn"
 	"vidperf/internal/clientstack"
 	"vidperf/internal/live"
@@ -24,14 +25,16 @@ func TestScenarioValidate(t *testing.T) {
 	if err := (Scenario{}).Validate(); err != nil {
 		t.Fatalf("zero scenario: %v", err)
 	}
-	ok := Scenario{NumSessions: 1, NonUSFrac: 1, GPUFrac: 1, Fleet: cdn.FleetConfig{NumPoPs: 6}}
+	ok := Scenario{NumSessions: 1, ResidentialProxyFrac: 1, Fleet: cdn.FleetConfig{NumPoPs: 6}}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("boundary scenario: %v", err)
 	}
 	for name, sc := range map[string]Scenario{
 		"ArrivalOffsetMS": {ArrivalOffsetMS: -1},
-		"max_buffer_sec":  {MaxBufferSec: math.Inf(1)},
-		"pops":            {Fleet: cdn.FleetConfig{NumPoPs: 7}},
+		"MaxBufferSec":    {MaxBufferSec: math.Inf(1)},
+		"NumPoPs 7":       {Fleet: cdn.FleetConfig{NumPoPs: 7}},
+		"NumPoPs -1":      {Fleet: cdn.FleetConfig{NumPoPs: -1}},
+		"ascending":       {Catalog: catalog.Config{Bitrates: []int{3000, 750, 235}}},
 		"cache_policy":    {Fleet: cdn.FleetConfig{Server: cdn.Config{Policy: "fifo"}}},
 		"live":            {Live: live.Config{Channels: -1}},
 		"proxy":           {Proxy: proxypop.Config{Share: 2}},
